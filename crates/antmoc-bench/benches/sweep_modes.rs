@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use antmoc::solver::manager::{select_resident, RankPolicy};
-use antmoc::solver::sweep::transport_sweep;
-use antmoc::solver::{FluxBanks, Problem, SegmentSource};
+use antmoc::solver::sweep::transport_sweep_with;
+use antmoc::solver::{FluxBanks, KernelConfig, Problem, SegmentSource, SweepArena, SweepSchedule};
 use antmoc::track::{trace_3d, Track3dId, TrackParams};
 use antmoc_bench::problem_for;
 
@@ -22,6 +22,20 @@ fn bench_problem() -> Problem {
     })
 }
 
+/// A natural-order sweep with the default kernel configuration over one
+/// arena and bank set, so iterations reuse their buffers as a solve does.
+fn sweeper<'a>(problem: &'a Problem, q: &'a [f64]) -> impl FnMut(&SegmentSource) -> u64 + 'a {
+    let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+    let mut arena = SweepArena::new(KernelConfig::default());
+    let schedule = SweepSchedule::natural();
+    move |segsrc| {
+        let out = transport_sweep_with(problem, segsrc, q, &banks, &schedule, &mut arena);
+        let segments = out.segments;
+        arena.recycle(out);
+        segments
+    }
+}
+
 fn sweep_modes(c: &mut Criterion) {
     let problem = bench_problem();
     let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
@@ -32,14 +46,14 @@ fn sweep_modes(c: &mut Criterion) {
     let all: Vec<Track3dId> = problem.layout.tracks3d.ids().collect();
     let exp = SegmentSource::stored(&problem, &all);
     group.bench_function("explicit", |b| {
-        let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
-        b.iter(|| transport_sweep(&problem, &exp, &q, &banks))
+        let mut sweep = sweeper(&problem, &q);
+        b.iter(|| sweep(&exp))
     });
 
     let otf = SegmentSource::otf();
     group.bench_function("otf_fused", |b| {
-        let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
-        b.iter(|| transport_sweep(&problem, &otf, &q, &banks))
+        let mut sweep = sweeper(&problem, &q);
+        b.iter(|| sweep(&otf))
     });
 
     let full: u64 = problem
@@ -50,8 +64,8 @@ fn sweep_modes(c: &mut Criterion) {
     let plan = select_resident(&problem, full / 2, RankPolicy::BySegments);
     let mgr = SegmentSource::stored(&problem, &plan.resident);
     group.bench_function("manager_half", |b| {
-        let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
-        b.iter(|| transport_sweep(&problem, &mgr, &q, &banks))
+        let mut sweep = sweeper(&problem, &q);
+        b.iter(|| sweep(&mgr))
     });
 
     // Split-kernel ablation: per iteration, a generation kernel
@@ -59,12 +73,12 @@ fn sweep_modes(c: &mut Criterion) {
     // kernel sweeps the store — the kernel switch + materialisation the
     // paper's fused kernel avoids (§4.1).
     group.bench_function("otf_split_kernels", |b| {
-        let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+        let mut sweep = sweeper(&problem, &q);
         b.iter_batched(
             || (),
             |_| {
                 let src = SegmentSource::stored(&problem, &all);
-                transport_sweep(&problem, &src, &q, &banks)
+                sweep(&src)
             },
             BatchSize::PerIteration,
         )

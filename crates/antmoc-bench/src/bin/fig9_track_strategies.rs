@@ -21,7 +21,11 @@ use antmoc::gpusim::{Device, DeviceSpec};
 use antmoc::perfmodel::{advise, Advice, MemoryModel};
 use antmoc::solver::device::{CuMapping, DeviceSolver};
 use antmoc::solver::manager::{select_resident, RankPolicy};
-use antmoc::solver::{EigenOptions, FluxBanks, SegmentSource, StorageMode, Sweeper};
+use antmoc::solver::sweep::transport_sweep_with;
+use antmoc::solver::{
+    EigenOptions, FluxBanks, KernelConfig, SegmentSource, StorageMode, SweepArena, SweepSchedule,
+    Sweeper,
+};
 use antmoc_bench::{human_bytes, problem_for, track_scales};
 
 const ITERS: usize = 10;
@@ -31,7 +35,8 @@ fn time_iterations(solver: &mut DeviceSolver, problem: &antmoc::solver::Problem)
     let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
     let t0 = Instant::now();
     for _ in 0..ITERS {
-        let _ = solver.sweep(problem, &q, &banks);
+        let out = solver.sweep(problem, &q, &banks);
+        solver.recycle(out);
     }
     t0.elapsed().as_secs_f64() / ITERS as f64
 }
@@ -154,9 +159,18 @@ fn main() {
             let segsrc = SegmentSource::stored(&problem, &plan.resident);
             let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
             let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+            let mut arena = SweepArena::new(KernelConfig::default());
             let t0 = Instant::now();
             for _ in 0..ITERS {
-                let _ = antmoc::solver::sweep::transport_sweep(&problem, &segsrc, &q, &banks);
+                let out = transport_sweep_with(
+                    &problem,
+                    &segsrc,
+                    &q,
+                    &banks,
+                    &SweepSchedule::natural(),
+                    &mut arena,
+                );
+                arena.recycle(out);
             }
             let t = t0.elapsed().as_secs_f64() / ITERS as f64;
             println!("| {name} | {} | {} | {t:.3} |", plan.resident.len(), plan.resident_segments);

@@ -21,8 +21,11 @@ use std::process::ExitCode;
 
 use antmoc::balance::l3::sorted_round_robin;
 use antmoc::geom::c5g7::{C5g7, C5g7Options};
-use antmoc::solver::sweep::transport_sweep_scheduled;
-use antmoc::solver::{FluxBanks, Problem, ScheduleKind, SegmentSource, SweepSchedule};
+use antmoc::solver::sweep::transport_sweep_with;
+use antmoc::solver::{
+    FluxBanks, KernelConfig, Problem, ScheduleKind, SegmentSource, SweepArena, SweepSchedule,
+    TallyMode,
+};
 use antmoc::telemetry::Telemetry;
 use antmoc::track::TrackParams;
 
@@ -56,7 +59,9 @@ fn static_chunk_ratio(weights: &[u64], order: Option<&[u32]>) -> f64 {
 }
 
 /// One full sweep under an explicit pool; returns the measured per-worker
-/// busy-time load ratio from the scheduler's region stats.
+/// busy-time load ratio from the scheduler's region stats. Atomic tallies,
+/// because those dispatch through the work-stealing scheduler this figure
+/// measures (privatized tallies take a static partition).
 fn measured_ratio(
     pool: &rayon::ThreadPool,
     problem: &Problem,
@@ -65,8 +70,10 @@ fn measured_ratio(
     schedule: &SweepSchedule,
 ) -> f64 {
     let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+    let mut arena =
+        SweepArena::new(KernelConfig { tallies: TallyMode::Atomic, ..Default::default() });
     pool.install(|| {
-        let _ = transport_sweep_scheduled(problem, segsrc, q, &banks, schedule);
+        let _ = transport_sweep_with(problem, segsrc, q, &banks, schedule, &mut arena);
     });
     let report = Telemetry::global().report();
     report.gauges.get("sweep.load_ratio").map(|g| g.last).unwrap_or(f64::NAN)

@@ -3,12 +3,12 @@
 //! plus an eigenvalue cross-check of the table exponential.
 //!
 //! * **atomic** tallies accumulate into shared `AtomicU64` slots with a
-//!   CAS loop (the pre-arena kernel's strategy);
+//!   CAS loop (the fallback when private buffers exceed the budget);
 //! * **privatized** tallies give each worker a dense private `f64` buffer
 //!   and reduce in fixed worker order — no atomics in the hot path;
 //! * **intrinsic** evaluates `1 - exp(-tau)` with `exp_m1`; **table**
 //!   interpolates the precomputed [`ExpTable`];
-//! * **scalar** runs the historical per-group loop; **vector** runs the
+//! * **scalar** runs the reference per-group loop; **vector** runs the
 //!   f64x4 group-lane kernel with per-track staged attenuation spans
 //!   (half the exp work, contiguous group-major reads).
 //!
@@ -22,6 +22,10 @@
 //! * the table-exponential eigenvalue must land within 1e-6 of the
 //!   intrinsic one;
 //! * the privatized sweep must report `sweep.cas_retries == 0`;
+//! * **device parity**: the simulated device runs the same kernel, so a
+//!   one-worker device sweep (OTF segments, L3 CU mapping) must cost no
+//!   more than 1.15x the CPU vector sweep per segment on the same
+//!   problem — the launch/CU accounting is all it may add;
 //! * the emitted report must carry the `sweep.bytes_per_segment` gauge
 //!   (CI re-checks this via `report_diff --require-gauge`).
 //!
@@ -33,10 +37,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use antmoc::geom::c5g7::{C5g7, C5g7Options};
+use antmoc::gpusim::{Device, DeviceSpec};
+use antmoc::solver::device::{CuMapping, DeviceSolver};
 use antmoc::solver::sweep::transport_sweep_with;
 use antmoc::solver::{
     solve_eigenvalue, CpuSweeper, EigenOptions, ExpMode, FluxBanks, KernelConfig, Problem,
-    SegmentSource, SweepArena, SweepKernel, SweepSchedule, TallyMode,
+    SegmentSource, StorageMode, SweepArena, SweepKernel, SweepSchedule, Sweeper, TallyMode,
 };
 use antmoc::telemetry::Telemetry;
 use antmoc::track::TrackParams;
@@ -46,6 +52,8 @@ const REPS: usize = 5;
 const MIN_SPEEDUP: f64 = 1.15;
 const MIN_VECTOR_SPEEDUP: f64 = 1.3;
 const MAX_KEFF_DELTA: f64 = 1e-6;
+const MAX_DEVICE_RATIO: f64 = 1.15;
+const PARITY_ROUNDS: usize = 15;
 
 /// Best-of-REPS sweep throughput (segments/s) for one kernel config.
 fn throughput(
@@ -71,6 +79,29 @@ fn throughput(
         arena.recycle(out);
     }
     (best, segments)
+}
+
+/// Best ns/segment of each sweeper over `PARITY_ROUNDS` alternating
+/// one-worker sweeps: alternation exposes both sides to the same host
+/// noise, and a sweep is only a few milliseconds, so a burst would
+/// otherwise land on one side's whole sample.
+fn paired_ns_per_segment(
+    mut sweepers: [&mut dyn Sweeper; 2],
+    problem: &Problem,
+    q: &[f64],
+) -> [f64; 2] {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..PARITY_ROUNDS {
+        for (sweeper, best) in sweepers.iter_mut().zip(&mut best) {
+            let t0 = Instant::now();
+            let out = pool.install(|| sweeper.sweep(problem, q, &banks));
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e9 / out.segments as f64);
+            sweeper.recycle(out);
+        }
+    }
+    best
 }
 
 fn eigen_keff(problem: &Problem, exp: ExpMode) -> f64 {
@@ -190,6 +221,21 @@ fn main() -> ExitCode {
     let has_bps_gauge = window.gauges.contains_key("sweep.bytes_per_segment");
     println!("sweep.bytes_per_segment gauge present: {has_bps_gauge}");
 
+    // Device parity: same problem, same (OTF) segments, one worker, the
+    // default (vector) kernel on both sides.
+    let mut cpu_sweeper = CpuSweeper::new(&segsrc);
+    let device = std::sync::Arc::new(Device::new(DeviceSpec::scaled(1 << 30)));
+    let mut device_solver =
+        DeviceSolver::new(device, &problem, StorageMode::Otf, CuMapping::SegmentSorted)
+            .expect("an OTF solver fits a 1 GiB device");
+    let [cpu_ns, device_ns] =
+        paired_ns_per_segment([&mut cpu_sweeper, &mut device_solver], &problem, &q);
+    let device_ratio = device_ns / cpu_ns;
+    println!(
+        "one-worker ns/segment: cpu vector {cpu_ns:.1}, device {device_ns:.1} \
+         (ratio {device_ratio:.3})"
+    );
+
     // Eigenvalue cross-check of the table exponential on a coarse solve.
     let coarse = TrackParams {
         num_azim: 4,
@@ -237,6 +283,13 @@ fn main() -> ExitCode {
         eprintln!("fig_sweep_kernel: FAIL — privatized sweeps reported {priv_retries} CAS retries");
         ok = false;
     }
+    if device_ratio > MAX_DEVICE_RATIO {
+        eprintln!(
+            "fig_sweep_kernel: FAIL — device sweep costs {device_ratio:.3}x the CPU vector \
+             sweep per segment (> {MAX_DEVICE_RATIO}x): {device_ns:.1} vs {cpu_ns:.1} ns"
+        );
+        ok = false;
+    }
     if !has_bps_gauge {
         eprintln!("fig_sweep_kernel: FAIL — report lacks the sweep.bytes_per_segment gauge");
         ok = false;
@@ -245,7 +298,8 @@ fn main() -> ExitCode {
         println!(
             "\nfig_sweep_kernel: PASS (privatized {speedup:.3}x >= {MIN_SPEEDUP}x, \
              vector {vec_speedup:.3}x >= {MIN_VECTOR_SPEEDUP}x bitwise-clean, \
-             |dk| {dk:.2e} <= {MAX_KEFF_DELTA:.0e}, privatized CAS retries = 0)"
+             |dk| {dk:.2e} <= {MAX_KEFF_DELTA:.0e}, privatized CAS retries = 0, \
+             device {device_ratio:.3}x <= {MAX_DEVICE_RATIO}x cpu)"
         );
         ExitCode::SUCCESS
     } else {

@@ -34,8 +34,11 @@ use crate::eigen::{EigenOptions, Sweeper};
 use crate::problem::Problem;
 use crate::schedule::{ScheduleKind, SweepSchedule};
 use crate::source::{compute_reduced_source, fission_production, update_scalar_flux};
-use crate::sweep::{FluxBanks, SegmentSource, StorageMode};
-use crate::tally::KernelConfig;
+use crate::sweep::{
+    sweep_serial, sweep_track_serial, FluxBanks, SegmentSource, StorageMode, SweepOutcome,
+    TrackBufs,
+};
+use crate::tally::{KernelConfig, SweepArena};
 
 /// Per-rank execution backend.
 #[derive(Debug, Clone)]
@@ -100,7 +103,8 @@ pub struct ClusterOptions {
     /// Worker threads per rank for the `Cpu` backend (`None` shares the
     /// global pool).
     pub workers: Option<usize>,
-    /// Tally/exp kernel configuration for the `Cpu` backend.
+    /// Sweep-kernel configuration for the `Cpu` and `Device` backends (the
+    /// serial backend always runs the default configuration).
     pub kernel: KernelConfig,
 }
 
@@ -161,36 +165,8 @@ pub struct SerialSweeper<'a> {
 }
 
 impl crate::eigen::Sweeper for SerialSweeper<'_> {
-    fn sweep(
-        &mut self,
-        problem: &Problem,
-        q: &[f64],
-        banks: &FluxBanks,
-    ) -> crate::sweep::SweepOutcome {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let nf = problem.num_fsrs() * problem.num_groups();
-        let phi_acc: Vec<AtomicU64> = (0..nf).map(|_| AtomicU64::new(0)).collect();
-        let mut scratch = Vec::new();
-        let mut segments = 0u64;
-        let mut leakage = 0.0f64;
-        for t in 0..problem.num_tracks() as u32 {
-            let (s, l) = crate::sweep::sweep_one_track(
-                problem,
-                self.segsrc,
-                q,
-                &phi_acc,
-                banks,
-                t,
-                &mut scratch,
-            );
-            segments += s;
-            leakage += l;
-        }
-        crate::sweep::SweepOutcome {
-            phi_acc: phi_acc.iter().map(|a| f64::from_bits(a.load(Ordering::Relaxed))).collect(),
-            leakage,
-            segments,
-        }
+    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
+        sweep_serial(problem, self.segsrc, q, banks, &mut TrackBufs::default())
     }
 }
 
@@ -223,9 +199,11 @@ pub(crate) fn gather_boundary(banks: &FluxBanks, items: &[(u32, u8)], g: usize) 
 /// so the transfers ride under the whole interior sweep. The prepass is
 /// safe to discard: boundary/outgoing bank writes are idempotent stores
 /// recomputed identically by the main pass (they read only the incoming
-/// bank, which no sweep mutates), and its flux tallies go to a sink.
-/// Re-sweeping the boundary tracks is the price of the overlap window —
-/// a few percent of serial work for a wire-time-sized saving.
+/// bank, which no sweep mutates), and its flux tallies go to a discard
+/// sink. Re-sweeping the boundary tracks is the price of the overlap
+/// window — a few percent of serial work for a wire-time-sized saving.
+/// `bufs` is the rank's one scratch/stage pair, reused across tracks and
+/// iterations: nothing on a per-track path allocates.
 #[allow(clippy::too_many_arguments)]
 fn sweep_serial_pipelined(
     problem: &Problem,
@@ -236,49 +214,30 @@ fn sweep_serial_pipelined(
     boundary_tracks: &[u32],
     ready_point: &[u32],
     comm: &mut Comm,
-) -> crate::sweep::SweepOutcome {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    bufs: &mut TrackBufs,
+) -> SweepOutcome {
     let tel = Telemetry::current();
     let g = problem.num_groups();
-    let nf = problem.num_fsrs() * g;
-    let mut scratch = Vec::new();
-    if !boundary_tracks.is_empty() {
-        let sink: Vec<AtomicU64> = (0..nf).map(|_| AtomicU64::new(0)).collect();
-        let mut shipped = vec![false; sends_per_rank.len()];
-        for &t in boundary_tracks {
-            let _ =
-                crate::sweep::sweep_one_track(problem, segsrc, q, &sink, banks, t, &mut scratch);
-            for (gi, (nb, items)) in sends_per_rank.iter().enumerate() {
-                if !shipped[gi] && ready_point[gi] <= t {
-                    shipped[gi] = true;
-                    let t_send = Instant::now();
-                    let payload = gather_boundary(banks, items, g);
-                    comm.send_vec(*nb, TAG_FLUX, payload);
-                    if tel.trace_enabled() {
-                        tel.trace_complete_since(
-                            "comm.exchange_send",
-                            t_send,
-                            &[("to", Json::Uint(*nb as u64))],
-                        );
-                    }
+    let mut shipped = vec![false; sends_per_rank.len()];
+    for &t in boundary_tracks {
+        let _ = sweep_track_serial(problem, segsrc, q, banks, t, bufs, |_, _| {});
+        for (gi, (nb, items)) in sends_per_rank.iter().enumerate() {
+            if !shipped[gi] && ready_point[gi] <= t {
+                shipped[gi] = true;
+                let t_send = Instant::now();
+                let payload = gather_boundary(banks, items, g);
+                comm.send_vec(*nb, TAG_FLUX, payload);
+                if tel.trace_enabled() {
+                    tel.trace_complete_since(
+                        "comm.exchange_send",
+                        t_send,
+                        &[("to", Json::Uint(*nb as u64))],
+                    );
                 }
             }
         }
     }
-    let phi_acc: Vec<AtomicU64> = (0..nf).map(|_| AtomicU64::new(0)).collect();
-    let mut segments = 0u64;
-    let mut leakage = 0.0f64;
-    for t in 0..problem.num_tracks() as u32 {
-        let (s, l) =
-            crate::sweep::sweep_one_track(problem, segsrc, q, &phi_acc, banks, t, &mut scratch);
-        segments += s;
-        leakage += l;
-    }
-    crate::sweep::SweepOutcome {
-        phi_acc: phi_acc.iter().map(|a| f64::from_bits(a.load(Ordering::Relaxed))).collect(),
-        leakage,
-        segments,
-    }
+    sweep_serial(problem, segsrc, q, banks, bufs)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -352,6 +311,7 @@ fn run_rank(
     let mut serial_sweeper;
     let mut device_solver;
     let serial_pipelined = pipelined && matches!(backend, Backend::CpuSerial);
+    let mut track_bufs = TrackBufs::default();
     let sweeper: &mut dyn Sweeper = match backend {
         Backend::Cpu => {
             let schedule = match copts.schedule {
@@ -370,7 +330,8 @@ fn run_rank(
         Backend::Device { spec, mode, mapping } => {
             let device = Arc::new(Device::new(spec.clone()));
             device_solver = DeviceSolver::new(device, problem, *mode, *mapping)
-                .expect("device solver setup failed (OOM?)");
+                .expect("device solver setup failed (OOM?)")
+                .with_arena(SweepArena::new(copts.kernel.clone()));
             &mut device_solver
         }
     };
@@ -407,6 +368,7 @@ fn run_rank(
                 &boundary_tracks,
                 &ready_point,
                 comm,
+                &mut track_bufs,
             )
         } else {
             let mut do_sweep = || sweeper.sweep(problem, &q, &banks);

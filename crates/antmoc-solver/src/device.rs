@@ -7,8 +7,6 @@
 //! storage that exceeds device capacity fails with `OutOfMemory` — the
 //! condition that forces OTF or the track manager (§4.1, Fig. 9).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use antmoc_gpusim::{Device, OutOfMemory, Reservation};
@@ -17,7 +15,8 @@ use antmoc_track::Track3dId;
 use crate::eigen::Sweeper;
 use crate::manager::{select_resident, stored_bytes_for, RankPolicy, ResidencyPlan};
 use crate::problem::Problem;
-use crate::sweep::{sweep_one_track, FluxBanks, SegmentSource, StorageMode, SweepOutcome};
+use crate::sweep::{sweep_region, FluxBanks, SegmentSource, StorageMode, SweepOutcome};
+use crate::tally::{KernelConfig, SweepArena};
 
 /// How 3D tracks are mapped to CUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +39,9 @@ pub struct DeviceSolver {
     pub plan: Option<ResidencyPlan>,
     /// L3 assignment (track indices per CU) when `SegmentSorted`.
     assignments: Option<Vec<Vec<u32>>>,
+    /// Kernel configuration and per-worker tally/track buffers, reused
+    /// across sweeps like the CPU sweeper's.
+    arena: SweepArena,
     /// Live memory reservations (released when the solver drops).
     _reservations: Vec<Reservation>,
 }
@@ -102,7 +104,29 @@ impl DeviceSolver {
             }
         };
 
-        Ok(Self { device, mode, mapping, segsrc, plan, assignments, _reservations: reservations })
+        Ok(Self {
+            device,
+            mode,
+            mapping,
+            segsrc,
+            plan,
+            assignments,
+            arena: SweepArena::new(KernelConfig::default()),
+            _reservations: reservations,
+        })
+    }
+
+    /// Sweeps on a caller-owned arena instead of the default one: the
+    /// arena's `KernelConfig` (`[solver] exp / tallies / block_kb`)
+    /// governs the device kernel, and a pooled arena's buffers are reused.
+    pub fn with_arena(mut self, arena: SweepArena) -> Self {
+        self.arena = arena;
+        self
+    }
+
+    /// Releases the arena for return to a pool once the solve is done.
+    pub fn into_arena(self) -> SweepArena {
+        self.arena
     }
 
     /// The live segment source (for inspection in tests/benches).
@@ -123,51 +147,31 @@ pub fn segment_sorted_assignment(problem: &Problem, num_cus: usize) -> Vec<Vec<u
     buckets
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Vec<(u32, f32)>> = const { RefCell::new(Vec::new()) };
-}
-
 impl Sweeper for DeviceSolver {
+    /// Launches the shared sweep body through the device — one task per
+    /// CU, grid-stride or by L3 assignment — so CU work accounting,
+    /// launch counts and kernel seconds come from the simulator while the
+    /// kernel, tallies and telemetry are the CPU sweep's.
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        let nf = problem.num_fsrs() * problem.num_groups();
-        let phi_acc: Vec<AtomicU64> = (0..nf).map(|_| AtomicU64::new(0)).collect();
-        let leak_bits = AtomicU64::new(0f64.to_bits());
-        let segsrc = &self.segsrc;
+        let (device, assignments) = (&self.device, &self.assignments);
+        let out = sweep_region(
+            problem,
+            &self.segsrc,
+            q,
+            banks,
+            &mut self.arena,
+            rayon::current_num_threads(),
+            |_, track| match assignments {
+                None => device.launch("fused_sweep", problem.num_tracks(), |i| track(i as u32)),
+                Some(by_cu) => device.launch_by_cu("fused_sweep_l3", by_cu, |_cu, t| track(t)),
+            },
+        );
+        debug_assert_eq!(out.segments, problem.num_3d_segments() * 2);
+        out
+    }
 
-        let body = |track: u32| -> u64 {
-            SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                let (segs, leak) =
-                    sweep_one_track(problem, segsrc, q, &phi_acc, banks, track, &mut scratch);
-                if leak != 0.0 {
-                    crate::sweep::atomic_add_f64(&leak_bits, leak);
-                }
-                segs
-            })
-        };
-
-        match &self.assignments {
-            None => {
-                self.device.launch("fused_sweep", problem.num_tracks(), |i| body(i as u32));
-            }
-            Some(assignments) => {
-                self.device.launch_by_cu("fused_sweep_l3", assignments, |_cu, t| body(t));
-            }
-        }
-
-        let segments = self
-            .device
-            .metrics()
-            .kernel(if self.assignments.is_none() { "fused_sweep" } else { "fused_sweep_l3" })
-            .map(|k| k.work_units)
-            .unwrap_or(0);
-        let _ = segments; // per-launch count comes from the sweep below
-
-        SweepOutcome {
-            phi_acc: phi_acc.iter().map(|a| f64::from_bits(a.load(Ordering::Relaxed))).collect(),
-            leakage: f64::from_bits(leak_bits.load(Ordering::Relaxed)),
-            segments: problem.num_3d_segments() * 2,
-        }
+    fn recycle(&mut self, outcome: SweepOutcome) {
+        self.arena.recycle(outcome);
     }
 }
 

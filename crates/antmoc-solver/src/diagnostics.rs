@@ -8,8 +8,10 @@
 //! the run log the same way).
 
 use crate::problem::Problem;
+use crate::schedule::SweepSchedule;
 use crate::source::{absorption, compute_reduced_source, fission_production};
-use crate::sweep::{transport_sweep, FluxBanks, SegmentSource};
+use crate::sweep::{transport_sweep_with, FluxBanks, SegmentSource};
+use crate::tally::{KernelConfig, SweepArena};
 
 /// The components of the global neutron balance.
 #[derive(Debug, Clone, Copy)]
@@ -71,10 +73,13 @@ pub fn neutron_balance(
     let mut q = vec![0.0; n];
     compute_reduced_source(problem, phi, k_power, &mut q);
     let mut banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+    let mut arena = SweepArena::new(KernelConfig::default());
+    let schedule = SweepSchedule::natural();
     let mut leakage = 0.0;
     for _ in 0..equilibration_sweeps.max(1) {
-        let out = transport_sweep(problem, segsrc, &q, &banks);
+        let out = transport_sweep_with(problem, segsrc, &q, &banks, &schedule, &mut arena);
         leakage = out.leakage;
+        arena.recycle(out);
         banks.swap();
     }
     let (_, production) = fission_production(problem, phi);

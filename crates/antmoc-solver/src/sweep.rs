@@ -1,5 +1,7 @@
-//! The transport sweep: boundary flux banks, atomic scalar-flux
-//! accumulation, and the per-track segment kernel.
+//! The transport sweep: boundary flux banks, the one per-track segment
+//! kernel every backend runs ([`sweep_track`]), and the region driver
+//! that delivers its tallies ([`sweep_region`], behind
+//! [`transport_sweep_with`] and the device solver).
 //!
 //! The sweep integrates Equation (1) of the paper along every 3D track in
 //! both directions: `delta psi = (psi - q) * (1 - exp(-sigma_t * l))` per
@@ -15,17 +17,19 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use antmoc_telemetry::{Histogram, Json, Telemetry};
-use antmoc_track::{trace_3d, Link3d, SegmentStore3d, Track3dId, Track3dInfo, TrackId};
+use antmoc_track::{
+    trace_3d, Link3d, Segment3dCompact, SegmentStore3d, Track3dId, Track3dInfo, TrackId,
+};
 
 use crate::exptable::ExpEval;
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
 use crate::simd::{padded_groups, F64x4, LANES};
-use crate::tally::{SweepArena, SweepKernel, SweepTallies};
+use crate::tally::{KernelConfig, SweepArena, SweepKernel, SweepTallies};
 
 /// CAS retries taken by [`atomic_add_f64`] since process start. The retry
 /// branch only runs under contention, so the extra relaxed increment is
-/// off the fast path; `transport_sweep` samples the difference per sweep
+/// off the fast path; `sweep_region` samples the difference per sweep
 /// into the `sweep.cas_retries` counter.
 static CAS_RETRIES: AtomicU64 = AtomicU64::new(0);
 
@@ -278,126 +282,198 @@ pub struct SweepOutcome {
     pub segments: u64,
 }
 
-/// Sweeps one track in both directions, tallying into a shared atomic
-/// array. Returns `(segments, leakage)`.
-///
-/// `scratch` holds the OTF-generated `(fsr3d, length)` list; stored tracks
-/// use their slice directly. This is the historical entry point (device
-/// solver, serial cluster sweeper); it is a thin binding of
-/// [`sweep_track_kernel`] to atomic tallies and the `exp_m1` intrinsic
-/// and stays bit-identical to the pre-arena kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_one_track(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    phi_acc: &[AtomicU64],
-    banks: &FluxBanks,
-    track: u32,
-    scratch: &mut Vec<(u32, f32)>,
-) -> (u64, f64) {
-    sweep_track_kernel(problem, segsrc, q, banks, track, scratch, &ExpEval::Intrinsic, |slot, v| {
-        atomic_add_f64(&phi_acc[slot], v)
-    })
+/// Per-worker working storage of [`sweep_track`]: the regenerated segment
+/// list of a track that is not resident in the store, and the vector
+/// kernel's staged attenuation spans. Both allocations are reused across
+/// tracks and sweeps.
+#[derive(Debug, Default)]
+pub(crate) struct TrackBufs {
+    /// OTF-regenerated segments in forward traversal order.
+    segs: Vec<Segment3dCompact>,
+    /// `e[seg * gp + gi] = 1 - exp(-sigma_t[gi] * len)`, group-major and
+    /// lane-padded (`gp = padded_groups(G)`); padding lanes (`gi >= G`)
+    /// are 0, the neutral attenuation of the masked tail.
+    e: Vec<f64>,
 }
 
-/// The fused per-track segment kernel: per segment, the `fsr->material`
-/// and `q` base indices are hoisted out of the group loop, `tau =
-/// sigma_t * len` is precomputed per group into a stack buffer, `exp`
-/// evaluates `1 - exp(-tau)`, and every `w * delta psi` contribution is
-/// delivered through `tally(slot, value)` — the strategy decides whether
-/// that is an atomic CAS add or a plain store into a private buffer.
-/// Returns `(segments, leakage)`.
+/// The track's segments in forward order: its stored slice when resident,
+/// otherwise regenerated on the fly into `scratch`.
+fn track_segments<'a>(
+    problem: &Problem,
+    segsrc: &'a SegmentSource,
+    track: u32,
+    scratch: &'a mut Vec<Segment3dCompact>,
+) -> &'a [Segment3dCompact] {
+    if let Some(stored) = segsrc.store.as_ref().and_then(|s| s.of(Track3dId(track))) {
+        return stored;
+    }
+    let st = &problem.sweep_tracks[track as usize];
+    let info = Track3dInfo {
+        track2d: TrackId(st.track2d),
+        forward2d: st.forward2d,
+        azim: 0, // unused by trace_3d
+        polar: 0,
+        ascending: st.ascending,
+        u_lo: st.u_lo,
+        u_hi: st.u_hi,
+        z_lo: st.z_lo,
+        cot: st.cot,
+        sin_theta: 1.0 / st.inv_sin,
+        length: (st.u_hi - st.u_lo) * st.inv_sin,
+    };
+    let base = problem.layout.segments2d.of(TrackId(st.track2d));
+    let fsr3d = &problem.layout.fsr3d;
+    scratch.clear();
+    trace_3d(&info, base, &problem.axial, |fsr, cell, len| {
+        scratch
+            .push(Segment3dCompact { fsr3d: fsr3d.id(fsr, cell as usize).0, length: len as f32 });
+    });
+    scratch
+}
+
+/// Visits segment indices `0..n` forward (`dir == 0`) or in reverse.
+#[inline]
+fn each_segment(n: usize, dir: usize, mut step: impl FnMut(usize)) {
+    if dir == 0 {
+        (0..n).for_each(&mut step);
+    } else {
+        (0..n).rev().for_each(&mut step);
+    }
+}
+
+/// Adds one segment's group span into a plain `f64` tally buffer in
+/// ascending group order (the privatized and serial tally delivery).
+#[inline]
+fn add_span(buf: &mut [f64], qb: usize, vals: &[f64]) {
+    for (b, &v) in buf[qb..qb + vals.len()].iter_mut().zip(vals) {
+        *b += v;
+    }
+}
+
+/// The per-track kernel every backend runs: sweeps one track in both
+/// directions and returns `(segments, leakage)`.
+///
+/// Every segment's `w * delta psi` contributions are delivered as one
+/// contiguous group span, `sink(qb, &values[..G])` for flux slots
+/// `qb..qb + G`; the caller decides whether that is a plain add into a
+/// private buffer ([`add_span`]), a CAS add into a shared array, or
+/// nothing at all. Consumers add the span elementwise in ascending group
+/// order, so each slot sees the same op sequence under either kernel.
+///
+/// * [`SweepKernel::Scalar`] — the conformance reference: per segment, the
+///   `fsr->material` and `q` base indices are hoisted out of the group
+///   loop, `tau = sigma_t * len` is precomputed per group into a stack
+///   buffer, and `exp` evaluates `1 - exp(-tau)` once per group per
+///   traversal.
+/// * [`SweepKernel::Vector`] — two structural changes, neither of which
+///   touches the per-group arithmetic:
+///   1. **Per-track staging.** The attenuation factors depend only on the
+///      segment, not the direction, so they are staged into a contiguous
+///      group-major span once and read back by both direction passes —
+///      half the transcendental work. `exp` is a pure function of the
+///      identical `sigma_t * len` input bits, so the staged values are the
+///      exact bits the scalar kernel computes.
+///   2. **Lane-wide group loop.** The attenuation/tally math runs on
+///      [`F64x4`] lanes. Every lane performs the same IEEE 754 op sequence
+///      as one scalar group iteration (`d = (psi - q) * e`; `w * d`;
+///      `psi - d`), so each group's result is bitwise identical to the
+///      scalar loop's. Remainder groups (G % 4 != 0) take a masked tail:
+///      `psi`/`vals` are `MAX_GROUPS`-padded stack arrays (full-lane loads
+///      and stores stay in bounds), the staged span is zero-padded, and
+///      only the `q` load is masked — its neighbours belong to the *next*
+///      FSR and may sit past the end of the array. Tail lanes thus compute
+///      `(psi_pad - 0) * 0 = 0` and are truncated from the tally span.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_track_kernel<F: FnMut(usize, f64)>(
+fn sweep_track<S: FnMut(usize, &[f64])>(
     problem: &Problem,
     segsrc: &SegmentSource,
     q: &[f64],
     banks: &FluxBanks,
     track: u32,
-    scratch: &mut Vec<(u32, f32)>,
+    kernel: SweepKernel,
     exp: &ExpEval<'_>,
-    mut tally: F,
+    bufs: &mut TrackBufs,
+    mut sink: S,
 ) -> (u64, f64) {
     let g = problem.num_groups();
+    let gp = padded_groups(g);
     let st = &problem.sweep_tracks[track as usize];
     let xs = &problem.xs;
+    let segs = track_segments(problem, segsrc, track, &mut bufs.segs);
+    let nseg = segs.len();
 
-    // Obtain the segment list (stored or regenerated).
-    let stored = segsrc.store.as_ref().and_then(|s| s.of(Track3dId(track)));
-    let regenerated = stored.is_none();
-    if regenerated {
-        scratch.clear();
-        let info = Track3dInfo {
-            track2d: TrackId(st.track2d),
-            forward2d: st.forward2d,
-            azim: 0, // unused by trace_3d
-            polar: 0,
-            ascending: st.ascending,
-            u_lo: st.u_lo,
-            u_hi: st.u_hi,
-            z_lo: st.z_lo,
-            cot: st.cot,
-            sin_theta: 1.0 / st.inv_sin,
-            length: (st.u_hi - st.u_lo) * st.inv_sin,
-        };
-        let base = problem.layout.segments2d.of(TrackId(st.track2d));
-        let fsr3d = &problem.layout.fsr3d;
-        trace_3d(&info, base, &problem.axial, |fsr, cell, len| {
-            scratch.push((fsr3d.id(fsr, cell as usize).0, len as f32));
-        });
+    let staged = &mut bufs.e;
+    if kernel == SweepKernel::Vector {
+        // One exp evaluation per (segment, group), reused by both
+        // direction passes below. The span buffer is sized once up front
+        // (zero-filling the padding lanes in the same pass).
+        staged.clear();
+        staged.resize(nseg * gp, 0.0);
+        for (s, span) in segs.iter().zip(staged.chunks_exact_mut(gp)) {
+            let mat = xs.fsr_mat[s.fsr3d as usize] as usize * g;
+            let lenf = s.length as f64;
+            for (e, sig) in span[..g].iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
+                // The same `sig * lenf` input bits the scalar kernel's tau
+                // buffer carries, through the same evaluator.
+                *e = exp.one_minus_exp(sig * lenf);
+            }
+        }
     }
 
     let mut psi = [0.0f64; MAX_GROUPS];
+    let mut vals = [0.0f64; MAX_GROUPS];
     let mut leak = 0.0f64;
-    let mut segs = 0u64;
+    let w = F64x4::splat(st.weight);
     for dir in 0..2usize {
         banks.load_incoming(track, dir, &mut psi[..g]);
-        let mut run = |psi: &mut [f64; MAX_GROUPS], fsr: u32, len: f32| {
-            let f = fsr as usize;
-            let mat = xs.fsr_mat[f] as usize * g;
-            let qb = f * g;
-            let lenf = len as f64;
-            // tau = sigma_t * len per group, batched so the attenuation
-            // loop below is pure FMA + exp. `-(sig * lenf)` carries the
-            // same bits as the historical `(-sig) * lenf` — negation is
-            // exact — so the intrinsic path stays bit-identical.
-            let mut tau = [0.0f64; MAX_GROUPS];
-            for (t, sig) in tau.iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
-                *t = sig * lenf;
-            }
-            for gi in 0..g {
-                let e = exp.one_minus_exp(tau[gi]); // 1 - exp(-tau)
-                let dpsi = (psi[gi] - q[qb + gi]) * e;
-                tally(qb + gi, st.weight * dpsi);
-                psi[gi] -= dpsi;
-            }
-        };
-        match stored {
-            Some(slice) => {
-                if dir == 0 {
-                    for s in slice {
-                        run(&mut psi, s.fsr3d, s.length);
-                    }
-                } else {
-                    for s in slice.iter().rev() {
-                        run(&mut psi, s.fsr3d, s.length);
-                    }
+        match kernel {
+            SweepKernel::Scalar => each_segment(nseg, dir, |si| {
+                let f = segs[si].fsr3d as usize;
+                let mat = xs.fsr_mat[f] as usize * g;
+                let qb = f * g;
+                let lenf = segs[si].length as f64;
+                // tau = sigma_t * len per group, batched so the attenuation
+                // loop below is pure FMA + exp.
+                let mut tau = [0.0f64; MAX_GROUPS];
+                for (t, sig) in tau.iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
+                    *t = sig * lenf;
                 }
-                segs += slice.len() as u64;
-            }
-            None => {
-                if dir == 0 {
-                    for &(f, l) in scratch.iter() {
-                        run(&mut psi, f, l);
-                    }
-                } else {
-                    for &(f, l) in scratch.iter().rev() {
-                        run(&mut psi, f, l);
-                    }
+                for gi in 0..g {
+                    let e = exp.one_minus_exp(tau[gi]); // 1 - exp(-tau)
+                    let dpsi = (psi[gi] - q[qb + gi]) * e;
+                    vals[gi] = st.weight * dpsi;
+                    psi[gi] -= dpsi;
                 }
-                segs += scratch.len() as u64;
-            }
+                sink(qb, &vals[..g]);
+            }),
+            SweepKernel::Vector => each_segment(nseg, dir, |si| {
+                let qb = segs[si].fsr3d as usize * g;
+                let qs = &q[qb..qb + g];
+                // One bounds check for the whole staged span, then
+                // fixed-offset lane loads inside it.
+                let es = &staged[si * gp..si * gp + gp];
+                let mut lane = 0usize;
+                // Full lane blocks: unmasked loads throughout.
+                while lane + LANES <= g {
+                    let pv = F64x4::load(&psi[lane..]);
+                    let qv = F64x4::load(&qs[lane..]);
+                    let ev = F64x4::load(&es[lane..]);
+                    let d = (pv - qv) * ev;
+                    (w * d).store(&mut vals[lane..]);
+                    (pv - d).store(&mut psi[lane..]);
+                    lane += LANES;
+                }
+                // Remainder block (G % 4 != 0): only the `q` load is masked.
+                if lane < g {
+                    let pv = F64x4::load(&psi[lane..]);
+                    let qv = F64x4::load_partial(&qs[lane..]);
+                    let ev = F64x4::load(&es[lane..]);
+                    let d = (pv - qv) * ev;
+                    (w * d).store(&mut vals[lane..]);
+                    (pv - d).store(&mut psi[lane..]);
+                }
+                sink(qb, &vals[..g]);
+            }),
         }
         match st.links[dir] {
             Link3d::Vacuum => {
@@ -413,289 +489,146 @@ pub(crate) fn sweep_track_kernel<F: FnMut(usize, f64)>(
             }
         }
     }
-    (segs, leak)
+    (2 * nseg as u64, leak)
 }
 
-/// Per-worker staging storage for the vector kernel: one track's
-/// group-major, lane-padded `1 - exp(-tau)` spans (`segments * gp`
-/// values, `gp = padded_groups(G)`) and each segment's 3D FSR id.
-/// Both allocations are reused across tracks and sweeps via the arena.
-#[derive(Debug, Default)]
-pub(crate) struct StageBuf {
-    /// `e[seg * gp + gi] = 1 - exp(-sigma_t[gi] * len)`; padding lanes
-    /// (`gi >= G`) are 0, the neutral attenuation of the masked tail.
-    e: Vec<f64>,
-    /// FSR id per staged segment, in forward traversal order.
-    fsr: Vec<u32>,
+/// Per-worker running totals of one sweep region.
+#[derive(Default)]
+struct WorkerTotals {
+    segments: u64,
+    leakage: f64,
+    track_ns: Histogram,
+    /// Per-track CAS-retry bursts (atomic tallies only): the
+    /// `sweep.cas_retries` counter totals them, but contention is bursty
+    /// (a few hot-FSR tracks), so the distribution is the signal.
+    cas_burst: Histogram,
 }
 
-/// The group-vectorized per-track kernel (`[solver] kernel = vector`).
+/// One full sweep through a [`SweepArena`], minus the order in which
+/// tracks reach the pool: resolves the tally strategy, prepares the
+/// arena, hands `dispatch` the per-track body (`track -> segments`, to be
+/// called exactly once per track from inside a rayon region of at most
+/// `workers` workers), then reduces and records telemetry. The CPU sweep
+/// dispatches by [`SweepSchedule`]; the device solver launches the same
+/// body through its simulated CUs.
 ///
-/// Two structural changes against [`sweep_track_kernel`], neither of
-/// which touches the per-group arithmetic:
-///
-/// 1. **Per-track staging.** The attenuation factors `1 - exp(-tau)`
-///    depend only on the segment, not the direction, so they are staged
-///    into a contiguous group-major span once and read back by both
-///    direction passes — half the transcendental work of the scalar
-///    kernel, which re-evaluates them per traversal. `exp` is a pure
-///    function of the identical `sigma_t * len` input bits, so the staged
-///    values are the exact bits the scalar kernel computes.
-/// 2. **Lane-wide group loop.** The attenuation/tally math runs on
-///    [`F64x4`] lanes. Every lane performs the same IEEE 754 op sequence
-///    as one scalar group iteration (`d = (psi - q) * e`; `w * d`;
-///    `psi - d`), so each group's result is bitwise identical to the
-///    scalar loop's. Remainder groups (G % 4 != 0) take a masked tail:
-///    `psi`/`vals` are `MAX_GROUPS`-padded stack arrays (full-lane loads
-///    and stores stay in bounds), the staged span is zero-padded, and
-///    only the `q` load is masked — its neighbours belong to the *next*
-///    FSR and may sit past the end of the array. Tail lanes thus compute
-///    `(psi_pad - 0) * 0 = 0` and are truncated from the tally span.
-///
-/// Tallies are delivered one contiguous group span per segment
-/// (`tally(qb, &values[..G])`); consumers add the span elementwise in
-/// ascending group order, the same per-slot order the scalar kernel's
-/// per-element closure produces.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_track_kernel_vec<F: FnMut(usize, &[f64])>(
+/// * **Atomic** strategy: CAS adds into the arena's shared array.
+/// * **Privatized** strategy: plain adds into the executing worker's
+///   private buffer, reduced in ascending worker order afterwards — zero
+///   `sweep.cas_retries`, and bitwise-deterministic results whenever the
+///   dispatch maps tracks to workers deterministically.
+pub(crate) fn sweep_region(
     problem: &Problem,
     segsrc: &SegmentSource,
     q: &[f64],
     banks: &FluxBanks,
-    track: u32,
-    scratch: &mut Vec<(u32, f32)>,
-    stage: &mut StageBuf,
-    exp: &ExpEval<'_>,
-    mut tally: F,
-) -> (u64, f64) {
-    let g = problem.num_groups();
-    let gp = padded_groups(g);
-    let st = &problem.sweep_tracks[track as usize];
-    let xs = &problem.xs;
-
-    // Obtain the segment list (stored or regenerated), as in the scalar
-    // kernel.
-    let stored = segsrc.store.as_ref().and_then(|s| s.of(Track3dId(track)));
-    if stored.is_none() {
-        scratch.clear();
-        let info = Track3dInfo {
-            track2d: TrackId(st.track2d),
-            forward2d: st.forward2d,
-            azim: 0, // unused by trace_3d
-            polar: 0,
-            ascending: st.ascending,
-            u_lo: st.u_lo,
-            u_hi: st.u_hi,
-            z_lo: st.z_lo,
-            cot: st.cot,
-            sin_theta: 1.0 / st.inv_sin,
-            length: (st.u_hi - st.u_lo) * st.inv_sin,
-        };
-        let base = problem.layout.segments2d.of(TrackId(st.track2d));
-        let fsr3d = &problem.layout.fsr3d;
-        trace_3d(&info, base, &problem.axial, |fsr, cell, len| {
-            scratch.push((fsr3d.id(fsr, cell as usize).0, len as f32));
-        });
-    }
-
-    // Stage the attenuation spans: one exp evaluation per (segment,
-    // group), reused by both direction passes below. The span buffer is
-    // sized once up front (zero-filling the padding lanes in the same
-    // pass) instead of growing per segment.
-    let nseg = stored.map_or(scratch.len(), <[_]>::len);
-    stage.fsr.clear();
-    stage.e.clear();
-    stage.e.resize(nseg * gp, 0.0);
-    {
-        let mut base = 0usize;
-        let mut stage_one = |fsr: u32, len: f32| {
-            let mat = xs.fsr_mat[fsr as usize] as usize * g;
-            let lenf = len as f64;
-            stage.fsr.push(fsr);
-            for (e, sig) in stage.e[base..base + g].iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
-                // The same `sig * lenf` input bits the scalar kernel's tau
-                // buffer carries, through the same evaluator.
-                *e = exp.one_minus_exp(sig * lenf);
-            }
-            base += gp;
-        };
-        match stored {
-            Some(slice) => {
-                for s in slice {
-                    stage_one(s.fsr3d, s.length);
-                }
-            }
-            None => {
-                for &(f, l) in scratch.iter() {
-                    stage_one(f, l);
-                }
-            }
-        }
-    }
-
-    let mut psi = [0.0f64; MAX_GROUPS];
-    let mut vals = [0.0f64; MAX_GROUPS];
-    let mut leak = 0.0f64;
-    let mut segs = 0u64;
-    let w = F64x4::splat(st.weight);
-    for dir in 0..2usize {
-        banks.load_incoming(track, dir, &mut psi[..g]);
-        let mut run = |psi: &mut [f64; MAX_GROUPS], si: usize| {
-            let qb = stage.fsr[si] as usize * g;
-            let qs = &q[qb..qb + g];
-            // One bounds check for the whole staged span, then
-            // fixed-offset lane loads inside it.
-            let es = &stage.e[si * gp..si * gp + gp];
-            let mut lane = 0usize;
-            // Full lane blocks: unmasked loads throughout.
-            while lane + LANES <= g {
-                let pv = F64x4::load(&psi[lane..]);
-                let qv = F64x4::load(&qs[lane..]);
-                let ev = F64x4::load(&es[lane..]);
-                let d = (pv - qv) * ev;
-                (w * d).store(&mut vals[lane..]);
-                (pv - d).store(&mut psi[lane..]);
-                lane += LANES;
-            }
-            // Remainder block (G % 4 != 0): only the `q` load is masked —
-            // slots past `qb + g` belong to the next FSR (or to nothing
-            // at all); `psi`/`vals`/`es` are lane-padded.
-            if lane < g {
-                let pv = F64x4::load(&psi[lane..]);
-                let qv = F64x4::load_partial(&qs[lane..]);
-                let ev = F64x4::load(&es[lane..]);
-                let d = (pv - qv) * ev;
-                (w * d).store(&mut vals[lane..]);
-                (pv - d).store(&mut psi[lane..]);
-            }
-            tally(qb, &vals[..g]);
-        };
-        if dir == 0 {
-            for si in 0..nseg {
-                run(&mut psi, si);
-            }
-        } else {
-            for si in (0..nseg).rev() {
-                run(&mut psi, si);
-            }
-        }
-        segs += nseg as u64;
-        match st.links[dir] {
-            Link3d::Vacuum => {
-                for p in psi.iter().take(g) {
-                    leak += st.weight * *p;
-                }
-                banks.store_boundary(track, dir, &psi[..g]);
-            }
-            Link3d::Next { track: t2, forward } => {
-                let dir2 = if forward { 0 } else { 1 };
-                banks.store_outgoing(t2.0, dir2, &psi[..g]);
-            }
-        }
-    }
-    (segs, leak)
-}
-
-/// A full parallel transport sweep over every track in natural dispatch
-/// order (the reference / CPU execution; the device solver drives the
-/// same kernel through the simulated GPU).
-pub fn transport_sweep(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-) -> SweepOutcome {
-    transport_sweep_scheduled(problem, segsrc, q, banks, &SweepSchedule::natural())
-}
-
-/// A full parallel transport sweep dispatching tracks in the order given
-/// by `schedule` (see [`SweepSchedule`]); the work-stealing pool's
-/// region stats land in telemetry when the pool ran multi-threaded.
-pub fn transport_sweep_scheduled(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-    schedule: &SweepSchedule,
+    arena: &mut SweepArena,
+    workers: usize,
+    dispatch: impl FnOnce(SweepTallies, &(dyn Fn(u32) -> u64 + Sync)),
 ) -> SweepOutcome {
     let tel = Telemetry::current();
     let _sweep_span = tel.span("transport_sweep");
     let retries_before = CAS_RETRIES.load(Ordering::Relaxed);
 
-    let n = problem.num_tracks();
-    if let Some(len) = schedule.explicit_len() {
-        assert_eq!(len, n, "schedule built for a different problem");
-    }
-    let nf = problem.num_fsrs() * problem.num_groups();
-    let phi_acc: Vec<AtomicU64> = (0..nf).map(|_| AtomicU64::new(0)).collect();
+    let g = problem.num_groups();
+    let nf = problem.num_fsrs() * g;
+    let strategy = arena.resolve(workers, problem.num_fsrs(), g);
+    arena.prepare(workers, nf, strategy);
+    let mut phi = arena.take_phi(nf);
 
-    let workers = rayon::current_num_threads().clamp(1, n.max(1));
-    let track_ns = rayon::WorkerLocal::new(workers, |_| Histogram::new());
+    let mut totals = rayon::WorkerLocal::new(workers, |_| WorkerTotals::default());
     let tracing = tel.trace_enabled();
-
-    let (segments, leakage) = (0..n)
-        .into_par_iter()
-        .fold(
-            || (Vec::new(), 0u64, 0.0f64),
-            |(mut scratch, segs, leak), i| {
-                let t = schedule.track_at(i);
-                let t0 = Instant::now();
-                let (s, l) = sweep_one_track(problem, segsrc, q, &phi_acc, banks, t, &mut scratch);
-                track_ns.with(|h| h.record(t0.elapsed().as_nanos() as u64));
-                if tracing {
-                    tel.trace_complete_since(
-                        "track",
-                        t0,
-                        &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
-                    );
+    {
+        let kernel = arena.kernel.kernel;
+        let exp = arena.exp_eval();
+        let track_bufs = arena.track_bufs();
+        let worker_phi = arena.worker_bufs();
+        let shared = matches!(strategy, SweepTallies::Atomic).then(|| arena.atomic_slots());
+        let totals = &totals;
+        let body = |t: u32| -> u64 {
+            let t0 = Instant::now();
+            let mut burst = 0u32;
+            let (s, l) = track_bufs.with(|bufs| match shared {
+                Some(slots) => {
+                    sweep_track(problem, segsrc, q, banks, t, kernel, &exp, bufs, |qb, vals| {
+                        for (slot, &v) in slots[qb..].iter().zip(vals) {
+                            burst += atomic_add_f64_counted(slot, v);
+                        }
+                    })
                 }
-                (scratch, segs + s, leak + l)
-            },
-        )
-        .map(|(_, s, l)| (s, l))
-        .reduce(|| (0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
+                None => worker_phi.with(|buf| {
+                    sweep_track(problem, segsrc, q, banks, t, kernel, &exp, bufs, |qb, vals| {
+                        add_span(buf, qb, vals)
+                    })
+                }),
+            });
+            totals.with(|tot| {
+                tot.segments += s;
+                tot.leakage += l;
+                tot.track_ns.record(t0.elapsed().as_nanos() as u64);
+                if shared.is_some() {
+                    tot.cas_burst.record(burst as u64);
+                }
+            });
+            if tracing {
+                tel.trace_complete_since(
+                    "track",
+                    t0,
+                    &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
+                );
+            }
+            s
+        };
+        dispatch(strategy, &body);
+    }
 
-    merge_track_histograms(&tel, track_ns);
+    // Fixed worker-order reductions: the per-worker (segments, leakage)
+    // totals, then the tallies.
+    let mut segments = 0u64;
+    let mut leakage = 0.0f64;
+    for tot in totals.iter_mut() {
+        segments += tot.segments;
+        leakage += tot.leakage;
+        tel.histogram_merge("sweep.track_ns", &tot.track_ns);
+        tel.histogram_merge("sweep.cas_burst", &tot.cas_burst);
+    }
+    match strategy {
+        SweepTallies::Atomic => {
+            for (acc, slot) in phi.iter_mut().zip(arena.atomic_slots()) {
+                *acc = f64::from_bits(slot.load(Ordering::Relaxed));
+            }
+        }
+        SweepTallies::Privatized { workers: w } => arena.reduce_privatized(&mut phi, w),
+    }
+
     if let Some(stats) = rayon::take_last_region_stats() {
         record_scheduler_stats(&tel, &stats);
     }
-
-    tel.counter_add("sweep.segments", segments);
-    tel.counter_add("sweep.tracks", problem.num_tracks() as u64);
     let retries = CAS_RETRIES.load(Ordering::Relaxed).wrapping_sub(retries_before);
-    tel.counter_add("sweep.cas_retries", retries);
-    if tracing {
-        tel.trace_instant(
-            "sweep.summary",
-            &[
-                ("tracks", Json::Uint(n as u64)),
-                ("segments", Json::Uint(segments)),
-                ("cas_retries", Json::Uint(retries)),
-            ],
-        );
-    }
-
-    SweepOutcome {
-        phi_acc: phi_acc.iter().map(|a| f64::from_bits(a.load(Ordering::Relaxed))).collect(),
-        leakage,
+    record_sweep(
+        &tel,
+        problem,
+        &arena.kernel,
+        strategy,
+        workers,
+        arena.block_bytes(),
         segments,
-    }
+        retries,
+    );
+
+    SweepOutcome { phi_acc: phi, leakage, segments }
 }
 
-/// A full transport sweep driven through a [`SweepArena`]: the tally
-/// strategy and exp evaluator are resolved from the arena's
-/// [`crate::tally::KernelConfig`], and every large allocation (flux
-/// accumulator, per-worker tally buffers, OTF scratch, exp table) is
-/// reused across calls.
+/// A full transport sweep on the rayon pool, dispatching tracks in the
+/// order given by `schedule`. The tally strategy, kernel and exp
+/// evaluator come from the arena's [`crate::tally::KernelConfig`], and
+/// every large allocation (flux accumulator, per-worker tally buffers,
+/// track scratch, exp table) is reused across calls.
 ///
-/// * **Atomic** strategy: the work-stealing scheduler with CAS adds into
-///   the arena's shared array — numerically identical to
-///   [`transport_sweep_scheduled`], minus its per-sweep allocations.
-/// * **Privatized** strategy: a static partition of the dispatch order
-///   (one contiguous slice per worker, no stealing), plain stores into
-///   per-worker buffers, and a reduction in ascending worker order —
-///   zero `sweep.cas_retries` and run-to-run bitwise-deterministic
-///   results for a fixed worker count and schedule.
+/// Atomic tallies dispatch through the work-stealing scheduler;
+/// privatized tallies take a static partition of the dispatch order (one
+/// contiguous slice per worker, no stealing), which makes them run-to-run
+/// bitwise deterministic for a fixed worker count and schedule.
 pub fn transport_sweep_with(
     problem: &Problem,
     segsrc: &SegmentSource,
@@ -704,221 +637,121 @@ pub fn transport_sweep_with(
     schedule: &SweepSchedule,
     arena: &mut SweepArena,
 ) -> SweepOutcome {
-    let tel = Telemetry::current();
-    let _sweep_span = tel.span("transport_sweep");
-    let retries_before = CAS_RETRIES.load(Ordering::Relaxed);
-
     let n = problem.num_tracks();
     if let Some(len) = schedule.explicit_len() {
         assert_eq!(len, n, "schedule built for a different problem");
     }
-    let g = problem.num_groups();
-    let nf = problem.num_fsrs() * g;
     let workers = rayon::current_num_threads().clamp(1, n.max(1));
-    let strategy = arena.resolve(workers, problem.num_fsrs(), g);
-    arena.prepare(workers, nf, strategy);
-    let mut phi = arena.take_phi(nf);
-
-    let track_ns = rayon::WorkerLocal::new(workers, |_| Histogram::new());
-    let tracing = tel.trace_enabled();
-    let vector = arena.kernel.kernel == SweepKernel::Vector;
-
-    let (segments, leakage) = match strategy {
-        SweepTallies::Atomic => {
-            let phi_slots = arena.atomic_slots();
-            let scratch_bufs = arena.scratch_bufs();
-            let stage_bufs = arena.stage_bufs();
-            let exp = arena.exp_eval();
-            // Per-track CAS-retry bursts: the counter below totals them,
-            // but contention is bursty (a few hot-FSR tracks), so the
-            // distribution is the signal.
-            let cas_burst = rayon::WorkerLocal::new(workers, |_| Histogram::new());
-            let out = (0..n)
-                .into_par_iter()
-                .fold(
-                    || (0u64, 0.0f64),
-                    |(segs, leak), i| {
-                        let t = schedule.track_at(i);
-                        let t0 = Instant::now();
-                        let mut burst = 0u32;
-                        let (s, l) = scratch_bufs.with(|scratch| {
-                            if vector {
-                                stage_bufs.with(|stage| {
-                                    sweep_track_kernel_vec(
-                                        problem,
-                                        segsrc,
-                                        q,
-                                        banks,
-                                        t,
-                                        scratch,
-                                        stage,
-                                        &exp,
-                                        |qb, vals| {
-                                            for (gi, &v) in vals.iter().enumerate() {
-                                                burst +=
-                                                    atomic_add_f64_counted(&phi_slots[qb + gi], v);
-                                            }
-                                        },
-                                    )
-                                })
-                            } else {
-                                sweep_track_kernel(
-                                    problem,
-                                    segsrc,
-                                    q,
-                                    banks,
-                                    t,
-                                    scratch,
-                                    &exp,
-                                    |slot, v| burst += atomic_add_f64_counted(&phi_slots[slot], v),
-                                )
-                            }
-                        });
-                        track_ns.with(|h| h.record(t0.elapsed().as_nanos() as u64));
-                        cas_burst.with(|h| h.record(burst as u64));
-                        if tracing {
-                            tel.trace_complete_since(
-                                "track",
-                                t0,
-                                &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
-                            );
-                        }
-                        (segs + s, leak + l)
-                    },
-                )
-                .reduce(|| (0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
-            let mut cas_burst = cas_burst;
-            for h in cas_burst.iter_mut() {
-                tel.histogram_merge("sweep.cas_burst", h);
-            }
-            for (acc, slot) in phi.iter_mut().zip(phi_slots) {
-                *acc = f64::from_bits(slot.load(Ordering::Relaxed));
-            }
-            out
+    sweep_region(problem, segsrc, q, banks, arena, workers, |strategy, track| match strategy {
+        SweepTallies::Atomic => (0..n).into_par_iter().for_each(|i| {
+            track(schedule.track_at(i));
+        }),
+        SweepTallies::Privatized { .. } => {
+            rayon::static_partition_fold(
+                n,
+                |_w| (),
+                |(), i| {
+                    track(schedule.track_at(i));
+                },
+            );
         }
-        SweepTallies::Privatized { workers: w } => {
-            let out = {
-                let worker_bufs = arena.worker_bufs();
-                let scratch_bufs = arena.scratch_bufs();
-                let stage_bufs = arena.stage_bufs();
-                let exp = arena.exp_eval();
-                rayon::static_partition_fold(
-                    n,
-                    |_w| (0u64, 0.0f64),
-                    |(segs, leak), i| {
-                        let t = schedule.track_at(i);
-                        let t0 = Instant::now();
-                        let (s, l) = scratch_bufs.with(|scratch| {
-                            worker_bufs.with(|buf| {
-                                if vector {
-                                    stage_bufs.with(|stage| {
-                                        sweep_track_kernel_vec(
-                                            problem,
-                                            segsrc,
-                                            q,
-                                            banks,
-                                            t,
-                                            scratch,
-                                            stage,
-                                            &exp,
-                                            // Elementwise span add in ascending
-                                            // group order: the same per-slot op
-                                            // sequence as the scalar closure.
-                                            |qb, vals| {
-                                                for (b, &v) in
-                                                    buf[qb..qb + vals.len()].iter_mut().zip(vals)
-                                                {
-                                                    *b += v;
-                                                }
-                                            },
-                                        )
-                                    })
-                                } else {
-                                    sweep_track_kernel(
-                                        problem,
-                                        segsrc,
-                                        q,
-                                        banks,
-                                        t,
-                                        scratch,
-                                        &exp,
-                                        |slot, v| buf[slot] += v,
-                                    )
-                                }
-                            })
-                        });
-                        track_ns.with(|h| h.record(t0.elapsed().as_nanos() as u64));
-                        if tracing {
-                            tel.trace_complete_since(
-                                "track",
-                                t0,
-                                &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
-                            );
-                        }
-                        (segs + s, leak + l)
-                    },
-                )
-            };
-            // Fixed worker-order reductions: the per-worker (segments,
-            // leakage) accumulators, then the private flux buffers.
-            let mut segments = 0u64;
-            let mut leakage = 0.0f64;
-            for (s, l) in out {
-                segments += s;
-                leakage += l;
-            }
-            arena.reduce_privatized(&mut phi, w);
-            (segments, leakage)
-        }
-    };
+    })
+}
 
-    merge_track_histograms(&tel, track_ns);
+/// [`sweep_track`] as the `cpu-serial` backend configures it: the default
+/// kernel and the intrinsic exp (that backend takes no `[solver]` kernel
+/// keys). The pipelined exchange's boundary prepass calls this directly.
+pub(crate) fn sweep_track_serial<S: FnMut(usize, &[f64])>(
+    problem: &Problem,
+    segsrc: &SegmentSource,
+    q: &[f64],
+    banks: &FluxBanks,
+    track: u32,
+    bufs: &mut TrackBufs,
+    sink: S,
+) -> (u64, f64) {
+    let kernel = SweepKernel::default();
+    sweep_track(problem, segsrc, q, banks, track, kernel, &ExpEval::Intrinsic, bufs, sink)
+}
 
-    if let Some(stats) = rayon::take_last_region_stats() {
-        record_scheduler_stats(&tel, &stats);
+/// A one-thread sweep in natural track order over a plain `f64` tally
+/// buffer, with the default kernel configuration: the `cpu-serial` rank
+/// backend. Bitwise equal to a one-worker natural-order
+/// [`transport_sweep_with`] — a single private buffer receives the same
+/// adds in the same order, and reducing it into a zeroed accumulator
+/// changes no bits.
+pub(crate) fn sweep_serial(
+    problem: &Problem,
+    segsrc: &SegmentSource,
+    q: &[f64],
+    banks: &FluxBanks,
+    bufs: &mut TrackBufs,
+) -> SweepOutcome {
+    let tel = Telemetry::current();
+    let _sweep_span = tel.span("transport_sweep");
+    let mut phi = vec![0.0f64; problem.num_fsrs() * problem.num_groups()];
+    let mut segments = 0u64;
+    let mut leakage = 0.0f64;
+    for t in 0..problem.num_tracks() as u32 {
+        let (s, l) = sweep_track_serial(problem, segsrc, q, banks, t, bufs, |qb, vals| {
+            add_span(&mut phi, qb, vals)
+        });
+        segments += s;
+        leakage += l;
     }
+    let strategy = SweepTallies::Privatized { workers: 1 };
+    record_sweep(&tel, problem, &KernelConfig::default(), strategy, 1, 0, segments, 0);
+    SweepOutcome { phi_acc: phi, leakage, segments }
+}
 
+/// Records what every backend's sweep reports: segment/track/retry
+/// counters, the tally footprint and roofline gauges, and the
+/// `sweep_kernel` section. `block_bytes` is 0 where no blocked reduction
+/// runs (the serial backend tallies straight into the accumulator).
+#[allow(clippy::too_many_arguments)]
+fn record_sweep(
+    tel: &Telemetry,
+    problem: &Problem,
+    config: &KernelConfig,
+    strategy: SweepTallies,
+    workers: usize,
+    block_bytes: u64,
+    segments: u64,
+    cas_retries: u64,
+) {
+    let n = problem.num_tracks() as u64;
+    let g = problem.num_groups();
     tel.counter_add("sweep.segments", segments);
-    tel.counter_add("sweep.tracks", n as u64);
+    tel.counter_add("sweep.tracks", n);
     // A zero delta still creates the key: the quiet counter is the point.
-    let retries = CAS_RETRIES.load(Ordering::Relaxed).wrapping_sub(retries_before);
-    tel.counter_add("sweep.cas_retries", retries);
-    if tracing {
+    tel.counter_add("sweep.cas_retries", cas_retries);
+    if tel.trace_enabled() {
         tel.trace_instant(
             "sweep.summary",
             &[
-                ("tracks", Json::Uint(n as u64)),
+                ("tracks", Json::Uint(n)),
                 ("segments", Json::Uint(segments)),
-                ("cas_retries", Json::Uint(retries)),
+                ("cas_retries", Json::Uint(cas_retries)),
             ],
         );
     }
-    tel.gauge_set("sweep.tally_bytes", strategy.bytes(nf) as f64);
+    tel.gauge_set("sweep.tally_bytes", strategy.bytes(problem.num_fsrs() * g) as f64);
     // Roofline numerator: modelled memory traffic per segment traversal
     // (the staged vector kernel trades extra span bytes for half the
     // transcendental work — see `antmoc_perfmodel::sweep_bytes_per_segment`).
+    let vector = config.kernel == SweepKernel::Vector;
     tel.gauge_set("sweep.bytes_per_segment", antmoc_perfmodel::sweep_bytes_per_segment(g, vector));
     tel.set_section(
         "sweep_kernel",
         Json::Obj(vec![
             ("tally_mode".into(), Json::Str(strategy.name().into())),
-            ("exp_mode".into(), Json::Str(arena.kernel.exp.name().into())),
+            ("exp_mode".into(), Json::Str(config.exp.name().into())),
             ("workers".into(), Json::Uint(workers as u64)),
-            ("kernel".into(), Json::Str(arena.kernel.kernel.name().into())),
-            ("lanes".into(), Json::Uint(arena.kernel.kernel.lanes() as u64)),
-            ("block_kb".into(), Json::Uint(arena.block_bytes() >> 10)),
+            ("kernel".into(), Json::Str(config.kernel.name().into())),
+            ("lanes".into(), Json::Uint(config.kernel.lanes() as u64)),
+            ("block_kb".into(), Json::Uint(block_bytes >> 10)),
         ]),
     );
-
-    SweepOutcome { phi_acc: phi, leakage, segments }
-}
-
-/// Folds the per-worker track-latency shards into the registry's
-/// `sweep.track_ns` histogram after the parallel region ends.
-fn merge_track_histograms(tel: &Telemetry, mut shards: rayon::WorkerLocal<Histogram>) {
-    for h in shards.iter_mut() {
-        tel.histogram_merge("sweep.track_ns", h);
-    }
 }
 
 /// Records one sweep's scheduler stats: steal counters, the max/mean
@@ -960,6 +793,43 @@ mod tests {
     use antmoc_geom::{AxialModel, BoundaryConds};
     use antmoc_track::TrackParams;
     use antmoc_xs::c5g7;
+
+    /// A natural-order sweep with the default kernel configuration.
+    fn natural_sweep(
+        p: &Problem,
+        segsrc: &SegmentSource,
+        q: &[f64],
+        banks: &FluxBanks,
+    ) -> SweepOutcome {
+        let mut arena = SweepArena::new(KernelConfig::default());
+        transport_sweep_with(p, segsrc, q, banks, &SweepSchedule::natural(), &mut arena)
+    }
+
+    /// One track through the unified kernel entry into a plain buffer;
+    /// returns the tallies and the segments the track swept.
+    fn sweep_single_track(
+        p: &Problem,
+        q: &[f64],
+        banks: &FluxBanks,
+        track: u32,
+        kernel: SweepKernel,
+    ) -> (Vec<f64>, Vec<Segment3dCompact>) {
+        let mut phi = vec![0.0f64; q.len()];
+        let mut bufs = TrackBufs::default();
+        let segsrc = SegmentSource::otf();
+        let _ = sweep_track(
+            p,
+            &segsrc,
+            q,
+            banks,
+            track,
+            kernel,
+            &ExpEval::Intrinsic,
+            &mut bufs,
+            |qb, vals| add_span(&mut phi, qb, vals),
+        );
+        (phi, bufs.segs)
+    }
 
     fn vac_problem() -> Problem {
         let lib = c5g7::library();
@@ -1028,7 +898,7 @@ mod tests {
         let segsrc = SegmentSource::otf();
         let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
         let q = vec![0.0f64; p.num_fsrs() * p.num_groups()];
-        let out = transport_sweep(&p, &segsrc, &q, &banks);
+        let out = natural_sweep(&p, &segsrc, &q, &banks);
         assert!(out.phi_acc.iter().all(|&x| x == 0.0));
         assert_eq!(out.leakage, 0.0);
         assert_eq!(out.segments, p.num_3d_segments() * 2);
@@ -1043,9 +913,9 @@ mod tests {
         // Uniform source, no inflow.
         let q = vec![0.25f64; p.num_fsrs() * p.num_groups()];
         let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let a = transport_sweep(&p, &exp, &q, &banks);
+        let a = natural_sweep(&p, &exp, &q, &banks);
         let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let b = transport_sweep(&p, &otf, &q, &banks2);
+        let b = natural_sweep(&p, &otf, &q, &banks2);
         assert_eq!(a.segments, b.segments);
         for (x, y) in a.phi_acc.iter().zip(&b.phi_acc) {
             // f32 segment lengths in the store vs f64 OTF: tiny drift.
@@ -1060,7 +930,7 @@ mod tests {
         let segsrc = SegmentSource::otf();
         let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
         let q = vec![1.0f64; p.num_fsrs() * p.num_groups()];
-        let out = transport_sweep(&p, &segsrc, &q, &banks);
+        let out = natural_sweep(&p, &segsrc, &q, &banks);
         assert!(out.leakage > 0.0, "vacuum box must leak");
         // With psi_in = 0 < q, delta psi is negative (flux builds up along
         // the track), so phi_acc is negative; the scalar-flux update adds
@@ -1075,37 +945,33 @@ mod tests {
         // arriving at the linked outlet must be exp(-sigma_t * L) with L
         // the 3D path length of the track.
         let p = vac_problem();
-        let segsrc = SegmentSource::otf();
-        let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
         let g = p.num_groups();
         let track = 0u32;
-        let psi_in = [1.0f64; MAX_GROUPS];
-        banks.set_incoming(track, 0, &[1.0f32; 7]);
         let q = vec![0.0f64; p.num_fsrs() * g];
-        let phi_acc: Vec<AtomicU64> = (0..p.num_fsrs() * g).map(|_| AtomicU64::new(0)).collect();
-        let mut scratch = Vec::new();
-        let _ = sweep_one_track(&p, &segsrc, &q, &phi_acc, &banks, track, &mut scratch);
+        for kernel in [SweepKernel::Scalar, SweepKernel::Vector] {
+            let banks = FluxBanks::new(p.num_tracks(), g);
+            banks.set_incoming(track, 0, &[1.0f32; 7]);
+            let (_, segs) = sweep_single_track(&p, &q, &banks, track, kernel);
 
-        // Reconstruct the expected attenuation from the OTF segments.
-        let st = &p.sweep_tracks[track as usize];
-        let mut tau = [0.0f64; MAX_GROUPS];
-        for &(fsr, len) in scratch.iter() {
-            let mat = p.xs.fsr_mat[fsr as usize] as usize * g;
-            for gi in 0..g {
-                tau[gi] += p.xs.sigma_t[mat + gi] * len as f64;
+            // Reconstruct the expected attenuation from the OTF segments.
+            let mut tau = [0.0f64; MAX_GROUPS];
+            for s in &segs {
+                let mat = p.xs.fsr_mat[s.fsr3d as usize] as usize * g;
+                for gi in 0..g {
+                    tau[gi] += p.xs.sigma_t[mat + gi] * s.length as f64;
+                }
             }
-        }
-        // The outgoing flux was captured in the boundary bank (vacuum).
-        let mut out = [0.0f32; 7];
-        banks.get_boundary(track, 0, &mut out);
-        for gi in 0..g {
-            let expect = psi_in[gi] * (-tau[gi]).exp();
-            assert!(
-                (out[gi] as f64 - expect).abs() < 1e-6 + 1e-4 * expect,
-                "group {gi}: {} vs {expect} (track weight {})",
-                out[gi],
-                st.weight
-            );
+            // The outgoing flux was captured in the boundary bank (vacuum).
+            let mut out = [0.0f32; 7];
+            banks.get_boundary(track, 0, &mut out);
+            for gi in 0..g {
+                let expect = (-tau[gi]).exp();
+                assert!(
+                    (out[gi] as f64 - expect).abs() < 1e-6 + 1e-4 * expect,
+                    "{kernel:?} group {gi}: {} vs {expect}",
+                    out[gi],
+                );
+            }
         }
     }
 
@@ -1114,27 +980,24 @@ mod tests {
         // For one track with zero source: sum of w * delta psi over the
         // segments equals w * (psi_in - psi_out) per group.
         let p = vac_problem();
-        let segsrc = SegmentSource::otf();
-        let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
         let g = p.num_groups();
         let track = 3u32;
-        banks.set_incoming(track, 0, &[2.0f32; 7]);
         let q = vec![0.0f64; p.num_fsrs() * g];
-        let phi_acc: Vec<AtomicU64> = (0..p.num_fsrs() * g).map(|_| AtomicU64::new(0)).collect();
-        let mut scratch = Vec::new();
-        let _ = sweep_one_track(&p, &segsrc, &q, &phi_acc, &banks, track, &mut scratch);
-        let mut out = [0.0f32; 7];
-        banks.get_boundary(track, 0, &mut out);
-        let st = &p.sweep_tracks[track as usize];
-        for gi in 0..g {
-            let acc: f64 = (0..p.num_fsrs())
-                .map(|f| f64::from_bits(phi_acc[f * g + gi].load(Ordering::Relaxed)))
-                .sum();
-            let expect = st.weight * (2.0 - out[gi] as f64);
-            assert!(
-                (acc - expect).abs() < 1e-6 * expect.abs().max(1.0),
-                "group {gi}: acc {acc} vs {expect}"
-            );
+        for kernel in [SweepKernel::Scalar, SweepKernel::Vector] {
+            let banks = FluxBanks::new(p.num_tracks(), g);
+            banks.set_incoming(track, 0, &[2.0f32; 7]);
+            let (phi, _) = sweep_single_track(&p, &q, &banks, track, kernel);
+            let mut out = [0.0f32; 7];
+            banks.get_boundary(track, 0, &mut out);
+            let st = &p.sweep_tracks[track as usize];
+            for gi in 0..g {
+                let acc: f64 = (0..p.num_fsrs()).map(|f| phi[f * g + gi]).sum();
+                let expect = st.weight * (2.0 - out[gi] as f64);
+                assert!(
+                    (acc - expect).abs() < 1e-6 * expect.abs().max(1.0),
+                    "{kernel:?} group {gi}: acc {acc} vs {expect}"
+                );
+            }
         }
     }
 
@@ -1147,9 +1010,9 @@ mod tests {
         assert!(src.stored_bytes() > 0);
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
         let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let mixed = transport_sweep(&p, &src, &q, &banks);
+        let mixed = natural_sweep(&p, &src, &q, &banks);
         let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let pure = transport_sweep(&p, &SegmentSource::otf(), &q, &banks2);
+        let pure = natural_sweep(&p, &SegmentSource::otf(), &q, &banks2);
         for (x, y) in mixed.phi_acc.iter().zip(&pure.phi_acc) {
             assert!((x - y).abs() < 1e-5 * x.abs().max(1.0));
         }
@@ -1157,16 +1020,17 @@ mod tests {
 
     #[test]
     fn l3_schedule_matches_natural_sweep() {
-        use crate::schedule::{ScheduleKind, SweepSchedule};
+        use crate::schedule::ScheduleKind;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.75f64; p.num_fsrs() * p.num_groups()];
         let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let nat = transport_sweep(&p, &segsrc, &q, &banks);
+        let nat = natural_sweep(&p, &segsrc, &q, &banks);
         for workers in [1, 2, 8] {
             let sched = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, workers);
             let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let l3 = transport_sweep_scheduled(&p, &segsrc, &q, &banks2, &sched);
+            let mut arena = SweepArena::new(KernelConfig::default());
+            let l3 = transport_sweep_with(&p, &segsrc, &q, &banks2, &sched, &mut arena);
             assert_eq!(l3.segments, nat.segments);
             assert!(
                 (l3.leakage - nat.leakage).abs() <= 1e-10 * nat.leakage.abs().max(1.0),
@@ -1237,43 +1101,42 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         pool.install(|| {
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let _ = transport_sweep(&p, &segsrc, &q, &banks);
+            let _ = natural_sweep(&p, &segsrc, &q, &banks);
         });
-        // transport_sweep consumed (took) the region stats itself; the
+        // The sweep consumed (took) the region stats itself; the
         // thread-local must now be clear.
         assert!(rayon::take_last_region_stats().is_none());
         let pool1 = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         pool1.install(|| {
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let _ = transport_sweep(&p, &segsrc, &q, &banks);
+            let _ = natural_sweep(&p, &segsrc, &q, &banks);
         });
         assert!(rayon::take_last_region_stats().is_none());
     }
 
     #[test]
-    fn arena_atomic_sweep_is_bit_identical_to_scheduled_sweep() {
-        // `tallies = atomic` must be indistinguishable from the pre-arena
-        // sweep: same kernel math, same accumulation order. Serially that
-        // is a bit-for-bit claim.
-        use crate::schedule::SweepSchedule;
-        use crate::tally::{KernelConfig, SweepArena, TallyMode};
+    fn one_worker_privatized_sweep_is_bit_identical_to_atomic() {
+        // What let every backend leave the atomic kernel without moving a
+        // bit: on one worker a private buffer receives the same adds in
+        // the same order the shared atomic array would, and reducing it
+        // into a zeroed accumulator is `0.0 + x` (DESIGN.md).
+        use crate::tally::TallyMode;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.6f64; p.num_fsrs() * p.num_groups()];
         let sched = SweepSchedule::natural();
         let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let (old, new) = pool.install(|| {
+        let run = |tallies: TallyMode| {
+            let mut arena = SweepArena::new(KernelConfig { tallies, ..Default::default() });
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let old = transport_sweep_scheduled(&p, &segsrc, &q, &banks, &sched);
-            let mut arena =
-                SweepArena::new(KernelConfig { tallies: TallyMode::Atomic, ..Default::default() });
-            let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let new = transport_sweep_with(&p, &segsrc, &q, &banks2, &sched, &mut arena);
-            (old, new)
-        });
-        assert_eq!(old.segments, new.segments);
-        assert_eq!(old.leakage.to_bits(), new.leakage.to_bits());
-        for (i, (x, y)) in old.phi_acc.iter().zip(&new.phi_acc).enumerate() {
+            banks.set_incoming(2, 1, &[0.4f32; 7]);
+            pool.install(|| transport_sweep_with(&p, &segsrc, &q, &banks, &sched, &mut arena))
+        };
+        let atomic = run(TallyMode::Atomic);
+        let private = run(TallyMode::Privatized);
+        assert_eq!(atomic.segments, private.segments);
+        assert_eq!(atomic.leakage.to_bits(), private.leakage.to_bits());
+        for (i, (x, y)) in atomic.phi_acc.iter().zip(&private.phi_acc).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "slot {i}: {x} vs {y}");
         }
     }
@@ -1285,8 +1148,7 @@ mod tests {
         // the scalar kernel bit for bit — C5G7's 7 groups exercise the
         // masked remainder lanes (7 % 4 = 3). The full worker x schedule
         // x group-count matrix lives in tests/prop_kernel_equivalence.rs.
-        use crate::schedule::SweepSchedule;
-        use crate::tally::{KernelConfig, SweepArena, SweepKernel, TallyMode};
+        use crate::tally::TallyMode;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q: Vec<f64> =
@@ -1314,8 +1176,7 @@ mod tests {
 
     #[test]
     fn arena_sweep_reports_bytes_per_segment_and_kernel_keys() {
-        use crate::schedule::SweepSchedule;
-        use crate::tally::{KernelConfig, SweepArena, SweepKernel, TallyMode};
+        use crate::tally::TallyMode;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
@@ -1355,8 +1216,7 @@ mod tests {
 
     #[test]
     fn arena_sweep_records_kernel_telemetry() {
-        use crate::schedule::SweepSchedule;
-        use crate::tally::{KernelConfig, SweepArena, TallyMode};
+        use crate::tally::TallyMode;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
@@ -1387,8 +1247,7 @@ mod tests {
 
     #[test]
     fn table_exp_sweep_tracks_intrinsic_within_tolerance() {
-        use crate::schedule::SweepSchedule;
-        use crate::tally::{ExpMode, KernelConfig, SweepArena};
+        use crate::tally::ExpMode;
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.8f64; p.num_fsrs() * p.num_groups()];

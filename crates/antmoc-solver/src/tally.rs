@@ -18,22 +18,22 @@
 //! overrides it.
 //!
 //! [`SweepArena`] owns every allocation the sweep would otherwise make
-//! per call (flux accumulator, per-worker tally buffers, OTF scratch,
-//! the optional exp table) so the eigen/fixed/recovery drivers can reuse
-//! them across iterations.
+//! per call (flux accumulator, per-worker tally buffers, track scratch,
+//! the optional exp table) so the CPU and device sweepers reuse them
+//! across iterations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use antmoc_perfmodel::{CacheModel, TallyAdvice};
 
 use crate::exptable::{ExpEval, ExpTable, DEFAULT_TAU_MAX};
-use crate::sweep::{StageBuf, SweepOutcome};
+use crate::sweep::{SweepOutcome, TrackBufs};
 
 /// How `w * delta psi` contributions are accumulated into FSR flux slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TallyMode {
-    /// CAS-loop atomic `f64` adds into one shared array (the pre-arena
-    /// behaviour).
+    /// CAS-loop atomic `f64` adds into one shared array (what `Auto`
+    /// falls back to when private buffers exceed the budget).
     Atomic,
     /// One dense `f64` buffer per pool worker, reduced in worker order.
     Privatized,
@@ -55,7 +55,7 @@ impl TallyMode {
 /// How the segment loop evaluates `1 - exp(-tau)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExpMode {
-    /// The `exp_m1` intrinsic (bit-identical to the historical kernel).
+    /// The `exp_m1` intrinsic.
     #[default]
     Intrinsic,
     /// Linear-interpolated [`ExpTable`] lookup.
@@ -74,14 +74,15 @@ impl ExpMode {
 /// Which inner group loop the per-track segment kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepKernel {
-    /// The historical scalar group loop (one exp per group per
-    /// traversal).
-    #[default]
+    /// The scalar group loop (one exp per group per traversal): the
+    /// conformance reference the vector kernel is checked against, not a
+    /// tuning choice.
     Scalar,
     /// [`crate::simd::F64x4`] lanes over the group axis, reading
     /// group-major attenuation spans staged once per track and reused by
     /// both directions; remainder groups take a masked tail. Bitwise
     /// identical to `Scalar` per lane (see DESIGN.md).
+    #[default]
     Vector,
 }
 
@@ -127,7 +128,7 @@ impl Default for KernelConfig {
             tally_budget_bytes: 256 << 20,
             exp: ExpMode::Intrinsic,
             exp_tolerance: 1e-7,
-            kernel: SweepKernel::Scalar,
+            kernel: SweepKernel::Vector,
             block_bytes: None,
         }
     }
@@ -174,10 +175,8 @@ pub struct SweepArena {
     atomic_buf: Vec<AtomicU64>,
     /// Private per-worker tally buffers (privatized mode).
     worker_phi: rayon::WorkerLocal<Vec<f64>>,
-    /// Per-worker OTF `(fsr3d, length)` scratch.
-    scratch: rayon::WorkerLocal<Vec<(u32, f32)>>,
-    /// Per-worker staged attenuation spans (vector kernel).
-    stage: rayon::WorkerLocal<StageBuf>,
+    /// Per-worker OTF segment scratch and staged attenuation spans.
+    track_bufs: rayon::WorkerLocal<TrackBufs>,
     /// Lazily built exp table (`exp = table`).
     exp_table: Option<ExpTable>,
     /// The `exp_tolerance` the resident table was built for; `prepare`
@@ -193,8 +192,7 @@ impl SweepArena {
             phi_pool: Vec::new(),
             atomic_buf: Vec::new(),
             worker_phi: rayon::WorkerLocal::new(1, |_| Vec::new()),
-            scratch: rayon::WorkerLocal::new(1, |_| Vec::new()),
-            stage: rayon::WorkerLocal::new(1, |_| StageBuf::default()),
+            track_bufs: rayon::WorkerLocal::new(1, |_| TrackBufs::default()),
             exp_table: None,
             exp_built_tol: None,
         }
@@ -270,11 +268,8 @@ impl SweepArena {
     /// `nf`-slot flux array under the given strategy. Must be called
     /// before the parallel region each sweep.
     pub(crate) fn prepare(&mut self, workers: usize, nf: usize, strategy: SweepTallies) {
-        if self.scratch.len() < workers {
-            self.scratch = rayon::WorkerLocal::new(workers, |_| Vec::new());
-        }
-        if self.stage.len() < workers {
-            self.stage = rayon::WorkerLocal::new(workers, |_| StageBuf::default());
+        if self.track_bufs.len() < workers {
+            self.track_bufs = rayon::WorkerLocal::new(workers, |_| TrackBufs::default());
         }
         match strategy {
             SweepTallies::Atomic => {
@@ -325,12 +320,8 @@ impl SweepArena {
         &self.worker_phi
     }
 
-    pub(crate) fn scratch_bufs(&self) -> &rayon::WorkerLocal<Vec<(u32, f32)>> {
-        &self.scratch
-    }
-
-    pub(crate) fn stage_bufs(&self) -> &rayon::WorkerLocal<StageBuf> {
-        &self.stage
+    pub(crate) fn track_bufs(&self) -> &rayon::WorkerLocal<TrackBufs> {
+        &self.track_bufs
     }
 
     /// Sums the first `workers` private buffers into `phi` in ascending
@@ -364,13 +355,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_auto_intrinsic_scalar_with_a_256mib_budget() {
+    fn defaults_are_auto_intrinsic_vector_with_a_256mib_budget() {
         let k = KernelConfig::default();
         assert_eq!(k.tallies, TallyMode::Auto);
         assert_eq!(k.exp, ExpMode::Intrinsic);
         assert_eq!(k.tally_budget_bytes, 256 << 20);
         assert_eq!(k.exp_tolerance, 1e-7);
-        assert_eq!(k.kernel, SweepKernel::Scalar);
+        assert_eq!(k.kernel, SweepKernel::Vector);
         assert_eq!(k.block_bytes, None);
     }
 

@@ -13,6 +13,12 @@
 //!   the CAS additions land in race order, so scalar and vector runs may
 //!   differ by reassociation rounding — but never more.
 //!
+//! * **Every backend runs that kernel.** The `cpu-serial` rank sweeper
+//!   must match a one-worker natural-order CPU sweep bit for bit, and the
+//!   simulated device — either CU mapping, any storage mode — must repeat
+//!   itself bit for bit on one worker and stay within 1e-12 relative of
+//!   the CPU sweep over the same segment source at workers {1, 2, 8}.
+//!
 //! The synthetic cross sections drive tau = sigma_t * length through its
 //! extremes inside one sweep: a void group (tau = 0), subnormal and
 //! near-underflow taus, and an optically black group (tau > 700, where
@@ -21,10 +27,14 @@
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, BoundaryConds};
+use antmoc_gpusim::{Device, DeviceSpec};
+use antmoc_solver::cluster::SerialSweeper;
+use antmoc_solver::device::{CuMapping, DeviceSolver};
+use antmoc_solver::manager::stored_bytes_for;
 use antmoc_solver::sweep::transport_sweep_with;
 use antmoc_solver::{
-    ExpMode, FluxBanks, KernelConfig, Problem, ScheduleKind, SegmentSource, SweepArena,
-    SweepKernel, SweepOutcome, SweepSchedule, TallyMode,
+    CpuSweeper, ExpMode, FluxBanks, KernelConfig, Problem, ScheduleKind, SegmentSource,
+    StorageMode, SweepArena, SweepKernel, SweepOutcome, SweepSchedule, Sweeper, TallyMode,
 };
 use antmoc_track::TrackParams;
 use antmoc_xs::{Material, MaterialLibrary};
@@ -67,9 +77,28 @@ fn extreme_problem(g: usize, spacing: f64) -> Problem {
     Problem::build(geom, axial, &lib, params)
 }
 
-/// A structured, group-dependent source plus nonzero inflow on a few
-/// tracks, so attenuation, tallies, and boundary stores all carry
-/// non-trivial values in every group.
+/// Fresh banks with nonzero inflow on a few tracks, so attenuation,
+/// tallies, and boundary stores all carry non-trivial values in every
+/// group.
+fn inflow_banks(p: &Problem) -> FluxBanks {
+    let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
+    let inflow: Vec<f32> = (0..p.num_groups()).map(|gi| 0.4 + gi as f32 * 0.11).collect();
+    for t in 0..p.num_tracks().min(5) as u32 {
+        banks.set_incoming(t, 0, &inflow);
+        banks.set_incoming(t, 1, &inflow);
+    }
+    banks
+}
+
+/// A structured, group-dependent source.
+fn structured_source(p: &Problem) -> Vec<f64> {
+    (0..p.num_fsrs() * p.num_groups()).map(|i| 0.1 + (i % 13) as f64 * 0.045).collect()
+}
+
+fn pool(workers: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap()
+}
+
 fn sweep(
     p: &Problem,
     q: &[f64],
@@ -79,23 +108,31 @@ fn sweep(
     tallies: TallyMode,
     kernel: SweepKernel,
 ) -> SweepOutcome {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
     let sched = SweepSchedule::with_workers(kind, p, workers);
     let mut arena = SweepArena::new(KernelConfig { tallies, exp, kernel, ..Default::default() });
     let segsrc = SegmentSource::otf();
-    pool.install(|| {
-        let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-        let inflow: Vec<f32> = (0..p.num_groups()).map(|gi| 0.4 + gi as f32 * 0.11).collect();
-        for t in 0..p.num_tracks().min(5) as u32 {
-            banks.set_incoming(t, 0, &inflow);
-            banks.set_incoming(t, 1, &inflow);
-        }
-        transport_sweep_with(p, &segsrc, q, &banks, &sched, &mut arena)
-    })
+    pool(workers)
+        .install(|| transport_sweep_with(p, &segsrc, q, &inflow_banks(p), &sched, &mut arena))
 }
 
 fn bits(out: &SweepOutcome) -> (u64, Vec<u64>) {
     (out.leakage.to_bits(), out.phi_acc.iter().map(|x| x.to_bits()).collect())
+}
+
+fn assert_within_1e12(a: &SweepOutcome, b: &SweepOutcome, what: &str) {
+    assert_eq!(a.segments, b.segments, "{what}");
+    assert!(
+        (a.leakage - b.leakage).abs() <= 1e-12 * a.leakage.abs().max(1.0),
+        "leakage {} vs {} ({what})",
+        a.leakage,
+        b.leakage
+    );
+    for (i, (x, y)) in a.phi_acc.iter().zip(&b.phi_acc).enumerate() {
+        assert!(
+            (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-30),
+            "slot {i}: {x} vs {y} ({what})"
+        );
+    }
 }
 
 const SCHEDULES: [ScheduleKind; 3] =
@@ -107,7 +144,7 @@ fn vector_kernel_is_bitwise_identical_on_the_serial_backend() {
     // remainder (1..3, 5..7); every schedule; both exp modes.
     for g in 1..=8usize {
         let p = extreme_problem(g, 0.6);
-        let q: Vec<f64> = (0..p.num_fsrs() * g).map(|i| 0.1 + (i % 13) as f64 * 0.045).collect();
+        let q = structured_source(&p);
         for kind in SCHEDULES {
             for exp in [ExpMode::Intrinsic, ExpMode::Table] {
                 let scalar =
@@ -133,7 +170,7 @@ fn vector_kernel_matches_scalar_across_workers_within_1e12() {
     // on the remainder-lane group counts to bound runtime.
     for g in 1..=8usize {
         let p = extreme_problem(g, 0.6);
-        let q: Vec<f64> = (0..p.num_fsrs() * g).map(|i| 0.1 + (i % 13) as f64 * 0.045).collect();
+        let q = structured_source(&p);
         let exp_modes: &[ExpMode] =
             if g % 4 == 0 { &[ExpMode::Intrinsic] } else { &[ExpMode::Intrinsic, ExpMode::Table] };
         for &exp in exp_modes {
@@ -143,21 +180,69 @@ fn vector_kernel_matches_scalar_across_workers_within_1e12() {
                         sweep(&p, &q, workers, kind, exp, TallyMode::Atomic, SweepKernel::Scalar);
                     let vector =
                         sweep(&p, &q, workers, kind, exp, TallyMode::Atomic, SweepKernel::Vector);
-                    assert_eq!(scalar.segments, vector.segments);
-                    assert!(
-                        (scalar.leakage - vector.leakage).abs()
-                            <= 1e-12 * scalar.leakage.abs().max(1.0),
-                        "leakage {} vs {} (g={g}, workers={workers}, kind={kind:?}, exp={exp:?})",
-                        scalar.leakage,
-                        vector.leakage
-                    );
-                    for (i, (x, y)) in scalar.phi_acc.iter().zip(&vector.phi_acc).enumerate() {
-                        assert!(
-                            (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1e-30),
-                            "slot {i}: {x} vs {y} \
-                             (g={g}, workers={workers}, kind={kind:?}, exp={exp:?})"
-                        );
-                    }
+                    let what = format!("g={g}, workers={workers}, kind={kind:?}, exp={exp:?}");
+                    assert_within_1e12(&scalar, &vector, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn serial_sweeper_is_bitwise_a_one_worker_natural_cpu_sweep() {
+    // The cpu-serial rank backend tallies straight into one plain buffer;
+    // a one-worker CPU sweep tallies into one private buffer and reduces
+    // it into a zeroed accumulator. Same adds, same order, same bits.
+    for g in 1..=8usize {
+        let p = extreme_problem(g, 0.6);
+        let q = structured_source(&p);
+        let segsrc = SegmentSource::otf();
+        let serial = SerialSweeper { segsrc: &segsrc }.sweep(&p, &q, &inflow_banks(&p));
+        let mut cpu = CpuSweeper::new(&segsrc);
+        let parallel = pool(1).install(|| cpu.sweep(&p, &q, &inflow_banks(&p)));
+        assert_eq!(serial.segments, parallel.segments);
+        assert_eq!(bits(&serial), bits(&parallel), "serial vs one-worker cpu (g={g})");
+    }
+}
+
+#[test]
+fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
+    for g in 1..=8usize {
+        let p = extreme_problem(g, 0.6);
+        let q = structured_source(&p);
+        let store: u64 = p.sweep_tracks.iter().map(|t| stored_bytes_for(t.num_segments)).sum();
+        for mapping in [CuMapping::GridStride, CuMapping::SegmentSorted] {
+            for mode in [
+                StorageMode::Explicit,
+                StorageMode::Otf,
+                StorageMode::Manager { budget_bytes: store / 2 },
+            ] {
+                let device = || std::sync::Arc::new(Device::new(DeviceSpec::scaled(1 << 30)));
+                let mut solver = DeviceSolver::new(device(), &p, mode, mapping).unwrap();
+                let what = format!("g={g}, {mapping:?}, {mode:?}");
+
+                // One worker: CUs run one after another in a fixed order.
+                let first = pool(1).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
+                let again = pool(1).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
+                assert_eq!(bits(&first), bits(&again), "device run-to-run ({what})");
+                assert_eq!(first.segments, p.num_3d_segments() * 2, "{what}");
+
+                // Any worker count: the CPU sweep over the same segments
+                // differs by tally order only.
+                let mut arena = SweepArena::new(KernelConfig::default());
+                let cpu = pool(1).install(|| {
+                    transport_sweep_with(
+                        &p,
+                        solver.segment_source(),
+                        &q,
+                        &inflow_banks(&p),
+                        &SweepSchedule::natural(),
+                        &mut arena,
+                    )
+                });
+                for workers in [1usize, 2, 8] {
+                    let dev = pool(workers).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
+                    assert_within_1e12(&cpu, &dev, &format!("{what}, workers={workers}"));
                 }
             }
         }
@@ -194,7 +279,7 @@ fn extreme_taus_actually_occur_and_stay_finite() {
     }
     assert!(seen_zero && seen_subnormal && seen_black);
 
-    let q: Vec<f64> = (0..p.num_fsrs() * g).map(|i| 0.1 + (i % 13) as f64 * 0.045).collect();
+    let q = structured_source(&p);
     for exp in [ExpMode::Intrinsic, ExpMode::Table] {
         let out = sweep(
             &p,

@@ -32,7 +32,7 @@
 //! tally_budget_mb = 256    ; privatized-buffer budget for `auto`
 //! exp = intrinsic          ; intrinsic | table
 //! exp_tolerance = 1e-7     ; exp-table worst-case absolute error
-//! kernel = scalar          ; scalar | vector (f64x4 group lanes)
+//! kernel = vector          ; vector (f64x4 group lanes) | scalar (conformance reference)
 //! block_kb = 16            ; privatized-reduction slot-block KiB (default: cache model)
 //!
 //! [decomposition]
@@ -766,11 +766,14 @@ nz = 2
         assert_eq!(cfg.kernel.block_bytes, Some(8 << 10));
         let cfg = RunConfig::parse("[solver]\nkernel = simd\n").unwrap();
         assert_eq!(cfg.kernel.kernel, SweepKernel::Vector);
-        // Defaults: scalar kernel, cache-model block sizing.
+        // The conformance reference stays selectable; block sizing
+        // defaults to the cache model.
         let cfg = RunConfig::parse("[solver]\nkernel = scalar\n").unwrap();
         assert_eq!(cfg.kernel.kernel, SweepKernel::Scalar);
         assert_eq!(cfg.kernel.block_bytes, None);
-        assert_eq!(RunConfig::default().kernel.kernel, SweepKernel::Scalar);
+        // Default: the vector kernel.
+        assert_eq!(RunConfig::default().kernel.kernel, SweepKernel::Vector);
+        assert_eq!(RunConfig::parse("[solver]\n").unwrap().kernel.kernel, SweepKernel::Vector);
 
         assert!(RunConfig::parse("[solver]\nkernel = avx512\n").is_err());
         assert!(RunConfig::parse("[solver]\nblock_kb = 0\n").is_err());

@@ -273,8 +273,8 @@ pub fn run_with_setup(config: &RunConfig, setup: &SolveSetup) -> RunReport {
 /// [`run_with_setup`] with an explicit (possibly pooled) [`SweepArena`].
 /// The arena is reconfigured to this run's kernel settings and handed
 /// back after the solve so callers can recycle its allocations across
-/// jobs; backends that do not use an arena (serial, device) return it
-/// untouched.
+/// jobs; the serial backend, which sweeps over plain per-sweep buffers,
+/// returns it untouched.
 pub fn run_with_setup_arena(
     config: &RunConfig,
     setup: &SolveSetup,
@@ -347,9 +347,13 @@ pub fn run_with_setup_arena(
             }
             BackendConfig::Device { memory_bytes, cu_mapping } => {
                 let device = Arc::new(Device::new(DeviceSpec::scaled(*memory_bytes)));
+                let mut arena = arena;
+                arena.reconfigure(config.kernel.clone());
                 let mut solver = DeviceSolver::new(device, problem, config.mode, *cu_mapping)
-                    .expect("device memory too small for the selected mode");
-                (solve_eigenvalue(problem, &mut solver, &config.eigen), arena)
+                    .expect("device memory too small for the selected mode")
+                    .with_arena(arena);
+                let r = solve_eigenvalue(problem, &mut solver, &config.eigen);
+                (r, solver.into_arena())
             }
         };
         (result.keff, result.iterations, result.converged, result.phi, arena)

@@ -5,7 +5,8 @@ use antmoc::geom::geometry::homogeneous_box;
 use antmoc::geom::{AxialModel, Bc, BoundaryConds};
 use antmoc::solver::source::{absorption, compute_reduced_source, fission_production};
 use antmoc::solver::{
-    solve_eigenvalue, CpuSweeper, EigenOptions, FluxBanks, Problem, SegmentSource,
+    solve_eigenvalue, CpuSweeper, EigenOptions, FluxBanks, KernelConfig, Problem, SegmentSource,
+    SweepArena, SweepSchedule,
 };
 use antmoc::track::TrackParams;
 use antmoc::xs::c5g7;
@@ -50,10 +51,19 @@ fn neutron_balance_holds_in_a_leaky_box() {
     // Run a few sweeps so boundary fluxes re-equilibrate in the fresh
     // banks.
     let mut banks = banks;
+    let mut arena = SweepArena::new(KernelConfig::default());
     let mut leak = 0.0;
     for _ in 0..200 {
-        let out = antmoc::solver::sweep::transport_sweep(&p, &segsrc, &q, &banks);
+        let out = antmoc::solver::sweep::transport_sweep_with(
+            &p,
+            &segsrc,
+            &q,
+            &banks,
+            &SweepSchedule::natural(),
+            &mut arena,
+        );
         leak = out.leakage;
+        arena.recycle(out);
         banks.swap();
     }
 

@@ -2,6 +2,7 @@
 //! model, across backends and storage modes.
 
 use antmoc::solver::StorageMode;
+use antmoc::telemetry::Telemetry;
 use antmoc::{run, BackendConfig, RunConfig};
 
 fn coarse(extra: &str) -> RunConfig {
@@ -36,6 +37,43 @@ fn cpu_and_device_backends_agree() {
     // storage is the only difference).
     let err = cpu.pin_rates.max_relative_error(&dev.pin_rates);
     assert!(err < 5e-3, "pin max rel err {err}");
+}
+
+#[test]
+fn every_backend_reports_the_sweep_kernel_telemetry() {
+    // One kernel on every backend means one set of sweep telemetry: the
+    // device and serial sweeps open the `transport_sweep` span and record
+    // the throughput inputs (`run_case`'s ns/segment column) like the CPU
+    // path does.
+    for backend in [
+        "backend = cpu\nmode = otf\n",
+        "backend = cpu-serial\n",
+        "backend = device\ndevice_memory_mb = 1024\nmode = manager\nmanager_budget_mb = 1\n",
+    ] {
+        let mut cfg = coarse(backend);
+        cfg.eigen.max_iterations = 3;
+        let tel = Telemetry::new();
+        let (out, report) = {
+            let _scope = tel.install();
+            (run(&cfg), tel.report())
+        };
+        assert!(
+            report.spans.keys().any(|path| path.ends_with("transport_sweep")),
+            "{backend}: spans {:?}",
+            report.spans.keys().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            report.counter("sweep.segments"),
+            out.iterations as u64 * 2 * out.num_3d_segments,
+            "{backend}"
+        );
+        assert!(report.counter("sweep.tracks") > 0, "{backend}");
+        for gauge in ["sweep.tally_bytes", "sweep.bytes_per_segment"] {
+            assert!(report.gauges.contains_key(gauge), "{backend}: no {gauge} gauge");
+        }
+        let kernel = format!("{:?}", report.sections.get("sweep_kernel"));
+        assert!(kernel.contains("vector") && kernel.contains("tally_mode"), "{backend}: {kernel}");
+    }
 }
 
 #[test]
