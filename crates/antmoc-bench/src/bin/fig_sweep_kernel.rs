@@ -16,9 +16,11 @@
 //! * privatized tallies must reach >= 1.15x the atomic throughput at
 //!   4 workers (best pairing across exp modes, best-of-REPS to damp OS
 //!   noise on shared CI machines);
-//! * the vector kernel must reach >= 1.3x the privatized *scalar* kernel
-//!   at 4 workers (best pairing across exp modes) while its serial flux
-//!   is bitwise identical to the scalar kernel's;
+//! * the vector kernel must reach >= 1.45x the privatized *scalar* kernel
+//!   per segment at one worker (best pairing across exp modes, alternating
+//!   rounds: on a host with fewer cores than `WORKERS` a 4-worker
+//!   best-of-N compares scheduler luck, not kernels) while its serial
+//!   flux is bitwise identical to the scalar kernel's;
 //! * the table-exponential eigenvalue must land within 1e-6 of the
 //!   intrinsic one;
 //! * the privatized sweep must report `sweep.cas_retries == 0`;
@@ -50,7 +52,7 @@ use antmoc::track::TrackParams;
 const WORKERS: usize = 4;
 const REPS: usize = 5;
 const MIN_SPEEDUP: f64 = 1.15;
-const MIN_VECTOR_SPEEDUP: f64 = 1.3;
+const MIN_VECTOR_SPEEDUP: f64 = 1.45;
 const MAX_KEFF_DELTA: f64 = 1e-6;
 const MAX_DEVICE_RATIO: f64 = 1.15;
 const PARITY_ROUNDS: usize = 15;
@@ -187,11 +189,30 @@ fn main() -> ExitCode {
         "\nprivatized/atomic speedup: intrinsic {speedup_intrinsic:.3}x, \
          table {speedup_table:.3}x"
     );
-    let vec_intrinsic = rates[4] / rates[1];
-    let vec_table = rates[5] / rates[3];
+
+    // Kernel against kernel: one worker, alternating rounds, so the ratio
+    // is the per-segment cost of the two loops and nothing else.
+    let one_worker_speedup = |exp: ExpMode| {
+        let sweeper = |kernel| {
+            let cfg =
+                KernelConfig { tallies: TallyMode::Privatized, exp, kernel, ..Default::default() };
+            CpuSweeper::with_kernel(&segsrc, SweepSchedule::natural(), cfg)
+        };
+        let mut scalar = sweeper(SweepKernel::Scalar);
+        let mut vector = sweeper(SweepKernel::Vector);
+        let [scalar_ns, vector_ns] =
+            paired_ns_per_segment([&mut scalar, &mut vector], &problem, &q);
+        println!(
+            "one-worker ns/segment ({}): scalar {scalar_ns:.1}, vector {vector_ns:.1}",
+            exp.name()
+        );
+        scalar_ns / vector_ns
+    };
+    let vec_intrinsic = one_worker_speedup(ExpMode::Intrinsic);
+    let vec_table = one_worker_speedup(ExpMode::Table);
     let vec_speedup = vec_intrinsic.max(vec_table);
     println!(
-        "vector/scalar (privatized) speedup: intrinsic {vec_intrinsic:.3}x, \
+        "vector/scalar (privatized, one worker) speedup: intrinsic {vec_intrinsic:.3}x, \
          table {vec_table:.3}x"
     );
 

@@ -5,6 +5,8 @@ use antmoc_geom::{AxialModel, BoundaryConds, Fsr3dId, Geometry};
 use antmoc_track::{estimate_volumes, Link3d, Track3dId, TrackLayout, TrackParams};
 use antmoc_xs::MaterialLibrary;
 
+use crate::sweep::assert_supported_groups;
+
 /// Cross sections flattened for the sweep: per-material tables plus the
 /// 3D-FSR -> material map.
 #[derive(Debug, Clone)]
@@ -26,9 +28,11 @@ pub struct XsData {
 }
 
 impl XsData {
-    /// Flattens a material library against a 3D FSR map.
+    /// Flattens a material library against a 3D FSR map. Panics when the
+    /// library's group count is outside `1..=MAX_GROUPS`.
     pub fn build(layout: &TrackLayout, library: &MaterialLibrary) -> Self {
         let g = library.num_groups();
+        assert_supported_groups(g);
         let nmat = library.len();
         let mut sigma_t = Vec::with_capacity(nmat * g);
         let mut nusf = Vec::with_capacity(nmat * g);
@@ -238,6 +242,28 @@ mod tests {
         assert_eq!(p.volumes.len(), p.num_fsrs());
         assert_eq!(p.sweep_tracks.len(), p.layout.num_3d_tracks());
         assert!(p.num_3d_segments() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "9 energy groups; this solver supports 1..=8")]
+    fn unsupported_group_count_fails_when_the_problem_is_built() {
+        // Before any bank, arena or sweep exists: the kernel's group
+        // dispatch and `FluxBanks::new` never see the bad count.
+        let g = 9;
+        let mut lib = antmoc_xs::MaterialLibrary::new();
+        let mat = lib.add(antmoc_xs::Material {
+            name: "NINE".into(),
+            total: vec![1.0; g],
+            absorption: vec![1.0; g],
+            fission: vec![0.0; g],
+            nu: vec![0.0; g],
+            chi: vec![0.0; g],
+            scatter: vec![vec![0.0; g]; g],
+        });
+        let geom = homogeneous_box(mat, 2.0, 2.0, (0.0, 2.0), BoundaryConds::vacuum());
+        let axial = AxialModel::uniform(0.0, 2.0, 1.0);
+        let params = TrackParams { num_azim: 4, radial_spacing: 1.0, ..Default::default() };
+        let _ = Problem::build(geom, axial, &lib, params);
     }
 
     #[test]

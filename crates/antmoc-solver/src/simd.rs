@@ -48,12 +48,19 @@ impl F64x4 {
     }
 
     /// Masked load: lanes past `s.len()` are filled with `0.0` (the
-    /// neutral value of the kernel's attenuation arithmetic).
+    /// neutral value of the kernel's attenuation arithmetic). A fixed-trip
+    /// lane loop, not a `copy_from_slice` of a run-time length: that one
+    /// lowers to a libc `memcpy` call per segment, this one to (at most)
+    /// four predicated loads, and to plain loads once the length is a
+    /// compile-time constant.
     #[inline(always)]
     pub fn load_partial(s: &[f64]) -> Self {
         let mut a = [0.0f64; LANES];
-        let n = s.len().min(LANES);
-        a[..n].copy_from_slice(&s[..n]);
+        for (i, lane) in a.iter_mut().enumerate() {
+            if i < s.len() {
+                *lane = s[i];
+            }
+        }
         Self(a)
     }
 
@@ -63,11 +70,16 @@ impl F64x4 {
         d[..LANES].copy_from_slice(&self.0);
     }
 
-    /// Masked store: writes only the first `n` lanes.
+    /// Masked store: writes only the first `n` lanes (same fixed-trip
+    /// lane form as [`F64x4::load_partial`]). Panics when `d` is shorter
+    /// than `min(n, LANES)`.
     #[inline(always)]
     pub fn store_partial(self, d: &mut [f64], n: usize) {
-        let n = n.min(LANES);
-        d[..n].copy_from_slice(&self.0[..n]);
+        for (i, &lane) in self.0.iter().enumerate() {
+            if i < n {
+                d[i] = lane;
+            }
+        }
     }
 
     /// Horizontal sum in ascending lane order (the fixed order the
@@ -147,18 +159,35 @@ mod tests {
 
     #[test]
     fn partial_load_masks_dead_lanes_with_zero() {
-        let v = F64x4::load_partial(&[5.0, 6.0]);
-        assert_eq!(v.0, [5.0, 6.0, 0.0, 0.0]);
-        // A full slice behaves like `load`.
-        let w = F64x4::load_partial(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(w.0, [1.0, 2.0, 3.0, 4.0]);
+        // Every length 0..=5: empty, each remainder shape, a full slice
+        // (behaves like `load`), and one past the lane width (ignored).
+        let src = [1.0f64, 2.0, 3.0, 4.0, 5.0];
+        for n in 0..=5usize {
+            // `black_box` keeps the length a run-time value, so the
+            // predicated form is what runs, not a constant-folded one.
+            let v = F64x4::load_partial(std::hint::black_box(&src[..n]));
+            for i in 0..LANES {
+                let want = if i < n { src[i] } else { 0.0 };
+                assert_eq!(v.0[i].to_bits(), want.to_bits(), "len {n}, lane {i}");
+            }
+        }
     }
 
     #[test]
     fn partial_store_leaves_the_tail_untouched() {
-        let mut d = [9.0f64; 4];
-        F64x4::splat(1.5).store_partial(&mut d, 3);
-        assert_eq!(d, [1.5, 1.5, 1.5, 9.0]);
+        let v = F64x4::load(&[1.0, 2.0, 3.0, 4.0]);
+        for n in 0..=5usize {
+            let mut d = [9.0f64; 5];
+            v.store_partial(&mut d, std::hint::black_box(n));
+            for (i, &got) in d.iter().enumerate() {
+                let want = if i < n.min(LANES) { v.0[i] } else { 9.0 };
+                assert_eq!(got, want, "n {n}, slot {i}");
+            }
+        }
+        // The destination only has to hold the lanes actually written.
+        let mut short = [9.0f64; 2];
+        v.store_partial(&mut short, 2);
+        assert_eq!(short, [1.0, 2.0]);
     }
 
     #[test]

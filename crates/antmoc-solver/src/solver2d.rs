@@ -21,10 +21,9 @@ use antmoc_track::{Link, SegmentStore2d, TrackSet2d};
 use antmoc_xs::MaterialLibrary;
 
 use crate::eigen::EigenOptions;
-use crate::sweep::atomic_add_f64;
+use crate::sweep::{assert_supported_groups, atomic_add_f64, MAX_GROUPS};
 
 const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
-const MAX_GROUPS: usize = 8;
 const MAX_POLAR: usize = 4;
 
 /// The assembled 2D problem.
@@ -62,7 +61,7 @@ impl Problem2d {
         let areas = segments.estimate_areas(&tracks, geometry.num_fsrs());
 
         let g = library.num_groups();
-        assert!(g <= MAX_GROUPS);
+        assert_supported_groups(g);
         let nmat = library.len();
         let mut sigma_t = Vec::with_capacity(nmat * g);
         let mut nusf = Vec::with_capacity(nmat * g);

@@ -33,8 +33,22 @@ use crate::tally::{KernelConfig, SweepArena, SweepKernel, SweepTallies};
 /// into the `sweep.cas_retries` counter.
 static CAS_RETRIES: AtomicU64 = AtomicU64::new(0);
 
-/// Maximum supported energy groups (stack-allocated per-traversal state).
+/// Maximum supported energy groups: the per-traversal state is stack
+/// arrays of this size, and [`sweep_track`] has one monomorphized body per
+/// group count up to it.
 pub const MAX_GROUPS: usize = 8;
+
+/// Panics, naming the limit, unless `1 <= groups <= MAX_GROUPS`. Called
+/// where cross sections are flattened ([`crate::XsData::build`], the 2D
+/// solver's equivalent), so an unsupported library fails once, while the
+/// problem is assembled, instead of deep inside a sweep.
+pub(crate) fn assert_supported_groups(groups: usize) {
+    assert!(
+        (1..=MAX_GROUPS).contains(&groups),
+        "the material library has {groups} energy groups; this solver supports 1..={MAX_GROUPS} \
+         (antmoc_solver::sweep::MAX_GROUPS)"
+    );
+}
 
 /// How 3D segments are obtained during the sweep (the paper's §5.3
 /// comparison axes).
@@ -331,16 +345,6 @@ fn track_segments<'a>(
     scratch
 }
 
-/// Visits segment indices `0..n` forward (`dir == 0`) or in reverse.
-#[inline]
-fn each_segment(n: usize, dir: usize, mut step: impl FnMut(usize)) {
-    if dir == 0 {
-        (0..n).for_each(&mut step);
-    } else {
-        (0..n).rev().for_each(&mut step);
-    }
-}
-
 /// Adds one segment's group span into a plain `f64` tally buffer in
 /// ascending group order (the privatized and serial tally delivery).
 #[inline]
@@ -383,6 +387,14 @@ fn add_span(buf: &mut [f64], qb: usize, vals: &[f64]) {
 ///      only the `q` load is masked — its neighbours belong to the *next*
 ///      FSR and may sit past the end of the array. Tail lanes thus compute
 ///      `(psi_pad - 0) * 0 = 0` and are truncated from the tally span.
+///
+/// The loop is shaped for straight-line code (DESIGN.md, "Why the sweep
+/// loop is shaped this way"): the one run-time group count is turned into
+/// a compile-time `G` here, once per track, so every group loop below —
+/// lane blocks, remainder, staging, the sink's span add — has a fixed trip
+/// count, and segments are visited by a plain indexed loop whose body
+/// inlines with `psi`/`vals` in registers. `scripts/check_simd_asm.sh`
+/// fails if an instantiation ever calls `memcpy` or an outlined closure.
 #[allow(clippy::too_many_arguments)]
 fn sweep_track<S: FnMut(usize, &[f64])>(
     problem: &Problem,
@@ -393,10 +405,40 @@ fn sweep_track<S: FnMut(usize, &[f64])>(
     kernel: SweepKernel,
     exp: &ExpEval<'_>,
     bufs: &mut TrackBufs,
+    sink: S,
+) -> (u64, f64) {
+    // One arm per supported group count: keep the list in step with the limit.
+    const { assert!(MAX_GROUPS == 8) };
+    macro_rules! dispatch {
+        ($($g:literal)*) => {
+            match problem.num_groups() {
+                $($g => sweep_track_g::<$g, S>(
+                    problem, segsrc, q, banks, track, kernel, exp, bufs, sink,
+                ),)*
+                g => unreachable!("{g} groups: `XsData::build` admits 1..={MAX_GROUPS}"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8)
+}
+
+/// [`sweep_track`] for a compile-time group count. Never inlined (the
+/// call is per track, not per segment), so every instantiation stays a
+/// `sweep_track_g` symbol the assembly check can find and scan.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
+    problem: &Problem,
+    segsrc: &SegmentSource,
+    q: &[f64],
+    banks: &FluxBanks,
+    track: u32,
+    kernel: SweepKernel,
+    exp: &ExpEval<'_>,
+    bufs: &mut TrackBufs,
     mut sink: S,
 ) -> (u64, f64) {
-    let g = problem.num_groups();
-    let gp = padded_groups(g);
+    let gp = padded_groups(G);
     let st = &problem.sweep_tracks[track as usize];
     let xs = &problem.xs;
     let segs = track_segments(problem, segsrc, track, &mut bufs.segs);
@@ -410,9 +452,9 @@ fn sweep_track<S: FnMut(usize, &[f64])>(
         staged.clear();
         staged.resize(nseg * gp, 0.0);
         for (s, span) in segs.iter().zip(staged.chunks_exact_mut(gp)) {
-            let mat = xs.fsr_mat[s.fsr3d as usize] as usize * g;
+            let mat = xs.fsr_mat[s.fsr3d as usize] as usize * G;
             let lenf = s.length as f64;
-            for (e, sig) in span[..g].iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
+            for (e, sig) in span[..G].iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
                 // The same `sig * lenf` input bits the scalar kernel's tau
                 // buffer carries, through the same evaluator.
                 *e = exp.one_minus_exp(sig * lenf);
@@ -425,67 +467,74 @@ fn sweep_track<S: FnMut(usize, &[f64])>(
     let mut leak = 0.0f64;
     let w = F64x4::splat(st.weight);
     for dir in 0..2usize {
-        banks.load_incoming(track, dir, &mut psi[..g]);
+        banks.load_incoming(track, dir, &mut psi[..G]);
         match kernel {
-            SweepKernel::Scalar => each_segment(nseg, dir, |si| {
-                let f = segs[si].fsr3d as usize;
-                let mat = xs.fsr_mat[f] as usize * g;
-                let qb = f * g;
-                let lenf = segs[si].length as f64;
-                // tau = sigma_t * len per group, batched so the attenuation
-                // loop below is pure FMA + exp.
-                let mut tau = [0.0f64; MAX_GROUPS];
-                for (t, sig) in tau.iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
-                    *t = sig * lenf;
+            SweepKernel::Scalar => {
+                for k in 0..nseg {
+                    let si = if dir == 0 { k } else { nseg - 1 - k };
+                    let f = segs[si].fsr3d as usize;
+                    let mat = xs.fsr_mat[f] as usize * G;
+                    let qb = f * G;
+                    let qs = &q[qb..qb + G];
+                    let lenf = segs[si].length as f64;
+                    // tau = sigma_t * len per group, batched so the attenuation
+                    // loop below is pure FMA + exp.
+                    let mut tau = [0.0f64; G];
+                    for (t, sig) in tau.iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
+                        *t = sig * lenf;
+                    }
+                    for gi in 0..G {
+                        let e = exp.one_minus_exp(tau[gi]); // 1 - exp(-tau)
+                        let dpsi = (psi[gi] - qs[gi]) * e;
+                        vals[gi] = st.weight * dpsi;
+                        psi[gi] -= dpsi;
+                    }
+                    sink(qb, &vals[..G]);
                 }
-                for gi in 0..g {
-                    let e = exp.one_minus_exp(tau[gi]); // 1 - exp(-tau)
-                    let dpsi = (psi[gi] - q[qb + gi]) * e;
-                    vals[gi] = st.weight * dpsi;
-                    psi[gi] -= dpsi;
+            }
+            SweepKernel::Vector => {
+                for k in 0..nseg {
+                    let si = if dir == 0 { k } else { nseg - 1 - k };
+                    let qb = segs[si].fsr3d as usize * G;
+                    let qs = &q[qb..qb + G];
+                    // One bounds check for the whole staged span, then
+                    // fixed-offset lane loads inside it.
+                    let es = &staged[si * gp..si * gp + gp];
+                    let mut lane = 0usize;
+                    // Full lane blocks: unmasked loads throughout.
+                    while lane + LANES <= G {
+                        let pv = F64x4::load(&psi[lane..]);
+                        let qv = F64x4::load(&qs[lane..]);
+                        let ev = F64x4::load(&es[lane..]);
+                        let d = (pv - qv) * ev;
+                        (w * d).store(&mut vals[lane..]);
+                        (pv - d).store(&mut psi[lane..]);
+                        lane += LANES;
+                    }
+                    // Remainder block (G % 4 != 0): only the `q` load is masked.
+                    if lane < G {
+                        let pv = F64x4::load(&psi[lane..]);
+                        let qv = F64x4::load_partial(&qs[lane..]);
+                        let ev = F64x4::load(&es[lane..]);
+                        let d = (pv - qv) * ev;
+                        (w * d).store(&mut vals[lane..]);
+                        (pv - d).store(&mut psi[lane..]);
+                    }
+                    sink(qb, &vals[..G]);
                 }
-                sink(qb, &vals[..g]);
-            }),
-            SweepKernel::Vector => each_segment(nseg, dir, |si| {
-                let qb = segs[si].fsr3d as usize * g;
-                let qs = &q[qb..qb + g];
-                // One bounds check for the whole staged span, then
-                // fixed-offset lane loads inside it.
-                let es = &staged[si * gp..si * gp + gp];
-                let mut lane = 0usize;
-                // Full lane blocks: unmasked loads throughout.
-                while lane + LANES <= g {
-                    let pv = F64x4::load(&psi[lane..]);
-                    let qv = F64x4::load(&qs[lane..]);
-                    let ev = F64x4::load(&es[lane..]);
-                    let d = (pv - qv) * ev;
-                    (w * d).store(&mut vals[lane..]);
-                    (pv - d).store(&mut psi[lane..]);
-                    lane += LANES;
-                }
-                // Remainder block (G % 4 != 0): only the `q` load is masked.
-                if lane < g {
-                    let pv = F64x4::load(&psi[lane..]);
-                    let qv = F64x4::load_partial(&qs[lane..]);
-                    let ev = F64x4::load(&es[lane..]);
-                    let d = (pv - qv) * ev;
-                    (w * d).store(&mut vals[lane..]);
-                    (pv - d).store(&mut psi[lane..]);
-                }
-                sink(qb, &vals[..g]);
-            }),
+            }
         }
         match st.links[dir] {
             Link3d::Vacuum => {
-                for p in psi.iter().take(g) {
+                for p in psi.iter().take(G) {
                     leak += st.weight * *p;
                 }
                 // Capture the boundary exit for the rank exchange.
-                banks.store_boundary(track, dir, &psi[..g]);
+                banks.store_boundary(track, dir, &psi[..G]);
             }
             Link3d::Next { track: t2, forward } => {
                 let dir2 = if forward { 0 } else { 1 };
-                banks.store_outgoing(t2.0, dir2, &psi[..g]);
+                banks.store_outgoing(t2.0, dir2, &psi[..G]);
             }
         }
     }

@@ -48,12 +48,9 @@ pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
     let zbias = 1e-12 * (planes[n_cells] - planes[0]).max(1.0);
 
     let mut u = 0.0f64; // cumulative traversal coordinate over the member
-    let iter: Box<dyn Iterator<Item = &Segment2d>> = if info.forward2d {
-        Box::new(base_segments.iter())
-    } else {
-        Box::new(base_segments.iter().rev())
-    };
-    for seg in iter {
+    let n = base_segments.len();
+    for k in 0..n {
+        let seg = &base_segments[if info.forward2d { k } else { n - 1 - k }];
         let a = u.max(info.u_lo);
         let b = (u + seg.length).min(info.u_hi);
         u += seg.length;

@@ -10,9 +10,17 @@
 # would only show up as a perf cliff. This script pins the contract: the
 # release-mode assembly of antmoc-solver must contain packed f64 ops.
 #
+# It also pins the shape of the per-segment loop. `sweep_track` dispatches
+# once per track to a never-inlined `sweep_track_g::<G>` body whose segment
+# loop must be straight-line: every instantiation is scanned, and a
+# `memcpy` (a run-time-length lane copy) or a call into an outlined
+# `for_each`/closure body (a per-segment call with the loop state spilled)
+# inside one fails the check — both cost ~1/3 of the kernel's time when
+# they were there, and no test can see them.
+#
 # Enforced on x86_64 (packed SSE2/AVX: [v]addpd / [v]mulpd / [v]subpd /
-# vfmadd*pd). On other architectures the check degrades to a warning:
-# NEON/SVE mnemonics vary too much across triples to pin reliably.
+# vfmadd*pd). On other architectures the packed-op check degrades to a
+# warning: NEON/SVE mnemonics vary too much across triples to pin reliably.
 #
 #   scripts/check_simd_asm.sh
 set -euo pipefail
@@ -40,11 +48,34 @@ x86_64 | amd64)
     ;;
 esac
 
+# Instruction lines (tab-indented, not a directive) inside any function
+# whose symbol names the kernel, that mention memcpy or an outlined
+# iterator/closure body.
+kernel_report=$(awk '
+    /^[^ \t.#][^ \t]*sweep_track[^ \t]*:$/ { infn = 1; fns++; name = $1 }
+    infn && /^\t[a-z]/ && /memcpy|for_each|closure/ { bad++; print "  " name " " $0 }
+    /\.cfi_endproc/ { infn = 0 }
+    END { print fns + 0, bad + 0 }
+' "$newest")
+read -r kernel_fns kernel_bad <<<"$(echo "$kernel_report" | tail -1)"
+echo "check_simd_asm: $kernel_fns sweep_track symbol(s), $kernel_bad memcpy/outlined-closure reference(s)"
+if [ "$kernel_fns" -eq 0 ]; then
+    echo "check_simd_asm: FAIL — no sweep_track symbol in the assembly; the kernel was" >&2
+    echo "  renamed or inlined away, so its loop shape can no longer be checked" >&2
+    exit 1
+fi
+if [ "$kernel_bad" -gt 0 ]; then
+    echo "$kernel_report" | sed '$d' >&2
+    echo "check_simd_asm: FAIL — the per-segment loop of sweep_track is no longer straight-line" >&2
+    echo "  (see DESIGN.md, \"Why the sweep loop is shaped this way\")" >&2
+    exit 1
+fi
+
 hits=$(grep -cE "$pattern" "$newest" || true)
 echo "check_simd_asm: $newest: $hits packed f64 instruction(s)"
 
 if [ "$hits" -gt 0 ]; then
-    echo "check_simd_asm: PASS — lane loops lower to packed arithmetic"
+    echo "check_simd_asm: PASS — lane loops lower to packed arithmetic, segment loop is straight-line"
     exit 0
 fi
 
