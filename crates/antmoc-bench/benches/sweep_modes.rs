@@ -109,15 +109,24 @@ fn otf_kernel(c: &mut Criterion) {
 }
 
 fn exp_eval(c: &mut Criterion) {
-    // The design-choice ablation: table lookup vs the exp_m1 intrinsic
-    // for `1 - exp(-tau)` (DESIGN.md; GPU codes table it, CPU intrinsics
-    // are usually competitive).
+    // The design-choice ablation for `1 - exp(-tau)` (DESIGN.md): libm's
+    // exp_m1, the in-tree evaluator over a slab (what the sweep runs), and
+    // the table lookup GPU codes use.
+    use antmoc::solver::exp::one_minus_exp_slab;
     use antmoc::solver::exptable::ExpTable;
     let taus: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.003) % 12.0).collect();
     let table = ExpTable::with_tolerance(12.0, 1e-7);
     let mut group = c.benchmark_group("exp_eval");
     group
         .bench_function("exp_m1", |b| b.iter(|| taus.iter().map(|&t| -(-t).exp_m1()).sum::<f64>()));
+    let mut slab = taus.clone();
+    group.bench_function("in_tree_slab", |b| {
+        b.iter(|| {
+            slab.copy_from_slice(&taus);
+            one_minus_exp_slab(&mut slab);
+            slab.iter().sum::<f64>()
+        })
+    });
     group.bench_function("table_1e-7", |b| {
         b.iter(|| taus.iter().map(|&t| table.eval(t)).sum::<f64>())
     });

@@ -6,8 +6,9 @@
 //!   CAS loop (the fallback when private buffers exceed the budget);
 //! * **privatized** tallies give each worker a dense private `f64` buffer
 //!   and reduce in fixed worker order — no atomics in the hot path;
-//! * **intrinsic** evaluates `1 - exp(-tau)` with `exp_m1`; **table**
-//!   interpolates the precomputed [`ExpTable`];
+//! * **intrinsic** evaluates `1 - exp(-tau)` with the in-tree evaluator
+//!   (`antmoc::solver::exp`, ≤ 1 ulp); **table** interpolates the
+//!   precomputed [`ExpTable`];
 //! * **scalar** runs the reference per-group loop; **vector** runs the
 //!   f64x4 group-lane kernel with per-track staged attenuation spans
 //!   (half the exp work, contiguous group-major reads).
@@ -16,11 +17,15 @@
 //! * privatized tallies must reach >= 1.15x the atomic throughput at
 //!   4 workers (best pairing across exp modes, best-of-REPS to damp OS
 //!   noise on shared CI machines);
-//! * the vector kernel must reach >= 1.45x the privatized *scalar* kernel
+//! * the vector kernel must reach >= 2.5x the privatized *scalar* kernel
 //!   per segment at one worker (best pairing across exp modes, alternating
 //!   rounds: on a host with fewer cores than `WORKERS` a 4-worker
 //!   best-of-N compares scheduler luck, not kernels) while its serial
-//!   flux is bitwise identical to the scalar kernel's;
+//!   flux is bitwise identical to the scalar kernel's. Both kernels run
+//!   the same evaluator; the vector one runs it lane-wide over a staged
+//!   track slab, once for both directions, the scalar one a group at a
+//!   time (measured ~3.4x intrinsic, ~1.65x table; the floor leaves room
+//!   for a host without AVX2);
 //! * the table-exponential eigenvalue must land within 1e-6 of the
 //!   intrinsic one;
 //! * the privatized sweep must report `sweep.cas_retries == 0`;
@@ -52,7 +57,7 @@ use antmoc::track::TrackParams;
 const WORKERS: usize = 4;
 const REPS: usize = 5;
 const MIN_SPEEDUP: f64 = 1.15;
-const MIN_VECTOR_SPEEDUP: f64 = 1.45;
+const MIN_VECTOR_SPEEDUP: f64 = 2.5;
 const MAX_KEFF_DELTA: f64 = 1e-6;
 const MAX_DEVICE_RATIO: f64 = 1.15;
 const PARITY_ROUNDS: usize = 15;

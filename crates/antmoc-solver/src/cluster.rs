@@ -159,14 +159,43 @@ pub fn solve_cluster_with(
 }
 
 /// A single-threaded sweeper: the whole sweep runs on the calling rank's
-/// thread (used for honest measured-scaling studies).
+/// thread (used for honest measured-scaling studies). A one-field literal
+/// with nowhere to keep buffers, so every sweep allocates its scratch and
+/// accumulator afresh; iteration loops use [`BufferedSerialSweeper`].
 pub struct SerialSweeper<'a> {
     pub segsrc: &'a SegmentSource,
 }
 
-impl crate::eigen::Sweeper for SerialSweeper<'_> {
+impl Sweeper for SerialSweeper<'_> {
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        sweep_serial(problem, self.segsrc, q, banks, &mut TrackBufs::default())
+        BufferedSerialSweeper::new(self.segsrc).sweep(problem, q, banks)
+    }
+}
+
+/// [`SerialSweeper`] for a whole solve: it owns the per-track scratch
+/// and takes the flux accumulator back through [`Sweeper::recycle`] (as
+/// [`CpuSweeper`] does through its arena), so nothing is re-grown between
+/// sweeps. Same sweep, same bits.
+pub struct BufferedSerialSweeper<'a> {
+    segsrc: &'a SegmentSource,
+    bufs: TrackBufs,
+    phi: Vec<f64>,
+}
+
+impl<'a> BufferedSerialSweeper<'a> {
+    pub fn new(segsrc: &'a SegmentSource) -> Self {
+        Self { segsrc, bufs: TrackBufs::default(), phi: Vec::new() }
+    }
+}
+
+impl Sweeper for BufferedSerialSweeper<'_> {
+    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
+        let phi = std::mem::take(&mut self.phi);
+        sweep_serial(problem, self.segsrc, q, banks, &mut self.bufs, phi)
+    }
+
+    fn recycle(&mut self, outcome: SweepOutcome) {
+        self.phi = outcome.phi_acc;
     }
 }
 
@@ -202,25 +231,25 @@ pub(crate) fn gather_boundary(banks: &FluxBanks, items: &[(u32, u8)], g: usize) 
 /// bank, which no sweep mutates), and its flux tallies go to a discard
 /// sink. Re-sweeping the boundary tracks is the price of the overlap
 /// window — a few percent of serial work for a wire-time-sized saving.
-/// `bufs` is the rank's one scratch/stage pair, reused across tracks and
-/// iterations: nothing on a per-track path allocates.
+/// The prepass runs on `sweeper`'s own scratch, so nothing on a per-track
+/// or per-sweep path allocates.
 #[allow(clippy::too_many_arguments)]
 fn sweep_serial_pipelined(
     problem: &Problem,
-    segsrc: &SegmentSource,
+    sweeper: &mut BufferedSerialSweeper<'_>,
     q: &[f64],
     banks: &FluxBanks,
     sends_per_rank: &[(usize, Vec<(u32, u8)>)],
     boundary_tracks: &[u32],
     ready_point: &[u32],
     comm: &mut Comm,
-    bufs: &mut TrackBufs,
 ) -> SweepOutcome {
     let tel = Telemetry::current();
     let g = problem.num_groups();
     let mut shipped = vec![false; sends_per_rank.len()];
     for &t in boundary_tracks {
-        let _ = sweep_track_serial(problem, segsrc, q, banks, t, bufs, |_, _| {});
+        let _ =
+            sweep_track_serial(problem, sweeper.segsrc, q, banks, t, &mut sweeper.bufs, |_, _| {});
         for (gi, (nb, items)) in sends_per_rank.iter().enumerate() {
             if !shipped[gi] && ready_point[gi] <= t {
                 shipped[gi] = true;
@@ -237,7 +266,7 @@ fn sweep_serial_pipelined(
             }
         }
     }
-    sweep_serial(problem, segsrc, q, banks, bufs)
+    sweeper.sweep(problem, q, banks)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -311,7 +340,9 @@ fn run_rank(
     let mut serial_sweeper;
     let mut device_solver;
     let serial_pipelined = pipelined && matches!(backend, Backend::CpuSerial);
-    let mut track_bufs = TrackBufs::default();
+    // The serial pipelined sweep drives the kernel itself instead of going
+    // through `sweeper`, on a serial sweeper of its own.
+    let mut pipelined_sweeper = BufferedSerialSweeper::new(&segsrc_otf);
     let sweeper: &mut dyn Sweeper = match backend {
         Backend::Cpu => {
             let schedule = match copts.schedule {
@@ -324,7 +355,7 @@ fn run_rank(
             &mut cpu_sweeper
         }
         Backend::CpuSerial => {
-            serial_sweeper = SerialSweeper { segsrc: &segsrc_otf };
+            serial_sweeper = BufferedSerialSweeper::new(&segsrc_otf);
             &mut serial_sweeper
         }
         Backend::Device { spec, mode, mapping } => {
@@ -361,14 +392,13 @@ fn run_rank(
         let out = if serial_pipelined {
             sweep_serial_pipelined(
                 problem,
-                &segsrc_otf,
+                &mut pipelined_sweeper,
                 &q,
                 &banks,
                 &sends_per_rank,
                 &boundary_tracks,
                 &ready_point,
                 comm,
-                &mut track_bufs,
             )
         } else {
             let mut do_sweep = || sweeper.sweep(problem, &q, &banks);
@@ -403,7 +433,11 @@ fn run_rank(
             );
         }
         update_scalar_flux(problem, &q, &out.phi_acc, &mut phi);
-        sweeper.recycle(out);
+        if serial_pipelined {
+            pipelined_sweeper.recycle(out);
+        } else {
+            sweeper.recycle(out);
+        }
 
         // Global production and k update.
         let (density, f_local) = fission_production(problem, &phi);

@@ -4,10 +4,10 @@
 //! the transcendental is the hottest instruction of the sweep. This
 //! module provides the classic equally-spaced linear-interpolation table
 //! with a rigorous worst-case error bound, plus the helper the sweep
-//! kernels use. The criterion bench `sweep_modes` compares table vs
-//! `exp_m1` throughput on this host (the ablation DESIGN.md calls out;
-//! on CPUs the intrinsic is usually competitive, which is why the default
-//! sweep uses it).
+//! kernels use. The default sweep does not use it: the in-tree evaluator
+//! in [`crate::exp`] is exact to 1 ulp and, evaluated a track slab at a
+//! time, faster than the lookup on CPUs (DESIGN.md, "The exp evaluator and
+//! its tolerance argument").
 
 /// Default table range. `1 - exp(-12)` is within 7e-6 of 1, well inside
 /// any useful table tolerance, so saturating above this loses nothing.
@@ -87,17 +87,21 @@ impl ExpTable {
 /// How the sweep kernel evaluates `1 - exp(-tau)`.
 #[derive(Debug, Clone, Copy)]
 pub enum ExpEval<'a> {
-    /// The `exp_m1` intrinsic — bit-identical to the pre-table kernel.
+    /// The in-tree evaluator, [`crate::exp::one_minus_exp`] (the name
+    /// predates it: this variant used to call the `exp_m1` intrinsic).
     Intrinsic,
     /// Lookup in a prebuilt [`ExpTable`].
     Table(&'a ExpTable),
 }
 
 impl ExpEval<'_> {
-    #[inline]
+    // `always`: with the evaluator arm inlined this body is past the
+    // inliner's default budget, and as an outlined call per element the
+    // table arm costs 5.1 instead of 3.5 ns.
+    #[inline(always)]
     pub fn one_minus_exp(&self, tau: f64) -> f64 {
         match self {
-            ExpEval::Intrinsic => -(-tau).exp_m1(),
+            ExpEval::Intrinsic => crate::exp::one_minus_exp(tau),
             ExpEval::Table(t) => t.eval(tau),
         }
     }

@@ -5,6 +5,8 @@
 //!   cross sections, tracked volumes, per-track sweep metadata);
 //! * [`sweep`] — flux banks and the segment sweep kernel with EXP / OTF /
 //!   Manager storage modes (§4.1 of the paper);
+//! * [`exp`] — the one in-tree `1 - exp(-tau)` evaluator, per lane and
+//!   per track slab;
 //! * [`simd`] — the in-tree `f64x4` lane type behind the group-vectorized
 //!   sweep kernel (`[solver] kernel = vector`);
 //! * [`tally`] — atomic vs privatized flux-tally strategies and the
@@ -28,6 +30,7 @@ pub mod decomp;
 pub mod device;
 pub mod diagnostics;
 pub mod eigen;
+pub mod exp;
 pub mod exptable;
 pub mod fixed;
 pub mod manager;

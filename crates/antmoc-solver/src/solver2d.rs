@@ -21,6 +21,7 @@ use antmoc_track::{Link, SegmentStore2d, TrackSet2d};
 use antmoc_xs::MaterialLibrary;
 
 use crate::eigen::EigenOptions;
+use crate::exp::one_minus_exp;
 use crate::sweep::{assert_supported_groups, atomic_add_f64, MAX_GROUPS};
 
 const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
@@ -215,7 +216,7 @@ pub fn solve_eigenvalue_2d(p: &Problem2d, opts: &EigenOptions) -> EigenResult2d 
                         let w = w_base * w_polar[pl] * sin_t[pl];
                         for gi in 0..g {
                             let tau = p.sigma_t[mat + gi] * len * inv_sin[pl];
-                            let e = -(-tau).exp_m1();
+                            let e = one_minus_exp(tau);
                             let dpsi = (psi[pl][gi] - q_ref[qb + gi]) * e;
                             atomic_add_f64(&acc_ref[qb + gi], w * dpsi);
                             psi[pl][gi] -= dpsi;

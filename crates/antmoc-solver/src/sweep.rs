@@ -21,6 +21,7 @@ use antmoc_track::{
     trace_3d, Link3d, Segment3dCompact, SegmentStore3d, Track3dId, Track3dInfo, TrackId,
 };
 
+use crate::exp::one_minus_exp_slab;
 use crate::exptable::ExpEval;
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
@@ -456,8 +457,21 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
             let lenf = s.length as f64;
             for (e, sig) in span[..G].iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
                 // The same `sig * lenf` input bits the scalar kernel's tau
-                // buffer carries, through the same evaluator.
-                *e = exp.one_minus_exp(sig * lenf);
+                // buffer carries, through the same evaluator below.
+                *e = sig * lenf;
+            }
+        }
+        match exp {
+            // One lane-wide pass over the contiguous slab: per element the
+            // bits `one_minus_exp` gives the scalar kernel, and a padding
+            // lane's tau of 0 maps to the 0 it has to stay.
+            ExpEval::Intrinsic => one_minus_exp_slab(staged),
+            ExpEval::Table(table) => {
+                for span in staged.chunks_exact_mut(gp) {
+                    for e in &mut span[..G] {
+                        *e = table.eval(*e);
+                    }
+                }
             }
         }
     }
@@ -708,7 +722,7 @@ pub fn transport_sweep_with(
 }
 
 /// [`sweep_track`] as the `cpu-serial` backend configures it: the default
-/// kernel and the intrinsic exp (that backend takes no `[solver]` kernel
+/// kernel and exp evaluator (that backend takes no `[solver]` kernel
 /// keys). The pipelined exchange's boundary prepass calls this directly.
 pub(crate) fn sweep_track_serial<S: FnMut(usize, &[f64])>(
     problem: &Problem,
@@ -728,17 +742,20 @@ pub(crate) fn sweep_track_serial<S: FnMut(usize, &[f64])>(
 /// backend. Bitwise equal to a one-worker natural-order
 /// [`transport_sweep_with`] — a single private buffer receives the same
 /// adds in the same order, and reducing it into a zeroed accumulator
-/// changes no bits.
+/// changes no bits. `phi` is the accumulator to reuse — a recycled
+/// `SweepOutcome::phi_acc` of any length and content, or an empty vector.
 pub(crate) fn sweep_serial(
     problem: &Problem,
     segsrc: &SegmentSource,
     q: &[f64],
     banks: &FluxBanks,
     bufs: &mut TrackBufs,
+    mut phi: Vec<f64>,
 ) -> SweepOutcome {
     let tel = Telemetry::current();
     let _sweep_span = tel.span("transport_sweep");
-    let mut phi = vec![0.0f64; problem.num_fsrs() * problem.num_groups()];
+    phi.clear();
+    phi.resize(problem.num_fsrs() * problem.num_groups(), 0.0);
     let mut segments = 0u64;
     let mut leakage = 0.0f64;
     for t in 0..problem.num_tracks() as u32 {

@@ -55,7 +55,8 @@ impl TallyMode {
 /// How the segment loop evaluates `1 - exp(-tau)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExpMode {
-    /// The `exp_m1` intrinsic.
+    /// The in-tree evaluator ([`crate::exp`]); the name and the
+    /// `"intrinsic"` config string predate it.
     #[default]
     Intrinsic,
     /// Linear-interpolated [`ExpTable`] lookup.

@@ -10,7 +10,7 @@ use antmoc_geom::{AxialModel, FsrId, Geometry};
 use antmoc_gpusim::{Device, DeviceSpec};
 use antmoc_input::{CaseKind, LoweredModel};
 use antmoc_solver::cluster::{
-    solve_cluster_with, Backend, ClusterOptions, ExchangeMode, SerialSweeper,
+    solve_cluster_with, Backend, BufferedSerialSweeper, ClusterOptions, ExchangeMode,
 };
 use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::DeviceSolver;
@@ -323,7 +323,7 @@ pub fn run_with_setup_arena(
             }
             BackendConfig::CpuSerial => {
                 let segsrc = SegmentSource::otf();
-                let mut sweeper = SerialSweeper { segsrc: &segsrc };
+                let mut sweeper = BufferedSerialSweeper::new(&segsrc);
                 (solve_fixed_source(problem, &mut sweeper, &external, &opts), arena)
             }
             BackendConfig::Device { .. } => {
@@ -342,7 +342,7 @@ pub fn run_with_setup_arena(
                 // The serial backend always traces on the fly; storage
                 // modes are a parallel/device concern.
                 let segsrc = SegmentSource::otf();
-                let mut sweeper = SerialSweeper { segsrc: &segsrc };
+                let mut sweeper = BufferedSerialSweeper::new(&segsrc);
                 (solve_eigenvalue(problem, &mut sweeper, &config.eigen), arena)
             }
             BackendConfig::Device { memory_bytes, cu_mapping } => {
