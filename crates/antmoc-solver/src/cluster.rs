@@ -1,43 +1,42 @@
-//! The domain-decomposed solver: one rank per subdomain on the simulated
-//! cluster, Jacobi-style boundary-flux exchange each outer iteration
-//! (§3.1 step 4 of the paper), global reductions for `k_eff` and
-//! residuals.
+//! The domain-decomposed solver: one executor thread per rank on the
+//! simulated cluster, each running the shared power-iteration driver
+//! (`crate::driver`) over the subdomains it hosts, with a Jacobi-style
+//! boundary-flux exchange each outer iteration (§3.1 step 4 of the paper)
+//! and canonical global reductions for `k_eff` and residuals. The plain
+//! solve is one `Generation` with one subdomain per rank and a zero
+//! fault plan; the fault-tolerant supervisor ([`crate::recovery`]) runs
+//! the same generations with faults, checkpoints and rebalancing.
 //!
 //! Two exchange modes ship the boundary fluxes
 //! ([`ExchangeMode`], the `[decomposition] exchange` config knob):
 //!
-//! * **Sync** — the original strictly phased order: sweep, reduce,
-//!   normalise, gather the scaled boundary exits, ship, swap, blocking
-//!   receive. Every receive eats the full wire time of its payload.
+//! * **Sync** — the strictly phased order: sweep, reduce, normalise,
+//!   gather the scaled boundary exits, ship, swap, blocking receive.
 //! * **Pipelined** — boundary exits ship *unnormalised* as soon as they
-//!   are final (mid-sweep on the serial backend via a boundary-track
-//!   prepass; right after the sweep elsewhere), so transfers are in
-//!   flight while interior tracks sweep and the `k_eff`/residual
-//!   collectives run. Receives poll first ([`Comm::try_recv`]) and only
-//!   block on payloads still in flight; the receiver folds the deferred
-//!   normalisation into its delivery weights (`(x as f64 * inv) as f32 *
-//!   w` — the same op sequence the sync path applies, just split across
-//!   the wire), which keeps the two modes bitwise identical on the
-//!   serial backend.
+//!   are final, in flight while interior tracks sweep and the collectives
+//!   run: serial ranks ship each neighbour's payload from inside their
+//!   boundary-first sweep, other backends right after it. Receives poll
+//!   first ([`Comm::try_recv`]) and fold the deferred normalisation into
+//!   the delivery weights, which keeps the modes bitwise identical on the
+//!   serial backend (both sweep it in the same order).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use antmoc_cluster::{Cluster, Comm, LinkModel, Traffic};
+use antmoc_cluster::fault::{FaultConfig, FaultPlan, FaultyComm};
+use antmoc_cluster::{Cluster, ClusterOutcome, Comm, LinkModel, Traffic};
 use antmoc_gpusim::{Device, DeviceSpec};
-use antmoc_telemetry::{Json, Telemetry};
+use antmoc_telemetry::Telemetry;
 
-use crate::decomp::Decomposition;
+use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
+use crate::decomp::{Decomposition, RankExchange};
 use crate::device::{CuMapping, DeviceSolver};
-use crate::eigen::CpuSweeper;
-use crate::eigen::{EigenOptions, Sweeper};
+use crate::driver::{drive, Controls, Hosted, Link, Solved, Source, Stop};
+use crate::eigen::EigenOptions;
 use crate::problem::Problem;
 use crate::schedule::{ScheduleKind, SweepSchedule};
-use crate::source::{compute_reduced_source, fission_production, update_scalar_flux};
-use crate::sweep::{
-    sweep_serial, sweep_track_serial, FluxBanks, SegmentSource, StorageMode, SweepOutcome,
-    TrackBufs,
-};
+use crate::sweep::{SegmentSource, StorageMode};
+pub use crate::sweeper::{BufferedSerialSweeper, SerialSweeper};
+use crate::sweeper::{CpuSweeper, Sweeper};
 use crate::tally::{KernelConfig, SweepArena};
 
 /// Per-rank execution backend.
@@ -70,11 +69,6 @@ pub struct ClusterResult {
     pub residuals: Vec<f64>,
 }
 
-const TAG_FLUX: u32 = 100;
-
-/// A traversal slot `(track, dir)` paired with its delivery weight.
-type WeightedSlot = ((u32, u8), f32);
-
 /// How ranks ship boundary fluxes each outer iteration (see the module
 /// docs for the two pipelines).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,13 +89,13 @@ pub struct ClusterOptions {
     /// Simulated interconnect for point-to-point flux traffic.
     pub link: LinkModel,
     /// Dispatch order for the `Cpu` backend's sweeps
-    /// ([`ScheduleKind::BoundaryFirst`] resolves against the rank's
-    /// exchange plan). The serial backend always sweeps in natural order
-    /// — that fixed order is what makes sync and pipelined bitwise
-    /// comparable — and the device backend orders via its CU mapping.
+    /// ([`ScheduleKind::BoundaryFirst`] resolves against the subdomain's
+    /// exchange plan). The serial backend always sweeps its boundary-exit
+    /// tracks, then the interior, each in ascending order — the one order
+    /// both exchange modes share, which makes them bitwise comparable —
+    /// and the device backend orders via its CU mapping.
     pub schedule: ScheduleKind,
-    /// Worker threads per rank for the `Cpu` backend (`None` shares the
-    /// global pool).
+    /// Worker threads per rank (`None` shares the global pool).
     pub workers: Option<usize>,
     /// Sweep-kernel configuration for the `Cpu` and `Device` backends (the
     /// serial backend always runs the default configuration).
@@ -125,439 +119,149 @@ pub fn solve_cluster_with(
     copts: &ClusterOptions,
 ) -> ClusterResult {
     let n = decomp.problems.len();
-
-    let outcome = Cluster::run_linked(n, copts.link, |mut comm: Comm| {
-        let rank = comm.rank();
-        let problem = &decomp.problems[rank];
-        let plan = &decomp.exchanges[rank];
-        run_rank(problem, plan, decomp, &mut comm, backend, opts, copts)
-    });
-
-    let mut phi = Vec::with_capacity(n);
-    let mut sweep_seconds = Vec::with_capacity(n);
-    let mut keff = 0.0;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut residuals = Vec::new();
-    for r in outcome.results {
-        keff = r.keff;
-        iterations = r.iterations;
-        converged = r.converged;
-        residuals = r.residuals;
-        phi.push(r.phi);
-        sweep_seconds.push(r.sweep_seconds);
+    let outcome = Generation {
+        decomp,
+        backend,
+        opts,
+        copts,
+        plan: Arc::new(FaultPlan::new(FaultConfig::default())),
+        checkpoint: None,
+        assignment: (0..n as u32).collect(),
+        start: 1,
+        death: None,
     }
-    ClusterResult {
-        keff,
-        iterations,
-        converged,
-        phi,
-        traffic: outcome.traffic,
-        sweep_seconds,
-        residuals,
+    .run(n);
+    let (mut phi, mut sweep_seconds, mut last) = (Vec::with_capacity(n), Vec::new(), None);
+    for slot in outcome.results {
+        let s = slot.outcome.unwrap_or_else(|stop| panic!("cluster rank failed: {stop:?}"));
+        phi.extend(slot.phi.into_iter().map(|(_, p)| p));
+        sweep_seconds.push(s.sweep_s);
+        last = Some(s.result);
     }
+    let r = last.expect("a cluster has at least one rank");
+    let traffic = outcome.traffic;
+    let (keff, iterations, converged, residuals) = (r.keff, r.iterations, r.converged, r.residuals);
+    ClusterResult { keff, iterations, converged, phi, traffic, sweep_seconds, residuals }
 }
 
-/// A single-threaded sweeper: the whole sweep runs on the calling rank's
-/// thread (used for honest measured-scaling studies). A one-field literal
-/// with nowhere to keep buffers, so every sweep allocates its scratch and
-/// accumulator afresh; iteration loops use [`BufferedSerialSweeper`].
-pub struct SerialSweeper<'a> {
-    pub segsrc: &'a SegmentSource,
-}
-
-impl Sweeper for SerialSweeper<'_> {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        BufferedSerialSweeper::new(self.segsrc).sweep(problem, q, banks)
-    }
-}
-
-/// [`SerialSweeper`] for a whole solve: it owns the per-track scratch
-/// and takes the flux accumulator back through [`Sweeper::recycle`] (as
-/// [`CpuSweeper`] does through its arena), so nothing is re-grown between
-/// sweeps. Same sweep, same bits.
-pub struct BufferedSerialSweeper<'a> {
-    segsrc: &'a SegmentSource,
-    bufs: TrackBufs,
-    phi: Vec<f64>,
-}
-
-impl<'a> BufferedSerialSweeper<'a> {
-    pub fn new(segsrc: &'a SegmentSource) -> Self {
-        Self { segsrc, bufs: TrackBufs::default(), phi: Vec::new() }
-    }
-}
-
-impl Sweeper for BufferedSerialSweeper<'_> {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        let phi = std::mem::take(&mut self.phi);
-        sweep_serial(problem, self.segsrc, q, banks, &mut self.bufs, phi)
-    }
-
-    fn recycle(&mut self, outcome: SweepOutcome) {
-        self.phi = outcome.phi_acc;
-    }
-}
-
-struct RankResult {
-    keff: f64,
-    iterations: usize,
-    converged: bool,
-    phi: Vec<f64>,
-    sweep_seconds: f64,
-    residuals: Vec<f64>,
-}
-
-/// Gathers the captured boundary exits for one neighbour's send group
-/// into a wire payload, in plan order.
-pub(crate) fn gather_boundary(banks: &FluxBanks, items: &[(u32, u8)], g: usize) -> Vec<f32> {
-    let mut payload = Vec::with_capacity(items.len() * g);
-    let mut buf = vec![0.0f32; g];
-    for &(t, dir) in items {
-        banks.get_boundary(t, dir as usize, &mut buf);
-        payload.extend_from_slice(&buf);
-    }
-    payload
-}
-
-/// The serial backend's pipelined sweep. Identical arithmetic — and
-/// bitwise-identical tallies, leakage and banks — to [`SerialSweeper`]:
-/// the full natural-order pass at the end IS that sweep. Before it, a
-/// prepass sweeps just the boundary-touching tracks and ships each
-/// neighbour's payload the moment its last contributing track completes,
-/// so the transfers ride under the whole interior sweep. The prepass is
-/// safe to discard: boundary/outgoing bank writes are idempotent stores
-/// recomputed identically by the main pass (they read only the incoming
-/// bank, which no sweep mutates), and its flux tallies go to a discard
-/// sink. Re-sweeping the boundary tracks is the price of the overlap
-/// window — a few percent of serial work for a wire-time-sized saving.
-/// The prepass runs on `sweeper`'s own scratch, so nothing on a per-track
-/// or per-sweep path allocates.
-#[allow(clippy::too_many_arguments)]
-fn sweep_serial_pipelined(
-    problem: &Problem,
-    sweeper: &mut BufferedSerialSweeper<'_>,
-    q: &[f64],
-    banks: &FluxBanks,
-    sends_per_rank: &[(usize, Vec<(u32, u8)>)],
-    boundary_tracks: &[u32],
-    ready_point: &[u32],
-    comm: &mut Comm,
-) -> SweepOutcome {
-    let tel = Telemetry::current();
-    let g = problem.num_groups();
-    let mut shipped = vec![false; sends_per_rank.len()];
-    for &t in boundary_tracks {
-        let _ =
-            sweep_track_serial(problem, sweeper.segsrc, q, banks, t, &mut sweeper.bufs, |_, _| {});
-        for (gi, (nb, items)) in sends_per_rank.iter().enumerate() {
-            if !shipped[gi] && ready_point[gi] <= t {
-                shipped[gi] = true;
-                let t_send = Instant::now();
-                let payload = gather_boundary(banks, items, g);
-                comm.send_vec(*nb, TAG_FLUX, payload);
-                if tel.trace_enabled() {
-                    tel.trace_complete_since(
-                        "comm.exchange_send",
-                        t_send,
-                        &[("to", Json::Uint(*nb as u64))],
-                    );
-                }
-            }
-        }
-    }
-    sweeper.sweep(problem, q, banks)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    problem: &Problem,
-    plan: &crate::decomp::RankExchange,
-    decomp: &Decomposition,
-    comm: &mut Comm,
+/// The sweeper one executor runs for a hosted subdomain on `backend`.
+/// `plan` is the subdomain's exchange plan: the `boundary_first` CPU
+/// schedule and the serial backend's fixed order sweep the tracks whose
+/// exits it ships first.
+fn rank_sweeper<'a>(
     backend: &Backend,
-    opts: &EigenOptions,
+    problem: &Problem,
+    plan: &RankExchange,
     copts: &ClusterOptions,
-) -> RankResult {
-    let g = problem.num_groups();
-    let n = problem.num_fsrs() * g;
-    let mut phi = vec![1.0f64; n];
-    let mut q = vec![0.0f64; n];
-    let mut banks = FluxBanks::new(problem.num_tracks(), g);
-    let mut k = opts.k_guess;
-
-    // Which open entries are fed by the exchange (everything else is true
-    // vacuum and stays zero after each swap).
-    let mut receives_per_rank: Vec<(usize, Vec<WeightedSlot>)> = Vec::new();
-    {
-        // Gather the list of traversals each neighbour will send us (with
-        // the conservation weights), in the neighbour's deterministic
-        // send order.
-        for (from_rank, ex) in decomp.exchanges.iter().enumerate() {
-            let mine: Vec<WeightedSlot> = ex
-                .sends
-                .iter()
-                .filter(|s| s.neighbor_rank as usize == comm.rank())
-                .map(|s| (s.neighbor_traversal, s.weight))
-                .collect();
-            if !mine.is_empty() {
-                receives_per_rank.push((from_rank, mine));
-            }
-        }
-    }
-    // Sends grouped by neighbour, preserving plan order.
-    let mut sends_per_rank: Vec<(usize, Vec<(u32, u8)>)> = Vec::new();
-    for s in &plan.sends {
-        let nb = s.neighbor_rank as usize;
-        match sends_per_rank.last_mut() {
-            Some((r, v)) if *r == nb => v.push(s.local_traversal),
-            _ => sends_per_rank.push((nb, vec![s.local_traversal])),
-        }
-    }
-    let pipelined = copts.exchange == ExchangeMode::Pipelined;
-    // Boundary-touching tracks (union of all send groups), ascending, and
-    // each group's "ready point" — its highest track index. A
-    // track-ordered sweep that has passed the ready point has finalised
-    // every exit in the group, so the payload can ship.
-    let boundary_tracks: Vec<u32> = {
-        let mut v: Vec<u32> = plan.sends.iter().map(|s| s.local_traversal.0).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let ready_point: Vec<u32> = sends_per_rank
-        .iter()
-        .map(|(_, items)| items.iter().map(|&(t, _)| t).max().unwrap_or(0))
-        .collect();
-
-    // Backend sweeper.
-    let workers = copts.workers.unwrap_or_else(rayon::current_num_threads);
-    let pool = copts.workers.map(|w| {
-        rayon::ThreadPoolBuilder::new().num_threads(w).build().expect("cluster worker pool")
-    });
-    let segsrc_otf = SegmentSource::otf();
-    let mut cpu_sweeper;
-    let mut serial_sweeper;
-    let mut device_solver;
-    let serial_pipelined = pipelined && matches!(backend, Backend::CpuSerial);
-    // The serial pipelined sweep drives the kernel itself instead of going
-    // through `sweeper`, on a serial sweeper of its own.
-    let mut pipelined_sweeper = BufferedSerialSweeper::new(&segsrc_otf);
-    let sweeper: &mut dyn Sweeper = match backend {
+    segsrc: &'a SegmentSource,
+) -> Box<dyn Sweeper + 'a> {
+    let mut boundary: Vec<u32> = plan.sends.iter().map(|s| s.local_traversal.0).collect();
+    boundary.sort_unstable();
+    boundary.dedup();
+    let workers = rayon::current_num_threads();
+    match backend {
         Backend::Cpu => {
             let schedule = match copts.schedule {
                 ScheduleKind::BoundaryFirst => {
-                    SweepSchedule::boundary_first(problem, &boundary_tracks, workers)
+                    SweepSchedule::boundary_first(problem, &boundary, workers)
                 }
                 kind => SweepSchedule::with_workers(kind, problem, workers),
             };
-            cpu_sweeper = CpuSweeper::with_kernel(&segsrc_otf, schedule, copts.kernel.clone());
-            &mut cpu_sweeper
+            Box::new(CpuSweeper::with_kernel(segsrc, schedule, copts.kernel.clone()))
         }
         Backend::CpuSerial => {
-            serial_sweeper = BufferedSerialSweeper::new(&segsrc_otf);
-            &mut serial_sweeper
+            let mut serial = BufferedSerialSweeper::new(segsrc);
+            serial.order = SweepSchedule::serial_boundary_first(problem.num_tracks(), &boundary);
+            Box::new(serial)
         }
-        Backend::Device { spec, mode, mapping } => {
-            let device = Arc::new(Device::new(spec.clone()));
-            device_solver = DeviceSolver::new(device, problem, *mode, *mapping)
+        Backend::Device { spec, mode, mapping } => Box::new(
+            DeviceSolver::new(Arc::new(Device::new(spec.clone())), problem, *mode, *mapping)
                 .expect("device solver setup failed (OOM?)")
-                .with_arena(SweepArena::new(copts.kernel.clone()));
-            &mut device_solver
-        }
-    };
-
-    // Normalise the initial guess globally.
-    let (_, f_local) = fission_production(problem, &phi);
-    let f_global = comm.allreduce_sum(f_local);
-    if f_global > 0.0 {
-        for p in phi.iter_mut() {
-            *p /= f_global;
-        }
+                .with_arena(SweepArena::new(copts.kernel.clone())),
+        ),
     }
-    let (mut old_density, _) = fission_production(problem, &phi);
+}
 
-    let tel = Telemetry::current();
-    let mut sweep_seconds = 0.0f64;
-    let mut residuals = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    let mut scratch32: Vec<f32> = Vec::new();
-    let (mut recv_ready, mut recv_blocked) = (0u64, 0u64);
+/// One generation of executors on the simulated cluster: every executor
+/// hosts the subdomains `assignment` gives it and runs the driver over
+/// them until convergence, the iteration cap, a scheduled death or a
+/// communication failure.
+pub(crate) struct Generation<'a> {
+    pub decomp: &'a Decomposition,
+    pub backend: &'a Backend,
+    pub opts: &'a EigenOptions,
+    pub copts: &'a ClusterOptions,
+    pub plan: Arc<FaultPlan>,
+    /// Checkpoint store and interval (see [`Controls::checkpoint`]).
+    pub checkpoint: Option<(&'a CheckpointStore, usize)>,
+    /// `assignment[subdomain] = executor slot`.
+    pub assignment: Vec<u32>,
+    /// First iteration; past 1, every subdomain resumes from the store.
+    pub start: usize,
+    /// Iteration at whose start a scheduled rank death stops everyone.
+    pub death: Option<usize>,
+}
 
-    for it in 1..=opts.max_iterations {
-        iterations = it;
-        compute_reduced_source(problem, &phi, k, &mut q);
-        let t0 = Instant::now();
-        let out = if serial_pipelined {
-            sweep_serial_pipelined(
-                problem,
-                &mut pipelined_sweeper,
-                &q,
-                &banks,
-                &sends_per_rank,
-                &boundary_tracks,
-                &ready_point,
-                comm,
-            )
-        } else {
-            let mut do_sweep = || sweeper.sweep(problem, &q, &banks);
-            match &pool {
-                Some(p) => p.install(&mut do_sweep),
-                None => do_sweep(),
+/// What one executor hands back: its subdomains' final flux and how its
+/// loop ended.
+pub(crate) struct SlotResult {
+    pub phi: Vec<(usize, Vec<f64>)>,
+    pub outcome: Result<Solved, Stop>,
+}
+
+impl Generation<'_> {
+    /// Runs the generation on `slots` executors. Executor threads record
+    /// into the caller's telemetry sink.
+    pub fn run(&self, slots: usize) -> ClusterOutcome<SlotResult> {
+        let tel = Telemetry::current();
+        Cluster::run_linked(slots, self.copts.link, |comm: Comm| {
+            let _sink = tel.install();
+            let mut fc = FaultyComm::new(comm, self.plan.clone());
+            match self.copts.workers {
+                Some(w) => rayon::ThreadPoolBuilder::new()
+                    .num_threads(w)
+                    .build()
+                    .expect("executor worker pool")
+                    .install(|| self.executor(&mut fc)),
+                None => self.executor(&mut fc),
             }
+        })
+    }
+
+    fn executor(&self, fc: &mut FaultyComm) -> SlotResult {
+        let d = self.decomp;
+        let slot = fc.rank() as u32;
+        let subs: Vec<usize> =
+            (0..d.problems.len()).filter(|&s| self.assignment[s] == slot).collect();
+        let segsrc = SegmentSource::otf();
+        let mut sweepers: Vec<_> = subs
+            .iter()
+            .map(|&s| {
+                rank_sweeper(self.backend, &d.problems[s], &d.exchanges[s], self.copts, &segsrc)
+            })
+            .collect();
+        let mut hosted: Vec<Hosted<'_>> = subs
+            .iter()
+            .zip(&mut sweepers)
+            .map(|(&s, sweeper)| Hosted::new(s, &d.problems[s], sweeper.as_mut()))
+            .collect();
+        let load = |sub: usize| {
+            let ck = self.checkpoint.and_then(|(store, _)| store.load(sub));
+            let ck = ck.unwrap_or_else(|| panic!("no checkpoint for subdomain {sub} at restart"));
+            assert_eq!(ck.iteration + 1, self.start, "checkpoint iteration mismatch");
+            ck
         };
-        sweep_seconds += t0.elapsed().as_secs_f64();
-        // On the parallel backends the pipelined sends go out right after
-        // the sweep (still ahead of the collectives, so the transfers ride
-        // under the global reductions and the slowest rank's sweep).
-        if pipelined && !serial_pipelined {
-            for (nb, items) in &sends_per_rank {
-                let t_send = Instant::now();
-                let payload = gather_boundary(&banks, items, g);
-                comm.send_vec(*nb, TAG_FLUX, payload);
-                if tel.trace_enabled() {
-                    tel.trace_complete_since(
-                        "comm.exchange_send",
-                        t_send,
-                        &[("to", Json::Uint(*nb as u64))],
-                    );
-                }
-            }
-        }
-        if tel.trace_enabled() {
-            tel.trace_complete_since(
-                "cluster.sweep",
-                t0,
-                &[("rank", Json::Uint(comm.rank() as u64)), ("it", Json::Uint(it as u64))],
-            );
-        }
-        update_scalar_flux(problem, &q, &out.phi_acc, &mut phi);
-        if serial_pipelined {
-            pipelined_sweeper.recycle(out);
-        } else {
-            sweeper.recycle(out);
-        }
-
-        // Global production and k update.
-        let (density, f_local) = fission_production(problem, &phi);
-        let f_global = comm.allreduce_sum(f_local);
-        k *= f_global;
-
-        // Global residual: RMS over all FSRs with production.
-        let (mut ss, mut cnt) = (0.0f64, 0.0f64);
-        for (&o, &v) in old_density.iter().zip(&density) {
-            if v.abs() > 1e-14 {
-                let r = (v - o) / v;
-                ss += r * r;
-                cnt += 1.0;
-            }
-        }
-        let ss_g = comm.allreduce_sum(ss);
-        let cnt_g = comm.allreduce_sum(cnt);
-        let res = if cnt_g > 0.0 { (ss_g / cnt_g).sqrt() } else { 0.0 };
-        residuals.push(res);
-
-        // Normalise globally.
-        let inv = if f_global > 0.0 { 1.0 / f_global } else { 1.0 };
-        for p in phi.iter_mut() {
-            *p *= inv;
-        }
-        banks.scale(inv);
-        old_density = density.iter().map(|d| d * inv).collect();
-
-        if pipelined {
-            // The payloads went out raw before the collectives; apply the
-            // deferred normalisation at delivery. `(x as f64 * inv) as
-            // f32` is exactly the per-slot op `banks.scale(inv)` performs
-            // on the sync path before gathering, so the incoming slots
-            // land bit-for-bit identical — the normalisation just crossed
-            // the wire on the other side of the multiply.
-            banks.swap();
-            let t_recv = Instant::now();
-            for (from, items) in &receives_per_rank {
-                let payload: Vec<f32> = match comm.try_recv::<Vec<f32>>(*from, TAG_FLUX) {
-                    Some(p) => {
-                        recv_ready += 1;
-                        p
-                    }
-                    None => {
-                        recv_blocked += 1;
-                        comm.recv_vec(*from, TAG_FLUX)
-                    }
-                };
-                assert_eq!(payload.len(), items.len() * g);
-                for (i, &((t, dir), weight)) in items.iter().enumerate() {
-                    scratch32.clear();
-                    scratch32.extend(
-                        payload[i * g..(i + 1) * g]
-                            .iter()
-                            .map(|&x| ((x as f64 * inv) as f32) * weight),
-                    );
-                    banks.set_incoming(t, dir as usize, &scratch32);
-                }
-            }
-            if tel.trace_enabled() && !receives_per_rank.is_empty() {
-                tel.trace_complete_since(
-                    "comm.exchange_recv",
-                    t_recv,
-                    &[("rank", Json::Uint(comm.rank() as u64)), ("it", Json::Uint(it as u64))],
-                );
-            }
-        } else {
-            // Exchange boundary fluxes: gather sends from the outgoing
-            // bank (which holds the captured boundary exits), ship, swap,
-            // zero vacuum entries, scatter receives.
-            for (nb, items) in &sends_per_rank {
-                let t_send = Instant::now();
-                let payload = gather_boundary(&banks, items, g);
-                comm.send_vec(*nb, TAG_FLUX, payload);
-                if tel.trace_enabled() {
-                    tel.trace_complete_since(
-                        "comm.exchange_send",
-                        t_send,
-                        &[("to", Json::Uint(*nb as u64))],
-                    );
-                }
-            }
-            banks.swap();
-            let t_recv = Instant::now();
-            for (from, items) in &receives_per_rank {
-                let payload: Vec<f32> = comm.recv_vec(*from, TAG_FLUX);
-                assert_eq!(payload.len(), items.len() * g);
-                for (i, &((t, dir), weight)) in items.iter().enumerate() {
-                    scratch32.clear();
-                    scratch32.extend(payload[i * g..(i + 1) * g].iter().map(|&x| x * weight));
-                    banks.set_incoming(t, dir as usize, &scratch32);
-                }
-            }
-            if tel.trace_enabled() && !receives_per_rank.is_empty() {
-                tel.trace_complete_since(
-                    "comm.exchange_recv",
-                    t_recv,
-                    &[("rank", Json::Uint(comm.rank() as u64)), ("it", Json::Uint(it as u64))],
-                );
-            }
-        }
-
-        if it >= 3 && res < opts.tolerance {
-            converged = true;
-            break;
-        }
+        let controls = Controls {
+            opts: self.opts,
+            source: Source::Fission,
+            checkpoint: self.checkpoint,
+            resume: (self.start > 1).then_some(&load as &dyn Fn(usize) -> SolverCheckpoint),
+        };
+        let pipelined = self.copts.exchange == ExchangeMode::Pipelined;
+        let mut link = Link::new(fc, d, &self.assignment, &subs, pipelined, self.death);
+        let outcome = drive(&mut hosted, &controls, Some(&mut link));
+        SlotResult { phi: hosted.into_iter().map(|h| (h.id, h.phi)).collect(), outcome }
     }
-
-    if pipelined {
-        // How much of the exchange the overlap actually hid: the fraction
-        // of receives whose payload had already landed when polled.
-        let total = recv_ready + recv_blocked;
-        if total > 0 {
-            tel.gauge_set("comm.overlap_ratio", recv_ready as f64 / total as f64);
-        }
-        tel.counter_add("comm.recv_ready", recv_ready);
-        tel.counter_add("comm.recv_blocked", recv_blocked);
-    }
-
-    RankResult { keff: k, iterations, converged, phi, sweep_seconds, residuals }
 }
 
 #[cfg(test)]

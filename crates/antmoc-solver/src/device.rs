@@ -12,10 +12,10 @@ use std::sync::Arc;
 use antmoc_gpusim::{Device, OutOfMemory, Reservation};
 use antmoc_track::Track3dId;
 
-use crate::eigen::Sweeper;
 use crate::manager::{select_resident, stored_bytes_for, RankPolicy, ResidencyPlan};
 use crate::problem::Problem;
 use crate::sweep::{sweep_region, FluxBanks, SegmentSource, StorageMode, SweepOutcome};
+use crate::sweeper::Sweeper;
 use crate::tally::{KernelConfig, SweepArena};
 
 /// How 3D tracks are mapped to CUs.

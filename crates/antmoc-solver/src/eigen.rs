@@ -1,21 +1,15 @@
-//! The eigenvalue (power) iteration driving the transport sweeps.
+//! The single-domain eigenvalue (power) iteration.
 //!
-//! Every solver flavour (reference CPU, simulated-GPU device, domain
-//! decomposed cluster) runs this loop: update sources from the current
-//! flux and `k_eff`, sweep, close the scalar flux, update `k_eff` from the
-//! fission-production ratio, normalise, repeat until the fission-source
-//! RMS residual drops below tolerance (Fig. 2's transport-solving stage).
-
-use antmoc_telemetry::Json;
+//! The loop itself is `crate::driver`'s, run over one subdomain with no
+//! exchange: update sources from the current flux and `k_eff`, sweep,
+//! close the scalar flux, update `k_eff` from the fission-production
+//! ratio, normalise, repeat until the fission-source RMS residual drops
+//! below tolerance (Fig. 2's transport-solving stage).
 
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
+use crate::driver::{drive, Controls, Hosted, Source};
 use crate::problem::Problem;
-use crate::schedule::SweepSchedule;
-use crate::source::{
-    compute_reduced_source, fission_production, fission_rms_residual, update_scalar_flux,
-};
-use crate::sweep::{transport_sweep_with, FluxBanks, SegmentSource, SweepOutcome};
-use crate::tally::{KernelConfig, SweepArena};
+pub use crate::sweeper::{CpuSweeper, Sweeper};
 
 /// Iteration controls.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,83 +45,6 @@ pub struct EigenResult {
     pub total_segments: u64,
 }
 
-/// Anything that can execute a transport sweep for a problem. The
-/// reference solver uses the plain rayon sweep; the device solver launches
-/// through the simulated GPU.
-pub trait Sweeper {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome;
-
-    /// Hands a consumed outcome back so the sweeper can reuse its
-    /// allocations; sweepers without an arena ignore it.
-    fn recycle(&mut self, _outcome: SweepOutcome) {}
-}
-
-/// The plain CPU sweeper: arena-backed, so flux accumulators and
-/// per-worker scratch persist across iterations, and the tally/exp
-/// strategy follows its [`KernelConfig`].
-pub struct CpuSweeper<'a> {
-    segsrc: &'a SegmentSource,
-    schedule: SweepSchedule,
-    arena: SweepArena,
-}
-
-impl<'a> CpuSweeper<'a> {
-    /// A sweeper dispatching tracks in natural order with the default
-    /// kernel configuration (auto tallies, intrinsic exp).
-    pub fn new(segsrc: &'a SegmentSource) -> Self {
-        Self::with_kernel(segsrc, SweepSchedule::natural(), KernelConfig::default())
-    }
-
-    /// A sweeper dispatching tracks in the order given by `schedule`.
-    pub fn with_schedule(segsrc: &'a SegmentSource, schedule: SweepSchedule) -> Self {
-        Self::with_kernel(segsrc, schedule, KernelConfig::default())
-    }
-
-    /// Full control: dispatch order plus tally/exp kernel configuration.
-    pub fn with_kernel(
-        segsrc: &'a SegmentSource,
-        schedule: SweepSchedule,
-        kernel: KernelConfig,
-    ) -> Self {
-        Self { segsrc, schedule, arena: SweepArena::new(kernel) }
-    }
-
-    /// A sweeper running on a pooled arena (cross-job buffer reuse). The
-    /// arena is [`SweepArena::reconfigure`]d to `kernel` first, so a pool
-    /// may hand over an arena that last served a different problem shape
-    /// or kernel configuration; `prepare` re-sizes and re-zeroes per
-    /// sweep.
-    pub fn with_arena(
-        segsrc: &'a SegmentSource,
-        schedule: SweepSchedule,
-        kernel: KernelConfig,
-        mut arena: SweepArena,
-    ) -> Self {
-        arena.reconfigure(kernel);
-        Self { segsrc, schedule, arena }
-    }
-
-    /// Releases the arena for return to a pool once the solve is done.
-    pub fn into_arena(self) -> SweepArena {
-        self.arena
-    }
-
-    /// The arena, e.g. to preload a cached exp table before solving.
-    pub fn arena_mut(&mut self) -> &mut SweepArena {
-        &mut self.arena
-    }
-}
-
-impl Sweeper for CpuSweeper<'_> {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        transport_sweep_with(problem, self.segsrc, q, banks, &self.schedule, &mut self.arena)
-    }
-
-    fn recycle(&mut self, outcome: SweepOutcome) {
-        self.arena.recycle(outcome);
-    }
-}
-
 /// Runs the power iteration with a given sweeper.
 pub fn solve_eigenvalue(
     problem: &Problem,
@@ -153,111 +70,21 @@ pub fn solve_eigenvalue_resumable(
     resume: Option<&SolverCheckpoint>,
     checkpoint: Option<(&CheckpointStore, usize, usize)>,
 ) -> EigenResult {
-    let tel = antmoc_telemetry::Telemetry::current();
-    let _eigen_span = tel.span("eigen");
-
-    let n = problem.num_fsrs() * problem.num_groups();
-    let mut phi = vec![1.0f64; n];
-    let mut q = vec![0.0f64; n];
-    let mut banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
-    tel.gauge_set("solver.flux_bank_bytes", banks.bytes() as f64);
-    let mut k = opts.k_guess;
-
-    // Normalise the initial guess to unit fission production.
-    let (_, f0) = fission_production(problem, &phi);
-    if f0 > 0.0 {
-        for p in phi.iter_mut() {
-            *p /= f0;
-        }
-    }
-    let (mut old_density, _) = fission_production(problem, &phi);
-
-    let mut start = 1;
-    if let Some(ck) = resume {
-        assert_eq!(ck.phi.len(), n, "checkpoint flux length mismatch");
-        phi.copy_from_slice(&ck.phi);
-        old_density = ck.fission_source.clone();
-        k = ck.keff;
-        ck.apply_banks(&banks);
-        start = ck.iteration + 1;
-    }
-
-    let mut residuals = Vec::new();
-    let mut k_history = Vec::new();
-    let mut total_segments = 0u64;
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for it in start..=opts.max_iterations {
-        iterations = it;
-        compute_reduced_source(problem, &phi, k, &mut q);
-        let t_sweep = std::time::Instant::now();
-        let cas_before = tel.counter_value("sweep.cas_retries");
-        let out = sweeper.sweep(problem, &q, &banks);
-        let sweep_s = t_sweep.elapsed().as_secs_f64();
-        let it_segments = out.segments;
-        total_segments += out.segments;
-        update_scalar_flux(problem, &q, &out.phi_acc, &mut phi);
-        sweeper.recycle(out);
-
-        let (density, f_new) = fission_production(problem, &phi);
-        // Production was normalised to 1 last iteration, so the ratio is
-        // simply f_new.
-        k *= f_new;
-        k_history.push(k);
-
-        let res = fission_rms_residual(&old_density, &density);
-        residuals.push(res);
-
-        // Normalise flux and boundary fluxes to unit production.
-        if f_new > 0.0 {
-            let inv = 1.0 / f_new;
-            for p in phi.iter_mut() {
-                *p *= inv;
-            }
-            banks.scale(inv);
-            old_density = density.iter().map(|d| d * inv).collect();
-        } else {
-            old_density = density;
-        }
-
-        banks.swap();
-
-        let mut checkpointed = false;
-        if let Some((store, key, every)) = checkpoint {
-            if every > 0 && it % every == 0 {
-                store.save(key, &SolverCheckpoint::capture(it, k, &phi, &old_density, &banks));
-                checkpointed = true;
-            }
-        }
-
-        let cas_delta = tel.counter_value("sweep.cas_retries").wrapping_sub(cas_before);
-        tel.append_iteration(Json::Obj(vec![
-            ("it".into(), Json::Uint(it as u64)),
-            ("k".into(), Json::Num(k)),
-            ("residual".into(), Json::Num(res)),
-            ("sweep_s".into(), Json::Num(sweep_s)),
-            ("segments".into(), Json::Uint(it_segments)),
-            ("cas_retries".into(), Json::Uint(cas_delta)),
-            ("checkpoint".into(), Json::Bool(checkpointed)),
-        ]));
-        if tel.trace_enabled() {
-            tel.trace_instant(
-                "eigen.iteration",
-                &[("it", Json::Uint(it as u64)), ("k", Json::Num(k)), ("residual", Json::Num(res))],
-            );
-        }
-
-        // Require a couple of iterations before trusting the residual.
-        if it >= 3 && res < opts.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
-    tel.counter_add("eigen.iterations", iterations as u64);
-
-    EigenResult { keff: k, iterations, converged, phi, residuals, k_history, total_segments }
+    let load = resume.map(|ck| move |_| ck.clone());
+    let controls = Controls {
+        opts,
+        source: Source::Fission,
+        checkpoint: checkpoint.map(|(store, _, every)| (store, every)),
+        resume: load.as_ref().map(|f| f as &dyn Fn(usize) -> SolverCheckpoint),
+    };
+    let key = checkpoint.map_or(0, |(_, key, _)| key);
+    let mut hosted = [Hosted::new(key, problem, sweeper)];
+    let mut result = drive(&mut hosted, &controls, None)
+        .expect("a single-domain solve has no comm to fail")
+        .result;
+    let [h] = hosted;
+    result.phi = h.phi;
+    result
 }
 
 #[cfg(test)]

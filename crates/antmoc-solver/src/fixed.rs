@@ -4,15 +4,13 @@
 //! Shielding and detector-response problems — the other half of what
 //! "neutral particle transport" software is used for — run in this mode:
 //! iterate scattering (and optionally fission) to convergence around the
-//! fixed source.
+//! fixed source. The loop is `crate::driver`'s with the external source
+//! hook: no eigenvalue, no normalisation, and a residual on the flux
+//! itself.
 
-use crate::eigen::Sweeper;
+use crate::driver::{drive, Controls, Hosted, Source};
+use crate::eigen::{EigenOptions, Sweeper};
 use crate::problem::Problem;
-use crate::source::update_scalar_flux;
-
-use rayon::prelude::*;
-
-const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 
 /// Options for a fixed-source solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,78 +47,31 @@ pub fn solve_fixed_source(
     external: &[f64],
     opts: &FixedSourceOptions,
 ) -> FixedSourceResult {
-    let g = problem.num_groups();
-    let n = problem.num_fsrs() * g;
+    let n = problem.num_fsrs() * problem.num_groups();
     assert_eq!(external.len(), n, "external source must be (fsr, group) shaped");
     assert!(external.iter().any(|&s| s > 0.0), "external source must be non-trivial");
 
-    let tel = antmoc_telemetry::Telemetry::current();
-    let _fixed_span = tel.span("fixed_source");
-
-    let xs = &problem.xs;
-    let mut phi = vec![0.0f64; n];
-    let mut q = vec![0.0f64; n];
-    let mut banks = crate::sweep::FluxBanks::new(problem.num_tracks(), g);
-    let mut residuals = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for it in 1..=opts.max_iterations {
-        iterations = it;
-        // Reduced source: external + scattering (+ fission).
-        q.par_chunks_mut(g).enumerate().for_each(|(f, qf)| {
-            let mat = xs.fsr_mat[f] as usize;
-            let phif = &phi[f * g..(f + 1) * g];
-            let mut fission = 0.0;
-            if opts.with_fission {
-                for h in 0..g {
-                    fission += xs.nusf[mat * g + h] * phif[h];
-                }
-            }
-            for gi in 0..g {
-                let mut inscatter = 0.0;
-                for h in 0..g {
-                    inscatter += xs.scatter[(mat * g + h) * g + gi] * phif[h];
-                }
-                let total =
-                    (external[f * g + gi] + xs.chi[mat * g + gi] * fission + inscatter) / FOUR_PI;
-                qf[gi] = total / xs.sigma_t[mat * g + gi];
-            }
-        });
-
-        let t_sweep = std::time::Instant::now();
-        let out = sweeper.sweep(problem, &q, &banks);
-        let sweep_s = t_sweep.elapsed().as_secs_f64();
-        let old = phi.clone();
-        update_scalar_flux(problem, &q, &out.phi_acc, &mut phi);
-        sweeper.recycle(out);
-
-        let mut ss = 0.0;
-        let mut cnt = 0usize;
-        for (&o, &v) in old.iter().zip(&phi) {
-            if v.abs() > 1e-20 {
-                let r = (v - o) / v;
-                ss += r * r;
-                cnt += 1;
-            }
-        }
-        let res = if cnt > 0 { (ss / cnt as f64).sqrt() } else { 0.0 };
-        residuals.push(res);
-        banks.swap();
-        tel.append_iteration(antmoc_telemetry::Json::Obj(vec![
-            ("it".into(), antmoc_telemetry::Json::Uint(it as u64)),
-            ("residual".into(), antmoc_telemetry::Json::Num(res)),
-            ("sweep_s".into(), antmoc_telemetry::Json::Num(sweep_s)),
-        ]));
-        if it >= 2 && res < opts.tolerance {
-            converged = true;
-            break;
-        }
+    let controls = Controls {
+        opts: &EigenOptions {
+            tolerance: opts.tolerance,
+            max_iterations: opts.max_iterations,
+            ..Default::default()
+        },
+        source: Source::External { external, with_fission: opts.with_fission },
+        checkpoint: None,
+        resume: None,
+    };
+    let mut hosted = [Hosted::new(0, problem, sweeper)];
+    let s = drive(&mut hosted, &controls, None)
+        .expect("a single-domain solve has no comm to fail")
+        .result;
+    let [h] = hosted;
+    FixedSourceResult {
+        phi: h.phi,
+        iterations: s.iterations,
+        converged: s.converged,
+        residuals: s.residuals,
     }
-
-    tel.counter_add("fixed.iterations", iterations as u64);
-
-    FixedSourceResult { phi, iterations, converged, residuals }
 }
 
 #[cfg(test)]

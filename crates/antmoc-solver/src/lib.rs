@@ -3,6 +3,8 @@
 //!
 //! * [`problem`] — per-domain solver inputs (geometry, tracks, flattened
 //!   cross sections, tracked volumes, per-track sweep metadata);
+//! * [`sweeper`] — the [`Sweeper`] interface and its CPU implementations
+//!   (parallel and serial);
 //! * [`sweep`] — flux banks and the segment sweep kernel with EXP / OTF /
 //!   Manager storage modes (§4.1 of the paper);
 //! * [`exp`] — the one in-tree `1 - exp(-tau)` evaluator, per lane and
@@ -13,7 +15,10 @@
 //!   reusable [`SweepArena`] behind the arena-driven sweep;
 //! * [`source`] — reduced-source and scalar-flux updates, fission
 //!   tallies;
-//! * [`eigen`] — the power iteration shared by all solver flavours;
+//! * `driver` — the one power-iteration loop every solve runs (eigen,
+//!   fixed source, cluster, recovery), set up by source, exchange and
+//!   checkpoint hooks;
+//! * [`eigen`] — the single-domain eigenvalue solve;
 //! * [`manager`] — the track-management strategy (resident/temporary
 //!   ranking under a device memory budget);
 //! * [`device`] — the simulated-GPU solver (Algorithm 1 kernels, L3
@@ -29,6 +34,7 @@ pub mod cluster;
 pub mod decomp;
 pub mod device;
 pub mod diagnostics;
+mod driver;
 pub mod eigen;
 pub mod exp;
 pub mod exptable;
@@ -41,6 +47,7 @@ pub mod simd;
 pub mod solver2d;
 pub mod source;
 pub mod sweep;
+pub mod sweeper;
 pub mod tally;
 
 pub use checkpoint::{BankSnapshot, CheckpointStore, SolverCheckpoint};

@@ -1,15 +1,16 @@
 //! Fault-tolerant cluster solve: checkpoint/restart plus
 //! degradation-aware rebalancing.
 //!
-//! [`solve_cluster_recovering`] runs the decomposed eigenvalue problem
-//! in *generations*. Each generation spawns one executor thread per
-//! surviving rank on the simulated cluster; each executor hosts the
-//! subdomains the current assignment gives it and advances the shared
-//! power iteration, exchanging boundary fluxes at subdomain granularity
-//! and checkpointing every N iterations into a shared store (the
-//! in-memory stand-in for a burst buffer / parallel file system). All
-//! communication goes through a [`FaultyComm`], so sends can drop, flip,
-//! and exhaust their retry budget per the seeded [`FaultPlan`].
+//! [`solve_cluster_recovering`] is a supervisor over the cluster solver's
+//! executor generations (`cluster::Generation`): each
+//! generation spawns one executor per surviving rank, every executor
+//! hosts the subdomains the current assignment gives it and runs the
+//! shared power-iteration driver over them, exchanging boundary fluxes at
+//! subdomain granularity and checkpointing every N iterations into a
+//! shared store (the in-memory stand-in for a burst buffer / parallel
+//! file system). All communication goes through a
+//! [`antmoc_cluster::fault::FaultyComm`], so sends can drop, flip, and
+//! exhaust their retry budget per the seeded [`FaultPlan`].
 //!
 //! When a rank dies — a scheduled death from the plan, or a send whose
 //! retries are exhausted — every executor unwinds cleanly, the
@@ -18,31 +19,21 @@
 //! sub-geometries, and restarts the iteration from the newest checkpoint
 //! common to all subdomains.
 //!
-//! Global sums (`k_eff` production ratio, residuals) are computed from
-//! per-*subdomain* contributions gathered everywhere and reduced in
-//! subdomain order, so the arithmetic is independent of how subdomains
-//! are packed onto executors. With the serial backend this makes a
-//! recovered run bit-identical to a fault-free one — the foundation of
-//! the 1e-8 recovery gate in `fig_fault_recovery`.
+//! The driver reduces per subdomain, in subdomain order, so a recovered
+//! serial run is bit-identical to a fault-free one however the subdomains
+//! were repacked — the foundation of `fig_fault_recovery`'s 1e-8 gate.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use antmoc_balance::rebalance_on_loss;
-use antmoc_cluster::fault::{CommError, FaultConfig, FaultPlan, FaultyComm};
-use antmoc_cluster::{Cluster, Comm, LinkModel};
-use antmoc_gpusim::Device;
+use antmoc_cluster::fault::{CommError, FaultConfig, FaultPlan};
 use antmoc_telemetry::{Json, Telemetry};
 
-use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
-use crate::cluster::{Backend, ExchangeMode, SerialSweeper};
+use crate::checkpoint::CheckpointStore;
+use crate::cluster::{Backend, ClusterOptions, Generation};
 use crate::decomp::Decomposition;
-use crate::device::DeviceSolver;
-use crate::eigen::{EigenOptions, Sweeper};
-use crate::schedule::{ScheduleKind, SweepSchedule};
-use crate::source::{compute_reduced_source, fission_production, update_scalar_flux};
-use crate::sweep::{transport_sweep_with, FluxBanks, SegmentSource};
-use crate::tally::{KernelConfig, SweepArena};
+use crate::driver::Stop;
+use crate::eigen::EigenOptions;
 
 /// Controls for the fault-tolerant solve.
 #[derive(Debug, Clone)]
@@ -52,22 +43,13 @@ pub struct RecoveryOptions {
     /// Checkpoint every this many iterations (0 disables checkpointing;
     /// recovery then restarts from scratch).
     pub checkpoint_interval: usize,
-    /// Sweep dispatch order for the CPU backend.
-    pub schedule: ScheduleKind,
-    /// Rayon workers per executor for the CPU backend (`None` = shared
-    /// default pool).
-    pub workers: Option<usize>,
     /// How many rank losses to absorb before giving up.
     pub max_restarts: usize,
-    /// Tally/exp kernel configuration for the CPU backend.
-    pub kernel: KernelConfig,
-    /// Boundary-exchange pipeline (see [`crate::cluster::ExchangeMode`]).
-    /// Pipelined receives still route every blocking wait through the
-    /// fault layer's `recv` deadline, so a dead peer surfaces a
-    /// `CommError::Timeout` exactly as on the sync path.
-    pub exchange: ExchangeMode,
-    /// Simulated interconnect for point-to-point flux traffic.
-    pub link: LinkModel,
+    /// Exchange, link, schedule, workers and kernel, as for the plain
+    /// cluster solve. Pipelined receives still route every blocking wait
+    /// through the fault layer's `recv` deadline, so a dead peer surfaces
+    /// a `CommError::Timeout` exactly as on the sync path.
+    pub cluster: ClusterOptions,
 }
 
 impl Default for RecoveryOptions {
@@ -75,12 +57,8 @@ impl Default for RecoveryOptions {
         Self {
             fault: FaultConfig::default(),
             checkpoint_interval: 10,
-            schedule: ScheduleKind::Natural,
-            workers: None,
             max_restarts: 4,
-            kernel: KernelConfig::default(),
-            exchange: ExchangeMode::default(),
-            link: LinkModel::default(),
+            cluster: ClusterOptions::default(),
         }
     }
 }
@@ -126,63 +104,6 @@ pub struct RecoveryResult {
     pub comm_bytes: u64,
 }
 
-/// Exchange tags live above the plain cluster solver's `TAG_FLUX` and
-/// encode the (from, to) subdomain pair, so one executor can route
-/// several subdomains' flux streams over one channel.
-const TAG_PAIR_BASE: u32 = 200;
-
-/// A traversal slot `(track, dir)` paired with its delivery weight.
-type WeightedSlot = ((u32, u8), f32);
-
-/// One grouped flux transfer between a pair of subdomains.
-struct PairSend {
-    from: usize,
-    to: usize,
-    items: Vec<(u32, u8)>,
-}
-
-struct PairRecv {
-    from: usize,
-    to: usize,
-    items: Vec<WeightedSlot>,
-}
-
-/// How one executor's generation ended.
-enum SlotOutcome {
-    Finished {
-        keff: f64,
-        iterations: usize,
-        converged: bool,
-        /// `(subdomain, flux)` for every hosted subdomain.
-        phi: Vec<(usize, Vec<f64>)>,
-        residuals: Vec<f64>,
-        executed: usize,
-    },
-    /// The generation stopped at a scheduled rank death.
-    Interrupted { at_iteration: usize, executed: usize },
-    /// A communication failure (retry exhaustion or peer timeout).
-    Failed { at_iteration: usize, executed: usize, error: CommError },
-}
-
-/// Per-generation context shared by all executor closures.
-struct GenCtx<'a> {
-    decomp: &'a Decomposition,
-    backend: &'a Backend,
-    opts: &'a EigenOptions,
-    rec: &'a RecoveryOptions,
-    plan: Arc<FaultPlan>,
-    store: Arc<CheckpointStore>,
-    /// `assignment[subdomain] = executor slot` for this generation.
-    assignment: Vec<u32>,
-    /// First iteration this generation runs.
-    start_iteration: usize,
-    /// Scheduled death: `(slot, iteration)`. The failure detector is
-    /// modelled as exact and instantaneous at iteration boundaries, so
-    /// every executor observes the death at the same point and unwinds
-    /// without waiting for a timeout.
-    death: Option<(usize, usize)>,
-}
-
 /// Runs the decomposed eigenvalue problem with fault injection,
 /// checkpoint/restart, and degradation-aware rebalancing.
 pub fn solve_cluster_recovering(
@@ -194,7 +115,7 @@ pub fn solve_cluster_recovering(
     let tel = Telemetry::current();
     let s = decomp.problems.len();
     let plan = Arc::new(FaultPlan::new(rec.fault.clone()));
-    let store = Arc::new(CheckpointStore::new());
+    let store = CheckpointStore::new();
 
     let loads: Vec<f64> = decomp.problems.iter().map(|p| p.num_3d_segments() as f64).collect();
     let dims = (decomp.spec.nx, decomp.spec.ny, decomp.spec.nz);
@@ -225,60 +146,68 @@ pub fn solve_cluster_recovering(
                 }
             }
         }
-        let ctx = GenCtx {
+        let outcome = Generation {
             decomp,
             backend,
             opts,
-            rec,
+            copts: &rec.cluster,
             plan: plan.clone(),
-            store: store.clone(),
+            checkpoint: Some((&store, rec.checkpoint_interval)),
             assignment: assignment.clone(),
-            start_iteration,
-            death,
-        };
-        let outcome =
-            Cluster::run_linked(alive.len(), ctx.rec.link, |comm: Comm| run_slot(comm, &ctx));
+            start: start_iteration,
+            death: death.map(|(_, it)| it),
+        }
+        .run(alive.len());
         comm_bytes += outcome.traffic.iter().map(|t| t.sent_bytes).sum::<u64>();
 
-        let executed = outcome
+        let stops: Vec<Option<&Stop>> =
+            outcome.results.iter().map(|r| r.outcome.as_ref().err()).collect();
+        total_iterations += outcome
             .results
             .iter()
-            .map(|o| match o {
-                SlotOutcome::Finished { executed, .. }
-                | SlotOutcome::Interrupted { executed, .. }
-                | SlotOutcome::Failed { executed, .. } => *executed,
-            })
+            .map(|r| r.outcome.as_ref().map_or_else(|stop| stop.executed, |s| s.executed))
             .max()
             .unwrap_or(0);
-        total_iterations += executed;
 
-        if outcome.results.iter().all(|o| matches!(o, SlotOutcome::Finished { .. })) {
-            break assemble(
-                outcome.results,
-                s,
-                restarts,
-                &rebalances,
+        if stops.iter().all(Option::is_none) {
+            let mut phi: Vec<Vec<f64>> = vec![Vec::new(); s];
+            let mut finished = None;
+            for r in outcome.results {
+                for (sub, p) in r.phi {
+                    phi[sub] = p;
+                }
+                finished = r.outcome.ok();
+            }
+            let f = finished.expect("a generation has at least one executor").result;
+            break RecoveryResult {
+                keff: f.keff,
+                iterations: f.iterations,
                 total_iterations,
+                converged: f.converged,
+                phi,
+                residuals: f.residuals,
+                restarts,
+                rebalances,
                 comm_bytes,
-            );
+            };
         }
 
         // A rank was lost. Prefer the scheduled death; otherwise blame
         // the executor whose send budget was exhausted (peers report
         // matching timeouts but are healthy).
         let find_failed = |want_exhausted: bool| {
-            outcome.results.iter().enumerate().find_map(|(slot, o)| match o {
-                SlotOutcome::Failed { at_iteration, error, .. }
-                    if !want_exhausted || matches!(error, CommError::SendExhausted { .. }) =>
+            stops.iter().enumerate().find_map(|(slot, stop)| match stop {
+                Some(Stop { at, error: Some(e), .. })
+                    if !want_exhausted || matches!(e, CommError::SendExhausted { .. }) =>
                 {
-                    Some((slot, *at_iteration))
+                    Some((slot, *at))
                 }
                 _ => None,
             })
         };
         let scheduled = death.and_then(|(slot, _)| {
-            outcome.results.iter().find_map(|o| match o {
-                SlotOutcome::Interrupted { at_iteration, .. } => Some((slot, *at_iteration)),
+            stops.iter().find_map(|stop| match stop {
+                Some(Stop { at, error: None, .. }) => Some((slot, *at)),
                 _ => None,
             })
         });
@@ -300,7 +229,7 @@ pub fn solve_cluster_recovering(
                 phi: Vec::new(),
                 residuals: Vec::new(),
                 restarts,
-                rebalances: rebalances.clone(),
+                rebalances,
                 comm_bytes,
             };
         }
@@ -308,17 +237,13 @@ pub fn solve_cluster_recovering(
 
         // Previous owners in the compacted survivor space; the dead
         // slot's subdomains become orphans.
+        let died = died_slot as u32;
         let prev: Vec<u32> = assignment
             .iter()
-            .map(|&slot| {
-                let slot = slot as usize;
-                if slot == died_slot {
-                    u32::MAX
-                } else if slot > died_slot {
-                    (slot - 1) as u32
-                } else {
-                    slot as u32
-                }
+            .map(|&slot| match slot.cmp(&died) {
+                std::cmp::Ordering::Equal => u32::MAX,
+                std::cmp::Ordering::Greater => slot - 1,
+                std::cmp::Ordering::Less => slot,
             })
             .collect();
         alive.remove(died_slot);
@@ -357,51 +282,6 @@ pub fn solve_cluster_recovering(
         tel.set_section("rebalance", rebalance_section(&result.rebalances));
     }
     result
-}
-
-fn assemble(
-    results: Vec<SlotOutcome>,
-    num_subdomains: usize,
-    restarts: usize,
-    rebalances: &[RebalanceEvent],
-    total_iterations: usize,
-    comm_bytes: u64,
-) -> RecoveryResult {
-    let mut phi: Vec<Vec<f64>> = vec![Vec::new(); num_subdomains];
-    let mut keff = 0.0;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut residuals = Vec::new();
-    for r in results {
-        if let SlotOutcome::Finished {
-            keff: k,
-            iterations: it,
-            converged: c,
-            phi: sub_phi,
-            residuals: res,
-            ..
-        } = r
-        {
-            keff = k;
-            iterations = it;
-            converged = c;
-            residuals = res;
-            for (sub, p) in sub_phi {
-                phi[sub] = p;
-            }
-        }
-    }
-    RecoveryResult {
-        keff,
-        iterations,
-        total_iterations,
-        converged,
-        phi,
-        residuals,
-        restarts,
-        rebalances: rebalances.to_vec(),
-        comm_bytes,
-    }
 }
 
 fn fault_section(plan: &FaultPlan, restarts: usize) -> Json {
@@ -452,440 +332,6 @@ fn rebalance_section(events: &[RebalanceEvent]) -> Json {
                 .collect(),
         ),
     )])
-}
-
-/// Per-subdomain iteration state hosted by an executor.
-struct SubState {
-    phi: Vec<f64>,
-    q: Vec<f64>,
-    banks: FluxBanks,
-    old_density: Vec<f64>,
-}
-
-/// The per-subdomain sweep engine. Enum dispatch keeps the borrow of the
-/// shared segment source simple across the generation loop.
-enum SlotSweeper {
-    Cpu(SweepSchedule, Box<SweepArena>),
-    Serial,
-    Device(Box<DeviceSolver>),
-}
-
-fn run_slot(comm: Comm, ctx: &GenCtx<'_>) -> SlotOutcome {
-    let mut fc = FaultyComm::new(comm, ctx.plan.clone());
-    match run_slot_inner(&mut fc, ctx) {
-        Ok(out) => out,
-        Err((it, executed, e)) => SlotOutcome::Failed { at_iteration: it, executed, error: e },
-    }
-}
-
-/// Gathers `(subdomain, value)` contributions from every executor and
-/// sums them in subdomain order — the canonical reduction that makes the
-/// arithmetic independent of the executor layout.
-fn canonical_sums<const N: usize>(
-    fc: &mut FaultyComm,
-    mine: Vec<(u32, [f64; N])>,
-) -> Result<[f64; N], CommError> {
-    let all = fc.allgather(mine)?;
-    let mut flat: Vec<(u32, [f64; N])> = all.into_iter().flatten().collect();
-    flat.sort_by_key(|&(sub, _)| sub);
-    let mut out = [0.0f64; N];
-    for (_, vals) in flat {
-        for (o, v) in out.iter_mut().zip(vals) {
-            *o += v;
-        }
-    }
-    Ok(out)
-}
-
-type SlotError = (usize, usize, CommError);
-
-#[allow(clippy::type_complexity)]
-fn run_slot_inner(fc: &mut FaultyComm, ctx: &GenCtx<'_>) -> Result<SlotOutcome, SlotError> {
-    let slot = fc.rank() as u32;
-    let decomp = ctx.decomp;
-    let s = decomp.problems.len();
-    let g = decomp.problems[0].num_groups();
-    let my_subs: Vec<usize> = (0..s).filter(|&d| ctx.assignment[d] == slot).collect();
-    let opts = ctx.opts;
-    let start = ctx.start_iteration;
-    // Errors before the loop body count zero executed iterations.
-    let at_start = move |e: CommError| (start, 0usize, e);
-
-    // Sweep engines, one per hosted subdomain.
-    let segsrc = SegmentSource::otf();
-    let pool = ctx.rec.workers.map(|w| {
-        rayon::ThreadPoolBuilder::new().num_threads(w).build().expect("pool build failed")
-    });
-    let mut sweepers: BTreeMap<usize, SlotSweeper> = my_subs
-        .iter()
-        .map(|&sub| {
-            let problem = &decomp.problems[sub];
-            let sweeper = match ctx.backend {
-                Backend::Cpu => SlotSweeper::Cpu(
-                    SweepSchedule::with_workers(
-                        ctx.rec.schedule,
-                        problem,
-                        ctx.rec.workers.unwrap_or_else(rayon::current_num_threads),
-                    ),
-                    Box::new(SweepArena::new(ctx.rec.kernel.clone())),
-                ),
-                Backend::CpuSerial => SlotSweeper::Serial,
-                Backend::Device { spec, mode, mapping } => {
-                    let device = Arc::new(Device::new(spec.clone()));
-                    SlotSweeper::Device(Box::new(
-                        DeviceSolver::new(device, problem, *mode, *mapping)
-                            .expect("device solver setup failed (OOM?)"),
-                    ))
-                }
-            };
-            (sub, sweeper)
-        })
-        .collect();
-
-    // Exchange routing at subdomain granularity. Sends preserve each
-    // subdomain's deterministic plan order, grouped by destination
-    // subdomain (the plan is sorted by neighbour, so groups are
-    // contiguous); receives mirror the sender's grouping.
-    let mut sends: Vec<PairSend> = Vec::new();
-    for &f in &my_subs {
-        for item in &decomp.exchanges[f].sends {
-            let t = item.neighbor_rank as usize;
-            match sends.last_mut() {
-                Some(ps) if ps.from == f && ps.to == t => ps.items.push(item.local_traversal),
-                _ => sends.push(PairSend { from: f, to: t, items: vec![item.local_traversal] }),
-            }
-        }
-    }
-    let mut recvs: Vec<PairRecv> = Vec::new();
-    for &t in &my_subs {
-        for (f, ex) in decomp.exchanges.iter().enumerate() {
-            let items: Vec<WeightedSlot> = ex
-                .sends
-                .iter()
-                .filter(|item| item.neighbor_rank as usize == t)
-                .map(|item| (item.neighbor_traversal, item.weight))
-                .collect();
-            if !items.is_empty() {
-                recvs.push(PairRecv { from: f, to: t, items });
-            }
-        }
-    }
-    let pair_tag = |from: usize, to: usize| TAG_PAIR_BASE + (from * s + to) as u32;
-
-    // Initial state: restore every hosted subdomain from the store, or
-    // start fresh with a globally normalised flat flux.
-    let mut k = opts.k_guess;
-    let mut states: BTreeMap<usize, SubState> = my_subs
-        .iter()
-        .map(|&sub| {
-            let problem = &decomp.problems[sub];
-            let n = problem.num_fsrs() * g;
-            (
-                sub,
-                SubState {
-                    phi: vec![1.0f64; n],
-                    q: vec![0.0f64; n],
-                    banks: FluxBanks::new(problem.num_tracks(), g),
-                    old_density: Vec::new(),
-                },
-            )
-        })
-        .collect();
-    if start == 1 {
-        let contributions: Vec<(u32, [f64; 1])> = my_subs
-            .iter()
-            .map(|&sub| {
-                let (_, f) = fission_production(&decomp.problems[sub], &states[&sub].phi);
-                (sub as u32, [f])
-            })
-            .collect();
-        let [f_global] = canonical_sums(fc, contributions).map_err(at_start)?;
-        for (&sub, st) in states.iter_mut() {
-            if f_global > 0.0 {
-                for p in st.phi.iter_mut() {
-                    *p /= f_global;
-                }
-            }
-            st.old_density = fission_production(&decomp.problems[sub], &st.phi).0;
-        }
-    } else {
-        for (&sub, st) in states.iter_mut() {
-            let ck: SolverCheckpoint = ctx
-                .store
-                .load(sub)
-                .unwrap_or_else(|| panic!("no checkpoint for subdomain {sub} at restart"));
-            assert_eq!(ck.iteration + 1, start, "checkpoint iteration mismatch");
-            st.phi = ck.phi.clone();
-            st.old_density = ck.fission_source.clone();
-            ck.apply_banks(&st.banks);
-            k = ck.keff;
-        }
-    }
-
-    let mut residuals = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    let mut executed = 0usize;
-    let mut scratch32: Vec<f32> = Vec::new();
-    let pipelined = ctx.rec.exchange == ExchangeMode::Pipelined;
-    let (mut recv_ready, mut recv_blocked) = (0u64, 0u64);
-    // Iteration rows and trace markers come from slot 0 only: every
-    // executor walks the same generation loop, and duplicate rows would
-    // misreport the series.
-    let tel = antmoc_telemetry::Telemetry::current();
-    let narrate = slot == 0;
-
-    for it in start..=opts.max_iterations {
-        // The simulated failure detector: every executor knows the death
-        // schedule and unwinds at the same iteration boundary.
-        if let Some((_, death_it)) = ctx.death {
-            if it == death_it {
-                if narrate && tel.trace_enabled() {
-                    tel.trace_instant("recovery.death", &[("it", Json::Uint(it as u64))]);
-                }
-                return Ok(SlotOutcome::Interrupted { at_iteration: it, executed });
-            }
-        }
-        iterations = it;
-        let fail = |e: CommError| (it, executed, e);
-
-        // Sweep every hosted subdomain.
-        let t_sweep = std::time::Instant::now();
-        for &sub in &my_subs {
-            let problem = &decomp.problems[sub];
-            let st = states.get_mut(&sub).unwrap();
-            compute_reduced_source(problem, &st.phi, k, &mut st.q);
-            let out = match sweepers.get_mut(&sub).unwrap() {
-                SlotSweeper::Cpu(schedule, arena) => {
-                    let mut sweep = || {
-                        transport_sweep_with(problem, &segsrc, &st.q, &st.banks, schedule, arena)
-                    };
-                    match &pool {
-                        Some(p) => p.install(&mut sweep),
-                        None => sweep(),
-                    }
-                }
-                SlotSweeper::Serial => {
-                    SerialSweeper { segsrc: &segsrc }.sweep(problem, &st.q, &st.banks)
-                }
-                SlotSweeper::Device(solver) => solver.sweep(problem, &st.q, &st.banks),
-            };
-            update_scalar_flux(problem, &st.q, &out.phi_acc, &mut st.phi);
-            if let SlotSweeper::Cpu(_, arena) = sweepers.get_mut(&sub).unwrap() {
-                arena.recycle(out);
-            }
-        }
-        let sweep_s = t_sweep.elapsed().as_secs_f64();
-
-        // Pipelined exchange, first half: every pair payload ships *raw*
-        // (unnormalised) ahead of the collectives, so the transfers ride
-        // under the canonical sums; the receiver folds the normalisation
-        // into its delivery weights below, which reproduces the sync
-        // path's arithmetic bit for bit. Local pairs stash raw for the
-        // same deferred scaling.
-        let mut local_raw: Vec<(usize, usize, Vec<f32>)> = Vec::new();
-        if pipelined {
-            for ps in &sends {
-                let payload =
-                    crate::cluster::gather_boundary(&states[&ps.from].banks, &ps.items, g);
-                let dest = ctx.assignment[ps.to];
-                if dest == slot {
-                    local_raw.push((ps.from, ps.to, payload));
-                } else {
-                    fc.send_vec(dest as usize, pair_tag(ps.from, ps.to), payload).map_err(fail)?;
-                }
-            }
-        }
-
-        // Global production ratio and residual from canonical sums.
-        let mut densities: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        let contributions: Vec<(u32, [f64; 3])> = my_subs
-            .iter()
-            .map(|&sub| {
-                let st = &states[&sub];
-                let (density, f_local) = fission_production(&decomp.problems[sub], &st.phi);
-                let (mut ss, mut cnt) = (0.0f64, 0.0f64);
-                for (&o, &v) in st.old_density.iter().zip(&density) {
-                    if v.abs() > 1e-14 {
-                        let r = (v - o) / v;
-                        ss += r * r;
-                        cnt += 1.0;
-                    }
-                }
-                densities.insert(sub, density);
-                (sub as u32, [f_local, ss, cnt])
-            })
-            .collect();
-        let [f_global, ss_g, cnt_g] = canonical_sums(fc, contributions).map_err(fail)?;
-        k *= f_global;
-        let res = if cnt_g > 0.0 { (ss_g / cnt_g).sqrt() } else { 0.0 };
-        residuals.push(res);
-
-        // Normalise globally.
-        let inv = if f_global > 0.0 { 1.0 / f_global } else { 1.0 };
-        for (&sub, st) in states.iter_mut() {
-            for p in st.phi.iter_mut() {
-                *p *= inv;
-            }
-            st.banks.scale(inv);
-            st.old_density = densities[&sub].iter().map(|d| d * inv).collect();
-        }
-
-        if pipelined {
-            // Second half: swap all hosted banks, then apply deliveries
-            // with the deferred normalisation folded in — `(x as f64 *
-            // inv) as f32` is the per-slot op `banks.scale(inv)` performs
-            // on the sync path before gathering, so the incoming slots
-            // land bitwise identical. Remote receives poll first; only a
-            // payload still in flight blocks (through the fault layer's
-            // deadline, so a dead peer surfaces `CommError::Timeout`).
-            for st in states.values_mut() {
-                st.banks.swap();
-            }
-            let apply_raw = |banks: &FluxBanks,
-                             items: &[WeightedSlot],
-                             payload: &[f32],
-                             scratch32: &mut Vec<f32>| {
-                assert_eq!(payload.len(), items.len() * g);
-                for (i, &((t, dir), weight)) in items.iter().enumerate() {
-                    scratch32.clear();
-                    scratch32.extend(
-                        payload[i * g..(i + 1) * g]
-                            .iter()
-                            .map(|&x| ((x as f64 * inv) as f32) * weight),
-                    );
-                    banks.set_incoming(t, dir as usize, scratch32);
-                }
-            };
-            for (from, to, payload) in &local_raw {
-                let pr = recvs
-                    .iter()
-                    .find(|pr| pr.from == *from && pr.to == *to)
-                    .expect("local delivery must have a matching receive plan");
-                apply_raw(&states[to].banks, &pr.items, payload, &mut scratch32);
-            }
-            for pr in &recvs {
-                let src = ctx.assignment[pr.from];
-                if src == slot {
-                    continue;
-                }
-                let tag = pair_tag(pr.from, pr.to);
-                let payload: Vec<f32> = match fc.try_recv_vec::<f32>(src as usize, tag) {
-                    Some(p) => {
-                        recv_ready += 1;
-                        p
-                    }
-                    None => {
-                        recv_blocked += 1;
-                        fc.recv_vec(src as usize, tag).map_err(fail)?
-                    }
-                };
-                apply_raw(&states[&pr.to].banks, &pr.items, &payload, &mut scratch32);
-            }
-        } else {
-            // Boundary exchange: gather every pair payload from the
-            // boundary banks, ship the remote ones, swap all hosted
-            // banks, then apply local and remote deliveries.
-            let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(sends.len());
-            for ps in &sends {
-                payloads.push(crate::cluster::gather_boundary(
-                    &states[&ps.from].banks,
-                    &ps.items,
-                    g,
-                ));
-            }
-            let mut local: Vec<(usize, usize, Vec<f32>)> = Vec::new();
-            for (ps, payload) in sends.iter().zip(payloads) {
-                let dest = ctx.assignment[ps.to];
-                if dest == slot {
-                    local.push((ps.from, ps.to, payload));
-                } else {
-                    fc.send_vec(dest as usize, pair_tag(ps.from, ps.to), payload).map_err(fail)?;
-                }
-            }
-            for st in states.values_mut() {
-                st.banks.swap();
-            }
-            let apply = |banks: &FluxBanks,
-                         items: &[WeightedSlot],
-                         payload: &[f32],
-                         scratch32: &mut Vec<f32>| {
-                assert_eq!(payload.len(), items.len() * g);
-                for (i, &((t, dir), weight)) in items.iter().enumerate() {
-                    scratch32.clear();
-                    scratch32.extend(payload[i * g..(i + 1) * g].iter().map(|&x| x * weight));
-                    banks.set_incoming(t, dir as usize, scratch32);
-                }
-            };
-            for (from, to, payload) in &local {
-                let pr = recvs
-                    .iter()
-                    .find(|pr| pr.from == *from && pr.to == *to)
-                    .expect("local delivery must have a matching receive plan");
-                apply(&states[to].banks, &pr.items, payload, &mut scratch32);
-            }
-            for pr in &recvs {
-                let src = ctx.assignment[pr.from];
-                if src == slot {
-                    continue;
-                }
-                let payload: Vec<f32> =
-                    fc.recv_vec(src as usize, pair_tag(pr.from, pr.to)).map_err(fail)?;
-                apply(&states[&pr.to].banks, &pr.items, &payload, &mut scratch32);
-            }
-        }
-
-        executed += 1;
-
-        // Checkpoint after the exchange: the stored state is exactly
-        // "ready to begin iteration it + 1".
-        let every = ctx.rec.checkpoint_interval;
-        let checkpointed = every > 0 && it % every == 0;
-        if checkpointed {
-            for (&sub, st) in states.iter() {
-                ctx.store.save(
-                    sub,
-                    &SolverCheckpoint::capture(it, k, &st.phi, &st.old_density, &st.banks),
-                );
-            }
-        }
-
-        if narrate {
-            tel.append_iteration(Json::Obj(vec![
-                ("it".into(), Json::Uint(it as u64)),
-                ("k".into(), Json::Num(k)),
-                ("residual".into(), Json::Num(res)),
-                ("sweep_s".into(), Json::Num(sweep_s)),
-                ("checkpoint".into(), Json::Bool(checkpointed)),
-            ]));
-            if checkpointed && tel.trace_enabled() {
-                tel.trace_instant("recovery.checkpoint", &[("it", Json::Uint(it as u64))]);
-            }
-        }
-
-        if it >= 3 && res < opts.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
-    if pipelined {
-        let total = recv_ready + recv_blocked;
-        if total > 0 {
-            tel.gauge_set("comm.overlap_ratio", recv_ready as f64 / total as f64);
-        }
-        tel.counter_add("comm.recv_ready", recv_ready);
-        tel.counter_add("comm.recv_blocked", recv_blocked);
-    }
-
-    Ok(SlotOutcome::Finished {
-        keff: k,
-        iterations,
-        converged,
-        phi: states.into_iter().map(|(sub, st)| (sub, st.phi)).collect(),
-        residuals,
-        executed,
-    })
 }
 
 #[cfg(test)]

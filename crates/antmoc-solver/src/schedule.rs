@@ -87,12 +87,7 @@ impl SweepSchedule {
     /// descending-weight round-robin so the load stays balanced; the
     /// boundary half simply jumps the queue.
     pub fn boundary_first(problem: &Problem, boundary_tracks: &[u32], workers: usize) -> Self {
-        let n = problem.num_tracks();
-        let mut is_boundary = vec![false; n];
-        for &t in boundary_tracks {
-            is_boundary[t as usize] = true;
-        }
-        let deal = |tracks: &[u32]| -> Vec<u32> {
+        let deal = |tracks: Vec<u32>| -> Vec<u32> {
             let weights: Vec<u64> = tracks
                 .iter()
                 .map(|&t| problem.sweep_tracks[t as usize].num_segments as u64)
@@ -100,10 +95,22 @@ impl SweepSchedule {
             let bins = sorted_round_robin(&weights, workers.max(1));
             bins.concat().into_iter().map(|i| tracks[i as usize]).collect()
         };
-        let boundary: Vec<u32> = (0..n as u32).filter(|&t| is_boundary[t as usize]).collect();
-        let interior: Vec<u32> = (0..n as u32).filter(|&t| !is_boundary[t as usize]).collect();
-        let mut order = deal(&boundary);
-        order.extend(deal(&interior));
+        let (boundary, interior) = split_boundary(problem.num_tracks(), boundary_tracks);
+        let mut order = deal(boundary);
+        order.extend(deal(interior));
+        Self { kind: ScheduleKind::BoundaryFirst, order: Some(order) }
+    }
+
+    /// The serial backend's order: `boundary_tracks` ascending, then the
+    /// interior ascending — a stable order both exchange modes share, so
+    /// a pipelined sweep can ship each payload from inside itself. With
+    /// no boundary tracks it is the natural order.
+    pub(crate) fn serial_boundary_first(num_tracks: usize, boundary_tracks: &[u32]) -> Self {
+        if boundary_tracks.is_empty() {
+            return Self::natural();
+        }
+        let (mut order, interior) = split_boundary(num_tracks, boundary_tracks);
+        order.extend(interior);
         Self { kind: ScheduleKind::BoundaryFirst, order: Some(order) }
     }
 
@@ -125,6 +132,15 @@ impl SweepSchedule {
     pub fn explicit_len(&self) -> Option<usize> {
         self.order.as_ref().map(Vec::len)
     }
+}
+
+/// Partitions `0..num_tracks` into `(boundary, interior)`, each ascending.
+fn split_boundary(num_tracks: usize, boundary_tracks: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut is_boundary = vec![false; num_tracks];
+    for &t in boundary_tracks {
+        is_boundary[t as usize] = true;
+    }
+    (0..num_tracks as u32).partition(|&t| is_boundary[t as usize])
 }
 
 #[cfg(test)]

@@ -35,6 +35,40 @@ pub fn compute_reduced_source(problem: &Problem, phi: &[f64], k: f64, q: &mut [f
     });
 }
 
+/// The fixed-source counterpart of [`compute_reduced_source`]: `Q =
+/// (external + chi * F + inscatter) / (4 pi)` for an isotropic external
+/// source per `(fsr, group)`, the fission term `F` only `with_fission`
+/// (and not divided by any eigenvalue).
+pub(crate) fn compute_fixed_source(
+    problem: &Problem,
+    phi: &[f64],
+    external: &[f64],
+    with_fission: bool,
+    q: &mut [f64],
+) {
+    let g = problem.num_groups();
+    let xs = &problem.xs;
+    q.par_chunks_mut(g).enumerate().for_each(|(f, qf)| {
+        let mat = xs.fsr_mat[f] as usize;
+        let phif = &phi[f * g..(f + 1) * g];
+        let mut fission = 0.0;
+        if with_fission {
+            for h in 0..g {
+                fission += xs.nusf[mat * g + h] * phif[h];
+            }
+        }
+        for gi in 0..g {
+            let mut inscatter = 0.0;
+            for h in 0..g {
+                inscatter += xs.scatter[(mat * g + h) * g + gi] * phif[h];
+            }
+            let total =
+                (external[f * g + gi] + xs.chi[mat * g + gi] * fission + inscatter) / FOUR_PI;
+            qf[gi] = total / xs.sigma_t[mat * g + gi];
+        }
+    });
+}
+
 /// Closes the sweep: `phi = 4 pi q + phi_acc / (sigma_t * V)` per
 /// `(fsr, group)`. FSRs never crossed by a track keep the pure-source
 /// value.
@@ -117,24 +151,21 @@ pub fn fission_rates(problem: &Problem, phi: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Root-mean-square relative change of the per-FSR fission density between
-/// iterations, over FSRs with non-trivial production (the convergence
-/// criterion of Fig. 2's "residuals < threshold" check).
-pub fn fission_rms_residual(old: &[f64], new: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
+/// The terms of a root-mean-square relative change between iterations
+/// (the convergence criterion of Fig. 2's "residuals < threshold" check):
+/// `(sum of squared relative changes, count)` over entries whose new
+/// magnitude exceeds `floor`. Kept as sums so decomposed solves can add
+/// them across subdomains before taking the root.
+pub(crate) fn residual_terms(old: &[f64], new: &[f64], floor: f64) -> (f64, f64) {
+    let (mut ss, mut n) = (0.0, 0.0);
     for (&o, &v) in old.iter().zip(new) {
-        if v.abs() > 1e-14 {
+        if v.abs() > floor {
             let r = (v - o) / v;
-            sum += r * r;
-            n += 1;
+            ss += r * r;
+            n += 1.0;
         }
     }
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64).sqrt()
-    }
+    (ss, n)
 }
 
 #[cfg(test)]
@@ -217,10 +248,10 @@ mod tests {
 
     #[test]
     fn rms_residual_behaviour() {
-        assert_eq!(fission_rms_residual(&[1.0, 1.0], &[1.0, 1.0]), 0.0);
-        let r = fission_rms_residual(&[1.0, 1.0], &[2.0, 2.0]);
-        assert!((r - 0.5).abs() < 1e-12);
-        // Zero new entries are skipped.
-        assert_eq!(fission_rms_residual(&[1.0], &[0.0]), 0.0);
+        assert_eq!(residual_terms(&[1.0, 1.0], &[1.0, 1.0], 1e-14), (0.0, 2.0));
+        let (ss, n) = residual_terms(&[1.0, 1.0], &[2.0, 2.0], 1e-14);
+        assert!(((ss / n).sqrt() - 0.5).abs() < 1e-12);
+        // Entries at or below the floor are skipped.
+        assert_eq!(residual_terms(&[1.0], &[0.0], 1e-14), (0.0, 0.0));
     }
 }

@@ -721,36 +721,24 @@ pub fn transport_sweep_with(
     })
 }
 
-/// [`sweep_track`] as the `cpu-serial` backend configures it: the default
-/// kernel and exp evaluator (that backend takes no `[solver]` kernel
-/// keys). The pipelined exchange's boundary prepass calls this directly.
-pub(crate) fn sweep_track_serial<S: FnMut(usize, &[f64])>(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-    track: u32,
-    bufs: &mut TrackBufs,
-    sink: S,
-) -> (u64, f64) {
-    let kernel = SweepKernel::default();
-    sweep_track(problem, segsrc, q, banks, track, kernel, &ExpEval::Intrinsic, bufs, sink)
-}
-
-/// A one-thread sweep in natural track order over a plain `f64` tally
-/// buffer, with the default kernel configuration: the `cpu-serial` rank
-/// backend. Bitwise equal to a one-worker natural-order
+/// A one-thread sweep over a plain `f64` tally buffer with the default
+/// kernel configuration (the `cpu-serial` backend takes no `[solver]`
+/// kernel keys), tracks in `order`, calling `swept(t)` as each track `t`
+/// finishes. In natural order it is bitwise equal to a one-worker
 /// [`transport_sweep_with`] — a single private buffer receives the same
 /// adds in the same order, and reducing it into a zeroed accumulator
 /// changes no bits. `phi` is the accumulator to reuse — a recycled
 /// `SweepOutcome::phi_acc` of any length and content, or an empty vector.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_serial(
     problem: &Problem,
     segsrc: &SegmentSource,
     q: &[f64],
     banks: &FluxBanks,
+    order: &SweepSchedule,
     bufs: &mut TrackBufs,
     mut phi: Vec<f64>,
+    swept: &mut dyn FnMut(u32),
 ) -> SweepOutcome {
     let tel = Telemetry::current();
     let _sweep_span = tel.span("transport_sweep");
@@ -758,12 +746,23 @@ pub(crate) fn sweep_serial(
     phi.resize(problem.num_fsrs() * problem.num_groups(), 0.0);
     let mut segments = 0u64;
     let mut leakage = 0.0f64;
-    for t in 0..problem.num_tracks() as u32 {
-        let (s, l) = sweep_track_serial(problem, segsrc, q, banks, t, bufs, |qb, vals| {
-            add_span(&mut phi, qb, vals)
-        });
+    let kernel = SweepKernel::default();
+    for i in 0..problem.num_tracks() {
+        let t = order.track_at(i);
+        let (s, l) = sweep_track(
+            problem,
+            segsrc,
+            q,
+            banks,
+            t,
+            kernel,
+            &ExpEval::Intrinsic,
+            bufs,
+            |qb, v| add_span(&mut phi, qb, v),
+        );
         segments += s;
         leakage += l;
+        swept(t);
     }
     let strategy = SweepTallies::Privatized { workers: 1 };
     record_sweep(&tel, problem, &KernelConfig::default(), strategy, 1, 0, segments, 0);

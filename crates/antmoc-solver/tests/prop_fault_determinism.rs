@@ -15,7 +15,7 @@
 use antmoc_cluster::fault::{FaultConfig, FaultPlan, RankDeath};
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, Bc, BoundaryConds};
-use antmoc_solver::cluster::Backend;
+use antmoc_solver::cluster::{Backend, ClusterOptions};
 use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::{solve_cluster_recovering, EigenOptions, RecoveryOptions, ScheduleKind};
 use antmoc_track::TrackParams;
@@ -82,8 +82,11 @@ proptest! {
                 let rec = RecoveryOptions {
                     fault: fault.clone(),
                     checkpoint_interval: 3,
-                    schedule,
-                    workers: Some(workers),
+                    cluster: ClusterOptions {
+                        schedule,
+                        workers: Some(workers),
+                        ..ClusterOptions::default()
+                    },
                     ..RecoveryOptions::default()
                 };
                 let r = solve_cluster_recovering(&d, &Backend::Cpu, &opts, &rec);

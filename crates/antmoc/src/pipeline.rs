@@ -510,19 +510,21 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
 
     // With fault injection enabled the solve goes through the recovery
     // supervisor (checkpoint/restart + L1 rebalancing on rank loss);
-    // otherwise the plain cluster path runs, byte-identical to before
-    // the fault harness existed.
+    // otherwise one plain generation of the same executors runs.
+    let cluster = ClusterOptions {
+        exchange: config.exchange,
+        link: config.link,
+        schedule: config.schedule,
+        workers: None,
+        kernel: config.kernel.clone(),
+    };
     let t = Instant::now();
     let (keff, iterations, converged, phi, comm_bytes) = if config.fault.enabled {
         let rec = RecoveryOptions {
             fault: config.fault.comm.clone(),
             checkpoint_interval: config.fault.checkpoint_interval,
-            schedule: config.schedule,
-            kernel: config.kernel.clone(),
-            workers: None,
             max_restarts: config.fault.max_restarts,
-            exchange: config.exchange,
-            link: config.link,
+            cluster,
         };
         let r = {
             let _s = tel.span("transport");
@@ -530,16 +532,9 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
         };
         (r.keff, r.iterations, r.converged, r.phi, r.comm_bytes)
     } else {
-        let copts = ClusterOptions {
-            exchange: config.exchange,
-            link: config.link,
-            schedule: config.schedule,
-            workers: None,
-            kernel: config.kernel.clone(),
-        };
         let r = {
             let _s = tel.span("transport");
-            solve_cluster_with(&decomp, &backend, &config.eigen, &copts)
+            solve_cluster_with(&decomp, &backend, &config.eigen, &cluster)
         };
         let bytes = r.traffic.iter().map(|t| t.sent_bytes).sum();
         (r.keff, r.iterations, r.converged, r.phi, bytes)

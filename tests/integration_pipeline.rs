@@ -77,6 +77,26 @@ fn every_backend_reports_the_sweep_kernel_telemetry() {
 }
 
 #[test]
+fn decomposed_runs_record_the_iteration_series() {
+    // Every rank walks the one driver loop and rank 0 narrates it, so a
+    // decomposed run reports the rows a single-domain solve does.
+    for exchange in ["sync", "pipelined"] {
+        let mut cfg = coarse(&format!(
+            "backend = cpu-serial\n[decomposition]\nnx = 2\nny = 1\nnz = 1\nexchange = {exchange}\n"
+        ));
+        cfg.eigen.max_iterations = 6;
+        let tel = Telemetry::new();
+        let (out, report) = {
+            let _scope = tel.install();
+            (run(&cfg), tel.report())
+        };
+        assert_eq!(report.iterations.len(), out.iterations, "{exchange}");
+        assert_eq!(report.counter("eigen.iterations"), out.iterations as u64, "{exchange}");
+        assert!(report.iterations.iter().all(|row| row.get("k").is_some()), "{exchange}");
+    }
+}
+
+#[test]
 fn storage_modes_do_not_change_the_answer() {
     let otf = run(&coarse("backend = cpu\nmode = otf\n"));
     let exp = run(&coarse("backend = cpu\nmode = explicit\n"));
