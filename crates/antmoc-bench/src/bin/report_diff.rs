@@ -4,8 +4,8 @@
 //! relative delta, gauges by high-water mark, histograms by count and
 //! percentile shift, convergence series by iteration count — and exits
 //! nonzero when any comparison exceeds its threshold. CI diffs the fresh
-//! perf-smoke and case-matrix reports against the committed goldens
-//! under `ci/baselines/`.
+//! case-matrix reports against the committed goldens under
+//! `ci/baselines/` and validates each leg's Chrome trace.
 //!
 //! ```text
 //! report-diff <baseline.json> <fresh.json> [flags]
@@ -16,9 +16,9 @@
 //! Flags: `--counter-tol R` (relative delta, default 0.5),
 //! `--gauge-tol R` (default 0.5), `--hist-ratio R` (max percentile ratio,
 //! default 16), `--iter-tol R` (relative iteration-count delta, default
-//! 0.5). Thresholds are loose on purpose: like the perf-smoke gate, this
-//! catches order-of-magnitude breakage across CI machines, not
-//! single-digit-percent drift.
+//! 0.5). Thresholds are loose on purpose: this catches
+//! order-of-magnitude breakage across CI machines, not
+//! single-digit-percent drift (speed is the repo benchmark's job).
 //!
 //! `--allow-new-sections` is the bootstrap mode for newly added cases:
 //! counters, gauges, histograms, and iteration series present only in the
@@ -30,14 +30,7 @@
 //! carries gauge NAME with a positive high-water mark — CI uses it to
 //! insist a pipelined-exchange run actually overlapped
 //! (`comm.overlap_ratio` present and > 0) rather than silently falling
-//! back to synchronous behaviour. `--require-counter NAME` is the same
-//! demand for counters: the serve-smoke job asserts the warm leg of the
-//! solve-service bench recorded `cache.hit` > 0, i.e. the artifact cache
-//! actually engaged instead of rebuilding every setup. `--require-histogram
-//! NAME` completes the family for distributions: the fresh report must
-//! carry histogram NAME with a nonzero sample count — serve-smoke uses it
-//! to insist the service actually timed its queue waits
-//! (`serve.queue_wait_ns`).
+//! back to synchronous behaviour.
 
 use std::process::ExitCode;
 
@@ -83,14 +76,6 @@ struct Thresholds {
     /// recorded a nonzero `comm.overlap_ratio` — even when the gauge is
     /// noisy-exempt from magnitude comparison.
     require_gauges: Vec<String>,
-    /// Counters that must exist in the *fresh* report with a positive
-    /// value (`--require-counter`, repeatable) — e.g. `cache.hit` on the
-    /// warm leg of the solve-service bench.
-    require_counters: Vec<String>,
-    /// Histograms that must exist in the *fresh* report with a nonzero
-    /// sample count (`--require-histogram`, repeatable) — e.g.
-    /// `serve.queue_wait_ns` after a solve-service bench.
-    require_histograms: Vec<String>,
 }
 
 impl Default for Thresholds {
@@ -102,8 +87,6 @@ impl Default for Thresholds {
             iter_tol: 0.5,
             allow_new: false,
             require_gauges: Vec::new(),
-            require_counters: Vec::new(),
-            require_histograms: Vec::new(),
         }
     }
 }
@@ -219,31 +202,6 @@ fn diff_reports(baseline: &RunReport, fresh: &RunReport, t: &Thresholds) -> Vec<
         }
     }
 
-    // Required counters: same presence-and-positivity contract as
-    // required gauges.
-    for name in &t.require_counters {
-        match fresh.counters.get(name) {
-            None => violations.push(format!("required counter {name}: missing from fresh report")),
-            Some(0) => violations.push(format!("required counter {name}: value 0 is not positive")),
-            Some(_) => {}
-        }
-    }
-
-    // Required histograms: the fresh report must carry the distribution
-    // with at least one recorded sample — an empty histogram means the
-    // instrumented path never executed.
-    for name in &t.require_histograms {
-        match fresh.histograms.get(name) {
-            None => {
-                violations.push(format!("required histogram {name}: missing from fresh report"))
-            }
-            Some(h) if h.count == 0 => {
-                violations.push(format!("required histogram {name}: sample count 0"))
-            }
-            Some(_) => {}
-        }
-    }
-
     // Convergence series: iteration counts within tolerance (an empty
     // series on one side only is structural breakage).
     let (na, nb) = (baseline.iterations.len(), fresh.iterations.len());
@@ -297,8 +255,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: report-diff <baseline.json> <fresh.json> \
          [--counter-tol R] [--gauge-tol R] [--hist-ratio R] [--iter-tol R] \
-         [--allow-new-sections] [--require-gauge NAME]... [--require-counter NAME]...\n\
-         \x20      [--require-histogram NAME]...\n\
+         [--allow-new-sections] [--require-gauge NAME]...\n\
          \x20      report-diff --self <report.json>\n\
          \x20      report-diff --validate-trace <trace.json>"
     );
@@ -329,20 +286,6 @@ fn main() -> ExitCode {
                 Some(name) => t.require_gauges.push(name),
                 None => {
                     eprintln!("report-diff: --require-gauge needs a gauge name");
-                    return usage();
-                }
-            },
-            "--require-counter" => match take(&mut i) {
-                Some(name) => t.require_counters.push(name),
-                None => {
-                    eprintln!("report-diff: --require-counter needs a counter name");
-                    return usage();
-                }
-            },
-            "--require-histogram" => match take(&mut i) {
-                Some(name) => t.require_histograms.push(name),
-                None => {
-                    eprintln!("report-diff: --require-histogram needs a histogram name");
                     return usage();
                 }
             },
@@ -555,85 +498,6 @@ mod tests {
         );
         let t =
             Thresholds { require_gauges: vec!["comm.overlap_ratio".into()], ..Default::default() };
-        let v = diff_reports(&a, &b, &t);
-        assert!(v.iter().any(|m| m.contains("missing from fresh report")), "{v:?}");
-    }
-
-    #[test]
-    fn required_counter_missing_or_zero_is_a_violation() {
-        let a = report_with(1_000_000, 30);
-        let mut b = report_with(1_000_000, 30);
-        let t = Thresholds { require_counters: vec!["cache.hit".into()], ..Default::default() };
-        let v = diff_reports(&a, &b, &t);
-        assert!(v.iter().any(|m| m.contains("required counter cache.hit: missing")), "{v:?}");
-        b.counters.insert("cache.hit".into(), 0);
-        let v = diff_reports(&a, &b, &t);
-        assert!(v.iter().any(|m| m.contains("not positive")), "{v:?}");
-        b.counters.insert("cache.hit".into(), 3);
-        // The fresh-only counter trips the symmetric key-set check but
-        // not the requirement; bootstrap mode isolates the latter.
-        let bootstrap = Thresholds {
-            allow_new: true,
-            require_counters: vec!["cache.hit".into()],
-            ..Default::default()
-        };
-        assert!(diff_reports(&a, &b, &bootstrap).is_empty());
-    }
-
-    #[test]
-    fn required_counter_checks_the_fresh_side_only() {
-        let mut a = report_with(1_000_000, 30);
-        let b = report_with(1_000_000, 30);
-        a.counters.insert("cache.hit".into(), 7);
-        let t = Thresholds { require_counters: vec!["cache.hit".into()], ..Default::default() };
-        let v = diff_reports(&a, &b, &t);
-        assert!(v.iter().any(|m| m.contains("missing from fresh report")), "{v:?}");
-    }
-
-    #[test]
-    fn required_histogram_missing_or_empty_is_a_violation() {
-        let a = report_with(1_000_000, 30);
-        let mut b = report_with(1_000_000, 30);
-        let t = Thresholds {
-            allow_new: true,
-            require_histograms: vec!["serve.queue_wait_ns".into()],
-            ..Default::default()
-        };
-        // Missing entirely: violation.
-        let v = diff_reports(&a, &b, &t);
-        assert!(
-            v.iter().any(|m| m.contains("required histogram serve.queue_wait_ns: missing")),
-            "{v:?}"
-        );
-        // Present but empty: the instrumented path never ran.
-        b.histograms.insert(
-            "serve.queue_wait_ns".into(),
-            antmoc::telemetry::HistogramSummary { count: 0, p50: 0, p90: 0, p99: 0, max: 0 },
-        );
-        let v = diff_reports(&a, &b, &t);
-        assert!(v.iter().any(|m| m.contains("sample count 0")), "{v:?}");
-        // Nonzero count: satisfied.
-        b.histograms.insert(
-            "serve.queue_wait_ns".into(),
-            antmoc::telemetry::HistogramSummary { count: 4, p50: 1, p90: 2, p99: 3, max: 4 },
-        );
-        assert!(diff_reports(&a, &b, &t).is_empty());
-    }
-
-    #[test]
-    fn required_histogram_checks_the_fresh_side_only() {
-        // A baseline carrying the histogram does not satisfy the demand
-        // for a fresh report that lost it.
-        let mut a = report_with(1_000_000, 30);
-        let b = report_with(1_000_000, 30);
-        a.histograms.insert(
-            "serve.queue_wait_ns".into(),
-            antmoc::telemetry::HistogramSummary { count: 9, p50: 1, p90: 2, p99: 3, max: 4 },
-        );
-        let t = Thresholds {
-            require_histograms: vec!["serve.queue_wait_ns".into()],
-            ..Default::default()
-        };
         let v = diff_reports(&a, &b, &t);
         assert!(v.iter().any(|m| m.contains("missing from fresh report")), "{v:?}");
     }

@@ -35,8 +35,8 @@ use antmoc::telemetry::{Json, RunReport as TelemetryReport, Telemetry};
 use antmoc::{run, run_artifact, RunConfig};
 use antmoc_input::CaseSpec;
 
-/// Sweep throughput from the artifact, as perf_smoke measures it:
-/// segments per second spent inside `transport_sweep` spans.
+/// Sweep throughput from the artifact: segments per second spent inside
+/// `transport_sweep` spans.
 fn sweep_throughput(report: &TelemetryReport) -> Option<f64> {
     let segments = report.counter("sweep.segments");
     let seconds: f64 = report

@@ -90,13 +90,24 @@ pub fn solve_eigenvalue_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::SweepSchedule;
     use crate::sweep::SegmentSource;
+    use crate::tally::{ExpMode, KernelConfig};
     use antmoc_geom::geometry::homogeneous_box;
     use antmoc_geom::{AxialModel, BoundaryConds};
     use antmoc_track::TrackParams;
     use antmoc_xs::{c5g7, Material, MaterialLibrary};
 
     fn solve_box(lib: &MaterialLibrary, mat: &str, bcs: BoundaryConds) -> EigenResult {
+        solve_box_with(lib, mat, bcs, KernelConfig::default())
+    }
+
+    fn solve_box_with(
+        lib: &MaterialLibrary,
+        mat: &str,
+        bcs: BoundaryConds,
+        kernel: KernelConfig,
+    ) -> EigenResult {
         let (mid, _) = lib.by_name(mat).unwrap();
         let g = homogeneous_box(mid, 4.0, 4.0, (0.0, 4.0), bcs);
         let axial = AxialModel::uniform(0.0, 4.0, 2.0);
@@ -109,7 +120,7 @@ mod tests {
         };
         let p = Problem::build(g, axial, lib, params);
         let segsrc = SegmentSource::otf();
-        let mut sweeper = CpuSweeper::new(&segsrc);
+        let mut sweeper = CpuSweeper::with_kernel(&segsrc, SweepSchedule::natural(), kernel);
         solve_eigenvalue(
             &p,
             &mut sweeper,
@@ -177,6 +188,16 @@ mod tests {
         );
         // A bare 4 cm fuel cube is leakage-dominated; k is tiny but positive.
         assert!(vac.keff > 0.005, "k {} unphysically small", vac.keff);
+        // The 1e-7 exp table must not move the eigenvalue past 1e-6.
+        let table = solve_box_with(
+            &lib,
+            "UO2",
+            BoundaryConds::vacuum(),
+            KernelConfig { exp: ExpMode::Table, ..Default::default() },
+        );
+        assert!(table.converged);
+        let dk = (table.keff - vac.keff).abs();
+        assert!(dk <= 1e-6, "table k {} vs intrinsic k {} (|dk| {dk:.2e})", table.keff, vac.keff);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! The driver reduces per subdomain, in subdomain order, so a recovered
 //! serial run is bit-identical to a fault-free one however the subdomains
-//! were repacked — the foundation of `fig_fault_recovery`'s 1e-8 gate.
+//! were repacked — what the tests below and `integration_fault_recovery`'s
+//! 1e-8 k_eff check rely on.
 
 use std::sync::Arc;
 

@@ -3,12 +3,13 @@
 //!
 //! For random small geometries and every practical decomposition axis,
 //! the pipelined cluster solve must reproduce the synchronous one
-//! **bitwise** on the serial backend (the serial prepass re-sweeps
-//! boundary tracks into a discarded sink and the receiver applies the
-//! exact sync scaling `((x as f64 * inv) as f32) * weight`, so the
-//! arithmetic sequence is identical), and to 1e-12 relative on the
-//! parallel CPU backend across worker counts {1, 2, 8} (where atomic
-//! tally ordering already makes individual runs rounding-variable).
+//! **bitwise** on the serial backend (both modes sweep serial ranks in
+//! the same boundary-first order, pipelined ships each payload from
+//! inside that one sweep, and the receiver applies the exact sync
+//! scaling `((x as f64 * inv) as f32) * weight`, so the arithmetic
+//! sequence is identical), and to 1e-12 relative on the parallel CPU
+//! backend across worker counts {1, 2, 8}, which ships right after its
+//! sweep.
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, BoundaryConds};

@@ -1,7 +1,8 @@
 //! Run configuration: the typed form of the paper's `config.yaml` input
 //! (Fig. 2, "Read Configuration"), plus a small hand-rolled INI-style
 //! parser so runs are reproducible from text files without extra
-//! dependencies.
+//! dependencies. `KNOWN_KEYS` lists every section and key; any other is
+//! an error with its line.
 //!
 //! ```text
 //! # comment
@@ -246,6 +247,57 @@ impl std::error::Error for ConfigError {}
 /// both the INI parser and the case-file bridge produce.
 type Sections = HashMap<String, HashMap<String, (usize, String)>>;
 
+/// Every section and key [`RunConfig`] reads: the INI sections, of which
+/// all but `[model]` are also the case format's pass-through sections.
+/// Anything else is a typo, rejected rather than silently ignored.
+const KNOWN_KEYS: [(&str, &[&str]); 6] = [
+    ("model", &["case", "rodded", "fuel_rings", "sectors", "reflector_refine", "axial_dz"]),
+    ("tracks", &["num_azim", "radial_spacing", "num_polar", "axial_spacing", "polar_type"]),
+    (
+        "solver",
+        &[
+            "tolerance",
+            "max_iterations",
+            "mode",
+            "manager_budget_mb",
+            "backend",
+            "device_memory_mb",
+            "cu_mapping",
+            "schedule",
+            "tallies",
+            "tally_budget_mb",
+            "exp",
+            "exp_tolerance",
+            "kernel",
+            "block_kb",
+            "balance_sweeps",
+            "fission",
+        ],
+    ),
+    ("decomposition", &["nx", "ny", "nz", "exchange", "link_latency_us", "link_mb_per_s"]),
+    (
+        "fault",
+        &[
+            "enabled",
+            "seed",
+            "drop_p",
+            "flip_p",
+            "max_retries",
+            "backoff_us",
+            "recv_timeout_ms",
+            "checkpoint_interval",
+            "max_restarts",
+            "kill_rank",
+            "kill_iteration",
+        ],
+    ),
+    ("telemetry", &["trace", "trace_cap"]),
+];
+
+fn known_keys(section: &str) -> Option<&'static [&'static str]> {
+    KNOWN_KEYS.iter().find(|(name, _)| *name == section).map(|&(_, keys)| keys)
+}
+
 impl RunConfig {
     /// Parses the INI-style text format.
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
@@ -264,6 +316,12 @@ impl RunConfig {
                     message: format!("malformed section header {stripped:?}"),
                 })?;
                 current = name.trim().to_lowercase();
+                if known_keys(&current).is_none() {
+                    return Err(ConfigError {
+                        line,
+                        message: format!("unknown section [{current}]"),
+                    });
+                }
                 sections.entry(current.clone()).or_default();
                 continue;
             }
@@ -271,6 +329,12 @@ impl RunConfig {
                 line,
                 message: format!("expected `key = value`, got {stripped:?}"),
             })?;
+            if current.is_empty() {
+                return Err(ConfigError {
+                    line,
+                    message: format!("key {:?} outside any [section]", key.trim()),
+                });
+            }
             sections
                 .entry(current.clone())
                 .or_default()
@@ -328,6 +392,21 @@ impl RunConfig {
     }
 
     fn from_sections(sections: &Sections) -> Result<Self, ConfigError> {
+        // Reject unknown keys before reading any; report the first by line
+        // so the error does not depend on map iteration order.
+        let unknown = sections
+            .iter()
+            .flat_map(|(sec, keys)| keys.iter().map(move |(key, &(line, _))| (line, sec, key)))
+            .filter(|(_, sec, key)| !known_keys(sec).is_some_and(|k| k.contains(&key.as_str())))
+            .min();
+        if let Some((line, sec, key)) = unknown {
+            let known = known_keys(sec).map_or_else(String::new, |k| k.join(", "));
+            return Err(ConfigError {
+                line,
+                message: format!("unknown key {key:?} in [{sec}] (known: {known})"),
+            });
+        }
+
         let mut cfg = RunConfig::default();
         let get = |sec: &str, key: &str| -> Option<(usize, String)> {
             sections.get(sec).and_then(|s| s.get(key)).cloned()
@@ -695,6 +774,25 @@ nz = 2
     }
 
     #[test]
+    fn unknown_keys_and_sections_fail_with_their_line() {
+        // A misspelt key is an error, not a silent default.
+        let err = RunConfig::parse("[solver]\nbackend = device\ntolerence = banana\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("\"tolerence\" in [solver]"), "{err}");
+        assert!(err.message.contains("tolerance"), "the known keys are listed: {err}");
+        // So is a misspelt section, and a key outside any section.
+        let err =
+            RunConfig::parse("[model]\ncase = c5g7\n[solvr]\nbackend = device\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("[solvr]"), "{err}");
+        let err = RunConfig::parse("tolerance = 1e-4\n[solver]\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        // Of several unknown keys, the first by line is reported.
+        let err = RunConfig::parse("[tracks]\nnum_azim = 4\nb = 1\n[fault]\na = 1\n").unwrap_err();
+        assert_eq!(err.line, 3);
+    }
+
+    #[test]
     fn unknown_enum_values_fail() {
         assert!(RunConfig::parse("[solver]\nmode = turbo\n").is_err());
         assert!(RunConfig::parse("[model]\nrodded = c\n").is_err());
@@ -896,6 +994,15 @@ backend = cpu-serial
         assert!((cfg.tracks.radial_spacing - 0.6).abs() < 1e-12);
         assert!((cfg.eigen.tolerance - 2e-4).abs() < 1e-18);
         assert_eq!(cfg.backend, BackendConfig::CpuSerial);
+    }
+
+    #[test]
+    fn from_case_rejects_unknown_passthrough_keys() {
+        let text = CASE.replace("mode = otf", "mode = otf\nbackedn = \"device\"");
+        let spec = CaseSpec::parse(&text).unwrap();
+        let err = RunConfig::from_case(&spec).unwrap_err();
+        assert!(err.message.contains("\"backedn\" in [solver]"), "{err}");
+        assert_eq!(err.line, text.lines().position(|l| l.starts_with("backedn")).unwrap() + 1);
     }
 
     #[test]

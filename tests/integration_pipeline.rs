@@ -68,6 +68,11 @@ fn every_backend_reports_the_sweep_kernel_telemetry() {
             "{backend}"
         );
         assert!(report.counter("sweep.tracks") > 0, "{backend}");
+        // Every backend resolves these problems to privatized tallies,
+        // which never retry a CAS. The retry count is a process-wide
+        // delta, so this holds only in a binary, like this one, that runs
+        // no contended atomic adds.
+        assert_eq!(report.counters.get("sweep.cas_retries"), Some(&0), "{backend}");
         for gauge in ["sweep.tally_bytes", "sweep.bytes_per_segment"] {
             assert!(report.gauges.contains_key(gauge), "{backend}: no {gauge} gauge");
         }
