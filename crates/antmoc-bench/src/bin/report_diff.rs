@@ -37,10 +37,9 @@ use std::process::ExitCode;
 use antmoc::telemetry::{json, Json, RunReport};
 
 /// Metric keys whose values are load- or machine-dependent by nature
-/// (steal traffic, CAS contention, retry counts, trace bookkeeping).
+/// (CAS contention, retry counts, worker balance, trace bookkeeping).
 /// Their *presence* still matters, but their magnitudes are not gated.
 const NOISY_PREFIXES: &[&str] = &[
-    "sweep.steal",
     "sweep.cas_retries",
     "sweep.cas_burst",
     "sweep.track_ns",
@@ -158,8 +157,8 @@ fn diff_reports(baseline: &RunReport, fresh: &RunReport, t: &Thresholds) -> Vec<
     // tolerance and p50/p99 may shift at most `hist_ratio`.
     for key in baseline.histograms.keys().chain(fresh.histograms.keys()) {
         // The noisy exemption covers existence too: a load-dependent
-        // histogram (steal latency, CAS bursts) appears only when the run
-        // was actually contended, so one-sidedness there is not breakage.
+        // histogram (CAS bursts, traced-only track times) appears only on
+        // some runs, so one-sidedness there is not breakage.
         if is_noisy(key) {
             continue;
         }

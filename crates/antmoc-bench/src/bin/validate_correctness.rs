@@ -158,14 +158,10 @@ nz = 2
     let _ = solve_eigenvalue(&problem, &mut dev_solver, &opts);
     let t_dev = t0.elapsed().as_secs_f64();
 
-    let serial = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let segsrc = SegmentSource::otf();
-    let t_cpu = serial.install(|| {
-        let mut sweeper = CpuSweeper::new(&segsrc);
-        let t0 = Instant::now();
-        let _ = solve_eigenvalue(&problem, &mut sweeper, &opts);
-        t0.elapsed().as_secs_f64()
-    });
+    let t0 = Instant::now();
+    let _ = solve_eigenvalue(&problem, &mut CpuSweeper::new(&segsrc).serial(), &opts);
+    let t_cpu = t0.elapsed().as_secs_f64();
     println!("  device (parallel, EXP): {t_dev:.2} s for 5 iterations");
     println!("  serial CPU (OTF)      : {t_cpu:.2} s for 5 iterations");
     println!("  speedup               : {:.1}x", t_cpu / t_dev);

@@ -21,9 +21,9 @@
 //! * **tracks** — [`TrackParams::cache_key_fragment`] (quadrature +
 //!   spacings, bit-exact floats);
 //! * **mode** — the segment storage mode, including the manager budget;
-//! * **backend** — the backend *class* (the serial and device backends
-//!   skip the shared segment store, so their setups differ from the
-//!   parallel CPU one);
+//! * **backend** — the backend *class* (the device backend skips the
+//!   shared segment store, so its setup differs from the CPU one;
+//!   `cpu-serial` builds the CPU setup under its own class);
 //! * **exp** — the exponential evaluator, with the table tolerance
 //!   (bit-exact) when `exp = table`; intrinsic runs ignore the tolerance
 //!   and deliberately share a key across tolerance values.

@@ -14,11 +14,12 @@
 //!   gather the scaled boundary exits, ship, swap, blocking receive.
 //! * **Pipelined** — boundary exits ship *unnormalised* as soon as they
 //!   are final, in flight while interior tracks sweep and the collectives
-//!   run: serial ranks ship each neighbour's payload from inside their
-//!   boundary-first sweep, other backends right after it. Receives poll
-//!   first ([`Comm::try_recv`]) and fold the deferred normalisation into
-//!   the delivery weights, which keeps the modes bitwise identical on the
-//!   serial backend (both sweep it in the same order).
+//!   run: ranks sweeping on one worker (every serial rank) ship each
+//!   neighbour's payload from inside their sweep, others right after it.
+//!   Receives poll first ([`Comm::try_recv`]) and fold the deferred
+//!   normalisation into the delivery weights, which keeps the modes
+//!   bitwise identical on the serial backend (both sweep it in the same
+//!   order).
 
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ use crate::eigen::EigenOptions;
 use crate::problem::Problem;
 use crate::schedule::{ScheduleKind, SweepSchedule};
 use crate::sweep::{SegmentSource, StorageMode};
-pub use crate::sweeper::{BufferedSerialSweeper, SerialSweeper};
+pub use crate::sweeper::SerialSweeper;
 use crate::sweeper::{CpuSweeper, Sweeper};
 use crate::tally::{KernelConfig, SweepArena};
 
@@ -44,7 +45,7 @@ use crate::tally::{KernelConfig, SweepArena};
 pub enum Backend {
     /// Plain CPU sweeps (each rank sweeps on the shared rayon pool).
     Cpu,
-    /// Serial CPU sweeps: one core per rank. The honest configuration for
+    /// CPU sweeps on one worker per rank. The honest configuration for
     /// measured scaling studies, since thread-ranks then map 1:1 onto
     /// host cores instead of contending for the shared pool.
     CpuSerial,
@@ -95,10 +96,10 @@ pub struct ClusterOptions {
     /// both exchange modes share, which makes them bitwise comparable —
     /// and the device backend orders via its CU mapping.
     pub schedule: ScheduleKind,
-    /// Worker threads per rank (`None` shares the global pool).
+    /// Worker threads per rank (`None` shares the global pool; the serial
+    /// backend always sweeps on one).
     pub workers: Option<usize>,
-    /// Sweep-kernel configuration for the `Cpu` and `Device` backends (the
-    /// serial backend always runs the default configuration).
+    /// Sweep-kernel configuration for every backend.
     pub kernel: KernelConfig,
 }
 
@@ -147,7 +148,8 @@ pub fn solve_cluster_with(
 /// The sweeper one executor runs for a hosted subdomain on `backend`.
 /// `plan` is the subdomain's exchange plan: the `boundary_first` CPU
 /// schedule and the serial backend's fixed order sweep the tracks whose
-/// exits it ships first.
+/// exits it ships first. The serial backend is the CPU sweeper pinned to
+/// one worker.
 fn rank_sweeper<'a>(
     backend: &Backend,
     problem: &Problem,
@@ -159,21 +161,17 @@ fn rank_sweeper<'a>(
     boundary.sort_unstable();
     boundary.dedup();
     let workers = rayon::current_num_threads();
+    let cpu = |schedule| CpuSweeper::with_kernel(segsrc, schedule, copts.kernel.clone());
     match backend {
-        Backend::Cpu => {
-            let schedule = match copts.schedule {
-                ScheduleKind::BoundaryFirst => {
-                    SweepSchedule::boundary_first(problem, &boundary, workers)
-                }
-                kind => SweepSchedule::with_workers(kind, problem, workers),
-            };
-            Box::new(CpuSweeper::with_kernel(segsrc, schedule, copts.kernel.clone()))
-        }
-        Backend::CpuSerial => {
-            let mut serial = BufferedSerialSweeper::new(segsrc);
-            serial.order = SweepSchedule::serial_boundary_first(problem.num_tracks(), &boundary);
-            Box::new(serial)
-        }
+        Backend::Cpu => Box::new(cpu(match copts.schedule {
+            ScheduleKind::BoundaryFirst => {
+                SweepSchedule::boundary_first(problem, &boundary, workers)
+            }
+            kind => SweepSchedule::with_workers(kind, problem, workers),
+        })),
+        Backend::CpuSerial => Box::new(
+            cpu(SweepSchedule::serial_boundary_first(problem.num_tracks(), &boundary)).serial(),
+        ),
         Backend::Device { spec, mode, mapping } => Box::new(
             DeviceSolver::new(Arc::new(Device::new(spec.clone())), problem, *mode, *mapping)
                 .expect("device solver setup failed (OOM?)")
@@ -355,8 +353,8 @@ mod tests {
         let opts = EigenOptions { tolerance: 1e-30, max_iterations: 15, ..Default::default() };
         let a = solve_cluster(&d, &Backend::Cpu, &opts);
         let b = solve_cluster(&d, &Backend::CpuSerial, &opts);
-        // Identical algorithm, different execution order: results agree
-        // to the f32-bank / atomic-order noise floor.
+        // Identical algorithm, different track order and tally grouping:
+        // results agree to the f32-bank rounding floor.
         assert!((a.keff - b.keff).abs() < 1e-6, "parallel {} vs serial {}", a.keff, b.keff);
     }
 

@@ -110,9 +110,13 @@ struct PairSend {
     dest: usize,
     tag: u32,
     items: Vec<(u32, u8)>,
-    /// The highest track in `items`: once a sweep in ascending boundary
-    /// order has passed it, every exit of the group is final.
-    ready: u32,
+    /// The distinct tracks of `items`, ascending. A sweep that reports
+    /// them in this order (the serial boundary-first and the natural
+    /// orders do) makes every exit final at the last one; a sweep in any
+    /// other order ships the payload after it returns.
+    tracks: Vec<u32>,
+    /// How many of `tracks`, in order, this iteration's sweep has reported.
+    swept: usize,
     /// The matching `recvs` entry when the receiver is hosted here too.
     local: Option<usize>,
     shipped: bool,
@@ -185,19 +189,24 @@ impl<'a> Link<'a> {
                 match sends.last_mut() {
                     Some(ps) if ps.from == from && ps.tag == tag(f, t) => {
                         ps.items.push(item.local_traversal);
-                        ps.ready = ps.ready.max(track);
+                        ps.tracks.push(track);
                     }
                     _ => sends.push(PairSend {
                         from,
                         dest: assignment[t] as usize,
                         tag: tag(f, t),
                         items: vec![item.local_traversal],
-                        ready: track,
+                        tracks: vec![track],
+                        swept: 0,
                         local: recvs.iter().position(|r| r.tag == tag(f, t)),
                         shipped: false,
                     }),
                 }
             }
+        }
+        for ps in &mut sends {
+            ps.tracks.sort_unstable();
+            ps.tracks.dedup();
         }
         Self {
             fc,
@@ -236,13 +245,18 @@ impl<'a> Link<'a> {
         Ok(())
     }
 
-    /// Ships every payload of hosted subdomain `from` whose ready point
-    /// the sweep has reached at track `t` (`u32::MAX`: the sweep is done).
-    /// A failure is kept for the driver to raise once the sweep returns.
+    /// Notes that hosted subdomain `from` finished track `t` and ships
+    /// every payload of it whose tracks it has now reported in order
+    /// (`u32::MAX`: the sweep is done). A failure is kept for the driver
+    /// to raise once the sweep returns.
     fn ship_ready(&mut self, from: usize, t: u32, banks: &FluxBanks) {
         for i in 0..self.sends.len() {
-            let ps = &self.sends[i];
-            if self.error.is_none() && ps.from == from && !ps.shipped && ps.ready <= t {
+            let ps = &mut self.sends[i];
+            if ps.from != from || ps.shipped {
+                continue;
+            }
+            ps.swept += usize::from(ps.tracks.get(ps.swept) == Some(&t));
+            if self.error.is_none() && (t == u32::MAX || ps.swept == ps.tracks.len()) {
                 self.error = self.ship(i, banks).err();
             }
         }
@@ -265,7 +279,7 @@ impl<'a> Link<'a> {
             if !self.sends[i].shipped {
                 self.ship(i, &hosted[self.sends[i].from].banks)?;
             }
-            self.sends[i].shipped = false;
+            (self.sends[i].shipped, self.sends[i].swept) = (false, 0);
         }
         for h in hosted.iter_mut() {
             h.banks.swap();

@@ -1,14 +1,15 @@
 //! Sweep dispatch schedules: the order track indices are handed to the
-//! work-stealing scheduler.
+//! pool, whose static partition gives worker `w` of `W` the `w`-th
+//! contiguous slice of that order.
 //!
 //! The paper's L3 mapping (§4.2.3) assigns 3D tracks to CUs by descending
 //! segment count because per-track work is wildly non-uniform. The same
 //! argument applies to CPU workers: [`ScheduleKind::L3Sorted`] reuses
 //! `antmoc_balance::l3::sorted_round_robin` over the per-track segment
-//! counts and lays the bins out so the scheduler's contiguous seeding
-//! hands worker `w` exactly bin `w` — a pre-balanced start that work
-//! stealing only has to polish. [`ScheduleKind::Natural`] is the identity
-//! order (Algorithm 1's natural mapping).
+//! counts and lays the bins out so the partition hands worker `w` exactly
+//! bin `w` — with two or more workers it *is* the paper's L3 deal.
+//! [`ScheduleKind::Natural`] is the identity order (Algorithm 1's natural
+//! mapping).
 
 use antmoc_balance::l3::sorted_round_robin;
 
@@ -66,9 +67,9 @@ impl SweepSchedule {
                 let weights: Vec<u64> =
                     problem.sweep_tracks.iter().map(|t| t.num_segments as u64).collect();
                 let bins = sorted_round_robin(&weights, workers.max(1));
-                // Concatenating the bins aligns them with the scheduler's
-                // contiguous per-worker seeding (bin sizes differ by at
-                // most one, matching its near-even split).
+                // Concatenating the bins aligns them with the pool's
+                // contiguous per-worker slices (bin sizes differ by at
+                // most one, the first ones larger, matching its split).
                 Self { kind, order: Some(bins.concat()) }
             }
             // Without an exchange plan there are no boundary tracks to

@@ -1,7 +1,9 @@
 //! The transport sweep: boundary flux banks, the one per-track segment
 //! kernel every backend runs ([`sweep_track`]), and the region driver
 //! that delivers its tallies ([`sweep_region`], behind
-//! [`transport_sweep_with`] and the device solver).
+//! [`transport_sweep_with`] and the device solver). Tracks reach threads
+//! one way only: the pool's static partition of the dispatch order, so
+//! which worker sweeps which track is fixed for a given worker count.
 //!
 //! The sweep integrates Equation (1) of the paper along every 3D track in
 //! both directions: `delta psi = (psi - q) * (1 - exp(-sigma_t * l))` per
@@ -26,13 +28,7 @@ use crate::exptable::ExpEval;
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
 use crate::simd::{padded_groups, F64x4, LANES};
-use crate::tally::{KernelConfig, SweepArena, SweepKernel, SweepTallies};
-
-/// CAS retries taken by [`atomic_add_f64`] since process start. The retry
-/// branch only runs under contention, so the extra relaxed increment is
-/// off the fast path; `sweep_region` samples the difference per sweep
-/// into the `sweep.cas_retries` counter.
-static CAS_RETRIES: AtomicU64 = AtomicU64::new(0);
+use crate::tally::{SweepArena, SweepKernel, SweepTallies};
 
 /// Maximum supported energy groups: the per-traversal state is stack
 /// arrays of this size, and [`sweep_track`] has one monomorphized body per
@@ -266,7 +262,8 @@ pub fn atomic_add_f64(slot: &AtomicU64, value: f64) {
 }
 
 /// [`atomic_add_f64`] that also reports the CAS retries this one call
-/// burned, letting the arena sweep histogram per-track retry *bursts*
+/// burned. The arena sweep sums them per track, into its own
+/// `sweep.cas_retries` total and a histogram of per-track retry *bursts*
 /// (a mean hides the pathological hot-FSR track the paper's contention
 /// analysis cares about). Arithmetic is identical to the uncounted form.
 #[inline]
@@ -278,7 +275,6 @@ pub(crate) fn atomic_add_f64_counted(slot: &AtomicU64, value: f64) -> u32 {
         match slot.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return retries,
             Err(c) => {
-                CAS_RETRIES.fetch_add(1, Ordering::Relaxed);
                 retries += 1;
                 cur = c;
             }
@@ -347,7 +343,7 @@ fn track_segments<'a>(
 }
 
 /// Adds one segment's group span into a plain `f64` tally buffer in
-/// ascending group order (the privatized and serial tally delivery).
+/// ascending group order (the privatized tally delivery).
 #[inline]
 fn add_span(buf: &mut [f64], qb: usize, vals: &[f64]) {
     for (b, &v) in buf[qb..qb + vals.len()].iter_mut().zip(vals) {
@@ -560,10 +556,12 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
 struct WorkerTotals {
     segments: u64,
     leakage: f64,
+    /// Per-track wall time, recorded only when tracing is on.
     track_ns: Histogram,
-    /// Per-track CAS-retry bursts (atomic tallies only): the
-    /// `sweep.cas_retries` counter totals them, but contention is bursty
-    /// (a few hot-FSR tracks), so the distribution is the signal.
+    /// CAS retries this sweep's own atomic adds took.
+    cas_retries: u64,
+    /// Per-track CAS-retry bursts (atomic tallies only): contention is
+    /// bursty (a few hot-FSR tracks), so the distribution is the signal.
     cas_burst: Histogram,
 }
 
@@ -579,7 +577,14 @@ struct WorkerTotals {
 /// * **Privatized** strategy: plain adds into the executing worker's
 ///   private buffer, reduced in ascending worker order afterwards — zero
 ///   `sweep.cas_retries`, and bitwise-deterministic results whenever the
-///   dispatch maps tracks to workers deterministically.
+///   dispatch maps tracks to workers deterministically (the pool's static
+///   partition does).
+///
+/// `sweep.cas_retries` counts the retries of this sweep's own adds, never
+/// another sweep's. The clock is read per track only when tracing is on:
+/// the trace slice needs those reads, and they also feed the
+/// `sweep.track_ns` histogram. Untraced multi-worker sweeps still report
+/// per-worker busy time from the pool's region stats.
 pub(crate) fn sweep_region(
     problem: &Problem,
     segsrc: &SegmentSource,
@@ -591,13 +596,11 @@ pub(crate) fn sweep_region(
 ) -> SweepOutcome {
     let tel = Telemetry::current();
     let _sweep_span = tel.span("transport_sweep");
-    let retries_before = CAS_RETRIES.load(Ordering::Relaxed);
 
     let g = problem.num_groups();
     let nf = problem.num_fsrs() * g;
     let strategy = arena.resolve(workers, problem.num_fsrs(), g);
     arena.prepare(workers, nf, strategy);
-    let mut phi = arena.take_phi(nf);
 
     let mut totals = rayon::WorkerLocal::new(workers, |_| WorkerTotals::default());
     let tracing = tel.trace_enabled();
@@ -609,7 +612,7 @@ pub(crate) fn sweep_region(
         let shared = matches!(strategy, SweepTallies::Atomic).then(|| arena.atomic_slots());
         let totals = &totals;
         let body = |t: u32| -> u64 {
-            let t0 = Instant::now();
+            let t0 = tracing.then(Instant::now);
             let mut burst = 0u32;
             let (s, l) = track_bufs.with(|bufs| match shared {
                 Some(slots) => {
@@ -620,187 +623,89 @@ pub(crate) fn sweep_region(
                     })
                 }
                 None => worker_phi.with(|buf| {
-                    sweep_track(problem, segsrc, q, banks, t, kernel, &exp, bufs, |qb, vals| {
-                        add_span(buf, qb, vals)
-                    })
+                    // The sink owns the slice itself, so the segment loop
+                    // holds its base and length rather than a path to them.
+                    let buf = buf.as_mut_slice();
+                    sweep_track(
+                        problem,
+                        segsrc,
+                        q,
+                        banks,
+                        t,
+                        kernel,
+                        &exp,
+                        bufs,
+                        move |qb, vals| add_span(buf, qb, vals),
+                    )
                 }),
             });
             totals.with(|tot| {
                 tot.segments += s;
                 tot.leakage += l;
-                tot.track_ns.record(t0.elapsed().as_nanos() as u64);
                 if shared.is_some() {
+                    tot.cas_retries += burst as u64;
                     tot.cas_burst.record(burst as u64);
                 }
+                if let Some(t0) = t0 {
+                    tot.track_ns.record(t0.elapsed().as_nanos() as u64);
+                    tel.trace_complete_since(
+                        "track",
+                        t0,
+                        &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
+                    );
+                }
             });
-            if tracing {
-                tel.trace_complete_since(
-                    "track",
-                    t0,
-                    &[("track", Json::Uint(t as u64)), ("segments", Json::Uint(s))],
-                );
-            }
             s
         };
         dispatch(strategy, &body);
     }
 
-    // Fixed worker-order reductions: the per-worker (segments, leakage)
-    // totals, then the tallies.
-    let mut segments = 0u64;
-    let mut leakage = 0.0f64;
+    // Fixed worker-order reductions: the per-worker (segments, leakage,
+    // retries) totals, then the tallies.
+    let (mut segments, mut leakage, mut retries) = (0u64, 0.0f64, 0u64);
     for tot in totals.iter_mut() {
         segments += tot.segments;
         leakage += tot.leakage;
+        retries += tot.cas_retries;
         tel.histogram_merge("sweep.track_ns", &tot.track_ns);
         tel.histogram_merge("sweep.cas_burst", &tot.cas_burst);
     }
-    match strategy {
+    let phi = match strategy {
         SweepTallies::Atomic => {
+            let mut phi = arena.take_phi(nf);
             for (acc, slot) in phi.iter_mut().zip(arena.atomic_slots()) {
                 *acc = f64::from_bits(slot.load(Ordering::Relaxed));
             }
+            phi
         }
-        SweepTallies::Privatized { workers: w } => arena.reduce_privatized(&mut phi, w),
-    }
+        SweepTallies::Privatized { workers: w } => arena.take_privatized(nf, w),
+    };
 
-    if let Some(stats) = rayon::take_last_region_stats() {
+    // Taken unconditionally so no earlier region's stats outlive it; a
+    // one-worker dispatch leaves none of its own.
+    if let Some(stats) = rayon::take_last_region_stats().filter(|_| workers > 1) {
         record_scheduler_stats(&tel, &stats);
     }
-    let retries = CAS_RETRIES.load(Ordering::Relaxed).wrapping_sub(retries_before);
-    record_sweep(
-        &tel,
-        problem,
-        &arena.kernel,
-        strategy,
-        workers,
-        arena.block_bytes(),
-        segments,
-        retries,
-    );
 
-    SweepOutcome { phi_acc: phi, leakage, segments }
-}
-
-/// A full transport sweep on the rayon pool, dispatching tracks in the
-/// order given by `schedule`. The tally strategy, kernel and exp
-/// evaluator come from the arena's [`crate::tally::KernelConfig`], and
-/// every large allocation (flux accumulator, per-worker tally buffers,
-/// track scratch, exp table) is reused across calls.
-///
-/// Atomic tallies dispatch through the work-stealing scheduler;
-/// privatized tallies take a static partition of the dispatch order (one
-/// contiguous slice per worker, no stealing), which makes them run-to-run
-/// bitwise deterministic for a fixed worker count and schedule.
-pub fn transport_sweep_with(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-    schedule: &SweepSchedule,
-    arena: &mut SweepArena,
-) -> SweepOutcome {
-    let n = problem.num_tracks();
-    if let Some(len) = schedule.explicit_len() {
-        assert_eq!(len, n, "schedule built for a different problem");
-    }
-    let workers = rayon::current_num_threads().clamp(1, n.max(1));
-    sweep_region(problem, segsrc, q, banks, arena, workers, |strategy, track| match strategy {
-        SweepTallies::Atomic => (0..n).into_par_iter().for_each(|i| {
-            track(schedule.track_at(i));
-        }),
-        SweepTallies::Privatized { .. } => {
-            rayon::static_partition_fold(
-                n,
-                |_w| (),
-                |(), i| {
-                    track(schedule.track_at(i));
-                },
-            );
-        }
-    })
-}
-
-/// A one-thread sweep over a plain `f64` tally buffer with the default
-/// kernel configuration (the `cpu-serial` backend takes no `[solver]`
-/// kernel keys), tracks in `order`, calling `swept(t)` as each track `t`
-/// finishes. In natural order it is bitwise equal to a one-worker
-/// [`transport_sweep_with`] — a single private buffer receives the same
-/// adds in the same order, and reducing it into a zeroed accumulator
-/// changes no bits. `phi` is the accumulator to reuse — a recycled
-/// `SweepOutcome::phi_acc` of any length and content, or an empty vector.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_serial(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-    order: &SweepSchedule,
-    bufs: &mut TrackBufs,
-    mut phi: Vec<f64>,
-    swept: &mut dyn FnMut(u32),
-) -> SweepOutcome {
-    let tel = Telemetry::current();
-    let _sweep_span = tel.span("transport_sweep");
-    phi.clear();
-    phi.resize(problem.num_fsrs() * problem.num_groups(), 0.0);
-    let mut segments = 0u64;
-    let mut leakage = 0.0f64;
-    let kernel = SweepKernel::default();
-    for i in 0..problem.num_tracks() {
-        let t = order.track_at(i);
-        let (s, l) = sweep_track(
-            problem,
-            segsrc,
-            q,
-            banks,
-            t,
-            kernel,
-            &ExpEval::Intrinsic,
-            bufs,
-            |qb, v| add_span(&mut phi, qb, v),
-        );
-        segments += s;
-        leakage += l;
-        swept(t);
-    }
-    let strategy = SweepTallies::Privatized { workers: 1 };
-    record_sweep(&tel, problem, &KernelConfig::default(), strategy, 1, 0, segments, 0);
-    SweepOutcome { phi_acc: phi, leakage, segments }
-}
-
-/// Records what every backend's sweep reports: segment/track/retry
-/// counters, the tally footprint and roofline gauges, and the
-/// `sweep_kernel` section. `block_bytes` is 0 where no blocked reduction
-/// runs (the serial backend tallies straight into the accumulator).
-#[allow(clippy::too_many_arguments)]
-fn record_sweep(
-    tel: &Telemetry,
-    problem: &Problem,
-    config: &KernelConfig,
-    strategy: SweepTallies,
-    workers: usize,
-    block_bytes: u64,
-    segments: u64,
-    cas_retries: u64,
-) {
-    let n = problem.num_tracks() as u64;
-    let g = problem.num_groups();
+    // What every backend's sweep reports: segment/track/retry counters,
+    // the tally footprint and roofline gauges, and the `sweep_kernel`
+    // section.
+    let (config, n) = (&arena.kernel, problem.num_tracks() as u64);
     tel.counter_add("sweep.segments", segments);
     tel.counter_add("sweep.tracks", n);
     // A zero delta still creates the key: the quiet counter is the point.
-    tel.counter_add("sweep.cas_retries", cas_retries);
-    if tel.trace_enabled() {
+    tel.counter_add("sweep.cas_retries", retries);
+    if tracing {
         tel.trace_instant(
             "sweep.summary",
             &[
                 ("tracks", Json::Uint(n)),
                 ("segments", Json::Uint(segments)),
-                ("cas_retries", Json::Uint(cas_retries)),
+                ("cas_retries", Json::Uint(retries)),
             ],
         );
     }
-    tel.gauge_set("sweep.tally_bytes", strategy.bytes(problem.num_fsrs() * g) as f64);
+    tel.gauge_set("sweep.tally_bytes", strategy.bytes(nf) as f64);
     // Roofline numerator: modelled memory traffic per segment traversal
     // (the staged vector kernel trades extra span bytes for half the
     // transcendental work — see `antmoc_perfmodel::sweep_bytes_per_segment`).
@@ -814,37 +719,85 @@ fn record_sweep(
             ("workers".into(), Json::Uint(workers as u64)),
             ("kernel".into(), Json::Str(config.kernel.name().into())),
             ("lanes".into(), Json::Uint(config.kernel.lanes() as u64)),
-            ("block_kb".into(), Json::Uint(block_bytes >> 10)),
+            ("block_kb".into(), Json::Uint(arena.block_bytes() >> 10)),
         ]),
     );
+
+    SweepOutcome { phi_acc: phi, leakage, segments }
 }
 
-/// Records one sweep's scheduler stats: steal counters, the max/mean
-/// worker load ratio (gauge, high-water retained across sweeps), and a
-/// `sweep_workers` section with the last sweep's per-worker busy time and
-/// item counts. Single-worker regions record **nothing** — a serial pool
-/// neither steals nor balances, and zeroed keys would read as a perfectly
+/// A full transport sweep on the rayon pool, dispatching tracks in the
+/// order given by `schedule`. The tally strategy, kernel and exp
+/// evaluator come from the arena's [`crate::tally::KernelConfig`], and
+/// every large allocation (flux accumulator, per-worker tally buffers,
+/// track scratch, exp table) is reused across calls.
+///
+/// Both tally strategies take the pool's static partition of the
+/// dispatch order: worker `w` sweeps the `w`-th contiguous slice, so
+/// privatized tallies repeat bit for bit for a fixed worker count and
+/// schedule ([`SweepSchedule`]'s L3 deal lays its bins out for exactly
+/// that partition).
+pub fn transport_sweep_with(
+    problem: &Problem,
+    segsrc: &SegmentSource,
+    q: &[f64],
+    banks: &FluxBanks,
+    schedule: &SweepSchedule,
+    arena: &mut SweepArena,
+) -> SweepOutcome {
+    transport_sweep_observed(problem, segsrc, q, banks, schedule, arena, None)
+}
+
+/// [`transport_sweep_with`] that, when the region has one worker, calls
+/// `swept(t)` as each track `t` finishes: one worker sweeps the whole
+/// dispatch order on the calling thread, so every track is final the
+/// moment its body returns. Multi-worker sweeps report nothing.
+pub(crate) fn transport_sweep_observed(
+    problem: &Problem,
+    segsrc: &SegmentSource,
+    q: &[f64],
+    banks: &FluxBanks,
+    schedule: &SweepSchedule,
+    arena: &mut SweepArena,
+    swept: Option<&mut dyn FnMut(u32)>,
+) -> SweepOutcome {
+    let n = problem.num_tracks();
+    if let Some(len) = schedule.explicit_len() {
+        assert_eq!(len, n, "schedule built for a different problem");
+    }
+    let workers = rayon::current_num_threads().clamp(1, n.max(1));
+    sweep_region(problem, segsrc, q, banks, arena, workers, |_, track| match swept {
+        Some(swept) if workers == 1 => (0..n).for_each(|i| {
+            let t = schedule.track_at(i);
+            track(t);
+            swept(t);
+        }),
+        _ => (0..n).into_par_iter().for_each(|i| {
+            track(schedule.track_at(i));
+        }),
+    })
+}
+
+/// Records one sweep's scheduler stats: the max/mean worker load ratio
+/// (gauge, high-water retained across sweeps), the busy-time gauges, and
+/// a `sweep_workers` section with the last sweep's per-worker busy time
+/// and item counts. Single-worker regions record **nothing** — a serial
+/// pool has nothing to balance, and zeroed keys would read as a perfectly
 /// level schedule instead of an unmeasured one.
 pub fn record_scheduler_stats(tel: &Telemetry, stats: &rayon::RegionStats) {
     if stats.workers <= 1 {
         return;
     }
-    tel.counter_add("sweep.steal_attempts", stats.steal_attempts);
-    tel.counter_add("sweep.steals", stats.steals);
     let mean = stats.busy_s.iter().sum::<f64>() / stats.workers as f64;
     let max = stats.busy_s.iter().cloned().fold(0.0f64, f64::max);
     tel.gauge_set("sweep.load_ratio", stats.load_ratio());
     tel.gauge_set("sweep.worker_busy_max_s", max);
     tel.gauge_set("sweep.worker_busy_mean_s", mean);
-    for &w in &stats.wait_s {
-        tel.histogram_record("sweep.steal_wait_ns", (w * 1e9) as u64);
-    }
     tel.set_section(
         "sweep_workers",
         Json::Obj(vec![
             ("workers".into(), Json::Uint(stats.workers as u64)),
             ("busy_s".into(), Json::Arr(stats.busy_s.iter().map(|&b| Json::Num(b)).collect())),
-            ("wait_s".into(), Json::Arr(stats.wait_s.iter().map(|&w| Json::Num(w)).collect())),
             ("items".into(), Json::Arr(stats.items.iter().map(|&i| Json::Uint(i)).collect())),
         ]),
     );
@@ -854,6 +807,7 @@ pub fn record_scheduler_stats(tel: &Telemetry, stats: &rayon::RegionStats) {
 mod tests {
     use super::*;
     use crate::problem::Problem;
+    use crate::tally::KernelConfig;
     use antmoc_geom::geometry::homogeneous_box;
     use antmoc_geom::{AxialModel, BoundaryConds};
     use antmoc_track::TrackParams;
@@ -1111,21 +1065,12 @@ mod tests {
 
     #[test]
     fn single_worker_region_records_no_scheduler_keys() {
-        // A serial pool neither steals nor balances; recording zeros would
+        // A serial pool has nothing to balance; recording zeros would
         // fake a perfectly level schedule. The keys must be absent.
         let tel = Telemetry::new();
-        let stats = rayon::RegionStats {
-            workers: 1,
-            busy_s: vec![0.5],
-            wait_s: vec![0.0],
-            items: vec![100],
-            steal_attempts: 0,
-            steals: 0,
-        };
+        let stats = rayon::RegionStats { workers: 1, busy_s: vec![0.5], items: vec![100] };
         record_scheduler_stats(&tel, &stats);
         let r = tel.report();
-        assert!(!r.counters.contains_key("sweep.steal_attempts"));
-        assert!(!r.counters.contains_key("sweep.steals"));
         assert!(!r.gauges.contains_key("sweep.load_ratio"));
         assert!(!r.gauges.contains_key("sweep.worker_busy_max_s"));
         assert!(!r.gauges.contains_key("sweep.worker_busy_mean_s"));
@@ -1135,25 +1080,13 @@ mod tests {
     #[test]
     fn multi_worker_region_records_scheduler_keys() {
         let tel = Telemetry::new();
-        let stats = rayon::RegionStats {
-            workers: 2,
-            busy_s: vec![0.3, 0.1],
-            wait_s: vec![0.0, 0.05],
-            items: vec![60, 40],
-            steal_attempts: 5,
-            steals: 3,
-        };
+        let stats = rayon::RegionStats { workers: 2, busy_s: vec![0.3, 0.1], items: vec![60, 40] };
         record_scheduler_stats(&tel, &stats);
         let r = tel.report();
-        assert_eq!(r.counter("sweep.steal_attempts"), 5);
-        assert_eq!(r.counter("sweep.steals"), 3);
         assert!((r.gauges["sweep.load_ratio"].last - 1.5).abs() < 1e-12);
         assert!((r.gauges["sweep.worker_busy_max_s"].last - 0.3).abs() < 1e-12);
         assert!((r.gauges["sweep.worker_busy_mean_s"].last - 0.2).abs() < 1e-12);
         assert!(r.sections.contains_key("sweep_workers"));
-        let waits = &r.histograms["sweep.steal_wait_ns"];
-        assert_eq!(waits.count, 2);
-        assert_eq!(waits.max, 50_000_000);
     }
 
     #[test]
@@ -1301,13 +1234,56 @@ mod tests {
         });
         let r = Telemetry::global().report();
         // The retry counter key exists even at zero — "no retries" is an
-        // observation, not an absence.
-        assert!(r.counters.contains_key("sweep.cas_retries"));
+        // observation, not an absence. Sibling tests share the global
+        // registry, but a privatized sweep adds only its own retries: none.
+        assert_eq!(r.counters.get("sweep.cas_retries"), Some(&0));
         assert!(r.gauges.contains_key("sweep.tally_bytes"));
         let sec = &r.sections["sweep_kernel"];
         let rendered = format!("{sec:?}");
         assert!(rendered.contains("privatized"), "section {rendered}");
         assert!(rendered.contains("intrinsic"), "section {rendered}");
+    }
+
+    #[test]
+    fn cas_retries_count_only_the_sweeps_own_adds() {
+        // A privatized sweep overlapping contended atomic adds elsewhere
+        // in the process reports none of their retries.
+        use crate::tally::TallyMode;
+        use std::sync::atomic::AtomicBool;
+        let p = vac_problem();
+        let segsrc = SegmentSource::otf();
+        let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
+        let (slot, retried, done) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        let start = std::sync::Barrier::new(3);
+        let tel = Telemetry::new();
+        let mut sweeps = 0u64;
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Relaxed) {
+                        let r = atomic_add_f64_counted(&slot, 1.0);
+                        retried.fetch_add(r as u64, Ordering::Relaxed);
+                    }
+                });
+            }
+            start.wait();
+            let _scope = tel.install();
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+            // Keep sweeping until the other adds have contended at least once.
+            while sweeps < 3 || (retried.load(Ordering::Relaxed) == 0 && sweeps < 200) {
+                let tallies = TallyMode::Privatized;
+                let mut arena = SweepArena::new(KernelConfig { tallies, ..Default::default() });
+                let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
+                let sched = SweepSchedule::natural();
+                pool.install(|| transport_sweep_with(&p, &segsrc, &q, &banks, &sched, &mut arena));
+                sweeps += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let r = tel.report();
+        assert_eq!(r.counter("sweep.tracks"), sweeps * p.num_tracks() as u64);
+        assert_eq!(r.counters.get("sweep.cas_retries"), Some(&0));
     }
 
     #[test]

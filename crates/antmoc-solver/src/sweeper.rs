@@ -1,12 +1,11 @@
 //! The [`Sweeper`] interface the iteration driver sweeps through, and its
-//! CPU implementations: the arena-backed parallel [`CpuSweeper`] and the
-//! one-thread serial sweepers of the `cpu-serial` backend. The simulated
-//! GPU implements the same trait in [`crate::device`].
+//! CPU implementation, the arena-backed [`CpuSweeper`] — on the calling
+//! thread's pool, or pinned to one worker for the `cpu-serial` backend.
+//! The simulated GPU implements the same trait in [`crate::device`].
 
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
-use crate::sweep::TrackBufs;
-use crate::sweep::{sweep_serial, transport_sweep_with, FluxBanks, SegmentSource, SweepOutcome};
+use crate::sweep::{transport_sweep_observed, FluxBanks, SegmentSource, SweepOutcome};
 use crate::tally::{KernelConfig, SweepArena};
 
 /// Anything that can execute a transport sweep for a problem. The
@@ -17,9 +16,9 @@ pub trait Sweeper {
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome;
 
     /// [`Sweeper::sweep`] that calls `swept(t)` the moment track `t` is
-    /// final, for sweepers that finish tracks one at a time in a fixed
-    /// order; the pipelined exchange ships boundary exits from it. The
-    /// default calls nothing, and the exchange ships after the sweep.
+    /// final, for sweepers that finish tracks one at a time; the pipelined
+    /// exchange ships boundary exits from it. The default calls nothing,
+    /// and the exchange ships after the sweep.
     fn sweep_observed(
         &mut self,
         problem: &Problem,
@@ -35,13 +34,17 @@ pub trait Sweeper {
     fn recycle(&mut self, _outcome: SweepOutcome) {}
 }
 
-/// The plain CPU sweeper: arena-backed, so flux accumulators and
-/// per-worker scratch persist across iterations, and the tally/exp
-/// strategy follows its [`KernelConfig`].
+/// The CPU sweeper: arena-backed, so flux accumulators and per-worker
+/// scratch persist across iterations, and the tally/exp strategy follows
+/// its [`KernelConfig`]. Tracks go to the workers of the calling thread's
+/// pool, or of a one-worker pool for the `cpu-serial` backend
+/// ([`CpuSweeper::serial`]).
 pub struct CpuSweeper<'a> {
     segsrc: &'a SegmentSource,
     schedule: SweepSchedule,
     arena: SweepArena,
+    /// The pool every sweep runs on; `None` is the calling thread's.
+    pool: Option<rayon::ThreadPool>,
 }
 
 impl<'a> CpuSweeper<'a> {
@@ -57,7 +60,7 @@ impl<'a> CpuSweeper<'a> {
         schedule: SweepSchedule,
         kernel: KernelConfig,
     ) -> Self {
-        Self { segsrc, schedule, arena: SweepArena::new(kernel) }
+        Self { segsrc, schedule, arena: SweepArena::new(kernel), pool: None }
     }
 
     /// A sweeper running on a pooled arena (cross-job buffer reuse). The
@@ -72,7 +75,21 @@ impl<'a> CpuSweeper<'a> {
         mut arena: SweepArena,
     ) -> Self {
         arena.reconfigure(kernel);
-        Self { segsrc, schedule, arena }
+        Self { segsrc, schedule, arena, pool: None }
+    }
+
+    /// Pins every sweep to one worker, whatever the calling thread's pool:
+    /// the `cpu-serial` backend. The calling thread then sweeps the whole
+    /// schedule in order and [`Sweeper::sweep_observed`] reports each
+    /// track as it finishes.
+    pub fn serial(mut self) -> Self {
+        self.pool = Some(
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("the pool shim cannot fail to build"),
+        );
+        self
     }
 
     /// Releases the arena for return to a pool once the solve is done.
@@ -84,57 +101,30 @@ impl<'a> CpuSweeper<'a> {
     pub fn arena_mut(&mut self) -> &mut SweepArena {
         &mut self.arena
     }
+
+    fn run(
+        &mut self,
+        problem: &Problem,
+        q: &[f64],
+        banks: &FluxBanks,
+        swept: Option<&mut dyn FnMut(u32)>,
+    ) -> SweepOutcome {
+        let (segsrc, schedule, arena) = (self.segsrc, &self.schedule, &mut self.arena);
+        let sweep = || transport_sweep_observed(problem, segsrc, q, banks, schedule, arena, swept);
+        match &self.pool {
+            Some(pool) => pool.install(sweep),
+            None => sweep(),
+        }
+    }
 }
 
 impl Sweeper for CpuSweeper<'_> {
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        transport_sweep_with(problem, self.segsrc, q, banks, &self.schedule, &mut self.arena)
+        self.run(problem, q, banks, None)
     }
 
-    fn recycle(&mut self, outcome: SweepOutcome) {
-        self.arena.recycle(outcome);
-    }
-}
-
-/// A single-threaded sweeper: the whole sweep runs on the calling rank's
-/// thread (used for honest measured-scaling studies). A one-field literal
-/// with nowhere to keep buffers, so every sweep allocates its scratch and
-/// accumulator afresh; iteration loops use [`BufferedSerialSweeper`].
-pub struct SerialSweeper<'a> {
-    pub segsrc: &'a SegmentSource,
-}
-
-impl Sweeper for SerialSweeper<'_> {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        BufferedSerialSweeper::new(self.segsrc).sweep(problem, q, banks)
-    }
-}
-
-/// [`SerialSweeper`] for a whole solve: it owns the per-track scratch
-/// and takes the flux accumulator back through [`Sweeper::recycle`] (as
-/// [`CpuSweeper`] does through its arena), so nothing is re-grown between
-/// sweeps. Same sweep, same bits. Tracks go in natural order unless a
-/// cluster rank sets its boundary-first order, and each finished track is
-/// reported through [`Sweeper::sweep_observed`].
-pub struct BufferedSerialSweeper<'a> {
-    segsrc: &'a SegmentSource,
-    pub(crate) order: SweepSchedule,
-    bufs: TrackBufs,
-    phi: Vec<f64>,
-}
-
-impl<'a> BufferedSerialSweeper<'a> {
-    pub fn new(segsrc: &'a SegmentSource) -> Self {
-        let order = SweepSchedule::natural();
-        Self { segsrc, order, bufs: TrackBufs::default(), phi: Vec::new() }
-    }
-}
-
-impl Sweeper for BufferedSerialSweeper<'_> {
-    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        self.sweep_observed(problem, q, banks, &mut |_| {})
-    }
-
+    /// Reports each finished track when the sweep runs on one worker; a
+    /// multi-worker sweep finishes tracks out of order and reports none.
     fn sweep_observed(
         &mut self,
         problem: &Problem,
@@ -142,11 +132,23 @@ impl Sweeper for BufferedSerialSweeper<'_> {
         banks: &FluxBanks,
         swept: &mut dyn FnMut(u32),
     ) -> SweepOutcome {
-        let phi = std::mem::take(&mut self.phi);
-        sweep_serial(problem, self.segsrc, q, banks, &self.order, &mut self.bufs, phi, swept)
+        self.run(problem, q, banks, Some(swept))
     }
 
     fn recycle(&mut self, outcome: SweepOutcome) {
-        self.phi = outcome.phi_acc;
+        self.arena.recycle(outcome);
+    }
+}
+
+/// The `cpu-serial` sweeper as a one-field literal: a one-worker
+/// [`CpuSweeper`] built afresh for every sweep, so nothing is reused
+/// between sweeps. Iteration loops use [`CpuSweeper::serial`] instead.
+pub struct SerialSweeper<'a> {
+    pub segsrc: &'a SegmentSource,
+}
+
+impl Sweeper for SerialSweeper<'_> {
+    fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
+        CpuSweeper::new(self.segsrc).serial().sweep(problem, q, banks)
     }
 }

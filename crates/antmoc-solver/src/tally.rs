@@ -7,8 +7,9 @@
 //! each pool worker owns a dense `f64` copy of the flux array, the
 //! segment loop does plain stores, and the copies are reduced **in fixed
 //! worker order** after the region — no atomics in the hot path and a
-//! deterministic summation order (run-to-run bitwise reproducible for a
-//! fixed worker count and schedule).
+//! deterministic summation order. The pool's static partition fixes which
+//! worker tallies which track, so results repeat bit for bit for a fixed
+//! worker count and schedule.
 //!
 //! The cost is memory: `workers * fsrs * groups * 8` bytes. Strategy
 //! selection mirrors the paper's §4.1 memory-vs-speed interpolation —
@@ -288,6 +289,11 @@ impl SweepArena {
                 }
                 for k in 0..w {
                     let buf = self.worker_phi.get_mut(k);
+                    // A one-worker sweep handed this buffer out as its
+                    // accumulator; take a recycled one in its place.
+                    if buf.capacity() == 0 {
+                        *buf = self.phi_pool.pop().unwrap_or_default();
+                    }
                     buf.clear();
                     buf.resize(nf, 0.0);
                 }
@@ -323,6 +329,19 @@ impl SweepArena {
 
     pub(crate) fn track_bufs(&self) -> &rayon::WorkerLocal<TrackBufs> {
         &self.track_bufs
+    }
+
+    /// The flux accumulator of a privatized sweep over `nf` slots. One
+    /// worker's buffer is handed over as is: that is bitwise the reduction
+    /// `0.0 + x`, because a buffer that starts at `+0.0` never holds
+    /// `-0.0`. More workers reduce into a recycled accumulator.
+    pub(crate) fn take_privatized(&mut self, nf: usize, workers: usize) -> Vec<f64> {
+        if workers == 1 {
+            return std::mem::take(self.worker_phi.get_mut(0));
+        }
+        let mut phi = self.take_phi(nf);
+        self.reduce_privatized(&mut phi, workers);
+        phi
     }
 
     /// Sums the first `workers` private buffers into `phi` in ascending
@@ -461,6 +480,24 @@ mod tests {
         for w in 0..3 {
             assert!(arena.worker_phi.get_mut(w).iter().all(|&x| x == 0.0));
         }
+    }
+
+    #[test]
+    fn one_worker_hands_its_buffer_over_and_takes_a_recycled_one_back() {
+        let mut arena = SweepArena::new(KernelConfig::default());
+        let one = SweepTallies::Privatized { workers: 1 };
+        arena.prepare(1, 4, one);
+        arena.worker_phi.get_mut(0)[2] = 1.5;
+        let phi = arena.take_privatized(4, 1);
+        assert_eq!(phi, vec![0.0, 0.0, 1.5, 0.0]);
+        let ptr = phi.as_ptr();
+        arena.recycle(SweepOutcome { phi_acc: phi, leakage: 0.0, segments: 0 });
+        // The next sweep tallies into the recycled vector, zeroed.
+        arena.prepare(1, 4, one);
+        let buf = arena.worker_phi.get_mut(0);
+        assert_eq!(buf.as_ptr(), ptr);
+        assert_eq!(*buf, vec![0.0; 4]);
+        assert!(arena.phi_pool.is_empty());
     }
 
     #[test]

@@ -16,13 +16,13 @@ use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, Bc, BoundaryConds};
 use antmoc_gpusim::DeviceSpec;
 use antmoc_solver::cluster::{
-    solve_cluster, solve_cluster_with, Backend, BufferedSerialSweeper, ClusterOptions, ExchangeMode,
+    solve_cluster, solve_cluster_with, Backend, ClusterOptions, ExchangeMode,
 };
 use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::CuMapping;
 use antmoc_solver::{
-    solve_cluster_recovering, solve_eigenvalue, EigenOptions, KernelConfig, RecoveryOptions,
-    SegmentSource, StorageMode, SweepKernel,
+    solve_cluster_recovering, solve_eigenvalue, CpuSweeper, EigenOptions, KernelConfig,
+    RecoveryOptions, SegmentSource, StorageMode, SweepKernel,
 };
 use antmoc_telemetry::{Json, Telemetry};
 use antmoc_track::TrackParams;
@@ -72,7 +72,7 @@ proptest! {
         let cluster = solve_cluster(&d, &Backend::CpuSerial, &opts);
         let segsrc = SegmentSource::otf();
         let single =
-            solve_eigenvalue(&d.problems[0], &mut BufferedSerialSweeper::new(&segsrc), &opts);
+            solve_eigenvalue(&d.problems[0], &mut CpuSweeper::new(&segsrc).serial(), &opts);
         prop_assert_eq!(cluster.keff.to_bits(), single.keff.to_bits());
         prop_assert_eq!(cluster.iterations, single.iterations);
         prop_assert_eq!(cluster.converged, single.converged);

@@ -13,11 +13,11 @@
 //!   the CAS additions land in race order, so scalar and vector runs may
 //!   differ by reassociation rounding — but never more.
 //!
-//! * **Every backend runs that kernel.** The `cpu-serial` rank sweeper
-//!   must match a one-worker natural-order CPU sweep bit for bit, and the
+//! * **Every backend runs that kernel.** The `cpu-serial` sweeper must
+//!   match a one-worker natural-order CPU sweep bit for bit, and the
 //!   simulated device — either CU mapping, any storage mode — must repeat
-//!   itself bit for bit on one worker and stay within 1e-12 relative of
-//!   the CPU sweep over the same segment source at workers {1, 2, 8}.
+//!   itself bit for bit at workers {1, 2, 8} and stay within 1e-12
+//!   relative of the CPU sweep over the same segment source.
 //!
 //! The synthetic cross sections drive tau = sigma_t * length through its
 //! extremes inside one sweep: a void group (tau = 0), subnormal and
@@ -190,9 +190,9 @@ fn vector_kernel_matches_scalar_across_workers_within_1e12() {
 
 #[test]
 fn serial_sweeper_is_bitwise_a_one_worker_natural_cpu_sweep() {
-    // The cpu-serial rank backend tallies straight into one plain buffer;
-    // a one-worker CPU sweep tallies into one private buffer and reduces
-    // it into a zeroed accumulator. Same adds, same order, same bits.
+    // The cpu-serial sweeper is a CPU sweeper pinned to one worker,
+    // whatever pool the caller runs it under: it must give the bits of a
+    // one-worker natural-order CPU sweep.
     for g in 1..=8usize {
         let p = extreme_problem(g, 0.6);
         let q = structured_source(&p);
@@ -207,6 +207,8 @@ fn serial_sweeper_is_bitwise_a_one_worker_natural_cpu_sweep() {
 
 #[test]
 fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
+    // CUs reach workers through the pool's static partition, so for a
+    // fixed worker count each worker tallies the same tracks every run.
     for g in 1..=8usize {
         let p = extreme_problem(g, 0.6);
         let q = structured_source(&p);
@@ -221,14 +223,9 @@ fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
                 let mut solver = DeviceSolver::new(device(), &p, mode, mapping).unwrap();
                 let what = format!("g={g}, {mapping:?}, {mode:?}");
 
-                // One worker: CUs run one after another in a fixed order.
-                let first = pool(1).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
-                let again = pool(1).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
-                assert_eq!(bits(&first), bits(&again), "device run-to-run ({what})");
-                assert_eq!(first.segments, p.num_3d_segments() * 2, "{what}");
-
                 // Any worker count: the CPU sweep over the same segments
-                // differs by tally order only.
+                // differs by tally order only, and a second sweep on the
+                // same workers repeats the first bit for bit.
                 let mut arena = SweepArena::new(KernelConfig::default());
                 let cpu = pool(1).install(|| {
                     transport_sweep_with(
@@ -241,8 +238,12 @@ fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
                     )
                 });
                 for workers in [1usize, 2, 8] {
+                    let what = format!("{what}, workers={workers}");
                     let dev = pool(workers).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
-                    assert_within_1e12(&cpu, &dev, &format!("{what}, workers={workers}"));
+                    let again = pool(workers).install(|| solver.sweep(&p, &q, &inflow_banks(&p)));
+                    assert_eq!(bits(&dev), bits(&again), "device run-to-run ({what})");
+                    assert_eq!(dev.segments, p.num_3d_segments() * 2, "{what}");
+                    assert_within_1e12(&cpu, &dev, &what);
                 }
             }
         }

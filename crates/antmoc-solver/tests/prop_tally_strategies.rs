@@ -5,9 +5,9 @@
 //!
 //! Atomic tallies are order-dependent at rounding level (CAS additions
 //! land in whatever order workers race), so the atomic reference is only
-//! a tolerance anchor. Privatized tallies use static partitioning with no
-//! work stealing and a fixed worker-order reduction, so they admit the
-//! stronger bit-identity claim.
+//! a tolerance anchor. Privatized tallies ride the pool's static
+//! partition (a fixed track-to-worker map) and a fixed worker-order
+//! reduction, so they admit the stronger bit-identity claim.
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, BoundaryConds};

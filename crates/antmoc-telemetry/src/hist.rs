@@ -2,7 +2,7 @@
 //!
 //! The paper's load-mapping claims (§5.4) rest on *distributions* — per-CU
 //! segment load, per-rank traffic — not totals, and regression triage needs
-//! tail percentiles (p99 track latency, steal-wait spikes), which span
+//! tail percentiles (p99 track latency, receive-wait spikes), which span
 //! min/max cannot show. [`Histogram`] is an HDR-style fixed-footprint
 //! histogram over `u64` values (nanoseconds, bytes, retry counts):
 //!

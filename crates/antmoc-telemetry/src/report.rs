@@ -72,8 +72,8 @@ pub struct GaugeStats {
 /// `eigen/transport_sweep`). Counters are event totals (segments swept,
 /// bytes sent); gauges are level samples with a retained high-water mark
 /// (resident bytes, pool usage). `histograms` carries quantile summaries
-/// of log-bucketed distributions (per-track sweep nanoseconds, steal-loop
-/// wait, comm receive wait — always integer-valued, typically ns).
+/// of log-bucketed distributions (per-track sweep nanoseconds, CAS retry
+/// bursts, comm receive wait — always integer-valued, typically ns).
 /// `iterations` is the per-iteration convergence series: one free-form
 /// row per solver iteration (k-eff, residual, sweep seconds, checkpoint
 /// markers), in execution order. `sections` carries adjacent artifacts —
@@ -277,10 +277,10 @@ impl RunReport {
     /// the bitwise-identity contract between a one-shot run and the same
     /// case run as a scoped service job.
     ///
-    /// Wall-clock measurements can never match across runs, and a work-
-    /// stealing scheduler makes steal/contention tallies load-dependent
-    /// even at fixed inputs. Everything else must be bit-identical, so
-    /// the digest covers:
+    /// Wall-clock measurements can never match across runs, and contention
+    /// tallies (CAS retries, receive waits) depend on load even at fixed
+    /// inputs. Everything else must be bit-identical, so the digest
+    /// covers:
     ///
     /// * **meta** — every entry, floats as exact bit patterns;
     /// * **spans** — path and completion count (no seconds);
@@ -355,12 +355,11 @@ impl RunReport {
 /// Metric keys excluded from [`RunReport::deterministic_digest`]:
 /// wall-clock-valued keys (time-unit suffixes) and keys whose magnitude
 /// depends on scheduling or hardware contention rather than the case
-/// being solved (steal traffic, CAS retries, receive-wait shapes, trace
+/// being solved (CAS retries, worker balance, receive-wait shapes, trace
 /// bookkeeping). Mirrors the spirit of `report_diff`'s noisy-key list.
 pub fn is_digest_excluded(key: &str) -> bool {
     const TIME_SUFFIXES: &[&str] = &["_ns", "_us", "_ms", "_s", "_seconds"];
     const NOISE_PREFIXES: &[&str] = &[
-        "sweep.steal",
         "sweep.cas",
         "sweep.load_ratio",
         "sweep.worker_busy",
@@ -378,8 +377,7 @@ pub fn is_digest_excluded(key: &str) -> bool {
 /// Iteration-row fields scrubbed from the digest: per-iteration timings
 /// and contention tallies.
 fn is_row_field_excluded(key: &str) -> bool {
-    is_digest_excluded(key)
-        || matches!(key, "cas_retries" | "steals" | "steal_attempts" | "load_ratio")
+    is_digest_excluded(key) || matches!(key, "cas_retries" | "load_ratio")
 }
 
 /// Recursively drops excluded object fields from free-form JSON (rows,
@@ -535,8 +533,8 @@ mod tests {
         // Divergent wall time, identical work.
         b.spans.get_mut("eigen/transport_sweep").unwrap().total_s *= 7.5;
         b.spans.get_mut("eigen/transport_sweep").unwrap().max_s += 1.0;
-        a.counters.insert("sweep.steals".into(), 17);
-        b.counters.insert("sweep.steals".into(), 3);
+        a.counters.insert("sweep.cas_retries".into(), 17);
+        b.counters.insert("sweep.cas_retries".into(), 3);
         a.histograms.insert(
             "sweep.track_ns".into(),
             HistogramSummary { count: 10, p50: 1, p90: 2, p99: 3, max: 4 },

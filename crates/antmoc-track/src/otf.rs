@@ -229,11 +229,11 @@ pub fn estimate_volumes(
 ) -> Vec<f64> {
     let _span = antmoc_telemetry::Telemetry::current().span("otf_estimate_volumes");
     let nf = fsr3d.len();
-    // Static partition, not the stealing fold: the track-to-worker map
-    // (and hence the FP accumulation order) must be a pure function of
-    // (tracks, workers) so two builds of the same case produce the same
-    // volume bits — everything downstream (keff, pin rates) inherits
-    // ulp-level divergence otherwise.
+    // One accumulator per worker of the static partition: the
+    // track-to-worker map (and hence the FP accumulation order) is a pure
+    // function of (tracks, workers), so two builds of the same case
+    // produce the same volume bits — everything downstream (keff, pin
+    // rates) would inherit ulp-level divergence otherwise.
     let chunks: Vec<Vec<f64>> = rayon::static_partition_fold(
         t3.num_tracks(),
         |_| vec![0.0f64; nf],

@@ -9,9 +9,7 @@ use antmoc_geom::c5g7::{C5g7, PinAddress};
 use antmoc_geom::{AxialModel, FsrId, Geometry};
 use antmoc_gpusim::{Device, DeviceSpec};
 use antmoc_input::{CaseKind, LoweredModel};
-use antmoc_solver::cluster::{
-    solve_cluster_with, Backend, BufferedSerialSweeper, ClusterOptions, ExchangeMode,
-};
+use antmoc_solver::cluster::{solve_cluster_with, Backend, ClusterOptions, ExchangeMode};
 use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::DeviceSolver;
 use antmoc_solver::fixed::{solve_fixed_source, FixedSourceOptions};
@@ -73,8 +71,8 @@ impl BuiltModel {
 pub struct SolveSetup {
     pub model: BuiltModel,
     pub problem: Problem,
-    /// Segment access per the configured storage mode (the serial
-    /// backend ignores it and always traces on the fly).
+    /// Segment access per the configured storage mode (the device
+    /// backend ignores it and builds its own resident store).
     pub segsrc: SegmentSource,
     /// Pre-built exp table for `exp = table` CPU runs; solvers preload it
     /// into their arena instead of rebuilding per job.
@@ -241,16 +239,10 @@ pub fn build_setup(config: &RunConfig) -> SolveSetup {
         model.library(),
         config.tracks.clone(),
     );
-    let segsrc = match &config.backend {
-        BackendConfig::Cpu => segment_source(config, &problem),
-        // The serial backend always traces on the fly (storage modes are
-        // a parallel/device concern) and the device solver builds its own
-        // resident store from the problem.
-        BackendConfig::CpuSerial | BackendConfig::Device { .. } => SegmentSource::otf(),
-    };
-    let exp_table = (config.kernel.exp == ExpMode::Table
-        && matches!(config.backend, BackendConfig::Cpu))
-    .then(|| {
+    // The device solver builds its own resident store from the problem.
+    let cpu = !matches!(config.backend, BackendConfig::Device { .. });
+    let segsrc = if cpu { segment_source(config, &problem) } else { SegmentSource::otf() };
+    let exp_table = (config.kernel.exp == ExpMode::Table && cpu).then(|| {
         antmoc_solver::ExpTable::with_tolerance(
             antmoc_solver::exptable::DEFAULT_TAU_MAX,
             config.kernel.exp_tolerance,
@@ -273,8 +265,7 @@ pub fn run_with_setup(config: &RunConfig, setup: &SolveSetup) -> RunReport {
 /// [`run_with_setup`] with an explicit (possibly pooled) [`SweepArena`].
 /// The arena is reconfigured to this run's kernel settings and handed
 /// back after the solve so callers can recycle its allocations across
-/// jobs; the serial backend, which sweeps over plain per-sweep buffers,
-/// returns it untouched.
+/// jobs.
 pub fn run_with_setup_arena(
     config: &RunConfig,
     setup: &SolveSetup,
@@ -287,11 +278,20 @@ pub fn run_with_setup_arena(
     let fixed_source =
         matches!(&config.model, ModelSpec::Lattice(s) if s.kind == CaseKind::FixedSource);
 
-    // Assemble a CPU sweeper over the shared setup and the per-job arena.
+    // Assemble a CPU sweeper over the shared setup and the per-job arena;
+    // the serial backend pins it to one worker.
     let make_sweeper = |arena: SweepArena| {
-        let schedule = SweepSchedule::for_problem(config.schedule, problem);
+        let serial = config.backend == BackendConfig::CpuSerial;
+        let schedule = if serial {
+            SweepSchedule::with_workers(config.schedule, problem, 1)
+        } else {
+            SweepSchedule::for_problem(config.schedule, problem)
+        };
         let mut sweeper =
             CpuSweeper::with_arena(&setup.segsrc, schedule, config.kernel.clone(), arena);
+        if serial {
+            sweeper = sweeper.serial();
+        }
         if let Some(table) = &setup.exp_table {
             sweeper.arena_mut().preload_exp_table(table.clone());
         }
@@ -312,19 +312,12 @@ pub fn run_with_setup_arena(
             with_fission: config.fixed_fission,
         };
         // Fixed-source cases run single-domain on CPU backends (enforced
-        // by `RunConfig::from_case`); the serial backend traces on the
-        // fly, the parallel one honours the storage mode like the
-        // eigenvalue path.
+        // by `RunConfig::from_case`).
         let (result, arena) = match &config.backend {
-            BackendConfig::Cpu => {
+            BackendConfig::Cpu | BackendConfig::CpuSerial => {
                 let mut sweeper = make_sweeper(arena);
                 let r = solve_fixed_source(problem, &mut sweeper, &external, &opts);
                 (r, sweeper.into_arena())
-            }
-            BackendConfig::CpuSerial => {
-                let segsrc = SegmentSource::otf();
-                let mut sweeper = BufferedSerialSweeper::new(&segsrc);
-                (solve_fixed_source(problem, &mut sweeper, &external, &opts), arena)
             }
             BackendConfig::Device { .. } => {
                 unreachable!("RunConfig::from_case rejects fixed-source device runs")
@@ -333,17 +326,10 @@ pub fn run_with_setup_arena(
         (0.0, result.iterations, result.converged, result.phi, arena)
     } else {
         let (result, arena) = match &config.backend {
-            BackendConfig::Cpu => {
+            BackendConfig::Cpu | BackendConfig::CpuSerial => {
                 let mut sweeper = make_sweeper(arena);
                 let r = solve_eigenvalue(problem, &mut sweeper, &config.eigen);
                 (r, sweeper.into_arena())
-            }
-            BackendConfig::CpuSerial => {
-                // The serial backend always traces on the fly; storage
-                // modes are a parallel/device concern.
-                let segsrc = SegmentSource::otf();
-                let mut sweeper = BufferedSerialSweeper::new(&segsrc);
-                (solve_eigenvalue(problem, &mut sweeper, &config.eigen), arena)
             }
             BackendConfig::Device { memory_bytes, cu_mapping } => {
                 let device = Arc::new(Device::new(DeviceSpec::scaled(*memory_bytes)));
@@ -407,8 +393,8 @@ pub fn run_with_setup_arena(
     (report, arena)
 }
 
-/// Builds the segment source for the parallel CPU backend per the
-/// configured storage mode.
+/// Builds the segment source for the CPU backends per the configured
+/// storage mode.
 fn segment_source(config: &RunConfig, problem: &Problem) -> SegmentSource {
     match config.mode {
         StorageMode::Otf => SegmentSource::otf(),

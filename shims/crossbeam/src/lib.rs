@@ -1,118 +1,7 @@
 //! Offline stand-in for the `crossbeam` API subset this workspace uses:
 //! `crossbeam::channel::{unbounded, Sender, Receiver}` backed by
 //! `std::sync::mpsc` (same unbounded MPSC semantics and non-overtaking
-//! per-sender ordering the cluster harness relies on), and
-//! `crossbeam::deque::Deque`, the work-stealing deque under the rayon
-//! shim's scheduler.
-
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// A work-stealing deque: the owning worker pushes and pops LIFO at
-    /// the back; thieves take batches from the front, so they grab the
-    /// oldest (largest-granularity) tasks while the owner keeps its hot
-    /// tail. Mutex-backed — the real Chase-Lev structure is lock-free,
-    /// but the contention profile (owner-mostly, occasional thief) is the
-    /// same, and task batches are coarse enough that the lock is off the
-    /// per-item fast path.
-    #[derive(Debug, Default)]
-    pub struct Deque<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Deque<T> {
-        pub fn new() -> Self {
-            Self { inner: Mutex::new(VecDeque::new()) }
-        }
-
-        /// Owner-side push (back).
-        pub fn push(&self, value: T) {
-            self.inner.lock().unwrap().push_back(value);
-        }
-
-        /// Owner-side LIFO pop (back).
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().unwrap().pop_back()
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap().len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Thief-side batch steal: removes the front half (rounded up) of
-        /// this deque and returns it. The caller pushes the batch into its
-        /// own deque; taking the victim's lock only (never two locks at
-        /// once) keeps cross-stealing deadlock-free.
-        pub fn steal_half(&self) -> Vec<T> {
-            let mut q = self.inner.lock().unwrap();
-            let take = q.len().div_ceil(2);
-            q.drain(..take).collect()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn owner_pops_lifo() {
-            let d = Deque::new();
-            for i in 0..4 {
-                d.push(i);
-            }
-            assert_eq!(d.pop(), Some(3));
-            assert_eq!(d.pop(), Some(2));
-            assert_eq!(d.len(), 2);
-        }
-
-        #[test]
-        fn steal_takes_oldest_half() {
-            let d = Deque::new();
-            for i in 0..5 {
-                d.push(i);
-            }
-            let stolen = d.steal_half();
-            assert_eq!(stolen, vec![0, 1, 2]); // front half, oldest first
-            assert_eq!(d.pop(), Some(4)); // owner's hot tail untouched
-            assert_eq!(d.len(), 1);
-        }
-
-        #[test]
-        fn steal_from_empty_is_empty() {
-            let d = Deque::<u32>::new();
-            assert!(d.steal_half().is_empty());
-            assert!(d.is_empty());
-        }
-
-        #[test]
-        fn concurrent_steals_lose_nothing() {
-            let d = Deque::new();
-            for i in 0..1000u32 {
-                d.push(i);
-            }
-            let got: std::sync::Mutex<Vec<u32>> = std::sync::Mutex::new(Vec::new());
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| loop {
-                        let batch = d.steal_half();
-                        if batch.is_empty() {
-                            break;
-                        }
-                        got.lock().unwrap().extend(batch);
-                    });
-                }
-            });
-            let mut all = got.into_inner().unwrap();
-            all.sort_unstable();
-            assert_eq!(all, (0..1000).collect::<Vec<_>>());
-        }
-    }
-}
+//! per-sender ordering the cluster harness relies on).
 
 pub mod channel {
     use std::sync::mpsc;

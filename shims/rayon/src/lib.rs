@@ -2,18 +2,19 @@
 //!
 //! The build environment has no crates.io access, so the workspace routes
 //! its `rayon = { ... }` dependency here. The shim executes data-parallel
-//! chains on `std::thread::scope` with a real work-stealing scheduler:
-//! every worker owns a LIFO deque of index-range tasks (seeded with a
-//! contiguous slice of the iteration space, split ~[`TASKS_PER_WORKER`]
-//! ways), and an idle worker steals the front half of a random victim's
-//! deque. Per-track work in the sweep is wildly non-uniform, so static
-//! contiguous chunks run at straggler speed; stealing keeps every worker
-//! busy until the global pool of tasks drains.
+//! chains on `std::thread::scope` with one scheduler, a static partition:
+//! worker `w` of `W` runs the `w`-th of `W` near-equal contiguous slices of
+//! the iteration space, in ascending order. The item-to-worker map is a
+//! pure function of `(n, W)` — a fixed thread-to-item map, as in the
+//! paper's Algorithm 1 — so anything accumulated per worker repeats bit for
+//! bit from run to run. Balancing non-uniform items is the caller's job: order
+//! them so each contiguous slice carries an equal share (the solver's L3
+//! schedule deals tracks that way).
 //!
-//! Each parallel region records [`RegionStats`] (per-worker busy time and
-//! item counts, steal attempts/successes) retrievable once via
-//! [`take_last_region_stats`] on the calling thread — the solver turns
-//! these into telemetry. Single-worker regions run inline and record
+//! Each multi-worker region records [`RegionStats`] (per-worker busy time
+//! and item counts), retrievable once via [`take_last_region_stats`] on
+//! the calling thread — the solver turns these into telemetry.
+//! Single-worker regions run inline on the calling thread and record
 //! nothing.
 //!
 //! Worker count: `ThreadPool::install` override, else the
@@ -24,16 +25,8 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-use crossbeam::deque::Deque;
-
-/// Initial tasks dealt to each worker's deque. More tasks than workers
-/// gives thieves something to take without making per-task overhead
-/// visible; 8 keeps the largest task under ~12% of a worker's share.
-const TASKS_PER_WORKER: usize = 8;
 
 thread_local! {
     /// Per-thread worker-count override installed by `ThreadPool::install`.
@@ -50,9 +43,9 @@ thread_local! {
 
 /// The index of the pool worker executing on the current thread, or
 /// `None` outside a parallel region. Inside a region with `W` workers the
-/// index is in `0..W`, each index held by exactly one thread at a time
-/// (worker 0 is the calling thread). This is what lets [`WorkerLocal`]
-/// hand out unaliased `&mut` slots without atomics.
+/// index is in `0..W`, each index held by exactly one thread (worker 0 is
+/// the calling thread). This is what lets [`WorkerLocal`] hand out
+/// unaliased `&mut` slots without atomics.
 pub fn current_worker_index() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
@@ -80,24 +73,32 @@ impl Drop for WorkerIndexGuard {
 /// # Safety contract
 ///
 /// [`WorkerLocal::with`] hands out `&mut T` to the calling worker's slot.
-/// That is sound because every scheduler in this shim runs each worker
-/// index on at most one thread at a time within a region, and distinct
-/// workers get distinct slots. The holder must not share one `WorkerLocal`
-/// across concurrently running regions driven from different threads
-/// (e.g. two cluster ranks): give each solver instance its own.
+/// That is sound because the scheduler runs each worker index on exactly
+/// one thread within a region, and distinct workers get distinct slots.
+/// The holder must not share one `WorkerLocal` across concurrently running
+/// regions driven from different threads (e.g. two cluster ranks): give
+/// each solver instance its own.
 pub struct WorkerLocal<T> {
-    slots: Vec<UnsafeCell<T>>,
+    slots: Vec<Slot<T>>,
 }
 
+/// One worker's slot on cache lines of its own (128 bytes also covers the
+/// adjacent-line prefetch). Slots are written per item — the sweep's
+/// scratch vectors grow per segment — so a line shared with another
+/// worker's slot, or with another thread's heap block, would bounce
+/// between cores on every write.
+#[repr(align(128))]
+struct Slot<T>(UnsafeCell<T>);
+
 // SAFETY: `with` only ever derives `&mut` to the slot owned by the
-// current worker index, and the schedulers guarantee each index is live
+// current worker index, and the scheduler guarantees each index is live
 // on one thread at a time (see the type-level contract above).
 unsafe impl<T: Send> Sync for WorkerLocal<T> {}
 
 impl<T> WorkerLocal<T> {
     /// One slot per worker, each built by `init(worker_index)`.
     pub fn new(workers: usize, mut init: impl FnMut(usize) -> T) -> Self {
-        Self { slots: (0..workers.max(1)).map(|w| UnsafeCell::new(init(w))).collect() }
+        Self { slots: (0..workers.max(1)).map(|w| Slot(UnsafeCell::new(init(w)))).collect() }
     }
 
     /// Number of slots.
@@ -117,18 +118,18 @@ impl<T> WorkerLocal<T> {
         assert!(w < self.slots.len(), "worker {w} has no slot (len {})", self.slots.len());
         // SAFETY: per the type's contract, worker index w is executing on
         // exactly this thread right now, so the borrow is exclusive.
-        f(unsafe { &mut *self.slots[w].get() })
+        f(unsafe { &mut *self.slots[w].0.get() })
     }
 
     /// Direct access to slot `w` (requires `&mut self`, so no region is
     /// running over this storage).
     pub fn get_mut(&mut self, w: usize) -> &mut T {
-        self.slots[w].get_mut()
+        self.slots[w].0.get_mut()
     }
 
     /// Iterates all slots mutably, in worker order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(|c| c.get_mut())
+        self.slots.iter_mut().map(|s| s.0.get_mut())
     }
 }
 
@@ -148,10 +149,10 @@ static CONTEXT_HOOKS: OnceLock<(ContextCaptureFn, ContextInstallFn)> = OnceLock:
 /// The shim spawns fresh scoped threads for every multi-worker region, so
 /// thread-local state on the calling thread (e.g. a scoped telemetry
 /// sink) is invisible to workers unless explicitly carried across. Before
-/// spawning, each scheduler calls `capture` once on the calling thread;
+/// spawning, the scheduler calls `capture` once on the calling thread;
 /// if it returns a context, `install` runs on every *spawned* worker
 /// (worker 0 is the calling thread and already has the context) before
-/// any tasks execute, and the guard it returns drops when the worker is
+/// its slice executes, and the guard it returns drops when the worker is
 /// done.
 ///
 /// First registration wins; returns `false` if hooks were already set.
@@ -186,19 +187,11 @@ pub fn current_num_threads() -> usize {
 pub struct RegionStats {
     /// Workers that participated (> 1; serial regions record nothing).
     pub workers: usize,
-    /// Wall seconds each worker spent executing tasks (not stealing or
-    /// idling), indexed by worker.
+    /// Wall seconds each worker spent executing its slice, indexed by
+    /// worker.
     pub busy_s: Vec<f64>,
-    /// Items each worker executed, indexed by worker.
+    /// Items in each worker's slice, indexed by worker.
     pub items: Vec<u64>,
-    /// Wall seconds each worker spent in the steal loop (out of tasks:
-    /// picking victims, stealing, yielding), indexed by worker. All
-    /// zeros for statically partitioned regions.
-    pub wait_s: Vec<f64>,
-    /// Steal attempts across all workers (successful or not).
-    pub steal_attempts: u64,
-    /// Steals that moved at least one task.
-    pub steals: u64,
 }
 
 impl RegionStats {
@@ -222,7 +215,8 @@ pub fn take_last_region_stats() -> Option<RegionStats> {
 }
 
 /// Splits `0..n` into at most `parts` non-empty contiguous ranges of
-/// near-equal length, in ascending order.
+/// near-equal length (the first `n % parts` one item longer), in
+/// ascending order.
 fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
@@ -240,196 +234,34 @@ fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Per-worker scratch for the scheduler loop.
-struct WorkerLog {
-    busy: Duration,
-    wait: Duration,
-    items: u64,
-    steal_attempts: u64,
-    steals: u64,
-}
-
-/// The work-stealing core. Each worker builds one `S` via `make_state`,
-/// runs `task` over every index range it executes, and returns
-/// `finish(state)`; results come back in worker order. Stats of the
-/// region land in the calling thread's [`take_last_region_stats`] slot
-/// when more than one worker ran (serial regions clear it).
-fn run_stealing<S, R, MS, T, F>(n: usize, make_state: MS, task: T, finish: F) -> Vec<R>
+/// The scheduler: worker `w` runs `work(w, slice_w)` over its contiguous
+/// slice of `0..n`, and the results come back in worker order (worker 0
+/// is the calling thread). With one worker the whole range runs inline.
+/// Stats of a multi-worker region land in the calling thread's
+/// [`take_last_region_stats`] slot; serial regions clear it.
+fn run_partitioned<R, F>(n: usize, work: F) -> Vec<R>
 where
-    S: Send,
     R: Send,
-    MS: Fn() -> S + Sync,
-    T: Fn(&mut S, Range<usize>) + Sync,
-    F: Fn(S) -> R + Sync,
-{
-    let workers = current_num_threads().clamp(1, n.max(1));
-    if workers <= 1 {
-        LAST_REGION.with(|s| *s.borrow_mut() = None);
-        if n == 0 {
-            return Vec::new();
-        }
-        let _wi = enter_worker(0);
-        let mut state = make_state();
-        task(&mut state, 0..n);
-        return vec![finish(state)];
-    }
-
-    // Deal contiguous runs of tasks to the workers so worker w starts on
-    // the w-th contiguous slice of the iteration space (pre-balanced
-    // schedules rely on this alignment), split fine enough to steal.
-    let tasks = split_ranges(n, workers * TASKS_PER_WORKER);
-    let deques: Vec<Deque<Range<usize>>> = (0..workers).map(|_| Deque::new()).collect();
-    for (i, chunk) in split_ranges(tasks.len(), workers).into_iter().enumerate() {
-        // Push in reverse so the owner's LIFO pop yields ascending ranges.
-        for t in tasks[chunk].iter().rev() {
-            deques[i].push(t.clone());
-        }
-    }
-    let remaining = AtomicUsize::new(n);
-
-    let worker_loop = |me: usize| -> (WorkerLog, R) {
-        let _wi = enter_worker(me);
-        let mut log = WorkerLog {
-            busy: Duration::ZERO,
-            wait: Duration::ZERO,
-            items: 0,
-            steal_attempts: 0,
-            steals: 0,
-        };
-        let mut state = make_state();
-        // Deterministic xorshift for victim selection, distinct per worker.
-        let mut rng: u64 = (me as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut dry_spins = 0u32;
-        loop {
-            if let Some(range) = deques[me].pop() {
-                dry_spins = 0;
-                let len = range.len();
-                let t0 = Instant::now();
-                task(&mut state, range);
-                log.busy += t0.elapsed();
-                log.items += len as u64;
-                remaining.fetch_sub(len, Ordering::Relaxed);
-                continue;
-            }
-            if remaining.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let victim = {
-                let v = (rng % (workers as u64 - 1)) as usize;
-                if v >= me {
-                    v + 1
-                } else {
-                    v
-                }
-            };
-            log.steal_attempts += 1;
-            let t_wait = Instant::now();
-            let batch = deques[victim].steal_half();
-            if batch.is_empty() {
-                dry_spins += 1;
-                if dry_spins > 64 {
-                    std::thread::sleep(Duration::from_micros(100));
-                } else {
-                    std::thread::yield_now();
-                }
-                log.wait += t_wait.elapsed();
-                continue;
-            }
-            log.steals += 1;
-            dry_spins = 0;
-            // Batch arrives oldest-first; reverse-push keeps LIFO pops
-            // ascending, matching the seeded order.
-            for t in batch.into_iter().rev() {
-                deques[me].push(t);
-            }
-            log.wait += t_wait.elapsed();
-        }
-        (log, finish(state))
-    };
-
-    let ctx = capture_region_context();
-    let ctx = &ctx;
-    let mut results: Vec<(WorkerLog, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| {
-                std::thread::Builder::new()
-                    .name(format!("worker-{w}"))
-                    .spawn_scoped(s, move || {
-                        let _ctx = ctx.as_ref().map(|(install, c)| install(c.as_ref()));
-                        worker_loop(w)
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        let mine = worker_loop(0); // the calling thread is worker 0
-        let mut all = vec![mine];
-        all.extend(handles.into_iter().map(|h| h.join().expect("worker panicked")));
-        all
-    });
-
-    let mut stats = RegionStats {
-        workers,
-        busy_s: Vec::with_capacity(workers),
-        items: Vec::with_capacity(workers),
-        wait_s: Vec::with_capacity(workers),
-        steal_attempts: 0,
-        steals: 0,
-    };
-    for (log, _) in &results {
-        stats.busy_s.push(log.busy.as_secs_f64());
-        stats.items.push(log.items);
-        stats.wait_s.push(log.wait.as_secs_f64());
-        stats.steal_attempts += log.steal_attempts;
-        stats.steals += log.steals;
-    }
-    LAST_REGION.with(|s| *s.borrow_mut() = Some(stats));
-    results.drain(..).map(|(_, r)| r).collect()
-}
-
-/// Folds `0..n` with one contiguous ascending slice per worker and **no
-/// work stealing**: the item-to-worker map is a pure function of
-/// `(n, workers)`, so for a fixed worker count every run executes every
-/// index on the same worker in the same order — the determinism the
-/// privatized tally reduction relies on. Worker `w`'s accumulator starts
-/// as `init(w)`; accumulators come back in worker order (worker 0 is the
-/// calling thread). [`current_worker_index`] is set inside `fold`, and
-/// multi-worker regions record [`RegionStats`] with zero steal counters.
-pub fn static_partition_fold<Acc, Init, F>(n: usize, init: Init, fold: F) -> Vec<Acc>
-where
-    Acc: Send,
-    Init: Fn(usize) -> Acc + Sync,
-    F: Fn(Acc, usize) -> Acc + Sync,
+    F: Fn(usize, Range<usize>) -> R + Sync,
 {
     let workers = current_num_threads().clamp(1, n.max(1));
     if workers <= 1 {
         LAST_REGION.with(|s| *s.borrow_mut() = None);
         let _wi = enter_worker(0);
-        let mut acc = init(0);
-        for i in 0..n {
-            acc = fold(acc, i);
-        }
-        return vec![acc];
+        return vec![work(0, 0..n)];
     }
 
     let slices = split_ranges(n, workers);
-    let run_one = |me: usize, range: Range<usize>| -> (WorkerLog, Acc) {
+    let run_one = |me: usize, range: Range<usize>| -> (Duration, R) {
         let _wi = enter_worker(me);
-        let items = range.len() as u64;
         let t0 = Instant::now();
-        let mut acc = init(me);
-        for i in range {
-            acc = fold(acc, i);
-        }
-        let busy = t0.elapsed();
-        (WorkerLog { busy, wait: Duration::ZERO, items, steal_attempts: 0, steals: 0 }, acc)
+        let out = work(me, range);
+        (t0.elapsed(), out)
     };
     let run_one = &run_one;
     let ctx = capture_region_context();
     let ctx = &ctx;
-    let mut results: Vec<(WorkerLog, Acc)> = std::thread::scope(|s| {
+    let results: Vec<(Duration, R)> = std::thread::scope(|s| {
         let handles: Vec<_> = slices[1..]
             .iter()
             .cloned()
@@ -450,45 +282,28 @@ where
         all
     });
 
-    let mut stats = RegionStats {
+    let stats = RegionStats {
         workers,
-        busy_s: Vec::with_capacity(workers),
-        items: Vec::with_capacity(workers),
-        wait_s: vec![0.0; workers],
-        steal_attempts: 0,
-        steals: 0,
+        busy_s: results.iter().map(|(busy, _)| busy.as_secs_f64()).collect(),
+        items: slices.iter().map(|r| r.len() as u64).collect(),
     };
-    for (log, _) in &results {
-        stats.busy_s.push(log.busy.as_secs_f64());
-        stats.items.push(log.items);
-    }
     LAST_REGION.with(|s| *s.borrow_mut() = Some(stats));
-    results.drain(..).map(|(_, r)| r).collect()
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs `work` over contiguous subranges of `0..n` under the
-/// work-stealing scheduler and returns the per-range results in ascending
-/// range order (the concatenation visits every index exactly once, in
-/// order).
-fn run_ordered<R, F>(n: usize, work: F) -> Vec<R>
+/// Folds `0..n` on the static partition: worker `w`'s accumulator starts
+/// as `init(w)` and folds its contiguous slice in ascending order, and
+/// the accumulators come back in worker order. For a fixed worker count
+/// every run executes every index on the same worker in the same order —
+/// the determinism the privatized tally reduction relies on.
+/// [`current_worker_index`] is set inside `fold`.
+pub fn static_partition_fold<Acc, Init, F>(n: usize, init: Init, fold: F) -> Vec<Acc>
 where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
+    Acc: Send,
+    Init: Fn(usize) -> Acc + Sync,
+    F: Fn(Acc, usize) -> Acc + Sync,
 {
-    let mut parts = run_stealing(
-        n,
-        Vec::new,
-        |acc: &mut Vec<(usize, R)>, r| {
-            let start = r.start;
-            acc.push((start, work(r)));
-        },
-        |acc| acc,
-    )
-    .into_iter()
-    .flatten()
-    .collect::<Vec<(usize, R)>>();
-    parts.sort_by_key(|(start, _)| *start);
-    parts.into_iter().map(|(_, r)| r).collect()
+    run_partitioned(n, |w, range| range.fold(init(w), &fold))
 }
 
 /// Indices a parallel range can iterate over.
@@ -556,43 +371,7 @@ impl<T: ParIndex> RangeParIter<T> {
     where
         F: Fn(T) + Sync,
     {
-        let n = self.len();
-        run_stealing(
-            n,
-            || (),
-            |_, r| {
-                for i in r {
-                    f(self.idx(i));
-                }
-            },
-            |_| (),
-        );
-    }
-
-    /// Per-worker fold mirroring rayon's `fold`: each worker builds one
-    /// accumulator across every task it executes (stolen or seeded);
-    /// downstream `map`/`reduce`/`collect` consume the per-worker
-    /// accumulators.
-    pub fn fold<Acc, Init, F>(self, init: Init, fold: F) -> FoldResult<Acc>
-    where
-        Acc: Send,
-        Init: Fn() -> Acc + Sync,
-        F: Fn(Acc, T) -> Acc + Sync,
-    {
-        let n = self.len();
-        let accs = run_stealing(
-            n,
-            || None::<Acc>,
-            |slot, r| {
-                let mut acc = slot.take().unwrap_or_else(&init);
-                for i in r {
-                    acc = fold(acc, self.idx(i));
-                }
-                *slot = Some(acc);
-            },
-            |slot| slot.unwrap_or_else(&init),
-        );
-        FoldResult { accs }
+        run_partitioned(self.len(), |_, r| r.for_each(|i| f(self.idx(i))));
     }
 }
 
@@ -609,48 +388,22 @@ where
     F: Fn(T) -> R + Sync,
 {
     pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let n = self.range.len();
-        let parts = run_ordered(n, |r| r.map(|i| (self.f)(self.range.idx(i))).collect::<Vec<R>>());
-        let mut out = Vec::with_capacity(n);
-        for p in parts {
-            out.extend(p);
-        }
-        C::from(out)
+        let parts = run_partitioned(self.range.len(), |_, r| {
+            r.map(|i| (self.f)(self.range.idx(i))).collect::<Vec<R>>()
+        });
+        C::from(parts.into_iter().flatten().collect::<Vec<R>>())
     }
 
+    /// Sums each worker's slice in index order, then the per-worker
+    /// partial sums in worker order.
     pub fn sum<S>(self) -> S
     where
         S: std::iter::Sum<R> + std::iter::Sum<S> + Send,
     {
-        let n = self.range.len();
-        let parts = run_ordered(n, |r| r.map(|i| (self.f)(self.range.idx(i))).sum::<S>());
+        let parts = run_partitioned(self.range.len(), |_, r| {
+            r.map(|i| (self.f)(self.range.idx(i))).sum::<S>()
+        });
         parts.into_iter().sum()
-    }
-}
-
-/// The per-worker accumulators produced by `fold`.
-pub struct FoldResult<Acc> {
-    accs: Vec<Acc>,
-}
-
-impl<Acc: Send> FoldResult<Acc> {
-    pub fn map<R, F>(self, f: F) -> FoldResult<R>
-    where
-        F: Fn(Acc) -> R,
-    {
-        FoldResult { accs: self.accs.into_iter().map(f).collect() }
-    }
-
-    pub fn reduce<Id, F>(self, identity: Id, reduce: F) -> Acc
-    where
-        Id: Fn() -> Acc,
-        F: Fn(Acc, Acc) -> Acc,
-    {
-        self.accs.into_iter().fold(identity(), reduce)
-    }
-
-    pub fn collect<C: From<Vec<Acc>>>(self) -> C {
-        C::from(self.accs)
     }
 }
 
@@ -706,14 +459,10 @@ where
     F: Fn(&'a T) -> R + Sync,
 {
     pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let parts = run_ordered(self.slice.len(), |r| {
+        let parts = run_partitioned(self.slice.len(), |_, r| {
             self.slice[r].iter().map(&self.f).collect::<Vec<R>>()
         });
-        let mut out = Vec::with_capacity(self.slice.len());
-        for p in parts {
-            out.extend(p);
-        }
-        C::from(out)
+        C::from(parts.into_iter().flatten().collect::<Vec<R>>())
     }
 }
 
@@ -745,7 +494,7 @@ where
     F: Fn((usize, &'a T)) -> R + Sync,
 {
     pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let parts = run_ordered(self.slice.len(), |r| {
+        let parts = run_partitioned(self.slice.len(), |_, r| {
             let base = r.start;
             self.slice[r]
                 .iter()
@@ -753,11 +502,7 @@ where
                 .map(|(k, t)| (self.f)((base + k, t)))
                 .collect::<Vec<R>>()
         });
-        let mut out = Vec::with_capacity(self.slice.len());
-        for p in parts {
-            out.extend(p);
-        }
-        C::from(out)
+        C::from(parts.into_iter().flatten().collect::<Vec<R>>())
     }
 }
 
@@ -806,23 +551,18 @@ impl<T: Send> ChunksMutEnumerate<'_, T> {
         let num_chunks = len.div_ceil(size);
         let ptr = SlicePtr(self.slice.as_mut_ptr());
         let ptr = &ptr;
-        run_stealing(
-            num_chunks,
-            || (),
-            |_, r| {
-                for k in r {
-                    let lo = k * size;
-                    let hi = (lo + size).min(len);
-                    // SAFETY: the scheduler hands out each chunk index k
-                    // exactly once, and [lo, hi) windows are disjoint
-                    // across distinct k; the borrow of `self.slice` lives
-                    // for the whole region.
-                    let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
-                    f((k, chunk));
-                }
-            },
-            |_| (),
-        );
+        run_partitioned(num_chunks, |_, r| {
+            for k in r {
+                let lo = k * size;
+                let hi = (lo + size).min(len);
+                // SAFETY: the partition hands each chunk index k to
+                // exactly one worker, and [lo, hi) windows are disjoint
+                // across distinct k; the borrow of `self.slice` lives for
+                // the whole region.
+                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
+                f((k, chunk));
+            }
+        });
     }
 }
 
@@ -897,8 +637,8 @@ mod tests {
     }
 
     #[test]
-    fn range_map_collect_preserves_order_under_stealing() {
-        // Skewed work so late ranges finish wildly out of order.
+    fn range_map_collect_preserves_order_under_skewed_work() {
+        // Skewed work so the workers' slices finish wildly out of order.
         pool(8).install(|| {
             let v: Vec<usize> = (0..5000usize)
                 .into_par_iter()
@@ -951,10 +691,10 @@ mod tests {
                 }
             });
         });
-        // Every item — wherever it was stolen to — saw the caller's context.
+        // Every item — on whichever worker — saw the caller's context.
         assert_eq!(with_ctx.load(Ordering::Relaxed), 1000);
 
-        // Static partitioning propagates too.
+        // The fold entry point propagates too.
         let accs = pool(4).install(|| {
             crate::static_partition_fold(
                 257,
@@ -968,11 +708,14 @@ mod tests {
 
     #[test]
     fn fold_map_reduce_matches_serial() {
-        let (count, total) = (0..10_000u32)
-            .into_par_iter()
-            .fold(|| (0u64, 0.0f64), |(c, s), i| (c + 1, s + i as f64))
-            .map(|(c, s)| (c, s))
-            .reduce(|| (0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
+        let (count, total) = crate::static_partition_fold(
+            10_000,
+            |_| (0u64, 0.0f64),
+            |(c, s), i| (c + 1, s + i as f64),
+        )
+        .into_iter()
+        .reduce(|a, b| (a.0 + b.0, a.1 + b.1))
+        .unwrap();
         assert_eq!(count, 10_000);
         assert!((total - (9999.0 * 10_000.0 / 2.0)).abs() < 1e-6);
     }
@@ -981,11 +724,14 @@ mod tests {
     fn fold_covers_every_index_once_across_workers() {
         for workers in [1, 2, 8] {
             pool(workers).install(|| {
-                let n = 4321u32;
-                let (count, sum) = (0..n)
-                    .into_par_iter()
-                    .fold(|| (0u64, 0u64), |(c, s), i| (c + 1, s + i as u64))
-                    .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+                let n = 4321usize;
+                let (count, sum) = crate::static_partition_fold(
+                    n,
+                    |_| (0u64, 0u64),
+                    |(c, s), i| (c + 1, s + i as u64),
+                )
+                .into_iter()
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
                 assert_eq!(count, n as u64, "workers={workers}");
                 assert_eq!(sum, (n as u64 - 1) * n as u64 / 2, "workers={workers}");
             });
@@ -1006,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_is_exact_under_stealing() {
+    fn par_chunks_mut_is_exact_on_many_workers() {
         pool(4).install(|| {
             let mut v = vec![0u64; 10_000];
             v.par_chunks_mut(7).enumerate().for_each(|(k, chunk)| {
@@ -1035,9 +781,7 @@ mod tests {
         let stats = crate::take_last_region_stats().expect("4-worker region records stats");
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.busy_s.len(), 4);
-        assert_eq!(stats.wait_s.len(), 4);
-        assert!(stats.wait_s.iter().all(|&w| w >= 0.0));
-        assert_eq!(stats.items.iter().sum::<u64>(), 10_000);
+        assert_eq!(stats.items, vec![2500; 4]);
         assert!(stats.load_ratio() >= 1.0);
         // The take cleared the slot.
         assert!(crate::take_last_region_stats().is_none());
@@ -1054,22 +798,22 @@ mod tests {
     }
 
     #[test]
-    fn skewed_work_is_stolen() {
-        // One seeded slice holds nearly all the work; with stealing the
-        // other workers must end up executing some of it.
+    fn skewed_work_stays_on_its_static_slice() {
+        // One slice holds nearly all the work; the partition still runs
+        // every index on the worker that owns its slice, so item counts
+        // are the even split and the slow slice shows as busy time.
         pool(4).install(|| {
             (0..1024u32).into_par_iter().for_each(|i| {
+                let w = crate::current_worker_index().unwrap();
+                assert_eq!(w, i as usize / 256, "index {i} ran off its slice");
                 if i < 256 {
-                    // Worker 0's seeded slice: slow items.
                     std::thread::sleep(std::time::Duration::from_micros(50));
                 }
             });
         });
         let stats = crate::take_last_region_stats().unwrap();
-        assert!(stats.steals > 0, "no steals despite skewed work: {stats:?}");
-        // Worker 0 cannot have executed its whole seeded slice alone
-        // while others idled: the max items share must be below 100%.
-        assert!(stats.items.iter().all(|&n| n < 1024));
+        assert_eq!(stats.items, vec![256; 4]);
+        assert!(stats.load_ratio() > 1.0, "{stats:?}");
     }
 
     #[test]
@@ -1129,18 +873,15 @@ mod tests {
     }
 
     #[test]
-    fn static_partition_fold_records_stats_without_steals() {
+    fn static_partition_fold_records_per_worker_stats() {
         pool(4).install(|| {
-            let _ = crate::static_partition_fold(1000, |_| 0u64, |acc, i| acc + i as u64);
+            let _ = crate::static_partition_fold(1002, |_| 0u64, |acc, i| acc + i as u64);
         });
         let stats = crate::take_last_region_stats().expect("multi-worker stats");
         assert_eq!(stats.workers, 4);
-        assert_eq!(stats.steal_attempts, 0);
-        assert_eq!(stats.steals, 0);
-        // Static partitions never enter the steal loop.
-        assert!(stats.wait_s.iter().all(|&w| w == 0.0));
-        assert_eq!(stats.items.iter().sum::<u64>(), 1000);
-        // Serial regions clear the slot, like the stealing scheduler.
+        // The near-even split: the first 1002 % 4 slices take one extra.
+        assert_eq!(stats.items, vec![251, 251, 250, 250]);
+        // Serial regions clear the slot.
         pool(1).install(|| {
             let _ = crate::static_partition_fold(10, |_| (), |(), _| ());
         });
@@ -1170,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_local_works_under_the_stealing_scheduler() {
+    fn worker_local_works_under_for_each() {
         pool(4).install(|| {
             let n = 5000u32;
             let hits = crate::WorkerLocal::new(4, |_| 0u64);
@@ -1179,7 +920,8 @@ mod tests {
             });
             let _ = crate::take_last_region_stats();
             let mut hits = hits;
-            assert_eq!(hits.iter_mut().map(|h| *h).sum::<u64>(), n as u64);
+            // Each worker counted exactly its own slice.
+            assert_eq!(hits.iter_mut().map(|h| *h).collect::<Vec<_>>(), vec![1250; 4]);
         });
     }
 }

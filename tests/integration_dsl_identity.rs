@@ -75,8 +75,8 @@ fn dsl_lowering_matches_the_hardcoded_builder_structurally() {
 #[test]
 fn dsl_case_run_report_is_bitwise_identical_to_the_hardcoded_model() {
     let spec = CaseSpec::parse(&case_text()).unwrap();
-    // The serial backend is the only run-to-run reproducible one; the
-    // parallel sweeper's reduction order varies with thread timing.
+    // One worker: the bits then do not depend on the pool size the test
+    // binary runs under.
     let mut dsl_cfg = RunConfig::from_case(&spec).unwrap();
     dsl_cfg.backend = BackendConfig::CpuSerial;
     let mut hard_cfg = dsl_cfg.clone();

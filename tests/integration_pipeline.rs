@@ -69,9 +69,8 @@ fn every_backend_reports_the_sweep_kernel_telemetry() {
         );
         assert!(report.counter("sweep.tracks") > 0, "{backend}");
         // Every backend resolves these problems to privatized tallies,
-        // which never retry a CAS. The retry count is a process-wide
-        // delta, so this holds only in a binary, like this one, that runs
-        // no contended atomic adds.
+        // which never retry a CAS, and each sweep counts only its own
+        // retries.
         assert_eq!(report.counters.get("sweep.cas_retries"), Some(&0), "{backend}");
         for gauge in ["sweep.tally_bytes", "sweep.bytes_per_segment"] {
             assert!(report.gauges.contains_key(gauge), "{backend}: no {gauge} gauge");

@@ -1,8 +1,8 @@
 //! Golden-file regression test for the `RunReport` JSON schema.
 //!
 //! A fixed, fully deterministic report — covering every schema feature and
-//! the scheduler telemetry keys (`sweep.steals`, `sweep.load_ratio`,
-//! per-worker busy time) — must serialize byte-for-byte to
+//! the scheduler telemetry keys (`sweep.load_ratio`, per-worker busy
+//! time) — must serialize byte-for-byte to
 //! `tests/golden/run_report.json`. Renaming or retyping an existing key
 //! changes the output and fails this test; adding a key means
 //! regenerating the golden with `ANTMOC_UPDATE_GOLDEN=1 cargo test -p
@@ -43,8 +43,6 @@ fn representative_report() -> RunReport {
     r.counters.insert("eigen.iterations".into(), 8);
     r.counters.insert("sweep.cas_retries".into(), 3);
     r.counters.insert("sweep.segments".into(), 1_234_567);
-    r.counters.insert("sweep.steal_attempts".into(), 42);
-    r.counters.insert("sweep.steals".into(), 17);
     r.counters.insert("sweep.tracks".into(), 4096);
 
     r.gauges
@@ -62,10 +60,6 @@ fn representative_report() -> RunReport {
     r.histograms.insert(
         "comm.recv_wait_ns".into(),
         HistogramSummary { count: 96, p50: 18_432, p90: 61_440, p99: 126_976, max: 131_071 },
-    );
-    r.histograms.insert(
-        "sweep.steal_wait_ns".into(),
-        HistogramSummary { count: 4, p50: 1_024, p90: 4_096, p99: 4_096, max: 4_000 },
     );
     r.histograms.insert(
         "sweep.track_ns".into(),
@@ -191,9 +185,7 @@ fn golden_file_round_trips_losslessly() {
     // golden bytes (the parser reads non-negative ints as Int where the
     // writer used Uint, so struct equality is too strict for sections).
     assert_eq!(parsed.to_json_string(), golden);
-    // And the scheduler keys from the scheduler PR are present by name.
-    assert_eq!(parsed.counter("sweep.steals"), 17);
-    assert_eq!(parsed.counter("sweep.steal_attempts"), 42);
+    // And the scheduler keys are present by name.
     assert!(parsed.gauges.contains_key("sweep.load_ratio"));
     assert!(parsed.gauges.contains_key("sweep.worker_busy_max_s"));
     assert!(parsed.gauges.contains_key("sweep.worker_busy_mean_s"));
@@ -229,11 +221,10 @@ fn golden_file_round_trips_losslessly() {
     assert_eq!(events[0].get("migrated").and_then(Json::as_u64), Some(1));
     // The observability keys: histogram quantiles and the per-iteration
     // convergence series.
-    assert_eq!(parsed.histograms.len(), 3);
+    assert_eq!(parsed.histograms.len(), 2);
     let track = parsed.histograms.get("sweep.track_ns").expect("sweep.track_ns histogram");
     assert_eq!(track.count, 4096);
     assert_eq!(track.p99, 49_152);
-    assert!(parsed.histograms.contains_key("sweep.steal_wait_ns"));
     assert!(parsed.histograms.contains_key("comm.recv_wait_ns"));
     assert_eq!(parsed.iterations.len(), 2);
     assert_eq!(parsed.iterations[0].get("it").and_then(Json::as_u64), Some(1));
