@@ -2,8 +2,8 @@
 //! deal round-robin.
 
 /// Sorts items by descending weight and deals them round-robin into
-/// `bins`. Returns the per-bin item index lists. This is the generic form
-/// of the device solver's segment-sorted CU assignment.
+/// `bins`. Returns the per-bin item index lists: the device solver's
+/// segment-sorted CU bins and the CPU's `l3_sorted` worker bins.
 pub fn sorted_round_robin(weights: &[u64], bins: usize) -> Vec<Vec<u32>> {
     assert!(bins >= 1);
     let mut order: Vec<u32> = (0..weights.len() as u32).collect();

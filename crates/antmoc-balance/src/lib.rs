@@ -6,10 +6,10 @@
 //!   DESIGN.md documents the substitution).
 //! * **L2** ([`l2`]) — a node's fused sub-geometry group is split across
 //!   its GPUs by azimuthal angle, balancing per-angle segment loads.
-//! * **L3** — 3D tracks inside one GPU are sorted by segment count and
-//!   dealt round-robin to CUs (implemented next to the device solver in
-//!   `antmoc_solver::device::segment_sorted_assignment`; the generic
-//!   sorting helper lives in [`l3`]).
+//! * **L3** ([`l3`]) — 3D tracks inside one GPU are sorted by segment
+//!   count and dealt round-robin to CUs. The solver's sweep schedules
+//!   deal their bins with it: one bin per CU on the simulated device, one
+//!   per worker on the CPU (`antmoc_solver::schedule`).
 //!
 //! [`metrics`] provides the paper's §5.4 *load uniformity index*
 //! (`max / avg`, 1.0 = perfect balance).

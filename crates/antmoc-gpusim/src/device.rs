@@ -1,11 +1,8 @@
-//! The simulated device: spec, allocation and kernel launch.
-
-use std::time::Instant;
+//! The simulated device: spec, memory pool and launch accounting.
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
-use crate::memory::{DeviceBuffer, MemoryPool, OutOfMemory};
+use crate::memory::MemoryPool;
 use crate::metrics::DeviceMetrics;
 
 /// Static description of a device.
@@ -38,12 +35,11 @@ impl DeviceSpec {
     }
 }
 
-/// A simulated GPU.
-///
-/// Kernels run on the process-wide rayon pool: one parallel task per
-/// logical CU, items within a CU processed sequentially. This mirrors how
-/// the paper maps tracks to CUs (L3 load mapping, Fig. 5) while keeping a
-/// single thread pool for arbitrarily many simulated devices.
+/// A simulated GPU: its spec, its byte-accounted memory pool and its
+/// kernel metrics. Kernels run on the caller's thread pool, which deals
+/// the CUs' track bins to workers in contiguous runs (the paper's
+/// track-to-CU mapping, Fig. 5); the device records each launch's per-CU
+/// work through [`Device::record_launch`].
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
@@ -64,8 +60,7 @@ impl Device {
         &self.spec
     }
 
-    /// The memory pool (for inspection; allocations go through
-    /// [`Device::alloc`]).
+    /// The memory pool, where solvers reserve their footprint.
     pub fn memory(&self) -> &MemoryPool {
         &self.memory
     }
@@ -75,112 +70,20 @@ impl Device {
         self.metrics.lock().clone()
     }
 
-    /// Clears per-CU work counters (kernel totals are kept).
-    pub fn reset_cu_work(&self) {
-        let mut m = self.metrics.lock();
-        for w in m.cu_work.iter_mut() {
-            *w = 0;
-        }
-    }
-
-    /// Allocates a zero-initialised buffer of `len` elements.
-    pub fn alloc<T: Clone + Default>(
-        &self,
-        tag: &str,
-        len: usize,
-    ) -> Result<DeviceBuffer<T>, OutOfMemory> {
-        DeviceBuffer::from_vec(&self.memory, tag, vec![T::default(); len])
-    }
-
-    /// Copies host data to the device (accounted as an H2D transfer).
-    pub fn alloc_from_slice<T: Clone>(
-        &self,
-        tag: &str,
-        data: &[T],
-    ) -> Result<DeviceBuffer<T>, OutOfMemory> {
-        let buf = DeviceBuffer::from_vec(&self.memory, tag, data.to_vec())?;
-        self.metrics.lock().h2d_bytes += buf.bytes();
-        Ok(buf)
-    }
-
-    /// Moves an existing host vector to the device without copying
-    /// (accounted as an H2D transfer).
-    pub fn adopt_vec<T>(&self, tag: &str, data: Vec<T>) -> Result<DeviceBuffer<T>, OutOfMemory> {
-        let buf = DeviceBuffer::from_vec(&self.memory, tag, data)?;
-        self.metrics.lock().h2d_bytes += buf.bytes();
-        Ok(buf)
-    }
-
-    /// Records a device-to-host readback of `bytes`.
-    pub fn record_d2h(&self, bytes: u64) {
-        self.metrics.lock().d2h_bytes += bytes;
-    }
-
-    /// Records a device-to-device (DMA) transfer of `bytes` — the paper's
-    /// intra-node track-flux exchange path (§3.2).
-    pub fn record_dma(&self, bytes: u64) {
-        self.metrics.lock().dma_bytes += bytes;
-    }
-
-    /// Launches a grid-stride kernel over `n` items (the paper's
-    /// Algorithm 1): item `i` executes on CU `i % num_cus`. The body
-    /// returns the number of work units it performed (e.g. segments
-    /// swept), which feeds the per-CU load accounting.
-    pub fn launch<F>(&self, name: &str, n: usize, body: F)
-    where
-        F: Fn(usize) -> u64 + Sync,
-    {
+    /// Records one launch of kernel `name` that ran for `seconds`:
+    /// `per_cu[cu]` is the work (e.g. segments swept) CU `cu` performed;
+    /// CUs past the end of `per_cu` did none.
+    pub fn record_launch(&self, name: &str, per_cu: &[u64], seconds: f64) {
         let cus = self.spec.num_cus;
-        let start = Instant::now();
-        let per_cu: Vec<u64> = (0..cus)
-            .into_par_iter()
-            .map(|cu| {
-                let mut work = 0;
-                let mut i = cu;
-                while i < n {
-                    work += body(i);
-                    i += cus;
-                }
-                work
-            })
-            .collect();
-        self.finish_launch(name, &per_cu, start);
-    }
-
-    /// Launches a kernel with an explicit CU assignment: `assignments[cu]`
-    /// lists the item indices that CU executes (the L3 load-mapping
-    /// product). Items within a CU run sequentially; CUs run in parallel.
-    pub fn launch_by_cu<F>(&self, name: &str, assignments: &[Vec<u32>], body: F)
-    where
-        F: Fn(usize, u32) -> u64 + Sync,
-    {
-        assert!(
-            assignments.len() <= self.spec.num_cus,
-            "{} CU buckets for a {}-CU device",
-            assignments.len(),
-            self.spec.num_cus
-        );
-        let start = Instant::now();
-        let mut per_cu = vec![0u64; self.spec.num_cus];
-        let computed: Vec<u64> = assignments
-            .par_iter()
-            .enumerate()
-            .map(|(cu, items)| items.iter().map(|&it| body(cu, it)).sum())
-            .collect();
-        per_cu[..computed.len()].copy_from_slice(&computed);
-        self.finish_launch(name, &per_cu, start);
-    }
-
-    fn finish_launch(&self, name: &str, per_cu: &[u64], start: Instant) {
-        let seconds = start.elapsed().as_secs_f64();
+        assert!(per_cu.len() <= cus, "{} CU bins for a {cus}-CU device", per_cu.len());
         let total: u64 = per_cu.iter().sum();
         let tel = antmoc_telemetry::Telemetry::current();
         tel.counter_add("device.launches", 1);
         tel.counter_add("device.work_units", total);
         // Occupancy: fraction of CUs that did any work this launch.
         let active = per_cu.iter().filter(|&&w| w > 0).count();
-        if !per_cu.is_empty() {
-            tel.gauge_set("device.occupancy", active as f64 / per_cu.len() as f64);
+        if cus > 0 {
+            tel.gauge_set("device.occupancy", active as f64 / cus as f64);
         }
         tel.gauge_set("device.pool_used_bytes", self.memory.used() as f64);
         let mut m = self.metrics.lock();
@@ -194,68 +97,26 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::memory::Reservation;
 
     #[test]
-    fn grid_stride_covers_every_item_once() {
+    fn record_launch_accounts_cu_work_launches_and_work_units() {
         let dev = Device::new(DeviceSpec::test_small());
-        let n = 1003; // deliberately not a multiple of the CU count
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        dev.launch("cover", n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            1
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(dev.metrics().kernel("cover").unwrap().work_units, n as u64);
-    }
-
-    #[test]
-    fn launch_by_cu_respects_assignment_and_counts_work() {
-        let dev = Device::new(DeviceSpec::test_small());
-        let assignments = vec![vec![0u32, 1, 2], vec![3], vec![], vec![4, 5]];
-        let sum = AtomicU64::new(0);
-        dev.launch_by_cu("custom", &assignments, |_cu, item| {
-            sum.fetch_add(item as u64, Ordering::Relaxed);
-            (item + 1) as u64
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 15);
+        dev.record_launch("k", &[6, 4, 0, 11], 0.5);
+        dev.record_launch("k", &[1; 8], 0.25);
         let m = dev.metrics();
-        assert_eq!(m.cu_work[0], 1 + 2 + 3);
-        assert_eq!(m.cu_work[1], 4);
-        assert_eq!(m.cu_work[2], 0);
-        assert_eq!(m.cu_work[3], 5 + 6);
-        let u = m.cu_load_uniformity().unwrap();
-        assert!(u > 1.0);
+        assert_eq!(m.cu_work, vec![7, 5, 1, 12, 1, 1, 1, 1]);
+        let k = m.kernel("k").unwrap();
+        assert_eq!((k.launches, k.work_units), (2, 29));
+        assert!((m.total_kernel_seconds() - 0.75).abs() < 1e-12);
+        assert!((m.cu_load_uniformity().unwrap() - 12.0 / (29.0 / 8.0)).abs() < 1e-12);
     }
 
     #[test]
     fn alloc_over_capacity_errors() {
         let dev = Device::new(DeviceSpec::test_small()); // 1 MiB
-        let err = dev.alloc::<u8>("big", 2 << 20).unwrap_err();
+        let err = Reservation::new(dev.memory(), "big", 2 << 20).unwrap_err();
         assert_eq!(err.capacity, 1 << 20);
-    }
-
-    #[test]
-    fn transfers_are_accounted() {
-        let dev = Device::new(DeviceSpec::test_small());
-        let data = vec![1.0f32; 256];
-        let _buf = dev.alloc_from_slice("x", &data).unwrap();
-        dev.record_d2h(128);
-        dev.record_dma(64);
-        let m = dev.metrics();
-        assert_eq!(m.h2d_bytes, 1024);
-        assert_eq!(m.d2h_bytes, 128);
-        assert_eq!(m.dma_bytes, 64);
-    }
-
-    #[test]
-    fn reset_cu_work_keeps_kernel_totals() {
-        let dev = Device::new(DeviceSpec::test_small());
-        dev.launch("k", 10, |_| 1);
-        dev.reset_cu_work();
-        let m = dev.metrics();
-        assert!(m.cu_work.iter().all(|&w| w == 0));
-        assert_eq!(m.kernel("k").unwrap().work_units, 10);
     }
 
     #[test]

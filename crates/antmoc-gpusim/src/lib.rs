@@ -6,50 +6,22 @@
 //! 1. **Finite device memory.** The explicit 3D-segment storage mode
 //!    overflows GPU memory as the track count grows, which is what makes
 //!    the OTF and Manager strategies necessary (Fig. 9). The simulator
-//!    enforces a hard, byte-accounted capacity with allocation failures.
+//!    enforces a hard, byte-accounted capacity: a [`Reservation`] that
+//!    does not fit fails with [`OutOfMemory`].
 //! 2. **Per-CU work imbalance.** 3D tracks have wildly varying segment
 //!    counts, so mapping tracks to compute units naively idles CUs
-//!    (Fig. 10, L3). The simulator executes kernels as CU-bucketed work
-//!    with per-CU work-unit counters.
+//!    (Fig. 10, L3). The simulator keeps per-CU work-unit counters.
 //!
-//! Kernels are real data-parallel closures executed on the process-wide
-//! rayon pool (one logical CU per parallel task), so measured kernel times
-//! reflect genuine sweep work. The paper's HIP/CUDA kernel bodies map to
-//! the closures passed to [`Device::launch`] / [`Device::launch_by_cu`].
+//! A [`Device`] is only its spec, memory pool and metrics. Kernels are
+//! the solver's own sweep: `antmoc_solver` deals one bin of tracks per CU
+//! to the process-wide thread pool, so measured kernel times reflect
+//! genuine sweep work, and hands each launch's per-CU work to
+//! [`Device::record_launch`].
 
 pub mod device;
 pub mod memory;
 pub mod metrics;
 
 pub use device::{Device, DeviceSpec};
-pub use memory::{DeviceBuffer, MemoryPool, OutOfMemory, Reservation};
+pub use memory::{MemoryPool, OutOfMemory, Reservation};
 pub use metrics::{DeviceMetrics, KernelStats};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn end_to_end_alloc_launch_free() {
-        let dev = Device::new(DeviceSpec::test_small());
-        let buf = dev.alloc::<f32>("flux", 1000).unwrap();
-        assert_eq!(buf.len(), 1000);
-        let used = dev.memory().used();
-        assert_eq!(used, 4000);
-
-        let data: Vec<u64> = (0..100).collect();
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        dev.launch("sum", data.len(), |i| {
-            sum.fetch_add(data[i], std::sync::atomic::Ordering::Relaxed);
-            1
-        });
-        assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 4950);
-
-        drop(buf);
-        assert_eq!(dev.memory().used(), 0);
-        assert_eq!(dev.memory().peak(), 4000);
-        let m = dev.metrics();
-        assert_eq!(m.kernel("sum").unwrap().launches, 1);
-        assert_eq!(m.kernel("sum").unwrap().work_units, 100);
-    }
-}

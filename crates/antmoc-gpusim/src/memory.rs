@@ -107,9 +107,9 @@ impl MemoryPool {
     }
 }
 
-/// An untyped capacity reservation: accounts `bytes` under `tag` until
-/// dropped. Used when the host-side data structure is the storage and the
-/// device pool only tracks the footprint.
+/// A capacity reservation: accounts `bytes` under `tag` until dropped.
+/// The host-side data structure is the storage; the device pool only
+/// tracks its footprint.
 #[derive(Debug)]
 pub struct Reservation {
     pool: MemoryPool,
@@ -133,57 +133,6 @@ impl Reservation {
 impl Drop for Reservation {
     fn drop(&mut self) {
         self.pool.release(&self.tag, self.bytes);
-    }
-}
-
-/// A typed device allocation. Dereferences to a slice; accounting is
-/// released on drop.
-#[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    pool: MemoryPool,
-    bytes: u64,
-    tag: String,
-}
-
-impl<T> DeviceBuffer<T> {
-    pub(crate) fn from_vec(
-        pool: &MemoryPool,
-        tag: &str,
-        data: Vec<T>,
-    ) -> Result<Self, OutOfMemory> {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        pool.reserve(tag, bytes)?;
-        Ok(Self { data, pool: pool.clone(), bytes, tag: tag.to_string() })
-    }
-
-    /// The allocation's accounting tag.
-    pub fn tag(&self) -> &str {
-        &self.tag
-    }
-
-    /// Accounted size in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.pool.release(&self.tag, self.bytes);
-    }
-}
-
-impl<T> std::ops::Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> std::ops::DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
     }
 }
 
@@ -230,26 +179,6 @@ mod tests {
         let b = p.breakdown();
         assert_eq!(b[0], ("3d_segments".to_string(), 700));
         assert_eq!(b[1], ("2d_tracks".to_string(), 100));
-    }
-
-    #[test]
-    fn buffer_frees_on_drop() {
-        let p = MemoryPool::new(1024);
-        {
-            let buf = DeviceBuffer::from_vec(&p, "t", vec![0u64; 16]).unwrap();
-            assert_eq!(buf.bytes(), 128);
-            assert_eq!(p.used(), 128);
-        }
-        assert_eq!(p.used(), 0);
-        assert_eq!(p.peak(), 128);
-    }
-
-    #[test]
-    fn buffer_allocation_can_fail() {
-        let p = MemoryPool::new(64);
-        let r = DeviceBuffer::from_vec(&p, "t", vec![0u64; 16]);
-        assert!(r.is_err());
-        assert_eq!(p.used(), 0);
     }
 
     proptest::proptest! {

@@ -1,5 +1,5 @@
-//! Per-device execution metrics: kernel timings, transfer volumes and
-//! per-CU work distribution.
+//! Per-device execution metrics: kernel timings and per-CU work
+//! distribution.
 
 use std::collections::HashMap;
 
@@ -18,13 +18,7 @@ pub struct KernelStats {
 #[derive(Debug, Clone, Default)]
 pub struct DeviceMetrics {
     kernels: HashMap<String, KernelStats>,
-    /// Host-to-device bytes copied.
-    pub h2d_bytes: u64,
-    /// Device-to-host bytes copied.
-    pub d2h_bytes: u64,
-    /// Device-to-device (DMA) bytes copied.
-    pub dma_bytes: u64,
-    /// Work units executed per CU since the last reset.
+    /// Work units executed per CU since the device was created.
     pub cu_work: Vec<u64>,
 }
 

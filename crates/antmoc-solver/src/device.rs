@@ -1,5 +1,8 @@
 //! The simulated-GPU solver: Algorithm 1 kernels on a device with hard
-//! memory accounting and optional L3 track-to-CU load mapping.
+//! memory accounting and optional L3 track-to-CU load mapping. Its sweep
+//! is the CPU sweep's one dispatch over one bin per CU
+//! ([`SweepSchedule::for_device`]); the device adds the memory pool, the
+//! spec and the per-CU work metrics.
 //!
 //! Memory tags mirror the paper's Table 3 rows (`2D_tracks`, `3D_tracks`,
 //! `2D_segments`, `3D_segments`, `Track_fluxs`, `Others`) so the memory
@@ -8,12 +11,14 @@
 //! condition that forces OTF or the track manager (§4.1, Fig. 9).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use antmoc_gpusim::{Device, OutOfMemory, Reservation};
 use antmoc_track::Track3dId;
 
 use crate::manager::{select_resident, stored_bytes_for, RankPolicy, ResidencyPlan};
 use crate::problem::Problem;
+use crate::schedule::SweepSchedule;
 use crate::sweep::{sweep_region, FluxBanks, SegmentSource, StorageMode, SweepOutcome};
 use crate::sweeper::Sweeper;
 use crate::tally::{KernelConfig, SweepArena};
@@ -37,8 +42,8 @@ pub struct DeviceSolver {
     segsrc: SegmentSource,
     /// The residency plan when running in Manager mode.
     pub plan: Option<ResidencyPlan>,
-    /// L3 assignment (track indices per CU) when `SegmentSorted`.
-    assignments: Option<Vec<Vec<u32>>>,
+    /// One bin per CU, dealt by `mapping`.
+    schedule: SweepSchedule,
     /// Kernel configuration and per-worker tally/track buffers, reused
     /// across sweeps like the CPU sweeper's.
     arena: SweepArena,
@@ -97,20 +102,14 @@ impl DeviceSolver {
             }
         };
 
-        let assignments = match mapping {
-            CuMapping::GridStride => None,
-            CuMapping::SegmentSorted => {
-                Some(segment_sorted_assignment(problem, device.spec().num_cus))
-            }
-        };
-
+        let schedule = SweepSchedule::for_device(problem, device.spec().num_cus, mapping);
         Ok(Self {
             device,
             mode,
             mapping,
             segsrc,
             plan,
-            assignments,
+            schedule,
             arena: SweepArena::new(KernelConfig::default()),
             _reservations: reservations,
         })
@@ -135,37 +134,20 @@ impl DeviceSolver {
     }
 }
 
-/// Builds the L3 assignment: sort by descending segment count, deal
-/// round-robin (Fig. 5(3)).
-pub fn segment_sorted_assignment(problem: &Problem, num_cus: usize) -> Vec<Vec<u32>> {
-    let mut order: Vec<u32> = (0..problem.num_tracks() as u32).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(problem.sweep_tracks[i as usize].num_segments));
-    let mut buckets = vec![Vec::with_capacity(order.len() / num_cus + 1); num_cus];
-    for (pos, t) in order.into_iter().enumerate() {
-        buckets[pos % num_cus].push(t);
-    }
-    buckets
-}
-
 impl Sweeper for DeviceSolver {
-    /// Launches the shared sweep body through the device — one task per
-    /// CU, grid-stride or by L3 assignment — so CU work accounting,
-    /// launch counts and kernel seconds come from the simulator while the
-    /// kernel, tallies and telemetry are the CPU sweep's.
+    /// Runs the CPU sweep's dispatch over one bin per CU, then records
+    /// the sweep as one kernel launch: per-CU work, launch count and
+    /// kernel seconds come from the simulator while the kernel, tallies
+    /// and telemetry are the CPU sweep's.
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome {
-        let (device, assignments) = (&self.device, &self.assignments);
-        let out = sweep_region(
-            problem,
-            &self.segsrc,
-            q,
-            banks,
-            &mut self.arena,
-            rayon::current_num_threads(),
-            |_, track| match assignments {
-                None => device.launch("fused_sweep", problem.num_tracks(), |i| track(i as u32)),
-                Some(by_cu) => device.launch_by_cu("fused_sweep_l3", by_cu, |_cu, t| track(t)),
-            },
-        );
+        let start = Instant::now();
+        let (out, per_cu) =
+            sweep_region(problem, &self.segsrc, q, banks, &self.schedule, &mut self.arena, None);
+        let kernel = match self.mapping {
+            CuMapping::GridStride => "fused_sweep",
+            CuMapping::SegmentSorted => "fused_sweep_l3",
+        };
+        self.device.record_launch(kernel, &per_cu, start.elapsed().as_secs_f64());
         debug_assert_eq!(out.segments, problem.num_3d_segments() * 2);
         out
     }
@@ -319,14 +301,14 @@ mod tests {
     fn l3_mapping_balances_cu_work() {
         let p = problem();
         let cus = 8;
-        let buckets = segment_sorted_assignment(&p, cus);
-        assert_eq!(buckets.len(), cus);
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(total, p.num_tracks());
-        let seg_sum = |b: &Vec<u32>| -> u64 {
-            b.iter().map(|&t| p.sweep_tracks[t as usize].num_segments as u64).sum()
-        };
-        let sums: Vec<u64> = buckets.iter().map(seg_sum).collect();
+        let schedule = SweepSchedule::for_device(&p, cus, CuMapping::SegmentSorted);
+        assert_eq!(schedule.num_bins(p.num_tracks(), 1), cus);
+        let sums: Vec<u64> = (0..cus)
+            .map(|b| {
+                let bin = schedule.bin(b, p.num_tracks(), cus);
+                bin.map(|t| p.sweep_tracks[t as usize].num_segments as u64).sum()
+            })
+            .collect();
         let max = *sums.iter().max().unwrap() as f64;
         let avg = sums.iter().sum::<u64>() as f64 / cus as f64;
         assert!(max / avg < 1.2, "L3 uniformity {}", max / avg);

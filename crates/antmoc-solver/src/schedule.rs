@@ -1,18 +1,24 @@
-//! Sweep dispatch schedules: the order track indices are handed to the
-//! pool, whose static partition gives worker `w` of `W` the `w`-th
-//! contiguous slice of that order.
+//! Sweep schedules. A schedule is a list of bins of tracks; a sweep deals
+//! the bins to the pool's workers in contiguous runs and each worker
+//! sweeps its bins' tracks in order — the one dispatch every backend
+//! shares (Algorithm 1 and §4.2.3: tracks dealt into bins, bins run in
+//! parallel). Empty bins are dropped.
 //!
-//! The paper's L3 mapping (§4.2.3) assigns 3D tracks to CUs by descending
-//! segment count because per-track work is wildly non-uniform. The same
-//! argument applies to CPU workers: [`ScheduleKind::L3Sorted`] reuses
-//! `antmoc_balance::l3::sorted_round_robin` over the per-track segment
-//! counts and lays the bins out so the partition hands worker `w` exactly
-//! bin `w` — with two or more workers it *is* the paper's L3 deal.
-//! [`ScheduleKind::Natural`] is the identity order (Algorithm 1's natural
-//! mapping).
+//! * [`ScheduleKind::Natural`] — one contiguous range of track indices
+//!   per worker, resolved at sweep time (allocates nothing).
+//! * [`ScheduleKind::L3Sorted`] — the paper's L3 deal applied to the CPU
+//!   pool: `antmoc_balance::l3::sorted_round_robin` over the per-track
+//!   segment counts, one bin per worker, so worker `w` sweeps bin `w`.
+//! * [`ScheduleKind::BoundaryFirst`] — the per-worker slices of an order
+//!   that sweeps boundary-touching tracks first.
+//! * [`SweepSchedule::for_device`] — one bin per simulated CU,
+//!   grid-stride or L3.
 
-use antmoc_balance::l3::sorted_round_robin;
+use std::ops::Range;
 
+use antmoc_balance::l3::{grid_stride, sorted_round_robin};
+
+use crate::device::CuMapping;
 use crate::problem::Problem;
 
 /// Which dispatch order a sweep uses (the `[solver] schedule` knob).
@@ -32,61 +38,67 @@ pub enum ScheduleKind {
     BoundaryFirst,
 }
 
-/// A resolved dispatch order for one problem: position `i` in the sweep's
-/// parallel iteration executes track `track_at(i)`.
+/// A resolved schedule for one problem: its bins, each swept in order by
+/// one worker.
 #[derive(Debug, Clone)]
 pub struct SweepSchedule {
     kind: ScheduleKind,
-    /// `None` is the identity (natural) order.
-    order: Option<Vec<u32>>,
-}
-
-impl Default for SweepSchedule {
-    fn default() -> Self {
-        Self::natural()
-    }
+    /// The non-empty bins; `None` is the natural order, whose contiguous
+    /// ranges are resolved at sweep time.
+    bins: Option<Vec<Vec<u32>>>,
 }
 
 impl SweepSchedule {
-    /// The identity order.
+    /// The natural order: one contiguous range of track indices per
+    /// worker.
     pub fn natural() -> Self {
-        Self { kind: ScheduleKind::Natural, order: None }
+        Self { kind: ScheduleKind::Natural, bins: None }
     }
 
-    /// Builds the order for a problem using the current worker count of
+    fn from_bins(kind: ScheduleKind, mut bins: Vec<Vec<u32>>) -> Self {
+        bins.retain(|b| !b.is_empty());
+        Self { kind, bins: Some(bins) }
+    }
+
+    /// Builds the bins for a problem using the current worker count of
     /// the calling thread's pool.
     pub fn for_problem(kind: ScheduleKind, problem: &Problem) -> Self {
         Self::with_workers(kind, problem, rayon::current_num_threads())
     }
 
-    /// Builds the order for an explicit worker count.
+    /// Builds the bins for an explicit worker count.
     pub fn with_workers(kind: ScheduleKind, problem: &Problem, workers: usize) -> Self {
         match kind {
             ScheduleKind::Natural => Self::natural(),
-            ScheduleKind::L3Sorted => {
-                let weights: Vec<u64> =
-                    problem.sweep_tracks.iter().map(|t| t.num_segments as u64).collect();
-                let bins = sorted_round_robin(&weights, workers.max(1));
-                // Concatenating the bins aligns them with the pool's
-                // contiguous per-worker slices (bin sizes differ by at
-                // most one, the first ones larger, matching its split).
-                Self { kind, order: Some(bins.concat()) }
-            }
             // Without an exchange plan there are no boundary tracks to
-            // prioritise; the order degenerates to plain L3.
-            ScheduleKind::BoundaryFirst => {
-                let mut s = Self::with_workers(ScheduleKind::L3Sorted, problem, workers);
-                s.kind = kind;
-                s
+            // prioritise; the bins degenerate to plain L3.
+            ScheduleKind::L3Sorted | ScheduleKind::BoundaryFirst => {
+                Self::from_bins(kind, sorted_round_robin(&segment_counts(problem), workers.max(1)))
             }
         }
     }
 
-    /// Builds the boundary-first order: `boundary_tracks` (the tracks
+    /// The simulated device's schedule: one bin per CU, dealt grid-stride
+    /// (Algorithm 1's `tid += blockDim * gridDim` loop, the no-L3
+    /// baseline) or by the L3 descending-segment-count round-robin.
+    pub(crate) fn for_device(problem: &Problem, num_cus: usize, mapping: CuMapping) -> Self {
+        match mapping {
+            CuMapping::GridStride => {
+                Self::from_bins(ScheduleKind::Natural, grid_stride(problem.num_tracks(), num_cus))
+            }
+            CuMapping::SegmentSorted => Self::from_bins(
+                ScheduleKind::L3Sorted,
+                sorted_round_robin(&segment_counts(problem), num_cus),
+            ),
+        }
+    }
+
+    /// Builds the boundary-first bins: `boundary_tracks` (the tracks
     /// whose exits ship to neighbour domains, deduplicated) dispatch
     /// before every interior track. Each half is dealt with the L3
     /// descending-weight round-robin so the load stays balanced; the
-    /// boundary half simply jumps the queue.
+    /// boundary half simply jumps the queue. Worker `w` sweeps the `w`-th
+    /// contiguous slice of that order.
     pub fn boundary_first(problem: &Problem, boundary_tracks: &[u32], workers: usize) -> Self {
         let deal = |tracks: Vec<u32>| -> Vec<u32> {
             let weights: Vec<u64> = tracks
@@ -99,10 +111,12 @@ impl SweepSchedule {
         let (boundary, interior) = split_boundary(problem.num_tracks(), boundary_tracks);
         let mut order = deal(boundary);
         order.extend(deal(interior));
-        Self { kind: ScheduleKind::BoundaryFirst, order: Some(order) }
+        let (n, parts) = (order.len(), workers.max(1).min(order.len()));
+        let bins = (0..parts).map(|b| order[range_of(n, parts, b)].to_vec()).collect();
+        Self::from_bins(ScheduleKind::BoundaryFirst, bins)
     }
 
-    /// The serial backend's order: `boundary_tracks` ascending, then the
+    /// The serial backend's one bin: `boundary_tracks` ascending, then the
     /// interior ascending — a stable order both exchange modes share, so
     /// a pipelined sweep can ship each payload from inside itself. With
     /// no boundary tracks it is the natural order.
@@ -112,27 +126,53 @@ impl SweepSchedule {
         }
         let (mut order, interior) = split_boundary(num_tracks, boundary_tracks);
         order.extend(interior);
-        Self { kind: ScheduleKind::BoundaryFirst, order: Some(order) }
+        Self::from_bins(ScheduleKind::BoundaryFirst, vec![order])
     }
 
     pub fn kind(&self) -> ScheduleKind {
         self.kind
     }
 
-    /// The track executed at dispatch position `i`.
-    #[inline]
-    pub fn track_at(&self, i: usize) -> u32 {
-        match &self.order {
-            None => i as u32,
-            Some(order) => order[i],
+    /// How many bins one sweep of `num_tracks` tracks deals on `workers`
+    /// workers.
+    pub(crate) fn num_bins(&self, num_tracks: usize, workers: usize) -> usize {
+        match &self.bins {
+            None => workers.max(1).min(num_tracks),
+            Some(bins) => {
+                let covered: usize = bins.iter().map(Vec::len).sum();
+                assert_eq!(covered, num_tracks, "schedule built for a different problem");
+                bins.len()
+            }
         }
     }
 
-    /// Tracks covered by an explicit order (`None` for the identity,
-    /// which covers any count).
-    pub fn explicit_len(&self) -> Option<usize> {
-        self.order.as_ref().map(Vec::len)
+    /// The tracks of bin `b` of [`Self::num_bins`], in sweep order.
+    pub(crate) fn bin(
+        &self,
+        b: usize,
+        num_tracks: usize,
+        num_bins: usize,
+    ) -> impl Iterator<Item = u32> + '_ {
+        let (range, list) = match &self.bins {
+            None => (range_of(num_tracks, num_bins, b), &[][..]),
+            Some(bins) => (0..0, &bins[b][..]),
+        };
+        range.map(|t| t as u32).chain(list.iter().copied())
     }
+}
+
+/// Range `b` of `0..n` split into `parts` near-equal contiguous ranges,
+/// the first `n % parts` one item longer — the split by which the pool
+/// deals items to workers.
+fn range_of(n: usize, parts: usize, b: usize) -> Range<usize> {
+    let (base, extra) = (n / parts, n % parts);
+    let start = b * base + b.min(extra);
+    start..start + base + usize::from(b < extra)
+}
+
+/// Per-track segment counts, the L3 deal's weights.
+fn segment_counts(problem: &Problem) -> Vec<u64> {
+    problem.sweep_tracks.iter().map(|t| t.num_segments as u64).collect()
 }
 
 /// Partitions `0..num_tracks` into `(boundary, interior)`, each ascending.
@@ -167,14 +207,22 @@ mod tests {
         Problem::build(g, axial, &lib, params)
     }
 
+    /// Each bin's tracks, in sweep order.
+    fn bins(s: &SweepSchedule, n: usize, workers: usize) -> Vec<Vec<u32>> {
+        let num_bins = s.num_bins(n, workers);
+        (0..num_bins).map(|b| s.bin(b, n, num_bins).collect()).collect()
+    }
+
     #[test]
     fn natural_is_identity() {
         let s = SweepSchedule::natural();
         assert_eq!(s.kind(), ScheduleKind::Natural);
-        assert_eq!(s.explicit_len(), None);
-        for i in 0..100 {
-            assert_eq!(s.track_at(i), i as u32);
-        }
+        // One contiguous range per worker, the first `n % W` one longer;
+        // fewer tracks than workers leave no empty bin.
+        assert_eq!(bins(&s, 7, 3), vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
+        assert_eq!(bins(&s, 2, 4), vec![vec![0], vec![1]]);
+        assert_eq!(bins(&s, 100, 1).concat(), (0..100).collect::<Vec<u32>>());
+        assert_eq!(s.num_bins(0, 4), 0);
     }
 
     #[test]
@@ -182,12 +230,12 @@ mod tests {
         let p = problem();
         for workers in [1, 2, 8] {
             let s = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, workers);
-            assert_eq!(s.explicit_len(), Some(p.num_tracks()));
+            let b = bins(&s, p.num_tracks(), workers);
+            assert_eq!(b.len(), workers.min(p.num_tracks()));
             let mut seen = vec![false; p.num_tracks()];
-            for i in 0..p.num_tracks() {
-                let t = s.track_at(i) as usize;
-                assert!(!seen[t], "track {t} dispatched twice (workers={workers})");
-                seen[t] = true;
+            for t in b.concat() {
+                assert!(!seen[t as usize], "track {t} dispatched twice (workers={workers})");
+                seen[t as usize] = true;
             }
             assert!(seen.iter().all(|&b| b));
         }
@@ -202,21 +250,20 @@ mod tests {
         for workers in [1, 2, 8] {
             let s = SweepSchedule::boundary_first(&p, &boundary, workers);
             assert_eq!(s.kind(), ScheduleKind::BoundaryFirst);
-            assert_eq!(s.explicit_len(), Some(n));
+            let order = bins(&s, n, workers).concat();
+            assert_eq!(order.len(), n);
             let mut seen = vec![false; n];
-            for i in 0..n {
-                let t = s.track_at(i) as usize;
-                assert!(!seen[t], "track {t} dispatched twice (workers={workers})");
-                seen[t] = true;
+            for &t in &order {
+                assert!(!seen[t as usize], "track {t} dispatched twice (workers={workers})");
+                seen[t as usize] = true;
             }
             assert!(seen.iter().all(|&b| b));
             // Every boundary track occupies one of the first |boundary|
             // dispatch positions.
-            for i in 0..boundary.len() {
+            for (i, t) in order.iter().take(boundary.len()).enumerate() {
                 assert!(
-                    s.track_at(i).is_multiple_of(3),
-                    "position {i} holds interior track {} ahead of the boundary set",
-                    s.track_at(i)
+                    t.is_multiple_of(3),
+                    "position {i} holds interior track {t} ahead of the boundary set"
                 );
             }
         }
@@ -228,9 +275,7 @@ mod tests {
         let bf = SweepSchedule::with_workers(ScheduleKind::BoundaryFirst, &p, 2);
         let l3 = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, 2);
         assert_eq!(bf.kind(), ScheduleKind::BoundaryFirst);
-        let order: Vec<u32> = (0..p.num_tracks()).map(|i| bf.track_at(i)).collect();
-        let expect: Vec<u32> = (0..p.num_tracks()).map(|i| l3.track_at(i)).collect();
-        assert_eq!(order, expect);
+        assert_eq!(bins(&bf, p.num_tracks(), 2), bins(&l3, p.num_tracks(), 2));
     }
 
     #[test]
@@ -238,21 +283,16 @@ mod tests {
         let p = problem();
         let workers = 2;
         let s = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, workers);
-        let heaviest =
-            (0..p.num_tracks()).max_by_key(|&i| p.sweep_tracks[i].num_segments).unwrap() as u32;
-        let max_segs = p.sweep_tracks[heaviest as usize].num_segments;
-        // The first dispatch position of the first bin carries the single
-        // heaviest track (descending sort, round-robin deal).
-        assert_eq!(
-            p.sweep_tracks[s.track_at(0) as usize].num_segments,
-            max_segs,
-            "first dispatched track must be (one of) the heaviest"
-        );
+        let b = bins(&s, p.num_tracks(), workers);
+        let segs = |t: u32| p.sweep_tracks[t as usize].num_segments;
+        let max_segs = (0..p.num_tracks() as u32).map(segs).max().unwrap();
+        // The first track of the first bin is the single heaviest track
+        // (descending sort, round-robin deal).
+        assert_eq!(segs(b[0][0]), max_segs, "first dispatched track must be (one of) the heaviest");
         // Within each bin the segment counts are non-increasing.
-        let n = p.num_tracks();
-        let bin0 = n.div_ceil(workers);
-        let counts: Vec<u32> =
-            (0..bin0).map(|i| p.sweep_tracks[s.track_at(i) as usize].num_segments).collect();
-        assert!(counts.windows(2).all(|w| w[0] >= w[1]), "bin 0 not descending: {counts:?}");
+        for bin in &b {
+            let counts: Vec<u32> = bin.iter().map(|&t| segs(t)).collect();
+            assert!(counts.windows(2).all(|w| w[0] >= w[1]), "bin not descending: {counts:?}");
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! The transport sweep: boundary flux banks, the one per-track segment
 //! kernel every backend runs ([`sweep_track`]), and the region driver
 //! that delivers its tallies ([`sweep_region`], behind
-//! [`transport_sweep_with`] and the device solver). Tracks reach threads
-//! one way only: the pool's static partition of the dispatch order, so
-//! which worker sweeps which track is fixed for a given worker count.
+//! [`transport_sweep_with`], the CPU sweeper and the device solver).
+//! Tracks reach threads one way only: a [`SweepSchedule`]'s bins, dealt
+//! to the pool's workers in contiguous runs, so which worker sweeps which
+//! track is fixed for a given worker count.
 //!
 //! The sweep integrates Equation (1) of the paper along every 3D track in
 //! both directions: `delta psi = (psi - q) * (1 - exp(-sigma_t * l))` per
@@ -554,6 +555,7 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
 /// Per-worker running totals of one sweep region.
 #[derive(Default)]
 struct WorkerTotals {
+    tracks: u64,
     segments: u64,
     leakage: f64,
     /// Per-track wall time, recorded only when tracing is on.
@@ -565,20 +567,24 @@ struct WorkerTotals {
     cas_burst: Histogram,
 }
 
-/// One full sweep through a [`SweepArena`], minus the order in which
-/// tracks reach the pool: resolves the tally strategy, prepares the
-/// arena, hands `dispatch` the per-track body (`track -> segments`, to be
-/// called exactly once per track from inside a rayon region of at most
-/// `workers` workers), then reduces and records telemetry. The CPU sweep
-/// dispatches by [`SweepSchedule`]; the device solver launches the same
-/// body through its simulated CUs.
+/// One full sweep through a [`SweepArena`] — the one dispatch every
+/// backend runs: resolves the tally strategy, prepares the arena, deals
+/// `schedule`'s bins to the calling thread's pool in contiguous runs and
+/// sweeps each bin's tracks in order, then reduces and records telemetry.
+/// Returns the outcome and the segments each bin swept (the device
+/// solver's per-CU work; the CPU sweep ignores them).
 ///
 /// * **Atomic** strategy: CAS adds into the arena's shared array.
 /// * **Privatized** strategy: plain adds into the executing worker's
 ///   private buffer, reduced in ascending worker order afterwards — zero
-///   `sweep.cas_retries`, and bitwise-deterministic results whenever the
-///   dispatch maps tracks to workers deterministically (the pool's static
-///   partition does).
+///   `sweep.cas_retries`, and bitwise-deterministic results for a fixed
+///   worker count and schedule, since the pool's static partition fixes
+///   which worker sweeps which bin.
+///
+/// When the region has one worker, `swept(t)` is called as each track `t`
+/// finishes: that worker sweeps every bin in order on the calling thread,
+/// so every track is final the moment its body returns. Multi-worker
+/// sweeps report nothing.
 ///
 /// `sweep.cas_retries` counts the retries of this sweep's own adds, never
 /// another sweep's. The clock is read per track only when tracing is on:
@@ -590,10 +596,13 @@ pub(crate) fn sweep_region(
     segsrc: &SegmentSource,
     q: &[f64],
     banks: &FluxBanks,
+    schedule: &SweepSchedule,
     arena: &mut SweepArena,
-    workers: usize,
-    dispatch: impl FnOnce(SweepTallies, &(dyn Fn(u32) -> u64 + Sync)),
-) -> SweepOutcome {
+    swept: Option<&mut dyn FnMut(u32)>,
+) -> (SweepOutcome, Vec<u64>) {
+    let n = problem.num_tracks();
+    let num_bins = schedule.num_bins(n, rayon::current_num_threads());
+    let workers = rayon::current_num_threads().clamp(1, num_bins.max(1));
     let tel = Telemetry::current();
     let _sweep_span = tel.span("transport_sweep");
 
@@ -604,14 +613,14 @@ pub(crate) fn sweep_region(
 
     let mut totals = rayon::WorkerLocal::new(workers, |_| WorkerTotals::default());
     let tracing = tel.trace_enabled();
-    {
+    let per_bin: Vec<u64> = {
         let kernel = arena.kernel.kernel;
         let exp = arena.exp_eval();
         let track_bufs = arena.track_bufs();
         let worker_phi = arena.worker_bufs();
         let shared = matches!(strategy, SweepTallies::Atomic).then(|| arena.atomic_slots());
         let totals = &totals;
-        let body = |t: u32| -> u64 {
+        let body: &(dyn Fn(u32) -> u64 + Sync) = &|t: u32| -> u64 {
             let t0 = tracing.then(Instant::now);
             let mut burst = 0u32;
             let (s, l) = track_bufs.with(|bufs| match shared {
@@ -640,6 +649,7 @@ pub(crate) fn sweep_region(
                 }),
             });
             totals.with(|tot| {
+                tot.tracks += 1;
                 tot.segments += s;
                 tot.leakage += l;
                 if shared.is_some() {
@@ -657,8 +667,22 @@ pub(crate) fn sweep_region(
             });
             s
         };
-        dispatch(strategy, &body);
-    }
+        let bin = |b| schedule.bin(b, n, num_bins);
+        match swept {
+            Some(swept) if workers == 1 => (0..num_bins)
+                .map(|b| {
+                    bin(b)
+                        .map(|t| {
+                            let s = body(t);
+                            swept(t);
+                            s
+                        })
+                        .sum()
+                })
+                .collect(),
+            _ => (0..num_bins).into_par_iter().map(|b| bin(b).map(body).sum()).collect(),
+        }
+    };
 
     // Fixed worker-order reductions: the per-worker (segments, leakage,
     // retries) totals, then the tallies.
@@ -683,7 +707,9 @@ pub(crate) fn sweep_region(
 
     // Taken unconditionally so no earlier region's stats outlive it; a
     // one-worker dispatch leaves none of its own.
-    if let Some(stats) = rayon::take_last_region_stats().filter(|_| workers > 1) {
+    if let Some(mut stats) = rayon::take_last_region_stats().filter(|_| workers > 1) {
+        // The pool counted bins; report each worker's tracks.
+        stats.items = totals.iter_mut().map(|tot| tot.tracks).collect();
         record_scheduler_stats(&tel, &stats);
     }
 
@@ -723,20 +749,15 @@ pub(crate) fn sweep_region(
         ]),
     );
 
-    SweepOutcome { phi_acc: phi, leakage, segments }
+    (SweepOutcome { phi_acc: phi, leakage, segments }, per_bin)
 }
 
-/// A full transport sweep on the rayon pool, dispatching tracks in the
-/// order given by `schedule`. The tally strategy, kernel and exp
+/// A full transport sweep on the rayon pool, dealing `schedule`'s bins
+/// to the workers ([`sweep_region`]). The tally strategy, kernel and exp
 /// evaluator come from the arena's [`crate::tally::KernelConfig`], and
 /// every large allocation (flux accumulator, per-worker tally buffers,
-/// track scratch, exp table) is reused across calls.
-///
-/// Both tally strategies take the pool's static partition of the
-/// dispatch order: worker `w` sweeps the `w`-th contiguous slice, so
-/// privatized tallies repeat bit for bit for a fixed worker count and
-/// schedule ([`SweepSchedule`]'s L3 deal lays its bins out for exactly
-/// that partition).
+/// track scratch, exp table) is reused across calls. Privatized tallies
+/// repeat bit for bit for a fixed worker count and schedule.
 pub fn transport_sweep_with(
     problem: &Problem,
     segsrc: &SegmentSource,
@@ -745,37 +766,7 @@ pub fn transport_sweep_with(
     schedule: &SweepSchedule,
     arena: &mut SweepArena,
 ) -> SweepOutcome {
-    transport_sweep_observed(problem, segsrc, q, banks, schedule, arena, None)
-}
-
-/// [`transport_sweep_with`] that, when the region has one worker, calls
-/// `swept(t)` as each track `t` finishes: one worker sweeps the whole
-/// dispatch order on the calling thread, so every track is final the
-/// moment its body returns. Multi-worker sweeps report nothing.
-pub(crate) fn transport_sweep_observed(
-    problem: &Problem,
-    segsrc: &SegmentSource,
-    q: &[f64],
-    banks: &FluxBanks,
-    schedule: &SweepSchedule,
-    arena: &mut SweepArena,
-    swept: Option<&mut dyn FnMut(u32)>,
-) -> SweepOutcome {
-    let n = problem.num_tracks();
-    if let Some(len) = schedule.explicit_len() {
-        assert_eq!(len, n, "schedule built for a different problem");
-    }
-    let workers = rayon::current_num_threads().clamp(1, n.max(1));
-    sweep_region(problem, segsrc, q, banks, arena, workers, |_, track| match swept {
-        Some(swept) if workers == 1 => (0..n).for_each(|i| {
-            let t = schedule.track_at(i);
-            track(t);
-            swept(t);
-        }),
-        _ => (0..n).into_par_iter().for_each(|i| {
-            track(schedule.track_at(i));
-        }),
-    })
+    sweep_region(problem, segsrc, q, banks, schedule, arena, None).0
 }
 
 /// Records one sweep's scheduler stats: the max/mean worker load ratio

@@ -1,17 +1,18 @@
 //! The [`Sweeper`] interface the iteration driver sweeps through, and its
 //! CPU implementation, the arena-backed [`CpuSweeper`] — on the calling
 //! thread's pool, or pinned to one worker for the `cpu-serial` backend.
-//! The simulated GPU implements the same trait in [`crate::device`].
+//! The simulated GPU implements the same trait in [`crate::device`]; both
+//! run the one dispatch, [`crate::sweep::sweep_region`], over a
+//! [`SweepSchedule`]'s bins.
 
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
-use crate::sweep::{transport_sweep_observed, FluxBanks, SegmentSource, SweepOutcome};
+use crate::sweep::{sweep_region, FluxBanks, SegmentSource, SweepOutcome};
 use crate::tally::{KernelConfig, SweepArena};
 
-/// Anything that can execute a transport sweep for a problem. The
-/// reference solver uses the plain rayon sweep, the device solver
-/// launches through the simulated GPU, and serial ranks sweep on their
-/// own thread.
+/// Anything that can execute a transport sweep for a problem. The CPU
+/// sweeper deals one bin per worker, the device solver one bin per
+/// simulated CU, and serial ranks sweep on their own thread.
 pub trait Sweeper {
     fn sweep(&mut self, problem: &Problem, q: &[f64], banks: &FluxBanks) -> SweepOutcome;
 
@@ -110,7 +111,7 @@ impl<'a> CpuSweeper<'a> {
         swept: Option<&mut dyn FnMut(u32)>,
     ) -> SweepOutcome {
         let (segsrc, schedule, arena) = (self.segsrc, &self.schedule, &mut self.arena);
-        let sweep = || transport_sweep_observed(problem, segsrc, q, banks, schedule, arena, swept);
+        let sweep = || sweep_region(problem, segsrc, q, banks, schedule, arena, swept).0;
         match &self.pool {
             Some(pool) => pool.install(sweep),
             None => sweep(),

@@ -17,7 +17,9 @@
 //!   match a one-worker natural-order CPU sweep bit for bit, and the
 //!   simulated device — either CU mapping, any storage mode — must repeat
 //!   itself bit for bit at workers {1, 2, 8} and stay within 1e-12
-//!   relative of the CPU sweep over the same segment source.
+//!   relative of the CPU sweep over the same segment source. A device
+//!   with one CU per worker under the L3 mapping is the CPU's L3 sweep,
+//!   bit for bit: both deal the same bins through the same dispatch.
 //!
 //! The synthetic cross sections drive tau = sigma_t * length through its
 //! extremes inside one sweep: a void group (tau = 0), subnormal and
@@ -246,6 +248,28 @@ fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
                     assert_within_1e12(&cpu, &dev, &what);
                 }
             }
+        }
+
+        // A device with one CU per worker under the L3 mapping deals the
+        // same bins as the CPU's L3 schedule, so it is that sweep, bit for
+        // bit.
+        for workers in [1usize, 2, 8] {
+            let spec = DeviceSpec { num_cus: workers, ..DeviceSpec::scaled(1 << 30) };
+            let mut solver = DeviceSolver::new(
+                std::sync::Arc::new(Device::new(spec)),
+                &p,
+                StorageMode::Otf,
+                CuMapping::SegmentSorted,
+            )
+            .unwrap();
+            let sched = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, workers);
+            let mut arena = SweepArena::new(KernelConfig::default());
+            let (dev, cpu) = pool(workers).install(|| {
+                let dev = solver.sweep(&p, &q, &inflow_banks(&p));
+                let segsrc = solver.segment_source();
+                (dev, transport_sweep_with(&p, segsrc, &q, &inflow_banks(&p), &sched, &mut arena))
+            });
+            assert_eq!(bits(&dev), bits(&cpu), "device L3 vs cpu L3 (g={g}, workers={workers})");
         }
     }
 }

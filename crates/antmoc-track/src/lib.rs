@@ -16,14 +16,12 @@
 //! [`TrackLayout`] bundles the full product for one geometry.
 
 pub mod chain;
-pub mod io;
 pub mod otf;
 pub mod segment2d;
 pub mod track2d;
 pub mod track3d;
 
 pub use chain::{Chain, ChainMember, ChainSet};
-pub use io::{read_tracks, write_tracks, TrackIoError};
 pub use otf::{
     count_segments_per_track, estimate_volumes, trace_3d, Segment3d, Segment3dCompact,
     SegmentStore3d,

@@ -473,18 +473,33 @@ impl RunConfig {
         cfg.eigen.tolerance = parse_num(get("solver", "tolerance"), cfg.eigen.tolerance)?;
         cfg.eigen.max_iterations =
             parse_num(get("solver", "max_iterations"), cfg.eigen.max_iterations)?;
-        let budget_mb: u64 = parse_num(get("solver", "manager_budget_mb"), 64u64)?;
+        // A size key read in `unit`-byte units, rejected at its line when
+        // the byte count does not fit a u64.
+        let bytes = |key: &str, default: u64, unit: u64| -> Result<u64, ConfigError> {
+            let n: u64 = parse_num(get("solver", key), default)?;
+            n.checked_mul(unit).ok_or_else(|| ConfigError {
+                line: get("solver", key).map_or(0, |(l, _)| l),
+                message: format!("{key} = {n} overflows a 64-bit byte count"),
+            })
+        };
+        let budget_bytes = bytes("manager_budget_mb", 64, 1 << 20)?;
         if let Some((line, v)) = get("solver", "mode") {
             cfg.mode = match v.to_lowercase().as_str() {
                 "explicit" | "exp" => StorageMode::Explicit,
                 "otf" => StorageMode::Otf,
-                "manager" => StorageMode::Manager { budget_bytes: budget_mb << 20 },
+                "manager" => StorageMode::Manager { budget_bytes },
                 other => {
                     return Err(ConfigError { line, message: format!("unknown mode {other:?}") })
                 }
             };
         }
-        let device_mb: u64 = parse_num(get("solver", "device_memory_mb"), 256u64)?;
+        let device_bytes = bytes("device_memory_mb", 256, 1 << 20)?;
+        if device_bytes == 0 {
+            return Err(ConfigError {
+                line: get("solver", "device_memory_mb").map_or(0, |(l, _)| l),
+                message: "device_memory_mb must be >= 1".into(),
+            });
+        }
         let mapping = match get("solver", "cu_mapping") {
             None => CuMapping::SegmentSorted,
             Some((line, v)) => match v.to_lowercase().as_str() {
@@ -526,9 +541,8 @@ impl RunConfig {
                 }
             };
         }
-        let tally_budget_mb: u64 =
-            parse_num(get("solver", "tally_budget_mb"), cfg.kernel.tally_budget_bytes >> 20)?;
-        cfg.kernel.tally_budget_bytes = tally_budget_mb << 20;
+        cfg.kernel.tally_budget_bytes =
+            bytes("tally_budget_mb", cfg.kernel.tally_budget_bytes >> 20, 1 << 20)?;
         if let Some((line, v)) = get("solver", "exp") {
             cfg.kernel.exp = match v.to_lowercase().as_str() {
                 "intrinsic" => ExpMode::Intrinsic,
@@ -563,22 +577,22 @@ impl RunConfig {
             };
         }
         if let Some((line, _)) = get("solver", "block_kb") {
-            let block_kb: u64 = parse_num(get("solver", "block_kb"), 0)?;
-            if block_kb == 0 {
+            let block_bytes = bytes("block_kb", 0, 1 << 10)?;
+            if block_bytes == 0 {
                 return Err(ConfigError {
                     line,
                     message: "block_kb must be >= 1 (omit the key for the cache-model default)"
                         .into(),
                 });
             }
-            cfg.kernel.block_bytes = Some(block_kb << 10);
+            cfg.kernel.block_bytes = Some(block_bytes);
         }
         if let Some((line, v)) = get("solver", "backend") {
             cfg.backend = match v.to_lowercase().as_str() {
                 "cpu" => BackendConfig::Cpu,
                 "cpu-serial" | "cpu_serial" | "serial" => BackendConfig::CpuSerial,
                 "device" | "gpu" => {
-                    BackendConfig::Device { memory_bytes: device_mb << 20, cu_mapping: mapping }
+                    BackendConfig::Device { memory_bytes: device_bytes, cu_mapping: mapping }
                 }
                 other => {
                     return Err(ConfigError { line, message: format!("unknown backend {other:?}") })
@@ -1030,5 +1044,34 @@ backend = cpu-serial
         let spec = CaseSpec::parse(&text).unwrap();
         let err = RunConfig::from_case(&spec).unwrap_err();
         assert!(err.message.contains("cpu"), "{err}");
+    }
+
+    #[test]
+    fn size_keys_reject_overflow_and_empty_devices_at_their_line() {
+        // 2^44 MiB and 2^54 KiB are the first counts whose bytes overflow
+        // a u64; `None` parses.
+        for (entry, expect) in [
+            ("manager_budget_mb = 17592186044416", Some("overflows")),
+            ("device_memory_mb = 17592186044416", Some("overflows")),
+            ("tally_budget_mb = 17592186044416", Some("overflows")),
+            ("block_kb = 18014398509481984", Some("overflows")),
+            ("device_memory_mb = 0", Some("device_memory_mb must be >= 1")),
+            ("device_memory_mb = 17592186044415", None),
+            ("block_kb = 18014398509481983", None),
+        ] {
+            let ini = format!("[solver]\nbackend = device\n{entry}\n");
+            let toml = CASE.replace("mode = otf", &format!("mode = otf\n{entry}"));
+            let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
+            let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
+            for (result, line) in [(RunConfig::parse(&ini), 3), (case, toml_line)] {
+                match (result, expect) {
+                    (Ok(_), None) => {}
+                    (Err(e), Some(msg)) => {
+                        assert!(e.message.contains(msg) && e.line == line, "{e}")
+                    }
+                    (result, _) => panic!("{entry}: unexpected {result:?}"),
+                }
+            }
+        }
     }
 }

@@ -7,9 +7,8 @@
 //! the iteration space, in ascending order. The item-to-worker map is a
 //! pure function of `(n, W)` — a fixed thread-to-item map, as in the
 //! paper's Algorithm 1 — so anything accumulated per worker repeats bit for
-//! bit from run to run. Balancing non-uniform items is the caller's job: order
-//! them so each contiguous slice carries an equal share (the solver's L3
-//! schedule deals tracks that way).
+//! bit from run to run. Balancing non-uniform items is the caller's job: the
+//! solver's sweep deals tracks into balanced bins and maps over the bins.
 //!
 //! Each multi-worker region records [`RegionStats`] (per-worker busy time
 //! and item counts), retrievable once via [`take_last_region_stats`] on
@@ -19,8 +18,8 @@
 //!
 //! Worker count: `ThreadPool::install` override, else the
 //! `ANTMOC_NUM_THREADS` environment variable, else
-//! `available_parallelism`. Only the adapters the solver/track/gpusim
-//! crates actually call are provided; grow it as call sites grow.
+//! `available_parallelism`. Only the adapters the workspace actually calls
+//! are provided; grow it as call sites grow.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -440,10 +439,6 @@ impl<'a, T: Sync> SliceParIter<'a, T> {
     {
         SliceMap { slice: self.slice, f }
     }
-
-    pub fn enumerate(self) -> SliceEnumerate<'a, T> {
-        SliceEnumerate { slice: self.slice }
-    }
 }
 
 /// A mapped slice iterator.
@@ -461,46 +456,6 @@ where
     pub fn collect<C: From<Vec<R>>>(self) -> C {
         let parts = run_partitioned(self.slice.len(), |_, r| {
             self.slice[r].iter().map(&self.f).collect::<Vec<R>>()
-        });
-        C::from(parts.into_iter().flatten().collect::<Vec<R>>())
-    }
-}
-
-/// An enumerated slice iterator.
-pub struct SliceEnumerate<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> SliceEnumerate<'a, T> {
-    pub fn map<R, F>(self, f: F) -> SliceEnumerateMap<'a, T, F>
-    where
-        F: Fn((usize, &'a T)) -> R + Sync,
-        R: Send,
-    {
-        SliceEnumerateMap { slice: self.slice, f }
-    }
-}
-
-/// A mapped, enumerated slice iterator.
-pub struct SliceEnumerateMap<'a, T, F> {
-    slice: &'a [T],
-    f: F,
-}
-
-impl<'a, T, R, F> SliceEnumerateMap<'a, T, F>
-where
-    T: Sync,
-    R: Send,
-    F: Fn((usize, &'a T)) -> R + Sync,
-{
-    pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let parts = run_partitioned(self.slice.len(), |_, r| {
-            let base = r.start;
-            self.slice[r]
-                .iter()
-                .enumerate()
-                .map(|(k, t)| (self.f)((base + k, t)))
-                .collect::<Vec<R>>()
         });
         C::from(parts.into_iter().flatten().collect::<Vec<R>>())
     }
