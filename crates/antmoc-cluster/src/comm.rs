@@ -285,7 +285,7 @@ impl Comm {
 
     /// All-reduce of an `f64` with a binary operation (gather to rank 0,
     /// reduce, broadcast). `op` must be associative and commutative.
-    pub fn allreduce_f64(&mut self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    fn allreduce_f64(&mut self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         const TAG: u32 = u32::MAX - 1;
         let tel = antmoc_telemetry::Telemetry::current();
         tel.counter_add("comm.allreduce_calls", 1);
@@ -309,11 +309,6 @@ impl Comm {
     /// Sum all-reduce.
     pub fn allreduce_sum(&mut self, value: f64) -> f64 {
         self.allreduce_f64(value, |a, b| a + b)
-    }
-
-    /// Max all-reduce.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        self.allreduce_f64(value, f64::max)
     }
 
     /// Gathers one value per rank to every rank (all-gather).
@@ -514,7 +509,7 @@ mod tests {
         let o = Cluster::run(5, |mut comm| {
             let r = comm.rank() as f64;
             let sum = comm.allreduce_sum(r);
-            let max = comm.allreduce_max(r);
+            let max = comm.allreduce_f64(r, f64::max);
             (sum, max)
         });
         for (sum, max) in o.results {

@@ -118,11 +118,6 @@ impl AxialModel {
         &self.zones
     }
 
-    /// Height of axial cell `k`.
-    pub fn cell_height(&self, k: usize) -> f64 {
-        self.planes[k + 1] - self.planes[k]
-    }
-
     /// The axial cell containing `z` (clamped to the valid range; points
     /// exactly on an interior plane belong to the upper cell).
     pub fn find_cell(&self, z: f64) -> usize {
@@ -252,8 +247,7 @@ mod tests {
             100.0,
         );
         assert_eq!(m.num_cells(), 2);
-        assert_eq!(m.cell_height(0), 4.0);
-        assert_eq!(m.cell_height(1), 2.0);
+        assert_eq!(m.planes(), [0.0, 4.0, 6.0]);
     }
 
     #[test]

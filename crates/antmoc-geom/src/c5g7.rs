@@ -305,11 +305,6 @@ impl C5g7 {
         }
         Some(PinAddress { assembly: (ax, ay), pin: (path[4] as usize, path[5] as usize) })
     }
-
-    /// Whether an FSR's radial material can fission in the fuel zones.
-    pub fn is_fuel_fsr(&self, f: FsrId) -> bool {
-        self.library.get(self.geometry.fsr_material(f)).is_fissile()
-    }
 }
 
 /// Builds the axial zones for a rodded configuration.
@@ -465,64 +460,6 @@ fn build_reflector_assembly(
     })
 }
 
-/// A single-assembly variant of the benchmark: one UO2 17x17 assembly
-/// with reflective radial boundaries (an infinite lattice of assemblies),
-/// fuel below an axial water reflector. Far cheaper than the full quarter
-/// core — the standard model for quick studies, as in the paper's remark
-/// that simulation scale evolved "from single-assembly to full-core".
-pub fn single_assembly(opts: C5g7Options) -> C5g7 {
-    let mut library = xs7::library_with_rod();
-    let mut gt1 = xs7::guide_tube();
-    gt1.name = "guide-tube-inner-uo2".into();
-    let tube_inner_uo2 = library.add(gt1);
-    let mut gt2 = xs7::guide_tube();
-    gt2.name = "guide-tube-mox".into();
-    let tube_mox = library.add(gt2);
-
-    let m = MatIds {
-        uo2: library.by_name("UO2").unwrap().0,
-        mox43: library.by_name("MOX-4.3").unwrap().0,
-        mox70: library.by_name("MOX-7.0").unwrap().0,
-        mox87: library.by_name("MOX-8.7").unwrap().0,
-        chamber: library.by_name("fission-chamber").unwrap().0,
-        tube: library.by_name("guide-tube").unwrap().0,
-        water: library.by_name("moderator").unwrap().0,
-        rod: library.by_name("control-rod").unwrap().0,
-        tube_inner_uo2,
-        tube_mox,
-    };
-    let _ = (m.mox43, m.mox70, m.mox87, m.tube, m.tube_mox);
-
-    let mut b = GeometryBuilder::new();
-    let pins = pin_builder(&opts);
-    let uo2_pin = pins.build(&mut b, m.uo2, m.water);
-    let chamber_pin = pins.build(&mut b, m.chamber, m.water);
-    let tube_pin = pins.build(&mut b, m.tube_inner_uo2, m.water);
-    let assembly = build_uo2_assembly(&mut b, uo2_pin, tube_pin, chamber_pin, "UO2-single");
-    let root = b.add_universe(Universe {
-        cells: vec![Cell { region: vec![], fill: Fill::Universe(assembly) }],
-        name: "root".into(),
-    });
-    let bcs = BoundaryConds {
-        x_min: Bc::Reflective,
-        x_max: Bc::Reflective,
-        y_min: Bc::Reflective,
-        y_max: Bc::Reflective,
-        z_min: Bc::Reflective,
-        z_max: Bc::Vacuum,
-    };
-    let geometry = b.finalize(
-        root,
-        ASSEMBLY_PITCH,
-        ASSEMBLY_PITCH,
-        (ASSEMBLY_PITCH / 2.0, ASSEMBLY_PITCH / 2.0),
-        (0.0, CORE_HEIGHT),
-        bcs,
-    );
-    let axial = build_axial(&opts, &m);
-    C5g7 { geometry, axial, library, opts, mat_ids: m }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,32 +578,6 @@ mod tests {
         assert_eq!(m.axial.material_at(gt_inner, mid_bank), rod);
         assert_eq!(m.axial.material_at(gt_mox, mid_bank), gt_mox);
         assert_eq!(m.axial.material_at(gt_mox, top_bank), rod);
-    }
-
-    #[test]
-    fn single_assembly_builds_and_locates() {
-        let m = single_assembly(C5g7Options::default());
-        // 289 pins x 2 leaves.
-        assert_eq!(m.geometry.num_fsrs(), 289 * 2);
-        let (uo2, _) = m.library.by_name("UO2").unwrap();
-        let (chamber, _) = m.library.by_name("fission-chamber").unwrap();
-        let p0 = PIN_PITCH / 2.0;
-        assert_eq!(m.geometry.find(p0, p0).unwrap().material, uo2);
-        let fc = PIN_PITCH * (FISSION_CHAMBER.0 as f64 + 0.5);
-        assert_eq!(m.geometry.find(fc, fc).unwrap().material, chamber);
-        let (w, h) = m.geometry.widths();
-        assert!((w - ASSEMBLY_PITCH).abs() < 1e-12 && (h - ASSEMBLY_PITCH).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_assembly_pin_decode_uses_assembly_zero() {
-        let m = single_assembly(C5g7Options::default());
-        let p0 = PIN_PITCH / 2.0;
-        let loc = m.geometry.find(p0, p0).unwrap();
-        // Path shape differs from the quarter core (no core lattice), so
-        // pin_of_fsr does not apply; the path still decodes pin indices.
-        let path = m.geometry.fsr_path(loc.fsr);
-        assert_eq!(&path[..3], &[0, 0, 0], "path {path:?}");
     }
 
     #[test]

@@ -267,13 +267,6 @@ impl Geometry {
         self.bcs
     }
 
-    /// Overrides the boundary conditions (used when embedding a geometry
-    /// as a spatial-decomposition subdomain, where internal faces become
-    /// flux-exchange interfaces).
-    pub fn set_bcs(&mut self, bcs: BoundaryConds) {
-        self.bcs = bcs;
-    }
-
     /// Radial box `(x_min, x_max, y_min, y_max)` in global coordinates.
     pub fn bounds(&self) -> (f64, f64, f64, f64) {
         self.bounds_box
@@ -492,11 +485,6 @@ impl Geometry {
         segs
     }
 
-    /// Sum of analytic area hints when every FSR has one.
-    pub fn total_hinted_area(&self) -> Option<f64> {
-        self.fsr_area.iter().copied().sum::<Option<f64>>()
-    }
-
     /// Iterator over all FSR ids.
     pub fn fsrs(&self) -> impl Iterator<Item = FsrId> {
         (0..self.num_fsrs() as u32).map(FsrId)
@@ -634,7 +622,7 @@ mod tests {
     fn homogeneous_box_has_one_fsr() {
         let g = homogeneous_box(MaterialId(0), 3.0, 4.0, (0.0, 2.0), BoundaryConds::vacuum());
         assert_eq!(g.num_fsrs(), 1);
-        assert_eq!(g.total_hinted_area(), Some(12.0));
+        assert_eq!(g.fsr_area_hint(FsrId(0)), Some(12.0));
         let segs = g.trace((-1.5, 0.0), 0.0);
         assert_eq!(segs.len(), 1);
         assert!((segs[0].1 - 3.0).abs() < 1e-9);

@@ -60,7 +60,7 @@ impl Surface {
 
     /// Signed evaluation: negative inside / below, positive outside / above.
     #[inline]
-    pub fn evaluate(&self, x: f64, y: f64) -> f64 {
+    fn evaluate(&self, x: f64, y: f64) -> f64 {
         match *self {
             Surface::XPlane { x0 } => x - x0,
             Surface::YPlane { y0 } => y - y0,

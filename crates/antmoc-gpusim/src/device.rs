@@ -16,22 +16,11 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// An AMD Instinct MI60-like device (64 CUs, 16 GiB), the paper's
-    /// hardware (§5).
-    pub fn mi60() -> Self {
-        Self { name: "MI60-sim".into(), num_cus: 64, memory_bytes: 16 << 30 }
-    }
-
     /// A laptop-scale stand-in used by tests and measured experiments:
     /// same CU count, scaled-down memory so memory-pressure effects appear
     /// at laptop-sized track counts.
     pub fn scaled(memory_bytes: u64) -> Self {
         Self { name: "scaled-sim".into(), num_cus: 64, memory_bytes }
-    }
-
-    /// A tiny device for unit tests (8 CUs, 1 MiB).
-    pub fn test_small() -> Self {
-        Self { name: "test".into(), num_cus: 8, memory_bytes: 1 << 20 }
     }
 }
 
@@ -99,9 +88,14 @@ mod tests {
     use super::*;
     use crate::memory::Reservation;
 
+    /// A tiny device: 8 CUs, 1 MiB.
+    fn small() -> Device {
+        Device::new(DeviceSpec { num_cus: 8, ..DeviceSpec::scaled(1 << 20) })
+    }
+
     #[test]
     fn record_launch_accounts_cu_work_launches_and_work_units() {
-        let dev = Device::new(DeviceSpec::test_small());
+        let dev = small();
         dev.record_launch("k", &[6, 4, 0, 11], 0.5);
         dev.record_launch("k", &[1; 8], 0.25);
         let m = dev.metrics();
@@ -114,15 +108,8 @@ mod tests {
 
     #[test]
     fn alloc_over_capacity_errors() {
-        let dev = Device::new(DeviceSpec::test_small()); // 1 MiB
+        let dev = small();
         let err = Reservation::new(dev.memory(), "big", 2 << 20).unwrap_err();
         assert_eq!(err.capacity, 1 << 20);
-    }
-
-    #[test]
-    fn mi60_spec_matches_paper_hardware() {
-        let s = DeviceSpec::mi60();
-        assert_eq!(s.num_cus, 64);
-        assert_eq!(s.memory_bytes, 16 << 30);
     }
 }

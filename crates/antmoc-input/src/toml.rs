@@ -57,13 +57,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(a) => Some(a),
@@ -455,7 +448,7 @@ mod tests {
         assert_eq!(case.get("name").unwrap().value.as_str(), Some("pin"));
         assert_eq!(case.get("name").unwrap().line, 3);
         assert_eq!(doc.table("axial").unwrap().get("dz").unwrap().value.as_f64(), Some(14.28));
-        assert_eq!(doc.table("axial").unwrap().get("flag").unwrap().value.as_bool(), Some(true));
+        assert_eq!(doc.table("axial").unwrap().get("flag").unwrap().value, Value::Bool(true));
         let pins = doc.array("pin");
         assert_eq!(pins.len(), 2);
         assert_eq!(pins[1].get("name").unwrap().value.as_str(), Some("b"));

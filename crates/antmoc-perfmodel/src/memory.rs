@@ -11,7 +11,7 @@ pub const MEM_PER_2D_TRACK: u64 = 64;
 pub const MEM_PER_3D_TRACK: u64 = 96;
 /// Bytes of boundary flux per 3D track: 2 directions x groups x f32,
 /// double-buffered.
-pub fn mem_flux_per_3d_track(num_groups: u64) -> u64 {
+fn mem_flux_per_3d_track(num_groups: u64) -> u64 {
     2 * num_groups * 4 * 2
 }
 

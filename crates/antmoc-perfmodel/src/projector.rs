@@ -121,11 +121,6 @@ impl ScalingProjector {
     }
 }
 
-/// A flat (perfectly balanced) load index.
-pub fn balanced_load(_gpus: usize) -> f64 {
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn strong_efficiency_is_one_at_baseline_and_decays() {
-        let p = projector(balanced_load);
+        let p = projector(|_| 1.0);
         let pts = p.strong(&[1000, 2000, 4000, 8000, 16000]);
         assert!((pts[0].efficiency - 1.0).abs() < 1e-12);
         // Strong scaling with memory relief is superlinear until the
@@ -173,7 +168,7 @@ mod tests {
     fn all_resident_inflection_appears() {
         // Once per-GPU segments fit the budget entirely, the OTF overhead
         // vanishes — the Fig. 11 "8000 GPUs all-resident" effect.
-        let p = projector(balanced_load);
+        let p = projector(|_| 1.0);
         let pts = p.strong(&[1000, 2000, 4000, 8000, 16000]);
         let resident: Vec<f64> = pts.iter().map(|p| p.resident_fraction).collect();
         assert!(resident[0] < 1.0, "baseline should be memory-starved: {resident:?}");
@@ -192,14 +187,14 @@ mod tests {
         fn imbalanced(_: usize) -> f64 {
             1.5
         }
-        let balanced = projector(balanced_load).strong(&[16000]);
+        let balanced = projector(|_| 1.0).strong(&[16000]);
         let skewed = projector(imbalanced).strong(&[16000]);
         assert!(balanced[0].seconds < skewed[0].seconds);
     }
 
     #[test]
     fn weak_efficiency_decays_with_grid_overhead() {
-        let p = projector(balanced_load);
+        let p = projector(|_| 1.0);
         let pts = p.weak(&[1000, 4000, 16000], 1.0e9, 0.02);
         assert!((pts[0].efficiency - 1.0).abs() < 1e-12);
         assert!(pts[2].efficiency < pts[0].efficiency);

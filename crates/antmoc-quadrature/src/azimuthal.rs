@@ -78,11 +78,6 @@ impl AzimuthalQuadrature {
         self.half_angles.len() * 2
     }
 
-    /// Number of angles in the stored half set `[0, pi)`.
-    pub fn num_azim_half(&self) -> usize {
-        self.half_angles.len()
-    }
-
     /// The azimuthal angle for full-circle index `a`.
     pub fn phi(&self, a: usize) -> f64 {
         let half = self.half_angles.len();
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn equal_angle_is_symmetric_about_half_pi() {
         let q = AzimuthalQuadrature::equal_angle(16);
-        let h = q.num_azim_half();
+        let h = q.num_azim() / 2;
         for a in 0..h / 2 {
             let c = q.complement(a);
             assert!((q.phi(a) + q.phi(c) - PI).abs() < 1e-12);

@@ -48,16 +48,6 @@ impl Quadrature {
         Self { azim, polar }
     }
 
-    /// Convenience constructor: `num_azim` equally spaced azimuthal angles
-    /// (must be a positive multiple of 4) and `num_polar` polar angles
-    /// (must be positive and even) of the given polar family.
-    pub fn with_counts(num_azim: usize, num_polar: usize, polar_type: PolarType) -> Self {
-        Self {
-            azim: AzimuthalQuadrature::equal_angle(num_azim),
-            polar: PolarQuadrature::new(polar_type, num_polar),
-        }
-    }
-
     /// The azimuthal factor.
     pub fn azimuthal(&self) -> &AzimuthalQuadrature {
         &self.azim
@@ -90,17 +80,6 @@ impl Quadrature {
         let st = theta.sin();
         [st * phi.cos(), st * phi.sin(), theta.cos()]
     }
-
-    /// Total weight over the sphere (should be `4*pi` up to rounding).
-    pub fn total_weight(&self) -> f64 {
-        let mut sum = 0.0;
-        for a in 0..self.num_azim() {
-            for p in 0..self.num_polar() {
-                sum += self.weight(a, p);
-            }
-        }
-        sum
-    }
 }
 
 #[cfg(test)]
@@ -108,13 +87,25 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// `num_azim` equally spaced azimuthal angles times `num_polar` polar
+    /// angles of the given family.
+    fn product(num_azim: usize, num_polar: usize, polar_type: PolarType) -> Quadrature {
+        Quadrature::new(
+            AzimuthalQuadrature::equal_angle(num_azim),
+            PolarQuadrature::new(polar_type, num_polar),
+        )
+    }
+
     #[test]
     fn product_weights_integrate_to_4pi() {
         for &(na, np) in &[(4usize, 2usize), (8, 4), (16, 6), (32, 2)] {
             for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto, PolarType::EqualWeight]
             {
-                let q = Quadrature::with_counts(na, np, ty);
-                let total = q.total_weight();
+                let q = product(na, np, ty);
+                let total: f64 = (0..na)
+                    .flat_map(|a| (0..np).map(move |p| (a, p)))
+                    .map(|(a, p)| q.weight(a, p))
+                    .sum();
                 assert!(
                     (total - 4.0 * PI).abs() < 1e-9,
                     "total weight {total} for na={na} np={np} {ty:?}"
@@ -125,7 +116,7 @@ mod tests {
 
     #[test]
     fn directions_are_unit_vectors() {
-        let q = Quadrature::with_counts(8, 4, PolarType::GaussLegendre);
+        let q = product(8, 4, PolarType::GaussLegendre);
         for a in 0..q.num_azim() {
             for p in 0..q.num_polar() {
                 let d = q.direction(a, p);
@@ -139,7 +130,7 @@ mod tests {
     fn first_moment_vanishes_by_symmetry() {
         // An even quadrature set must integrate odd functions (each
         // direction component) to zero.
-        let q = Quadrature::with_counts(16, 4, PolarType::GaussLegendre);
+        let q = product(16, 4, PolarType::GaussLegendre);
         let mut m = [0.0f64; 3];
         for a in 0..q.num_azim() {
             for p in 0..q.num_polar() {
@@ -158,7 +149,7 @@ mod tests {
     #[test]
     fn second_moment_is_isotropic() {
         // integral over sphere of omega_i^2 = 4*pi/3 for each i.
-        let q = Quadrature::with_counts(32, 6, PolarType::GaussLegendre);
+        let q = product(32, 6, PolarType::GaussLegendre);
         for i in 0..3 {
             let mut m = 0.0;
             for a in 0..q.num_azim() {

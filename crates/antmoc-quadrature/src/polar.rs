@@ -137,7 +137,7 @@ fn gauss_legendre_half(half: usize) -> (Vec<f64>, Vec<f64>) {
 
 /// Gauss–Legendre nodes and weights on `(-1, 1)` via Newton iteration on
 /// the Legendre polynomial `P_n`.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
+fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(n >= 1);
     let mut nodes = vec![0.0f64; n];
     let mut weights = vec![0.0f64; n];

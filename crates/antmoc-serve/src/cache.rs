@@ -164,16 +164,6 @@ impl SetupCache {
         }
     }
 
-    /// Ready entries currently resident.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().order.len()
-    }
-
-    /// Whether no setups are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Returns the setup for `key`, building it with `build` on a miss.
     /// The bool is `true` for a hit — including jobs that waited out
     /// another worker's in-flight build of the same key (they reused the
@@ -240,17 +230,15 @@ mod tests {
     #[test]
     fn key_tracks_every_setup_relevant_field() {
         let base = RunConfig::default();
-        let mutations: Vec<(&str, Box<dyn Fn(&mut RunConfig)>)> = vec![
-            ("num_azim", Box::new(|c: &mut RunConfig| c.tracks.num_azim = 8)),
-            ("radial_spacing", Box::new(|c| c.tracks.radial_spacing += 1e-12)),
-            ("axial_dz", Box::new(|c| c.model.c5g7_mut().axial_dz *= 1.0 + 1e-14)),
-            (
-                "rodded",
-                Box::new(|c| c.model.c5g7_mut().config = antmoc::geom::c5g7::RoddedConfig::RoddedA),
-            ),
-            ("mode", Box::new(|c| c.mode = antmoc_solver::StorageMode::Explicit)),
-            ("backend", Box::new(|c| c.backend = BackendConfig::CpuSerial)),
-            ("exp", Box::new(|c| c.kernel.exp = ExpMode::Table)),
+        type Mutation = fn(&mut RunConfig);
+        let mutations: [(&str, Mutation); 7] = [
+            ("num_azim", |c| c.tracks.num_azim = 8),
+            ("radial_spacing", |c| c.tracks.radial_spacing += 1e-12),
+            ("axial_dz", |c| c.model.c5g7_mut().axial_dz *= 1.0 + 1e-14),
+            ("rodded", |c| c.model.c5g7_mut().config = antmoc::geom::c5g7::RoddedConfig::RoddedA),
+            ("mode", |c| c.mode = antmoc_solver::StorageMode::Explicit),
+            ("backend", |c| c.backend = BackendConfig::CpuSerial),
+            ("exp", |c| c.kernel.exp = ExpMode::Table),
         ];
         for (name, m) in &mutations {
             let mut cfg = base.clone();
@@ -268,32 +256,73 @@ mod tests {
         assert_eq!(cache_key(&base), cache_key(&i2), "intrinsic runs ignore the tolerance");
     }
 
+    /// A configuration coarse enough to build instantly.
+    fn coarse() -> RunConfig {
+        let mut c = RunConfig::default();
+        c.model.c5g7_mut().axial_dz = 64.26;
+        c.tracks =
+            antmoc_track::TrackParams { num_azim: 4, radial_spacing: 5.0, ..Default::default() };
+        c.tracks.axial_spacing = 60.0;
+        c
+    }
+
     #[test]
     fn cache_hits_and_evicts_fifo() {
         let cache = SetupCache::new(2);
-        let build = |cfg: &RunConfig| {
-            let mut c = cfg.clone();
-            // Coarse enough to build instantly.
-            c.model.c5g7_mut().axial_dz = 64.26;
-            c.tracks = antmoc_track::TrackParams {
-                num_azim: 4,
-                radial_spacing: 5.0,
-                ..Default::default()
-            };
-            c.tracks.axial_spacing = 60.0;
-            c
-        };
-        let cfg = build(&RunConfig::default());
+        let cfg = coarse();
         let (_s1, hit1) = cache.get_or_build(1, || antmoc::build_setup(&cfg));
         assert!(!hit1);
         let (_s2, hit2) = cache.get_or_build(1, || panic!("must not rebuild on a hit"));
         assert!(hit2);
-        assert_eq!(cache.len(), 1);
         let (_s3, _) = cache.get_or_build(2, || antmoc::build_setup(&cfg));
         let (_s4, _) = cache.get_or_build(3, || antmoc::build_setup(&cfg));
-        assert_eq!(cache.len(), 2, "FIFO eviction holds the cache at capacity");
-        // Key 1 (oldest) was evicted; a re-request rebuilds.
-        let (_s5, hit5) = cache.get_or_build(1, || antmoc::build_setup(&cfg));
-        assert!(!hit5);
+        // FIFO eviction holds the cache at capacity: key 3 is resident,
+        // key 1 (oldest) was evicted and a re-request rebuilds.
+        let (_s5, hit3) = cache.get_or_build(3, || panic!("key 3 must be resident"));
+        assert!(hit3);
+        let (_s6, hit1) = cache.get_or_build(1, || antmoc::build_setup(&cfg));
+        assert!(!hit1);
+    }
+
+    #[test]
+    fn a_waiter_rebuilds_after_the_single_flight_build_panics() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(SetupCache::new(2));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let builder = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                cache.get_or_build(7, || {
+                    started_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                    panic!("setup build failed");
+                })
+            })
+        };
+        // The builder holds the key's `Building` marker from here on.
+        started_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let cfg = coarse();
+                let (_setup, hit) = cache.get_or_build(7, || antmoc::build_setup(&cfg));
+                done_tx.send(hit).unwrap();
+            });
+        }
+        // Give the second caller time to block on the marker, then let
+        // the first build unwind.
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        assert!(builder.join().is_err(), "the panicking build must unwind its caller");
+        let hit = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the waiter hung on an abandoned build");
+        assert!(!hit, "the waiter rebuilt the setup, so it is a miss");
+        let (_setup, hit) = cache.get_or_build(7, || panic!("the rebuilt setup must be resident"));
+        assert!(hit);
     }
 }

@@ -1,10 +1,10 @@
 //! The multi-tenant solve service: many concurrent solve requests against
 //! one shared machine, amortizing the expensive immutable setup across
-//! jobs — the "millions of users" refactor of ROADMAP item 1.
+//! jobs.
 //!
 //! A [`SolveService`] owns a pool of worker threads draining a job
 //! queue. Each job carries a full run configuration (submitted parsed,
-//! as INI text, or as declarative case TOML) and flows through:
+//! or as declarative case TOML) and flows through:
 //!
 //! 1. **Setup, content-addressed** — the immutable products of the
 //!    geometry/tracking stages ([`antmoc::SolveSetup`]: built model,
@@ -33,18 +33,18 @@
 //! scheduler state; each service worker either inherits the environment
 //! worker count (like one-shot runs) or pins one via
 //! [`ServeConfig::solve_threads`].
-
+//!
 //! Observability: each job records into a **job-scoped telemetry sink**
 //! (installed on the worker thread and inherited by the sweep's thread
 //! team), so [`JobResult::telemetry`] is the same report a one-shot run
-//! would have produced; completed sinks merge into a service-wide
-//! [`MetricsRegistry`] with Prometheus-style text exposition, and a
-//! [`recorder::FlightRecorder`] retains the last N jobs and the last K
-//! failures (panic message + config digest) as a JSON post-mortem.
-//! [`SolveService::snapshot`] bundles all three with an SLO evaluation.
+//! would have produced. Completed sinks merge into one service-wide
+//! [`MetricsRegistry`], which is also the only sink of the service's own
+//! `serve.*` / `cache.*` series; [`SolveService::snapshot`] renders it as
+//! Prometheus-style text. A failed job reaches its submitter through
+//! [`JobResult`] (the panic message and [`JobStats`]) and the registry
+//! through `serve.jobs_failed`.
 
 pub mod cache;
-pub mod recorder;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +61,6 @@ use antmoc_solver::SweepArena;
 use antmoc_telemetry::{Json, MetricsRegistry, RunReport as TelemetryReport, Telemetry};
 
 use cache::SetupCache;
-pub use recorder::{ErrorRecord, FlightRecorder, JobRecord, SloConfig, SloStatus};
 
 /// Service-level configuration.
 #[derive(Debug, Clone)]
@@ -82,37 +81,18 @@ pub struct ServeConfig {
     /// a one-shot run — the setting that keeps service reports bitwise
     /// identical to serial runs.
     pub solve_threads: Option<usize>,
-    /// Finished jobs the flight recorder retains (ring buffer); 0
-    /// disables the job ring (totals still accumulate).
-    pub recorder_jobs: usize,
-    /// Errored/panicked jobs the flight recorder retains, kept in a
-    /// separate (usually smaller) ring so rare failures survive a burst
-    /// of healthy traffic.
-    pub recorder_errors: usize,
-    /// The service-level objectives [`SolveService::snapshot`] evaluates.
-    pub slo: SloConfig,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            workers: 2,
-            device_pool_bytes: 4 << 30,
-            max_cached_setups: 8,
-            solve_threads: None,
-            recorder_jobs: 64,
-            recorder_errors: 16,
-            slo: SloConfig::default(),
-        }
+        Self { workers: 2, device_pool_bytes: 4 << 30, max_cached_setups: 8, solve_threads: None }
     }
 }
 
-/// A solve request in any of the accepted input formats.
+/// A solve request in either accepted input format.
 pub enum SolveRequest {
     /// An already-parsed configuration.
     Config(Box<RunConfig>),
-    /// INI-style configuration text ([`RunConfig::parse`]).
-    Ini(String),
     /// Declarative case TOML ([`CaseSpec::parse`] +
     /// [`RunConfig::from_case`]).
     CaseToml(String),
@@ -122,9 +102,6 @@ impl SolveRequest {
     fn into_config(self) -> Result<RunConfig, SubmitError> {
         match self {
             SolveRequest::Config(c) => Ok(*c),
-            SolveRequest::Ini(text) => {
-                RunConfig::parse(&text).map_err(|e| SubmitError(e.to_string()))
-            }
             SolveRequest::CaseToml(text) => {
                 let spec = CaseSpec::parse(&text)
                     .map_err(|e| SubmitError(format!("case line {}: {}", e.line, e.message)))?;
@@ -250,11 +227,7 @@ impl Admission {
         }
         *used += bytes;
         self.peak.fetch_max(*used, Ordering::Relaxed);
-        let now_used = *used;
         drop(used);
-        let tel = Telemetry::global();
-        tel.gauge_set("serve.inflight_bytes", now_used as f64);
-        tel.gauge_set("serve.inflight_peak_bytes", self.peak.load(Ordering::Relaxed) as f64);
         (AdmissionPermit { admission: self, bytes }, t.elapsed())
     }
 
@@ -265,11 +238,7 @@ impl Admission {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut used = self.admission.in_use.lock().unwrap();
-        *used -= self.bytes;
-        let now_used = *used;
-        drop(used);
-        Telemetry::global().gauge_set("serve.inflight_bytes", now_used as f64);
+        *self.admission.in_use.lock().unwrap() -= self.bytes;
         self.admission.cv.notify_all();
     }
 }
@@ -284,10 +253,8 @@ struct Shared {
     next_id: AtomicU64,
     /// Service-wide aggregation: completed job sinks merge here, and the
     /// service's own counters/gauges/histograms (`serve.*`, `cache.*`)
-    /// are recorded here directly alongside the global telemetry.
+    /// are recorded here and nowhere else.
     metrics: MetricsRegistry,
-    recorder: FlightRecorder,
-    slo: SloConfig,
 }
 
 /// The long-running solve service. Dropping it (or calling
@@ -308,8 +275,6 @@ impl SolveService {
             solve_threads: config.solve_threads,
             next_id: AtomicU64::new(1),
             metrics: MetricsRegistry::new(),
-            recorder: FlightRecorder::new(config.recorder_jobs, config.recorder_errors),
-            slo: config.slo.clone(),
         });
         let workers = (0..config.workers.max(1))
             .map(|w| {
@@ -355,44 +320,16 @@ impl SolveService {
         self.shared.admission.peak_bytes()
     }
 
-    /// Ready setups currently cached.
-    pub fn cached_setups(&self) -> usize {
-        self.shared.cache.len()
-    }
-
     /// The service-wide metrics registry: the service's own `serve.*` /
     /// `cache.*` series plus the merged sinks of every completed job.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.shared.metrics
     }
 
-    /// The flight recorder (recent jobs + recent failures).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.shared.recorder
-    }
-
-    /// A point-in-time view of the whole service: the SLO evaluation,
-    /// the metrics exposition, and the flight-recorder export. The SLO
-    /// result is also published back into the registry as `slo.*` gauges
-    /// so a scrape carries the remaining error budget.
+    /// A point-in-time view of the whole service: the metrics
+    /// registry's text exposition.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let shared = &self.shared;
-        let p99 = shared.metrics.histogram_percentile("serve.queue_wait_ns", 0.99);
-        let slo = SloStatus::evaluate(
-            &shared.slo,
-            p99,
-            shared.recorder.jobs_total(),
-            shared.recorder.jobs_failed(),
-        );
-        shared.metrics.gauge_set("slo.queue_wait_p99_ns", slo.queue_wait_p99_ns as f64);
-        shared.metrics.gauge_set("slo.queue_wait_objective_ns", slo.queue_wait_objective_ns as f64);
-        shared.metrics.gauge_set("slo.error_budget_remaining", slo.error_budget_remaining);
-        shared.metrics.gauge_set("slo.healthy", if slo.ok { 1.0 } else { 0.0 });
-        ServiceSnapshot {
-            slo,
-            metrics_text: shared.metrics.render_text(),
-            flight_json: shared.recorder.export_json_string(),
-        }
+        ServiceSnapshot { metrics_text: self.shared.metrics.render_text() }
     }
 
     /// Finishes queued jobs, then stops the workers and joins them.
@@ -410,25 +347,15 @@ impl SolveService {
 }
 
 /// A point-in-time view of the service, taken by
-/// [`SolveService::snapshot`]. The pieces are captured together (SLO
-/// evaluated, then text rendered, then recorder exported) so a scrape
-/// sees one consistent story.
+/// [`SolveService::snapshot`].
 pub struct ServiceSnapshot {
-    /// The SLO evaluation at snapshot time.
-    pub slo: SloStatus,
     metrics_text: String,
-    flight_json: String,
 }
 
 impl ServiceSnapshot {
     /// The Prometheus-style text exposition of the metrics registry.
     pub fn render_text(&self) -> &str {
         &self.metrics_text
-    }
-
-    /// The flight-recorder post-mortem as pretty-printed JSON.
-    pub fn flight_recorder_json(&self) -> &str {
-        &self.flight_json
     }
 }
 
@@ -510,17 +437,15 @@ fn setup_bytes(setup: &SolveSetup) -> u64 {
 }
 
 fn run_job(shared: &Shared, job: Job) -> JobResult {
-    // Service-level telemetry stays on the explicit global handle (and
-    // the service registry) so `serve.*` / `cache.*` series never leak
-    // into the job's own report.
-    let service_tel = Telemetry::global();
+    // Service-level series go to the service registry only, so `serve.*`
+    // / `cache.*` never leak into the job's own report. The job's trace
+    // slice stays on the global handle, outside the job's sink.
     let Job { id, config, enqueued, .. } = job;
     let pickup_wait = enqueued.elapsed();
-    let _scope = service_tel.trace_scope(
+    let _scope = Telemetry::global().trace_scope(
         "serve.job",
         &[("job", Json::Uint(id)), ("case", Json::Str(config.case_name.clone()))],
     );
-    service_tel.counter_add("serve.jobs", 1);
     shared.metrics.counter_add("serve.jobs", 1);
 
     // Everything the pipeline records while this job runs lands in a
@@ -547,19 +472,15 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
                 setup_s: t_setup.elapsed().as_secs_f64(),
                 ..Default::default()
             };
-            return fail_job(shared, id, &config, panic_message(panic), stats, sink.report());
+            return fail_job(shared, id, panic_message(panic), stats, sink.report());
         }
     };
     let setup_s = t_setup.elapsed().as_secs_f64();
     if cache_hit {
-        service_tel.counter_add("cache.hit", 1);
         shared.metrics.counter_add("cache.hit", 1);
     } else {
-        let bytes = setup_bytes(&setup);
-        service_tel.counter_add("cache.miss", 1);
-        service_tel.counter_add("cache.bytes", bytes);
         shared.metrics.counter_add("cache.miss", 1);
-        shared.metrics.counter_add("cache.bytes", bytes);
+        shared.metrics.counter_add("cache.bytes", setup_bytes(&setup));
     }
 
     // Stage 2: admission against the device pool.
@@ -567,7 +488,6 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
     let footprint = job_footprint(&config, &setup, solve_workers);
     let (permit, admission_wait) = shared.admission.admit(footprint);
     let queue_wait = pickup_wait + admission_wait;
-    service_tel.histogram_record("serve.queue_wait_ns", queue_wait.as_nanos() as u64);
     shared.metrics.histogram_record("serve.queue_wait_ns", queue_wait.as_nanos() as u64);
     shared.metrics.gauge_set("serve.inflight_peak_bytes", shared.admission.peak_bytes() as f64);
 
@@ -612,60 +532,26 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
             drop(sink_guard);
             let telemetry = sink.report();
             sink.merge_into_registry(&shared.metrics);
-            shared.recorder.record_job(JobRecord {
-                job_id: id,
-                case: config.case_name.clone(),
-                ok: true,
-                cache_hit,
-                queue_wait_s: stats.queue_wait_s,
-                setup_s,
-                solve_s,
-                footprint_bytes: footprint,
-                keff: Some(report.keff),
-                iterations: Some(report.iterations as u64),
-                converged: Some(report.converged),
-            });
             JobResult { job_id: id, outcome: Ok(report), stats, telemetry }
         }
         // The arena checked out by a panicked solve is dropped with the
         // panic payload; the pool refills lazily.
-        Err(panic) => fail_job(shared, id, &config, panic_message(panic), stats, sink.report()),
+        Err(panic) => fail_job(shared, id, panic_message(panic), stats, sink.report()),
     }
 }
 
-/// The failure tail of [`run_job`]: count the failure, remember it in
-/// the flight recorder (message + config digest), and hand back the
-/// partial stats and partial job telemetry. A failed sink is *not*
-/// merged into the registry — only completed jobs contribute there.
+/// The failure tail of [`run_job`]: count the failure and hand back the
+/// panic message, the partial stats and the partial job telemetry. A
+/// failed sink is *not* merged into the registry — only completed jobs
+/// contribute there.
 fn fail_job(
     shared: &Shared,
     id: u64,
-    config: &RunConfig,
     message: String,
     stats: JobStats,
     telemetry: TelemetryReport,
 ) -> JobResult {
-    Telemetry::global().counter_add("serve.jobs_failed", 1);
     shared.metrics.counter_add("serve.jobs_failed", 1);
-    shared.recorder.record_job(JobRecord {
-        job_id: id,
-        case: config.case_name.clone(),
-        ok: false,
-        cache_hit: stats.cache_hit,
-        queue_wait_s: stats.queue_wait_s,
-        setup_s: stats.setup_s,
-        solve_s: stats.solve_s,
-        footprint_bytes: stats.footprint_bytes,
-        keff: None,
-        iterations: None,
-        converged: None,
-    });
-    shared.recorder.record_error(ErrorRecord {
-        job_id: id,
-        case: config.case_name.clone(),
-        message: message.clone(),
-        config_digest: format!("{:016x}", cache::cache_key(config)),
-    });
     JobResult { job_id: id, outcome: Err(JobError::Panicked(message)), stats, telemetry }
 }
 
@@ -726,19 +612,26 @@ pub fn report_signature(report: &RunReport) -> String {
 mod tests {
     use super::*;
 
-    fn tiny_ini() -> String {
-        "[model]\naxial_dz = 64.26\n[tracks]\nnum_azim = 4\nradial_spacing = 2.5\nnum_polar = 2\n\
-         axial_spacing = 60.0\n[solver]\ntolerance = 1e-3\nmax_iterations = 60\nmode = otf\n\
-         backend = cpu\n"
-            .to_string()
+    fn tiny_config() -> RunConfig {
+        RunConfig::parse(
+            "[model]\naxial_dz = 64.26\n[tracks]\nnum_azim = 4\nradial_spacing = 2.5\n\
+             num_polar = 2\naxial_spacing = 60.0\n[solver]\ntolerance = 1e-3\n\
+             max_iterations = 60\nmode = otf\nbackend = cpu\n",
+        )
+        .unwrap()
+    }
+
+    fn tiny_request() -> SolveRequest {
+        SolveRequest::Config(Box::new(tiny_config()))
     }
 
     #[test]
     fn submit_rejects_malformed_and_decomposed_requests() {
         let service = SolveService::new(ServeConfig { workers: 1, ..Default::default() });
-        assert!(service.submit(SolveRequest::Ini("[tracks]\nnum_azim = banana\n".into())).is_err());
-        let mut cfg = RunConfig::default();
-        cfg.decomposition = (2, 1, 1);
+        assert!(service
+            .submit(SolveRequest::CaseToml("[tracks]\nnum_azim = banana\n".into()))
+            .is_err());
+        let cfg = RunConfig { decomposition: (2, 1, 1), ..Default::default() };
         let err = service.submit(SolveRequest::Config(Box::new(cfg))).unwrap_err();
         assert!(err.0.contains("single-domain"), "{err}");
         service.shutdown();
@@ -746,11 +639,10 @@ mod tests {
 
     #[test]
     fn service_report_is_bitwise_identical_to_one_shot_run() {
-        let config = RunConfig::parse(&tiny_ini()).unwrap();
+        let config = tiny_config();
         let serial = antmoc::run(&config);
         let service = SolveService::new(ServeConfig { workers: 2, ..Default::default() });
-        let handles: Vec<_> =
-            (0..3).map(|_| service.submit(SolveRequest::Ini(tiny_ini())).unwrap()).collect();
+        let handles: Vec<_> = (0..3).map(|_| service.submit(tiny_request()).unwrap()).collect();
         for h in handles {
             let result = h.wait();
             let report = result.outcome.expect("job solved");
@@ -766,12 +658,13 @@ mod tests {
     #[test]
     fn warm_jobs_hit_the_cache() {
         let service = SolveService::new(ServeConfig { workers: 1, ..Default::default() });
-        let cold = service.submit(SolveRequest::Ini(tiny_ini())).unwrap().wait();
+        let cold = service.submit(tiny_request()).unwrap().wait();
         assert!(!cold.stats.cache_hit);
-        let warm = service.submit(SolveRequest::Ini(tiny_ini())).unwrap().wait();
+        let warm = service.submit(tiny_request()).unwrap().wait();
         assert!(warm.stats.cache_hit, "identical config must reuse the setup");
         assert!(warm.stats.setup_s <= cold.stats.setup_s);
-        assert_eq!(service.cached_setups(), 1);
+        assert_eq!(service.metrics().counter("cache.miss"), 1);
+        assert_eq!(service.metrics().counter("cache.hit"), 1);
         service.shutdown();
     }
 
@@ -779,7 +672,7 @@ mod tests {
     fn admission_serializes_over_budget_job_mixes() {
         // A pool sized for ~1.5 jobs: two concurrent jobs must never be
         // in flight together, and the peak proves it.
-        let config = RunConfig::parse(&tiny_ini()).unwrap();
+        let config = tiny_config();
         let setup = antmoc::build_setup(&config);
         let one = job_footprint(&config, &setup, rayon::current_num_threads());
         let service = SolveService::new(ServeConfig {
@@ -787,8 +680,7 @@ mod tests {
             device_pool_bytes: one + one / 2,
             ..Default::default()
         });
-        let handles: Vec<_> =
-            (0..4).map(|_| service.submit(SolveRequest::Ini(tiny_ini())).unwrap()).collect();
+        let handles: Vec<_> = (0..4).map(|_| service.submit(tiny_request()).unwrap()).collect();
         for h in handles {
             assert!(h.wait().outcome.is_ok());
         }
@@ -801,41 +693,31 @@ mod tests {
     #[test]
     fn panicked_jobs_fail_cleanly_and_the_worker_survives() {
         let service = SolveService::new(ServeConfig { workers: 1, ..Default::default() });
-        // An axial model whose dz exceeds the span produces no axial
-        // cells... actually an unknown material cannot happen post-parse,
-        // so force a panic through an impossible track spec instead.
-        let mut cfg = RunConfig::parse(&tiny_ini()).unwrap();
-        cfg.tracks.num_azim = 0; // violates the tracker's contract
+        // The parser rejects a zero azimuthal count, so only a config
+        // built in code reaches the tracker with one — and it panics there.
+        let mut cfg = tiny_config();
+        cfg.tracks.num_azim = 0;
         let r = service.submit(SolveRequest::Config(Box::new(cfg))).unwrap().wait();
-        assert!(matches!(r.outcome, Err(JobError::Panicked(_))));
+        match &r.outcome {
+            Err(JobError::Panicked(message)) => assert!(!message.is_empty()),
+            Ok(_) => panic!("a zero azimuthal count must fail the job"),
+        }
         // Honest stats on the panic path: the setup stage ran (and blew
         // up), so its elapsed time must be reported, not zeroed.
         assert!(r.stats.setup_s > 0.0, "setup_s dropped on the panic path");
-        // The failure is remembered: message and config digest in the
-        // error ring, failed total on the recorder and the registry.
-        let errors = service.flight_recorder().recent_errors();
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].job_id, r.job_id);
-        assert!(!errors[0].config_digest.is_empty());
-        assert_eq!(service.flight_recorder().jobs_failed(), 1);
-        assert_eq!(service.metrics().counter("serve.jobs_failed"), 1);
         // The worker is still alive and solves the next job.
-        let ok = service.submit(SolveRequest::Ini(tiny_ini())).unwrap().wait();
+        let ok = service.submit(tiny_request()).unwrap().wait();
         assert!(ok.outcome.is_ok());
-        // SLO: one failure out of two jobs blows a 1% budget.
-        let snap = service.snapshot();
-        assert_eq!(snap.slo.jobs_total, 2);
-        assert_eq!(snap.slo.jobs_failed, 1);
-        assert_eq!(snap.slo.error_budget_remaining, 0.0);
-        assert!(!snap.slo.ok);
+        // The registry counts both jobs and the one failure.
+        assert_eq!(service.metrics().counter("serve.jobs"), 2);
+        assert_eq!(service.metrics().counter("serve.jobs_failed"), 1);
         service.shutdown();
     }
 
     #[test]
-    fn snapshot_exposes_metrics_slo_and_flight_recorder() {
+    fn snapshot_exposes_the_metrics_registry() {
         let service = SolveService::new(ServeConfig { workers: 2, ..Default::default() });
-        let handles: Vec<_> =
-            (0..3).map(|_| service.submit(SolveRequest::Ini(tiny_ini())).unwrap()).collect();
+        let handles: Vec<_> = (0..3).map(|_| service.submit(tiny_request()).unwrap()).collect();
         for h in handles {
             assert!(h.wait().outcome.is_ok());
         }
@@ -845,18 +727,24 @@ mod tests {
         assert!(text.contains("serve_jobs_total 3"), "missing serve_jobs_total:\n{text}");
         assert!(text.contains("serve_queue_wait_ns_bucket{le="), "missing queue-wait buckets");
         assert!(text.contains("serve_queue_wait_ns_count 3"));
-        assert!(text.contains("slo_error_budget_remaining 1"));
-        assert!(snap.slo.ok);
-        assert_eq!(snap.slo.jobs_total, 3);
-        let doc = antmoc_telemetry::json::parse(snap.flight_recorder_json()).unwrap();
-        assert_eq!(doc.get("jobs_total").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("jobs").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
         service.shutdown();
     }
 
     #[test]
+    fn shutdown_finishes_every_queued_job() {
+        // One worker, several jobs queued behind the first: shutdown must
+        // drain the queue, so every handle gets its report.
+        let service = SolveService::new(ServeConfig { workers: 1, ..Default::default() });
+        let handles: Vec<_> = (0..4).map(|_| service.submit(tiny_request()).unwrap()).collect();
+        service.shutdown();
+        for h in handles {
+            assert!(h.wait().outcome.is_ok(), "a queued job was dropped by shutdown");
+        }
+    }
+
+    #[test]
     fn job_telemetry_matches_one_shot_and_registry_sums_the_sinks() {
-        let config = RunConfig::parse(&tiny_ini()).unwrap();
+        let config = tiny_config();
         // One-shot baseline recorded into a scoped sink of its own, so
         // the comparison is sink-report against sink-report.
         let baseline = {
@@ -867,7 +755,7 @@ mod tests {
             sink.report()
         };
         let service = SolveService::new(ServeConfig { workers: 1, ..Default::default() });
-        let r = service.submit(SolveRequest::Ini(tiny_ini())).unwrap().wait();
+        let r = service.submit(tiny_request()).unwrap().wait();
         assert!(r.outcome.is_ok());
         assert_eq!(
             r.telemetry.deterministic_digest(),

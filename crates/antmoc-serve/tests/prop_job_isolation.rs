@@ -51,8 +51,8 @@ proptest! {
 
         // Both jobs in flight at once on a 2-worker service.
         let service = SolveService::new(ServeConfig { workers: 2, ..Default::default() });
-        let ha = service.submit(SolveRequest::Ini(text_a)).unwrap();
-        let hb = service.submit(SolveRequest::Ini(text_b)).unwrap();
+        let ha = service.submit(SolveRequest::Config(Box::new(RunConfig::parse(&text_a).unwrap()))).unwrap();
+        let hb = service.submit(SolveRequest::Config(Box::new(RunConfig::parse(&text_b).unwrap()))).unwrap();
         let ra = ha.wait();
         let rb = hb.wait();
         prop_assert!(ra.outcome.is_ok(), "job A failed");

@@ -106,7 +106,7 @@ impl SolverCheckpoint {
     }
 
     /// Deserializes from a telemetry JSON node.
-    pub fn from_json(node: &Json) -> Result<Self, String> {
+    fn from_json(node: &Json) -> Result<Self, String> {
         let iteration =
             node.get("iteration").and_then(Json::as_u64).ok_or("missing iteration")? as usize;
         let keff = node.get("keff").and_then(Json::as_f64).ok_or("missing keff")?;

@@ -32,12 +32,12 @@ impl DecompSpec {
     }
 
     /// Rank of subdomain `(ix, iy, iz)`.
-    pub fn rank_of(&self, ix: usize, iy: usize, iz: usize) -> usize {
+    fn rank_of(&self, ix: usize, iy: usize, iz: usize) -> usize {
         (iz * self.ny + iy) * self.nx + ix
     }
 
     /// Inverse of [`DecompSpec::rank_of`].
-    pub fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
+    fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
         let ix = rank % self.nx;
         let iy = (rank / self.nx) % self.ny;
         let iz = rank / (self.nx * self.ny);

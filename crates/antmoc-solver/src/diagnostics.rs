@@ -31,7 +31,7 @@ pub struct BalanceReport {
 
 impl BalanceReport {
     /// Relative disagreement between the two eigenvalue estimates.
-    pub fn relative_imbalance(&self) -> f64 {
+    fn relative_imbalance(&self) -> f64 {
         (self.k_balance - self.k_power).abs() / self.k_power.abs().max(1e-30)
     }
 

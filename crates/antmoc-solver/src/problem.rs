@@ -60,12 +60,6 @@ impl XsData {
         }
         Self { num_groups: g, fsr_mat, sigma_t, nusf, sigma_f, chi, scatter }
     }
-
-    /// `sigma_t` of a 3D FSR and group.
-    #[inline]
-    pub fn sigma_t_of(&self, fsr: usize, g: usize) -> f64 {
-        self.sigma_t[self.fsr_mat[fsr] as usize * self.num_groups + g]
-    }
 }
 
 /// Precomputed per-track sweep metadata (resolved once so the hot loop
@@ -116,7 +110,7 @@ impl Problem {
     }
 
     /// Builds the problem from a pre-generated layout.
-    pub fn from_layout(
+    fn from_layout(
         geometry: Geometry,
         axial: AxialModel,
         library: &MaterialLibrary,
@@ -161,23 +155,6 @@ impl Problem {
     /// Total 3D segments across all tracks.
     pub fn num_3d_segments(&self) -> u64 {
         self.sweep_tracks.iter().map(|t| t.num_segments as u64).sum()
-    }
-
-    /// Traversals whose incoming flux enters at a domain boundary:
-    /// `(track, dir)` such that the reverse traversal exits to vacuum.
-    /// After each bank swap these slots hold boundary-exiting flux that
-    /// must be replaced — zeroed for true vacuum, overwritten by the rank
-    /// exchange for decomposition interfaces.
-    pub fn open_entries(&self) -> Vec<(u32, u8)> {
-        let mut v = Vec::new();
-        for (i, t) in self.sweep_tracks.iter().enumerate() {
-            for dir in 0..2usize {
-                if t.links[1 - dir] == Link3d::Vacuum {
-                    v.push((i as u32, dir as u8));
-                }
-            }
-        }
-        v
     }
 }
 
@@ -271,8 +248,9 @@ mod tests {
         let p = tiny_problem();
         let lib = c5g7::library();
         let (_, uo2) = lib.by_name("UO2").unwrap();
+        let mat = p.xs.fsr_mat[0] as usize;
         for g in 0..7 {
-            assert_eq!(p.xs.sigma_t_of(0, g), uo2.total[g]);
+            assert_eq!(p.xs.sigma_t[mat * p.xs.num_groups + g], uo2.total[g]);
         }
     }
 

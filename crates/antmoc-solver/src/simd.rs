@@ -69,25 +69,6 @@ impl F64x4 {
     pub fn store(self, d: &mut [f64]) {
         d[..LANES].copy_from_slice(&self.0);
     }
-
-    /// Masked store: writes only the first `n` lanes (same fixed-trip
-    /// lane form as [`F64x4::load_partial`]). Panics when `d` is shorter
-    /// than `min(n, LANES)`.
-    #[inline(always)]
-    pub fn store_partial(self, d: &mut [f64], n: usize) {
-        for (i, &lane) in self.0.iter().enumerate() {
-            if i < n {
-                d[i] = lane;
-            }
-        }
-    }
-
-    /// Horizontal sum in ascending lane order (the fixed order the
-    /// deterministic reductions require).
-    #[inline(always)]
-    pub fn reduce_add_ordered(self) -> f64 {
-        ((self.0[0] + self.0[1]) + self.0[2]) + self.0[3]
-    }
 }
 
 impl std::ops::Add for F64x4 {
@@ -174,34 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_store_leaves_the_tail_untouched() {
-        let v = F64x4::load(&[1.0, 2.0, 3.0, 4.0]);
-        for n in 0..=5usize {
-            let mut d = [9.0f64; 5];
-            v.store_partial(&mut d, std::hint::black_box(n));
-            for (i, &got) in d.iter().enumerate() {
-                let want = if i < n.min(LANES) { v.0[i] } else { 9.0 };
-                assert_eq!(got, want, "n {n}, slot {i}");
-            }
-        }
-        // The destination only has to hold the lanes actually written.
-        let mut short = [9.0f64; 2];
-        v.store_partial(&mut short, 2);
-        assert_eq!(short, [1.0, 2.0]);
-    }
-
-    #[test]
     fn store_round_trips() {
         let mut d = [0.0f64; 4];
         F64x4::load(&[1.0, 2.0, 3.0, 4.0]).store(&mut d);
         assert_eq!(d, [1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn ordered_reduce_is_left_to_right() {
-        // Float addition is not associative: the fixed order is part of
-        // the determinism contract.
-        let v = F64x4::load(&[1e16, 1.0, -1e16, 1.0]);
-        assert_eq!(v.reduce_add_ordered(), ((1e16 + 1.0) - 1e16) + 1.0);
     }
 }

@@ -98,11 +98,6 @@ impl SegmentSource {
         self.store.as_ref().map(|s| s.num_tracks()).unwrap_or(0)
     }
 
-    /// Whether this track's segments are stored.
-    pub fn is_resident(&self, id: Track3dId) -> bool {
-        self.store.as_ref().is_some_and(|s| s.of(id).is_some())
-    }
-
     /// The explicit store, when one exists — identity tests compare
     /// cached stores segment-by-segment against freshly traced ones.
     pub fn store(&self) -> Option<&SegmentStore3d> {
@@ -148,7 +143,7 @@ impl FluxBanks {
 
     /// Reads the incoming flux of a traversal into `psi`.
     #[inline]
-    pub fn load_incoming(&self, track: u32, dir: usize, psi: &mut [f64]) {
+    fn load_incoming(&self, track: u32, dir: usize, psi: &mut [f64]) {
         let b = self.base(track, dir);
         for (g, p) in psi.iter_mut().enumerate().take(self.groups) {
             *p = f32::from_bits(self.incoming[b + g].load(Ordering::Relaxed)) as f64;
@@ -157,7 +152,7 @@ impl FluxBanks {
 
     /// Deposits an outgoing flux into the next iteration's incoming slot.
     #[inline]
-    pub fn store_outgoing(&self, track: u32, dir: usize, psi: &[f64]) {
+    fn store_outgoing(&self, track: u32, dir: usize, psi: &[f64]) {
         let b = self.base(track, dir);
         for g in 0..self.groups {
             self.outgoing[b + g].store((psi[g] as f32).to_bits(), Ordering::Relaxed);
@@ -171,24 +166,6 @@ impl FluxBanks {
         let b = self.base(track, dir);
         for g in 0..self.groups {
             self.incoming[b + g].store(psi[g].to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Reads an outgoing slot (used by the rank-exchange gather).
-    #[inline]
-    pub fn get_outgoing(&self, track: u32, dir: usize, psi: &mut [f32]) {
-        let b = self.base(track, dir);
-        for (g, p) in psi.iter_mut().enumerate().take(self.groups) {
-            *p = f32::from_bits(self.outgoing[b + g].load(Ordering::Relaxed));
-        }
-    }
-
-    /// Zeroes an incoming slot (true-vacuum entries after a bank swap).
-    #[inline]
-    pub fn zero_incoming(&self, track: u32, dir: usize) {
-        let b = self.base(track, dir);
-        for g in 0..self.groups {
-            self.incoming[b + g].store(0, Ordering::Relaxed);
         }
     }
 
@@ -775,7 +752,7 @@ pub fn transport_sweep_with(
 /// and item counts. Single-worker regions record **nothing** — a serial
 /// pool has nothing to balance, and zeroed keys would read as a perfectly
 /// level schedule instead of an unmeasured one.
-pub fn record_scheduler_stats(tel: &Telemetry, stats: &rayon::RegionStats) {
+fn record_scheduler_stats(tel: &Telemetry, stats: &rayon::RegionStats) {
     if stats.workers <= 1 {
         return;
     }
@@ -876,16 +853,14 @@ mod tests {
         let mut banks = FluxBanks::new(3, 7);
         let psi = [1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
         banks.store_outgoing(2, 1, &psi);
-        let mut got32 = [0.0f32; 7];
-        banks.get_outgoing(2, 1, &mut got32);
-        assert_eq!(got32[6], 7.0);
+        // Slot (track 2, dir 1) starts at (2 * 2 + 1) * 7.
+        assert_eq!(banks.export_state().1[35 + 6], 7.0);
         banks.swap();
         let mut got = [0.0f64; 7];
         banks.load_incoming(2, 1, &mut got);
         assert_eq!(got, psi);
         // Outgoing cleared after swap.
-        banks.get_outgoing(2, 1, &mut got32);
-        assert!(got32.iter().all(|&x| x == 0.0));
+        assert!(banks.export_state().1.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -897,9 +872,7 @@ mod tests {
         let mut inc = [0.0f64; 2];
         banks.load_incoming(0, 0, &mut inc);
         assert_eq!(inc, [1.0, 2.0]);
-        let mut out = [0.0f32; 2];
-        banks.get_outgoing(0, 0, &mut out);
-        assert_eq!(out, [4.0, 8.0]);
+        assert_eq!(banks.export_state().1, [4.0, 8.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! Completed sinks fold into a service-level [`metrics::MetricsRegistry`]
 //! (monotonic counters, gauge high-waters, exact histogram merges) with a
-//! Prometheus-style text exposition for scraping.
+//! Prometheus-style text exposition for scraping. The registry is also
+//! where a service records its own series; it keeps totals, not rates.
 
 pub mod hist;
 pub mod json;
@@ -187,8 +188,7 @@ impl Telemetry {
     }
 
     /// The process-wide registry — the fallback sink when no scoped
-    /// instance is installed, and the home of service-level metrics that
-    /// must stay out of per-job reports.
+    /// instance is installed.
     pub fn global() -> &'static Telemetry {
         static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
         GLOBAL.get_or_init(Telemetry::new)
@@ -206,7 +206,7 @@ impl Telemetry {
     }
 
     /// The innermost instance installed on this thread, if any.
-    pub fn try_current() -> Option<Telemetry> {
+    fn try_current() -> Option<Telemetry> {
         CURRENT.with(|c| c.borrow().last().cloned())
     }
 
@@ -295,23 +295,6 @@ impl Telemetry {
     #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.registry.trace.enabled()
-    }
-
-    /// Labels the calling thread's timeline lane in the Chrome trace
-    /// export (`thread_name` metadata). Lanes default to the OS thread
-    /// name; drivers that multiplex work onto long-lived threads (e.g. a
-    /// serve worker picking up a job) can re-label per unit of work.
-    /// No-op when tracing is off.
-    pub fn set_trace_thread_label(&self, label: &str) {
-        if !self.trace_enabled() {
-            return;
-        }
-        self.registry.trace.set_label(self.registry.id, label);
-    }
-
-    /// Events discarded after the trace budget filled.
-    pub fn trace_dropped(&self) -> u64 {
-        self.registry.trace.dropped()
     }
 
     /// Records an instant event (a tick mark on this thread's timeline).

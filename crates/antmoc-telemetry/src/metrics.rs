@@ -9,21 +9,20 @@
 //!   total is the exact sum over every merged sink);
 //! * **gauges** keep the latest level plus an all-time high-water mark;
 //! * **histograms** merge **bucket-exact** (see [`Histogram::merge`]):
-//!   the registry's percentiles equal those of recording every sample
-//!   into one histogram serially;
-//! * **rolling rates** — each counter increment is timestamped into a
-//!   bounded window so [`MetricsRegistry::rate_per_sec`] can answer
-//!   "jobs per second over the last minute" without a scrape history.
+//!   a registry histogram equals the one recording every sample into it
+//!   serially would have built.
+//!
+//! The registry keeps no rates: a scraper derives them from two reads of
+//! a `_total` counter.
 //!
 //! [`MetricsRegistry::render_text`] renders the Prometheus text
 //! exposition format: `# HELP`/`# TYPE` comment lines, counters with the
 //! conventional `_total` suffix, and histograms as cumulative `_bucket`
 //! series with `le` labels plus `_sum`/`_count`. The format is plain
 //! enough to hand to any scraper; [`validate_exposition`] is the parser
-//! CI uses to keep it that way.
+//! the tests use to keep it that way.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
@@ -31,65 +30,30 @@ use crate::hist::Histogram;
 use crate::report::GaugeStats;
 use crate::Telemetry;
 
-/// Default width of the rolling-rate window.
-pub const DEFAULT_RATE_WINDOW: Duration = Duration::from_secs(60);
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, GaugeStats>,
     histograms: BTreeMap<String, Histogram>,
-    /// Timestamped counter increments inside the rolling window, oldest
-    /// first; pruned on every push and every rate query.
-    events: VecDeque<(Instant, String, u64)>,
-}
-
-impl Inner {
-    fn prune(&mut self, window: Duration, now: Instant) {
-        while let Some((t, _, _)) = self.events.front() {
-            if now.duration_since(*t) <= window {
-                break;
-            }
-            self.events.pop_front();
-        }
-    }
 }
 
 /// A thread-safe aggregate of completed telemetry sinks plus directly
 /// recorded service metrics.
+#[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
-    window: Duration,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
-        Self::with_rate_window(DEFAULT_RATE_WINDOW)
+        Self::default()
     }
 
-    /// A registry whose rolling rates cover `window` (tests use short
-    /// windows; production scrapers usually want the default minute).
-    pub fn with_rate_window(window: Duration) -> Self {
-        Self { inner: Mutex::new(Inner::default()), window }
-    }
-
-    /// Adds to a monotonic counter (saturating) and timestamps the
-    /// increment for the rolling rate.
+    /// Adds to a monotonic counter (saturating).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let now = Instant::now();
         let mut inner = self.inner.lock();
         let slot = inner.counters.entry(name.to_string()).or_insert(0);
         *slot = slot.saturating_add(delta);
-        if delta > 0 {
-            inner.events.push_back((now, name.to_string(), delta));
-            inner.prune(self.window, now);
-        }
     }
 
     /// Sets a gauge's level, folding the all-time high-water mark.
@@ -115,7 +79,7 @@ impl MetricsRegistry {
 
     /// Folds a gauge snapshot in: the incoming `last` becomes current,
     /// high-waters take the max (the registry never forgets a peak).
-    pub fn gauge_merge(&self, name: &str, stats: GaugeStats) {
+    fn gauge_merge(&self, name: &str, stats: GaugeStats) {
         let mut inner = self.inner.lock();
         let slot = inner.gauges.entry(name.to_string()).or_default();
         slot.last = stats.last;
@@ -137,35 +101,14 @@ impl MetricsRegistry {
         self.inner.lock().histograms.get(name).cloned()
     }
 
-    /// A percentile of a registry histogram (0 when absent/empty).
-    pub fn histogram_percentile(&self, name: &str, p: f64) -> u64 {
-        self.inner.lock().histograms.get(name).map_or(0, |h| h.percentile(p))
-    }
-
-    /// Increments of `name` per second over the rolling window. Counts
-    /// only increments still inside the window; the denominator is the
-    /// full window width, so a burst decays as it ages out.
-    pub fn rate_per_sec(&self, name: &str) -> f64 {
-        let now = Instant::now();
-        let mut inner = self.inner.lock();
-        inner.prune(self.window, now);
-        let total: u64 =
-            inner.events.iter().filter(|(_, n, _)| n == name).map(|(_, _, d)| *d).sum();
-        total as f64 / self.window.as_secs_f64().max(1e-9)
-    }
-
     /// Renders the Prometheus text exposition of everything in the
     /// registry. Metric names are sanitized (`.` and other non-alphanumerics
-    /// become `_`); counters get the conventional `_total` suffix and a
-    /// companion `_per_second` gauge (rolling window); gauges emit the
-    /// level plus a `_peak` high-water series; histograms emit cumulative
-    /// `_bucket{le=...}` series with `_sum` and `_count`.
+    /// become `_`); counters get the conventional `_total` suffix; gauges
+    /// emit the level plus a `_peak` high-water series; histograms emit
+    /// cumulative `_bucket{le=...}` series with `_sum` and `_count`.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let now = Instant::now();
-        let mut inner = self.inner.lock();
-        inner.prune(self.window, now);
-        let window_s = self.window.as_secs_f64().max(1e-9);
+        let inner = self.inner.lock();
         let mut out = String::new();
 
         for (name, value) in &inner.counters {
@@ -173,16 +116,6 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# HELP {prom} Monotonic total of counter '{name}'.");
             let _ = writeln!(out, "# TYPE {prom} counter");
             let _ = writeln!(out, "{prom} {value}");
-            let recent: u64 =
-                inner.events.iter().filter(|(_, n, _)| n == name).map(|(_, _, d)| *d).sum();
-            let rate_name = format!("{}_per_second", sanitize_name(name));
-            let _ = writeln!(
-                out,
-                "# HELP {rate_name} Increments of '{name}' per second over the last {:.0}s.",
-                window_s
-            );
-            let _ = writeln!(out, "# TYPE {rate_name} gauge");
-            let _ = writeln!(out, "{rate_name} {}", format_f64(recent as f64 / window_s));
         }
 
         for (name, stats) in &inner.gauges {
@@ -236,7 +169,7 @@ impl Telemetry {
 /// Maps a dotted metric name onto the Prometheus charset: alphanumerics
 /// and underscores survive, everything else becomes `_`, and a leading
 /// digit gets an underscore prefix.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         if c.is_ascii_alphanumeric() || c == '_' {
@@ -256,7 +189,7 @@ pub fn sanitize_name(name: &str) -> String {
 
 /// The exposition name of a counter: sanitized, with the conventional
 /// `_total` suffix (not doubled if already present).
-pub fn counter_exposition_name(name: &str) -> String {
+fn counter_exposition_name(name: &str) -> String {
     let base = sanitize_name(name);
     if base.ends_with("_total") {
         base
@@ -279,7 +212,7 @@ fn format_f64(v: f64) -> String {
 /// every non-comment line is `name[{label="value",...}] number`, every
 /// series is preceded by a `# TYPE` for its family, and histogram
 /// `_bucket` series carry an `le` label. Returns the number of sample
-/// lines. CI scrapes `render_text` through this to catch format drift.
+/// lines. Tests run `render_text` through this to catch format drift.
 pub fn validate_exposition(text: &str) -> Result<usize, String> {
     let mut samples = 0usize;
     let mut typed: std::collections::BTreeSet<String> = Default::default();
@@ -394,17 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_rate_counts_only_window_events() {
-        let r = MetricsRegistry::with_rate_window(Duration::from_millis(40));
-        r.counter_add("serve.jobs", 10);
-        assert!(r.rate_per_sec("serve.jobs") > 0.0);
-        std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(r.rate_per_sec("serve.jobs"), 0.0);
-        // The monotonic total is untouched by the window.
-        assert_eq!(r.counter("serve.jobs"), 10);
-    }
-
-    #[test]
     fn exposition_names_follow_conventions() {
         assert_eq!(sanitize_name("serve.queue_wait_ns"), "serve_queue_wait_ns");
         assert_eq!(sanitize_name("9lives"), "_9lives");
@@ -422,7 +344,9 @@ mod tests {
         }
         let text = r.render_text();
         let samples = validate_exposition(&text).expect("exposition parses");
-        assert!(samples >= 8, "expected counter+rate+gauge+hist series, got {samples}:\n{text}");
+        // One counter, gauge level + peak, and the histogram's three
+        // occupied buckets + `+Inf` + `_sum` + `_count`.
+        assert_eq!(samples, 1 + 2 + 6, "unexpected series count:\n{text}");
         assert!(text.contains("serve_jobs_total 12"));
         assert!(text.contains("serve_queue_wait_ns_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("serve_queue_wait_ns_count 4"));

@@ -34,15 +34,6 @@ impl SpanStats {
         self.count += 1;
         self.total_s += seconds;
     }
-
-    /// Mean seconds per completion.
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_s / self.count as f64
-        }
-    }
 }
 
 /// Last-written and high-water values for one gauge.
@@ -109,11 +100,6 @@ impl RunReport {
     /// report) to the artifact.
     pub fn set_section(&mut self, name: &str, value: Json) {
         self.sections.insert(name.to_string(), value);
-    }
-
-    /// Seconds spent in a span path, 0 if absent.
-    pub fn span_seconds(&self, path: &str) -> f64 {
-        self.spans.get(path).map(|s| s.total_s).unwrap_or(0.0)
     }
 
     /// Counter value, 0 if absent.
@@ -287,7 +273,7 @@ impl RunReport {
     /// * **counters/gauges/histogram summaries** — exact values (gauge
     ///   floats as bit patterns), excluding time-valued keys (suffixes
     ///   `_ns`/`_us`/`_ms`/`_s`/`_seconds`) and scheduling-noise keys
-    ///   (see [`is_digest_excluded`]);
+    ///   (see `is_digest_excluded`);
     /// * **iterations** — every row in order, with time-valued and
     ///   contention fields scrubbed;
     /// * **sections** — full content with time-valued object fields
@@ -357,7 +343,7 @@ impl RunReport {
 /// depends on scheduling or hardware contention rather than the case
 /// being solved (CAS retries, worker balance, receive-wait shapes, trace
 /// bookkeeping). Mirrors the spirit of `report_diff`'s noisy-key list.
-pub fn is_digest_excluded(key: &str) -> bool {
+fn is_digest_excluded(key: &str) -> bool {
     const TIME_SUFFIXES: &[&str] = &["_ns", "_us", "_ms", "_s", "_seconds"];
     const NOISE_PREFIXES: &[&str] = &[
         "sweep.cas",
@@ -484,7 +470,6 @@ mod tests {
     fn accessors_default_to_zero() {
         let r = RunReport::default();
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.span_seconds("missing"), 0.0);
     }
 
     #[test]
@@ -496,7 +481,7 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.min_s, 2.0);
         assert_eq!(s.max_s, 4.0);
-        assert!((s.mean_s() - 3.0).abs() < 1e-12);
+        assert_eq!(s.total_s, 9.0);
     }
 
     #[test]

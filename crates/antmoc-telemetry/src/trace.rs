@@ -66,9 +66,8 @@ pub struct TraceEvent {
 struct ThreadBuf {
     tid: u64,
     /// Human label for the lane (`thread_name` metadata in the export):
-    /// the OS thread name at registration, overridable via
-    /// [`TraceCollector::set_label`].
-    label: Mutex<String>,
+    /// the OS thread name at registration.
+    label: String,
     events: Mutex<Vec<TraceEvent>>,
 }
 
@@ -167,11 +166,7 @@ impl TraceCollector {
                 .name()
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("thread-{tid}"));
-            let buf = Arc::new(ThreadBuf {
-                tid,
-                label: Mutex::new(label),
-                events: Mutex::new(Vec::new()),
-            });
+            let buf = Arc::new(ThreadBuf { tid, label, events: Mutex::new(Vec::new()) });
             threads.push(buf.clone());
             drop(threads);
             // Bound the cache: stale registries (dropped test instances)
@@ -182,13 +177,6 @@ impl TraceCollector {
             cache.push((registry_id, buf.clone()));
             buf
         })
-    }
-
-    /// Renames the calling thread's timeline lane (the `thread_name`
-    /// metadata event in the export), registering the thread if needed.
-    pub(crate) fn set_label(self: &Arc<Self>, registry_id: u64, label: &str) {
-        let buf = self.thread_buf(registry_id);
-        *buf.label.lock() = label.to_string();
     }
 
     /// Drops all stored events and zeroes the budget and drop counters;
@@ -218,8 +206,8 @@ impl TraceCollector {
 
     /// The Chrome `trace_event` document (object form). Leads with
     /// `process_name`/`thread_name` metadata events (`ph: "M"`) so the
-    /// viewer labels each lane with its worker or job name instead of a
-    /// bare thread id.
+    /// viewer labels each lane with its thread's name instead of a bare
+    /// thread id.
     pub(crate) fn to_chrome_json(&self) -> Json {
         let mut metadata: Vec<Json> = Vec::new();
         {
@@ -246,7 +234,7 @@ impl TraceCollector {
                     ("tid".to_string(), Json::Uint(t.tid)),
                     (
                         "args".to_string(),
-                        Json::Obj(vec![("name".to_string(), Json::Str(t.label.lock().clone()))]),
+                        Json::Obj(vec![("name".to_string(), Json::Str(t.label.clone()))]),
                     ),
                 ]));
             }

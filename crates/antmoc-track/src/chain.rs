@@ -33,16 +33,10 @@ pub struct Chain {
     pub closed: bool,
 }
 
-/// All chains of a track set, plus the inverse map from traversal states.
+/// All chains of a track set.
 #[derive(Debug, Clone)]
 pub struct ChainSet {
     pub chains: Vec<Chain>,
-    /// `(chain, member)` of every traversal state, indexed by
-    /// `track * 2 + forward as usize`. Each state belongs to exactly one
-    /// chain orientation: the one the builder chose canonically. States of
-    /// the reverse orientation map to the same member with `forward`
-    /// flipped.
-    state_member: Vec<(u32, u32)>,
 }
 
 impl ChainSet {
@@ -51,29 +45,23 @@ impl ChainSet {
         let n = tracks.tracks.len();
         let mut visited = vec![false; 2 * n];
         let mut chains = Vec::new();
-        let mut state_member = vec![(u32::MAX, u32::MAX); 2 * n];
 
         let state_idx = |t: TrackId, fwd: bool| t.0 as usize * 2 + fwd as usize;
 
         let walk = |start: (TrackId, bool),
                     closed: bool,
                     visited: &mut Vec<bool>,
-                    chains: &mut Vec<Chain>,
-                    state_member: &mut Vec<(u32, u32)>| {
-            let chain_id = chains.len() as u32;
+                    chains: &mut Vec<Chain>| {
             let mut members = Vec::new();
             let mut s = 0.0f64;
             let (mut t, mut fwd) = start;
             loop {
                 let tr = &tracks.tracks[t.0 as usize];
-                let mi = members.len() as u32;
                 members.push(ChainMember { track: t, forward: fwd, s_start: s, length: tr.length });
                 s += tr.length;
                 // Mark both orientations of this member as consumed.
                 visited[state_idx(t, fwd)] = true;
                 visited[state_idx(t, !fwd)] = true;
-                state_member[state_idx(t, fwd)] = (chain_id, mi);
-                state_member[state_idx(t, !fwd)] = (chain_id, mi);
                 let link = if fwd { tr.fwd } else { tr.bwd };
                 match link {
                     Link::Vacuum => break,
@@ -93,45 +81,22 @@ impl ChainSet {
         for i in 0..n {
             let tr = &tracks.tracks[i];
             if tr.bwd == Link::Vacuum && !visited[state_idx(TrackId(i as u32), true)] {
-                walk(
-                    (TrackId(i as u32), true),
-                    false,
-                    &mut visited,
-                    &mut chains,
-                    &mut state_member,
-                );
+                walk((TrackId(i as u32), true), false, &mut visited, &mut chains);
             }
             if tr.fwd == Link::Vacuum && !visited[state_idx(TrackId(i as u32), false)] {
-                walk(
-                    (TrackId(i as u32), false),
-                    false,
-                    &mut visited,
-                    &mut chains,
-                    &mut state_member,
-                );
+                walk((TrackId(i as u32), false), false, &mut visited, &mut chains);
             }
         }
         // Remaining states belong to closed cycles.
         for i in 0..n {
             for fwd in [true, false] {
                 if !visited[state_idx(TrackId(i as u32), fwd)] {
-                    walk(
-                        (TrackId(i as u32), fwd),
-                        true,
-                        &mut visited,
-                        &mut chains,
-                        &mut state_member,
-                    );
+                    walk((TrackId(i as u32), fwd), true, &mut visited, &mut chains);
                 }
             }
         }
 
-        Self { chains, state_member }
-    }
-
-    /// The `(chain, member)` holding a traversal state.
-    pub fn member_of(&self, t: TrackId, forward: bool) -> (u32, u32) {
-        self.state_member[t.0 as usize * 2 + forward as usize]
+        Self { chains }
     }
 
     /// Total number of chains.
@@ -250,20 +215,6 @@ mod tests {
                 s += m.length;
             }
             assert!((c.total_len - s).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn member_of_round_trips() {
-        let g = boxed(BoundaryConds::reflective());
-        let ts = generate(&g, 8, 0.4);
-        let cs = ChainSet::build(&ts);
-        for i in 0..ts.num_tracks() {
-            for fwd in [true, false] {
-                let (c, m) = cs.member_of(TrackId(i as u32), fwd);
-                let member = &cs.chains[c as usize].members[m as usize];
-                assert_eq!(member.track, TrackId(i as u32));
-            }
         }
     }
 }

@@ -44,19 +44,6 @@ impl SegmentStore2d {
         Self { segments, offsets }
     }
 
-    /// Builds the store from per-track segment lists (used by the track
-    /// file reader).
-    pub fn from_per_track(per_track: Vec<Vec<Segment2d>>) -> Self {
-        let mut segments = Vec::with_capacity(per_track.iter().map(Vec::len).sum());
-        let mut offsets = Vec::with_capacity(per_track.len() + 1);
-        offsets.push(0u32);
-        for mut v in per_track {
-            segments.append(&mut v);
-            offsets.push(segments.len() as u32);
-        }
-        Self { segments, offsets }
-    }
-
     /// Segments of one track, in forward order.
     pub fn of(&self, t: TrackId) -> &[Segment2d] {
         let lo = self.offsets[t.0 as usize] as usize;
@@ -98,12 +85,7 @@ impl SegmentStore2d {
 }
 
 /// Traces a single ray of known length through the geometry.
-pub fn trace_track(
-    geometry: &Geometry,
-    start: (f64, f64),
-    phi: f64,
-    length: f64,
-) -> Vec<Segment2d> {
+fn trace_track(geometry: &Geometry, start: (f64, f64), phi: f64, length: f64) -> Vec<Segment2d> {
     let (uy, ux) = phi.sin_cos();
     let mut out = Vec::with_capacity(16);
     let nudge = 1e-9;

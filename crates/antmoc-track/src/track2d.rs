@@ -71,11 +71,6 @@ impl TrackSet2d {
     pub fn num_tracks(&self) -> usize {
         self.tracks.len()
     }
-
-    /// Effective spacing of the track's angle.
-    pub fn spacing_of(&self, t: TrackId) -> f64 {
-        self.spacings[self.tracks[t.0 as usize].azim]
-    }
 }
 
 /// Laydown parameters for one corrected angle.

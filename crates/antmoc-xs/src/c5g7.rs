@@ -118,7 +118,7 @@ pub fn mox87() -> Material {
 }
 
 /// The fission chamber at the assembly centre.
-pub fn fission_chamber() -> Material {
+fn fission_chamber() -> Material {
     mat(
         "fission-chamber",
         [1.26032e-01, 2.93160e-01, 2.84250e-01, 2.81020e-01, 3.34460e-01, 5.65640e-01, 1.17214e+00],
@@ -182,7 +182,7 @@ pub fn moderator() -> Material {
 
 /// Control-rod material for the rodded 3D-extension configurations
 /// (strong thermal absorber; simplified homogenised rod data).
-pub fn control_rod() -> Material {
+fn control_rod() -> Material {
     // The official 3D extension supplies a separate rod table; we use the
     // guide-tube scattering skeleton with strongly increased absorption,
     // which preserves the qualitative rodded-core behaviour the extension

@@ -64,7 +64,6 @@ use std::collections::HashMap;
 use antmoc_cluster::fault::{FaultConfig, RankDeath};
 use antmoc_cluster::LinkModel;
 use antmoc_geom::c5g7::{C5g7Options, RoddedConfig};
-use antmoc_gpusim::DeviceSpec;
 use antmoc_input::{CaseKind, CaseSpec};
 use antmoc_quadrature::PolarType;
 use antmoc_solver::device::CuMapping;
@@ -468,6 +467,32 @@ impl RunConfig {
                 }
             };
         }
+        // The quadrature and the tracker assert on these; reject them at
+        // the key's line instead of panicking mid-run.
+        let track_err = |key: &str, message: String| ConfigError {
+            line: get("tracks", key).map_or(0, |(l, _)| l),
+            message,
+        };
+        let t = &cfg.tracks;
+        if t.num_azim < 4 || !t.num_azim.is_multiple_of(4) {
+            let msg = format!("num_azim must be a positive multiple of 4, got {}", t.num_azim);
+            return Err(track_err("num_azim", msg));
+        }
+        if t.num_polar < 2 || !t.num_polar.is_multiple_of(2) {
+            let msg = format!("num_polar must be a positive even number, got {}", t.num_polar);
+            return Err(track_err("num_polar", msg));
+        }
+        if t.polar_type == PolarType::TabuchiYamamoto && t.num_polar > 6 {
+            let key = if get("tracks", "num_polar").is_some() { "num_polar" } else { "polar_type" };
+            let msg =
+                format!("Tabuchi-Yamamoto supports at most 6 polar angles, got {}", t.num_polar);
+            return Err(track_err(key, msg));
+        }
+        for (key, v) in [("radial_spacing", t.radial_spacing), ("axial_spacing", t.axial_spacing)] {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(track_err(key, format!("{key} must be finite and > 0, got {v}")));
+            }
+        }
 
         // [solver]
         cfg.eigen.tolerance = parse_num(get("solver", "tolerance"), cfg.eigen.tolerance)?;
@@ -606,8 +631,14 @@ impl RunConfig {
             parse_num(get("decomposition", "ny"), 1usize)?,
             parse_num(get("decomposition", "nz"), 1usize)?,
         );
-        if cfg.decomposition.0 == 0 || cfg.decomposition.1 == 0 || cfg.decomposition.2 == 0 {
-            return Err(ConfigError { line: 0, message: "decomposition dims must be >= 1".into() });
+        let (nx, ny, nz) = cfg.decomposition;
+        for (key, n) in [("nx", nx), ("ny", ny), ("nz", nz)] {
+            if n == 0 {
+                return Err(ConfigError {
+                    line: get("decomposition", key).map_or(0, |(l, _)| l),
+                    message: format!("decomposition {key} must be >= 1"),
+                });
+            }
         }
         if let Some((line, v)) = get("decomposition", "exchange") {
             cfg.exchange = match v.to_lowercase().as_str() {
@@ -698,14 +729,6 @@ impl RunConfig {
         }
 
         Ok(cfg)
-    }
-
-    /// The device spec implied by the backend config.
-    pub fn device_spec(&self) -> Option<DeviceSpec> {
-        match &self.backend {
-            BackendConfig::Cpu | BackendConfig::CpuSerial => None,
-            BackendConfig::Device { memory_bytes, .. } => Some(DeviceSpec::scaled(*memory_bytes)),
-        }
     }
 }
 
@@ -1073,5 +1096,46 @@ backend = cpu-serial
                 }
             }
         }
+    }
+
+    #[test]
+    fn track_keys_the_tracker_asserts_on_fail_at_their_line() {
+        // Each entry replaces the `[tracks]` section of both formats.
+        for (entry, expect) in [
+            ("num_azim = 0", Some("num_azim must be a positive multiple of 4")),
+            ("num_azim = 6", Some("num_azim must be a positive multiple of 4")),
+            ("num_polar = 0", Some("num_polar must be a positive even number")),
+            ("num_polar = 3", Some("num_polar must be a positive even number")),
+            ("num_polar = 8\npolar_type = ty", Some("at most 6 polar angles")),
+            ("num_polar = 6\npolar_type = ty", None),
+            ("radial_spacing = 0", Some("radial_spacing must be finite and > 0")),
+            ("radial_spacing = -0.5", Some("radial_spacing must be finite and > 0")),
+            ("radial_spacing = NaN", Some("radial_spacing must be finite and > 0")),
+            ("axial_spacing = 0", Some("axial_spacing must be finite and > 0")),
+            ("axial_spacing = inf", Some("axial_spacing must be finite and > 0")),
+            ("num_azim = 8", None),
+        ] {
+            let first = entry.lines().next().unwrap();
+            let ini = format!("[tracks]\n{entry}\n");
+            let toml = CASE.replace(
+                "[tracks]\nnum_azim = 4\nradial_spacing = 0.6\n",
+                &format!("[tracks]\n{entry}\n"),
+            );
+            let toml_line = toml.lines().position(|l| l == first).unwrap() + 1;
+            let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
+            for (result, line) in [(RunConfig::parse(&ini), 2), (case, toml_line)] {
+                match (result, expect) {
+                    (Ok(_), None) => {}
+                    (Err(e), Some(msg)) => {
+                        assert!(e.message.contains(msg) && e.line == line, "{entry}: {e}")
+                    }
+                    (result, _) => panic!("{entry}: unexpected {result:?}"),
+                }
+            }
+        }
+        // A zero decomposition count fails at its own line.
+        let err = RunConfig::parse("[decomposition]\nnx = 2\nny = 0\n").unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.message.contains("ny must be >= 1"), "{err}");
     }
 }

@@ -98,11 +98,6 @@ impl PinRates {
         self.sorted()
     }
 
-    /// Number of pins with a recorded rate.
-    pub fn num_hot_pins(&self) -> usize {
-        self.rates.values().filter(|&&r| r > 0.0).count()
-    }
-
     /// Maximum relative difference against another rate map over pins hot
     /// in either (the paper's §5.1 comparison metric).
     pub fn max_relative_error(&self, other: &PinRates) -> f64 {
@@ -395,7 +390,7 @@ mod tests {
     fn normalisation_gives_unit_mean() {
         let p = synthetic();
         assert!((p.mean() - 1.0).abs() < 1e-12);
-        assert_eq!(p.num_hot_pins(), 3);
+        assert_eq!(p.entries().len(), 3);
         // Relative ordering preserved.
         assert!(p.get((1, 1), (16, 16)) > p.get((0, 0), (0, 0)));
     }

@@ -563,7 +563,7 @@ mod tests {
     use crate::config::RunConfig;
 
     /// A deliberately coarse configuration that solves in seconds.
-    pub fn coarse_config() -> RunConfig {
+    fn coarse_config() -> RunConfig {
         RunConfig::parse(
             r#"
 [model]

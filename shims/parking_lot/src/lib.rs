@@ -33,14 +33,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         match self.0.get_mut() {
             Ok(v) => v,

@@ -45,7 +45,7 @@ thread_local! {
 /// index is in `0..W`, each index held by exactly one thread (worker 0 is
 /// the calling thread). This is what lets [`WorkerLocal`] hand out
 /// unaliased `&mut` slots without atomics.
-pub fn current_worker_index() -> Option<usize> {
+fn current_worker_index() -> Option<usize> {
     WORKER_INDEX.with(|w| w.get())
 }
 
