@@ -31,10 +31,11 @@ use antmoc_telemetry::Telemetry;
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::decomp::{Decomposition, RankExchange};
 use crate::device::{CuMapping, DeviceSolver};
-use crate::driver::{drive, Controls, Hosted, Link, Solved, Source, Stop};
+use crate::driver::{drive, Controls, Hosted, Link, Solved, Stop};
 use crate::eigen::EigenOptions;
 use crate::problem::Problem;
 use crate::schedule::{ScheduleKind, SweepSchedule};
+use crate::source::Source;
 use crate::sweep::{SegmentSource, StorageMode};
 pub use crate::sweeper::SerialSweeper;
 use crate::sweeper::{CpuSweeper, Sweeper};

@@ -2,10 +2,13 @@
 //! with the §2.1 Point-Jacobi boundary update). The single-domain
 //! eigenvalue and fixed-source solves, the decomposed cluster and its
 //! fault-tolerant supervisor all run [`drive`] over the subdomains one
-//! executor hosts. Every iteration: source update, sweep, scalar-flux
-//! update, canonical reduction of `[production, ss, cnt]`, `k` and
-//! normalisation, boundary exchange, checkpoint, iteration row,
-//! convergence test. Three hooks set a solve up: the [`Source`], the
+//! executor hosts. Every iteration: sweep; pass A (scalar flux and fission
+//! density); production and residual terms in FSR order, reduced
+//! canonically as `[production, ss, cnt]`; `k`; pass B (normalisation,
+//! residual reference, next source); one swap-and-scale pass over the
+//! banks with the boundary exchange; checkpoint, iteration row,
+//! convergence test. No per-FSR buffer is allocated inside the loop.
+//! Three hooks set a solve up: the [`Source`], the
 //! exchange (none, or a [`Link`] over a `FaultyComm`, sync or pipelined)
 //! and the checkpoint store (none, or a store with resume).
 
@@ -18,36 +21,14 @@ use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::decomp::Decomposition;
 use crate::eigen::{EigenOptions, EigenResult};
 use crate::problem::Problem;
-use crate::source::{compute_fixed_source, compute_reduced_source};
-use crate::source::{fission_production, residual_terms, update_scalar_flux};
+use crate::source::{close_flux, compute_source, fission_production, next_source};
+use crate::source::{residual_terms, Source};
 use crate::sweep::{FluxBanks, MAX_GROUPS};
 use crate::sweeper::Sweeper;
 
 /// Exchange tags encode the (from, to) subdomain pair, so one executor
 /// can route several subdomains' flux streams over one channel.
 const TAG_PAIR_BASE: u32 = 200;
-
-/// What drives the iteration.
-pub(crate) enum Source<'a> {
-    /// The k-eigenvalue problem: fission over `k`, renormalised to unit
-    /// production every iteration.
-    Fission,
-    /// An isotropic external source per `(fsr, group)` of the one hosted
-    /// subdomain (neutrons / cm^3 / s), plus fission when `with_fission`.
-    External { external: &'a [f64], with_fission: bool },
-}
-
-impl Source<'_> {
-    /// The reduced source `q = Q / sigma_t` from the current flux.
-    fn update(&self, problem: &Problem, phi: &[f64], k: f64, q: &mut [f64]) {
-        match *self {
-            Source::Fission => compute_reduced_source(problem, phi, k, q),
-            Source::External { external, with_fission } => {
-                compute_fixed_source(problem, phi, external, with_fission, q)
-            }
-        }
-    }
-}
 
 /// Iteration controls plus the source and checkpoint hooks.
 pub(crate) struct Controls<'a> {
@@ -73,13 +54,17 @@ pub(crate) struct Hosted<'a> {
     /// Residual reference: the previous fission density (eigenvalue) or
     /// flux (fixed source).
     old: Vec<f64>,
+    /// This iteration's fission production per FSR (eigenvalue only),
+    /// written by pass A and reused across iterations.
+    density: Vec<f64>,
 }
 
 impl<'a> Hosted<'a> {
     pub fn new(id: usize, problem: &'a Problem, sweeper: &'a mut dyn Sweeper) -> Self {
         let (n, g) = (problem.num_fsrs() * problem.num_groups(), problem.num_groups());
         let banks = FluxBanks::new(problem.num_tracks(), g);
-        Self { id, problem, sweeper, phi: vec![0.0; n], q: vec![0.0; n], banks, old: Vec::new() }
+        let (phi, q) = (vec![0.0; n], vec![0.0; n]);
+        Self { id, problem, sweeper, phi, q, banks, old: Vec::new(), density: Vec::new() }
     }
 }
 
@@ -262,27 +247,29 @@ impl<'a> Link<'a> {
         }
     }
 
-    /// Ships whatever is still unshipped (everything, in sync mode),
-    /// swaps every hosted bank and delivers. Pipelined payloads left
-    /// unnormalised, so their receiver applies `inv` at delivery: `(x as
-    /// f64 * inv) as f32` is exactly the per-slot op `banks.scale(inv)`
-    /// performs before a sync gather, so both modes land the same bits.
-    /// Remote receives poll first when pipelined and only block (through
-    /// the fault layer's deadline) on payloads still in flight.
+    /// Advances every hosted bank to the next iteration scaled by `inv`
+    /// ([`FluxBanks::swap_scaled`]), ships whatever is still unshipped
+    /// (everything, in sync mode) from the now scaled boundary banks and
+    /// delivers. Pipelined payloads left unnormalised during the sweep, so
+    /// their receiver applies `inv` at delivery: `(x as f64 * inv) as f32`
+    /// is exactly the per-slot op `swap_scaled` performs on the boundary
+    /// bank before a sync gather, so both modes land the same bits. Remote
+    /// receives poll first when pipelined and only block (through the
+    /// fault layer's deadline) on payloads still in flight.
     fn exchange(
         &mut self,
         hosted: &mut [Hosted<'_>],
         inv: f64,
         it: usize,
     ) -> Result<(), CommError> {
+        for h in hosted.iter_mut() {
+            h.banks.swap_scaled(inv);
+        }
         for i in 0..self.sends.len() {
             if !self.sends[i].shipped {
                 self.ship(i, &hosted[self.sends[i].from].banks)?;
             }
             (self.sends[i].shipped, self.sends[i].swept) = (false, 0);
-        }
-        for h in hosted.iter_mut() {
-            h.banks.swap();
         }
         let scale = self.pipelined.then_some(inv);
         for (r, payload) in std::mem::take(&mut self.local) {
@@ -399,6 +386,16 @@ pub(crate) fn drive(
             h.old = fission_production(h.problem, &h.phi).0;
         }
     }
+    // The first source comes from the initial (or resumed) state; from
+    // then on pass B of each iteration leaves the next one's ready.
+    for h in hosted.iter_mut() {
+        if fission {
+            h.density = vec![0.0; h.problem.num_fsrs()];
+        } else {
+            h.old.clone_from(&h.phi);
+        }
+        compute_source(h.problem, &c.source, &h.phi, k, &mut h.q);
+    }
     if narrate && fission {
         let bytes: u64 = hosted.iter().map(|h| h.banks.bytes()).sum();
         tel.gauge_set("solver.flux_bank_bytes", bytes as f64);
@@ -420,10 +417,6 @@ pub(crate) fn drive(
         let cas_before = tel.counter_value("sweep.cas_retries");
         let (mut sweep_s, mut it_segments) = (0.0, 0u64);
         for (pos, h) in hosted.iter_mut().enumerate() {
-            c.source.update(h.problem, &h.phi, k, &mut h.q);
-            if !fission {
-                h.old.clone_from(&h.phi);
-            }
             let t0 = Instant::now();
             let out = match link.as_deref_mut() {
                 Some(l) if l.pipelined => {
@@ -445,14 +438,15 @@ pub(crate) fn drive(
                 tel.trace_complete_since("cluster.sweep", t0, &args);
             }
             it_segments += out.segments;
-            update_scalar_flux(h.problem, &h.q, &out.phi_acc, &mut h.phi);
+            // Pass A: close the scalar flux (and the fission density).
+            let density = fission.then_some(&mut h.density[..]);
+            close_flux(h.problem, &h.q, &out.phi_acc, &mut h.phi, density);
             h.sweeper.recycle(out);
         }
         sweep_total += sweep_s;
         total_segments += it_segments;
 
-        // Production and residual terms, reduced canonically.
-        let mut densities = Vec::with_capacity(hosted.len());
+        // Production and residual terms in FSR order, reduced canonically.
         let mine = hosted
             .iter()
             .map(|h| {
@@ -460,9 +454,8 @@ pub(crate) fn drive(
                     let (ss, cnt) = residual_terms(&h.old, &h.phi, 1e-20);
                     return (h.id, [0.0, ss, cnt]);
                 }
-                let (density, f) = fission_production(h.problem, &h.phi);
-                let (ss, cnt) = residual_terms(&h.old, &density, 1e-14);
-                densities.push(density);
+                let f = h.density.iter().sum();
+                let (ss, cnt) = residual_terms(&h.old, &h.density, 1e-14);
                 (h.id, [f, ss, cnt])
             })
             .collect();
@@ -476,15 +469,16 @@ pub(crate) fn drive(
         if fission {
             k *= f;
             k_history.push(k);
-            for (h, density) in hosted.iter_mut().zip(densities) {
-                h.phi.iter_mut().for_each(|p| *p *= inv);
-                h.banks.scale(inv);
-                h.old = density.iter().map(|d| d * inv).collect();
-            }
+        }
+        // Pass B: normalise, and the next iteration's source.
+        for h in hosted.iter_mut() {
+            let (phi, old, q) = (&mut h.phi, &mut h.old, &mut h.q);
+            next_source(h.problem, &c.source, k, inv, &h.density, phi, old, q);
         }
 
         match link.as_deref_mut() {
             Some(l) => l.exchange(hosted, inv, it).map_err(fail)?,
+            None if fission => hosted.iter_mut().for_each(|h| h.banks.swap_scaled(inv)),
             None => hosted.iter_mut().for_each(|h| h.banks.swap()),
         }
         executed += 1;
@@ -556,4 +550,243 @@ pub(crate) fn drive(
         total_segments,
     };
     Ok(Solved { result, sweep_s: sweep_total, executed })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixed::{solve_fixed_source, FixedSourceOptions};
+    use crate::sweep::SegmentSource;
+    use crate::sweeper::CpuSweeper;
+    use crate::{solve_eigenvalue, EigenOptions};
+    use antmoc_geom::geometry::homogeneous_box;
+    use antmoc_geom::{AxialModel, Bc, BoundaryConds};
+    use antmoc_track::TrackParams;
+    use antmoc_xs::{Material, MaterialLibrary};
+
+    const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
+
+    /// Per-group total cross sections over the kernel's extremes that keep
+    /// a derived source finite: tau > 700 (1e4), near-void (3.5e-3) and
+    /// near-underflow (1e-30) groups beside ordinary ones.
+    const SIGMA_T: [f64; 8] = [0.5, 2.0, 1e4, 1.0, 3.5e-3, 1e-30, 0.8, 1.5];
+
+    /// A `g`-group fissile material with self- and down-scatter.
+    fn problem(g: usize) -> Problem {
+        let total = SIGMA_T[..g].to_vec();
+        let mut scatter = vec![vec![0.0; g]; g];
+        for h in 0..g {
+            scatter[h][h] = 0.4 * total[h];
+            if h + 1 < g {
+                scatter[h][h + 1] = 0.2 * total[h];
+            }
+        }
+        let chi: Vec<f64> = match g {
+            1 => vec![1.0],
+            _ => (0..g).map(|h| [0.7, 0.3].get(h).copied().unwrap_or(0.0)).collect(),
+        };
+        let mut lib = MaterialLibrary::new();
+        lib.add(Material {
+            name: "FUEL".into(),
+            absorption: total.iter().map(|t| 0.3 * t).collect(),
+            fission: total.iter().map(|t| 0.1 * t).collect(),
+            nu: vec![2.4; g],
+            chi,
+            scatter,
+            total,
+        });
+        // Reflective on the low faces, so the banks carry flux from one
+        // iteration to the next; vacuum on the high ones, so it varies.
+        let bcs = BoundaryConds {
+            x_max: Bc::Vacuum,
+            y_max: Bc::Vacuum,
+            z_max: Bc::Vacuum,
+            ..BoundaryConds::reflective()
+        };
+        let geom = homogeneous_box(lib.by_name("FUEL").unwrap().0, 2.0, 2.0, (0.0, 2.0), bcs);
+        let params = TrackParams {
+            num_azim: 4,
+            radial_spacing: 0.5,
+            num_polar: 2,
+            axial_spacing: 0.5,
+            ..Default::default()
+        };
+        Problem::build(geom, AxialModel::uniform(0.0, 2.0, 0.5), &lib, params)
+    }
+
+    /// The reduced source as the per-FSR loop with a run-time group count
+    /// computed it before the fused passes.
+    fn reference_source(p: &Problem, source: &Source<'_>, phi: &[f64], k: f64, q: &mut [f64]) {
+        let (g, xs) = (p.num_groups(), &p.xs);
+        let with_fission = !matches!(source, Source::External { with_fission: false, .. });
+        for (f, qf) in q.chunks_mut(g).enumerate() {
+            let mat = xs.fsr_mat[f] as usize;
+            let phif = &phi[f * g..(f + 1) * g];
+            let mut fission = 0.0;
+            if with_fission {
+                for h in 0..g {
+                    fission += xs.nusf[mat * g + h] * phif[h];
+                }
+            }
+            for gi in 0..g {
+                let mut inscatter = 0.0;
+                for h in 0..g {
+                    inscatter += xs.scatter[(mat * g + h) * g + gi] * phif[h];
+                }
+                let chi = xs.chi[mat * g + gi];
+                let total = match *source {
+                    Source::Fission => (chi * fission / k + inscatter) / FOUR_PI,
+                    Source::External { external, .. } => {
+                        (external[f * g + gi] + chi * fission + inscatter) / FOUR_PI
+                    }
+                };
+                qf[gi] = total / xs.sigma_t[mat * g + gi];
+            }
+        }
+    }
+
+    fn reference_flux(p: &Problem, q: &[f64], phi_acc: &[f64], phi: &mut [f64]) {
+        let (g, xs) = (p.num_groups(), &p.xs);
+        for (f, pf) in phi.chunks_mut(g).enumerate() {
+            let (mat, v) = (xs.fsr_mat[f] as usize, p.volumes[f]);
+            for gi in 0..g {
+                let base = FOUR_PI * q[f * g + gi];
+                pf[gi] = if v > 0.0 {
+                    base + phi_acc[f * g + gi] / (xs.sigma_t[mat * g + gi] * v)
+                } else {
+                    base
+                };
+            }
+        }
+    }
+
+    fn reference_production(p: &Problem, phi: &[f64]) -> (Vec<f64>, f64) {
+        let (g, xs) = (p.num_groups(), &p.xs);
+        let per: Vec<f64> = (0..p.num_fsrs())
+            .map(|f| {
+                let mat = xs.fsr_mat[f] as usize;
+                let mut s = 0.0;
+                for gi in 0..g {
+                    s += xs.nusf[mat * g + gi] * phi[f * g + gi];
+                }
+                s * p.volumes[f]
+            })
+            .collect();
+        let total = per.iter().sum();
+        (per, total)
+    }
+
+    /// The driver before the fused passes, on one domain: source, sweep,
+    /// flux update, production, residual as separate passes; then flux,
+    /// all three banks and the density scaled, and the banks swapped.
+    fn reference(
+        p: &Problem,
+        sweeper: &mut dyn Sweeper,
+        source: &Source<'_>,
+        opts: &EigenOptions,
+    ) -> EigenResult {
+        let fission = matches!(source, Source::Fission);
+        let n = p.num_fsrs() * p.num_groups();
+        let (mut phi, mut q, mut old) = (vec![0.0; n], vec![0.0; n], Vec::new());
+        let mut banks = FluxBanks::new(p.num_tracks(), p.num_groups());
+        let mut k = opts.k_guess;
+        if fission {
+            phi.fill(1.0);
+            let [f] = canonical_sums(None, vec![(0, [reference_production(p, &phi).1])]).unwrap();
+            if f > 0.0 {
+                phi.iter_mut().for_each(|x| *x /= f);
+            }
+            old = reference_production(p, &phi).0;
+        }
+        let (mut residuals, mut k_history) = (Vec::new(), Vec::new());
+        let (mut iterations, mut converged) = (0, false);
+        for it in 1..=opts.max_iterations {
+            iterations = it;
+            reference_source(p, source, &phi, k, &mut q);
+            if !fission {
+                old.clone_from(&phi);
+            }
+            let out = sweeper.sweep(p, &q, &banks);
+            reference_flux(p, &q, &out.phi_acc, &mut phi);
+            sweeper.recycle(out);
+            let (density, terms) = if fission {
+                let (density, f) = reference_production(p, &phi);
+                let (ss, cnt) = residual_terms(&old, &density, 1e-14);
+                (density, [f, ss, cnt])
+            } else {
+                let (ss, cnt) = residual_terms(&old, &phi, 1e-20);
+                (Vec::new(), [0.0, ss, cnt])
+            };
+            let [f, ss, cnt] = canonical_sums(None, vec![(0, terms)]).unwrap();
+            let res = if cnt > 0.0 { (ss / cnt).sqrt() } else { 0.0 };
+            residuals.push(res);
+            if fission {
+                let inv = if f > 0.0 { 1.0 / f } else { 1.0 };
+                k *= f;
+                k_history.push(k);
+                phi.iter_mut().for_each(|x| *x *= inv);
+                let scale = |bank: Vec<f32>| -> Vec<f32> {
+                    bank.iter().map(|&x| (x as f64 * inv) as f32).collect()
+                };
+                let (i, o, b) = banks.export_state();
+                banks.import_state(&scale(i), &scale(o), &scale(b));
+                old = density.iter().map(|d| d * inv).collect();
+            }
+            banks.swap();
+            if it >= if fission { 3 } else { 2 } && res < opts.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        EigenResult { keff: k, iterations, converged, phi, residuals, k_history, total_segments: 0 }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_passes_repeat_the_five_pass_driver_bit_for_bit() {
+        let opts = EigenOptions { tolerance: 1e-7, max_iterations: 12, ..Default::default() };
+        for g in 1..=MAX_GROUPS {
+            let p = problem(g);
+            let segsrc = SegmentSource::otf();
+            let n = p.num_fsrs() * g;
+            let external: Vec<f64> = (0..n).map(|i| 0.1 + (i % 13) as f64 * 0.045).collect();
+            for workers in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+                pool.install(|| {
+                    let at = format!("{g} groups, {workers} workers");
+                    let want =
+                        reference(&p, &mut CpuSweeper::new(&segsrc), &Source::Fission, &opts);
+                    let got = solve_eigenvalue(&p, &mut CpuSweeper::new(&segsrc), &opts);
+                    assert!(want.keff.is_finite() && want.keff > 0.0, "{at}: k {}", want.keff);
+                    assert_eq!(got.keff.to_bits(), want.keff.to_bits(), "{at}: keff");
+                    assert_eq!(got.iterations, want.iterations, "{at}: iterations");
+                    assert_eq!(bits(&got.phi), bits(&want.phi), "{at}: phi");
+                    assert_eq!(bits(&got.residuals), bits(&want.residuals), "{at}: residuals");
+                    assert_eq!(bits(&got.k_history), bits(&want.k_history), "{at}: k history");
+                    for with_fission in [false, true] {
+                        let at = format!("{at}, fixed source, fission {with_fission}");
+                        let source = Source::External { external: &external, with_fission };
+                        let want = reference(&p, &mut CpuSweeper::new(&segsrc), &source, &opts);
+                        let fixed = FixedSourceOptions {
+                            tolerance: opts.tolerance,
+                            max_iterations: opts.max_iterations,
+                            with_fission,
+                        };
+                        let got = solve_fixed_source(
+                            &p,
+                            &mut CpuSweeper::new(&segsrc),
+                            &external,
+                            &fixed,
+                        );
+                        assert_eq!(got.iterations, want.iterations, "{at}: iterations");
+                        assert_eq!(bits(&got.phi), bits(&want.phi), "{at}: phi");
+                        assert_eq!(bits(&got.residuals), bits(&want.residuals), "{at}: residuals");
+                    }
+                });
+            }
+        }
+    }
 }

@@ -7,8 +7,9 @@
 //! below tolerance (Fig. 2's transport-solving stage).
 
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
-use crate::driver::{drive, Controls, Hosted, Source};
+use crate::driver::{drive, Controls, Hosted};
 use crate::problem::Problem;
+use crate::source::Source;
 pub use crate::sweeper::{CpuSweeper, Sweeper};
 
 /// Iteration controls.

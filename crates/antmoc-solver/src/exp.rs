@@ -7,9 +7,10 @@
 //! `f64` mul/add/sub plus an exponent-field shift — no `mul_add`, no
 //! intrinsics, no table — so a loop over it autovectorizes, and every
 //! lane of every instantiation performs the same IEEE 754 op sequence:
-//! scalar kernel ≡ vector kernel ≡ AVX2 slab, bitwise. DESIGN.md, "The
-//! exp evaluator and its tolerance argument", carries the error budget
-//! (≤ 1 ulp against `exp_m1`, asserted by the tests below).
+//! scalar kernel ≡ vector kernel ≡ baseline, AVX2 and AVX-512 slabs,
+//! bitwise. The slab runs on the widest of the three the CPU supports.
+//! DESIGN.md, "The exp evaluator and its tolerance argument", carries the
+//! error budget (≤ 1 ulp against `exp_m1`, asserted by the tests below).
 
 /// Past this `1 - exp(-tau)` rounds to exactly 1 (`exp(-40) < 2^-54`), so
 /// clamping keeps `k >= -58` and `2^k` a normal number for any input.
@@ -63,7 +64,7 @@ pub fn one_minus_exp(tau: f64) -> f64 {
 }
 
 /// The slab loop, written once and instantiated per target-feature set
-/// by the two wrappers below.
+/// by the three wrappers below.
 #[inline(always)]
 fn slab_body(taus: &mut [f64]) {
     for t in taus {
@@ -88,10 +89,27 @@ fn slab_avx2(taus: &mut [f64]) {
     slab_body(taus);
 }
 
+/// [`slab_body`] compiled with AVX-512F: eight lanes per op, so a
+/// 7-group segment padded to 8 lanes is one `zmm` register. The same IEEE
+/// ops as the other two instantiations, for the same reason.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline(never)]
+fn slab_avx512(taus: &mut [f64]) {
+    slab_body(taus);
+}
+
 /// Replaces every `tau` in the slab by `1 - exp(-tau)`, bit for bit what
 /// [`one_minus_exp`] returns per element. The sweep stages a track's
-/// `sigma_t * len` products contiguously and calls this once per track.
+/// `sigma_t * len` products contiguously and calls this once per track;
+/// it runs the widest instantiation the CPU supports.
 pub fn one_minus_exp_slab(taus: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the running CPU was just checked to support AVX-512F,
+        // the only requirement of calling `slab_avx512`.
+        return unsafe { slab_avx512(taus) };
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the running CPU was just checked to support AVX2, the
@@ -186,6 +204,36 @@ mod tests {
         }
     }
 
+    type Slab = fn(&mut [f64]);
+
+    /// The dispatcher and every instantiation the running CPU can execute;
+    /// a leg it cannot run is named on stderr rather than passed silently.
+    fn instantiations() -> Vec<(&'static str, Slab)> {
+        let mut slabs = vec![("dispatch", one_minus_exp_slab as Slab), ("baseline", slab_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        for (name, feature, slab) in [
+            // SAFETY (both closures): each runs only when the CPU has the
+            // feature its instantiation is compiled for.
+            (
+                "avx2",
+                std::arch::is_x86_feature_detected!("avx2"),
+                (|t| unsafe { slab_avx2(t) }) as Slab,
+            ),
+            (
+                "avx512",
+                std::arch::is_x86_feature_detected!("avx512f"),
+                (|t| unsafe { slab_avx512(t) }) as Slab,
+            ),
+        ] {
+            if feature {
+                slabs.push((name, slab));
+            } else {
+                eprintln!("slab_{name}: skipped, this CPU lacks the feature it is compiled for");
+            }
+        }
+        slabs
+    }
+
     #[test]
     fn slab_instantiations_match_the_lane_routine_bitwise() {
         // Lengths 0, 4, ..., 36 cover the empty slab, one lane block, and
@@ -197,10 +245,7 @@ mod tests {
             for n in 0..=9 {
                 let want: Vec<u64> =
                     src[..4 * n].iter().map(|&t| one_minus_exp(t).to_bits()).collect();
-                type Slab = fn(&mut [f64]);
-                for (name, slab) in
-                    [("dispatch", one_minus_exp_slab as Slab), ("baseline", slab_baseline as Slab)]
-                {
+                for (name, slab) in instantiations() {
                     let mut got = src[..4 * n].to_vec();
                     slab(&mut got);
                     let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();

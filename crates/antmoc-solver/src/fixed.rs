@@ -8,9 +8,10 @@
 //! hook: no eigenvalue, no normalisation, and a residual on the flux
 //! itself.
 
-use crate::driver::{drive, Controls, Hosted, Source};
+use crate::driver::{drive, Controls, Hosted};
 use crate::eigen::{EigenOptions, Sweeper};
 use crate::problem::Problem;
+use crate::source::Source;
 
 /// Options for a fixed-source solve.
 #[derive(Debug, Clone, PartialEq)]

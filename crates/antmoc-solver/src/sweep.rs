@@ -36,6 +36,27 @@ use crate::tally::{SweepArena, SweepKernel, SweepTallies};
 /// group count up to it.
 pub const MAX_GROUPS: usize = 8;
 
+/// Evaluates `$body` with the constant `$G` set to the group count `$g`:
+/// one copy of the body per supported count, so its group loops have fixed
+/// trip counts.
+macro_rules! with_groups {
+    ($g:expr, $G:ident => $body:expr) => {
+        // One arm per supported group count: keep the list in step with the limit.
+        with_groups!(@arms $g, $G, $body, 1 2 3 4 5 6 7 8)
+    };
+    (@arms $g:expr, $G:ident, $body:expr, $($n:literal)*) => {{
+        const { assert!($crate::sweep::MAX_GROUPS == 8) };
+        match $g {
+            $($n => {
+                const $G: usize = $n;
+                $body
+            })*
+            g => unreachable!("{g} groups: `XsData::build` admits 1..=8"),
+        }
+    }};
+}
+pub(crate) use with_groups;
+
 /// Panics, naming the limit, unless `1 <= groups <= MAX_GROUPS`. Called
 /// where cross sections are flattened ([`crate::XsData::build`], the 2D
 /// solver's equivalent), so an unsupported library fails once, while the
@@ -197,13 +218,22 @@ impl FluxBanks {
         }
     }
 
-    /// Scales all banks (per-iteration source normalisation).
-    pub fn scale(&self, factor: f64) {
-        for bank in [&self.incoming, &self.outgoing, &self.boundary] {
-            for v in bank {
-                let x = f32::from_bits(v.load(Ordering::Relaxed));
-                v.store(((x as f64 * factor) as f32).to_bits(), Ordering::Relaxed);
-            }
+    /// [`FluxBanks::swap`] and the per-iteration source normalisation in
+    /// one pass over the banks: the new incoming bank is the old outgoing
+    /// one scaled by `factor`, the new outgoing bank is cleared, and the
+    /// boundary bank is scaled in place, each slot as `(x as f64 *
+    /// factor) as f32`.
+    pub fn swap_scaled(&mut self, factor: f64) {
+        std::mem::swap(&mut self.incoming, &mut self.outgoing);
+        let scale = |v: &mut AtomicU32| {
+            let x = v.get_mut();
+            *x = ((f32::from_bits(*x) as f64 * factor) as f32).to_bits();
+        };
+        let banks = self.incoming.iter_mut().zip(&mut self.outgoing).zip(&mut self.boundary);
+        for ((inc, out), bnd) in banks {
+            scale(inc);
+            *out.get_mut() = 0;
+            scale(bnd);
         }
     }
 
@@ -382,19 +412,9 @@ fn sweep_track<S: FnMut(usize, &[f64])>(
     bufs: &mut TrackBufs,
     sink: S,
 ) -> (u64, f64) {
-    // One arm per supported group count: keep the list in step with the limit.
-    const { assert!(MAX_GROUPS == 8) };
-    macro_rules! dispatch {
-        ($($g:literal)*) => {
-            match problem.num_groups() {
-                $($g => sweep_track_g::<$g, S>(
-                    problem, segsrc, q, banks, track, kernel, exp, bufs, sink,
-                ),)*
-                g => unreachable!("{g} groups: `XsData::build` admits 1..={MAX_GROUPS}"),
-            }
-        };
-    }
-    dispatch!(1 2 3 4 5 6 7 8)
+    with_groups!(problem.num_groups(), G => {
+        sweep_track_g::<G, S>(problem, segsrc, q, banks, track, kernel, exp, bufs, sink)
+    })
 }
 
 /// [`sweep_track`] for a compile-time group count. Never inlined (the
@@ -864,15 +884,18 @@ mod tests {
     }
 
     #[test]
-    fn flux_banks_scale_both_banks() {
-        let banks = FluxBanks::new(1, 2);
+    fn flux_banks_swap_scaled_scales_three_banks() {
+        let mut banks = FluxBanks::new(1, 2);
         banks.set_incoming(0, 0, &[2.0, 4.0]);
         banks.store_outgoing(0, 0, &[8.0, 16.0]);
-        banks.scale(0.5);
-        let mut inc = [0.0f64; 2];
-        banks.load_incoming(0, 0, &mut inc);
-        assert_eq!(inc, [1.0, 2.0]);
-        assert_eq!(banks.export_state().1, [4.0, 8.0, 0.0, 0.0]);
+        banks.store_boundary(0, 1, &[32.0, 64.0]);
+        banks.swap_scaled(0.5);
+        // The scaled outgoing bank is the new incoming one; the old
+        // incoming values are gone with the cleared outgoing bank.
+        let (inc, out, bnd) = banks.export_state();
+        assert_eq!(inc, [4.0, 8.0, 0.0, 0.0]);
+        assert_eq!(out, [0.0; 4]);
+        assert_eq!(bnd, [0.0, 0.0, 16.0, 32.0]);
     }
 
     #[test]

@@ -469,28 +469,32 @@ impl RunConfig {
         }
         // The quadrature and the tracker assert on these; reject them at
         // the key's line instead of panicking mid-run.
-        let track_err = |key: &str, message: String| ConfigError {
-            line: get("tracks", key).map_or(0, |(l, _)| l),
+        let key_err = |section: &str, key: &str, message: String| ConfigError {
+            line: get(section, key).map_or(0, |(l, _)| l),
             message,
         };
         let t = &cfg.tracks;
         if t.num_azim < 4 || !t.num_azim.is_multiple_of(4) {
             let msg = format!("num_azim must be a positive multiple of 4, got {}", t.num_azim);
-            return Err(track_err("num_azim", msg));
+            return Err(key_err("tracks", "num_azim", msg));
         }
         if t.num_polar < 2 || !t.num_polar.is_multiple_of(2) {
             let msg = format!("num_polar must be a positive even number, got {}", t.num_polar);
-            return Err(track_err("num_polar", msg));
+            return Err(key_err("tracks", "num_polar", msg));
         }
         if t.polar_type == PolarType::TabuchiYamamoto && t.num_polar > 6 {
             let key = if get("tracks", "num_polar").is_some() { "num_polar" } else { "polar_type" };
             let msg =
                 format!("Tabuchi-Yamamoto supports at most 6 polar angles, got {}", t.num_polar);
-            return Err(track_err(key, msg));
+            return Err(key_err("tracks", key, msg));
         }
         for (key, v) in [("radial_spacing", t.radial_spacing), ("axial_spacing", t.axial_spacing)] {
             if !(v > 0.0 && v.is_finite()) {
-                return Err(track_err(key, format!("{key} must be finite and > 0, got {v}")));
+                return Err(key_err(
+                    "tracks",
+                    key,
+                    format!("{key} must be finite and > 0, got {v}"),
+                ));
             }
         }
 
@@ -498,6 +502,19 @@ impl RunConfig {
         cfg.eigen.tolerance = parse_num(get("solver", "tolerance"), cfg.eigen.tolerance)?;
         cfg.eigen.max_iterations =
             parse_num(get("solver", "max_iterations"), cfg.eigen.max_iterations)?;
+        // A NaN, zero or negative tolerance can never be met, so the solve
+        // would run to the cap and fail; zero iterations returns the guess.
+        let tol = cfg.eigen.tolerance;
+        if !(tol > 0.0 && tol.is_finite()) {
+            return Err(key_err(
+                "solver",
+                "tolerance",
+                format!("tolerance must be finite and > 0, got {tol}"),
+            ));
+        }
+        if cfg.eigen.max_iterations == 0 {
+            return Err(key_err("solver", "max_iterations", "max_iterations must be >= 1".into()));
+        }
         // A size key read in `unit`-byte units, rejected at its line when
         // the byte count does not fit a u64.
         let bytes = |key: &str, default: u64, unit: u64| -> Result<u64, ConfigError> {
@@ -1137,5 +1154,34 @@ backend = cpu-serial
         let err = RunConfig::parse("[decomposition]\nnx = 2\nny = 0\n").unwrap_err();
         assert_eq!(err.line, 3, "{err}");
         assert!(err.message.contains("ny must be >= 1"), "{err}");
+    }
+
+    #[test]
+    fn solver_limits_that_waste_or_fake_a_solve_fail_at_their_line() {
+        // Each entry replaces the `tolerance` line of both formats.
+        let tolerance = Some("tolerance must be finite and > 0");
+        for (entry, expect) in [
+            ("tolerance = nan", tolerance),
+            ("tolerance = inf", tolerance),
+            ("tolerance = 0", tolerance),
+            ("tolerance = -1e-5", tolerance),
+            ("max_iterations = 0", Some("max_iterations must be >= 1")),
+            ("tolerance = 1e-5", None),
+            ("max_iterations = 1", None),
+        ] {
+            let ini = format!("[solver]\n{entry}\n");
+            let toml = CASE.replace("tolerance = 2e-4\n", &format!("{entry}\n"));
+            let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
+            let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
+            for (result, line) in [(RunConfig::parse(&ini), 2), (case, toml_line)] {
+                match (result, expect) {
+                    (Ok(_), None) => {}
+                    (Err(e), Some(msg)) => {
+                        assert!(e.message.contains(msg) && e.line == line, "{entry}: {e}")
+                    }
+                    (result, _) => panic!("{entry}: unexpected {result:?}"),
+                }
+            }
+        }
     }
 }

@@ -20,10 +20,17 @@
 # `exp`/`expm1`: the kernel evaluates `1 - exp(-tau)` with the in-tree
 # routine (exp.rs), staged a track slab at a time.
 #
-# That slab evaluator is pinned too: its two instantiations of one source
-# loop — `slab_baseline` and the `#[target_feature(enable = "avx2")]`
-# `slab_avx2` — must both exist as symbols, the first with packed
-# mulpd/addpd, the second with packed ops on ymm registers.
+# That slab evaluator is pinned too: its three instantiations of one source
+# loop — `slab_baseline`, the `#[target_feature(enable = "avx2")]`
+# `slab_avx2` and the `#[target_feature(enable = "avx512f")]`
+# `slab_avx512` — must all exist as symbols, the first with packed
+# mulpd/addpd, the others with packed ops on ymm and zmm registers. This
+# reads the emitted assembly, so it holds on runners without AVX-512.
+#
+# So are the per-FSR loops between two sweeps (source.rs): the
+# never-inlined `source_rows::<G>` (reduced source) and `flux_rows::<G>`
+# (scalar-flux close) must exist as symbols with packed mulpd and divpd,
+# or the compile-time group count no longer vectorizes them.
 #
 # Enforced on x86_64 (packed SSE2/AVX: [v]addpd / [v]mulpd / [v]subpd /
 # vfmadd*pd). On other architectures the packed-op check degrades to a
@@ -79,12 +86,13 @@ if [ "$kernel_bad" -gt 0 ]; then
     exit 1
 fi
 
-# Packed-op count inside the one function whose symbol contains $1,
-# optionally only instructions that also match $2 (a register class).
+# Count of packed $3 ops (default mulpd/addpd) inside the functions whose
+# symbol contains $1, optionally only instructions that also match $2 (a
+# register class); -1 when no such symbol exists.
 packed_in() {
-    awk -v sym="$1" -v reg="${2:-.}" '
+    awk -v sym="$1" -v reg="${2:-.}" -v ops="${3:-mulpd|addpd}" '
         $0 ~ "^[^ \t.#][^ \t]*" sym "[^ \t]*:$" { infn = 1; found = 1 }
-        infn && /^\tv?(mulpd|addpd)[ \t]/ && $0 ~ reg { hits++ }
+        infn && $0 ~ "^\tv?(" ops ")[ \t]" && $0 ~ reg { hits++ }
         /\.cfi_endproc/ { infn = 0 }
         END { print (found ? hits + 0 : -1) }
     ' "$newest"
@@ -93,12 +101,24 @@ case "$arch" in
 x86_64 | amd64)
     base_hits=$(packed_in slab_baseline)
     avx2_hits=$(packed_in slab_avx2 '%ymm')
-    echo "check_simd_asm: exp slab evaluator: $base_hits packed op(s) in slab_baseline, $avx2_hits on ymm in slab_avx2"
-    if [ "$base_hits" -le 0 ] || [ "$avx2_hits" -le 0 ]; then
+    avx512_hits=$(packed_in slab_avx512 '%zmm')
+    echo "check_simd_asm: exp slab evaluator: $base_hits packed op(s) in slab_baseline," \
+        "$avx2_hits on ymm in slab_avx2, $avx512_hits on zmm in slab_avx512"
+    if [ "$base_hits" -le 0 ] || [ "$avx2_hits" -le 0 ] || [ "$avx512_hits" -le 0 ]; then
         echo "check_simd_asm: FAIL — the slab evaluator in crates/antmoc-solver/src/exp.rs lost an" >&2
         echo "  instantiation (-1: symbol missing) or no longer autovectorizes (0)" >&2
         exit 1
     fi
+    for body in source_rows flux_rows; do
+        mul_hits=$(packed_in "$body" . mulpd)
+        div_hits=$(packed_in "$body" . divpd)
+        echo "check_simd_asm: $body: $mul_hits packed mulpd, $div_hits packed divpd"
+        if [ "$mul_hits" -le 0 ] || [ "$div_hits" -le 0 ]; then
+            echo "check_simd_asm: FAIL — $body in crates/antmoc-solver/src/source.rs lost its" >&2
+            echo "  monomorphized instantiations (-1: symbol missing) or no longer vectorizes (0)" >&2
+            exit 1
+        fi
+    done
     ;;
 esac
 

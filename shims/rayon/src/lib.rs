@@ -23,6 +23,7 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell, UnsafeCell};
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -469,55 +470,116 @@ pub trait ParallelSliceMut<T: Send> {
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMutParIter<'_, T> {
         assert!(chunk_size > 0, "chunk size must be positive");
-        ChunksMutParIter { slice: self, chunk_size }
+        let (ptr, len) = (self.as_mut_ptr(), self.len());
+        ChunksMutParIter { ptr, len, chunk_size, _borrow: PhantomData }
+    }
+}
+
+/// Disjoint mutable windows fetched by index: the chunk iterator and its
+/// `zip`/`enumerate` adapters (the subset of rayon's
+/// `IndexedParallelIterator` the workspace uses).
+pub trait IndexedParallelIterator: Sized + Sync {
+    type Item;
+
+    /// How many windows there are.
+    fn len(&self) -> usize;
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Window `k`.
+    ///
+    /// # Safety
+    ///
+    /// `k < len()`, and each `k` is fetched at most once while the
+    /// iterator's borrow lives, so no two live windows alias.
+    unsafe fn window(&self, k: usize) -> Self::Item;
+
+    /// Pairs window `k` of `self` with window `k` of `other`; both must
+    /// have the same length.
+    fn zip<B: IndexedParallelIterator>(self, other: B) -> Zip<Self, B> {
+        assert_eq!(self.len(), other.len(), "zipped parallel iterators differ in length");
+        Zip(self, other)
+    }
+
+    fn enumerate(self) -> Enumerate<Self> {
+        Enumerate(self)
+    }
+
+    fn for_each<F>(self, f: F)
+    where
+        F: Fn(Self::Item) + Sync,
+    {
+        let it = &self;
+        run_partitioned(self.len(), |_, r| {
+            for k in r {
+                // SAFETY: the partition hands each index to exactly one
+                // worker, once, and `self` (with its borrows) outlives the
+                // region.
+                f(unsafe { it.window(k) });
+            }
+        });
     }
 }
 
 /// A parallel iterator over disjoint mutable chunks of a slice.
 pub struct ChunksMutParIter<'a, T> {
-    slice: &'a mut [T],
+    ptr: *mut T,
+    len: usize,
     chunk_size: usize,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-impl<'a, T: Send> ChunksMutParIter<'a, T> {
-    pub fn enumerate(self) -> ChunksMutEnumerate<'a, T> {
-        ChunksMutEnumerate { slice: self.slice, chunk_size: self.chunk_size }
+// SAFETY: the iterator only hands out disjoint `&mut [T]` windows of a
+// slice it borrows mutably, which is sound to share when `T: Send`.
+unsafe impl<T: Send> Sync for ChunksMutParIter<'_, T> {}
+
+impl<'a, T: Send> IndexedParallelIterator for ChunksMutParIter<'a, T> {
+    type Item = &'a mut [T];
+
+    fn len(&self) -> usize {
+        self.len.div_ceil(self.chunk_size)
+    }
+
+    unsafe fn window(&self, k: usize) -> &'a mut [T] {
+        let lo = k * self.chunk_size;
+        let hi = (lo + self.chunk_size).min(self.len);
+        // SAFETY: `[lo, hi)` lies in the borrowed slice, and windows of
+        // distinct `k` are disjoint; the caller fetches each `k` once.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
 }
 
-/// An enumerated parallel chunk iterator.
-pub struct ChunksMutEnumerate<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
+/// Two indexed iterators in lock step (`IndexedParallelIterator::zip`).
+pub struct Zip<A, B>(A, B);
+
+impl<A: IndexedParallelIterator, B: IndexedParallelIterator> IndexedParallelIterator for Zip<A, B> {
+    type Item = (A::Item, B::Item);
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    unsafe fn window(&self, k: usize) -> Self::Item {
+        // SAFETY: forwarded; `k` is fetched once from each side.
+        unsafe { (self.0.window(k), self.1.window(k)) }
+    }
 }
 
-/// A `*mut T` the scheduler may share across workers; every chunk index
-/// is executed exactly once, so the mutable windows never alias.
-struct SlicePtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
+/// Windows with their index (`IndexedParallelIterator::enumerate`).
+pub struct Enumerate<A>(A);
 
-impl<T: Send> ChunksMutEnumerate<'_, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        let size = self.chunk_size;
-        let len = self.slice.len();
-        let num_chunks = len.div_ceil(size);
-        let ptr = SlicePtr(self.slice.as_mut_ptr());
-        let ptr = &ptr;
-        run_partitioned(num_chunks, |_, r| {
-            for k in r {
-                let lo = k * size;
-                let hi = (lo + size).min(len);
-                // SAFETY: the partition hands each chunk index k to
-                // exactly one worker, and [lo, hi) windows are disjoint
-                // across distinct k; the borrow of `self.slice` lives for
-                // the whole region.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
-                f((k, chunk));
-            }
-        });
+impl<A: IndexedParallelIterator> IndexedParallelIterator for Enumerate<A> {
+    type Item = (usize, A::Item);
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    unsafe fn window(&self, k: usize) -> Self::Item {
+        // SAFETY: forwarded.
+        (k, unsafe { self.0.window(k) })
     }
 }
 
@@ -573,7 +635,9 @@ impl ThreadPool {
 }
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::{
+        IndexedParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut,
+    };
 }
 
 #[cfg(test)]
@@ -716,6 +780,25 @@ mod tests {
                 }
             });
             assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64));
+        });
+    }
+
+    #[test]
+    fn zipped_chunks_stay_in_lock_step_on_many_workers() {
+        pool(4).install(|| {
+            let (mut a, mut b, mut c) = (vec![0u64; 3 * 999], vec![0u64; 999], vec![0u8; 999]);
+            a.par_chunks_mut(3)
+                .zip(b.par_chunks_mut(1))
+                .zip(c.par_chunks_mut(1))
+                .enumerate()
+                .for_each(|(k, ((a, b), c))| {
+                    a.fill(k as u64);
+                    b[0] = 3 * k as u64;
+                    c[0] += 1;
+                });
+            assert!(a.iter().enumerate().all(|(i, &x)| x == (i / 3) as u64));
+            assert!(b.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
+            assert!(c.iter().all(|&x| x == 1));
         });
     }
 
