@@ -20,7 +20,7 @@ use std::time::Instant;
 use antmoc::gpusim::{Device, DeviceSpec};
 use antmoc::perfmodel::{advise, Advice, MemoryModel};
 use antmoc::solver::device::{CuMapping, DeviceSolver};
-use antmoc::solver::manager::{select_resident, RankPolicy};
+use antmoc::solver::manager::RankPolicy;
 use antmoc::solver::sweep::transport_sweep_with;
 use antmoc::solver::{
     EigenOptions, FluxBanks, KernelConfig, SegmentSource, StorageMode, SweepArena, SweepSchedule,
@@ -155,8 +155,7 @@ fn main() {
             ("by-length", RankPolicy::ByLength),
             ("random", RankPolicy::Random(42)),
         ] {
-            let plan = select_resident(&problem, budget, policy);
-            let segsrc = SegmentSource::stored(&problem, &plan.resident);
+            let (segsrc, plan) = SegmentSource::managed(&problem, budget, policy);
             let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
             let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
             let mut arena = SweepArena::new(KernelConfig::default());

@@ -52,7 +52,7 @@ impl CacheModel {
 ///
 /// Per group a traversal reads `sigma_t` (8 B) and `q` (8 B) and
 /// read-modify-writes one tally slot (16 B); the segment record itself
-/// (`(u32 fsr, f32 length)`) adds 8 B. The staged vector kernel replaces
+/// (`(u32 fsr, u32 key)`) adds 8 B. The staged vector kernel replaces
 /// the per-traversal `sigma_t` read with a read of the staged
 /// `1 - exp(-tau)` span (8 B/group) and pays the staging itself —
 /// `sigma_t` read + span write, 16 B/group — once per *track*, i.e.
@@ -62,6 +62,15 @@ impl CacheModel {
 pub fn sweep_bytes_per_segment(groups: usize, staged: bool) -> f64 {
     let per_group = if staged { 32 + 8 } else { 32 };
     (groups * per_group + 8) as f64
+}
+
+/// [`sweep_bytes_per_segment`] for a resident segment on the vector
+/// kernel: its record (`(u32 fsr, u32 key)`, 8 B) names a span of the
+/// store's attenuation table, read in place of `sigma_t` (8 B/group), and
+/// no staging is paid. Per traversal that is the unstaged kernel's
+/// traffic.
+pub fn sweep_bytes_per_resident_segment(groups: usize) -> f64 {
+    (groups * 32 + 8) as f64
 }
 
 #[cfg(test)]
@@ -97,5 +106,8 @@ mod tests {
         // Staged vector pays the amortized staging traffic on top.
         assert_eq!(sweep_bytes_per_segment(7, true), 288.0);
         assert!(sweep_bytes_per_segment(4, true) > sweep_bytes_per_segment(4, false));
+        // A resident segment reads its span where the scalar kernel reads
+        // sigma_t, and stages nothing.
+        assert_eq!(sweep_bytes_per_resident_segment(7), 232.0);
     }
 }

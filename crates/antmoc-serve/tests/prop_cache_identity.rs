@@ -82,11 +82,14 @@ fn assert_setups_bitwise_identical(cached: &SolveSetup, fresh: &SolveSetup, labe
                     assert_eq!(ra.len(), rb.len(), "{label}: track {t} segment count");
                     for (i, (ea, eb)) in ra.iter().zip(rb.iter()).enumerate() {
                         assert_eq!(ea.fsr3d, eb.fsr3d, "{label}: track {t} seg {i} fsr");
+                        // Length and material through each store's keys.
+                        let (ka, kb) = (sa.keys()[ea.key as usize], sb.keys()[eb.key as usize]);
                         assert_eq!(
-                            ea.length.to_bits(),
-                            eb.length.to_bits(),
+                            ka.length.to_bits(),
+                            kb.length.to_bits(),
                             "{label}: track {t} seg {i} length"
                         );
+                        assert_eq!(ka.material, kb.material, "{label}: track {t} seg {i} material");
                     }
                 }
             }

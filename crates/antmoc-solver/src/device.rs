@@ -13,15 +13,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use antmoc_gpusim::{Device, OutOfMemory, Reservation};
-use antmoc_track::Track3dId;
-
-use crate::manager::{select_resident, stored_bytes_for, RankPolicy, ResidencyPlan};
+use crate::manager::ResidencyPlan;
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
 use crate::sweep::{sweep_region, FluxBanks, SegmentSource, StorageMode, SweepOutcome};
 use crate::sweeper::Sweeper;
 use crate::tally::{KernelConfig, SweepArena};
+use antmoc_gpusim::{Device, OutOfMemory, Reservation};
 
 /// How 3D tracks are mapped to CUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,24 +81,20 @@ impl DeviceSolver {
         let nf = problem.num_fsrs() as u64;
         reservations.push(Reservation::new(&pool, "Others", nf * g * (8 + 8) + nf * 8)?);
 
-        // Mode-dependent 3D segment storage.
-        let (segsrc, plan) = match mode {
-            StorageMode::Otf => (SegmentSource::otf(), None),
-            StorageMode::Explicit => {
-                let bytes: u64 =
-                    problem.sweep_tracks.iter().map(|t| stored_bytes_for(t.num_segments)).sum();
-                reservations.push(Reservation::new(&pool, "3D_segments", bytes)?);
-                let all: Vec<Track3dId> = problem.layout.tracks3d.ids().collect();
-                (SegmentSource::stored(problem, &all), None)
-            }
+        // Mode-dependent 3D segment storage, reserved at its traced size:
+        // the store, and its attenuation table as a line of its own. The
+        // manager fits both into what the pool has left.
+        let budgeted = match mode {
             StorageMode::Manager { budget_bytes } => {
-                let budget = budget_bytes.min(pool.available());
-                let plan = select_resident(problem, budget, RankPolicy::BySegments);
-                reservations.push(Reservation::new(&pool, "3D_segments", plan.resident_bytes)?);
-                let src = SegmentSource::stored(problem, &plan.resident);
-                (src, Some(plan))
+                StorageMode::Manager { budget_bytes: budget_bytes.min(pool.available()) }
             }
+            other => other,
         };
+        let (segsrc, plan) = SegmentSource::new(problem, budgeted);
+        if let Some(store) = segsrc.store() {
+            reservations.push(Reservation::new(&pool, "3D_segments", store.bytes())?);
+            reservations.push(Reservation::new(&pool, "Attenuation_table", segsrc.table_bytes())?);
+        }
 
         let schedule = SweepSchedule::for_device(problem, device.spec().num_cus, mapping);
         Ok(Self {
@@ -283,18 +277,29 @@ mod tests {
         };
         let p = Problem::build(g, axial, &lib, params);
         let dev = big_device();
-        let _solver =
+        let solver =
             DeviceSolver::new(dev.clone(), &p, StorageMode::Explicit, CuMapping::GridStride)
                 .unwrap();
         let tags: Vec<String> = dev.memory().breakdown().into_iter().map(|(t, _)| t).collect();
-        for expect in
-            ["2D_tracks", "3D_tracks", "2D_segments", "3D_segments", "Track_fluxs", "Others"]
-        {
+        for expect in [
+            "2D_tracks",
+            "3D_tracks",
+            "2D_segments",
+            "3D_segments",
+            "Attenuation_table",
+            "Track_fluxs",
+            "Others",
+        ] {
             assert!(tags.contains(&expect.to_string()), "missing {expect}: {tags:?}");
         }
-        // 3D segments dominate (the Table 3 shape).
+        // 3D segments dominate (the Table 3 shape), reserved at their
+        // traced size, the attenuation table as its own line.
         let b = dev.memory().breakdown();
         assert_eq!(b[0].0, "3D_segments", "breakdown {b:?}");
+        let src = solver.segment_source();
+        let bytes = |tag: &str| b.iter().find(|(t, _)| t == tag).unwrap().1;
+        assert_eq!(bytes("3D_segments"), src.store().unwrap().bytes());
+        assert_eq!(bytes("Attenuation_table"), src.stored_bytes() - src.store().unwrap().bytes());
     }
 
     #[test]

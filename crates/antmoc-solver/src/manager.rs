@@ -7,10 +7,17 @@
 //! "with preference given to those with more segments in order to reduce
 //! the number of load operations during ray tracing"; alternative
 //! rankings are provided for the ablation bench.
+//!
+//! A resident store carries an attenuation table (one span per distinct
+//! (material, length) pair of its segments), and the budget pays for it:
+//! store plus table must fit. The table's size is known only once the
+//! selection is traced; when store plus table overflow, the selection is
+//! made again under a budget scaled down by the overflow ratio.
 
 use antmoc_track::Track3dId;
 
 use crate::problem::Problem;
+use crate::sweep::SegmentSource;
 
 /// Ranking policy for resident-track selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,21 +35,34 @@ pub enum RankPolicy {
 pub struct ResidencyPlan {
     /// Tracks whose segments will be stored, in selection order.
     pub resident: Vec<Track3dId>,
-    /// Estimated bytes the stored segments will occupy.
+    /// Bytes the traced store and its attenuation table occupy.
     pub resident_bytes: u64,
     /// Segments stored vs regenerated per sweep.
     pub resident_segments: u64,
     pub temporary_segments: u64,
 }
 
-/// Approximate stored bytes for one track's segments (compact segment
-/// payload plus CSR bookkeeping).
+/// Approximate stored bytes for one track's segments (8-byte segment
+/// records plus CSR bookkeeping), the per-track cost selection ranks
+/// against. The store's attenuation table is not in it: it depends on
+/// which tracks share (material, length) pairs, and
+/// [`select_resident`] charges it once the selection is traced.
 pub fn stored_bytes_for(num_segments: u32) -> u64 {
     num_segments as u64 * 8 + 16
 }
 
-/// Selects resident tracks under `budget_bytes` with the given policy.
+/// Selects resident tracks under `budget_bytes` with the given policy,
+/// the store and its attenuation table together inside the budget.
 pub fn select_resident(problem: &Problem, budget_bytes: u64, policy: RankPolicy) -> ResidencyPlan {
+    select_and_store(problem, budget_bytes, policy).1
+}
+
+/// [`select_resident`] with the segment source of its selection.
+pub(crate) fn select_and_store(
+    problem: &Problem,
+    budget_bytes: u64,
+    policy: RankPolicy,
+) -> (SegmentSource, ResidencyPlan) {
     let n = problem.num_tracks();
     let mut order: Vec<u32> = (0..n as u32).collect();
     match policy {
@@ -71,35 +91,55 @@ pub fn select_resident(problem: &Problem, budget_bytes: u64, policy: RankPolicy)
             }
         }
     }
-    let mut resident = Vec::new();
-    let mut bytes = 0u64;
-    let mut res_segs = 0u64;
-    for &i in &order {
-        let segs = problem.sweep_tracks[i as usize].num_segments;
-        let b = stored_bytes_for(segs);
-        if bytes + b > budget_bytes {
-            continue;
+    let fill = |budget: u64| {
+        let mut resident = Vec::new();
+        let mut bytes = 0u64;
+        for &i in &order {
+            let b = stored_bytes_for(problem.sweep_tracks[i as usize].num_segments);
+            if bytes + b > budget {
+                continue;
+            }
+            bytes += b;
+            resident.push(Track3dId(i));
         }
-        bytes += b;
-        res_segs += segs as u64;
-        resident.push(Track3dId(i));
-    }
+        (resident, bytes)
+    };
+    let mut fill_budget = budget_bytes;
+    let (resident, src) = loop {
+        let (resident, estimate) = fill(fill_budget);
+        if resident.is_empty() {
+            break (resident, SegmentSource::otf());
+        }
+        let src = SegmentSource::stored(problem, &resident);
+        let bytes = src.stored_bytes();
+        if bytes <= budget_bytes {
+            break (resident, src);
+        }
+        // Shrink the selection by the ratio it overflowed: the estimate
+        // falls strictly each round, so the loop ends, at the latest with
+        // nothing resident.
+        fill_budget = (estimate as u128 * budget_bytes as u128 / bytes as u128) as u64;
+    };
+    let (bytes, res_segs) =
+        (src.stored_bytes(), src.store().map_or(0, |s| s.num_segments() as u64));
     let total_segs = problem.num_3d_segments();
     let tel = antmoc_telemetry::Telemetry::current();
     tel.gauge_set("manager.resident_bytes", bytes as f64);
     tel.counter_add("manager.resident_segments", res_segs);
     tel.counter_add("manager.temporary_segments", total_segs - res_segs);
-    ResidencyPlan {
+    let plan = ResidencyPlan {
         resident,
         resident_bytes: bytes,
         resident_segments: res_segs,
         temporary_segments: total_segs - res_segs,
-    }
+    };
+    (src, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SegmentSource;
     use antmoc_geom::geometry::homogeneous_box;
     use antmoc_geom::{AxialModel, BoundaryConds};
     use antmoc_track::TrackParams;
@@ -163,6 +203,22 @@ mod tests {
             smart.resident_segments,
             rand.resident_segments
         );
+    }
+
+    #[test]
+    fn store_and_attenuation_table_fit_the_budget_together() {
+        let p = problem();
+        let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
+        let full = SegmentSource::stored(&p, &all).stored_bytes();
+        for budget in [full / 4, full / 2, full] {
+            let (src, plan) = SegmentSource::managed(&p, budget, RankPolicy::BySegments);
+            assert!(!plan.resident.is_empty(), "budget {budget}");
+            assert!(plan.resident_bytes <= budget, "{} > {budget}", plan.resident_bytes);
+            assert_eq!(plan.resident_bytes, src.stored_bytes());
+            assert_eq!(plan.resident_segments, src.store().unwrap().num_segments() as u64);
+        }
+        let plan = select_resident(&p, full, RankPolicy::BySegments);
+        assert_eq!(plan.resident.len(), p.num_tracks());
     }
 
     #[test]

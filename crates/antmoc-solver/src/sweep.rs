@@ -21,15 +21,16 @@ use rayon::prelude::*;
 
 use antmoc_telemetry::{Histogram, Json, Telemetry};
 use antmoc_track::{
-    trace_3d, Link3d, Segment3dCompact, SegmentStore3d, Track3dId, Track3dInfo, TrackId,
+    trace_3d, Link3d, Segment3dCompact, SegmentKey, SegmentStore3d, Track3dId, Track3dInfo, TrackId,
 };
 
 use crate::exp::one_minus_exp_slab;
 use crate::exptable::ExpEval;
+use crate::manager::{select_and_store, RankPolicy, ResidencyPlan};
 use crate::problem::Problem;
 use crate::schedule::SweepSchedule;
 use crate::simd::{padded_groups, F64x4, LANES};
-use crate::tally::{SweepArena, SweepKernel, SweepTallies};
+use crate::tally::{ExpMode, SweepArena, SweepKernel, SweepTallies};
 
 /// Maximum supported energy groups: the per-traversal state is stack
 /// arrays of this size, and [`sweep_track`] has one monomorphized body per
@@ -82,19 +83,57 @@ pub enum StorageMode {
 }
 
 /// Prepared segment access for a problem: an optional explicit store
-/// covering some or all tracks; uncovered tracks fall back to OTF.
+/// covering some or all tracks, with one attenuation span per distinct
+/// (material, length) pair of the store; uncovered tracks fall back to
+/// OTF.
 #[derive(Debug)]
 pub struct SegmentSource {
     store: Option<SegmentStore3d>,
+    /// `table[key * gp + gi] = 1 - exp(-sigma_t[material * G + gi] *
+    /// length)` for each of the store's keys, lane-padded like the staged
+    /// slab of [`TrackBufs`] (`gp = padded_groups(G)`, zero padding lanes).
+    table: Vec<f64>,
 }
 
 impl SegmentSource {
     /// Pure OTF.
     pub fn otf() -> Self {
-        Self { store: None }
+        Self { store: None, table: Vec::new() }
     }
 
-    /// Explicit storage for the given tracks (all tracks = EXP mode).
+    /// The segment source a storage mode asks for, with the residency plan
+    /// in manager mode (tracks ranked by segment count, the paper's
+    /// choice).
+    pub fn new(problem: &Problem, mode: StorageMode) -> (Self, Option<ResidencyPlan>) {
+        match mode {
+            StorageMode::Otf => (Self::otf(), None),
+            StorageMode::Explicit => {
+                let all: Vec<Track3dId> = problem.layout.tracks3d.ids().collect();
+                (Self::stored(problem, &all), None)
+            }
+            StorageMode::Manager { budget_bytes } => {
+                let (src, plan) = Self::managed(problem, budget_bytes, RankPolicy::BySegments);
+                (src, Some(plan))
+            }
+        }
+    }
+
+    /// Explicit storage for the tracks `policy` ranks first, as many as
+    /// fit `budget_bytes` together with their attenuation table
+    /// ([`crate::manager::select_resident`]).
+    pub fn managed(
+        problem: &Problem,
+        budget_bytes: u64,
+        policy: RankPolicy,
+    ) -> (Self, ResidencyPlan) {
+        select_and_store(problem, budget_bytes, policy)
+    }
+
+    /// Explicit storage for the given tracks (all tracks = EXP mode) and
+    /// its attenuation table: each key's span is the `sig * (len as f64)`
+    /// products the staged kernel would form for a segment of that key,
+    /// through the same slab evaluator, so a span read from the table
+    /// carries the bits staging would compute.
     pub fn stored(problem: &Problem, tracks: &[Track3dId]) -> Self {
         let l = &problem.layout;
         let store = SegmentStore3d::trace(
@@ -106,12 +145,28 @@ impl SegmentSource {
             &problem.axial,
             &l.fsr3d,
         );
-        Self { store: Some(store) }
+        let g = problem.num_groups();
+        let gp = padded_groups(g);
+        let mut table = vec![0.0f64; store.keys().len() * gp];
+        for (key, span) in store.keys().iter().zip(table.chunks_exact_mut(gp)) {
+            let mat = key.material as usize * g;
+            let lenf = key.length as f64;
+            for (e, sig) in span[..g].iter_mut().zip(&problem.xs.sigma_t[mat..mat + g]) {
+                *e = sig * lenf;
+            }
+        }
+        one_minus_exp_slab(&mut table);
+        Self { store: Some(store), table }
     }
 
-    /// Bytes held by the explicit store.
+    /// Bytes held by the explicit store and its attenuation table.
     pub fn stored_bytes(&self) -> u64 {
-        self.store.as_ref().map(|s| s.bytes()).unwrap_or(0)
+        self.store.as_ref().map_or(0, |s| s.bytes()) + self.table_bytes()
+    }
+
+    /// Bytes of the attenuation table alone.
+    pub(crate) fn table_bytes(&self) -> u64 {
+        (self.table.len() * std::mem::size_of::<f64>()) as u64
     }
 
     /// Number of tracks with stored segments.
@@ -301,30 +356,41 @@ pub struct SweepOutcome {
     pub segments: u64,
 }
 
-/// Per-worker working storage of [`sweep_track`]: the regenerated segment
-/// list of a track that is not resident in the store, and the vector
-/// kernel's staged attenuation spans. Both allocations are reused across
-/// tracks and sweeps.
+/// Per-worker working storage of [`sweep_track`] for a track that does
+/// not read its attenuation spans from the store's table: its segments
+/// (regenerated on the fly, or rebuilt from the store's keys for the
+/// reference kernels), their lengths, and the vector kernel's staged
+/// spans. The allocations are reused across tracks and sweeps.
 #[derive(Debug, Default)]
 pub(crate) struct TrackBufs {
-    /// OTF-regenerated segments in forward traversal order.
+    /// Segments in forward traversal order; each `key` is the segment's
+    /// own position, i.e. its span in `e`.
     segs: Vec<Segment3dCompact>,
+    /// The f32 length of each segment of `segs`.
+    lens: Vec<f32>,
     /// `e[seg * gp + gi] = 1 - exp(-sigma_t[gi] * len)`, group-major and
     /// lane-padded (`gp = padded_groups(G)`); padding lanes (`gi >= G`)
     /// are 0, the neutral attenuation of the masked tail.
     e: Vec<f64>,
 }
 
-/// The track's segments in forward order: its stored slice when resident,
-/// otherwise regenerated on the fly into `scratch`.
-fn track_segments<'a>(
+/// Fills `bufs.segs` and `bufs.lens` with a track's segments in forward
+/// order: rebuilt from the store's keys when `stored` is the track's
+/// resident slice, otherwise regenerated on the fly.
+fn load_segments(
     problem: &Problem,
-    segsrc: &'a SegmentSource,
+    stored: Option<(&[Segment3dCompact], &[SegmentKey])>,
     track: u32,
-    scratch: &'a mut Vec<Segment3dCompact>,
-) -> &'a [Segment3dCompact] {
-    if let Some(stored) = segsrc.store.as_ref().and_then(|s| s.of(Track3dId(track))) {
-        return stored;
+    bufs: &mut TrackBufs,
+) {
+    let (segs, lens) = (&mut bufs.segs, &mut bufs.lens);
+    segs.clear();
+    lens.clear();
+    if let Some((stored, keys)) = stored {
+        let own = stored.iter().enumerate();
+        segs.extend(own.map(|(k, s)| Segment3dCompact { fsr3d: s.fsr3d, key: k as u32 }));
+        lens.extend(stored.iter().map(|s| keys[s.key as usize].length));
+        return;
     }
     let st = &problem.sweep_tracks[track as usize];
     let info = Track3dInfo {
@@ -342,12 +408,49 @@ fn track_segments<'a>(
     };
     let base = problem.layout.segments2d.of(TrackId(st.track2d));
     let fsr3d = &problem.layout.fsr3d;
-    scratch.clear();
     trace_3d(&info, base, &problem.axial, |fsr, cell, len| {
-        scratch
-            .push(Segment3dCompact { fsr3d: fsr3d.id(fsr, cell as usize).0, length: len as f32 });
+        segs.push(Segment3dCompact {
+            fsr3d: fsr3d.id(fsr, cell as usize).0,
+            key: segs.len() as u32,
+        });
+        lens.push(len as f32);
     });
-    scratch
+}
+
+/// Stages the attenuation spans of the segments in `bufs` into `bufs.e`:
+/// one exp evaluation per (segment, group), reused by both direction
+/// passes. The span buffer is sized once up front (zero-filling the
+/// padding lanes in the same pass).
+#[inline(always)]
+fn stage_spans<const G: usize>(problem: &Problem, exp: &ExpEval<'_>, bufs: &mut TrackBufs) {
+    let gp = padded_groups(G);
+    let xs = &problem.xs;
+    let staged = &mut bufs.e;
+    staged.clear();
+    staged.resize(bufs.segs.len() * gp, 0.0);
+    let segs = bufs.segs.iter().zip(&bufs.lens);
+    for ((s, &len), span) in segs.zip(staged.chunks_exact_mut(gp)) {
+        let mat = xs.fsr_mat[s.fsr3d as usize] as usize * G;
+        let lenf = len as f64;
+        for (e, sig) in span[..G].iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
+            // The same `sig * lenf` input bits the scalar kernel's tau
+            // buffer carries, through the same evaluator below.
+            *e = sig * lenf;
+        }
+    }
+    match exp {
+        // One lane-wide pass over the contiguous slab: per element the
+        // bits `one_minus_exp` gives the scalar kernel, and a padding
+        // lane's tau of 0 maps to the 0 it has to stay.
+        ExpEval::Intrinsic => one_minus_exp_slab(staged),
+        ExpEval::Table(table) => {
+            for span in staged.chunks_exact_mut(gp) {
+                for e in &mut span[..G] {
+                    *e = table.eval(*e);
+                }
+            }
+        }
+    }
 }
 
 /// Adds one segment's group span into a plain `f64` tally buffer in
@@ -376,11 +479,14 @@ fn add_span(buf: &mut [f64], qb: usize, vals: &[f64]) {
 ///   traversal.
 /// * [`SweepKernel::Vector`] — two structural changes, neither of which
 ///   touches the per-group arithmetic:
-///   1. **Per-track staging.** The attenuation factors depend only on the
-///      segment, not the direction, so they are staged into a contiguous
-///      group-major span once and read back by both direction passes —
-///      half the transcendental work. `exp` is a pure function of the
-///      identical `sigma_t * len` input bits, so the staged values are the
+///   1. **Attenuation spans evaluated once.** The attenuation factors
+///      depend only on the segment's material and f32 length, not the
+///      direction. A resident track reads each segment's group-major span
+///      from the store's attenuation table (one span per distinct pair,
+///      evaluated when the store was built); any other track stages its
+///      spans contiguously once and both direction passes read them back
+///      — half the transcendental work. `exp` is a pure function of the
+///      identical `sigma_t * len` input bits, so either span carries the
 ///      exact bits the scalar kernel computes.
 ///   2. **Lane-wide group loop.** The attenuation/tally math runs on
 ///      [`F64x4`] lanes. Every lane performs the same IEEE 754 op sequence
@@ -436,39 +542,26 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
     let gp = padded_groups(G);
     let st = &problem.sweep_tracks[track as usize];
     let xs = &problem.xs;
-    let segs = track_segments(problem, segsrc, track, &mut bufs.segs);
-    let nseg = segs.len();
+    let store = segsrc.store.as_ref();
+    let resident = store.and_then(|s| s.of(Track3dId(track)));
 
-    let staged = &mut bufs.e;
-    if kernel == SweepKernel::Vector {
-        // One exp evaluation per (segment, group), reused by both
-        // direction passes below. The span buffer is sized once up front
-        // (zero-filling the padding lanes in the same pass).
-        staged.clear();
-        staged.resize(nseg * gp, 0.0);
-        for (s, span) in segs.iter().zip(staged.chunks_exact_mut(gp)) {
-            let mat = xs.fsr_mat[s.fsr3d as usize] as usize * G;
-            let lenf = s.length as f64;
-            for (e, sig) in span[..G].iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
-                // The same `sig * lenf` input bits the scalar kernel's tau
-                // buffer carries, through the same evaluator below.
-                *e = sig * lenf;
-            }
+    // `es` of a segment is `table[seg.key * gp..]`: the store's own
+    // table for a resident track on the default kernel, otherwise the
+    // track's staged slab, whose spans follow segment order.
+    let (segs, table) = match resident {
+        Some(stored) if kernel == SweepKernel::Vector && matches!(exp, ExpEval::Intrinsic) => {
+            (stored, segsrc.table.as_slice())
         }
-        match exp {
-            // One lane-wide pass over the contiguous slab: per element the
-            // bits `one_minus_exp` gives the scalar kernel, and a padding
-            // lane's tau of 0 maps to the 0 it has to stay.
-            ExpEval::Intrinsic => one_minus_exp_slab(staged),
-            ExpEval::Table(table) => {
-                for span in staged.chunks_exact_mut(gp) {
-                    for e in &mut span[..G] {
-                        *e = table.eval(*e);
-                    }
-                }
+        _ => {
+            load_segments(problem, resident.zip(store.map(|s| s.keys())), track, bufs);
+            if kernel == SweepKernel::Vector {
+                stage_spans::<G>(problem, exp, bufs);
             }
+            (bufs.segs.as_slice(), bufs.e.as_slice())
         }
-    }
+    };
+    let lens = &bufs.lens;
+    let nseg = segs.len();
 
     let mut psi = [0.0f64; MAX_GROUPS];
     let mut vals = [0.0f64; MAX_GROUPS];
@@ -484,7 +577,7 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
                     let mat = xs.fsr_mat[f] as usize * G;
                     let qb = f * G;
                     let qs = &q[qb..qb + G];
-                    let lenf = segs[si].length as f64;
+                    let lenf = lens[si] as f64;
                     // tau = sigma_t * len per group, batched so the attenuation
                     // loop below is pure FMA + exp.
                     let mut tau = [0.0f64; G];
@@ -505,9 +598,10 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
                     let si = if dir == 0 { k } else { nseg - 1 - k };
                     let qb = segs[si].fsr3d as usize * G;
                     let qs = &q[qb..qb + G];
-                    // One bounds check for the whole staged span, then
+                    // One bounds check for the whole span, then
                     // fixed-offset lane loads inside it.
-                    let es = &staged[si * gp..si * gp + gp];
+                    let ei = segs[si].key as usize * gp;
+                    let es = &table[ei..ei + gp];
                     let mut lane = 0usize;
                     // Full lane blocks: unmasked loads throughout.
                     while lane + LANES <= G {
@@ -731,9 +825,15 @@ pub(crate) fn sweep_region(
     tel.gauge_set("sweep.tally_bytes", strategy.bytes(nf) as f64);
     // Roofline numerator: modelled memory traffic per segment traversal
     // (the staged vector kernel trades extra span bytes for half the
-    // transcendental work — see `antmoc_perfmodel::sweep_bytes_per_segment`).
+    // transcendental work — see `antmoc_perfmodel::sweep_bytes_per_segment`),
+    // mixed by the share of segments that read the store's table instead.
     let vector = config.kernel == SweepKernel::Vector;
-    tel.gauge_set("sweep.bytes_per_segment", antmoc_perfmodel::sweep_bytes_per_segment(g, vector));
+    let direct = vector && matches!(config.exp, ExpMode::Intrinsic);
+    let resident = segsrc.store.as_ref().filter(|_| direct).map_or(0, |s| s.num_segments());
+    let share = resident as f64 / problem.num_3d_segments().max(1) as f64;
+    let bytes = share * antmoc_perfmodel::sweep_bytes_per_resident_segment(g)
+        + (1.0 - share) * antmoc_perfmodel::sweep_bytes_per_segment(g, vector);
+    tel.gauge_set("sweep.bytes_per_segment", bytes);
     tel.set_section(
         "sweep_kernel",
         Json::Obj(vec![
@@ -820,7 +920,7 @@ mod tests {
         banks: &FluxBanks,
         track: u32,
         kernel: SweepKernel,
-    ) -> (Vec<f64>, Vec<Segment3dCompact>) {
+    ) -> (Vec<f64>, Vec<(Segment3dCompact, f32)>) {
         let mut phi = vec![0.0f64; q.len()];
         let mut bufs = TrackBufs::default();
         let segsrc = SegmentSource::otf();
@@ -835,7 +935,7 @@ mod tests {
             &mut bufs,
             |qb, vals| add_span(&mut phi, qb, vals),
         );
-        (phi, bufs.segs)
+        (phi, bufs.segs.into_iter().zip(bufs.lens).collect())
     }
 
     fn vac_problem() -> Problem {
@@ -923,11 +1023,12 @@ mod tests {
         let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
         let b = natural_sweep(&p, &otf, &q, &banks2);
         assert_eq!(a.segments, b.segments);
+        // Both paths round lengths to f32 and evaluate the same taus, so
+        // the table spans carry the staged bits.
         for (x, y) in a.phi_acc.iter().zip(&b.phi_acc) {
-            // f32 segment lengths in the store vs f64 OTF: tiny drift.
-            assert!((x - y).abs() < 1e-5 * x.abs().max(1.0), "{x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
-        assert!((a.leakage - b.leakage).abs() < 1e-5 * a.leakage.abs().max(1.0));
+        assert_eq!(a.leakage.to_bits(), b.leakage.to_bits());
     }
 
     #[test]
@@ -961,10 +1062,10 @@ mod tests {
 
             // Reconstruct the expected attenuation from the OTF segments.
             let mut tau = [0.0f64; MAX_GROUPS];
-            for s in &segs {
+            for (s, len) in &segs {
                 let mat = p.xs.fsr_mat[s.fsr3d as usize] as usize * g;
                 for gi in 0..g {
-                    tau[gi] += p.xs.sigma_t[mat + gi] * s.length as f64;
+                    tau[gi] += p.xs.sigma_t[mat + gi] * *len as f64;
                 }
             }
             // The outgoing flux was captured in the boundary bank (vacuum).
@@ -1020,8 +1121,9 @@ mod tests {
         let banks2 = FluxBanks::new(p.num_tracks(), p.num_groups());
         let pure = natural_sweep(&p, &SegmentSource::otf(), &q, &banks2);
         for (x, y) in mixed.phi_acc.iter().zip(&pure.phi_acc) {
-            assert!((x - y).abs() < 1e-5 * x.abs().max(1.0));
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
+        assert_eq!(mixed.leakage.to_bits(), pure.leakage.to_bits());
     }
 
     #[test]
@@ -1168,7 +1270,7 @@ mod tests {
         // No global-telemetry reset here: sibling tests share the global
         // registry, and the report is taken immediately after the sweep so
         // the last-set gauge/section belong to this run.
-        let tel_run = |kernel: SweepKernel| {
+        let tel_run = |kernel: SweepKernel, segsrc: &SegmentSource| {
             let mut arena = SweepArena::new(KernelConfig {
                 tallies: TallyMode::Privatized,
                 kernel,
@@ -1176,26 +1278,27 @@ mod tests {
                 ..Default::default()
             });
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
-            let _ = transport_sweep_with(
-                &p,
-                &segsrc,
-                &q,
-                &banks,
-                &SweepSchedule::natural(),
-                &mut arena,
-            );
+            let _ =
+                transport_sweep_with(&p, segsrc, &q, &banks, &SweepSchedule::natural(), &mut arena);
             Telemetry::global().report()
         };
-        let r = tel_run(SweepKernel::Vector);
+        let r = tel_run(SweepKernel::Vector, &segsrc);
         let bps = r.gauges["sweep.bytes_per_segment"].last;
         assert_eq!(bps, antmoc_perfmodel::sweep_bytes_per_segment(p.num_groups(), true));
         let sec = format!("{:?}", r.sections["sweep_kernel"]);
         assert!(sec.contains("vector") && sec.contains("lanes"), "section {sec}");
         assert!(sec.contains("block_kb"), "section {sec}");
-        let r = tel_run(SweepKernel::Scalar);
+        let r = tel_run(SweepKernel::Scalar, &segsrc);
         assert_eq!(
             r.gauges["sweep.bytes_per_segment"].last,
             antmoc_perfmodel::sweep_bytes_per_segment(p.num_groups(), false)
+        );
+        // An all-resident vector sweep reads every span from the table.
+        let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
+        let r = tel_run(SweepKernel::Vector, &SegmentSource::stored(&p, &all));
+        assert_eq!(
+            r.gauges["sweep.bytes_per_segment"].last,
+            antmoc_perfmodel::sweep_bytes_per_resident_segment(p.num_groups())
         );
     }
 

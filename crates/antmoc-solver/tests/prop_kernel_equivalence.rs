@@ -13,6 +13,11 @@
 //!   the CAS additions land in race order, so scalar and vector runs may
 //!   differ by reassociation rounding — but never more.
 //!
+//! * **Resident segments sweep like OTF ones, bit for bit.** A resident
+//!   track's spans come from its store's attenuation table, built by the
+//!   same evaluator from the same tau bits, so all-resident and
+//!   half-resident sweeps repeat the OTF sweep's bits at any worker count.
+//!
 //! * **Every backend runs that kernel.** The `cpu-serial` sweeper must
 //!   match a one-worker natural-order CPU sweep bit for bit, and the
 //!   simulated device — either CU mapping, any storage mode — must repeat
@@ -38,7 +43,7 @@ use antmoc_solver::{
     CpuSweeper, ExpMode, FluxBanks, KernelConfig, Problem, ScheduleKind, SegmentSource,
     StorageMode, SweepArena, SweepKernel, SweepOutcome, SweepSchedule, Sweeper, TallyMode,
 };
-use antmoc_track::TrackParams;
+use antmoc_track::{Track3dId, TrackParams};
 use antmoc_xs::{Material, MaterialLibrary};
 use proptest::prelude::*;
 
@@ -270,6 +275,50 @@ fn device_sweeps_repeat_bitwise_and_track_the_cpu_sweep_within_1e12() {
                 (dev, transport_sweep_with(&p, segsrc, &q, &inflow_banks(&p), &sched, &mut arena))
             });
             assert_eq!(bits(&dev), bits(&cpu), "device L3 vs cpu L3 (g={g}, workers={workers})");
+        }
+    }
+}
+
+#[test]
+fn resident_segments_sweep_bitwise_like_otf_ones() {
+    // Resident tracks read their attenuation spans from the store's
+    // table (or, on the reference paths, rebuild their lengths from its
+    // keys): under the extreme library, an all-resident and a
+    // half-resident sweep must each give the OTF sweep's bits for every
+    // group count, kernel and exp mode, at workers {1, 2, 8}.
+    for g in 1..=8usize {
+        let p = extreme_problem(g, 0.6);
+        let q = structured_source(&p);
+        let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
+        let half: Vec<Track3dId> = all.iter().copied().step_by(2).collect();
+        let sources = [
+            ("otf", SegmentSource::otf()),
+            ("all resident", SegmentSource::stored(&p, &all)),
+            ("half resident", SegmentSource::stored(&p, &half)),
+        ];
+        for kernel in [SweepKernel::Vector, SweepKernel::Scalar] {
+            for exp in [ExpMode::Intrinsic, ExpMode::Table] {
+                for workers in [1usize, 2, 8] {
+                    let sched = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, workers);
+                    let run = |segsrc: &SegmentSource| {
+                        let tallies = TallyMode::Privatized;
+                        let config = KernelConfig { tallies, exp, kernel, ..Default::default() };
+                        let mut arena = SweepArena::new(config);
+                        let banks = inflow_banks(&p);
+                        pool(workers).install(|| {
+                            transport_sweep_with(&p, segsrc, &q, &banks, &sched, &mut arena)
+                        })
+                    };
+                    let otf = bits(&run(&sources[0].1));
+                    for (name, segsrc) in &sources[1..] {
+                        assert_eq!(
+                            bits(&run(segsrc)),
+                            otf,
+                            "{name} vs otf (g={g}, {kernel:?}, {exp:?}, workers={workers})"
+                        );
+                    }
+                }
+            }
         }
     }
 }

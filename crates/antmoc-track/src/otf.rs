@@ -9,9 +9,13 @@
 //! [`SegmentStore3d`] is the EXPlicit alternative: every 3D segment
 //! precomputed and stored (fastest sweeps, enormous memory — 93 % of the
 //! footprint in the paper's Table 3). The track-management strategy mixes
-//! both per track.
+//! both per track. A stored segment names its distinct (material, f32
+//! length) pair, whose attenuation a sweep reads from a per-store table.
 
-use antmoc_geom::{AxialModel, Fsr3dMap, FsrId};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use antmoc_geom::{AxialModel, Fsr3dId, Fsr3dMap, FsrId};
 
 use crate::chain::ChainSet;
 use crate::segment2d::{Segment2d, SegmentStore2d};
@@ -92,18 +96,52 @@ pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
     }
 }
 
-/// Compact stored 3D segment (8 bytes): flattened 3D FSR id and f32
-/// length, matching the paper's single-precision GPU layout.
+/// Compact 3D segment (8 bytes): flattened 3D FSR id and the index of its
+/// attenuation span; in a store, of its [`SegmentStore3d::keys`] entry,
+/// which holds the paper's single-precision length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment3dCompact {
     pub fsr3d: u32,
+    pub key: u32,
+}
+
+/// One distinct (material, f32 length) pair of a store: everything a
+/// segment's attenuation `1 - exp(-sigma_t * length)` depends on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentKey {
+    pub material: u32,
     pub length: f32,
+}
+
+/// The store's dedupe hash of a `(material, length bits)` word, a folded
+/// 128-bit multiply (std's SipHash costs several times more per lookup;
+/// the words come from the program's own trace, so collision resistance
+/// buys nothing).
+#[derive(Default)]
+struct FoldHash(u64);
+
+impl std::hash::Hasher for FoldHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the store hashes u64 words only")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let m = (word as u128) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
 }
 
 /// Explicitly stored 3D segments for a set of tracks, CSR-indexed.
 #[derive(Debug, Clone)]
 pub struct SegmentStore3d {
     segments: Vec<Segment3dCompact>,
+    /// Distinct (material, length) pairs, numbered by first use in CSR
+    /// order (so a sweep walks them mostly forward).
+    keys: Vec<SegmentKey>,
     offsets: Vec<u64>,
     /// Which 3D tracks are stored (parallel to `offsets`; when storing all
     /// tracks this is just the identity).
@@ -114,7 +152,8 @@ pub struct SegmentStore3d {
 
 impl SegmentStore3d {
     /// Traces and stores the 3D segments of `selected` tracks (pass
-    /// `t3.ids().collect()` for the EXP mode).
+    /// `t3.ids().collect()` for the EXP mode), deduplicating their
+    /// (material, length) pairs into [`SegmentStore3d::keys`].
     pub fn trace(
         selected: &[Track3dId],
         t3: &TrackSet3d,
@@ -127,17 +166,14 @@ impl SegmentStore3d {
         use rayon::prelude::*;
         let tel = antmoc_telemetry::Telemetry::current();
         let _trace_span = tel.span("segments_3d_store");
-        let per_track: Vec<Vec<Segment3dCompact>> = selected
+        let per_track: Vec<Vec<(Fsr3dId, f32)>> = selected
             .par_iter()
             .map(|&id| {
                 let info = t3.info(id, t2, chains);
                 let base = store2d.of(info.track2d);
                 let mut v = Vec::with_capacity(16);
                 trace_3d(&info, base, axial, |fsr, cell, len| {
-                    v.push(Segment3dCompact {
-                        fsr3d: fsr3d.id(fsr, cell as usize).0,
-                        length: len as f32,
-                    });
+                    v.push((fsr3d.id(fsr, cell as usize), len as f32));
                 });
                 v
             })
@@ -145,8 +181,18 @@ impl SegmentStore3d {
         let mut segments = Vec::with_capacity(per_track.iter().map(Vec::len).sum());
         let mut offsets = Vec::with_capacity(per_track.len() + 1);
         offsets.push(0u64);
-        for mut v in per_track {
-            segments.append(&mut v);
+        let mut keys = Vec::new();
+        let mut index: HashMap<u64, u32, BuildHasherDefault<FoldHash>> = HashMap::default();
+        for v in per_track {
+            for (id, length) in v {
+                let material = fsr3d.material(id).0;
+                let word = (material as u64) << 32 | length.to_bits() as u64;
+                let key = *index.entry(word).or_insert_with(|| {
+                    keys.push(SegmentKey { material, length });
+                    keys.len() as u32 - 1
+                });
+                segments.push(Segment3dCompact { fsr3d: id.0, key });
+            }
             offsets.push(segments.len() as u64);
         }
         let mut position = vec![u32::MAX; t3.num_tracks()];
@@ -154,7 +200,7 @@ impl SegmentStore3d {
             position[id.0 as usize] = i as u32;
         }
         tel.counter_add("otf.segments_stored", segments.len() as u64);
-        let store = Self { segments, offsets, tracks: selected.to_vec(), position };
+        let store = Self { segments, keys, offsets, tracks: selected.to_vec(), position };
         tel.gauge_set("otf.store_bytes", store.bytes() as f64);
         store
     }
@@ -171,6 +217,12 @@ impl SegmentStore3d {
         Some(&self.segments[lo..hi])
     }
 
+    /// The store's distinct (material, length) pairs; a segment's `key`
+    /// indexes this list.
+    pub fn keys(&self) -> &[SegmentKey] {
+        &self.keys
+    }
+
     /// Total stored segments.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
@@ -184,6 +236,7 @@ impl SegmentStore3d {
     /// Bytes of storage.
     pub fn bytes(&self) -> u64 {
         (self.segments.len() * std::mem::size_of::<Segment3dCompact>()
+            + self.keys.len() * std::mem::size_of::<SegmentKey>()
             + self.offsets.len() * 8
             + self.position.len() * 4
             + self.tracks.len() * 4) as u64
@@ -346,9 +399,17 @@ mod tests {
             assert_eq!(stored.len(), otf.len(), "track {id:?}");
             for (s, (fsr3d, l)) in stored.iter().zip(otf) {
                 assert_eq!(s.fsr3d, fsr3d);
-                assert!((s.length - l).abs() < 1e-6);
+                let key = store.keys()[s.key as usize];
+                assert_eq!(key.length.to_bits(), l.to_bits());
+                assert_eq!(key.material, f.fsr3d.material(Fsr3dId(fsr3d)).0);
             }
         }
+        // One key per distinct pair.
+        let mut words: Vec<_> =
+            store.keys().iter().map(|k| (k.material, k.length.to_bits())).collect();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), store.keys().len());
     }
 
     #[test]

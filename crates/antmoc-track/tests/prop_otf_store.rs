@@ -1,10 +1,11 @@
 //! Property: the explicit (resident) segment store and on-the-fly tracing
 //! yield *identical* segment sequences per track — same 3D FSR ids, same
-//! f32 lengths — for random `TrackParams` (the §4.1 invariant that lets
+//! f32 lengths and materials (read back through each stored segment's
+//! key) — for random `TrackParams` (the §4.1 invariant that lets
 //! the track manager mix both paths in one sweep).
 
 use antmoc_geom::geometry::homogeneous_box;
-use antmoc_geom::{AxialModel, Bc, BoundaryConds};
+use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dId};
 use antmoc_quadrature::PolarType;
 use antmoc_track::{trace_3d, SegmentStore3d, Track3dId, TrackLayout, TrackParams};
 use antmoc_xs::MaterialId;
@@ -54,16 +55,22 @@ proptest! {
         for id in layout.tracks3d.ids() {
             let stored = store.of(id).unwrap();
             let info = layout.tracks3d.info(id, &layout.tracks2d, &layout.chains);
-            let mut otf: Vec<(u32, f32)> = Vec::new();
+            let mut otf: Vec<(Fsr3dId, f32)> = Vec::new();
             trace_3d(&info, layout.segments2d.of(info.track2d), &axial, |fsr, cell, len| {
-                otf.push((layout.fsr3d.id(fsr, cell as usize).0, len as f32));
+                otf.push((layout.fsr3d.id(fsr, cell as usize), len as f32));
             });
             prop_assert_eq!(stored.len(), otf.len(), "track {:?}: segment count differs", id);
             for (k, (s, (fsr3d, len))) in stored.iter().zip(otf).enumerate() {
-                prop_assert_eq!(s.fsr3d, fsr3d, "track {:?} segment {}: fsr differs", id, k);
+                prop_assert_eq!(s.fsr3d, fsr3d.0, "track {:?} segment {}: fsr differs", id, k);
+                // Length and material come back through the segment's key.
+                let key = store.keys()[s.key as usize];
                 prop_assert_eq!(
-                    s.length.to_bits(), len.to_bits(),
-                    "track {:?} segment {}: length {} vs {}", id, k, s.length, len
+                    key.length.to_bits(), len.to_bits(),
+                    "track {:?} segment {}: length {} vs {}", id, k, key.length, len
+                );
+                prop_assert_eq!(
+                    key.material, layout.fsr3d.material(fsr3d).0,
+                    "track {:?} segment {}: material differs", id, k
                 );
             }
         }

@@ -241,7 +241,8 @@ pub fn build_setup(config: &RunConfig) -> SolveSetup {
     );
     // The device solver builds its own resident store from the problem.
     let cpu = !matches!(config.backend, BackendConfig::Device { .. });
-    let segsrc = if cpu { segment_source(config, &problem) } else { SegmentSource::otf() };
+    let segsrc =
+        if cpu { SegmentSource::new(&problem, config.mode).0 } else { SegmentSource::otf() };
     let exp_table = (config.kernel.exp == ExpMode::Table && cpu).then(|| {
         antmoc_solver::ExpTable::with_tolerance(
             antmoc_solver::exptable::DEFAULT_TAU_MAX,
@@ -275,79 +276,14 @@ pub fn run_with_setup_arena(
     let problem = &setup.problem;
     let model = &setup.model;
 
-    let fixed_source =
-        matches!(&config.model, ModelSpec::Lattice(s) if s.kind == CaseKind::FixedSource);
-
-    // Assemble a CPU sweeper over the shared setup and the per-job arena;
-    // the serial backend pins it to one worker.
-    let make_sweeper = |arena: SweepArena| {
-        let serial = config.backend == BackendConfig::CpuSerial;
-        let schedule = if serial {
-            SweepSchedule::with_workers(config.schedule, problem, 1)
-        } else {
-            SweepSchedule::for_problem(config.schedule, problem)
-        };
-        let mut sweeper =
-            CpuSweeper::with_arena(&setup.segsrc, schedule, config.kernel.clone(), arena);
-        if serial {
-            sweeper = sweeper.serial();
-        }
-        if let Some(table) = &setup.exp_table {
-            sweeper.arena_mut().preload_exp_table(table.clone());
-        }
-        sweeper
-    };
-
     // Stage 4: transport solving.
     let t = Instant::now();
     let transport_span = tel.span("transport");
-    let (keff, iterations, converged, phi, arena) = if fixed_source {
-        let BuiltModel::Lattice(lowered) = model else {
-            unreachable!("fixed-source runs come from declarative cases")
-        };
-        let external = external_source(problem, lowered);
-        let opts = FixedSourceOptions {
-            tolerance: config.eigen.tolerance,
-            max_iterations: config.eigen.max_iterations,
-            with_fission: config.fixed_fission,
-        };
-        // Fixed-source cases run single-domain on CPU backends (enforced
-        // by `RunConfig::from_case`).
-        let (result, arena) = match &config.backend {
-            BackendConfig::Cpu | BackendConfig::CpuSerial => {
-                let mut sweeper = make_sweeper(arena);
-                let r = solve_fixed_source(problem, &mut sweeper, &external, &opts);
-                (r, sweeper.into_arena())
-            }
-            BackendConfig::Device { .. } => {
-                unreachable!("RunConfig::from_case rejects fixed-source device runs")
-            }
-        };
-        (0.0, result.iterations, result.converged, result.phi, arena)
-    } else {
-        let (result, arena) = match &config.backend {
-            BackendConfig::Cpu | BackendConfig::CpuSerial => {
-                let mut sweeper = make_sweeper(arena);
-                let r = solve_eigenvalue(problem, &mut sweeper, &config.eigen);
-                (r, sweeper.into_arena())
-            }
-            BackendConfig::Device { memory_bytes, cu_mapping } => {
-                let device = Arc::new(Device::new(DeviceSpec::scaled(*memory_bytes)));
-                let mut arena = arena;
-                arena.reconfigure(config.kernel.clone());
-                let mut solver = DeviceSolver::new(device, problem, config.mode, *cu_mapping)
-                    .expect("device memory too small for the selected mode")
-                    .with_arena(arena);
-                let r = solve_eigenvalue(problem, &mut solver, &config.eigen);
-                (r, solver.into_arena())
-            }
-        };
-        (result.keff, result.iterations, result.converged, result.phi, arena)
-    };
+    let ((keff, iterations, converged, phi), arena) = transport(config, setup, arena);
     drop(transport_span);
     let transport_s = t.elapsed().as_secs_f64();
 
-    if config.balance_sweeps > 0 && !fixed_source {
+    if config.balance_sweeps > 0 && !is_fixed_source(config) {
         // Independent eigenvalue check; lands in the artifact's `balance`
         // section (OTF segments keep the check backend-agnostic).
         let balance = antmoc_solver::diagnostics::neutron_balance(
@@ -393,23 +329,84 @@ pub fn run_with_setup_arena(
     (report, arena)
 }
 
-/// Builds the segment source for the CPU backends per the configured
-/// storage mode.
-fn segment_source(config: &RunConfig, problem: &Problem) -> SegmentSource {
-    match config.mode {
-        StorageMode::Otf => SegmentSource::otf(),
-        StorageMode::Explicit => {
-            let all: Vec<_> = problem.layout.tracks3d.ids().collect();
-            SegmentSource::stored(problem, &all)
+/// Whether a configuration is a declarative fixed-source case.
+fn is_fixed_source(config: &RunConfig) -> bool {
+    matches!(&config.model, ModelSpec::Lattice(s) if s.kind == CaseKind::FixedSource)
+}
+
+/// Stage 4 on the configured single-domain backend: `(keff, iterations,
+/// converged, phi)` of the solve (keff 0 for a fixed-source case), and
+/// the arena back.
+fn transport(
+    config: &RunConfig,
+    setup: &SolveSetup,
+    arena: SweepArena,
+) -> ((f64, usize, bool, Vec<f64>), SweepArena) {
+    let problem = &setup.problem;
+    let model = &setup.model;
+
+    // Assemble a CPU sweeper over the shared setup and the per-job arena;
+    // the serial backend pins it to one worker.
+    let make_sweeper = |arena: SweepArena| {
+        let serial = config.backend == BackendConfig::CpuSerial;
+        let schedule = if serial {
+            SweepSchedule::with_workers(config.schedule, problem, 1)
+        } else {
+            SweepSchedule::for_problem(config.schedule, problem)
+        };
+        let mut sweeper =
+            CpuSweeper::with_arena(&setup.segsrc, schedule, config.kernel.clone(), arena);
+        if serial {
+            sweeper = sweeper.serial();
         }
-        StorageMode::Manager { budget_bytes } => {
-            let plan = antmoc_solver::manager::select_resident(
-                problem,
-                budget_bytes,
-                antmoc_solver::manager::RankPolicy::BySegments,
-            );
-            SegmentSource::stored(problem, &plan.resident)
+        if let Some(table) = &setup.exp_table {
+            sweeper.arena_mut().preload_exp_table(table.clone());
         }
+        sweeper
+    };
+
+    if is_fixed_source(config) {
+        let BuiltModel::Lattice(lowered) = model else {
+            unreachable!("fixed-source runs come from declarative cases")
+        };
+        let external = external_source(problem, lowered);
+        let opts = FixedSourceOptions {
+            tolerance: config.eigen.tolerance,
+            max_iterations: config.eigen.max_iterations,
+            with_fission: config.fixed_fission,
+        };
+        // Fixed-source cases run single-domain on CPU backends (enforced
+        // by `RunConfig::from_case`).
+        let (result, arena) = match &config.backend {
+            BackendConfig::Cpu | BackendConfig::CpuSerial => {
+                let mut sweeper = make_sweeper(arena);
+                let r = solve_fixed_source(problem, &mut sweeper, &external, &opts);
+                (r, sweeper.into_arena())
+            }
+            BackendConfig::Device { .. } => {
+                unreachable!("RunConfig::from_case rejects fixed-source device runs")
+            }
+        };
+        ((0.0, result.iterations, result.converged, result.phi), arena)
+    } else {
+        let (result, arena) = match &config.backend {
+            BackendConfig::Cpu | BackendConfig::CpuSerial => {
+                let mut sweeper = make_sweeper(arena);
+                let r = solve_eigenvalue(problem, &mut sweeper, &config.eigen);
+                (r, sweeper.into_arena())
+            }
+            BackendConfig::Device { memory_bytes, cu_mapping } => {
+                let device = Arc::new(Device::new(DeviceSpec::scaled(*memory_bytes)));
+                let mut arena = arena;
+                arena.reconfigure(config.kernel.clone());
+                let mut solver = DeviceSolver::new(device, problem, config.mode, *cu_mapping)
+                    .expect("device memory too small for the selected mode")
+                    .with_arena(arena);
+                let r = solve_eigenvalue(problem, &mut solver, &config.eigen);
+                (r, solver.into_arena())
+            }
+        };
+        ((result.keff, result.iterations, result.converged, result.phi), arena)
     }
 }
 
@@ -561,6 +558,7 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
 mod tests {
     use super::*;
     use crate::config::RunConfig;
+    use antmoc_input::CaseSpec;
 
     /// A deliberately coarse configuration that solves in seconds.
     fn coarse_config() -> RunConfig {
@@ -627,5 +625,68 @@ backend = cpu
         // §2.1 observation: raw rates shift, normalised rates agree).
         let rms = decomposed.pin_rates.rms_relative_error(&single.pin_rates);
         assert!(rms < 0.12, "pin-rate RMS {rms}");
+    }
+
+    fn shipped_case(name: &str) -> RunConfig {
+        let path = format!("{}/../../cases/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        RunConfig::from_case(&CaseSpec::parse(&text).unwrap()).unwrap()
+    }
+
+    /// keff bits, iteration count and every phi bit of a set-up's solve.
+    fn solve_bits(config: &RunConfig, setup: &SolveSetup) -> (u64, usize, Vec<u64>) {
+        let arena = SweepArena::new(config.kernel.clone());
+        let ((keff, iterations, _, phi), _) = transport(config, setup, arena);
+        (keff.to_bits(), iterations, phi.iter().map(|x| x.to_bits()).collect())
+    }
+
+    #[test]
+    fn stored_segment_solves_repeat_otf_solves_bitwise_on_the_shipped_cases() {
+        // A resident track reads its attenuation spans from the store's
+        // table, an OTF track stages its own from the same tau bits: the
+        // set-up and solve stages must give the OTF solve's bits in
+        // explicit mode and in manager mode with half the store resident.
+        // pin_cell's z-reflective links race at two workers and more, so
+        // it runs on one; c5g7 is capped to a few iterations.
+        let cases: [(&str, &[usize]); 4] = [
+            ("pin_cell.toml", &[1]),
+            ("shield_slab.toml", &[1, 4]),
+            ("assembly_17x17.toml", &[1, 4]),
+            ("c5g7.toml", &[1]),
+        ];
+        for (name, workers) in cases {
+            let mut config = shipped_case(name);
+            if name == "c5g7.toml" {
+                config.eigen.max_iterations = 6;
+            }
+            config.mode = StorageMode::Otf;
+            let otf_setup = build_setup(&config);
+            let explicit = RunConfig { mode: StorageMode::Explicit, ..config.clone() };
+            let explicit_setup = build_setup(&explicit);
+            // Half of the full store and its attenuation table.
+            let budget_bytes = explicit_setup.segsrc.stored_bytes() / 2;
+            let manager =
+                RunConfig { mode: StorageMode::Manager { budget_bytes }, ..config.clone() };
+            let manager_setup = build_setup(&manager);
+            let resident = manager_setup.segsrc.num_resident();
+            assert!(
+                resident > 0 && resident < otf_setup.problem.num_tracks(),
+                "{name}: {resident}"
+            );
+            let stored = [(&explicit, &explicit_setup), (&manager, &manager_setup)];
+            for &w in workers {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(w).build().unwrap();
+                pool.install(|| {
+                    let otf = solve_bits(&config, &otf_setup);
+                    for (config, setup) in stored {
+                        let bits = solve_bits(config, setup);
+                        let what = format!("{name} {:?} workers={w}", config.mode);
+                        assert_eq!(bits.0, otf.0, "{what}: keff");
+                        assert_eq!(bits.1, otf.1, "{what}: iterations");
+                        assert!(bits.2 == otf.2, "{what}: phi bits differ");
+                    }
+                });
+            }
+        }
     }
 }

@@ -18,7 +18,9 @@
 # inside one fails the check — both cost ~1/3 of the kernel's time when
 # they were there, and no test can see them. So does a reference to libm's
 # `exp`/`expm1`: the kernel evaluates `1 - exp(-tau)` with the in-tree
-# routine (exp.rs), staged a track slab at a time.
+# routine (exp.rs), staged a track slab at a time for a non-resident
+# track; a resident track reads its spans from the store's attenuation
+# table, built once by the same routine, in the same segment loop.
 #
 # That slab evaluator is pinned too: its three instantiations of one source
 # loop — `slab_baseline`, the `#[target_feature(enable = "avx2")]`
