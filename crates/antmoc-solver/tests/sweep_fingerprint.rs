@@ -14,14 +14,28 @@
 //! from libm's `exp_m1` to the in-tree evaluator (`antmoc_solver::exp`,
 //! ≤ 1 ulp apart — the `G = 1` row did not move at all; CHANGES.md, PR 16,
 //! lists old → new).
+//!
+//! `decomposed_solve_bits_are_those_of_the_parent_commit` does the same
+//! for whole decomposed solves: a few capped power iterations of a small
+//! UO2 box on three decomposition grids and every cluster backend, hashed
+//! over `k`, the iteration count, every residual, every rank's flux and
+//! the total wire volume. The cluster tests compare decomposed solves
+//! only with each other (sync ≡ pipelined, 1x1x1 ≡ single-domain); this
+//! one pins them against history, so a driver or exchange restructuring
+//! that moves any bit, or any byte of traffic, fails here.
 
+use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{
     AxialModel, Bc, BoundaryConds, Cell, Fill, GeometryBuilder, Lattice, Sense, Surface, Universe,
 };
+use antmoc_gpusim::DeviceSpec;
+use antmoc_solver::cluster::{solve_cluster_with, Backend, ClusterOptions, ExchangeMode};
+use antmoc_solver::decomp::{DecompSpec, Decomposition};
+use antmoc_solver::device::CuMapping;
 use antmoc_solver::sweep::transport_sweep_with;
 use antmoc_solver::{
-    FluxBanks, KernelConfig, Problem, SegmentSource, SweepArena, SweepKernel, SweepSchedule,
-    TallyMode,
+    EigenOptions, FluxBanks, KernelConfig, Problem, SegmentSource, StorageMode, SweepArena,
+    SweepKernel, SweepSchedule, TallyMode,
 };
 use antmoc_track::{Track3dId, TrackParams};
 use antmoc_xs::{Material, MaterialLibrary};
@@ -148,4 +162,77 @@ fn sweep_bits_are_those_of_the_parent_commit() {
             }
         }
     }
+}
+
+/// A 4x4x6 cm UO2 box, reflective except for a vacuum top, decomposed
+/// by `spec` on one worker (the volume reduction's order follows the
+/// pool size).
+fn decomposed_box(spec: DecompSpec) -> Decomposition {
+    let lib = antmoc_xs::c5g7::library();
+    let (uo2, _) = lib.by_name("UO2").unwrap();
+    let mut bcs = BoundaryConds::reflective();
+    bcs.z_max = Bc::Vacuum;
+    let g = homogeneous_box(uo2, 4.0, 4.0, (0.0, 6.0), bcs);
+    let axial = AxialModel::uniform(0.0, 6.0, 1.5);
+    let params = TrackParams {
+        num_azim: 4,
+        radial_spacing: 0.5,
+        num_polar: 2,
+        axial_spacing: 0.25,
+        ..Default::default()
+    };
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    pool.install(|| Decomposition::build(&g, &axial, &lib, params, spec))
+}
+
+/// `(grid, backend, hash)` of six capped iterations. Every backend runs
+/// its ranks on one worker, so each row is deterministic.
+const DECOMPOSED: [((usize, usize, usize), &str, u64); 12] = [
+    ((2, 1, 1), "cpu-serial sync", 0x8132_21b8_1eb1_b8c9),
+    ((2, 1, 1), "cpu-serial pipelined", 0x8132_21b8_1eb1_b8c9),
+    ((2, 1, 1), "cpu", 0xbb76_ccf2_7538_964f),
+    ((2, 1, 1), "device", 0xfb03_abd4_dbe9_7976),
+    ((2, 2, 1), "cpu-serial sync", 0xd696_aa47_3c2f_6fbb),
+    ((2, 2, 1), "cpu-serial pipelined", 0xd696_aa47_3c2f_6fbb),
+    ((2, 2, 1), "cpu", 0x5f47_cae0_e7b7_02d1),
+    ((2, 2, 1), "device", 0x51de_2541_24ca_0239),
+    ((1, 1, 2), "cpu-serial sync", 0xabe9_a211_90c2_3999),
+    ((1, 1, 2), "cpu-serial pipelined", 0xabe9_a211_90c2_3999),
+    ((1, 1, 2), "cpu", 0xd7d0_e800_a771_8b20),
+    ((1, 1, 2), "device", 0xaa34_ed90_692c_e670),
+];
+
+#[test]
+fn decomposed_solve_bits_are_those_of_the_parent_commit() {
+    let opts = EigenOptions { tolerance: 1e-30, max_iterations: 6, ..Default::default() };
+    let device = Backend::Device {
+        spec: DeviceSpec::scaled(64 << 20),
+        mode: StorageMode::Manager { budget_bytes: 1 << 20 },
+        mapping: CuMapping::SegmentSorted,
+    };
+    let one = ClusterOptions { workers: Some(1), ..Default::default() };
+    let pipelined = ClusterOptions { exchange: ExchangeMode::Pipelined, ..Default::default() };
+    let mut failures = Vec::new();
+    for ((nx, ny, nz), name, want) in DECOMPOSED {
+        let (backend, copts) = match name {
+            "cpu-serial sync" => (Backend::CpuSerial, ClusterOptions::default()),
+            "cpu-serial pipelined" => (Backend::CpuSerial, pipelined.clone()),
+            "cpu" => (Backend::Cpu, one.clone()),
+            _ => (device.clone(), one.clone()),
+        };
+        let d = decomposed_box(DecompSpec { nx, ny, nz });
+        let r = solve_cluster_with(&d, &backend, &opts, &copts);
+        assert_eq!(r.iterations, opts.max_iterations, "{nx}x{ny}x{nz} {name}");
+        let sent: u64 = r.traffic.iter().map(|t| t.sent_bytes).sum();
+        let words = [r.keff.to_bits(), r.iterations as u64]
+            .into_iter()
+            .chain(r.residuals.iter().map(|x| x.to_bits()))
+            .chain(r.phi.iter().flatten().map(|x| x.to_bits()))
+            .chain([sent]);
+        let got = fnv1a(words);
+        if got != want {
+            failures.push(format!("{nx}x{ny}x{nz} {name}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
