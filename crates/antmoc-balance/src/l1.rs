@@ -55,85 +55,6 @@ pub fn map_subdomains_to_nodes(
     L1Mapping { node_of: part.assignment, num_nodes, node_loads, cut }
 }
 
-/// A degradation rebalance: the new mapping over the surviving nodes,
-/// plus how many subdomains had to move.
-#[derive(Debug, Clone)]
-pub struct RebalancePlan {
-    /// The L1 mapping over the surviving node count (node indices are in
-    /// the compacted survivor space `0..num_survivors`).
-    pub mapping: L1Mapping,
-    /// Subdomains whose owner changed versus `prev` (orphans of the lost
-    /// node always count).
-    pub migrated: usize,
-}
-
-/// Re-runs the L1 partition after a node loss, over `num_survivors`
-/// nodes. `prev[subdomain]` is the previous owner in the compacted
-/// survivor space, or `u32::MAX` for subdomains orphaned by the loss.
-///
-/// Partition labels are arbitrary, so after partitioning the labels are
-/// matched greedily to the previous owners by overlap — minimising how
-/// many subdomains actually migrate (each migration means re-shipping a
-/// sub-geometry and replaying its checkpoint on a new host).
-pub fn rebalance_on_loss(
-    dims: (usize, usize, usize),
-    loads: &[f64],
-    face_areas: (f64, f64, f64),
-    prev: &[u32],
-    num_survivors: usize,
-) -> RebalancePlan {
-    assert_eq!(prev.len(), loads.len());
-    assert!(num_survivors >= 1, "rebalance needs at least one survivor");
-    let mut mapping = map_subdomains_to_nodes(dims, loads, face_areas, num_survivors);
-
-    // Overlap matrix: how many subdomains land in new part `p` that were
-    // previously owned by survivor `s`.
-    let mut overlap = vec![vec![0usize; num_survivors]; num_survivors];
-    for (sub, &p) in mapping.node_of.iter().enumerate() {
-        let s = prev[sub];
-        if s != u32::MAX {
-            overlap[p as usize][s as usize] += 1;
-        }
-    }
-    // Greedy label matching: repeatedly take the heaviest unassigned
-    // (part, survivor) pair. Quadratic in node count — fine at the
-    // simulated-cluster scales this repo runs.
-    let mut relabel = vec![u32::MAX; num_survivors];
-    let mut taken = vec![false; num_survivors];
-    for _ in 0..num_survivors {
-        let mut best: Option<(usize, usize, usize)> = None;
-        for (p, row) in overlap.iter().enumerate() {
-            if relabel[p] != u32::MAX {
-                continue;
-            }
-            for (s, &w) in row.iter().enumerate() {
-                if taken[s] {
-                    continue;
-                }
-                if best.is_none_or(|(_, _, bw)| w > bw) {
-                    best = Some((p, s, w));
-                }
-            }
-        }
-        let (p, s, _) = best.expect("square matching always has a free pair");
-        relabel[p] = s as u32;
-        taken[s] = true;
-    }
-    for p in mapping.node_of.iter_mut() {
-        *p = relabel[*p as usize];
-    }
-    // node_loads follows the relabelling.
-    let mut node_loads = vec![0.0; num_survivors];
-    for (sub, &p) in mapping.node_of.iter().enumerate() {
-        node_loads[p as usize] += loads[sub];
-    }
-    mapping.node_loads = node_loads;
-
-    let migrated =
-        mapping.node_of.iter().zip(prev).filter(|&(&now, &before)| now != before).count();
-    RebalancePlan { mapping, migrated }
-}
-
 /// The no-balance baseline: subdomains dealt to nodes in rank order
 /// (contiguous blocks), the OpenMOC-style assignment the paper compares
 /// against.
@@ -187,51 +108,6 @@ mod tests {
         let u0 = load_uniformity(&base.node_loads);
         assert!(u1 <= u0 + 1e-12, "L1 uniformity {u1} vs baseline {u0}");
         assert!(u1 < 1.15, "L1 should be near-balanced, got {u1}");
-    }
-
-    #[test]
-    fn rebalance_covers_survivors_and_counts_migrations() {
-        let loads = skewed_loads(4, 4, 2);
-        // Previous owners: the 4-node L1 mapping with node 2 lost. The
-        // survivor space is {0, 1, 3} compacted to {0, 1, 2}.
-        let before = map_subdomains_to_nodes((4, 4, 2), &loads, (1.0, 1.0, 1.0), 4);
-        let prev: Vec<u32> = before
-            .node_of
-            .iter()
-            .map(|&n| match n {
-                2 => u32::MAX,
-                x if x > 2 => x - 1,
-                x => x,
-            })
-            .collect();
-        let orphans = prev.iter().filter(|&&p| p == u32::MAX).count();
-        let plan = rebalance_on_loss((4, 4, 2), &loads, (1.0, 1.0, 1.0), &prev, 3);
-        assert_eq!(plan.mapping.node_of.len(), 32);
-        assert!(plan.mapping.node_of.iter().all(|&n| (n as usize) < 3));
-        // Every orphan had to move somewhere; migrations include them.
-        assert!(plan.migrated >= orphans, "migrated {} < orphans {orphans}", plan.migrated);
-        // Loads are conserved across the surviving nodes.
-        let total: f64 = plan.mapping.node_loads.iter().sum();
-        assert!((total - loads.iter().sum::<f64>()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rebalance_label_matching_limits_churn() {
-        // Uniform loads on a line of 8 subdomains over 4 nodes: losing a
-        // node forces ~1/4 of the domain to move, but label matching must
-        // keep the rest in place (migrations well under "everything").
-        let loads = vec![1.0; 8];
-        let before = map_subdomains_to_nodes((8, 1, 1), &loads, (1.0, 1.0, 1.0), 4);
-        let prev: Vec<u32> = before
-            .node_of
-            .iter()
-            .map(|&n| match n {
-                3 => u32::MAX,
-                x => x,
-            })
-            .collect();
-        let plan = rebalance_on_loss((8, 1, 1), &loads, (1.0, 1.0, 1.0), &prev, 3);
-        assert!(plan.migrated < 8, "label matching failed: all {} subdomains moved", plan.migrated);
     }
 
     #[test]

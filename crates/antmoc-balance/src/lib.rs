@@ -22,7 +22,7 @@ pub mod metrics;
 pub mod rcb;
 
 pub use graph::{Graph, Partition};
-pub use l1::{map_subdomains_to_nodes, rebalance_on_loss, L1Mapping, RebalancePlan};
+pub use l1::{map_subdomains_to_nodes, L1Mapping};
 pub use l2::{map_angles_to_gpus, L2Mapping};
 pub use l3::sorted_round_robin;
 pub use metrics::load_uniformity;

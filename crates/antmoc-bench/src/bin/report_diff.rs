@@ -46,7 +46,6 @@ const NOISY_PREFIXES: &[&str] = &[
     "sweep.load_ratio",
     "sweep.worker_busy",
     "sweep.tally_bytes",
-    "comm.retries",
     "comm.recv_wait_ns",
     "comm.collective_wait_ns",
     "comm.recv_ready",

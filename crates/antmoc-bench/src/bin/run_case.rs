@@ -10,7 +10,7 @@
 //! A `.toml` file is a declarative [`CaseSpec`] with physics gates; any
 //! other extension is parsed as a raw pipeline INI ([`RunConfig`]),
 //! which reaches the solver knobs the case format deliberately hides
-//! (spatial decomposition, exchange mode, fault plans). INI cases take
+//! (spatial decomposition, exchange mode, link model). INI cases take
 //! their name from the file stem, have no declarative gate bands, and
 //! gate on convergence alone — CI layers `report-diff` on the emitted
 //! artifact for the rest.

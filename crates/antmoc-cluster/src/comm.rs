@@ -15,12 +15,11 @@ use crate::traffic::{Traffic, TrafficCounters};
 /// always a bug, not load.
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Tags at or above this are collectives (allreduce / allgather /
-/// broadcast). They are exempt from the [`LinkModel`]: their payloads are
+/// Tags at or above this are collectives (allgather / allreduce). They are exempt from the [`LinkModel`]: their payloads are
 /// control-plane scalars next to the boundary-flux banks, and keeping
 /// them instant preserves the collectives' barrier-like timing that the
 /// overlap measurements lean on.
-const COLLECTIVE_TAG_MIN: u32 = u32::MAX - 3;
+const COLLECTIVE_TAG_MIN: u32 = u32::MAX - 2;
 
 /// A deterministic interconnect model: each message becomes visible to
 /// its receiver only after `latency + bytes * ns_per_byte` of simulated
@@ -50,16 +49,6 @@ impl LinkModel {
     fn transfer(&self, bytes: u64) -> Duration {
         self.latency + Duration::from_nanos((bytes as f64 * self.ns_per_byte) as u64)
     }
-}
-
-/// A blocking receive gave up waiting: no message with the requested tag
-/// arrived from `from` within the deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvTimeout {
-    /// Source rank the receive was posted against.
-    pub from: usize,
-    /// Tag the receive was matching on.
-    pub tag: u32,
 }
 
 /// An in-flight message: tag, payload, accounted size, and (under a
@@ -118,13 +107,7 @@ impl Comm {
     }
 
     /// Sends a value to `to` under `tag`, accounting `bytes` of traffic.
-    pub fn send_with_bytes<T: Send + 'static>(
-        &mut self,
-        to: usize,
-        tag: u32,
-        value: T,
-        bytes: u64,
-    ) {
+    fn send_with_bytes<T: Send + 'static>(&mut self, to: usize, tag: u32, value: T, bytes: u64) {
         assert!(to < self.size, "send to rank {to} of {}", self.size);
         self.counters[self.rank].record_send(bytes);
         let ready_at = if self.link.is_zero() || tag >= COLLECTIVE_TAG_MIN {
@@ -151,14 +134,6 @@ impl Comm {
     pub fn send_vec<T: Send + 'static>(&mut self, to: usize, tag: u32, value: Vec<T>) {
         let bytes = (value.len() * std::mem::size_of::<T>()) as u64;
         self.send_with_bytes(to, tag, value, bytes);
-    }
-
-    /// Blocking receive of the next message from `from` with `tag`.
-    /// Messages with other tags from the same source are buffered.
-    pub fn recv<T: 'static>(&mut self, from: usize, tag: u32) -> T {
-        self.recv_deadline(from, tag, RECV_TIMEOUT).unwrap_or_else(|_| {
-            panic!("rank {}: timed out waiting for tag {tag} from rank {from}", self.rank)
-        })
     }
 
     /// Moves every already-arrived channel message from `from` into the
@@ -203,32 +178,33 @@ impl Comm {
         self.take_pending(from, tag).map(|msg| self.unpack(msg))
     }
 
-    /// Blocking receive with an explicit timeout. Fault-tolerant callers
-    /// (the `FaultyComm` decorator) surface the timeout as a typed error
-    /// instead of the deadlock panic of [`Comm::recv`].
-    pub fn recv_deadline<T: 'static>(
-        &mut self,
-        from: usize,
-        tag: u32,
-        timeout: Duration,
-    ) -> Result<T, RecvTimeout> {
+    /// Blocking receive of the next message from `from` with `tag`.
+    /// Messages with other tags from the same source are buffered. A
+    /// receive still unmatched after [`RECV_TIMEOUT`] panics: the exchange
+    /// patterns are deterministic, so it is a deadlock or a dead peer.
+    pub fn recv<T: 'static>(&mut self, from: usize, tag: u32) -> T {
         assert!(from < self.size, "recv from rank {from} of {}", self.size);
         // Fast path: an already-delivered message costs no wait, so it
         // records nothing. `comm.recv_wait_ns` accrues on true waits only.
         self.poll_source(from);
         if let Some(msg) = self.take_pending(from, tag) {
-            return Ok(self.unpack(msg));
+            return self.unpack(msg);
         }
         let t_wait = Instant::now();
-        let deadline = t_wait + timeout;
+        let deadline = t_wait + RECV_TIMEOUT;
         // Collective waits are barrier skew, not point-to-point receive
         // stall; they go in their own histogram so `comm.recv_wait_ns`
         // cleanly measures what the pipelined exchange can actually hide.
         let hist =
             if tag >= COLLECTIVE_TAG_MIN { "comm.collective_wait_ns" } else { "comm.recv_wait_ns" };
+        let rank = self.rank;
         let record_wait = |t0: Instant| {
             antmoc_telemetry::Telemetry::current()
                 .histogram_record(hist, t0.elapsed().as_nanos() as u64);
+        };
+        let timed_out = || -> ! {
+            record_wait(t_wait);
+            panic!("rank {rank}: timed out waiting for tag {tag} from rank {from}")
         };
         loop {
             if let Some(ready_at) = self.stalled[from].as_ref().and_then(|m| m.ready_at) {
@@ -243,20 +219,16 @@ impl Comm {
                     Ok(msg) => {
                         self.pending[from].entry(msg.tag).or_default().push_back(msg);
                     }
-                    Err(_) => {
-                        record_wait(t_wait);
-                        return Err(RecvTimeout { from, tag });
-                    }
+                    Err(_) => timed_out(),
                 }
             }
             self.poll_source(from);
             if let Some(msg) = self.take_pending(from, tag) {
                 record_wait(t_wait);
-                return Ok(self.unpack(msg));
+                return self.unpack(msg);
             }
             if Instant::now() >= deadline {
-                record_wait(t_wait);
-                return Err(RecvTimeout { from, tag });
+                timed_out();
             }
         }
     }
@@ -329,23 +301,6 @@ impl Comm {
         } else {
             self.send_with_bytes(0, TAG, value, std::mem::size_of::<T>() as u64);
             self.recv::<Vec<T>>(0, TAG)
-        }
-    }
-
-    /// Broadcast from rank 0.
-    pub fn broadcast<T: Clone + Send + 'static>(&mut self, value: Option<T>) -> T {
-        const TAG: u32 = u32::MAX - 3;
-        let tel = antmoc_telemetry::Telemetry::current();
-        tel.counter_add("comm.broadcast_calls", 1);
-        let _scope = tel.trace_scope("comm.broadcast", &[]);
-        if self.rank == 0 {
-            let v = value.expect("rank 0 must provide the broadcast value");
-            for to in 1..self.size {
-                self.send_with_bytes(to, TAG, v.clone(), std::mem::size_of::<T>() as u64);
-            }
-            v
-        } else {
-            self.recv::<T>(0, TAG)
         }
     }
 
@@ -524,15 +479,6 @@ mod tests {
         for r in o.results {
             assert_eq!(r, vec![0, 2, 4, 6]);
         }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let o = Cluster::run(3, |mut comm| {
-            let v = if comm.rank() == 0 { Some(String::from("hello")) } else { None };
-            comm.broadcast(v)
-        });
-        assert!(o.results.iter().all(|s| s == "hello"));
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //! ```
 
 pub mod comm;
-pub mod fault;
 pub mod traffic;
 
-pub use comm::{Cluster, ClusterOutcome, Comm, LinkModel, RecvTimeout};
-pub use fault::{CommError, FaultConfig, FaultPlan, FaultyComm, RankDeath};
+pub use comm::{Cluster, ClusterOutcome, Comm, LinkModel};
 pub use traffic::Traffic;
 
 #[cfg(test)]

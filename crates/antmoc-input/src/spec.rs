@@ -6,7 +6,7 @@
 //! [`CaseSpec::emit`] renders the spec back to canonical TOML; emitting,
 //! parsing, and emitting again is stable, which the round-trip property
 //! test pins down. Solver/tracking sections ([solver], [tracks],
-//! [decomposition], [fault], [telemetry]) are *not* interpreted here —
+//! [decomposition], [telemetry]) are *not* interpreted here —
 //! they pass through as raw key/value pairs for the pipeline's existing
 //! config interpreter, so the case format never lags behind new solver
 //! options.
@@ -180,7 +180,7 @@ pub struct CaseSpec {
     pub raw: Vec<(String, Vec<(String, RawEntry)>)>,
 }
 
-const PASSTHROUGH: [&str; 5] = ["tracks", "solver", "decomposition", "fault", "telemetry"];
+const PASSTHROUGH: [&str; 4] = ["tracks", "solver", "decomposition", "telemetry"];
 const KNOWN_TABLES: [&str; 5] = ["case", "materials", "core", "axial", "gates"];
 const KNOWN_ARRAYS: [&str; 4] = ["pin", "lattice", "zone", "source"];
 
@@ -293,7 +293,7 @@ impl CaseSpec {
                     format!("[{name}]"),
                     "unknown section; geometry sections are [case], [materials], [core], \
                      [axial], [gates] plus [[pin]]/[[lattice]]/[[zone]]/[[source]]; solver \
-                     sections [tracks], [solver], [decomposition], [fault], [telemetry] pass \
+                     sections [tracks], [solver], [decomposition], [telemetry] pass \
                      through",
                 ));
             }

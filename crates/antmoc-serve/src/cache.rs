@@ -29,7 +29,7 @@
 //!   and deliberately share a key across tolerance values.
 //!
 //! Everything else (eigen tolerances, iteration caps, schedules, tally
-//! strategy, fault/telemetry settings) is per-job solver state and must
+//! strategy, telemetry settings) is per-job solver state and must
 //! NOT enter the key: two requests differing only there share a setup.
 //!
 //! The hash is hand-rolled because `std::collections::hash_map::
@@ -76,8 +76,8 @@ pub fn cache_key_string(config: &RunConfig) -> String {
             // `emit` is the spec's canonical rendering: parse(emit(s))
             // round-trips, so it is exactly the content identity of the
             // declarative geometry — once the non-setup parts are
-            // stripped. The passthrough sections (tracks, solver, fault,
-            // telemetry, ...) are per-job config already mirrored into
+            // stripped. The passthrough sections (tracks, solver,
+            // decomposition, telemetry) are per-job config already mirrored into
             // `RunConfig` and keyed there; the case name and acceptance
             // gates never reach the built model at all.
             let mut geometry_only = (**spec).clone();

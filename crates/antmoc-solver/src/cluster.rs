@@ -1,11 +1,8 @@
 //! The domain-decomposed solver: one executor thread per rank on the
 //! simulated cluster, each running the shared power-iteration driver
-//! (`crate::driver`) over the subdomains it hosts, with a Jacobi-style
+//! (`crate::driver`) over its own subdomain, with a Jacobi-style
 //! boundary-flux exchange each outer iteration (§3.1 step 4 of the paper)
-//! and canonical global reductions for `k_eff` and residuals. The plain
-//! solve is one `Generation` with one subdomain per rank and a zero
-//! fault plan; the fault-tolerant supervisor ([`crate::recovery`]) runs
-//! the same generations with faults, checkpoints and rebalancing.
+//! and canonical global reductions for `k_eff` and residuals.
 //!
 //! Two exchange modes ship the boundary fluxes
 //! ([`ExchangeMode`], the `[decomposition] exchange` config knob):
@@ -23,15 +20,13 @@
 
 use std::sync::Arc;
 
-use antmoc_cluster::fault::{FaultConfig, FaultPlan, FaultyComm};
-use antmoc_cluster::{Cluster, ClusterOutcome, Comm, LinkModel, Traffic};
+use antmoc_cluster::{Cluster, Comm, LinkModel, Traffic};
 use antmoc_gpusim::{Device, DeviceSpec};
 use antmoc_telemetry::Telemetry;
 
-use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::decomp::{Decomposition, RankExchange};
 use crate::device::{CuMapping, DeviceSolver};
-use crate::driver::{drive, Controls, Hosted, Link, Solved, Stop};
+use crate::driver::{drive, Controls, Hosted, Link, Solved};
 use crate::eigen::EigenOptions;
 use crate::problem::Problem;
 use crate::schedule::{ScheduleKind, SweepSchedule};
@@ -121,32 +116,49 @@ pub fn solve_cluster_with(
     copts: &ClusterOptions,
 ) -> ClusterResult {
     let n = decomp.problems.len();
-    let outcome = Generation {
-        decomp,
-        backend,
-        opts,
-        copts,
-        plan: Arc::new(FaultPlan::new(FaultConfig::default())),
-        checkpoint: None,
-        assignment: (0..n as u32).collect(),
-        start: 1,
-        death: None,
-    }
-    .run(n);
-    let (mut phi, mut sweep_seconds, mut last) = (Vec::with_capacity(n), Vec::new(), None);
-    for slot in outcome.results {
-        let s = slot.outcome.unwrap_or_else(|stop| panic!("cluster rank failed: {stop:?}"));
-        phi.extend(slot.phi.into_iter().map(|(_, p)| p));
-        sweep_seconds.push(s.sweep_s);
-        last = Some(s.result);
-    }
-    let r = last.expect("a cluster has at least one rank");
+    let tel = Telemetry::current();
+    // Executor threads record into the caller's telemetry sink.
+    let outcome = Cluster::run_linked(n, copts.link, |mut comm: Comm| {
+        let _sink = tel.install();
+        let mut solve = || rank_solve(&mut comm, decomp, backend, opts, copts);
+        match copts.workers {
+            Some(w) => rayon::ThreadPoolBuilder::new()
+                .num_threads(w)
+                .build()
+                .expect("executor worker pool")
+                .install(solve),
+            None => solve(),
+        }
+    });
+    let mut ranks = outcome.results;
+    let sweep_seconds = ranks.iter().map(|s| s.sweep_s).collect();
+    let phi = ranks.iter_mut().map(|s| std::mem::take(&mut s.result.phi)).collect();
+    let r = ranks.pop().expect("a cluster has at least one rank").result;
     let traffic = outcome.traffic;
     let (keff, iterations, converged, residuals) = (r.keff, r.iterations, r.converged, r.residuals);
     ClusterResult { keff, iterations, converged, phi, traffic, sweep_seconds, residuals }
 }
 
-/// The sweeper one executor runs for a hosted subdomain on `backend`.
+/// One rank's solve: the driver over the rank's own subdomain, exchanging
+/// boundary fluxes with its neighbours over `comm`.
+fn rank_solve(
+    comm: &mut Comm,
+    decomp: &Decomposition,
+    backend: &Backend,
+    opts: &EigenOptions,
+    copts: &ClusterOptions,
+) -> Solved {
+    let rank = comm.rank();
+    let problem = &decomp.problems[rank];
+    let segsrc = SegmentSource::otf();
+    let mut sweeper = rank_sweeper(backend, problem, &decomp.exchanges[rank], copts, &segsrc);
+    let controls = Controls { opts, source: Source::Fission };
+    let pipelined = copts.exchange == ExchangeMode::Pipelined;
+    let mut link = Link::new(comm, decomp, pipelined);
+    drive(Hosted::new(problem, sweeper.as_mut()), &controls, Some(&mut link))
+}
+
+/// The sweeper one rank runs for its subdomain on `backend`.
 /// `plan` is the subdomain's exchange plan: the `boundary_first` CPU
 /// schedule and the serial backend's fixed order sweep the tracks whose
 /// exits it ships first. The serial backend is the CPU sweeper pinned to
@@ -178,88 +190,6 @@ fn rank_sweeper<'a>(
                 .expect("device solver setup failed (OOM?)")
                 .with_arena(SweepArena::new(copts.kernel.clone())),
         ),
-    }
-}
-
-/// One generation of executors on the simulated cluster: every executor
-/// hosts the subdomains `assignment` gives it and runs the driver over
-/// them until convergence, the iteration cap, a scheduled death or a
-/// communication failure.
-pub(crate) struct Generation<'a> {
-    pub decomp: &'a Decomposition,
-    pub backend: &'a Backend,
-    pub opts: &'a EigenOptions,
-    pub copts: &'a ClusterOptions,
-    pub plan: Arc<FaultPlan>,
-    /// Checkpoint store and interval (see [`Controls::checkpoint`]).
-    pub checkpoint: Option<(&'a CheckpointStore, usize)>,
-    /// `assignment[subdomain] = executor slot`.
-    pub assignment: Vec<u32>,
-    /// First iteration; past 1, every subdomain resumes from the store.
-    pub start: usize,
-    /// Iteration at whose start a scheduled rank death stops everyone.
-    pub death: Option<usize>,
-}
-
-/// What one executor hands back: its subdomains' final flux and how its
-/// loop ended.
-pub(crate) struct SlotResult {
-    pub phi: Vec<(usize, Vec<f64>)>,
-    pub outcome: Result<Solved, Stop>,
-}
-
-impl Generation<'_> {
-    /// Runs the generation on `slots` executors. Executor threads record
-    /// into the caller's telemetry sink.
-    pub fn run(&self, slots: usize) -> ClusterOutcome<SlotResult> {
-        let tel = Telemetry::current();
-        Cluster::run_linked(slots, self.copts.link, |comm: Comm| {
-            let _sink = tel.install();
-            let mut fc = FaultyComm::new(comm, self.plan.clone());
-            match self.copts.workers {
-                Some(w) => rayon::ThreadPoolBuilder::new()
-                    .num_threads(w)
-                    .build()
-                    .expect("executor worker pool")
-                    .install(|| self.executor(&mut fc)),
-                None => self.executor(&mut fc),
-            }
-        })
-    }
-
-    fn executor(&self, fc: &mut FaultyComm) -> SlotResult {
-        let d = self.decomp;
-        let slot = fc.rank() as u32;
-        let subs: Vec<usize> =
-            (0..d.problems.len()).filter(|&s| self.assignment[s] == slot).collect();
-        let segsrc = SegmentSource::otf();
-        let mut sweepers: Vec<_> = subs
-            .iter()
-            .map(|&s| {
-                rank_sweeper(self.backend, &d.problems[s], &d.exchanges[s], self.copts, &segsrc)
-            })
-            .collect();
-        let mut hosted: Vec<Hosted<'_>> = subs
-            .iter()
-            .zip(&mut sweepers)
-            .map(|(&s, sweeper)| Hosted::new(s, &d.problems[s], sweeper.as_mut()))
-            .collect();
-        let load = |sub: usize| {
-            let ck = self.checkpoint.and_then(|(store, _)| store.load(sub));
-            let ck = ck.unwrap_or_else(|| panic!("no checkpoint for subdomain {sub} at restart"));
-            assert_eq!(ck.iteration + 1, self.start, "checkpoint iteration mismatch");
-            ck
-        };
-        let controls = Controls {
-            opts: self.opts,
-            source: Source::Fission,
-            checkpoint: self.checkpoint,
-            resume: (self.start > 1).then_some(&load as &dyn Fn(usize) -> SolverCheckpoint),
-        };
-        let pipelined = self.copts.exchange == ExchangeMode::Pipelined;
-        let mut link = Link::new(fc, d, &self.assignment, &subs, pipelined, self.death);
-        let outcome = drive(&mut hosted, &controls, Some(&mut link));
-        SlotResult { phi: hosted.into_iter().map(|h| (h.id, h.phi)).collect(), outcome }
     }
 }
 

@@ -1,23 +1,21 @@
 //! The one power-iteration driver (the outer loop of the paper's Alg. 1
 //! with the §2.1 Point-Jacobi boundary update). The single-domain
-//! eigenvalue and fixed-source solves, the decomposed cluster and its
-//! fault-tolerant supervisor all run [`drive`] over the subdomains one
-//! executor hosts. Every iteration: sweep; pass A (scalar flux and fission
-//! density); production and residual terms in FSR order, reduced
-//! canonically as `[production, ss, cnt]`; `k`; pass B (normalisation,
-//! residual reference, next source); one swap-and-scale pass over the
-//! banks with the boundary exchange; checkpoint, iteration row,
-//! convergence test. No per-FSR buffer is allocated inside the loop.
-//! Three hooks set a solve up: the [`Source`], the
-//! exchange (none, or a [`Link`] over a `FaultyComm`, sync or pipelined)
-//! and the checkpoint store (none, or a store with resume).
+//! eigenvalue and fixed-source solves and every rank of the decomposed
+//! cluster run [`drive`] over the one subdomain they own. Every
+//! iteration: sweep; pass A (scalar flux and fission density); production
+//! and residual terms in FSR order, reduced canonically as `[production,
+//! ss, cnt]`; `k`; pass B (normalisation, residual reference, next
+//! source); one swap-and-scale pass over the banks with the boundary
+//! exchange; iteration row, convergence test. No per-FSR buffer is
+//! allocated inside the loop. Two hooks set a solve up: the [`Source`]
+//! and the exchange (none, or a [`Link`] over the rank's [`Comm`], sync
+//! or pipelined).
 
 use std::time::Instant;
 
-use antmoc_cluster::fault::{CommError, FaultyComm};
+use antmoc_cluster::Comm;
 use antmoc_telemetry::{Json, Telemetry};
 
-use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::decomp::Decomposition;
 use crate::eigen::{EigenOptions, EigenResult};
 use crate::problem::Problem;
@@ -26,29 +24,22 @@ use crate::source::{residual_terms, Source};
 use crate::sweep::{FluxBanks, MAX_GROUPS};
 use crate::sweeper::Sweeper;
 
-/// Exchange tags encode the (from, to) subdomain pair, so one executor
-/// can route several subdomains' flux streams over one channel.
-const TAG_PAIR_BASE: u32 = 200;
+/// The boundary-flux exchange tag. A (sender, receiver) pair carries one
+/// grouped payload per iteration, and point-to-point order is
+/// non-overtaking, so the pair alone addresses it.
+const EXCHANGE_TAG: u32 = 200;
 
-/// Iteration controls plus the source and checkpoint hooks.
+/// Iteration controls plus the source hook.
 pub(crate) struct Controls<'a> {
     pub opts: &'a EigenOptions,
     pub source: Source<'a>,
-    /// Save every hosted subdomain (keyed by id) every this many
-    /// iterations; an interval of 0 never saves.
-    pub checkpoint: Option<(&'a CheckpointStore, usize)>,
-    /// Restores a hosted subdomain by id; the loop resumes after the
-    /// checkpoint's iteration.
-    pub resume: Option<&'a dyn Fn(usize) -> SolverCheckpoint>,
 }
 
-/// One subdomain's iteration state on the executor hosting it.
+/// One subdomain's iteration state on the executor that owns it.
 pub(crate) struct Hosted<'a> {
-    /// Subdomain index: reduction order, checkpoint key, exchange address.
-    pub id: usize,
     pub problem: &'a Problem,
     pub sweeper: &'a mut dyn Sweeper,
-    pub phi: Vec<f64>,
+    phi: Vec<f64>,
     q: Vec<f64>,
     banks: FluxBanks,
     /// Residual reference: the previous fission density (eigenvalue) or
@@ -60,40 +51,25 @@ pub(crate) struct Hosted<'a> {
 }
 
 impl<'a> Hosted<'a> {
-    pub fn new(id: usize, problem: &'a Problem, sweeper: &'a mut dyn Sweeper) -> Self {
+    pub fn new(problem: &'a Problem, sweeper: &'a mut dyn Sweeper) -> Self {
         let (n, g) = (problem.num_fsrs() * problem.num_groups(), problem.num_groups());
         let banks = FluxBanks::new(problem.num_tracks(), g);
         let (phi, q) = (vec![0.0; n], vec![0.0; n]);
-        Self { id, problem, sweeper, phi, q, banks, old: Vec::new(), density: Vec::new() }
+        Self { problem, sweeper, phi, q, banks, old: Vec::new(), density: Vec::new() }
     }
 }
 
-/// A finished (converged or capped) iteration. `result.phi` stays empty:
-/// every hosted subdomain keeps its own flux.
+/// A finished (converged or capped) iteration, with the subdomain's
+/// final flux in `result.phi`.
 pub(crate) struct Solved {
     pub result: EigenResult,
-    /// Seconds spent inside the hosted subdomains' sweeps.
+    /// Seconds spent inside the subdomain's sweeps.
     pub sweep_s: f64,
-    /// Iterations this call executed (resumed ones excluded).
-    pub executed: usize,
 }
 
-/// Why a cluster executor stopped before finishing.
-#[derive(Debug)]
-pub(crate) struct Stop {
-    pub at: usize,
-    pub executed: usize,
-    /// The communication failure; `None` for a scheduled rank death.
-    pub error: Option<CommError>,
-}
-
-/// One grouped flux transfer out of a hosted subdomain.
+/// One grouped flux transfer to a neighbour rank.
 struct PairSend {
-    /// Position of the sender in the hosted list.
-    from: usize,
-    /// Destination executor slot.
     dest: usize,
-    tag: u32,
     items: Vec<(u32, u8)>,
     /// The distinct tracks of `items`, ascending. A sweep that reports
     /// them in this order (the serial boundary-first and the natural
@@ -102,113 +78,73 @@ struct PairSend {
     tracks: Vec<u32>,
     /// How many of `tracks`, in order, this iteration's sweep has reported.
     swept: usize,
-    /// The matching `recvs` entry when the receiver is hosted here too.
-    local: Option<usize>,
     shipped: bool,
 }
 
-/// One grouped delivery into a hosted subdomain.
+/// One grouped delivery from a neighbour rank.
 struct PairRecv {
-    /// Position of the receiver in the hosted list.
-    to: usize,
-    /// Sending executor slot.
     src: usize,
-    tag: u32,
     /// Traversal slots with their delivery weights.
     items: Vec<((u32, u8), f32)>,
 }
 
-/// The cluster exchange hook: one executor's boundary-flux routes over a
-/// [`FaultyComm`] (a zero fault plan delegates to the plain comm bit for
-/// bit).
+/// The cluster exchange hook: one rank's boundary-flux routes over its
+/// [`Comm`].
 pub(crate) struct Link<'a> {
-    fc: &'a mut FaultyComm,
+    comm: &'a mut Comm,
     pipelined: bool,
-    /// Iteration at whose start a scheduled rank death stops every
-    /// executor (the failure detector is exact and instantaneous).
-    death: Option<usize>,
     sends: Vec<PairSend>,
     recvs: Vec<PairRecv>,
-    /// Shipped payloads for hosted receivers, by `recvs` index.
-    local: Vec<(usize, Vec<f32>)>,
-    /// A send that failed inside a sweep callback, raised after the sweep.
-    error: Option<CommError>,
     recv_ready: u64,
     recv_blocked: u64,
 }
 
 impl<'a> Link<'a> {
-    /// Routes for the subdomains `subs` hosted by this executor, given
-    /// `assignment[subdomain] = executor slot`. Sends keep each
-    /// subdomain's plan order grouped by destination (the plan is sorted
-    /// by neighbour, so groups are contiguous); receives mirror the
-    /// senders' grouping.
-    pub fn new(
-        fc: &'a mut FaultyComm,
-        decomp: &Decomposition,
-        assignment: &[u32],
-        subs: &[usize],
-        pipelined: bool,
-        death: Option<usize>,
-    ) -> Self {
-        let s = decomp.problems.len();
-        let tag = |from: usize, to: usize| TAG_PAIR_BASE + (from * s + to) as u32;
+    /// Routes for the subdomain of `comm`'s rank. Sends keep the plan
+    /// order grouped by destination (the plan is sorted by neighbour, so
+    /// groups are contiguous); receives mirror the senders' grouping.
+    pub fn new(comm: &'a mut Comm, decomp: &Decomposition, pipelined: bool) -> Self {
+        let rank = comm.rank();
         let mut recvs = Vec::new();
-        for (to, &t) in subs.iter().enumerate() {
-            for (f, ex) in decomp.exchanges.iter().enumerate() {
-                let items: Vec<_> = ex
-                    .sends
-                    .iter()
-                    .filter(|item| item.neighbor_rank as usize == t)
-                    .map(|item| (item.neighbor_traversal, item.weight))
-                    .collect();
-                if !items.is_empty() {
-                    recvs.push(PairRecv { to, src: assignment[f] as usize, tag: tag(f, t), items });
-                }
+        for (src, ex) in decomp.exchanges.iter().enumerate() {
+            let items: Vec<_> = ex
+                .sends
+                .iter()
+                .filter(|item| item.neighbor_rank as usize == rank)
+                .map(|item| (item.neighbor_traversal, item.weight))
+                .collect();
+            if !items.is_empty() {
+                debug_assert_ne!(src, rank, "an exchange item targets its own subdomain");
+                recvs.push(PairRecv { src, items });
             }
         }
         let mut sends: Vec<PairSend> = Vec::new();
-        for (from, &f) in subs.iter().enumerate() {
-            for item in &decomp.exchanges[f].sends {
-                let (t, (track, _)) = (item.neighbor_rank as usize, item.local_traversal);
-                match sends.last_mut() {
-                    Some(ps) if ps.from == from && ps.tag == tag(f, t) => {
-                        ps.items.push(item.local_traversal);
-                        ps.tracks.push(track);
-                    }
-                    _ => sends.push(PairSend {
-                        from,
-                        dest: assignment[t] as usize,
-                        tag: tag(f, t),
-                        items: vec![item.local_traversal],
-                        tracks: vec![track],
-                        swept: 0,
-                        local: recvs.iter().position(|r| r.tag == tag(f, t)),
-                        shipped: false,
-                    }),
+        for item in &decomp.exchanges[rank].sends {
+            let (dest, (track, _)) = (item.neighbor_rank as usize, item.local_traversal);
+            debug_assert_ne!(dest, rank, "an exchange item targets its own subdomain");
+            match sends.last_mut() {
+                Some(ps) if ps.dest == dest => {
+                    ps.items.push(item.local_traversal);
+                    ps.tracks.push(track);
                 }
+                _ => sends.push(PairSend {
+                    dest,
+                    items: vec![item.local_traversal],
+                    tracks: vec![track],
+                    swept: 0,
+                    shipped: false,
+                }),
             }
         }
         for ps in &mut sends {
             ps.tracks.sort_unstable();
             ps.tracks.dedup();
         }
-        Self {
-            fc,
-            pipelined,
-            death,
-            sends,
-            recvs,
-            local: Vec::new(),
-            error: None,
-            recv_ready: 0,
-            recv_blocked: 0,
-        }
+        Self { comm, pipelined, sends, recvs, recv_ready: 0, recv_blocked: 0 }
     }
 
-    /// Gathers send `i`'s payload from the sender's boundary bank and
-    /// ships it, or keeps it when the receiver is hosted here.
-    fn ship(&mut self, i: usize, banks: &FluxBanks) -> Result<(), CommError> {
+    /// Gathers send `i`'s payload from the boundary bank and ships it.
+    fn ship(&mut self, i: usize, banks: &FluxBanks) {
         let ps = &mut self.sends[i];
         ps.shipped = true;
         let t_send = Instant::now();
@@ -216,91 +152,69 @@ impl<'a> Link<'a> {
         for (&(t, dir), out) in ps.items.iter().zip(payload.chunks_exact_mut(banks.groups)) {
             banks.get_boundary(t, dir as usize, out);
         }
-        match ps.local {
-            Some(r) => self.local.push((r, payload)),
-            None => {
-                self.fc.send_vec(ps.dest, ps.tag, payload)?;
-                Telemetry::current().trace_complete_since(
-                    "comm.exchange_send",
-                    t_send,
-                    &[("to", Json::Uint(ps.dest as u64))],
-                );
-            }
-        }
-        Ok(())
+        self.comm.send_vec(ps.dest, EXCHANGE_TAG, payload);
+        Telemetry::current().trace_complete_since(
+            "comm.exchange_send",
+            t_send,
+            &[("to", Json::Uint(ps.dest as u64))],
+        );
     }
 
-    /// Notes that hosted subdomain `from` finished track `t` and ships
-    /// every payload of it whose tracks it has now reported in order
-    /// (`u32::MAX`: the sweep is done). A failure is kept for the driver
-    /// to raise once the sweep returns.
-    fn ship_ready(&mut self, from: usize, t: u32, banks: &FluxBanks) {
+    /// Notes that the sweep finished track `t` and ships every payload of
+    /// it whose tracks it has now reported in order (`u32::MAX`: the sweep
+    /// is done).
+    fn ship_ready(&mut self, t: u32, banks: &FluxBanks) {
         for i in 0..self.sends.len() {
             let ps = &mut self.sends[i];
-            if ps.from != from || ps.shipped {
+            if ps.shipped {
                 continue;
             }
             ps.swept += usize::from(ps.tracks.get(ps.swept) == Some(&t));
-            if self.error.is_none() && (t == u32::MAX || ps.swept == ps.tracks.len()) {
-                self.error = self.ship(i, banks).err();
+            if t == u32::MAX || ps.swept == ps.tracks.len() {
+                self.ship(i, banks);
             }
         }
     }
 
-    /// Advances every hosted bank to the next iteration scaled by `inv`
+    /// Advances the banks to the next iteration scaled by `inv`
     /// ([`FluxBanks::swap_scaled`]), ships whatever is still unshipped
-    /// (everything, in sync mode) from the now scaled boundary banks and
+    /// (everything, in sync mode) from the now scaled boundary bank and
     /// delivers. Pipelined payloads left unnormalised during the sweep, so
     /// their receiver applies `inv` at delivery: `(x as f64 * inv) as f32`
     /// is exactly the per-slot op `swap_scaled` performs on the boundary
-    /// bank before a sync gather, so both modes land the same bits. Remote
-    /// receives poll first when pipelined and only block (through the
-    /// fault layer's deadline) on payloads still in flight.
-    fn exchange(
-        &mut self,
-        hosted: &mut [Hosted<'_>],
-        inv: f64,
-        it: usize,
-    ) -> Result<(), CommError> {
-        for h in hosted.iter_mut() {
-            h.banks.swap_scaled(inv);
-        }
+    /// bank before a sync gather, so both modes land the same bits.
+    /// Receives poll first when pipelined and only block on payloads
+    /// still in flight.
+    fn exchange(&mut self, banks: &mut FluxBanks, inv: f64, it: usize) {
+        banks.swap_scaled(inv);
         for i in 0..self.sends.len() {
             if !self.sends[i].shipped {
-                self.ship(i, &hosted[self.sends[i].from].banks)?;
+                self.ship(i, banks);
             }
             (self.sends[i].shipped, self.sends[i].swept) = (false, 0);
         }
         let scale = self.pipelined.then_some(inv);
-        for (r, payload) in std::mem::take(&mut self.local) {
-            let pr = &self.recvs[r];
-            deliver(&hosted[pr.to].banks, &pr.items, &payload, scale);
-        }
-        let (slot, t_recv) = (self.fc.rank(), Instant::now());
-        for pr in self.recvs.iter().filter(|pr| pr.src != slot) {
+        let t_recv = Instant::now();
+        for pr in &self.recvs {
             let mut polled = None;
             if self.pipelined {
-                polled = self.fc.try_recv_vec(pr.src, pr.tag);
+                polled = self.comm.try_recv::<Vec<f32>>(pr.src, EXCHANGE_TAG);
                 if polled.is_some() {
                     self.recv_ready += 1;
                 } else {
                     self.recv_blocked += 1;
                 }
             }
-            let payload = match polled {
-                Some(p) => p,
-                None => self.fc.recv_vec(pr.src, pr.tag)?,
-            };
-            deliver(&hosted[pr.to].banks, &pr.items, &payload, scale);
+            let payload = polled.unwrap_or_else(|| self.comm.recv_vec(pr.src, EXCHANGE_TAG));
+            deliver(banks, &pr.items, &payload, scale);
         }
         if !self.recvs.is_empty() {
             Telemetry::current().trace_complete_since(
                 "comm.exchange_recv",
                 t_recv,
-                &[("rank", Json::Uint(slot as u64)), ("it", Json::Uint(it as u64))],
+                &[("rank", Json::Uint(self.comm.rank() as u64)), ("it", Json::Uint(it as u64))],
             );
         }
-        Ok(())
     }
 }
 
@@ -319,147 +233,97 @@ fn deliver(banks: &FluxBanks, items: &[((u32, u8), f32)], payload: &[f32], scale
     }
 }
 
-/// Sums `(subdomain, values)` contributions from every executor in
-/// subdomain order: the canonical reduction that keeps the arithmetic
-/// independent of how subdomains are packed onto executors, and makes a
-/// one-subdomain solve reduce exactly like a single-domain one.
-fn canonical_sums<const N: usize>(
-    link: Option<&mut Link<'_>>,
-    mine: Vec<(usize, [f64; N])>,
-) -> Result<[f64; N], CommError> {
-    let mut all = match link {
-        Some(l) => l.fc.allgather(mine)?.concat(),
-        None => mine,
-    };
-    all.sort_by_key(|&(sub, _)| sub);
+/// Sums every rank's `values` from 0.0 in rank (= subdomain) order: the
+/// canonical reduction that makes a one-subdomain solve reduce exactly
+/// like a single-domain one.
+fn canonical_sums<const N: usize>(link: Option<&mut Link<'_>>, mine: [f64; N]) -> [f64; N] {
     let mut out = [0.0f64; N];
-    for (_, vals) in all {
+    let mut add = |vals: &[f64]| {
         for (o, v) in out.iter_mut().zip(vals) {
             *o += v;
         }
+    };
+    match link {
+        Some(l) => l.comm.allgather(mine.to_vec()).iter().for_each(|v| add(v)),
+        None => add(&mine),
     }
-    Ok(out)
+    out
 }
 
-/// Runs the power iteration over `hosted`. `link` is the exchange hook;
-/// without one (a single-domain solve) nothing can fail.
+/// Runs the power iteration over `h`. `link` is the exchange hook; a
+/// single-domain solve has none.
 pub(crate) fn drive(
-    hosted: &mut [Hosted<'_>],
+    mut h: Hosted<'_>,
     c: &Controls<'_>,
     mut link: Option<&mut Link<'_>>,
-) -> Result<Solved, Stop> {
+) -> Solved {
     let tel = Telemetry::current();
     let fission = matches!(c.source, Source::Fission);
     let _span = tel.span(if fission { "eigen" } else { "fixed_source" });
-    // Rows and counters come from one executor only: every executor walks
-    // the same loop, and duplicates would misreport the series.
-    let slot = link.as_ref().map_or(0, |l| l.fc.rank());
-    let narrate = slot == 0;
+    // Rows and counters come from one rank only: every rank walks the
+    // same loop, and duplicates would misreport the series.
+    let rank = link.as_ref().map_or(0, |l| l.comm.rank());
+    let narrate = rank == 0;
     let mut k = c.opts.k_guess;
-    let mut start = 1;
-    if let Some(load) = c.resume {
-        for h in hosted.iter_mut() {
-            let ck = load(h.id);
-            assert_eq!(ck.phi.len(), h.phi.len(), "checkpoint flux length mismatch");
-            ck.apply_banks(&h.banks);
-            (k, start) = (ck.keff, ck.iteration + 1);
-            (h.phi, h.old) = (ck.phi, ck.fission_source);
-        }
-    } else if fission {
+    if fission {
         // A flat flux, normalised to unit global production.
-        let mine = hosted
-            .iter_mut()
-            .map(|h| {
-                h.phi.fill(1.0);
-                (h.id, [fission_production(h.problem, &h.phi).1])
-            })
-            .collect();
-        let [f] = canonical_sums(link.as_deref_mut(), mine).map_err(|e| Stop {
-            at: 1,
-            executed: 0,
-            error: Some(e),
-        })?;
-        for h in hosted.iter_mut() {
-            if f > 0.0 {
-                h.phi.iter_mut().for_each(|p| *p /= f);
-            }
-            h.old = fission_production(h.problem, &h.phi).0;
+        h.phi.fill(1.0);
+        let [f] = canonical_sums(link.as_deref_mut(), [fission_production(h.problem, &h.phi).1]);
+        if f > 0.0 {
+            h.phi.iter_mut().for_each(|p| *p /= f);
         }
+        h.old = fission_production(h.problem, &h.phi).0;
+        h.density = vec![0.0; h.problem.num_fsrs()];
+    } else {
+        h.old.clone_from(&h.phi);
     }
-    // The first source comes from the initial (or resumed) state; from
-    // then on pass B of each iteration leaves the next one's ready.
-    for h in hosted.iter_mut() {
-        if fission {
-            h.density = vec![0.0; h.problem.num_fsrs()];
-        } else {
-            h.old.clone_from(&h.phi);
-        }
-        compute_source(h.problem, &c.source, &h.phi, k, &mut h.q);
-    }
+    // The first source comes from the initial state; from then on pass B
+    // of each iteration leaves the next one's ready.
+    compute_source(h.problem, &c.source, &h.phi, k, &mut h.q);
     if narrate && fission {
-        let bytes: u64 = hosted.iter().map(|h| h.banks.bytes()).sum();
-        tel.gauge_set("solver.flux_bank_bytes", bytes as f64);
+        tel.gauge_set("solver.flux_bank_bytes", h.banks.bytes() as f64);
     }
 
     let (mut residuals, mut k_history) = (Vec::new(), Vec::new());
-    let (mut total_segments, mut sweep_total, mut executed) = (0u64, 0.0f64, 0usize);
+    let (mut total_segments, mut sweep_total) = (0u64, 0.0f64);
     let (mut iterations, mut converged) = (0, false);
-    for it in start..=c.opts.max_iterations {
-        if link.as_ref().is_some_and(|l| l.death == Some(it)) {
-            if narrate {
-                tel.trace_instant("recovery.death", &[("it", Json::Uint(it as u64))]);
-            }
-            return Err(Stop { at: it, executed, error: None });
-        }
+    for it in 1..=c.opts.max_iterations {
         iterations = it;
-        let fail = move |e| Stop { at: it, executed, error: Some(e) };
-
         let cas_before = tel.counter_value("sweep.cas_retries");
-        let (mut sweep_s, mut it_segments) = (0.0, 0u64);
-        for (pos, h) in hosted.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            let out = match link.as_deref_mut() {
-                Some(l) if l.pipelined => {
-                    let out = h.sweeper.sweep_observed(h.problem, &h.q, &h.banks, &mut |t| {
-                        l.ship_ready(pos, t, &h.banks)
-                    });
-                    // Backends that report no tracks ship after the sweep.
-                    l.ship_ready(pos, u32::MAX, &h.banks);
-                    out
-                }
-                _ => h.sweeper.sweep(h.problem, &h.q, &h.banks),
-            };
-            sweep_s += t0.elapsed().as_secs_f64();
-            if let Some(l) = link.as_deref_mut() {
-                if let Some(e) = l.error.take() {
-                    return Err(fail(e));
-                }
-                let args = [("rank", Json::Uint(slot as u64)), ("it", Json::Uint(it as u64))];
-                tel.trace_complete_since("cluster.sweep", t0, &args);
+        let t0 = Instant::now();
+        let out = match link.as_deref_mut() {
+            Some(l) if l.pipelined => {
+                let out = h
+                    .sweeper
+                    .sweep_observed(h.problem, &h.q, &h.banks, &mut |t| l.ship_ready(t, &h.banks));
+                // Backends that report no tracks ship after the sweep.
+                l.ship_ready(u32::MAX, &h.banks);
+                out
             }
-            it_segments += out.segments;
-            // Pass A: close the scalar flux (and the fission density).
-            let density = fission.then_some(&mut h.density[..]);
-            close_flux(h.problem, &h.q, &out.phi_acc, &mut h.phi, density);
-            h.sweeper.recycle(out);
+            _ => h.sweeper.sweep(h.problem, &h.q, &h.banks),
+        };
+        let sweep_s = t0.elapsed().as_secs_f64();
+        if link.is_some() {
+            let args = [("rank", Json::Uint(rank as u64)), ("it", Json::Uint(it as u64))];
+            tel.trace_complete_since("cluster.sweep", t0, &args);
         }
+        let it_segments = out.segments;
+        // Pass A: close the scalar flux (and the fission density).
+        let density = fission.then_some(&mut h.density[..]);
+        close_flux(h.problem, &h.q, &out.phi_acc, &mut h.phi, density);
+        h.sweeper.recycle(out);
         sweep_total += sweep_s;
         total_segments += it_segments;
 
         // Production and residual terms in FSR order, reduced canonically.
-        let mine = hosted
-            .iter()
-            .map(|h| {
-                if !fission {
-                    let (ss, cnt) = residual_terms(&h.old, &h.phi, 1e-20);
-                    return (h.id, [0.0, ss, cnt]);
-                }
-                let f = h.density.iter().sum();
-                let (ss, cnt) = residual_terms(&h.old, &h.density, 1e-14);
-                (h.id, [f, ss, cnt])
-            })
-            .collect();
-        let [f, ss, cnt] = canonical_sums(link.as_deref_mut(), mine).map_err(fail)?;
+        let terms = if fission {
+            let (ss, cnt) = residual_terms(&h.old, &h.density, 1e-14);
+            [h.density.iter().sum(), ss, cnt]
+        } else {
+            let (ss, cnt) = residual_terms(&h.old, &h.phi, 1e-20);
+            [0.0, ss, cnt]
+        };
+        let [f, ss, cnt] = canonical_sums(link.as_deref_mut(), terms);
         let res = if cnt > 0.0 { (ss / cnt).sqrt() } else { 0.0 };
         residuals.push(res);
 
@@ -471,25 +335,12 @@ pub(crate) fn drive(
             k_history.push(k);
         }
         // Pass B: normalise, and the next iteration's source.
-        for h in hosted.iter_mut() {
-            let (phi, old, q) = (&mut h.phi, &mut h.old, &mut h.q);
-            next_source(h.problem, &c.source, k, inv, &h.density, phi, old, q);
-        }
+        next_source(h.problem, &c.source, k, inv, &h.density, &mut h.phi, &mut h.old, &mut h.q);
 
         match link.as_deref_mut() {
-            Some(l) => l.exchange(hosted, inv, it).map_err(fail)?,
-            None if fission => hosted.iter_mut().for_each(|h| h.banks.swap_scaled(inv)),
-            None => hosted.iter_mut().for_each(|h| h.banks.swap()),
-        }
-        executed += 1;
-
-        // Checkpoint after the exchange: the stored state is exactly
-        // "ready to begin iteration it + 1".
-        let store = c.checkpoint.filter(|&(_, every)| every > 0 && it % every == 0);
-        if let Some((store, _)) = store {
-            for h in hosted.iter() {
-                store.save(h.id, &SolverCheckpoint::capture(it, k, &h.phi, &h.old, &h.banks));
-            }
+            Some(l) => l.exchange(&mut h.banks, inv, it),
+            None if fission => h.banks.swap_scaled(inv),
+            None => h.banks.swap(),
         }
 
         if narrate {
@@ -503,7 +354,6 @@ pub(crate) fn drive(
                 let cas = tel.counter_value("sweep.cas_retries").wrapping_sub(cas_before);
                 row.push(("segments".into(), Json::Uint(it_segments)));
                 row.push(("cas_retries".into(), Json::Uint(cas)));
-                row.push(("checkpoint".into(), Json::Bool(store.is_some())));
                 let args = [
                     ("it", Json::Uint(it as u64)),
                     ("k", Json::Num(k)),
@@ -512,9 +362,6 @@ pub(crate) fn drive(
                 tel.trace_instant("eigen.iteration", &args);
             }
             tel.append_iteration(Json::Obj(row));
-            if store.is_some() {
-                tel.trace_instant("recovery.checkpoint", &[("it", Json::Uint(it as u64))]);
-            }
         }
 
         // Require a couple of iterations before trusting the residual.
@@ -544,12 +391,12 @@ pub(crate) fn drive(
         keff: k,
         iterations,
         converged,
-        phi: Vec::new(),
+        phi: h.phi,
         residuals,
         k_history,
         total_segments,
     };
-    Ok(Solved { result, sweep_s: sweep_total, executed })
+    Solved { result, sweep_s: sweep_total }
 }
 
 #[cfg(test)]
@@ -692,7 +539,7 @@ mod tests {
         let mut k = opts.k_guess;
         if fission {
             phi.fill(1.0);
-            let [f] = canonical_sums(None, vec![(0, [reference_production(p, &phi).1])]).unwrap();
+            let [f] = canonical_sums(None, [reference_production(p, &phi).1]);
             if f > 0.0 {
                 phi.iter_mut().for_each(|x| *x /= f);
             }
@@ -717,7 +564,7 @@ mod tests {
                 let (ss, cnt) = residual_terms(&old, &phi, 1e-20);
                 (Vec::new(), [0.0, ss, cnt])
             };
-            let [f, ss, cnt] = canonical_sums(None, vec![(0, terms)]).unwrap();
+            let [f, ss, cnt] = canonical_sums(None, terms);
             let res = if cnt > 0.0 { (ss / cnt).sqrt() } else { 0.0 };
             residuals.push(res);
             if fission {

@@ -6,7 +6,6 @@
 //! ratio, normalise, repeat until the fission-source RMS residual drops
 //! below tolerance (Fig. 2's transport-solving stage).
 
-use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::driver::{drive, Controls, Hosted};
 use crate::problem::Problem;
 use crate::source::Source;
@@ -52,40 +51,8 @@ pub fn solve_eigenvalue(
     sweeper: &mut dyn Sweeper,
     opts: &EigenOptions,
 ) -> EigenResult {
-    solve_eigenvalue_resumable(problem, sweeper, opts, None, None)
-}
-
-/// Runs the power iteration, optionally resuming from a checkpoint and
-/// optionally writing checkpoints as it goes.
-///
-/// * `resume` — a [`SolverCheckpoint`] to restore flux, fission source,
-///   `k`, and banks from; the loop continues at `resume.iteration + 1`.
-/// * `checkpoint` — `(store, key, every)`: every `every` iterations the
-///   loop state is serialized into `store` under `key`.
-///
-/// With both `None` this is exactly [`solve_eigenvalue`].
-pub fn solve_eigenvalue_resumable(
-    problem: &Problem,
-    sweeper: &mut dyn Sweeper,
-    opts: &EigenOptions,
-    resume: Option<&SolverCheckpoint>,
-    checkpoint: Option<(&CheckpointStore, usize, usize)>,
-) -> EigenResult {
-    let load = resume.map(|ck| move |_| ck.clone());
-    let controls = Controls {
-        opts,
-        source: Source::Fission,
-        checkpoint: checkpoint.map(|(store, _, every)| (store, every)),
-        resume: load.as_ref().map(|f| f as &dyn Fn(usize) -> SolverCheckpoint),
-    };
-    let key = checkpoint.map_or(0, |(_, key, _)| key);
-    let mut hosted = [Hosted::new(key, problem, sweeper)];
-    let mut result = drive(&mut hosted, &controls, None)
-        .expect("a single-domain solve has no comm to fail")
-        .result;
-    let [h] = hosted;
-    result.phi = h.phi;
-    result
+    let controls = Controls { opts, source: Source::Fission };
+    drive(Hosted::new(problem, sweeper), &controls, None).result
 }
 
 #[cfg(test)]

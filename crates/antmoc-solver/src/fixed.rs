@@ -59,16 +59,10 @@ pub fn solve_fixed_source(
             ..Default::default()
         },
         source: Source::External { external, with_fission: opts.with_fission },
-        checkpoint: None,
-        resume: None,
     };
-    let mut hosted = [Hosted::new(0, problem, sweeper)];
-    let s = drive(&mut hosted, &controls, None)
-        .expect("a single-domain solve has no comm to fail")
-        .result;
-    let [h] = hosted;
+    let s = drive(Hosted::new(problem, sweeper), &controls, None).result;
     FixedSourceResult {
-        phi: h.phi,
+        phi: s.phi,
         iterations: s.iterations,
         converged: s.converged,
         residuals: s.residuals,

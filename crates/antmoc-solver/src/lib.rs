@@ -16,8 +16,8 @@
 //! * [`source`] — reduced-source and scalar-flux updates, fission
 //!   tallies;
 //! * `driver` — the one power-iteration loop every solve runs (eigen,
-//!   fixed source, cluster, recovery), set up by source, exchange and
-//!   checkpoint hooks;
+//!   fixed source, every cluster rank), set up by source and exchange
+//!   hooks;
 //! * [`eigen`] — the single-domain eigenvalue solve;
 //! * [`manager`] — the track-management strategy (resident/temporary
 //!   ranking under a device memory budget);
@@ -29,7 +29,6 @@
 //! * [`solver2d`] — a classic 2D MOC solver (the paper's Table 1
 //!   comparison plane and its 3D-vs-2D cost ratio).
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod decomp;
 pub mod device;
@@ -41,7 +40,6 @@ pub mod exptable;
 pub mod fixed;
 pub mod manager;
 pub mod problem;
-pub mod recovery;
 pub mod schedule;
 pub mod simd;
 pub mod solver2d;
@@ -50,16 +48,12 @@ pub mod sweep;
 pub mod sweeper;
 pub mod tally;
 
-pub use checkpoint::{BankSnapshot, CheckpointStore, SolverCheckpoint};
 pub use cluster::{
     solve_cluster, solve_cluster_with, Backend, ClusterOptions, ClusterResult, ExchangeMode,
 };
-pub use eigen::{
-    solve_eigenvalue, solve_eigenvalue_resumable, CpuSweeper, EigenOptions, EigenResult, Sweeper,
-};
+pub use eigen::{solve_eigenvalue, CpuSweeper, EigenOptions, EigenResult, Sweeper};
 pub use exptable::{ExpEval, ExpTable};
 pub use problem::{Problem, SweepTrack, XsData};
-pub use recovery::{solve_cluster_recovering, RebalanceEvent, RecoveryOptions, RecoveryResult};
 pub use schedule::{ScheduleKind, SweepSchedule};
 pub use source::{fission_production, fission_rates};
 pub use sweep::{FluxBanks, SegmentSource, StorageMode, SweepOutcome};

@@ -248,7 +248,7 @@ impl FluxBanks {
     /// Records the boundary-exiting flux of a traversal (read back by the
     /// rank exchange).
     #[inline]
-    pub fn store_boundary(&self, track: u32, dir: usize, psi: &[f64]) {
+    fn store_boundary(&self, track: u32, dir: usize, psi: &[f64]) {
         let b = self.base(track, dir);
         for g in 0..self.groups {
             self.boundary[b + g].store((psi[g] as f32).to_bits(), Ordering::Relaxed);
@@ -293,8 +293,8 @@ impl FluxBanks {
     }
 
     /// Snapshots all three banks in their current orientation as raw f32
-    /// values: `(incoming, outgoing, boundary)`. Used by checkpointing;
-    /// the f32 values survive a JSON round trip bit-for-bit.
+    /// values: `(incoming, outgoing, boundary)`.
+    #[cfg(test)]
     pub fn export_state(&self) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let dump = |bank: &[AtomicU32]| -> Vec<f32> {
             bank.iter().map(|v| f32::from_bits(v.load(Ordering::Relaxed))).collect()
@@ -304,6 +304,7 @@ impl FluxBanks {
 
     /// Restores a snapshot taken by [`FluxBanks::export_state`]. Lengths
     /// must match the bank layout this instance was built with.
+    #[cfg(test)]
     pub fn import_state(&self, incoming: &[f32], outgoing: &[f32], boundary: &[f32]) {
         let fill = |bank: &[AtomicU32], values: &[f32]| {
             assert_eq!(bank.len(), values.len(), "bank snapshot length mismatch");

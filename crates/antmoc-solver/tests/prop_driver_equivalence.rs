@@ -6,23 +6,18 @@
 //!   subdomain bitwise (keff, iterations, flux): single-domain is the
 //!   one-rank instance, and a rank with no neighbours sweeps in natural
 //!   order.
-//! * A zero-fault `solve_cluster_recovering` reproduces
-//!   `solve_cluster_with` bitwise on every backend (one worker per rank,
-//!   so the parallel backends are deterministic) in both exchange modes.
-//! * The fault path builds its rank sweepers like the plain path, so it
-//!   honours the `[solver]` kernel configuration on the device backend.
+//! * Decomposed device ranks build their sweepers from the cluster
+//!   options, so they honour the `[solver]` kernel configuration.
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, Bc, BoundaryConds};
 use antmoc_gpusim::DeviceSpec;
-use antmoc_solver::cluster::{
-    solve_cluster, solve_cluster_with, Backend, ClusterOptions, ExchangeMode,
-};
+use antmoc_solver::cluster::{solve_cluster, solve_cluster_with, Backend, ClusterOptions};
 use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::CuMapping;
 use antmoc_solver::{
-    solve_cluster_recovering, solve_eigenvalue, CpuSweeper, EigenOptions, KernelConfig,
-    RecoveryOptions, SegmentSource, StorageMode, SweepKernel,
+    solve_eigenvalue, CpuSweeper, EigenOptions, KernelConfig, SegmentSource, StorageMode,
+    SweepKernel,
 };
 use antmoc_telemetry::{Json, Telemetry};
 use antmoc_track::TrackParams;
@@ -81,38 +76,14 @@ proptest! {
 }
 
 #[test]
-fn zero_fault_recovery_is_the_plain_cluster_solve_on_every_backend() {
-    let opts = EigenOptions { tolerance: 1e-30, max_iterations: 8, ..Default::default() };
-    for spec in [DecompSpec { nx: 2, ny: 1, nz: 1 }, DecompSpec { nx: 2, ny: 2, nz: 1 }] {
-        let d = decompose(4.0, 6.0, 0.5, spec);
-        for backend in [Backend::Cpu, Backend::CpuSerial, device()] {
-            for exchange in [ExchangeMode::Sync, ExchangeMode::Pipelined] {
-                let cluster = ClusterOptions { exchange, workers: Some(1), ..Default::default() };
-                let plain = solve_cluster_with(&d, &backend, &opts, &cluster);
-                let rec = RecoveryOptions { cluster, ..Default::default() };
-                let recovering = solve_cluster_recovering(&d, &backend, &opts, &rec);
-                let what = format!("{backend:?} {exchange:?} {spec:?}");
-                assert_eq!(plain.keff.to_bits(), recovering.keff.to_bits(), "{what}");
-                assert_eq!(plain.iterations, recovering.iterations, "{what}");
-                assert_eq!(plain.phi, recovering.phi, "{what}");
-                assert_eq!(recovering.restarts, 0, "{what}");
-            }
-        }
-    }
-}
-
-#[test]
-fn fault_path_device_ranks_honour_the_kernel_config() {
+fn decomposed_device_ranks_honour_the_kernel_config() {
     let d = decompose(4.0, 6.0, 0.5, DecompSpec { nx: 2, ny: 1, nz: 1 });
     let opts = EigenOptions { tolerance: 1e-30, max_iterations: 3, ..Default::default() };
     let kernel = KernelConfig { kernel: SweepKernel::Scalar, ..Default::default() };
-    let rec = RecoveryOptions {
-        cluster: ClusterOptions { kernel, ..Default::default() },
-        ..Default::default()
-    };
+    let copts = ClusterOptions { kernel, ..Default::default() };
     let sink = Telemetry::new();
     let _scope = sink.install();
-    let _ = solve_cluster_recovering(&d, &device(), &opts, &rec);
+    let _ = solve_cluster_with(&d, &device(), &opts, &copts);
     let report = sink.report();
     let section = report.sections.get("sweep_kernel").expect("the rank sweeps record a section");
     assert_eq!(section.get("kernel").and_then(Json::as_str), Some("scalar"), "{section:?}");

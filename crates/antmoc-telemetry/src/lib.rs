@@ -278,7 +278,7 @@ impl Telemetry {
     /// Appends one row to the per-iteration convergence series (the
     /// report's `iterations` array). Rows are free-form JSON objects —
     /// solvers record what they have (k-eff, residual, sweep seconds,
-    /// checkpoint markers) in execution order.
+    /// segments) in execution order.
     pub fn append_iteration(&self, row: Json) {
         self.registry.iterations.lock().push(row);
     }

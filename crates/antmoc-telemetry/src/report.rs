@@ -66,8 +66,8 @@ pub struct GaugeStats {
 /// of log-bucketed distributions (per-track sweep nanoseconds, CAS retry
 /// bursts, comm receive wait — always integer-valued, typically ns).
 /// `iterations` is the per-iteration convergence series: one free-form
-/// row per solver iteration (k-eff, residual, sweep seconds, checkpoint
-/// markers), in execution order. `sections` carries adjacent artifacts —
+/// row per solver iteration (k-eff, residual, sweep seconds, segments),
+/// in execution order. `sections` carries adjacent artifacts —
 /// the solver's neutron-balance report, the run summary — so one file
 /// describes the whole run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -350,7 +350,6 @@ fn is_digest_excluded(key: &str) -> bool {
         "sweep.load_ratio",
         "sweep.worker_busy",
         "sweep.tally_bytes",
-        "comm.retries",
         "comm.recv",
         "comm.collective_wait",
         "comm.overlap",

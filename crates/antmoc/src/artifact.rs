@@ -13,17 +13,9 @@ pub fn run_artifact(report: &RunReport) -> TelemetryReport {
     let tel = Telemetry::current();
     tel.set_section("run", run_section(report));
     let mut artifact = tel.report();
-    // Comm volume and fault counters are part of the artifact contract;
-    // single-domain (and fault-free) runs never touch those paths, so pin
-    // the counters to explicit zeros.
-    for name in [
-        "comm.sent_bytes",
-        "comm.recv_bytes",
-        "comm.retries",
-        "comm.dropped",
-        "comm.flipped",
-        "comm.rank_failures",
-    ] {
+    // Comm volume is part of the artifact contract; single-domain runs
+    // never touch that path, so pin the counters to explicit zeros.
+    for name in ["comm.sent_bytes", "comm.recv_bytes"] {
         artifact.counters.entry(name.to_string()).or_insert(0);
     }
     artifact

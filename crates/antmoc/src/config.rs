@@ -41,19 +41,6 @@
 //! ny = 2
 //! nz = 2
 //!
-//! [fault]
-//! enabled = true
-//! seed = 7
-//! drop_p = 0.01            ; per-attempt message drop probability
-//! flip_p = 0.001           ; per-attempt detected-corruption probability
-//! max_retries = 4
-//! backoff_us = 50
-//! recv_timeout_ms = 60000
-//! checkpoint_interval = 10
-//! max_restarts = 4
-//! kill_rank = 1            ; optional scheduled rank death...
-//! kill_iteration = 8       ; ...at this iteration
-//!
 //! [telemetry]
 //! trace = true             ; emit a Chrome trace_event timeline
 //! trace_cap = 65536        ; hard cap on stored trace events
@@ -61,7 +48,6 @@
 
 use std::collections::HashMap;
 
-use antmoc_cluster::fault::{FaultConfig, RankDeath};
 use antmoc_cluster::LinkModel;
 use antmoc_geom::c5g7::{C5g7Options, RoddedConfig};
 use antmoc_input::{CaseKind, CaseSpec};
@@ -78,36 +64,12 @@ use antmoc_track::TrackParams;
 pub enum BackendConfig {
     Cpu,
     /// One-core-per-rank sweeps (deterministic; the honest configuration
-    /// for measured scaling and fault-replay studies).
+    /// for measured scaling studies).
     CpuSerial,
     Device {
         memory_bytes: u64,
         cu_mapping: CuMapping,
     },
-}
-
-/// Fault-injection and recovery settings (`[fault]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSettings {
-    /// Master switch; everything below is ignored when false.
-    pub enabled: bool,
-    /// The cluster-level fault schedule.
-    pub comm: FaultConfig,
-    /// Checkpoint cadence in iterations (0 disables checkpointing).
-    pub checkpoint_interval: usize,
-    /// Rank losses to absorb before giving up.
-    pub max_restarts: usize,
-}
-
-impl Default for FaultSettings {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            comm: FaultConfig::default(),
-            checkpoint_interval: 10,
-            max_restarts: 4,
-        }
-    }
 }
 
 /// Observability settings (`[telemetry]`). Tracing is off by default —
@@ -199,8 +161,6 @@ pub struct RunConfig {
     /// Whether fixed-source solves keep the fission production term
     /// (`[solver] fission`); pure shielding problems leave it off.
     pub fixed_fission: bool,
-    /// Fault injection and recovery (`[fault]`); disabled by default.
-    pub fault: FaultSettings,
     /// Tracing and timeline export (`[telemetry]`); off by default.
     pub telemetry: TelemetrySettings,
 }
@@ -221,7 +181,6 @@ impl Default for RunConfig {
             link: LinkModel::default(),
             balance_sweeps: 0,
             fixed_fission: false,
-            fault: FaultSettings::default(),
             telemetry: TelemetrySettings::default(),
         }
     }
@@ -249,7 +208,7 @@ type Sections = HashMap<String, HashMap<String, (usize, String)>>;
 /// Every section and key [`RunConfig`] reads: the INI sections, of which
 /// all but `[model]` are also the case format's pass-through sections.
 /// Anything else is a typo, rejected rather than silently ignored.
-const KNOWN_KEYS: [(&str, &[&str]); 6] = [
+const KNOWN_KEYS: [(&str, &[&str]); 5] = [
     ("model", &["case", "rodded", "fuel_rings", "sectors", "reflector_refine", "axial_dz"]),
     ("tracks", &["num_azim", "radial_spacing", "num_polar", "axial_spacing", "polar_type"]),
     (
@@ -274,22 +233,6 @@ const KNOWN_KEYS: [(&str, &[&str]); 6] = [
         ],
     ),
     ("decomposition", &["nx", "ny", "nz", "exchange", "link_latency_us", "link_mb_per_s"]),
-    (
-        "fault",
-        &[
-            "enabled",
-            "seed",
-            "drop_p",
-            "flip_p",
-            "max_retries",
-            "backoff_us",
-            "recv_timeout_ms",
-            "checkpoint_interval",
-            "max_restarts",
-            "kill_rank",
-            "kill_iteration",
-        ],
-    ),
     ("telemetry", &["trace", "trace_cap"]),
 ];
 
@@ -302,6 +245,9 @@ impl RunConfig {
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut sections: Sections = HashMap::new();
         let mut current = String::from("");
+        // The first unknown section; raised after the scan unless an error
+        // on an earlier line precedes it (the first error by line wins).
+        let mut unknown_section = None;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             // Strip comments (# or ;) and whitespace.
@@ -316,12 +262,11 @@ impl RunConfig {
                 })?;
                 current = name.trim().to_lowercase();
                 if known_keys(&current).is_none() {
-                    return Err(ConfigError {
+                    unknown_section = unknown_section.or(Some(ConfigError {
                         line,
                         message: format!("unknown section [{current}]"),
-                    });
+                    }));
                 }
-                sections.entry(current.clone()).or_default();
                 continue;
             }
             let (key, value) = stripped.split_once('=').ok_or_else(|| ConfigError {
@@ -334,12 +279,18 @@ impl RunConfig {
                     message: format!("key {:?} outside any [section]", key.trim()),
                 });
             }
-            sections
-                .entry(current.clone())
-                .or_default()
-                .insert(key.trim().to_lowercase(), (line, value.trim().to_string()));
+            if known_keys(&current).is_some() {
+                sections
+                    .entry(current.clone())
+                    .or_default()
+                    .insert(key.trim().to_lowercase(), (line, value.trim().to_string()));
+            }
         }
-        Self::from_sections(&sections)
+        let cfg = Self::from_sections(&sections);
+        match unknown_section {
+            Some(e) if cfg.as_ref().err().is_none_or(|c| c.line == 0 || c.line > e.line) => Err(e),
+            _ => cfg,
+        }
     }
 
     /// Builds a configuration from a declarative case: the case's
@@ -686,56 +637,6 @@ impl RunConfig {
             ns_per_byte: if link_mb_per_s > 0.0 { 1000.0 / link_mb_per_s } else { 0.0 },
         };
 
-        // [fault]
-        cfg.fault.enabled = parse_num(get("fault", "enabled"), cfg.fault.enabled)?;
-        cfg.fault.comm.seed = parse_num(get("fault", "seed"), cfg.fault.comm.seed)?;
-        cfg.fault.comm.drop_p = parse_num(get("fault", "drop_p"), cfg.fault.comm.drop_p)?;
-        cfg.fault.comm.flip_p = parse_num(get("fault", "flip_p"), cfg.fault.comm.flip_p)?;
-        for (key, p) in [("drop_p", cfg.fault.comm.drop_p), ("flip_p", cfg.fault.comm.flip_p)] {
-            if !(0.0..=1.0).contains(&p) {
-                let line = get("fault", key).map_or(0, |(l, _)| l);
-                return Err(ConfigError {
-                    line,
-                    message: format!("{key} must be a probability in [0, 1], got {p}"),
-                });
-            }
-        }
-        cfg.fault.comm.max_retries =
-            parse_num(get("fault", "max_retries"), cfg.fault.comm.max_retries)?;
-        let backoff_us: u64 =
-            parse_num(get("fault", "backoff_us"), cfg.fault.comm.backoff_base.as_micros() as u64)?;
-        cfg.fault.comm.backoff_base = std::time::Duration::from_micros(backoff_us);
-        let timeout_ms: u64 = parse_num(
-            get("fault", "recv_timeout_ms"),
-            cfg.fault.comm.recv_timeout.as_millis() as u64,
-        )?;
-        cfg.fault.comm.recv_timeout = std::time::Duration::from_millis(timeout_ms);
-        cfg.fault.checkpoint_interval =
-            parse_num(get("fault", "checkpoint_interval"), cfg.fault.checkpoint_interval)?;
-        cfg.fault.max_restarts = parse_num(get("fault", "max_restarts"), cfg.fault.max_restarts)?;
-        let kill_rank: Option<(usize, String)> = get("fault", "kill_rank");
-        let kill_iteration = get("fault", "kill_iteration");
-        match (kill_rank, kill_iteration) {
-            (None, None) => {}
-            (Some(rank_entry), Some(it_entry)) => {
-                let rank: usize = parse_num(Some(rank_entry), 0)?;
-                let iteration: usize = parse_num(Some(it_entry.clone()), 0)?;
-                if iteration == 0 {
-                    return Err(ConfigError {
-                        line: it_entry.0,
-                        message: "kill_iteration must be >= 1".into(),
-                    });
-                }
-                cfg.fault.comm.deaths.push(RankDeath { rank, iteration });
-            }
-            (Some((line, _)), None) | (None, Some((line, _))) => {
-                return Err(ConfigError {
-                    line,
-                    message: "kill_rank and kill_iteration must be set together".into(),
-                });
-            }
-        }
-
         // [telemetry]
         cfg.telemetry.trace = parse_num(get("telemetry", "trace"), cfg.telemetry.trace)?;
         cfg.telemetry.trace_cap =
@@ -844,6 +745,15 @@ nz = 2
         // Of several unknown keys, the first by line is reported.
         let err = RunConfig::parse("[tracks]\nnum_azim = 4\nb = 1\n[fault]\na = 1\n").unwrap_err();
         assert_eq!(err.line, 3);
+        // A section the pipeline no longer reads fails at its header, on
+        // the INI and on the case-file path.
+        let err =
+            RunConfig::parse("[solver]\ntolerance = 1e-4\n[fault]\nenabled = true\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("[fault]"), "{err}");
+        let text = format!("{CASE}\n[fault]\nenabled = true\n");
+        let err = CaseSpec::parse(&text).unwrap_err();
+        assert_eq!(err.line, text.lines().position(|l| l == "[fault]").unwrap() + 1);
     }
 
     #[test]
@@ -929,45 +839,6 @@ nz = 2
 
         assert!(RunConfig::parse("[solver]\nkernel = avx512\n").is_err());
         assert!(RunConfig::parse("[solver]\nblock_kb = 0\n").is_err());
-    }
-
-    #[test]
-    fn fault_section_parses() {
-        let cfg = RunConfig::parse(
-            "[fault]\nenabled = true\nseed = 7\ndrop_p = 0.01\nflip_p = 0.001\n\
-             max_retries = 6\nbackoff_us = 25\nrecv_timeout_ms = 500\n\
-             checkpoint_interval = 5\nmax_restarts = 2\nkill_rank = 1\nkill_iteration = 8\n",
-        )
-        .unwrap();
-        assert!(cfg.fault.enabled);
-        assert_eq!(cfg.fault.comm.seed, 7);
-        assert!((cfg.fault.comm.drop_p - 0.01).abs() < 1e-12);
-        assert!((cfg.fault.comm.flip_p - 0.001).abs() < 1e-12);
-        assert_eq!(cfg.fault.comm.max_retries, 6);
-        assert_eq!(cfg.fault.comm.backoff_base, std::time::Duration::from_micros(25));
-        assert_eq!(cfg.fault.comm.recv_timeout, std::time::Duration::from_millis(500));
-        assert_eq!(cfg.fault.checkpoint_interval, 5);
-        assert_eq!(cfg.fault.max_restarts, 2);
-        assert_eq!(cfg.fault.comm.deaths, vec![RankDeath { rank: 1, iteration: 8 }]);
-    }
-
-    #[test]
-    fn fault_section_defaults_to_disabled() {
-        let cfg = RunConfig::parse("[model]\ncase = c5g7\n").unwrap();
-        assert!(!cfg.fault.enabled);
-        assert!(cfg.fault.comm.deaths.is_empty());
-    }
-
-    #[test]
-    fn fault_section_validates_inputs() {
-        // Probabilities outside [0, 1] are rejected with line context.
-        let err = RunConfig::parse("[fault]\ndrop_p = 1.5\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("probability"));
-        // A kill must specify both coordinates.
-        assert!(RunConfig::parse("[fault]\nkill_rank = 1\n").is_err());
-        assert!(RunConfig::parse("[fault]\nkill_iteration = 5\n").is_err());
-        assert!(RunConfig::parse("[fault]\nkill_rank = 1\nkill_iteration = 0\n").is_err());
     }
 
     #[test]

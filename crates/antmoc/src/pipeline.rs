@@ -14,8 +14,8 @@ use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::DeviceSolver;
 use antmoc_solver::fixed::{solve_fixed_source, FixedSourceOptions};
 use antmoc_solver::{
-    fission_rates, solve_cluster_recovering, solve_eigenvalue, CpuSweeper, ExpMode, Problem,
-    RecoveryOptions, ScheduleKind, SegmentSource, StorageMode, SweepArena, SweepSchedule,
+    fission_rates, solve_eigenvalue, CpuSweeper, ExpMode, Problem, ScheduleKind, SegmentSource,
+    StorageMode, SweepArena, SweepSchedule,
 };
 use antmoc_xs::MaterialLibrary;
 
@@ -491,9 +491,6 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
         },
     };
 
-    // With fault injection enabled the solve goes through the recovery
-    // supervisor (checkpoint/restart + L1 rebalancing on rank loss);
-    // otherwise one plain generation of the same executors runs.
     let cluster = ClusterOptions {
         exchange: config.exchange,
         link: config.link,
@@ -502,26 +499,12 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
         kernel: config.kernel.clone(),
     };
     let t = Instant::now();
-    let (keff, iterations, converged, phi, comm_bytes) = if config.fault.enabled {
-        let rec = RecoveryOptions {
-            fault: config.fault.comm.clone(),
-            checkpoint_interval: config.fault.checkpoint_interval,
-            max_restarts: config.fault.max_restarts,
-            cluster,
-        };
-        let r = {
-            let _s = tel.span("transport");
-            solve_cluster_recovering(&decomp, &backend, &config.eigen, &rec)
-        };
-        (r.keff, r.iterations, r.converged, r.phi, r.comm_bytes)
-    } else {
-        let r = {
-            let _s = tel.span("transport");
-            solve_cluster_with(&decomp, &backend, &config.eigen, &cluster)
-        };
-        let bytes = r.traffic.iter().map(|t| t.sent_bytes).sum();
-        (r.keff, r.iterations, r.converged, r.phi, bytes)
+    let r = {
+        let _s = tel.span("transport");
+        solve_cluster_with(&decomp, &backend, &config.eigen, &cluster)
     };
+    let comm_bytes = r.traffic.iter().map(|t| t.sent_bytes).sum();
+    let (keff, iterations, converged, phi) = (r.keff, r.iterations, r.converged, r.phi);
     let transport_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();

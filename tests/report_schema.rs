@@ -36,10 +36,6 @@ fn representative_report() -> RunReport {
         SpanStats { count: 1, total_s: 0.25, min_s: 0.25, max_s: 0.25 },
     );
 
-    r.counters.insert("comm.dropped".into(), 3);
-    r.counters.insert("comm.flipped".into(), 1);
-    r.counters.insert("comm.rank_failures".into(), 1);
-    r.counters.insert("comm.retries".into(), 5);
     r.counters.insert("eigen.iterations".into(), 8);
     r.counters.insert("sweep.cas_retries".into(), 3);
     r.counters.insert("sweep.segments".into(), 1_234_567);
@@ -76,7 +72,6 @@ fn representative_report() -> RunReport {
             ("sweep_s".into(), Json::Num(0.25)),
             ("segments".into(), Json::Int(154_320)),
             ("cas_retries".into(), Json::Int(0)),
-            ("checkpoint".into(), Json::Bool(it == 2)),
         ]));
     }
 
@@ -118,43 +113,6 @@ fn representative_report() -> RunReport {
         ]),
     );
     r.set_section("balance", Json::Obj(vec![("k_balance".into(), Json::Num(1.18))]));
-    // The fault-injection summary and the degradation-response log, in the
-    // exact shapes `solve_cluster_recovering` emits.
-    r.set_section(
-        "fault",
-        Json::Obj(vec![
-            ("seed".into(), Json::Uint(42)),
-            ("drop_p".into(), Json::Num(0.05)),
-            ("flip_p".into(), Json::Num(0.01)),
-            ("max_retries".into(), Json::Uint(24)),
-            (
-                "deaths".into(),
-                Json::Arr(vec![Json::Obj(vec![
-                    ("rank".into(), Json::Uint(1)),
-                    ("iteration".into(), Json::Uint(18)),
-                ])]),
-            ),
-            ("restarts".into(), Json::Uint(1)),
-        ]),
-    );
-    r.set_section(
-        "rebalance",
-        Json::Obj(vec![(
-            "events".into(),
-            Json::Arr(vec![Json::Obj(vec![
-                ("died_rank".into(), Json::Uint(1)),
-                ("at_iteration".into(), Json::Uint(18)),
-                ("restart_iteration".into(), Json::Uint(16)),
-                ("survivors".into(), Json::Uint(3)),
-                ("migrated".into(), Json::Uint(1)),
-                ("cut".into(), Json::Num(12.5)),
-                (
-                    "node_loads".into(),
-                    Json::Arr(vec![Json::Num(1.25), Json::Num(1.375), Json::Num(1.5)]),
-                ),
-            ])]),
-        )]),
-    );
     r
 }
 
@@ -203,22 +161,6 @@ fn golden_file_round_trips_losslessly() {
     assert_eq!(kernel.get("lanes").and_then(Json::as_u64), Some(4));
     assert_eq!(kernel.get("block_kb").and_then(Json::as_u64), Some(16));
     assert!(parsed.gauges.contains_key("sweep.bytes_per_segment"));
-    // The fault-injection keys: counters plus the `fault` and `rebalance`
-    // sections with their event structure.
-    assert_eq!(parsed.counter("comm.retries"), 5);
-    assert_eq!(parsed.counter("comm.dropped"), 3);
-    assert_eq!(parsed.counter("comm.flipped"), 1);
-    assert_eq!(parsed.counter("comm.rank_failures"), 1);
-    let fault = parsed.sections.get("fault").expect("fault section");
-    assert_eq!(fault.get("restarts").and_then(Json::as_u64), Some(1));
-    assert_eq!(fault.get("drop_p").and_then(Json::as_f64), Some(0.05));
-    let rebalance = parsed.sections.get("rebalance").expect("rebalance section");
-    let events = match rebalance.get("events") {
-        Some(Json::Arr(events)) => events,
-        other => panic!("rebalance.events missing: {other:?}"),
-    };
-    assert_eq!(events[0].get("survivors").and_then(Json::as_u64), Some(3));
-    assert_eq!(events[0].get("migrated").and_then(Json::as_u64), Some(1));
     // The observability keys: histogram quantiles and the per-iteration
     // convergence series.
     assert_eq!(parsed.histograms.len(), 2);
@@ -229,5 +171,4 @@ fn golden_file_round_trips_losslessly() {
     assert_eq!(parsed.iterations.len(), 2);
     assert_eq!(parsed.iterations[0].get("it").and_then(Json::as_u64), Some(1));
     assert_eq!(parsed.iterations[1].get("k").and_then(Json::as_f64), Some(1.12));
-    assert_eq!(parsed.iterations[1].get("checkpoint"), Some(&Json::Bool(true)));
 }
