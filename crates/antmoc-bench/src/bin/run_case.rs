@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use antmoc::telemetry::{Json, RunReport as TelemetryReport, Telemetry};
+use antmoc::telemetry::{RunReport as TelemetryReport, Telemetry};
 use antmoc::{run, run_artifact, RunConfig};
 use antmoc_input::CaseSpec;
 
@@ -162,16 +162,8 @@ fn main() -> ExitCode {
     }
 
     let throughput = sweep_throughput(&report);
-    // The pipeline records which sweep kernel and tally mode the run
-    // resolved to as report meta; surface both in the case matrix.
-    let meta_str = |key: &str| {
-        report.meta.get(key).and_then(Json::as_str).map_or_else(|| "?".into(), str::to_owned)
-    };
-    let kernel = meta_str("kernel");
-    let tallies = meta_str("tallies");
     println!(
-        "run-case: {}: k_eff {:.6}, {} iterations, converged: {}, {} segments, \
-         kernel {kernel}, tallies {tallies}, {}",
+        "run-case: {}: k_eff {:.6}, {} iterations, converged: {}, {} segments, {}",
         name,
         outcome.keff,
         outcome.iterations,
@@ -181,7 +173,7 @@ fn main() -> ExitCode {
             .map_or("no sweep-throughput telemetry".into(), |t| format!("{t:.3e} segments/s")),
     );
     append_step_summary(&format!(
-        "| {} | {:.6} | {} | {} | {kernel} | {tallies} | {} |",
+        "| {} | {:.6} | {} | {} | {} |",
         name,
         outcome.keff,
         outcome.iterations,

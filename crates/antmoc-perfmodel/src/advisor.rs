@@ -58,38 +58,6 @@ pub fn advise(model: &MemoryModel, device_capacity: u64) -> Advice {
     Advice::Manager { budget_bytes: budget, resident_fraction }
 }
 
-/// The tally-strategy verdict for one sweep (see
-/// [`advise_tallies`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TallyAdvice {
-    /// Per-worker private buffers fit the budget: no atomics in the
-    /// segment loop.
-    Privatized { bytes: u64 },
-    /// Private buffers would exceed the budget; fall back to one shared
-    /// atomic array.
-    Atomic { deficit_bytes: u64 },
-}
-
-/// Recommends a flux-tally accumulation strategy for a sweep: privatized
-/// per-worker buffers cost `workers * fsrs * groups * 8` bytes, and are
-/// recommended whenever that fits `budget_bytes` — the same
-/// memory-vs-speed interpolation the storage advisor applies to the
-/// segment store, at the tally level. A zero budget always yields
-/// [`TallyAdvice::Atomic`].
-pub fn advise_tallies(
-    workers: usize,
-    n_fsrs: usize,
-    num_groups: usize,
-    budget_bytes: u64,
-) -> TallyAdvice {
-    let bytes = workers as u64 * n_fsrs as u64 * num_groups as u64 * 8;
-    if bytes <= budget_bytes {
-        TallyAdvice::Privatized { bytes }
-    } else {
-        TallyAdvice::Atomic { deficit_bytes: bytes - budget_bytes }
-    }
-}
-
 /// Convenience: the smallest device count (uniform split) at which the
 /// per-device working set becomes feasible — the planning question behind
 /// the paper's 2x2x2-and-up decompositions.
@@ -198,38 +166,6 @@ mod tests {
             };
             assert!(matches!(advise(&per, capacity), Advice::Infeasible { .. }));
         }
-    }
-
-    #[test]
-    fn tally_advice_follows_the_budget() {
-        // 4 workers x 10k fsrs x 7 groups x 8 B = ~2.14 MiB.
-        let bytes = 4 * 10_000 * 7 * 8u64;
-        match advise_tallies(4, 10_000, 7, 256 << 20) {
-            TallyAdvice::Privatized { bytes: b } => assert_eq!(b, bytes),
-            other => panic!("expected Privatized, got {other:?}"),
-        }
-        match advise_tallies(4, 10_000, 7, bytes - 1) {
-            TallyAdvice::Atomic { deficit_bytes } => assert_eq!(deficit_bytes, 1),
-            other => panic!("expected Atomic, got {other:?}"),
-        }
-        // A zero budget always disables privatization.
-        assert!(matches!(advise_tallies(1, 1, 1, 0), TallyAdvice::Atomic { .. }));
-    }
-
-    #[test]
-    fn tally_advice_is_monotone_in_workers() {
-        // More workers can only move the verdict toward Atomic.
-        let budget = 1 << 20;
-        let mut was_atomic = false;
-        for workers in [1, 2, 4, 8, 16, 64, 1024] {
-            match advise_tallies(workers, 5_000, 7, budget) {
-                TallyAdvice::Atomic { .. } => was_atomic = true,
-                TallyAdvice::Privatized { .. } => {
-                    assert!(!was_atomic, "privatized after atomic at {workers} workers")
-                }
-            }
-        }
-        assert!(was_atomic, "1024 workers x 5k fsrs must exceed 1 MiB");
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod memory;
 pub mod projector;
 pub mod tracks;
 
-pub use advisor::{advise, advise_tallies, min_feasible_devices, Advice, TallyAdvice};
+pub use advisor::{advise, min_feasible_devices, Advice};
 pub use cache::{sweep_bytes_per_resident_segment, sweep_bytes_per_segment, CacheModel};
 pub use memory::{MemoryModel, MEM_PER_2D_SEGMENT, MEM_PER_3D_SEGMENT};
 pub use projector::{ScalingPoint, ScalingProjector};

@@ -1,9 +1,9 @@
 //! Content-addressed caching of solve setups.
 //!
 //! The expensive, immutable half of a run — geometry construction, track
-//! laydown + segmentation, the exp table — depends only on a handful of
-//! configuration fields. This module derives a **stable content hash**
-//! over exactly those fields (the cache key) and memoizes the resulting
+//! laydown + segmentation — depends only on a handful of configuration
+//! fields. This module derives a **stable content hash** over exactly
+//! those fields (the cache key) and memoizes the resulting
 //! [`SolveSetup`] behind an `Arc`, so a warm job skips straight to the
 //! sweep while cold builds of the same key are single-flighted (waiters
 //! block until the in-progress build publishes instead of building
@@ -23,26 +23,22 @@
 //! * **mode** — the segment storage mode, including the manager budget;
 //! * **backend** — the backend *class* (the device backend skips the
 //!   shared segment store, so its setup differs from the CPU one;
-//!   `cpu-serial` builds the CPU setup under its own class);
-//! * **exp** — the exponential evaluator, with the table tolerance
-//!   (bit-exact) when `exp = table`; intrinsic runs ignore the tolerance
-//!   and deliberately share a key across tolerance values.
+//!   `cpu-serial` builds the CPU setup under its own class).
 //!
-//! Everything else (eigen tolerances, iteration caps, schedules, tally
-//! strategy, telemetry settings) is per-job solver state and must
+//! Everything else (eigen tolerances, iteration caps, schedules, the
+//! kernel config, telemetry settings) is per-job solver state and must
 //! NOT enter the key: two requests differing only there share a setup.
+//! An `ExpMode::Table` job's table lives in its arena, not in the setup.
 //!
 //! The hash is hand-rolled because `std::collections::hash_map::
-//! DefaultHasher` is explicitly not stable across releases or processes;
-//! cache keys land in telemetry artifacts and CI baselines, so they must
-//! never drift under a toolchain bump.
+//! DefaultHasher` is explicitly not stable across releases or processes,
+//! and a key should not drift under a toolchain bump.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use antmoc::pipeline::SolveSetup;
 use antmoc::{BackendConfig, ModelSpec, RunConfig};
-use antmoc_solver::ExpMode;
 
 /// FNV-1a 64-bit: tiny, dependency-free, and stable by definition.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -95,14 +91,6 @@ pub fn cache_key_string(config: &RunConfig) -> String {
         BackendConfig::Device { .. } => "device",
     };
     let _ = write!(s, "backend={backend};");
-    match config.kernel.exp {
-        ExpMode::Intrinsic => {
-            let _ = write!(s, "exp=intrinsic;");
-        }
-        ExpMode::Table => {
-            let _ = write!(s, "exp=table/{:016x};", config.kernel.exp_tolerance.to_bits());
-        }
-    }
     s
 }
 
@@ -224,6 +212,10 @@ mod tests {
         b.eigen.max_iterations = 7;
         b.kernel.tallies = antmoc_solver::TallyMode::Atomic;
         b.balance_sweeps = 3;
+        // The exp evaluator and its table tolerance are per-job too: the
+        // arena builds a table job's table.
+        b.kernel.exp = antmoc_solver::ExpMode::Table;
+        b.kernel.exp_tolerance = 1e-9;
         assert_eq!(cache_key(&a), cache_key(&b), "solver knobs must not enter the key");
     }
 
@@ -231,29 +223,19 @@ mod tests {
     fn key_tracks_every_setup_relevant_field() {
         let base = RunConfig::default();
         type Mutation = fn(&mut RunConfig);
-        let mutations: [(&str, Mutation); 7] = [
+        let mutations: [(&str, Mutation); 6] = [
             ("num_azim", |c| c.tracks.num_azim = 8),
             ("radial_spacing", |c| c.tracks.radial_spacing += 1e-12),
             ("axial_dz", |c| c.model.c5g7_mut().axial_dz *= 1.0 + 1e-14),
             ("rodded", |c| c.model.c5g7_mut().config = antmoc::geom::c5g7::RoddedConfig::RoddedA),
             ("mode", |c| c.mode = antmoc_solver::StorageMode::Explicit),
             ("backend", |c| c.backend = BackendConfig::CpuSerial),
-            ("exp", |c| c.kernel.exp = ExpMode::Table),
         ];
         for (name, m) in &mutations {
             let mut cfg = base.clone();
             m(&mut cfg);
             assert_ne!(cache_key(&cfg), cache_key(&base), "{name} must change the key");
         }
-        // Table tolerance is key-relevant only under exp = table.
-        let mut t1 = base.clone();
-        t1.kernel.exp = ExpMode::Table;
-        let mut t2 = t1.clone();
-        t2.kernel.exp_tolerance = 1e-9;
-        assert_ne!(cache_key(&t1), cache_key(&t2));
-        let mut i2 = base.clone();
-        i2.kernel.exp_tolerance = 1e-9;
-        assert_eq!(cache_key(&base), cache_key(&i2), "intrinsic runs ignore the tolerance");
     }
 
     /// A configuration coarse enough to build instantly.

@@ -8,14 +8,14 @@
 //!
 //! 1. **Setup, content-addressed** — the immutable products of the
 //!    geometry/tracking stages ([`antmoc::SolveSetup`]: built model,
-//!    track laydown + segmentation, segment store, exp table) are
+//!    track laydown + segmentation, segment store) are
 //!    memoized in an [`cache`] keyed by a stable hash of exactly the
 //!    setup-relevant configuration fields. A warm job skips straight to
 //!    the sweep; concurrent cold jobs of the same key single-flight the
 //!    build. Counters: `cache.hit`, `cache.miss`, `cache.bytes`.
 //! 2. **Admission** — before the sweep, the job's device-pool footprint
-//!    (the perfmodel memory model for its problem plus
-//!    [`antmoc_perfmodel::advise_tallies`]' tally-buffer bytes) must fit
+//!    (the perfmodel memory model for its problem plus its privatized
+//!    tally buffers and any exp table) must fit
 //!    the configured budget alongside the jobs already in flight;
 //!    otherwise the job queues. Wait time (queue + admission) lands in
 //!    the `serve.queue_wait_ns` histogram; the high-water mark of
@@ -56,8 +56,9 @@ use std::time::Instant;
 use antmoc::pipeline::SolveSetup;
 use antmoc::{RunConfig, RunReport};
 use antmoc_input::CaseSpec;
-use antmoc_perfmodel::{advise_tallies, MemoryModel, TallyAdvice};
-use antmoc_solver::SweepArena;
+use antmoc_perfmodel::MemoryModel;
+use antmoc_solver::exptable::DEFAULT_TAU_MAX;
+use antmoc_solver::{ExpMode, ExpTable, SweepArena, SweepTallies};
 use antmoc_telemetry::{Json, MetricsRegistry, RunReport as TelemetryReport, Telemetry};
 
 use cache::SetupCache;
@@ -391,10 +392,9 @@ fn worker_loop(shared: &Shared) {
 
 /// The per-job footprint charged against the device pool: the memory
 /// model's working set for the problem (tracks, 2D segments, boundary
-/// and scalar flux), the resident 3D segment store, the exp table, and
-/// the tally buffers the sweep will allocate (privatized per-worker
-/// copies when they fit the job's own tally budget, per
-/// [`advise_tallies`] — the same decision the arena makes).
+/// and scalar flux), the resident 3D segment store, the exp table the
+/// arena builds for an `ExpMode::Table` job, and the privatized
+/// per-worker tally buffers the sweep allocates.
 fn job_footprint(config: &RunConfig, setup: &SolveSetup, workers: usize) -> u64 {
     let p = &setup.problem;
     let mm = MemoryModel {
@@ -406,16 +406,13 @@ fn job_footprint(config: &RunConfig, setup: &SolveSetup, workers: usize) -> u64 
         num_groups: p.num_groups() as u64,
         fixed: 0,
     };
-    let tally_bytes = match advise_tallies(
-        workers,
-        p.num_fsrs(),
-        p.num_groups(),
-        config.kernel.tally_budget_bytes,
-    ) {
-        TallyAdvice::Privatized { bytes } => bytes,
-        TallyAdvice::Atomic { .. } => (p.num_fsrs() * p.num_groups() * 8) as u64,
+    let tally_bytes = SweepTallies::Privatized { workers }.bytes(p.num_fsrs() * p.num_groups());
+    let exp_bytes = match config.kernel.exp {
+        ExpMode::Intrinsic => 0,
+        ExpMode::Table => {
+            ExpTable::bytes_for_tolerance(DEFAULT_TAU_MAX, config.kernel.exp_tolerance)
+        }
     };
-    let exp_bytes = setup.exp_table.as_ref().map(|t| t.bytes()).unwrap_or(0);
     mm.total_bytes() + setup.segsrc.stored_bytes() + exp_bytes + tally_bytes
 }
 
@@ -431,9 +428,7 @@ fn setup_bytes(setup: &SolveSetup) -> u64 {
         num_groups: p.num_groups() as u64,
         fixed: 0,
     };
-    mm.total_bytes()
-        + setup.segsrc.stored_bytes()
-        + setup.exp_table.as_ref().map(|t| t.bytes()).unwrap_or(0)
+    mm.total_bytes() + setup.segsrc.stored_bytes()
 }
 
 fn run_job(shared: &Shared, job: Job) -> JobResult {

@@ -85,12 +85,11 @@ pub struct ClusterOptions {
     pub exchange: ExchangeMode,
     /// Simulated interconnect for point-to-point flux traffic.
     pub link: LinkModel,
-    /// Dispatch order for the `Cpu` backend's sweeps
-    /// ([`ScheduleKind::BoundaryFirst`] resolves against the subdomain's
-    /// exchange plan). The serial backend always sweeps its boundary-exit
-    /// tracks, then the interior, each in ascending order — the one order
-    /// both exchange modes share, which makes them bitwise comparable —
-    /// and the device backend orders via its CU mapping.
+    /// Dispatch order for the `Cpu` backend's sweeps. The serial backend
+    /// always sweeps its boundary-exit tracks, then the interior, each in
+    /// ascending order — the one order both exchange modes share, which
+    /// makes them bitwise comparable — and the device backend orders via
+    /// its CU mapping.
     pub schedule: ScheduleKind,
     /// Worker threads per rank (`None` shares the global pool; the serial
     /// backend always sweeps on one).
@@ -159,10 +158,9 @@ fn rank_solve(
 }
 
 /// The sweeper one rank runs for its subdomain on `backend`.
-/// `plan` is the subdomain's exchange plan: the `boundary_first` CPU
-/// schedule and the serial backend's fixed order sweep the tracks whose
-/// exits it ships first. The serial backend is the CPU sweeper pinned to
-/// one worker.
+/// `plan` is the subdomain's exchange plan: the serial backend's fixed
+/// order sweeps the tracks whose exits it ships first. The serial backend
+/// is the CPU sweeper pinned to one worker.
 fn rank_sweeper<'a>(
     backend: &Backend,
     problem: &Problem,
@@ -170,21 +168,17 @@ fn rank_sweeper<'a>(
     copts: &ClusterOptions,
     segsrc: &'a SegmentSource,
 ) -> Box<dyn Sweeper + 'a> {
-    let mut boundary: Vec<u32> = plan.sends.iter().map(|s| s.local_traversal.0).collect();
-    boundary.sort_unstable();
-    boundary.dedup();
-    let workers = rayon::current_num_threads();
     let cpu = |schedule| CpuSweeper::with_kernel(segsrc, schedule, copts.kernel.clone());
     match backend {
-        Backend::Cpu => Box::new(cpu(match copts.schedule {
-            ScheduleKind::BoundaryFirst => {
-                SweepSchedule::boundary_first(problem, &boundary, workers)
-            }
-            kind => SweepSchedule::with_workers(kind, problem, workers),
-        })),
-        Backend::CpuSerial => Box::new(
-            cpu(SweepSchedule::serial_boundary_first(problem.num_tracks(), &boundary)).serial(),
-        ),
+        Backend::Cpu => Box::new(cpu(SweepSchedule::for_problem(copts.schedule, problem))),
+        Backend::CpuSerial => {
+            let mut boundary: Vec<u32> = plan.sends.iter().map(|s| s.local_traversal.0).collect();
+            boundary.sort_unstable();
+            boundary.dedup();
+            Box::new(
+                cpu(SweepSchedule::serial_boundary_first(problem.num_tracks(), &boundary)).serial(),
+            )
+        }
         Backend::Device { spec, mode, mapping } => Box::new(
             DeviceSolver::new(Arc::new(Device::new(spec.clone())), problem, *mode, *mapping)
                 .expect("device solver setup failed (OOM?)")

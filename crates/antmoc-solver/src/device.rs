@@ -110,8 +110,8 @@ impl DeviceSolver {
     }
 
     /// Sweeps on a caller-owned arena instead of the default one: the
-    /// arena's `KernelConfig` (`[solver] exp / tallies / block_kb`)
-    /// governs the device kernel, and a pooled arena's buffers are reused.
+    /// arena's `KernelConfig` governs the device kernel, and a pooled
+    /// arena's buffers are reused.
     pub fn with_arena(mut self, arena: SweepArena) -> Self {
         self.arena = arena;
         self

@@ -47,11 +47,22 @@ impl ExpTable {
     /// `epsilon = 1e-7` would otherwise err by `exp(-12) ~ 6.1e-6` for
     /// every tau just past the range.
     pub fn with_tolerance(tau_max: f64, epsilon: f64) -> Self {
+        let (tau_max, nodes) = Self::shape_for_tolerance(tau_max, epsilon);
+        Self::new(tau_max, nodes)
+    }
+
+    /// Bytes of the table [`Self::with_tolerance`] builds, without
+    /// building it (admission control charges a table job up front).
+    pub fn bytes_for_tolerance(tau_max: f64, epsilon: f64) -> u64 {
+        (Self::shape_for_tolerance(tau_max, epsilon).1 * 8) as u64
+    }
+
+    /// The `(tau_max, nodes)` of a table within `epsilon` everywhere.
+    fn shape_for_tolerance(tau_max: f64, epsilon: f64) -> (f64, usize) {
         assert!(epsilon > 0.0);
         let tau_max = tau_max.max(-epsilon.ln());
         let step = (8.0 * epsilon).sqrt();
-        let nodes = ((tau_max / step).ceil() as usize + 1).max(2);
-        Self::new(tau_max, nodes)
+        (tau_max, ((tau_max / step).ceil() as usize + 1).max(2))
     }
 
     /// `1 - exp(-tau)` by table lookup. A NaN `tau` yields NaN, matching

@@ -10,7 +10,7 @@
 //! * [`exp`] — the one in-tree `1 - exp(-tau)` evaluator, per lane and
 //!   per track slab;
 //! * [`simd`] — the in-tree `f64x4` lane type behind the group-vectorized
-//!   sweep kernel (`[solver] kernel = vector`);
+//!   sweep kernel every run takes;
 //! * [`tally`] — atomic vs privatized flux-tally strategies and the
 //!   reusable [`SweepArena`] behind the arena-driven sweep;
 //! * [`source`] — reduced-source and scalar-flux updates, fission

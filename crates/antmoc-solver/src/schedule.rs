@@ -9,10 +9,10 @@
 //! * [`ScheduleKind::L3Sorted`] — the paper's L3 deal applied to the CPU
 //!   pool: `antmoc_balance::l3::sorted_round_robin` over the per-track
 //!   segment counts, one bin per worker, so worker `w` sweeps bin `w`.
-//! * [`ScheduleKind::BoundaryFirst`] — the per-worker slices of an order
-//!   that sweeps boundary-touching tracks first.
 //! * [`SweepSchedule::for_device`] — one bin per simulated CU,
 //!   grid-stride or L3.
+//! * `serial_boundary_first` — the serial rank's one bin: the tracks
+//!   whose exits ship to neighbour domains, then the interior.
 
 use std::ops::Range;
 
@@ -21,7 +21,9 @@ use antmoc_balance::l3::{grid_stride, sorted_round_robin};
 use crate::device::CuMapping;
 use crate::problem::Problem;
 
-/// Which dispatch order a sweep uses (the `[solver] schedule` knob).
+/// Which dispatch order a CPU sweep uses. No config key selects it: every
+/// run sweeps in natural order, and L3 is the dispatch tests and the
+/// benchmark select programmatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleKind {
     /// Track index order as generated.
@@ -30,19 +32,12 @@ pub enum ScheduleKind {
     /// Descending-segment-count sort dealt round-robin across workers
     /// (the paper's L3 mapping applied to the CPU pool).
     L3Sorted,
-    /// The pipelined-exchange variant of L3: boundary-touching tracks
-    /// (those whose exits feed a neighbour domain) dispatch first, so
-    /// outgoing boundary fluxes are final — and can ship — while the
-    /// interior tracks are still sweeping. Boundary and interior halves
-    /// each keep the L3 descending-weight deal.
-    BoundaryFirst,
 }
 
 /// A resolved schedule for one problem: its bins, each swept in order by
 /// one worker.
 #[derive(Debug, Clone)]
 pub struct SweepSchedule {
-    kind: ScheduleKind,
     /// The non-empty bins; `None` is the natural order, whose contiguous
     /// ranges are resolved at sweep time.
     bins: Option<Vec<Vec<u32>>>,
@@ -52,12 +47,12 @@ impl SweepSchedule {
     /// The natural order: one contiguous range of track indices per
     /// worker.
     pub fn natural() -> Self {
-        Self { kind: ScheduleKind::Natural, bins: None }
+        Self { bins: None }
     }
 
-    fn from_bins(kind: ScheduleKind, mut bins: Vec<Vec<u32>>) -> Self {
+    fn from_bins(mut bins: Vec<Vec<u32>>) -> Self {
         bins.retain(|b| !b.is_empty());
-        Self { kind, bins: Some(bins) }
+        Self { bins: Some(bins) }
     }
 
     /// Builds the bins for a problem using the current worker count of
@@ -70,10 +65,8 @@ impl SweepSchedule {
     pub fn with_workers(kind: ScheduleKind, problem: &Problem, workers: usize) -> Self {
         match kind {
             ScheduleKind::Natural => Self::natural(),
-            // Without an exchange plan there are no boundary tracks to
-            // prioritise; the bins degenerate to plain L3.
-            ScheduleKind::L3Sorted | ScheduleKind::BoundaryFirst => {
-                Self::from_bins(kind, sorted_round_robin(&segment_counts(problem), workers.max(1)))
+            ScheduleKind::L3Sorted => {
+                Self::from_bins(sorted_round_robin(&segment_counts(problem), workers.max(1)))
             }
         }
     }
@@ -83,37 +76,11 @@ impl SweepSchedule {
     /// baseline) or by the L3 descending-segment-count round-robin.
     pub(crate) fn for_device(problem: &Problem, num_cus: usize, mapping: CuMapping) -> Self {
         match mapping {
-            CuMapping::GridStride => {
-                Self::from_bins(ScheduleKind::Natural, grid_stride(problem.num_tracks(), num_cus))
+            CuMapping::GridStride => Self::from_bins(grid_stride(problem.num_tracks(), num_cus)),
+            CuMapping::SegmentSorted => {
+                Self::from_bins(sorted_round_robin(&segment_counts(problem), num_cus))
             }
-            CuMapping::SegmentSorted => Self::from_bins(
-                ScheduleKind::L3Sorted,
-                sorted_round_robin(&segment_counts(problem), num_cus),
-            ),
         }
-    }
-
-    /// Builds the boundary-first bins: `boundary_tracks` (the tracks
-    /// whose exits ship to neighbour domains, deduplicated) dispatch
-    /// before every interior track. Each half is dealt with the L3
-    /// descending-weight round-robin so the load stays balanced; the
-    /// boundary half simply jumps the queue. Worker `w` sweeps the `w`-th
-    /// contiguous slice of that order.
-    pub fn boundary_first(problem: &Problem, boundary_tracks: &[u32], workers: usize) -> Self {
-        let deal = |tracks: Vec<u32>| -> Vec<u32> {
-            let weights: Vec<u64> = tracks
-                .iter()
-                .map(|&t| problem.sweep_tracks[t as usize].num_segments as u64)
-                .collect();
-            let bins = sorted_round_robin(&weights, workers.max(1));
-            bins.concat().into_iter().map(|i| tracks[i as usize]).collect()
-        };
-        let (boundary, interior) = split_boundary(problem.num_tracks(), boundary_tracks);
-        let mut order = deal(boundary);
-        order.extend(deal(interior));
-        let (n, parts) = (order.len(), workers.max(1).min(order.len()));
-        let bins = (0..parts).map(|b| order[range_of(n, parts, b)].to_vec()).collect();
-        Self::from_bins(ScheduleKind::BoundaryFirst, bins)
     }
 
     /// The serial backend's one bin: `boundary_tracks` ascending, then the
@@ -126,11 +93,7 @@ impl SweepSchedule {
         }
         let (mut order, interior) = split_boundary(num_tracks, boundary_tracks);
         order.extend(interior);
-        Self::from_bins(ScheduleKind::BoundaryFirst, vec![order])
-    }
-
-    pub fn kind(&self) -> ScheduleKind {
-        self.kind
+        Self::from_bins(vec![order])
     }
 
     /// How many bins one sweep of `num_tracks` tracks deals on `workers`
@@ -216,7 +179,6 @@ mod tests {
     #[test]
     fn natural_is_identity() {
         let s = SweepSchedule::natural();
-        assert_eq!(s.kind(), ScheduleKind::Natural);
         // One contiguous range per worker, the first `n % W` one longer;
         // fewer tracks than workers leave no empty bin.
         assert_eq!(bins(&s, 7, 3), vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
@@ -239,43 +201,6 @@ mod tests {
             }
             assert!(seen.iter().all(|&b| b));
         }
-    }
-
-    #[test]
-    fn boundary_first_is_a_permutation_with_boundary_tracks_leading() {
-        let p = problem();
-        let n = p.num_tracks();
-        // An arbitrary but deterministic "boundary" subset.
-        let boundary: Vec<u32> = (0..n as u32).filter(|t| t % 3 == 0).collect();
-        for workers in [1, 2, 8] {
-            let s = SweepSchedule::boundary_first(&p, &boundary, workers);
-            assert_eq!(s.kind(), ScheduleKind::BoundaryFirst);
-            let order = bins(&s, n, workers).concat();
-            assert_eq!(order.len(), n);
-            let mut seen = vec![false; n];
-            for &t in &order {
-                assert!(!seen[t as usize], "track {t} dispatched twice (workers={workers})");
-                seen[t as usize] = true;
-            }
-            assert!(seen.iter().all(|&b| b));
-            // Every boundary track occupies one of the first |boundary|
-            // dispatch positions.
-            for (i, t) in order.iter().take(boundary.len()).enumerate() {
-                assert!(
-                    t.is_multiple_of(3),
-                    "position {i} holds interior track {t} ahead of the boundary set"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_first_without_a_plan_degenerates_to_l3() {
-        let p = problem();
-        let bf = SweepSchedule::with_workers(ScheduleKind::BoundaryFirst, &p, 2);
-        let l3 = SweepSchedule::with_workers(ScheduleKind::L3Sorted, &p, 2);
-        assert_eq!(bf.kind(), ScheduleKind::BoundaryFirst);
-        assert_eq!(bins(&bf, p.num_tracks(), 2), bins(&l3, p.num_tracks(), 2));
     }
 
     #[test]

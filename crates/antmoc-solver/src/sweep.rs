@@ -843,7 +843,7 @@ pub(crate) fn sweep_region(
             ("workers".into(), Json::Uint(workers as u64)),
             ("kernel".into(), Json::Str(config.kernel.name().into())),
             ("lanes".into(), Json::Uint(config.kernel.lanes() as u64)),
-            ("block_kb".into(), Json::Uint(arena.block_bytes() >> 10)),
+            ("block_kb".into(), Json::Uint(crate::tally::block_bytes() >> 10)),
         ]),
     );
 
@@ -1275,7 +1275,6 @@ mod tests {
             let mut arena = SweepArena::new(KernelConfig {
                 tallies: TallyMode::Privatized,
                 kernel,
-                block_bytes: Some(8 << 10),
                 ..Default::default()
             });
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());

@@ -98,11 +98,6 @@ impl<'a> CpuSweeper<'a> {
         self.arena
     }
 
-    /// The arena, e.g. to preload a cached exp table before solving.
-    pub fn arena_mut(&mut self) -> &mut SweepArena {
-        &mut self.arena
-    }
-
     fn run(
         &mut self,
         problem: &Problem,

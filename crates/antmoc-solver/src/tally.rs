@@ -11,12 +11,10 @@
 //! worker tallies which track, so results repeat bit for bit for a fixed
 //! worker count and schedule.
 //!
-//! The cost is memory: `workers * fsrs * groups * 8` bytes. Strategy
-//! selection mirrors the paper's §4.1 memory-vs-speed interpolation —
-//! [`antmoc_perfmodel::advise_tallies`] picks privatized buffers whenever
-//! they fit the configured budget and falls back to the shared atomic
-//! array otherwise; `[solver] tallies = atomic | privatized | auto`
-//! overrides it.
+//! The cost is memory: `workers * fsrs * groups * 8` bytes, under 2 MB on
+//! every shipped case. Privatized is the one strategy a run configuration
+//! selects; the shared atomic array stays as the conformance reference the
+//! equivalence properties check it against.
 //!
 //! [`SweepArena`] owns every allocation the sweep would otherwise make
 //! per call (flux accumulator, per-worker tally buffers, track scratch,
@@ -25,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use antmoc_perfmodel::{CacheModel, TallyAdvice};
+use antmoc_perfmodel::CacheModel;
 
 use crate::exptable::{ExpEval, ExpTable, DEFAULT_TAU_MAX};
 use crate::sweep::{SweepOutcome, TrackBufs};
@@ -33,14 +31,12 @@ use crate::sweep::{SweepOutcome, TrackBufs};
 /// How `w * delta psi` contributions are accumulated into FSR flux slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TallyMode {
-    /// CAS-loop atomic `f64` adds into one shared array (what `Auto`
-    /// falls back to when private buffers exceed the budget).
+    /// CAS-loop atomic `f64` adds into one shared array: the conformance
+    /// reference for the privatized path.
     Atomic,
     /// One dense `f64` buffer per pool worker, reduced in worker order.
-    Privatized,
-    /// Let the perfmodel advisor decide from the memory budget.
     #[default]
-    Auto,
+    Privatized,
 }
 
 impl TallyMode {
@@ -48,7 +44,6 @@ impl TallyMode {
         match self {
             TallyMode::Atomic => "atomic",
             TallyMode::Privatized => "privatized",
-            TallyMode::Auto => "auto",
         }
     }
 }
@@ -105,33 +100,27 @@ impl SweepKernel {
     }
 }
 
-/// Sweep-kernel configuration, parsed from the `[solver]` config section
-/// (`tallies`, `tally_budget_mb`, `exp`, `exp_tolerance`, `kernel`,
-/// `block_kb`).
+/// Sweep-kernel configuration. No config key sets it: every run takes the
+/// default (privatized tallies, in-tree exp, vector kernel). The other
+/// values are the conformance references that tests and the benchmark's
+/// probes select programmatically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
     pub tallies: TallyMode,
-    /// Memory budget the `Auto` strategy may spend on privatized buffers.
-    pub tally_budget_bytes: u64,
     pub exp: ExpMode,
-    /// Worst-case absolute error of the exp table (`exp = table`).
+    /// Worst-case absolute error of the exp table (`ExpMode::Table`).
     pub exp_tolerance: f64,
-    /// Scalar vs group-vectorized segment kernel (`[solver] kernel`).
+    /// Scalar vs group-vectorized segment kernel.
     pub kernel: SweepKernel,
-    /// Slot-block bytes for the cache-blocked privatized reduction
-    /// (`[solver] block_kb`); `None` asks the perfmodel cache model.
-    pub block_bytes: Option<u64>,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         Self {
-            tallies: TallyMode::Auto,
-            tally_budget_bytes: 256 << 20,
+            tallies: TallyMode::Privatized,
             exp: ExpMode::Intrinsic,
             exp_tolerance: 1e-7,
             kernel: SweepKernel::Vector,
-            block_bytes: None,
         }
     }
 }
@@ -162,6 +151,12 @@ impl SweepTallies {
     }
 }
 
+/// Slot-block bytes the blocked privatized reduction uses: the perfmodel
+/// cache model's advice (half of L1, whole cache lines).
+pub(crate) fn block_bytes() -> u64 {
+    CacheModel::default().advise_block_bytes()
+}
+
 /// Reusable sweep state owned by a solver driver: the kernel
 /// configuration plus every allocation the sweep needs, recycled across
 /// iterations instead of reallocated per call.
@@ -179,12 +174,8 @@ pub struct SweepArena {
     worker_phi: rayon::WorkerLocal<Vec<f64>>,
     /// Per-worker OTF segment scratch and staged attenuation spans.
     track_bufs: rayon::WorkerLocal<TrackBufs>,
-    /// Lazily built exp table (`exp = table`).
+    /// Lazily built exp table (`ExpMode::Table`).
     exp_table: Option<ExpTable>,
-    /// The `exp_tolerance` the resident table was built for; `prepare`
-    /// rebuilds the table whenever the configured tolerance drifts from
-    /// this (arena reuse across jobs with different kernel configs).
-    exp_built_tol: Option<f64>,
 }
 
 impl SweepArena {
@@ -196,7 +187,6 @@ impl SweepArena {
             worker_phi: rayon::WorkerLocal::new(1, |_| Vec::new()),
             track_bufs: rayon::WorkerLocal::new(1, |_| TrackBufs::default()),
             exp_table: None,
-            exp_built_tol: None,
         }
     }
 
@@ -204,46 +194,23 @@ impl SweepArena {
     /// serves another job. Every per-sweep buffer is already re-sized and
     /// re-zeroed by [`Self::prepare`] (problem shapes may differ between
     /// jobs); the exp table is the one piece of cross-sweep state a config
-    /// change can invalidate, and `prepare` rebuilds it whenever the
-    /// configured tolerance no longer matches the resident table.
+    /// change can invalidate, so a changed config drops it and the next
+    /// `prepare` builds it afresh.
     pub fn reconfigure(&mut self, kernel: KernelConfig) {
+        if self.kernel != kernel {
+            self.exp_table = None;
+        }
         self.kernel = kernel;
     }
 
-    /// Installs a pre-built exp table (e.g. a cached one shared across
-    /// jobs) so the first `prepare` does not have to build it. The table
-    /// must have been built with [`ExpTable::with_tolerance`] at this
-    /// arena's configured `exp_tolerance`; a mismatched tolerance is
-    /// rebuilt on the next `prepare` instead of trusted.
-    pub fn preload_exp_table(&mut self, table: ExpTable) {
-        self.exp_table = Some(table);
-        self.exp_built_tol = Some(self.kernel.exp_tolerance);
-    }
-
-    /// Slot-block bytes the blocked privatized reduction uses: the
-    /// explicit `block_kb` override when configured, else the perfmodel
-    /// cache model's advice (half of L1, whole cache lines).
-    pub fn block_bytes(&self) -> u64 {
-        self.kernel.block_bytes.unwrap_or_else(|| CacheModel::default().advise_block_bytes()).max(8)
-    }
-
-    /// Resolves the tally strategy for a sweep of `fsrs x groups` slots on
-    /// `workers` pool workers.
-    pub fn resolve(&self, workers: usize, fsrs: usize, groups: usize) -> SweepTallies {
+    /// Resolves the tally strategy for a sweep on `workers` pool workers.
+    /// The slot counts no longer enter the choice; the signature keeps them
+    /// until the benchmark's `tally.bytes` probe stops passing them
+    /// (ROADMAP item 1).
+    pub fn resolve(&self, workers: usize, _fsrs: usize, _groups: usize) -> SweepTallies {
         match self.kernel.tallies {
             TallyMode::Atomic => SweepTallies::Atomic,
             TallyMode::Privatized => SweepTallies::Privatized { workers },
-            TallyMode::Auto => {
-                match antmoc_perfmodel::advise_tallies(
-                    workers,
-                    fsrs,
-                    groups,
-                    self.kernel.tally_budget_bytes,
-                ) {
-                    TallyAdvice::Privatized { .. } => SweepTallies::Privatized { workers },
-                    TallyAdvice::Atomic { .. } => SweepTallies::Atomic,
-                }
-            }
         }
     }
 
@@ -299,12 +266,9 @@ impl SweepArena {
                 }
             }
         }
-        if self.kernel.exp == ExpMode::Table
-            && (self.exp_table.is_none() || self.exp_built_tol != Some(self.kernel.exp_tolerance))
-        {
+        if self.kernel.exp == ExpMode::Table && self.exp_table.is_none() {
             self.exp_table =
                 Some(ExpTable::with_tolerance(DEFAULT_TAU_MAX, self.kernel.exp_tolerance));
-            self.exp_built_tol = Some(self.kernel.exp_tolerance);
         }
     }
 
@@ -340,21 +304,21 @@ impl SweepArena {
             return std::mem::take(self.worker_phi.get_mut(0));
         }
         let mut phi = self.take_phi(nf);
-        self.reduce_privatized(&mut phi, workers);
+        self.reduce_privatized(&mut phi, workers, block_bytes());
         phi
     }
 
     /// Sums the first `workers` private buffers into `phi` in ascending
     /// worker order — the deterministic reduction that replaces the
-    /// atomics. Cache-blocked: slot blocks (sized by [`Self::block_bytes`])
-    /// iterate outermost and workers innermost, so the destination block
-    /// — the only array revisited, once per worker — stays L1-resident
+    /// atomics. Cache-blocked: slot blocks of `block_bytes` (at least one
+    /// slot) iterate outermost and workers innermost, so the destination
+    /// block — the only array revisited, once per worker — stays L1-resident
     /// across the whole worker pass instead of being streamed `workers`
     /// times from L2/DRAM. Each slot still receives its adds in ascending
     /// worker order, so the result is bitwise identical to the unblocked
     /// reduction.
-    pub(crate) fn reduce_privatized(&mut self, phi: &mut [f64], workers: usize) {
-        let block = (self.block_bytes() as usize / 8).max(1);
+    pub(crate) fn reduce_privatized(&mut self, phi: &mut [f64], workers: usize, block_bytes: u64) {
+        let block = (block_bytes as usize / 8).max(1);
         let nf = phi.len();
         let mut start = 0usize;
         while start < nf {
@@ -375,14 +339,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_auto_intrinsic_vector_with_a_256mib_budget() {
+    fn defaults_are_privatized_intrinsic_vector() {
         let k = KernelConfig::default();
-        assert_eq!(k.tallies, TallyMode::Auto);
+        assert_eq!(k.tallies, TallyMode::Privatized);
         assert_eq!(k.exp, ExpMode::Intrinsic);
-        assert_eq!(k.tally_budget_bytes, 256 << 20);
         assert_eq!(k.exp_tolerance, 1e-7);
         assert_eq!(k.kernel, SweepKernel::Vector);
-        assert_eq!(k.block_bytes, None);
     }
 
     #[test]
@@ -391,21 +353,6 @@ mod tests {
         assert_eq!(SweepKernel::Scalar.lanes(), 1);
         assert_eq!(SweepKernel::Vector.name(), "vector");
         assert_eq!(SweepKernel::Vector.lanes(), crate::simd::LANES);
-    }
-
-    #[test]
-    fn block_bytes_honours_the_override_and_the_cache_model() {
-        let arena = SweepArena::new(KernelConfig::default());
-        assert_eq!(
-            arena.block_bytes(),
-            antmoc_perfmodel::CacheModel::default().advise_block_bytes()
-        );
-        let arena =
-            SweepArena::new(KernelConfig { block_bytes: Some(4 << 10), ..Default::default() });
-        assert_eq!(arena.block_bytes(), 4 << 10);
-        // Degenerate overrides are clamped to one slot.
-        let arena = SweepArena::new(KernelConfig { block_bytes: Some(1), ..Default::default() });
-        assert_eq!(arena.block_bytes(), 8);
     }
 
     #[test]
@@ -424,19 +371,13 @@ mod tests {
                 }
             }
         };
-        let mut reference = SweepArena::new(KernelConfig {
-            block_bytes: Some((nf * 8) as u64),
-            ..Default::default()
-        });
-        fill(&mut reference);
+        let mut arena = SweepArena::new(KernelConfig::default());
+        fill(&mut arena);
         let mut phi_ref = vec![0.0f64; nf];
-        reference.reduce_privatized(&mut phi_ref, workers);
+        arena.reduce_privatized(&mut phi_ref, workers, (nf * 8) as u64);
         for block in [8u64, 16, 24, 56, 1 << 20] {
-            let mut arena =
-                SweepArena::new(KernelConfig { block_bytes: Some(block), ..Default::default() });
-            fill(&mut arena);
             let mut phi = vec![0.0f64; nf];
-            arena.reduce_privatized(&mut phi, workers);
+            arena.reduce_privatized(&mut phi, workers, block);
             for (i, (a, b)) in phi.iter().zip(&phi_ref).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "block {block}, slot {i}: {a} vs {b}");
             }
@@ -444,18 +385,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_honours_explicit_modes_and_the_budget() {
+    fn resolve_honours_the_configured_mode() {
         let mut arena =
             SweepArena::new(KernelConfig { tallies: TallyMode::Atomic, ..KernelConfig::default() });
         assert_eq!(arena.resolve(8, 1000, 7), SweepTallies::Atomic);
         arena.kernel.tallies = TallyMode::Privatized;
         assert_eq!(arena.resolve(8, 1000, 7), SweepTallies::Privatized { workers: 8 });
-        // Auto: fits the default budget.
-        arena.kernel.tallies = TallyMode::Auto;
-        assert_eq!(arena.resolve(8, 1000, 7), SweepTallies::Privatized { workers: 8 });
-        // Auto with zero budget: always atomic.
-        arena.kernel.tally_budget_bytes = 0;
-        assert_eq!(arena.resolve(1, 1, 1), SweepTallies::Atomic);
     }
 
     #[test]
@@ -473,7 +408,7 @@ mod tests {
             arena.worker_phi.get_mut(w)[w] = (w + 1) as f64;
         }
         let mut phi = vec![0.0f64; 4];
-        arena.reduce_privatized(&mut phi, 3);
+        arena.reduce_privatized(&mut phi, 3, block_bytes());
         assert_eq!(phi, vec![1.0, 2.0, 3.0, 0.0]);
         // The next prepare re-zeroes the buffers.
         arena.prepare(3, 4, SweepTallies::Privatized { workers: 3 });
@@ -538,7 +473,7 @@ mod tests {
         let mut phi = vec![0.0f64; 16];
         arena.worker_phi.get_mut(0)[3] = 1.5;
         arena.worker_phi.get_mut(1)[3] = 2.5;
-        arena.reduce_privatized(&mut phi, 2);
+        arena.reduce_privatized(&mut phi, 2, block_bytes());
         assert_eq!(phi[3], 4.0);
 
         // Job 3: switch to the atomic strategy at yet another shape.
@@ -582,31 +517,6 @@ mod tests {
         arena.prepare(1, 4, SweepTallies::Atomic);
         let fine_len = arena.exp_table.as_ref().unwrap().len();
         assert!(fine_len > coarse_len, "table not rebuilt: {fine_len} vs {coarse_len}");
-    }
-
-    #[test]
-    fn preloaded_exp_table_is_used_and_mismatches_are_rebuilt() {
-        use crate::exptable::DEFAULT_TAU_MAX;
-        let mut arena = SweepArena::new(KernelConfig {
-            exp: ExpMode::Table,
-            exp_tolerance: 1e-6,
-            ..KernelConfig::default()
-        });
-        let table = ExpTable::with_tolerance(DEFAULT_TAU_MAX, 1e-6);
-        let len = table.len();
-        arena.preload_exp_table(table);
-        arena.prepare(1, 4, SweepTallies::Atomic);
-        assert_eq!(arena.exp_table.as_ref().unwrap().len(), len, "preloaded table replaced");
-
-        // A preload at the wrong tolerance is not trusted across a
-        // reconfigure: prepare rebuilds.
-        arena.reconfigure(KernelConfig {
-            exp: ExpMode::Table,
-            exp_tolerance: 1e-9,
-            ..KernelConfig::default()
-        });
-        arena.prepare(1, 4, SweepTallies::Atomic);
-        assert!(arena.exp_table.as_ref().unwrap().len() > len);
     }
 
     #[test]

@@ -28,13 +28,6 @@
 //! backend = device         ; cpu | device
 //! device_memory_mb = 256
 //! cu_mapping = sorted      ; grid | sorted
-//! schedule = natural       ; natural | l3_sorted
-//! tallies = auto           ; atomic | privatized | auto
-//! tally_budget_mb = 256    ; privatized-buffer budget for `auto`
-//! exp = intrinsic          ; intrinsic | table
-//! exp_tolerance = 1e-7     ; exp-table worst-case absolute error
-//! kernel = vector          ; vector (f64x4 group lanes) | scalar (conformance reference)
-//! block_kb = 16            ; privatized-reduction slot-block KiB (default: cache model)
 //!
 //! [decomposition]
 //! nx = 2
@@ -43,8 +36,11 @@
 //!
 //! [telemetry]
 //! trace = true             ; emit a Chrome trace_event timeline
-//! trace_cap = 65536        ; hard cap on stored trace events
 //! ```
+//!
+//! The sweep itself has no keys: every run takes natural CPU dispatch,
+//! privatized tallies, the in-tree exp evaluator, the vector kernel and
+//! the cache model's reduction block ([`KernelConfig::default`]).
 
 use std::collections::HashMap;
 
@@ -53,10 +49,7 @@ use antmoc_geom::c5g7::{C5g7Options, RoddedConfig};
 use antmoc_input::{CaseKind, CaseSpec};
 use antmoc_quadrature::PolarType;
 use antmoc_solver::device::CuMapping;
-use antmoc_solver::{
-    EigenOptions, ExchangeMode, ExpMode, KernelConfig, ScheduleKind, StorageMode, SweepKernel,
-    TallyMode,
-};
+use antmoc_solver::{EigenOptions, ExchangeMode, KernelConfig, ScheduleKind, StorageMode};
 use antmoc_track::TrackParams;
 
 /// Which execution backend runs the sweeps.
@@ -73,22 +66,14 @@ pub enum BackendConfig {
 }
 
 /// Observability settings (`[telemetry]`). Tracing is off by default —
-/// the timeline has a bounded but real memory cost — and can also be
+/// the timeline has a bounded but real memory cost, capped at
+/// [`antmoc_telemetry::DEFAULT_TRACE_CAPACITY`] events — and can also be
 /// forced on per-run with `ANTMOC_TRACE=1`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySettings {
     /// Record an event timeline and export it as Chrome `trace_event`
     /// JSON next to the run report.
     pub trace: bool,
-    /// Hard cap on stored trace events; past it new events are dropped
-    /// (and counted in `trace.dropped`).
-    pub trace_cap: usize,
-}
-
-impl Default for TelemetrySettings {
-    fn default() -> Self {
-        Self { trace: false, trace_cap: antmoc_telemetry::DEFAULT_TRACE_CAPACITY }
-    }
 }
 
 /// What geometry the run solves: the hardcoded C5G7 benchmark (the
@@ -141,9 +126,12 @@ pub struct RunConfig {
     pub eigen: EigenOptions,
     pub mode: StorageMode,
     pub backend: BackendConfig,
-    /// CPU sweep dispatch order (`[solver] schedule`).
+    /// CPU sweep dispatch order. No key sets it (always natural); the
+    /// field stays until the benchmark stops reading it (ROADMAP item 1).
     pub schedule: ScheduleKind,
-    /// Sweep tally/exp kernel settings (`[solver] tallies / exp`).
+    /// Sweep tally/exp kernel settings. No key sets them (always the
+    /// default); the field stays until the benchmark stops reading it
+    /// (ROADMAP item 1).
     pub kernel: KernelConfig,
     /// Spatial decomposition grid; `(1, 1, 1)` runs single-domain.
     pub decomposition: (usize, usize, usize),
@@ -221,19 +209,12 @@ const KNOWN_KEYS: [(&str, &[&str]); 5] = [
             "backend",
             "device_memory_mb",
             "cu_mapping",
-            "schedule",
-            "tallies",
-            "tally_budget_mb",
-            "exp",
-            "exp_tolerance",
-            "kernel",
-            "block_kb",
             "balance_sweeps",
             "fission",
         ],
     ),
     ("decomposition", &["nx", "ny", "nz", "exchange", "link_latency_us", "link_mb_per_s"]),
-    ("telemetry", &["trace", "trace_cap"]),
+    ("telemetry", &["trace"]),
 ];
 
 fn known_keys(section: &str) -> Option<&'static [&'static str]> {
@@ -513,78 +494,6 @@ impl RunConfig {
         };
         cfg.balance_sweeps = parse_num(get("solver", "balance_sweeps"), cfg.balance_sweeps)?;
         cfg.fixed_fission = parse_num(get("solver", "fission"), cfg.fixed_fission)?;
-        if let Some((line, v)) = get("solver", "schedule") {
-            cfg.schedule = match v.to_lowercase().as_str() {
-                "natural" => ScheduleKind::Natural,
-                "l3_sorted" | "l3-sorted" | "l3" => ScheduleKind::L3Sorted,
-                "boundary_first" | "boundary-first" => ScheduleKind::BoundaryFirst,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown schedule {other:?}"),
-                    })
-                }
-            };
-        }
-        if let Some((line, v)) = get("solver", "tallies") {
-            cfg.kernel.tallies = match v.to_lowercase().as_str() {
-                "atomic" => TallyMode::Atomic,
-                "privatized" | "private" => TallyMode::Privatized,
-                "auto" => TallyMode::Auto,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown tally mode {other:?}"),
-                    })
-                }
-            };
-        }
-        cfg.kernel.tally_budget_bytes =
-            bytes("tally_budget_mb", cfg.kernel.tally_budget_bytes >> 20, 1 << 20)?;
-        if let Some((line, v)) = get("solver", "exp") {
-            cfg.kernel.exp = match v.to_lowercase().as_str() {
-                "intrinsic" => ExpMode::Intrinsic,
-                "table" => ExpMode::Table,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown exp mode {other:?}"),
-                    })
-                }
-            };
-        }
-        cfg.kernel.exp_tolerance =
-            parse_num(get("solver", "exp_tolerance"), cfg.kernel.exp_tolerance)?;
-        if cfg.kernel.exp_tolerance <= 0.0 {
-            let line = get("solver", "exp_tolerance").map_or(0, |(l, _)| l);
-            return Err(ConfigError {
-                line,
-                message: format!("exp_tolerance must be > 0, got {}", cfg.kernel.exp_tolerance),
-            });
-        }
-        if let Some((line, v)) = get("solver", "kernel") {
-            cfg.kernel.kernel = match v.to_lowercase().as_str() {
-                "scalar" => SweepKernel::Scalar,
-                "vector" | "simd" => SweepKernel::Vector,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown sweep kernel {other:?}"),
-                    })
-                }
-            };
-        }
-        if let Some((line, _)) = get("solver", "block_kb") {
-            let block_bytes = bytes("block_kb", 0, 1 << 10)?;
-            if block_bytes == 0 {
-                return Err(ConfigError {
-                    line,
-                    message: "block_kb must be >= 1 (omit the key for the cache-model default)"
-                        .into(),
-                });
-            }
-            cfg.kernel.block_bytes = Some(block_bytes);
-        }
         if let Some((line, v)) = get("solver", "backend") {
             cfg.backend = match v.to_lowercase().as_str() {
                 "cpu" => BackendConfig::Cpu,
@@ -644,12 +553,6 @@ impl RunConfig {
 
         // [telemetry]
         cfg.telemetry.trace = parse_num(get("telemetry", "trace"), cfg.telemetry.trace)?;
-        cfg.telemetry.trace_cap =
-            parse_num(get("telemetry", "trace_cap"), cfg.telemetry.trace_cap)?;
-        if cfg.telemetry.trace_cap == 0 {
-            let line = get("telemetry", "trace_cap").map_or(0, |(l, _)| l);
-            return Err(ConfigError { line, message: "trace_cap must be >= 1".into() });
-        }
 
         Ok(cfg)
     }
@@ -761,6 +664,36 @@ nz = 2
         let text = format!("{CASE}\n[fault]\nenabled = true\n");
         let err = CaseSpec::parse(&text).unwrap_err();
         assert_eq!(err.line, text.lines().position(|l| l == "[fault]").unwrap() + 1);
+        // So does a sweep selector or the trace cap, which every run now
+        // fixes, on the INI and on the case-file path: at the key's own
+        // line, listing the keys that remain.
+        for (section, entry) in [
+            ("solver", "schedule = l3_sorted"),
+            ("solver", "tallies = atomic"),
+            ("solver", "tally_budget_mb = 32"),
+            ("solver", "exp = table"),
+            ("solver", "exp_tolerance = 1e-6"),
+            ("solver", "kernel = scalar"),
+            ("solver", "block_kb = 8"),
+            ("telemetry", "trace_cap = 1024"),
+        ] {
+            let key = entry.split(' ').next().unwrap();
+            let ini = format!("[{section}]\n{entry}\n");
+            let toml = if CASE.contains(&format!("[{section}]\n")) {
+                CASE.replace(&format!("[{section}]\n"), &format!("[{section}]\n{entry}\n"))
+            } else {
+                format!("{CASE}\n[{section}]\n{entry}\n")
+            };
+            let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
+            let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
+            let known = known_keys(section).unwrap().join(", ");
+            for (result, line) in [(RunConfig::parse(&ini), 2), (case, toml_line)] {
+                let e = result.unwrap_err();
+                assert_eq!(e.line, line, "{entry}: {e}");
+                let msg = format!("unknown key {key:?} in [{section}] (known: {known})");
+                assert_eq!(e.message, msg, "{entry}");
+            }
+        }
     }
 
     #[test]
@@ -768,18 +701,6 @@ nz = 2
         assert!(RunConfig::parse("[solver]\nmode = turbo\n").is_err());
         assert!(RunConfig::parse("[model]\nrodded = c\n").is_err());
         assert!(RunConfig::parse("[model]\ncase = bwr\n").is_err());
-    }
-
-    #[test]
-    fn schedule_variants_parse() {
-        let cfg = RunConfig::parse("[solver]\nschedule = l3_sorted\n").unwrap();
-        assert_eq!(cfg.schedule, ScheduleKind::L3Sorted);
-        let cfg = RunConfig::parse("[solver]\nschedule = natural\n").unwrap();
-        assert_eq!(cfg.schedule, ScheduleKind::Natural);
-        assert_eq!(RunConfig::default().schedule, ScheduleKind::Natural);
-        let cfg = RunConfig::parse("[solver]\nschedule = boundary_first\n").unwrap();
-        assert_eq!(cfg.schedule, ScheduleKind::BoundaryFirst);
-        assert!(RunConfig::parse("[solver]\nschedule = zigzag\n").is_err());
     }
 
     #[test]
@@ -805,61 +726,13 @@ nz = 2
     }
 
     #[test]
-    fn tallies_and_exp_variants_parse() {
-        let cfg = RunConfig::parse(
-            "[solver]\ntallies = privatized\ntally_budget_mb = 32\nexp = table\n\
-             exp_tolerance = 1e-6\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.kernel.tallies, TallyMode::Privatized);
-        assert_eq!(cfg.kernel.tally_budget_bytes, 32 << 20);
-        assert_eq!(cfg.kernel.exp, ExpMode::Table);
-        assert!((cfg.kernel.exp_tolerance - 1e-6).abs() < 1e-18);
-
-        let cfg = RunConfig::parse("[solver]\ntallies = atomic\n").unwrap();
-        assert_eq!(cfg.kernel.tallies, TallyMode::Atomic);
-        let cfg = RunConfig::parse("[solver]\ntallies = auto\nexp = intrinsic\n").unwrap();
-        assert_eq!(cfg.kernel.tallies, TallyMode::Auto);
-        assert_eq!(cfg.kernel.exp, ExpMode::Intrinsic);
-        assert_eq!(RunConfig::default().kernel, KernelConfig::default());
-
-        assert!(RunConfig::parse("[solver]\ntallies = lockfree\n").is_err());
-        assert!(RunConfig::parse("[solver]\nexp = pade\n").is_err());
-        assert!(RunConfig::parse("[solver]\nexp_tolerance = 0\n").is_err());
-    }
-
-    #[test]
-    fn kernel_and_block_variants_parse() {
-        let cfg = RunConfig::parse("[solver]\nkernel = vector\nblock_kb = 8\n").unwrap();
-        assert_eq!(cfg.kernel.kernel, SweepKernel::Vector);
-        assert_eq!(cfg.kernel.block_bytes, Some(8 << 10));
-        let cfg = RunConfig::parse("[solver]\nkernel = simd\n").unwrap();
-        assert_eq!(cfg.kernel.kernel, SweepKernel::Vector);
-        // The conformance reference stays selectable; block sizing
-        // defaults to the cache model.
-        let cfg = RunConfig::parse("[solver]\nkernel = scalar\n").unwrap();
-        assert_eq!(cfg.kernel.kernel, SweepKernel::Scalar);
-        assert_eq!(cfg.kernel.block_bytes, None);
-        // Default: the vector kernel.
-        assert_eq!(RunConfig::default().kernel.kernel, SweepKernel::Vector);
-        assert_eq!(RunConfig::parse("[solver]\n").unwrap().kernel.kernel, SweepKernel::Vector);
-
-        assert!(RunConfig::parse("[solver]\nkernel = avx512\n").is_err());
-        assert!(RunConfig::parse("[solver]\nblock_kb = 0\n").is_err());
-    }
-
-    #[test]
     fn telemetry_section_parses() {
-        let cfg = RunConfig::parse("[telemetry]\ntrace = true\ntrace_cap = 1024\n").unwrap();
+        let cfg = RunConfig::parse("[telemetry]\ntrace = true\n").unwrap();
         assert!(cfg.telemetry.trace);
-        assert_eq!(cfg.telemetry.trace_cap, 1024);
-        // Off by default with the library's default event budget.
+        // Off by default.
         let cfg = RunConfig::parse("[model]\ncase = c5g7\n").unwrap();
         assert_eq!(cfg.telemetry, TelemetrySettings::default());
         assert!(!cfg.telemetry.trace);
-        assert_eq!(cfg.telemetry.trace_cap, antmoc_telemetry::DEFAULT_TRACE_CAPACITY);
-        // A zero event budget is meaningless.
-        assert!(RunConfig::parse("[telemetry]\ntrace_cap = 0\n").is_err());
     }
 
     #[test]
@@ -966,16 +839,13 @@ backend = cpu-serial
 
     #[test]
     fn size_keys_reject_overflow_and_empty_devices_at_their_line() {
-        // 2^44 MiB and 2^54 KiB are the first counts whose bytes overflow
-        // a u64; `None` parses.
+        // 2^44 MiB is the first count whose bytes overflow a u64; `None`
+        // parses.
         for (entry, expect) in [
             ("manager_budget_mb = 17592186044416", Some("overflows")),
             ("device_memory_mb = 17592186044416", Some("overflows")),
-            ("tally_budget_mb = 17592186044416", Some("overflows")),
-            ("block_kb = 18014398509481984", Some("overflows")),
             ("device_memory_mb = 0", Some("device_memory_mb must be >= 1")),
             ("device_memory_mb = 17592186044415", None),
-            ("block_kb = 18014398509481983", None),
         ] {
             let ini = format!("[solver]\nbackend = device\n{entry}\n");
             let toml = CASE.replace("mode = otf", &format!("mode = otf\n{entry}"));

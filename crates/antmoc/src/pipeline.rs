@@ -14,8 +14,8 @@ use antmoc_solver::decomp::{DecompSpec, Decomposition};
 use antmoc_solver::device::DeviceSolver;
 use antmoc_solver::fixed::{solve_fixed_source, FixedSourceOptions};
 use antmoc_solver::{
-    fission_rates, solve_eigenvalue, CpuSweeper, ExpMode, Problem, ScheduleKind, SegmentSource,
-    StorageMode, SweepArena, SweepSchedule,
+    fission_rates, solve_eigenvalue, CpuSweeper, Problem, ScheduleKind, SegmentSource, StorageMode,
+    SweepArena, SweepSchedule,
 };
 use antmoc_xs::MaterialLibrary;
 
@@ -61,12 +61,12 @@ impl BuiltModel {
 }
 
 /// The immutable products of the setup stages (geometry construction,
-/// track laydown + segmentation, exp-table build): everything a solve
-/// consumes read-only. One `SolveSetup` can be shared — e.g. behind an
-/// `Arc` in `antmoc-serve`'s artifact cache — by any number of solves of
+/// track laydown + segmentation): everything a solve consumes read-only.
+/// One `SolveSetup` can be shared — e.g. behind an `Arc` in
+/// `antmoc-serve`'s artifact cache — by any number of solves of
 /// configurations that agree on the cache-key-relevant fields (model,
-/// track quadrature, storage mode, exp config); all mutable solver state
-/// lives per job in the [`antmoc_solver::SweepArena`] and the eigen
+/// track quadrature, storage mode, backend class); all mutable solver
+/// state lives per job in the [`antmoc_solver::SweepArena`] and the eigen
 /// loop's own vectors.
 pub struct SolveSetup {
     pub model: BuiltModel,
@@ -74,9 +74,6 @@ pub struct SolveSetup {
     /// Segment access per the configured storage mode (the device
     /// backend ignores it and builds its own resident store).
     pub segsrc: SegmentSource,
-    /// Pre-built exp table for `exp = table` CPU runs; solvers preload it
-    /// into their arena instead of rebuilding per job.
-    pub exp_table: Option<antmoc_solver::ExpTable>,
     /// Wall-clock seconds the geometry stage took when this setup was
     /// built (reported verbatim by solves reusing the setup).
     pub geometry_s: f64,
@@ -132,7 +129,7 @@ pub fn record_run_meta(config: &RunConfig) {
         Ok(v) if !v.is_empty() => true,
         _ => config.telemetry.trace,
     };
-    tel.set_tracing(trace_on, config.telemetry.trace_cap);
+    tel.set_tracing(trace_on, antmoc_telemetry::DEFAULT_TRACE_CAPACITY);
     let (nx, ny, nz) = config.decomposition;
     tel.set_meta("case", &config.case_name);
     tel.set_meta(
@@ -156,7 +153,6 @@ pub fn record_run_meta(config: &RunConfig) {
         match config.schedule {
             ScheduleKind::Natural => "natural",
             ScheduleKind::L3Sorted => "l3_sorted",
-            ScheduleKind::BoundaryFirst => "boundary_first",
         },
     );
     tel.set_meta("tallies", config.kernel.tallies.name());
@@ -201,12 +197,11 @@ pub fn run(config: &RunConfig) -> RunReport {
 
 /// Runs the setup stages (2-3) for a single-domain configuration and
 /// returns their immutable products: geometry construction, track
-/// generation + ray tracing, the segment store per the storage mode, and
-/// the exp table for `exp = table` CPU runs.
+/// generation + ray tracing, and the segment store per the storage mode.
 ///
 /// This is the expensive, reusable half of [`run`]: everything here
 /// depends only on the cache-key-relevant configuration fields (model,
-/// tracks, storage mode, exp config), never on solver state, so
+/// tracks, storage mode, backend class), never on solver state, so
 /// `antmoc-serve` memoizes the result by content hash and shares it
 /// across concurrent jobs.
 ///
@@ -229,8 +224,7 @@ pub fn build_setup(config: &RunConfig) -> SolveSetup {
     };
     let geometry_s = t0.elapsed().as_secs_f64();
 
-    // Stage 3: track generation and ray tracing, plus the other
-    // immutable solve inputs (segment store, exp table).
+    // Stage 3: track generation and ray tracing, plus the segment store.
     let t = Instant::now();
     let _s = tel.span("tracking");
     let problem = Problem::build(
@@ -243,15 +237,9 @@ pub fn build_setup(config: &RunConfig) -> SolveSetup {
     let cpu = !matches!(config.backend, BackendConfig::Device { .. });
     let segsrc =
         if cpu { SegmentSource::new(&problem, config.mode).0 } else { SegmentSource::otf() };
-    let exp_table = (config.kernel.exp == ExpMode::Table && cpu).then(|| {
-        antmoc_solver::ExpTable::with_tolerance(
-            antmoc_solver::exptable::DEFAULT_TAU_MAX,
-            config.kernel.exp_tolerance,
-        )
-    });
     let tracking_s = t.elapsed().as_secs_f64();
 
-    SolveSetup { model, problem, segsrc, exp_table, geometry_s, tracking_s }
+    SolveSetup { model, problem, segsrc, geometry_s, tracking_s }
 }
 
 /// Runs the solve stages (4-5) against a prepared [`SolveSetup`] with a
@@ -358,9 +346,6 @@ fn transport(
             CpuSweeper::with_arena(&setup.segsrc, schedule, config.kernel.clone(), arena);
         if serial {
             sweeper = sweeper.serial();
-        }
-        if let Some(table) = &setup.exp_table {
-            sweeper.arena_mut().preload_exp_table(table.clone());
         }
         sweeper
     };
