@@ -32,10 +32,6 @@ impl Graph {
         self.node_weights.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.node_weights.is_empty()
-    }
-
     /// Adjacency lists `(neighbor, weight)`.
     fn adjacency(&self) -> Vec<Vec<(u32, f64)>> {
         let mut adj = vec![Vec::new(); self.len()];

@@ -20,8 +20,7 @@ pub struct L2Mapping {
 
 /// Maps azimuthal half-set angles to GPUs, balancing the given per-angle
 /// loads (e.g. segment counts at each angle) with longest-processing-time
-/// first packing. The naive alternative (angles dealt in index order) is
-/// available as [`block_angles`] for the no-L2 baseline.
+/// first packing.
 pub fn map_angles_to_gpus(angle_loads: &[f64], num_gpus: usize) -> L2Mapping {
     assert!(num_gpus >= 1);
     assert!(
@@ -46,8 +45,10 @@ pub fn map_angles_to_gpus(angle_loads: &[f64], num_gpus: usize) -> L2Mapping {
     L2Mapping { gpu_of, num_gpus, gpu_loads }
 }
 
-/// The no-L2 baseline: contiguous angle blocks per GPU.
-pub fn block_angles(angle_loads: &[f64], num_gpus: usize) -> L2Mapping {
+/// The no-L2 baseline: contiguous angle blocks per GPU, the reference
+/// the LPT test beats.
+#[cfg(test)]
+fn block_angles(angle_loads: &[f64], num_gpus: usize) -> L2Mapping {
     let per = angle_loads.len().div_ceil(num_gpus);
     let gpu_of: Vec<u32> = (0..angle_loads.len()).map(|i| (i / per) as u32).collect();
     let mut gpu_loads = vec![0.0f64; num_gpus];

@@ -2,7 +2,7 @@
 //!
 //! * **L1** ([`l1`]) — sub-geometries, weighted by their predicted
 //!   computational load (segment counts, Eq. 4), are grouped onto nodes by
-//!   a balanced k-way graph partitioner ([`graph`], the ParMETIS stand-in;
+//!   a balanced k-way graph partitioner (`graph.rs`, the ParMETIS stand-in;
 //!   DESIGN.md documents the substitution).
 //! * **L2** ([`l2`]) — a node's fused sub-geometry group is split across
 //!   its GPUs by azimuthal angle, balancing per-angle segment loads.
@@ -14,14 +14,13 @@
 //! [`metrics`] provides the paper's §5.4 *load uniformity index*
 //! (`max / avg`, 1.0 = perfect balance).
 
-pub mod graph;
+mod graph;
 pub mod l1;
 pub mod l2;
 pub mod l3;
 pub mod metrics;
 pub mod rcb;
 
-pub use graph::{Graph, Partition};
 pub use l1::{map_subdomains_to_nodes, L1Mapping};
 pub use l2::{map_angles_to_gpus, L2Mapping};
 pub use l3::sorted_round_robin;

@@ -8,12 +8,14 @@
 //! dense scales.
 //!
 //! `--ablation` additionally compares resident-ranking policies
-//! (by-segments vs by-length vs random) for the manager.
+//! (by-segments vs by-length vs random) for the manager, and the paper's
+//! fused OTF kernel against a split trace-then-sweep pair (§4.1).
 //!
 //! ```text
 //! cargo run --release -p antmoc-bench --bin fig9_track_strategies [-- --ablation]
 //! ```
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,9 +25,10 @@ use antmoc::solver::device::{CuMapping, DeviceSolver};
 use antmoc::solver::manager::RankPolicy;
 use antmoc::solver::sweep::transport_sweep_with;
 use antmoc::solver::{
-    EigenOptions, FluxBanks, KernelConfig, SegmentSource, StorageMode, SweepArena, SweepSchedule,
-    Sweeper,
+    EigenOptions, FluxBanks, KernelConfig, Problem, SegmentSource, StorageMode, SweepArena,
+    SweepSchedule, Sweeper,
 };
+use antmoc::track::Track3dId;
 use antmoc_bench::{human_bytes, problem_for, track_scales};
 
 const ITERS: usize = 10;
@@ -37,6 +40,32 @@ fn time_iterations(solver: &mut DeviceSolver, problem: &antmoc::solver::Problem)
     for _ in 0..ITERS {
         let out = solver.sweep(problem, &q, &banks);
         solver.recycle(out);
+    }
+    t0.elapsed().as_secs_f64() / ITERS as f64
+}
+
+/// Mean seconds per natural-order CPU sweep (default kernel) over
+/// `ITERS` sweeps, each drawing its segments from `segments()` — built
+/// inside the timed loop, so a source made per sweep is paid per sweep.
+fn time_cpu_sweeps<S: Borrow<SegmentSource>>(
+    problem: &Problem,
+    mut segments: impl FnMut() -> S,
+) -> f64 {
+    let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
+    let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
+    let mut arena = SweepArena::new(KernelConfig::default());
+    let t0 = Instant::now();
+    for _ in 0..ITERS {
+        let segsrc = segments();
+        let out = transport_sweep_with(
+            problem,
+            segsrc.borrow(),
+            &q,
+            &banks,
+            &SweepSchedule::natural(),
+            &mut arena,
+        );
+        arena.recycle(out);
     }
     t0.elapsed().as_secs_f64() / ITERS as f64
 }
@@ -156,25 +185,23 @@ fn main() {
             ("random", RankPolicy::Random(42)),
         ] {
             let (segsrc, plan) = SegmentSource::managed(&problem, budget, policy);
-            let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
-            let banks = FluxBanks::new(problem.num_tracks(), problem.num_groups());
-            let mut arena = SweepArena::new(KernelConfig::default());
-            let t0 = Instant::now();
-            for _ in 0..ITERS {
-                let out = transport_sweep_with(
-                    &problem,
-                    &segsrc,
-                    &q,
-                    &banks,
-                    &SweepSchedule::natural(),
-                    &mut arena,
-                );
-                arena.recycle(out);
-            }
-            let t = t0.elapsed().as_secs_f64() / ITERS as f64;
+            let t = time_cpu_sweeps(&problem, || &segsrc);
             println!("| {name} | {} | {} | {t:.3} |", plan.resident.len(), plan.resident_segments);
         }
-        println!("\nby-segments maximises stored segments per byte, minimising regeneration.");
+        // The paper fuses ray tracing into the sweep kernel to avoid the
+        // kernel switch and the copy (§4.1). The split alternative: a
+        // generation pass materialises every 3D segment into a store, then
+        // the sweep reads the store — every sweep, as OTF regenerates.
+        let all: Vec<Track3dId> = problem.layout.tracks3d.ids().collect();
+        let otf = SegmentSource::otf();
+        let t_fused = time_cpu_sweeps(&problem, || &otf);
+        let t_split = time_cpu_sweeps(&problem, || SegmentSource::stored(&problem, &all));
+        println!(
+            "| split OTF: trace all, then sweep | 0 | 0 | {t_split:.3} ({:.2}x fused OTF's {t_fused:.3}) |",
+            t_split / t_fused
+        );
+        println!("\nby-segments maximises stored segments per byte, minimising regeneration;");
+        println!("the fused OTF kernel skips the split pair's store write and re-read.");
     }
 
     antmoc_bench::write_telemetry_artifact("fig9_track_strategies");

@@ -293,7 +293,7 @@ pub fn fission_rates(problem: &Problem, phi: &[f64]) -> Vec<f64> {
 }
 
 /// The terms of a root-mean-square relative change between iterations
-/// (the convergence criterion of Fig. 2's "residuals < threshold" check):
+/// (the convergence measure of Fig. 2's "residuals < threshold" check):
 /// `(sum of squared relative changes, count)` over entries whose new
 /// magnitude exceeds `floor`. Kept as sums so decomposed solves can add
 /// them across subdomains before taking the root.

@@ -281,34 +281,21 @@ pub fn estimate_volumes(
     fsr3d: &Fsr3dMap,
 ) -> Vec<f64> {
     let _span = antmoc_telemetry::Telemetry::current().span("otf_estimate_volumes");
-    let nf = fsr3d.len();
-    // One accumulator per worker of the static partition: the
-    // track-to-worker map (and hence the FP accumulation order) is a pure
-    // function of (tracks, workers), so two builds of the same case
-    // produce the same volume bits — everything downstream (keff, pin
-    // rates) would inherit ulp-level divergence otherwise.
-    let chunks: Vec<Vec<f64>> = rayon::static_partition_fold(
-        t3.num_tracks(),
-        |_| vec![0.0f64; nf],
-        |mut acc, i| {
-            let id = Track3dId(i as u32);
-            let info = t3.info(id, t2, chains);
-            let w_a = t2.quadrature.weight(info.azim);
-            let w_p = t3.polar.weight(info.polar);
-            let area = t3.tube_area(id, t2, chains);
-            let coeff = w_a * w_p * area / (2.0 * std::f64::consts::PI);
-            let base = store2d.of(info.track2d);
-            trace_3d(&info, base, axial, |fsr, cell, len| {
-                acc[fsr3d.id(fsr, cell as usize).0 as usize] += coeff * len;
-            });
-            acc
-        },
-    );
-    let mut out = vec![0.0f64; nf];
-    for c in chunks {
-        for (o, v) in out.iter_mut().zip(c) {
-            *o += v;
-        }
+    // One accumulator, filled in track order on the calling thread: the
+    // volume bits (and everything downstream — keff, pin rates) are then a
+    // function of the laydown alone, whatever the pool size.
+    let mut out = vec![0.0f64; fsr3d.len()];
+    for i in 0..t3.num_tracks() {
+        let id = Track3dId(i as u32);
+        let info = t3.info(id, t2, chains);
+        let w_a = t2.quadrature.weight(info.azim);
+        let w_p = t3.polar.weight(info.polar);
+        let area = t3.tube_area(id, t2, chains);
+        let coeff = w_a * w_p * area / (2.0 * std::f64::consts::PI);
+        let base = store2d.of(info.track2d);
+        trace_3d(&info, base, axial, |fsr, cell, len| {
+            out[fsr3d.id(fsr, cell as usize).0 as usize] += coeff * len;
+        });
     }
     out
 }

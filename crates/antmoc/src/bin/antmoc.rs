@@ -1,91 +1,141 @@
 //! The `antmoc` command-line runner — the reproduction's analogue of the
-//! paper's `newmoc -config=config.yaml` artifact binary.
+//! paper's `newmoc -config=config.yaml` artifact binary, and the runner
+//! the CI case matrix drives.
 //!
 //! ```text
-//! antmoc --config run/config.ini [--csv rates.csv] [--vtk rates.vtk] [--heatmap]
+//! antmoc <case.toml | config.ini> [--csv rates.csv] [--vtk rates.vtk] [--heatmap]
+//! cargo run --release --bin antmoc -- run/quick.ini --heatmap
+//! ANTMOC_UPDATE_GOLDEN=1 cargo run --release --bin antmoc -- cases/pin_cell.toml
 //! ```
 //!
+//! A `.toml` file is a declarative [`CaseSpec`] with physics gates; any
+//! other extension is parsed as a raw pipeline INI ([`RunConfig`]),
+//! which reaches the solver knobs the case format deliberately hides
+//! (spatial decomposition, exchange mode, link model). INI inputs take
+//! their name from the file stem, have no declarative gate bands, and
+//! gate on convergence alone — CI layers `report-diff` on the emitted
+//! artifact for the rest.
+//!
 //! The run log mirrors the stages of the paper's Fig. 2 and ends with the
-//! timing/storage indicators its artifact appendix describes.
+//! timing/storage indicators its artifact appendix describes. The run
+//! writes `results/<name>_report.json` (the combined telemetry artifact)
+//! and, when tracing is on, `results/<name>.trace.json`. With
+//! `ANTMOC_UPDATE_GOLDEN=1` the artifact is also copied to
+//! `ci/baselines/<name>.json`, the golden the CI case matrix diffs fresh
+//! runs against. When `GITHUB_STEP_SUMMARY` is set, a one-row markdown
+//! table with the headline numbers is appended to it.
+//!
+//! Gates (any failure exits 1, as does an unreadable input or an
+//! unwritable output):
+//! - the solve must converge;
+//! - `[gates] keff = [lo, hi]` — the eigenvalue must land inside the band;
+//! - `[gates] flux_ratio = { from, to, group, min, max }` — the
+//!   attenuation factor `mean flux(from, group) / mean flux(to, group)`
+//!   from the per-material flux tally must land inside `[min, max]`.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
-use antmoc::{run, RunConfig};
+use antmoc::input::CaseSpec;
+use antmoc::telemetry::{RunReport as TelemetryReport, Telemetry};
+use antmoc::{run, write_run_artifact, write_trace_artifact, RunConfig, RunReport};
+
+const USAGE: &str =
+    "usage: antmoc <case.toml | config.ini> [--csv out.csv] [--vtk out.vtk] [--heatmap]";
 
 struct Args {
-    config: Option<String>,
+    input: String,
     csv: Option<String>,
     vtk: Option<String>,
     heatmap: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { config: None, csv: None, vtk: None, heatmap: false };
+    let mut input = None;
+    let (mut csv, mut vtk, mut heatmap) = (None, None, false);
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" | "-c" => {
-                args.config = Some(it.next().ok_or("--config needs a path")?);
-            }
-            "--csv" => args.csv = Some(it.next().ok_or("--csv needs a path")?),
-            "--vtk" => args.vtk = Some(it.next().ok_or("--vtk needs a path")?),
-            "--heatmap" => args.heatmap = true,
+            "--csv" => csv = Some(it.next().ok_or("--csv needs a path")?),
+            "--vtk" => vtk = Some(it.next().ok_or("--vtk needs a path")?),
+            "--heatmap" => heatmap = true,
             "--help" | "-h" => {
-                println!(
-                    "antmoc — 3D MOC neutron transport (ANT-MOC reproduction)\n\n\
-                     USAGE: antmoc --config <file.ini> [--csv out.csv] [--vtk out.vtk] [--heatmap]\n\n\
-                     Without --config a coarse built-in C5G7 configuration runs."
-                );
+                println!("antmoc — 3D MOC neutron transport (ANT-MOC reproduction)\n\n{USAGE}");
                 std::process::exit(0);
             }
-            other if other.starts_with("--config=") => {
-                args.config = Some(other["--config=".len()..].to_string());
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
+            other if input.is_some() => return Err(format!("unexpected second input {other:?}")),
+            other => input = Some(other.to_owned()),
         }
     }
-    Ok(args)
+    let input = input.ok_or("no input file given")?;
+    Ok(Args { input, csv, vtk, heatmap })
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Reads the input file: a gated case for `.toml`, a pipeline INI
+/// otherwise. Returns the case spec (if any), the config and the run name.
+fn load(path: &str) -> Result<(Option<CaseSpec>, RunConfig, String), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if path.ends_with(".toml") {
+        let spec = CaseSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let config = RunConfig::from_case(&spec).map_err(|e| format!("{path}: {e}"))?;
+        let name = spec.name.clone();
+        Ok((Some(spec), config, name))
+    } else {
+        let config = RunConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let name = std::path::Path::new(path)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("case")
+            .to_owned();
+        Ok((None, config, name))
+    }
+}
 
-    let config = match &args.config {
-        None => {
-            eprintln!("note: no --config given; using the built-in coarse C5G7 setup");
-            RunConfig::parse(
-                "[tracks]\nnum_azim = 4\nradial_spacing = 0.8\nnum_polar = 2\naxial_spacing = 8.0\n\
-                 [solver]\ntolerance = 1e-4\nmax_iterations = 800\nmode = otf\nbackend = cpu\n",
-            )
-            .expect("built-in config parses")
-        }
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match RunConfig::parse(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
+/// Sweep throughput from the artifact: segments per second spent inside
+/// `transport_sweep` spans.
+fn sweep_throughput(report: &TelemetryReport) -> Option<f64> {
+    let segments = report.counter("sweep.segments");
+    let seconds: f64 = report
+        .spans
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some("transport_sweep"))
+        .map(|(_, s)| s.total_s)
+        .sum();
+    if segments == 0 || seconds <= 0.0 {
+        return None;
+    }
+    Some(segments as f64 / seconds)
+}
 
-    println!("[ antmoc ] C5G7 3D extension");
+/// Mean group flux for a named material from the pipeline's
+/// volume-weighted per-material tally.
+fn material_group_flux(
+    flux: &[(String, Vec<f64>)],
+    material: &str,
+    group_1based: usize,
+) -> Option<f64> {
+    flux.iter()
+        .find(|(name, _)| name == material)
+        .and_then(|(_, groups)| groups.get(group_1based - 1))
+        .copied()
+}
+
+fn append_step_summary(row: &str) {
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
+    if path.is_empty() {
+        return;
+    }
+    let file = std::fs::OpenOptions::new().create(true).append(true).open(&path);
+    match file.and_then(|mut f| writeln!(f, "{row}")) {
+        Ok(()) => {}
+        Err(e) => eprintln!("antmoc: cannot append to step summary {path}: {e}"),
+    }
+}
+
+fn print_config(name: &str, config: &RunConfig) {
+    println!("[ antmoc ] {name}");
     println!("[ stage 1 ] configuration read");
     println!(
         "            tracks: {} azim x {} polar, radial {} cm, axial {} cm",
@@ -98,9 +148,9 @@ fn main() -> ExitCode {
         "            decomposition {}x{}x{}, mode {:?}",
         config.decomposition.0, config.decomposition.1, config.decomposition.2, config.mode
     );
+}
 
-    let report = run(&config);
-
+fn print_stages(report: &RunReport) {
     println!("[ stage 2 ] geometry constructed          {:8.2} s", report.timings.geometry);
     println!(
         "[ stage 3 ] tracks generated & ray traced {:8.2} s   ({} 2D tracks, {} 3D tracks, {} 3D segments)",
@@ -117,23 +167,147 @@ fn main() -> ExitCode {
     if report.comm_bytes > 0 {
         println!("  comm bytes  = {}", report.comm_bytes);
     }
+}
 
+/// Writes the artifact, trace, baseline and the requested pin-rate
+/// outputs; returns the artifact for the summary line.
+fn write_outputs(args: &Args, name: &str, outcome: &RunReport) -> Result<TelemetryReport, String> {
+    let report_path = format!("results/{name}_report.json");
+    let report = write_run_artifact(outcome, &report_path)
+        .map_err(|e| format!("cannot write {report_path}: {e}"))?;
+    println!("antmoc: wrote {report_path}");
+    match write_trace_artifact("results", name) {
+        Ok(Some(path)) => println!("antmoc: wrote {}", path.display()),
+        Ok(None) => {}
+        Err(e) => return Err(format!("cannot write the trace of {name}: {e}")),
+    }
+    if std::env::var("ANTMOC_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        let baseline_path = format!("ci/baselines/{name}.json");
+        report
+            .write_json(&baseline_path)
+            .map_err(|e| format!("cannot write {baseline_path}: {e}"))?;
+        println!("antmoc: wrote {baseline_path}");
+    }
     if let Some(path) = &args.csv {
-        let f = BufWriter::new(File::create(path).expect("create csv"));
-        report.pin_rates.write_csv(f).expect("write csv");
-        println!("  wrote {path}");
+        write_file(path, |f| outcome.pin_rates.write_csv(f))?;
     }
     if let Some(path) = &args.vtk {
-        let f = BufWriter::new(File::create(path).expect("create vtk"));
-        report.pin_rates.write_vtk(f).expect("write vtk");
-        println!("  wrote {path}");
+        write_file(path, |f| outcome.pin_rates.write_vtk(f))?;
     }
+    Ok(report)
+}
+
+fn write_file(
+    path: &str,
+    write: impl FnOnce(BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    File::create(path)
+        .and_then(|f| write(BufWriter::new(f)))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("antmoc: wrote {path}");
+    Ok(())
+}
+
+/// The case's gate failures: convergence, then the declared bands.
+fn gate_failures(spec: Option<&CaseSpec>, outcome: &RunReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    if !outcome.converged {
+        failures.push(format!("solve did not converge in {} iterations", outcome.iterations));
+    }
+    let gates = spec.map(|s| &s.gates);
+    if let Some((lo, hi)) = gates.and_then(|g| g.keff) {
+        if outcome.keff < lo || outcome.keff > hi {
+            failures.push(format!("k_eff {:.6} outside the gate band [{lo}, {hi}]", outcome.keff));
+        } else {
+            println!("antmoc: keff gate: {:.6} within [{lo}, {hi}]", outcome.keff);
+        }
+    }
+    if let Some(gate) = gates.and_then(|g| g.flux_ratio.as_ref()) {
+        let from = material_group_flux(&outcome.material_flux, &gate.from, gate.group);
+        let to = material_group_flux(&outcome.material_flux, &gate.to, gate.group);
+        match (from, to) {
+            (Some(f), Some(t)) if t > 0.0 => {
+                let ratio = f / t;
+                if ratio < gate.min || ratio > gate.max {
+                    failures.push(format!(
+                        "flux ratio {}/{} group {} = {ratio:.4} outside [{}, {}]",
+                        gate.from, gate.to, gate.group, gate.min, gate.max
+                    ));
+                } else {
+                    println!(
+                        "antmoc: flux-ratio gate: {}/{} group {} = {ratio:.4} within [{}, {}]",
+                        gate.from, gate.to, gate.group, gate.min, gate.max
+                    );
+                }
+            }
+            _ => failures.push(format!(
+                "flux-ratio gate needs non-zero tallies for {:?} and {:?} (group {})",
+                gate.from, gate.to, gate.group
+            )),
+        }
+    }
+    failures
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("antmoc: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (spec, config, name) = match load(&args.input) {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            eprintln!("antmoc: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    print_config(&name, &config);
+    Telemetry::global().reset();
+    let outcome = run(&config);
+    print_stages(&outcome);
+
+    let report = match write_outputs(&args, &name, &outcome) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("antmoc: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if args.heatmap {
-        println!("\n{}", report.pin_rates.ascii_heatmap());
+        println!("\n{}", outcome.pin_rates.ascii_heatmap());
     }
-    if !report.converged {
-        eprintln!("warning: transport iteration hit the cap before converging");
-        return ExitCode::from(2);
+
+    let throughput = sweep_throughput(&report);
+    println!(
+        "antmoc: {}: k_eff {:.6}, {} iterations, converged: {}, {} segments, {}",
+        name,
+        outcome.keff,
+        outcome.iterations,
+        outcome.converged,
+        report.counter("sweep.segments"),
+        throughput
+            .map_or("no sweep-throughput telemetry".into(), |t| format!("{t:.3e} segments/s")),
+    );
+    append_step_summary(&format!(
+        "| {} | {:.6} | {} | {} | {} |",
+        name,
+        outcome.keff,
+        outcome.iterations,
+        outcome.converged,
+        throughput.map_or("n/a".into(), |t| format!("{t:.3e} seg/s")),
+    ));
+
+    let failures = gate_failures(spec.as_ref(), &outcome);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("antmoc: FAIL — {f}");
+        }
+        return ExitCode::FAILURE;
     }
+    println!("antmoc: PASS");
     ExitCode::SUCCESS
 }

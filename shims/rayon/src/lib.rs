@@ -291,21 +291,6 @@ where
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Folds `0..n` on the static partition: worker `w`'s accumulator starts
-/// as `init(w)` and folds its contiguous slice in ascending order, and
-/// the accumulators come back in worker order. For a fixed worker count
-/// every run executes every index on the same worker in the same order —
-/// the determinism the privatized tally reduction relies on.
-/// [`current_worker_index`] is set inside `fold`.
-pub fn static_partition_fold<Acc, Init, F>(n: usize, init: Init, fold: F) -> Vec<Acc>
-where
-    Acc: Send,
-    Init: Fn(usize) -> Acc + Sync,
-    F: Fn(Acc, usize) -> Acc + Sync,
-{
-    run_partitioned(n, |w, range| range.fold(init(w), &fold))
-}
-
 /// Indices a parallel range can iterate over.
 pub trait ParIndex: Copy + Send + Sync {
     fn from_usize(i: usize) -> Self;
@@ -712,49 +697,7 @@ mod tests {
         });
         // Every item — on whichever worker — saw the caller's context.
         assert_eq!(with_ctx.load(Ordering::Relaxed), 1000);
-
-        // The fold entry point propagates too.
-        let accs = pool(4).install(|| {
-            crate::static_partition_fold(
-                257,
-                |_| 0u64,
-                |acc, _| acc + u64::from(MARKER.with(|m| m.get()) == 42),
-            )
-        });
-        assert_eq!(accs.iter().sum::<u64>(), 257);
         MARKER.with(|m| m.set(0));
-    }
-
-    #[test]
-    fn fold_map_reduce_matches_serial() {
-        let (count, total) = crate::static_partition_fold(
-            10_000,
-            |_| (0u64, 0.0f64),
-            |(c, s), i| (c + 1, s + i as f64),
-        )
-        .into_iter()
-        .reduce(|a, b| (a.0 + b.0, a.1 + b.1))
-        .unwrap();
-        assert_eq!(count, 10_000);
-        assert!((total - (9999.0 * 10_000.0 / 2.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fold_covers_every_index_once_across_workers() {
-        for workers in [1, 2, 8] {
-            pool(workers).install(|| {
-                let n = 4321usize;
-                let (count, sum) = crate::static_partition_fold(
-                    n,
-                    |_| (0u64, 0u64),
-                    |(c, s), i| (c + 1, s + i as u64),
-                )
-                .into_iter()
-                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-                assert_eq!(count, n as u64, "workers={workers}");
-                assert_eq!(sum, (n as u64 - 1) * n as u64 / 2, "workers={workers}");
-            });
-        }
     }
 
     #[test]
@@ -812,14 +755,15 @@ mod tests {
     #[test]
     fn multi_worker_region_records_stats() {
         pool(4).install(|| {
-            (0..10_000u32).into_par_iter().for_each(|i| {
+            (0..10_002u32).into_par_iter().for_each(|i| {
                 std::hint::black_box(i);
             });
         });
         let stats = crate::take_last_region_stats().expect("4-worker region records stats");
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.busy_s.len(), 4);
-        assert_eq!(stats.items, vec![2500; 4]);
+        // The near-even split: the first 10_002 % 4 slices take one extra.
+        assert_eq!(stats.items, vec![2501, 2501, 2500, 2500]);
         assert!(stats.load_ratio() >= 1.0);
         // The take cleared the slot.
         assert!(crate::take_last_region_stats().is_none());
@@ -868,79 +812,12 @@ mod tests {
     }
 
     #[test]
-    fn static_partition_fold_covers_every_index_in_worker_order() {
-        for workers in [1, 2, 8] {
-            pool(workers).install(|| {
-                let n = 4321usize;
-                let accs = crate::static_partition_fold(
-                    n,
-                    |_w| Vec::new(),
-                    |mut acc: Vec<usize>, i| {
-                        acc.push(i);
-                        acc
-                    },
-                );
-                assert_eq!(accs.len(), workers.min(n));
-                // Accumulators are contiguous ascending slices that
-                // concatenate to 0..n exactly.
-                let flat: Vec<usize> = accs.concat();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "workers={workers}");
-            });
-        }
-    }
-
-    #[test]
-    fn static_partition_fold_assignment_is_deterministic() {
-        // Same (n, workers) must map every index to the same worker on
-        // every run — the contract the privatized tallies rely on.
-        let run = || {
-            pool(4).install(|| {
-                crate::static_partition_fold(
-                    1003,
-                    |w| (w, Vec::new()),
-                    |(w, mut acc): (usize, Vec<usize>), i| {
-                        acc.push(i);
-                        (w, acc)
-                    },
-                )
-            })
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn static_partition_fold_records_per_worker_stats() {
-        pool(4).install(|| {
-            let _ = crate::static_partition_fold(1002, |_| 0u64, |acc, i| acc + i as u64);
-        });
-        let stats = crate::take_last_region_stats().expect("multi-worker stats");
-        assert_eq!(stats.workers, 4);
-        // The near-even split: the first 1002 % 4 slices take one extra.
-        assert_eq!(stats.items, vec![251, 251, 250, 250]);
-        // Serial regions clear the slot.
-        pool(1).install(|| {
-            let _ = crate::static_partition_fold(10, |_| (), |(), _| ());
-        });
-        assert!(crate::take_last_region_stats().is_none());
-    }
-
-    #[test]
     fn worker_local_slots_are_private_per_worker() {
         for workers in [1, 2, 8] {
             pool(workers).install(|| {
                 let n = 2000usize;
                 let counts = crate::WorkerLocal::new(workers, |_| 0u64);
-                let accs = crate::static_partition_fold(
-                    n,
-                    |_| 0u64,
-                    |acc, _| {
-                        counts.with(|c| *c += 1);
-                        acc + 1
-                    },
-                );
-                assert_eq!(accs.iter().sum::<u64>(), n as u64);
+                (0..n).into_par_iter().for_each(|_| counts.with(|c| *c += 1));
                 let mut counts = counts;
                 let total: u64 = counts.iter_mut().map(|c| *c).sum();
                 assert_eq!(total, n as u64, "workers={workers}");

@@ -1,0 +1,65 @@
+//! The `antmoc` runner's contract: a gated case passes and leaves its
+//! report, a case outside its band fails and names the band, and flags the
+//! runner does not know are refused.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn repo_file(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
+}
+
+/// A fresh, empty working directory for one run.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("antmoc-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn antmoc(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_antmoc"))
+        .args(args)
+        .current_dir(dir)
+        .env("ANTMOC_NUM_THREADS", "1")
+        .env_remove("ANTMOC_UPDATE_GOLDEN")
+        .env_remove("GITHUB_STEP_SUMMARY")
+        .output()
+        .expect("spawn antmoc")
+}
+
+#[test]
+fn cases_pass_or_fail_on_their_gates() {
+    let case = std::fs::read_to_string(repo_file("cases/pin_cell.toml")).unwrap();
+
+    let dir = scratch_dir("in-band");
+    std::fs::write(dir.join("pin_cell.toml"), &case).unwrap();
+    let out = antmoc(&dir, &["pin_cell.toml"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(dir.join("results/pin_cell_report.json").is_file());
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The same case with a band that excludes its k_eff (0.4324).
+    let banded = case.replace("keff = [0.38, 0.48]", "keff = [0.5, 0.6]");
+    assert_ne!(banded, case, "the shipped band moved; update the replacement");
+    let dir = scratch_dir("out-of-band");
+    std::fs::write(dir.join("pin_cell.toml"), banded).unwrap();
+    let out = antmoc(&dir, &["pin_cell.toml"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "out-of-band k_eff passed");
+    assert!(stderr.contains("[0.5, 0.6]"), "stderr does not name the band: {stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flags_are_refused() {
+    let dir = scratch_dir("flags");
+    let quick = repo_file("run/quick.ini");
+    let quick = quick.to_str().unwrap();
+    for args in [vec!["--config", quick], vec![quick, "--write-baseline"], vec![]] {
+        let out = antmoc(&dir, &args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} was not refused");
+    }
+    assert!(!dir.join("results").exists(), "a refused run wrote output");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

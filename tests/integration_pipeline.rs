@@ -3,7 +3,7 @@
 
 use antmoc::solver::StorageMode;
 use antmoc::telemetry::Telemetry;
-use antmoc::{run, BackendConfig, RunConfig};
+use antmoc::{build_setup, run, BackendConfig, RunConfig};
 
 fn coarse(extra: &str) -> RunConfig {
     RunConfig::parse(&format!(
@@ -43,8 +43,8 @@ fn cpu_and_device_backends_agree() {
 fn every_backend_reports_the_sweep_kernel_telemetry() {
     // One kernel on every backend means one set of sweep telemetry: the
     // device and serial sweeps open the `transport_sweep` span and record
-    // the throughput inputs (`run_case`'s ns/segment column) like the CPU
-    // path does.
+    // the throughput inputs (the `antmoc` runner's segments/s column) like
+    // the CPU path does.
     for backend in [
         "backend = cpu\nmode = otf\n",
         "backend = cpu-serial\n",
@@ -229,6 +229,22 @@ fn shipped_run_configs_parse() {
         assert!(cfg.tracks.num_azim >= 4);
         assert!(cfg.eigen.max_iterations > 0);
     }
+}
+
+#[test]
+fn setup_volumes_do_not_depend_on_the_pool_size() {
+    // The track-estimated FSR volumes feed every solve; they must be a
+    // function of the laydown alone, not of the worker count.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../run/quick.ini");
+    let config = RunConfig::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let volumes = |workers| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+        pool.install(|| build_setup(&config).problem.volumes)
+    };
+    let (serial, pooled) = (volumes(1), volumes(4));
+    assert_eq!(serial.len(), pooled.len());
+    let differ = serial.iter().zip(&pooled).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
+    assert_eq!(differ, 0, "{differ} of {} volumes differ between 1 and 4 workers", serial.len());
 }
 
 #[test]
