@@ -199,10 +199,15 @@ fn write_outputs(args: &Args, name: &str, outcome: &RunReport) -> Result<Telemet
 
 fn write_file(
     path: &str,
-    write: impl FnOnce(BufWriter<File>) -> std::io::Result<()>,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
 ) -> Result<(), String> {
     File::create(path)
-        .and_then(|f| write(BufWriter::new(f)))
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            write(&mut w)?;
+            // Flush here: a failure on drop would be lost.
+            w.flush()
+        })
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("antmoc: wrote {path}");
     Ok(())
