@@ -9,7 +9,9 @@
 //!
 //! `--ablation` additionally compares resident-ranking policies
 //! (by-segments vs by-length vs random) for the manager, and the paper's
-//! fused OTF kernel against a split trace-then-sweep pair (§4.1).
+//! fused OTF kernel against a split trace-then-sweep pair (§4.1): the legs
+//! alternate over several rounds, and the bin prints each leg's median
+//! and how many rounds each side won.
 //!
 //! ```text
 //! cargo run --release -p antmoc-bench --bin fig9_track_strategies [-- --ablation]
@@ -32,6 +34,8 @@ use antmoc::track::Track3dId;
 use antmoc_bench::{human_bytes, problem_for, track_scales};
 
 const ITERS: usize = 10;
+/// Rounds of the `--ablation` legs.
+const ROUNDS: usize = 5;
 
 fn time_iterations(solver: &mut DeviceSolver, problem: &antmoc::solver::Problem) -> f64 {
     let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
@@ -177,31 +181,65 @@ fn main() {
             .map(|t| antmoc::solver::manager::stored_bytes_for(t.num_segments))
             .sum();
         let budget = full / 3;
-        println!("| policy | resident tracks | resident segments | time / iter s |");
-        println!("|---|---|---|---|");
-        for (name, policy) in [
+        let policies = [
             ("by-segments (paper)", RankPolicy::BySegments),
             ("by-length", RankPolicy::ByLength),
             ("random", RankPolicy::Random(42)),
-        ] {
-            let (segsrc, plan) = SegmentSource::managed(&problem, budget, policy);
-            let t = time_cpu_sweeps(&problem, || &segsrc);
-            println!("| {name} | {} | {} | {t:.3} |", plan.resident.len(), plan.resident_segments);
-        }
+        ];
+        let managed: Vec<_> =
+            policies.iter().map(|&(_, p)| SegmentSource::managed(&problem, budget, p)).collect();
         // The paper fuses ray tracing into the sweep kernel to avoid the
         // kernel switch and the copy (§4.1). The split alternative: a
         // generation pass materialises every 3D segment into a store, then
         // the sweep reads the store — every sweep, as OTF regenerates.
         let all: Vec<Track3dId> = problem.layout.tracks3d.ids().collect();
         let otf = SegmentSource::otf();
-        let t_fused = time_cpu_sweeps(&problem, || &otf);
-        let t_split = time_cpu_sweeps(&problem, || SegmentSource::stored(&problem, &all));
+        // Legs 0-2 are the policies, then fused OTF, then split OTF. One
+        // timing each drifts with the host, so every round times every leg
+        // and the next round starts one leg later.
+        let (fused, split) = (policies.len(), policies.len() + 1);
+        let leg = |i: usize| match i {
+            i if i < fused => time_cpu_sweeps(&problem, || &managed[i].0),
+            i if i == fused => time_cpu_sweeps(&problem, || &otf),
+            _ => time_cpu_sweeps(&problem, || SegmentSource::stored(&problem, &all)),
+        };
+        let legs = split + 1;
+        let mut times = vec![Vec::with_capacity(ROUNDS); legs];
+        for round in 0..ROUNDS {
+            for k in 0..legs {
+                let i = (round + k) % legs;
+                times[i].push(leg(i));
+            }
+        }
+        let median = |i: usize| {
+            let mut t = times[i].clone();
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let wins = |a: usize, b: usize| (0..ROUNDS).filter(|&r| times[a][r] < times[b][r]).count();
+
+        println!("| policy | resident tracks | resident segments | median time / iter s |");
+        println!("|---|---|---|---|");
+        for (i, ((name, _), (_, plan))) in policies.iter().zip(&managed).enumerate() {
+            let (tracks, segments) = (plan.resident.len(), plan.resident_segments);
+            println!("| {name} | {tracks} | {segments} | {:.3} |", median(i));
+        }
+        let (t_fused, t_split) = (median(fused), median(split));
         println!(
             "| split OTF: trace all, then sweep | 0 | 0 | {t_split:.3} ({:.2}x fused OTF's {t_fused:.3}) |",
             t_split / t_fused
         );
-        println!("\nby-segments maximises stored segments per byte, minimising regeneration;");
-        println!("the fused OTF kernel skips the split pair's store write and re-read.");
+
+        println!("\nmedians of {ROUNDS} rounds, each starting one leg later than the last:");
+        let mut order: Vec<usize> = (0..policies.len()).collect();
+        order.sort_by(|&a, &b| median(a).total_cmp(&median(b)));
+        let ranked: Vec<String> =
+            order.iter().map(|&i| format!("{} {:.3} s", policies[i].0, median(i))).collect();
+        println!("policies by median time: {}", ranked.join(" < "));
+        for (i, (name, _)) in policies.iter().enumerate().skip(1) {
+            println!("by-segments beat {name} in {} of {ROUNDS} rounds", wins(0, i));
+        }
+        println!("split OTF beat fused OTF in {} of {ROUNDS} rounds", wins(split, fused));
     }
 
     antmoc_bench::write_telemetry_artifact("fig9_track_strategies");

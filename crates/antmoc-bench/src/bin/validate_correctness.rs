@@ -28,7 +28,6 @@ fn main() {
         r#"
 [model]
 case = c5g7
-rodded = unrodded
 axial_dz = 14.28
 [tracks]
 num_azim = 4

@@ -284,8 +284,11 @@ impl Comm {
         self.allreduce_f64(value, |a, b| a + b)
     }
 
-    /// Gathers one value per rank to every rank (all-gather).
-    pub fn allgather<T: Clone + Send + 'static>(&mut self, value: T) -> Vec<T> {
+    /// Gathers one vector per rank to every rank (all-gather), in rank
+    /// order. Through rank 0: each contribution is accounted at its
+    /// payload bytes, and each fan-out message at the payload bytes of
+    /// every rank's contribution.
+    pub fn allgather(&mut self, value: Vec<f64>) -> Vec<Vec<f64>> {
         const TAG: u32 = u32::MAX - 2;
         let tel = antmoc_telemetry::Telemetry::current();
         tel.counter_add("comm.allgather_calls", 1);
@@ -293,15 +296,16 @@ impl Comm {
         if self.rank == 0 {
             let mut all = vec![value];
             for from in 1..self.size {
-                all.push(self.recv::<T>(from, TAG));
+                all.push(self.recv::<Vec<f64>>(from, TAG));
             }
+            let bytes = all.iter().map(|v| v.len() * std::mem::size_of::<f64>()).sum::<usize>();
             for to in 1..self.size {
-                self.send_with_bytes(to, TAG, all.clone(), 0);
+                self.send_with_bytes(to, TAG, all.clone(), bytes as u64);
             }
             all
         } else {
-            self.send_with_bytes(0, TAG, value, std::mem::size_of::<T>() as u64);
-            self.recv::<Vec<T>>(0, TAG)
+            self.send_vec(0, TAG, value);
+            self.recv::<Vec<Vec<f64>>>(0, TAG)
         }
     }
 
@@ -476,10 +480,17 @@ mod tests {
 
     #[test]
     fn allgather_collects_in_rank_order() {
-        let o = Cluster::run(4, |mut comm| comm.allgather(comm.rank() * 2));
-        for r in o.results {
-            assert_eq!(r, vec![0, 2, 4, 6]);
+        let o = Cluster::run(4, |mut comm| {
+            (comm.allgather(vec![comm.rank() as f64; 3]), comm.traffic())
+        });
+        for (r, _) in &o.results {
+            let expect: Vec<Vec<f64>> = (0..4).map(|rank| vec![rank as f64; 3]).collect();
+            assert_eq!(r, &expect);
         }
+        // 24 payload bytes up from each of ranks 1-3, and all four
+        // ranks' 96 bytes down to each of them.
+        let sent: Vec<u64> = o.results.iter().map(|(_, t)| t.sent_bytes).collect();
+        assert_eq!(sent, [3 * 96, 24, 24, 24]);
     }
 
     #[test]
@@ -569,7 +580,7 @@ mod tests {
             comm.send_val(right, 7, me as f64);
             let a: f64 = comm.recv_val(left, 7);
             let s = comm.allreduce_sum(a);
-            let all = comm.allgather(me);
+            let all = comm.allgather(vec![me as f64]);
             comm.send_vec(right, 8, vec![s; 3]);
             let v: Vec<f64> = comm.recv_vec(left, 8);
             (s, all.len(), v[0])

@@ -211,7 +211,7 @@ mod tests {
         b.eigen.tolerance = 1e-9;
         b.eigen.max_iterations = 7;
         b.kernel.tallies = antmoc_solver::TallyMode::Atomic;
-        b.balance_sweeps = 3;
+        b.fixed_fission = true;
         // The exp evaluator and its table tolerance are per-job too: the
         // arena builds a table job's table.
         b.kernel.exp = antmoc_solver::ExpMode::Table;

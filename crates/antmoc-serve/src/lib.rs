@@ -629,6 +629,11 @@ mod tests {
         let cfg = RunConfig { decomposition: (2, 1, 1), ..Default::default() };
         let err = service.submit(SolveRequest::Config(Box::new(cfg))).unwrap_err();
         assert!(err.0.contains("single-domain"), "{err}");
+        // A case file may declare a decomposition; the service still
+        // refuses it.
+        let case = include_str!("../../../cases/c5g7_pipelined.toml");
+        let err = service.submit(SolveRequest::CaseToml(case.into())).unwrap_err();
+        assert!(err.0.contains("single-domain"), "{err}");
         service.shutdown();
     }
 

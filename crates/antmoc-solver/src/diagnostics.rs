@@ -31,28 +31,8 @@ pub struct BalanceReport {
 
 impl BalanceReport {
     /// Relative disagreement between the two eigenvalue estimates.
-    fn relative_imbalance(&self) -> f64 {
+    pub fn relative_imbalance(&self) -> f64 {
         (self.k_balance - self.k_power).abs() / self.k_power.abs().max(1e-30)
-    }
-
-    /// The balance as a JSON object, ready to embed in a telemetry
-    /// [`antmoc_telemetry::RunReport`] section.
-    pub fn to_json(&self) -> antmoc_telemetry::Json {
-        use antmoc_telemetry::Json;
-        Json::Obj(vec![
-            ("production".into(), Json::Num(self.production)),
-            ("absorption".into(), Json::Num(self.absorption)),
-            ("leakage".into(), Json::Num(self.leakage)),
-            ("k_balance".into(), Json::Num(self.k_balance)),
-            ("k_power".into(), Json::Num(self.k_power)),
-            ("relative_imbalance".into(), Json::Num(self.relative_imbalance())),
-        ])
-    }
-
-    /// Attaches this balance to the global telemetry registry as the
-    /// `balance` section of the run artifact.
-    pub fn attach_to_telemetry(&self) {
-        antmoc_telemetry::Telemetry::current().set_section("balance", self.to_json());
     }
 }
 
@@ -101,21 +81,6 @@ mod tests {
     use antmoc_geom::{AxialModel, Bc, BoundaryConds};
     use antmoc_track::TrackParams;
     use antmoc_xs::c5g7;
-
-    #[test]
-    fn balance_report_serializes_to_json() {
-        let report = BalanceReport {
-            production: 2.0,
-            absorption: 1.5,
-            leakage: 0.25,
-            k_balance: 2.0 / 1.75,
-            k_power: 1.14,
-        };
-        let json = report.to_json();
-        assert_eq!(json.get("production").and_then(|v| v.as_f64()), Some(2.0));
-        let imb = json.get("relative_imbalance").and_then(|v| v.as_f64()).unwrap();
-        assert!((imb - report.relative_imbalance()).abs() < 1e-15);
-    }
 
     #[test]
     fn balance_matches_power_iteration_k() {

@@ -243,9 +243,9 @@ fn canonical_sums<const N: usize>(link: Option<&mut Link<'_>>, mine: [f64; N]) -
         }
     };
     match link {
-        // Gathered as a `Vec`, which `Comm::allgather` accounts at its
-        // 24-byte header whatever `N` is: the wire volume the Eq. 7
-        // traffic test and the decomposed fingerprint pin.
+        // `Comm::allgather` accounts the wire volume, N f64s up from
+        // each rank and every rank's N down to each; the decomposed
+        // fingerprint pins it.
         Some(l) => l.comm.allgather(mine.to_vec()).iter().for_each(|v| add(v)),
         None => add(&mine),
     }

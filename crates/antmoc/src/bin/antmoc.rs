@@ -3,18 +3,16 @@
 //! the CI case matrix drives.
 //!
 //! ```text
-//! antmoc <case.toml | config.ini> [--csv rates.csv] [--vtk rates.vtk] [--heatmap]
-//! cargo run --release --bin antmoc -- run/quick.ini --heatmap
+//! antmoc <case.toml> [--csv rates.csv] [--vtk rates.vtk] [--heatmap]
+//! cargo run --release --bin antmoc -- cases/c5g7.toml --heatmap
 //! ANTMOC_UPDATE_GOLDEN=1 cargo run --release --bin antmoc -- cases/pin_cell.toml
 //! ```
 //!
-//! A `.toml` file is a declarative [`CaseSpec`] with physics gates; any
-//! other extension is parsed as a raw pipeline INI ([`RunConfig`]),
-//! which reaches the solver knobs the case format deliberately hides
-//! (spatial decomposition, exchange mode, link model). INI inputs take
-//! their name from the file stem, have no declarative gate bands, and
-//! gate on convergence alone — CI layers `report-diff` on the emitted
-//! artifact for the rest.
+//! The input is a declarative case file ([`CaseSpec`]): its geometry,
+//! its solver, track, decomposition and telemetry settings, and its
+//! physics gates. The run takes its name from `[case] name`. Any file
+//! the case parser rejects, an INI-style config included, fails at its
+//! first bad line.
 //!
 //! The run log mirrors the stages of the paper's Fig. 2 and ends with the
 //! timing/storage indicators its artifact appendix describes. The run
@@ -41,8 +39,7 @@ use antmoc::input::CaseSpec;
 use antmoc::telemetry::{RunReport as TelemetryReport, Telemetry};
 use antmoc::{run, write_run_artifact, write_trace_artifact, RunConfig, RunReport};
 
-const USAGE: &str =
-    "usage: antmoc <case.toml | config.ini> [--csv out.csv] [--vtk out.vtk] [--heatmap]";
+const USAGE: &str = "usage: antmoc <case.toml> [--csv out.csv] [--vtk out.vtk] [--heatmap]";
 
 struct Args {
     input: String,
@@ -73,24 +70,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { input, csv, vtk, heatmap })
 }
 
-/// Reads the input file: a gated case for `.toml`, a pipeline INI
-/// otherwise. Returns the case spec (if any), the config and the run name.
-fn load(path: &str) -> Result<(Option<CaseSpec>, RunConfig, String), String> {
+/// Reads the case file and the run configuration it declares.
+fn load(path: &str) -> Result<(CaseSpec, RunConfig), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if path.ends_with(".toml") {
-        let spec = CaseSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let config = RunConfig::from_case(&spec).map_err(|e| format!("{path}: {e}"))?;
-        let name = spec.name.clone();
-        Ok((Some(spec), config, name))
-    } else {
-        let config = RunConfig::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let name = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("case")
-            .to_owned();
-        Ok((None, config, name))
-    }
+    let spec = CaseSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let config = RunConfig::from_case(&spec).map_err(|e| format!("{path}: {e}"))?;
+    Ok((spec, config))
 }
 
 /// Sweep throughput from the artifact: segments per second spent inside
@@ -214,20 +199,20 @@ fn write_file(
 }
 
 /// The case's gate failures: convergence, then the declared bands.
-fn gate_failures(spec: Option<&CaseSpec>, outcome: &RunReport) -> Vec<String> {
+fn gate_failures(spec: &CaseSpec, outcome: &RunReport) -> Vec<String> {
     let mut failures = Vec::new();
     if !outcome.converged {
         failures.push(format!("solve did not converge in {} iterations", outcome.iterations));
     }
-    let gates = spec.map(|s| &s.gates);
-    if let Some((lo, hi)) = gates.and_then(|g| g.keff) {
+    let gates = &spec.gates;
+    if let Some((lo, hi)) = gates.keff {
         if outcome.keff < lo || outcome.keff > hi {
             failures.push(format!("k_eff {:.6} outside the gate band [{lo}, {hi}]", outcome.keff));
         } else {
             println!("antmoc: keff gate: {:.6} within [{lo}, {hi}]", outcome.keff);
         }
     }
-    if let Some(gate) = gates.and_then(|g| g.flux_ratio.as_ref()) {
+    if let Some(gate) = &gates.flux_ratio {
         let from = material_group_flux(&outcome.material_flux, &gate.from, gate.group);
         let to = material_group_flux(&outcome.material_flux, &gate.to, gate.group);
         match (from, to) {
@@ -262,7 +247,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (spec, config, name) = match load(&args.input) {
+    let (spec, config) = match load(&args.input) {
         Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("antmoc: {e}");
@@ -270,12 +255,13 @@ fn main() -> ExitCode {
         }
     };
 
-    print_config(&name, &config);
+    let name = &spec.name;
+    print_config(name, &config);
     Telemetry::global().reset();
     let outcome = run(&config);
     print_stages(&outcome);
 
-    let report = match write_outputs(&args, &name, &outcome) {
+    let report = match write_outputs(&args, name, &outcome) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("antmoc: {e}");
@@ -306,7 +292,7 @@ fn main() -> ExitCode {
         throughput.map_or("n/a".into(), |t| format!("{t:.3e} seg/s")),
     ));
 
-    let failures = gate_failures(spec.as_ref(), &outcome);
+    let failures = gate_failures(&spec, &outcome);
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("antmoc: FAIL — {f}");

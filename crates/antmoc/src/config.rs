@@ -1,17 +1,17 @@
 //! Run configuration: the typed form of the paper's `config.yaml` input
-//! (Fig. 2, "Read Configuration"), plus a small hand-rolled INI-style
-//! parser so runs are reproducible from text files without extra
-//! dependencies. `KNOWN_KEYS` lists every section and key; any other is
-//! an error with its line.
+//! (Fig. 2, "Read Configuration"). On disk a run is a declarative case
+//! file ([`CaseSpec`], TOML), read by [`RunConfig::from_case`]: its
+//! geometry sections become the model, and its `[tracks]`, `[solver]`,
+//! `[decomposition]` and `[telemetry]` sections pass through to the one
+//! key interpreter below. [`RunConfig::parse`] reads the same sections
+//! from INI-style text plus a `[model]` section naming the built-in C5G7
+//! model, for configurations built in code. `KNOWN_KEYS` lists every
+//! section and key; any other is an error with its line.
 //!
 //! ```text
 //! # comment
 //! [model]
 //! case = c5g7
-//! rodded = unrodded        ; unrodded | a | b
-//! fuel_rings = 1
-//! sectors = 1
-//! reflector_refine = 0
 //! axial_dz = 14.28
 //!
 //! [tracks]
@@ -25,7 +25,7 @@
 //! max_iterations = 600
 //! mode = manager           ; explicit | otf | manager
 //! manager_budget_mb = 64
-//! backend = device         ; cpu | device
+//! backend = device         ; cpu | cpu-serial | device
 //! device_memory_mb = 256
 //! cu_mapping = sorted      ; grid | sorted
 //!
@@ -45,9 +45,8 @@
 use std::collections::HashMap;
 
 use antmoc_cluster::LinkModel;
-use antmoc_geom::c5g7::{C5g7Options, RoddedConfig};
+use antmoc_geom::c5g7::C5g7Options;
 use antmoc_input::{CaseKind, CaseSpec};
-use antmoc_quadrature::PolarType;
 use antmoc_solver::device::CuMapping;
 use antmoc_solver::{EigenOptions, ExchangeMode, KernelConfig, ScheduleKind, StorageMode};
 use antmoc_track::TrackParams;
@@ -142,10 +141,6 @@ pub struct RunConfig {
     /// (`[decomposition] link_latency_us / link_mb_per_s`); zero keeps
     /// the instant in-process channels.
     pub link: LinkModel,
-    /// Extra equilibration sweeps for a post-solve neutron-balance check
-    /// attached to the run artifact; 0 disables it (single-domain CPU
-    /// runs only).
-    pub balance_sweeps: usize,
     /// Whether fixed-source solves keep the fission production term
     /// (`[solver] fission`); pure shielding problems leave it off.
     pub fixed_fission: bool,
@@ -167,7 +162,6 @@ impl Default for RunConfig {
             decomposition: (1, 1, 1),
             exchange: ExchangeMode::Sync,
             link: LinkModel::default(),
-            balance_sweeps: 0,
             fixed_fission: false,
             telemetry: TelemetrySettings::default(),
         }
@@ -197,8 +191,8 @@ type Sections = HashMap<String, HashMap<String, (usize, String)>>;
 /// all but `[model]` are also the case format's pass-through sections.
 /// Anything else is a typo, rejected rather than silently ignored.
 const KNOWN_KEYS: [(&str, &[&str]); 5] = [
-    ("model", &["case", "rodded", "fuel_rings", "sectors", "reflector_refine", "axial_dz"]),
-    ("tracks", &["num_azim", "radial_spacing", "num_polar", "axial_spacing", "polar_type"]),
+    ("model", &["case", "axial_dz"]),
+    ("tracks", &["num_azim", "radial_spacing", "num_polar", "axial_spacing"]),
     (
         "solver",
         &[
@@ -209,7 +203,6 @@ const KNOWN_KEYS: [(&str, &[&str]); 5] = [
             "backend",
             "device_memory_mb",
             "cu_mapping",
-            "balance_sweeps",
             "fission",
         ],
     ),
@@ -316,14 +309,6 @@ impl RunConfig {
                 });
             }
         }
-        if cfg.decomposition != (1, 1, 1) {
-            return Err(ConfigError {
-                line: 0,
-                message: "declarative cases run single-domain for now; set [decomposition] to \
-                          1x1x1"
-                    .into(),
-            });
-        }
         Ok(cfg)
     }
 
@@ -365,23 +350,7 @@ impl RunConfig {
                 return Err(ConfigError { line, message: format!("unknown case {case:?}") });
             }
         }
-        if let Some((line, v)) = get("model", "rodded") {
-            cfg.model.c5g7_mut().config = match v.to_lowercase().as_str() {
-                "unrodded" => RoddedConfig::Unrodded,
-                "a" | "rodded-a" => RoddedConfig::RoddedA,
-                "b" | "rodded-b" => RoddedConfig::RoddedB,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown rodded config {other:?}"),
-                    })
-                }
-            };
-        }
         let m = cfg.model.c5g7_mut();
-        m.fuel_rings = parse_num(get("model", "fuel_rings"), m.fuel_rings)?;
-        m.sectors = parse_num(get("model", "sectors"), m.sectors)?;
-        m.reflector_refine = parse_num(get("model", "reflector_refine"), m.reflector_refine)?;
         m.axial_dz = parse_num(get("model", "axial_dz"), m.axial_dz)?;
 
         // [tracks]
@@ -391,19 +360,6 @@ impl RunConfig {
         cfg.tracks.num_polar = parse_num(get("tracks", "num_polar"), cfg.tracks.num_polar)?;
         cfg.tracks.axial_spacing =
             parse_num(get("tracks", "axial_spacing"), cfg.tracks.axial_spacing)?;
-        if let Some((line, v)) = get("tracks", "polar_type") {
-            cfg.tracks.polar_type = match v.to_lowercase().as_str() {
-                "gauss" | "gauss-legendre" | "gl" => PolarType::GaussLegendre,
-                "ty" | "tabuchi-yamamoto" => PolarType::TabuchiYamamoto,
-                "equal" => PolarType::EqualWeight,
-                other => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown polar type {other:?}"),
-                    })
-                }
-            };
-        }
         // The quadrature and the tracker assert on these; reject them at
         // the key's line instead of panicking mid-run.
         let key_err = |section: &str, key: &str, message: String| ConfigError {
@@ -418,12 +374,6 @@ impl RunConfig {
         if t.num_polar < 2 || !t.num_polar.is_multiple_of(2) {
             let msg = format!("num_polar must be a positive even number, got {}", t.num_polar);
             return Err(key_err("tracks", "num_polar", msg));
-        }
-        if t.polar_type == PolarType::TabuchiYamamoto && t.num_polar > 6 {
-            let key = if get("tracks", "num_polar").is_some() { "num_polar" } else { "polar_type" };
-            let msg =
-                format!("Tabuchi-Yamamoto supports at most 6 polar angles, got {}", t.num_polar);
-            return Err(key_err("tracks", key, msg));
         }
         for (key, v) in [("radial_spacing", t.radial_spacing), ("axial_spacing", t.axial_spacing)] {
             if !(v > 0.0 && v.is_finite()) {
@@ -492,7 +442,6 @@ impl RunConfig {
                 }
             },
         };
-        cfg.balance_sweeps = parse_num(get("solver", "balance_sweeps"), cfg.balance_sweeps)?;
         cfg.fixed_fission = parse_num(get("solver", "fission"), cfg.fixed_fission)?;
         if let Some((line, v)) = get("solver", "backend") {
             cfg.backend = match v.to_lowercase().as_str() {
@@ -566,9 +515,6 @@ mod tests {
 # C5G7 validation case (Table 4 of the paper)
 [model]
 case = c5g7
-rodded = unrodded
-fuel_rings = 2
-sectors = 4
 axial_dz = 14.28
 
 [tracks]
@@ -595,8 +541,7 @@ nz = 2
     #[test]
     fn parses_the_paper_configuration() {
         let cfg = RunConfig::parse(SAMPLE).unwrap();
-        assert_eq!(cfg.model.c5g7().fuel_rings, 2);
-        assert_eq!(cfg.model.c5g7().sectors, 4);
+        assert_eq!(cfg.model.c5g7().axial_dz, 14.28);
         assert_eq!(cfg.tracks.num_azim, 4);
         assert_eq!(cfg.tracks.num_polar, 4);
         assert!((cfg.tracks.axial_spacing - 0.1).abs() < 1e-12);
@@ -665,8 +610,10 @@ nz = 2
         let err = CaseSpec::parse(&text).unwrap_err();
         assert_eq!(err.line, text.lines().position(|l| l == "[fault]").unwrap() + 1);
         // So does a sweep selector or the trace cap, which every run now
-        // fixes, on the INI and on the case-file path: at the key's own
-        // line, listing the keys that remain.
+        // fixes, and a model, quadrature or diagnostic key no input set:
+        // at the key's own line, listing the keys that remain, on the INI
+        // path and, for the case's pass-through sections, the case-file
+        // path (a case file's model is its geometry tables).
         for (section, entry) in [
             ("solver", "schedule = l3_sorted"),
             ("solver", "tallies = atomic"),
@@ -676,18 +623,27 @@ nz = 2
             ("solver", "kernel = scalar"),
             ("solver", "block_kb = 8"),
             ("telemetry", "trace_cap = 1024"),
+            ("model", "rodded = a"),
+            ("model", "fuel_rings = 2"),
+            ("model", "sectors = 4"),
+            ("model", "reflector_refine = 17"),
+            ("tracks", "polar_type = ty"),
+            ("solver", "balance_sweeps = 3"),
         ] {
             let key = entry.split(' ').next().unwrap();
             let ini = format!("[{section}]\n{entry}\n");
-            let toml = if CASE.contains(&format!("[{section}]\n")) {
-                CASE.replace(&format!("[{section}]\n"), &format!("[{section}]\n{entry}\n"))
-            } else {
-                format!("{CASE}\n[{section}]\n{entry}\n")
-            };
-            let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
-            let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
+            let mut results = vec![(RunConfig::parse(&ini), 2)];
+            if section != "model" {
+                let toml = if CASE.contains(&format!("[{section}]\n")) {
+                    CASE.replace(&format!("[{section}]\n"), &format!("[{section}]\n{entry}\n"))
+                } else {
+                    format!("{CASE}\n[{section}]\n{entry}\n")
+                };
+                let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
+                results.push((RunConfig::from_case(&CaseSpec::parse(&toml).unwrap()), toml_line));
+            }
             let known = known_keys(section).unwrap().join(", ");
-            for (result, line) in [(RunConfig::parse(&ini), 2), (case, toml_line)] {
+            for (result, line) in results {
                 let e = result.unwrap_err();
                 assert_eq!(e.line, line, "{entry}: {e}");
                 let msg = format!("unknown key {key:?} in [{section}] (known: {known})");
@@ -699,7 +655,6 @@ nz = 2
     #[test]
     fn unknown_enum_values_fail() {
         assert!(RunConfig::parse("[solver]\nmode = turbo\n").is_err());
-        assert!(RunConfig::parse("[model]\nrodded = c\n").is_err());
         assert!(RunConfig::parse("[model]\ncase = bwr\n").is_err());
     }
 
@@ -739,14 +694,6 @@ nz = 2
     fn serial_backend_parses() {
         let cfg = RunConfig::parse("[solver]\nbackend = cpu-serial\n").unwrap();
         assert_eq!(cfg.backend, BackendConfig::CpuSerial);
-    }
-
-    #[test]
-    fn rodded_variants_parse() {
-        let a = RunConfig::parse("[model]\nrodded = a\n").unwrap();
-        assert_eq!(a.model.c5g7().config, RoddedConfig::RoddedA);
-        let b = RunConfig::parse("[model]\nrodded = rodded-b\n").unwrap();
-        assert_eq!(b.model.c5g7().config, RoddedConfig::RoddedB);
     }
 
     const CASE: &str = r#"
@@ -818,20 +765,25 @@ backend = cpu-serial
         assert!(err.message.contains("UO3"), "{err}");
     }
 
+    /// `text` (a variant of [`CASE`]) as a fixed-source case.
+    fn fixed_source(text: &str) -> String {
+        text.replace("name = \"pin\"", "name = \"pin\"\nkind = \"fixed-source\"")
+            .replace("[tracks]", "[[source]]\nmaterial = \"moderator\"\ngroups = [1]\n\n[tracks]")
+    }
+
     #[test]
-    fn from_case_rejects_decomposed_runs() {
+    fn from_case_decomposes_eigenvalue_cases_only() {
         let text = format!("{CASE}\n[decomposition]\nnx = 2\n");
-        let spec = CaseSpec::parse(&text).unwrap();
+        let cfg = RunConfig::from_case(&CaseSpec::parse(&text).unwrap()).unwrap();
+        assert_eq!(cfg.decomposition, (2, 1, 1));
+        let spec = CaseSpec::parse(&fixed_source(&text)).unwrap();
         let err = RunConfig::from_case(&spec).unwrap_err();
         assert!(err.message.contains("single-domain"), "{err}");
     }
 
     #[test]
     fn from_case_rejects_fixed_source_on_device() {
-        let text = CASE
-            .replace("name = \"pin\"", "name = \"pin\"\nkind = \"fixed-source\"")
-            .replace("backend = cpu-serial", "backend = device")
-            .replace("[tracks]", "[[source]]\nmaterial = \"moderator\"\ngroups = [1]\n\n[tracks]");
+        let text = fixed_source(&CASE.replace("backend = cpu-serial", "backend = device"));
         let spec = CaseSpec::parse(&text).unwrap();
         let err = RunConfig::from_case(&spec).unwrap_err();
         assert!(err.message.contains("cpu"), "{err}");
@@ -871,8 +823,6 @@ backend = cpu-serial
             ("num_azim = 6", Some("num_azim must be a positive multiple of 4")),
             ("num_polar = 0", Some("num_polar must be a positive even number")),
             ("num_polar = 3", Some("num_polar must be a positive even number")),
-            ("num_polar = 8\npolar_type = ty", Some("at most 6 polar angles")),
-            ("num_polar = 6\npolar_type = ty", None),
             ("radial_spacing = 0", Some("radial_spacing must be finite and > 0")),
             ("radial_spacing = -0.5", Some("radial_spacing must be finite and > 0")),
             ("radial_spacing = NaN", Some("radial_spacing must be finite and > 0")),
@@ -880,13 +830,12 @@ backend = cpu-serial
             ("axial_spacing = inf", Some("axial_spacing must be finite and > 0")),
             ("num_azim = 8", None),
         ] {
-            let first = entry.lines().next().unwrap();
             let ini = format!("[tracks]\n{entry}\n");
             let toml = CASE.replace(
                 "[tracks]\nnum_azim = 4\nradial_spacing = 0.6\n",
                 &format!("[tracks]\n{entry}\n"),
             );
-            let toml_line = toml.lines().position(|l| l == first).unwrap() + 1;
+            let toml_line = toml.lines().position(|l| l == entry).unwrap() + 1;
             let case = RunConfig::from_case(&CaseSpec::parse(&toml).unwrap());
             for (result, line) in [(RunConfig::parse(&ini), 2), (case, toml_line)] {
                 match (result, expect) {

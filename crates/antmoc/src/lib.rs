@@ -5,8 +5,10 @@
 //! on Multi-GPU Systems"* (SC '23). It wires the substrate crates into the
 //! paper's five-stage pipeline (Fig. 2):
 //!
-//! 1. **Read configuration** — [`config::RunConfig`] (INI-style files);
-//! 2. **Geometry construction** — the C5G7 3D extension benchmark from
+//! 1. **Read configuration** — a declarative case file
+//!    ([`input::CaseSpec`]) into a [`config::RunConfig`];
+//! 2. **Geometry construction** — the case's lattice, lowered by
+//!    `antmoc-input`, or the built-in C5G7 3D extension benchmark from
 //!    `antmoc-geom`;
 //! 3. **Track generation & ray tracing** — `antmoc-track`;
 //! 4. **Transport solving** — `antmoc-solver` (CPU reference, simulated
@@ -14,11 +16,11 @@
 //! 5. **Output generation** — [`output::PinRates`] with CSV/VTK writers.
 //!
 //! ```no_run
+//! use antmoc::input::CaseSpec;
 //! use antmoc::{run, RunConfig};
 //!
-//! let config = RunConfig::parse(
-//!     "[tracks]\nnum_azim = 4\nradial_spacing = 0.5\n",
-//! ).unwrap();
+//! let text = std::fs::read_to_string("cases/c5g7.toml").unwrap();
+//! let config = RunConfig::from_case(&CaseSpec::parse(&text).unwrap()).unwrap();
 //! let report = run(&config);
 //! println!("k_eff = {:.5}", report.keff);
 //! ```

@@ -171,28 +171,29 @@ pub fn record_run_meta(config: &RunConfig) {
 /// Runs the full pipeline for a configuration.
 pub fn run(config: &RunConfig) -> RunReport {
     record_run_meta(config);
-    let tel = antmoc_telemetry::Telemetry::current();
-    let (nx, ny, nz) = config.decomposition;
-
-    if nx * ny * nz == 1 {
+    if config.decomposition == (1, 1, 1) {
         let setup = build_setup(config);
         run_with_setup(config, &setup)
     } else {
-        // Stage 2: geometry construction (decomposed runs keep the
-        // inline path; the setup/solve split is a single-domain concern).
-        let t0 = Instant::now();
-        let model = {
-            let _s = tel.span("geometry");
-            match &config.model {
-                ModelSpec::C5g7(opts) => C5g7::build(opts.clone()),
-                ModelSpec::Lattice(_) => {
-                    unreachable!("RunConfig::from_case rejects decomposed declarative cases")
-                }
-            }
-        };
-        let geometry_s = t0.elapsed().as_secs_f64();
-        run_decomposed(config, model, geometry_s)
+        // The setup/solve split is a single-domain concern: a decomposed
+        // run builds the model, then splits it into subdomains.
+        let (model, geometry_s) = build_model(config);
+        run_decomposed(config, &model, geometry_s)
     }
+}
+
+/// Stage 2, geometry construction: the configured model and the stage's
+/// wall-clock seconds.
+fn build_model(config: &RunConfig) -> (BuiltModel, f64) {
+    let t0 = Instant::now();
+    let _s = antmoc_telemetry::Telemetry::current().span("geometry");
+    let model = match &config.model {
+        ModelSpec::C5g7(opts) => BuiltModel::C5g7(C5g7::build(opts.clone())),
+        ModelSpec::Lattice(spec) => BuiltModel::Lattice(
+            antmoc_input::lower(spec).expect("case validated by RunConfig::from_case"),
+        ),
+    };
+    (model, t0.elapsed().as_secs_f64())
 }
 
 /// Runs the setup stages (2-3) for a single-domain configuration and
@@ -209,24 +210,11 @@ pub fn run(config: &RunConfig) -> RunReport {
 /// single-domain concern (decomposed runs go through [`run`]).
 pub fn build_setup(config: &RunConfig) -> SolveSetup {
     assert_eq!(config.decomposition, (1, 1, 1), "build_setup is single-domain only");
-    let tel = antmoc_telemetry::Telemetry::current();
-
-    // Stage 2: geometry construction.
-    let t0 = Instant::now();
-    let model = {
-        let _s = tel.span("geometry");
-        match &config.model {
-            ModelSpec::C5g7(opts) => BuiltModel::C5g7(C5g7::build(opts.clone())),
-            ModelSpec::Lattice(spec) => BuiltModel::Lattice(
-                antmoc_input::lower(spec).expect("case validated by RunConfig::from_case"),
-            ),
-        }
-    };
-    let geometry_s = t0.elapsed().as_secs_f64();
+    let (model, geometry_s) = build_model(config);
 
     // Stage 3: track generation and ray tracing, plus the segment store.
     let t = Instant::now();
-    let _s = tel.span("tracking");
+    let _s = antmoc_telemetry::Telemetry::current().span("tracking");
     let problem = Problem::build(
         model.geometry().clone(),
         model.axial().clone(),
@@ -270,19 +258,6 @@ pub fn run_with_setup_arena(
     let ((keff, iterations, converged, phi), arena) = transport(config, setup, arena);
     drop(transport_span);
     let transport_s = t.elapsed().as_secs_f64();
-
-    if config.balance_sweeps > 0 && !is_fixed_source(config) {
-        // Independent eigenvalue check; lands in the artifact's `balance`
-        // section (OTF segments keep the check backend-agnostic).
-        let balance = antmoc_solver::diagnostics::neutron_balance(
-            problem,
-            &SegmentSource::otf(),
-            &phi,
-            keff,
-            config.balance_sweeps,
-        );
-        balance.attach_to_telemetry();
-    }
 
     // Stage 5: output generation.
     let t = Instant::now();
@@ -450,16 +425,19 @@ fn material_flux(
         .collect()
 }
 
-fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport {
+/// Stages 3-5 of a decomposed run over an already built model: split
+/// into subdomains, the cluster solve, and the pin rates summed over the
+/// ranks.
+fn run_decomposed(config: &RunConfig, model: &BuiltModel, geometry_s: f64) -> RunReport {
     let tel = antmoc_telemetry::Telemetry::current();
     let (nx, ny, nz) = config.decomposition;
     let t = Instant::now();
     let decomp = {
         let _s = tel.span("tracking");
         Decomposition::build(
-            &model.geometry,
-            &model.axial,
-            &model.library,
+            model.geometry(),
+            model.axial(),
+            model.library(),
             config.tracks.clone(),
             DecompSpec { nx, ny, nz },
         )
@@ -496,8 +474,8 @@ fn run_decomposed(config: &RunConfig, model: C5g7, geometry_s: f64) -> RunReport
     let _output_span = tel.span("output");
     let per_rank: Vec<Vec<f64>> =
         decomp.problems.iter().zip(&phi).map(|(p, phi)| fission_rates(p, phi)).collect();
-    let pin_rates = PinRates::aggregate(
-        &model,
+    let pin_rates = PinRates::aggregate_with(
+        |radial| model.pin_of_fsr(radial),
         decomp.problems.iter().zip(per_rank.iter().map(|r| r.as_slice())),
     );
     let output_s = t.elapsed().as_secs_f64();

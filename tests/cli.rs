@@ -1,6 +1,6 @@
 //! The `antmoc` runner's contract: a gated case passes and leaves its
 //! report, a case outside its band fails and names the band, and flags the
-//! runner does not know are refused.
+//! runner does not know, and inputs that are not case files, are refused.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,12 +54,27 @@ fn cases_pass_or_fail_on_their_gates() {
 #[test]
 fn unknown_flags_are_refused() {
     let dir = scratch_dir("flags");
-    let quick = repo_file("run/quick.ini");
-    let quick = quick.to_str().unwrap();
-    for args in [vec!["--config", quick], vec![quick, "--write-baseline"], vec![]] {
+    let case = repo_file("cases/pin_cell.toml");
+    let case = case.to_str().unwrap();
+    for args in [vec!["--config", case], vec![case, "--write-baseline"], vec![]] {
         let out = antmoc(&dir, &args);
         assert_eq!(out.status.code(), Some(1), "{args:?} was not refused");
     }
+    assert!(!dir.join("results").exists(), "a refused run wrote output");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn ini_configs_are_refused() {
+    // An INI-style run config is not a case file: the case parser
+    // rejects it at its first line that is not TOML.
+    let dir = scratch_dir("ini");
+    let ini = "[tracks]\nnum_azim = 4      ; azimuthal angles\n[solver]\nmode = otf\n";
+    std::fs::write(dir.join("quick.ini"), ini).unwrap();
+    let out = antmoc(&dir, &["quick.ini"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "an INI config was not refused: {stderr}");
+    assert!(stderr.contains("quick.ini: case file line 2 (toml)"), "{stderr}");
     assert!(!dir.join("results").exists(), "a refused run wrote output");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,18 +1,19 @@
 //! The declarative C5G7 case (`cases/c5g7.toml`) must reproduce the
 //! hardcoded `antmoc_geom::c5g7` builder exactly: same flat-source
 //! regions, same axial mesh, and — on the deterministic serial backend
-//! — a bitwise-identical run report. Any drift between the DSL
-//! lowering and the reference builder shows up here as a bit diff, not
-//! as a physics tolerance.
+//! — a bitwise-identical run report, single-domain and decomposed
+//! (`cases/c5g7_pipelined.toml`). Any drift between the DSL lowering and
+//! the reference builder shows up here as a bit diff, not as a physics
+//! tolerance.
 
 use antmoc::geom::c5g7::{C5g7, C5g7Options};
 use antmoc::geom::AxialModel;
 use antmoc::input::{lower, CaseSpec};
-use antmoc::{run, BackendConfig, ModelSpec, RunConfig};
+use antmoc::{run, BackendConfig, ModelSpec, PinRates, RunConfig};
 
-fn case_text() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../cases/c5g7.toml");
-    std::fs::read_to_string(path).expect("read cases/c5g7.toml")
+fn case_text(name: &str) -> String {
+    let path = format!("{}/../../cases/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// The hardcoded builder configured the way the case file declares the
@@ -31,9 +32,18 @@ fn assert_axial_identical(a: &AxialModel, b: &AxialModel) {
     assert_eq!(a.zones().len(), b.zones().len(), "axial zone count");
 }
 
+fn assert_pin_rates_identical(a: &PinRates, b: &PinRates) {
+    let (ra, rb) = (a.entries(), b.entries());
+    assert_eq!(ra.len(), rb.len(), "pin-rate entry count");
+    for ((addr_a, rate_a), (addr_b, rate_b)) in ra.iter().zip(&rb) {
+        assert_eq!(addr_a, addr_b);
+        assert_eq!(rate_a.to_bits(), rate_b.to_bits(), "pin {addr_a:?}: {rate_a} vs {rate_b}");
+    }
+}
+
 #[test]
 fn dsl_lowering_matches_the_hardcoded_builder_structurally() {
-    let spec = CaseSpec::parse(&case_text()).unwrap();
+    let spec = CaseSpec::parse(&case_text("c5g7.toml")).unwrap();
     let lowered = lower(&spec).unwrap();
     let hard = C5g7::build(hardcoded_options());
 
@@ -74,7 +84,7 @@ fn dsl_lowering_matches_the_hardcoded_builder_structurally() {
 
 #[test]
 fn dsl_case_run_report_is_bitwise_identical_to_the_hardcoded_model() {
-    let spec = CaseSpec::parse(&case_text()).unwrap();
+    let spec = CaseSpec::parse(&case_text("c5g7.toml")).unwrap();
     // One worker: the bits then do not depend on the pool size the test
     // binary runs under.
     let mut dsl_cfg = RunConfig::from_case(&spec).unwrap();
@@ -94,12 +104,7 @@ fn dsl_case_run_report_is_bitwise_identical_to_the_hardcoded_model() {
     assert_eq!(a.num_3d_tracks, b.num_3d_tracks);
     assert_eq!(a.num_3d_segments, b.num_3d_segments);
 
-    let (ra, rb) = (a.pin_rates.entries(), b.pin_rates.entries());
-    assert_eq!(ra.len(), rb.len(), "pin-rate entry count");
-    for ((addr_a, rate_a), (addr_b, rate_b)) in ra.iter().zip(&rb) {
-        assert_eq!(addr_a, addr_b);
-        assert_eq!(rate_a.to_bits(), rate_b.to_bits(), "pin {addr_a:?}: {rate_a} vs {rate_b}");
-    }
+    assert_pin_rates_identical(&a.pin_rates, &b.pin_rates);
 
     assert_eq!(a.material_flux.len(), b.material_flux.len());
     for ((na, fa), (nb, fb)) in a.material_flux.iter().zip(&b.material_flux) {
@@ -109,4 +114,27 @@ fn dsl_case_run_report_is_bitwise_identical_to_the_hardcoded_model() {
             assert_eq!(x.to_bits(), y.to_bits(), "material {na} flux {x} vs {y}");
         }
     }
+}
+
+#[test]
+fn decomposed_dsl_case_run_is_bitwise_identical_to_the_hardcoded_model() {
+    // The pipelined case decomposes 2x2x1 over cpu-serial ranks, so its
+    // bits do not depend on the pool size either.
+    let spec = CaseSpec::parse(&case_text("c5g7_pipelined.toml")).unwrap();
+    let mut dsl_cfg = RunConfig::from_case(&spec).unwrap();
+    assert_eq!(dsl_cfg.decomposition, (2, 2, 1));
+    dsl_cfg.eigen.max_iterations = 20;
+    let mut hard_cfg = dsl_cfg.clone();
+    hard_cfg.model = ModelSpec::C5g7(hardcoded_options());
+    hard_cfg.case_name = "c5g7-hardcoded".into();
+
+    let a = run(&dsl_cfg);
+    let b = run(&hard_cfg);
+
+    assert_eq!(a.iterations, b.iterations);
+    assert_eq!(a.keff.to_bits(), b.keff.to_bits(), "keff {} vs {}", a.keff, b.keff);
+    assert_eq!(a.num_3d_segments, b.num_3d_segments);
+    assert!(a.comm_bytes > 0);
+    assert_eq!(a.comm_bytes, b.comm_bytes);
+    assert_pin_rates_identical(&a.pin_rates, &b.pin_rates);
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the full five-stage pipeline on the C5G7
 //! model, across backends and storage modes.
 
+use antmoc::input::CaseSpec;
 use antmoc::solver::StorageMode;
 use antmoc::telemetry::Telemetry;
 use antmoc::{build_setup, run, BackendConfig, RunConfig};
@@ -219,24 +220,37 @@ fn group_spectra_show_reflector_thermalisation() {
     assert_eq!(String::from_utf8(csv).unwrap().lines().count(), 1 + 4 * 7);
 }
 
+/// The configuration a shipped case file declares.
+fn shipped_case(name: &str) -> RunConfig {
+    let path = format!("{}/../../cases/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let spec = CaseSpec::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    RunConfig::from_case(&spec).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 #[test]
 fn shipped_run_configs_parse() {
-    // The artifact-style configs under run/ must stay valid.
-    for name in ["run/c5g7-validation.ini", "run/quick.ini"] {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + name;
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let cfg = RunConfig::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(cfg.tracks.num_azim >= 4);
-        assert!(cfg.eigen.max_iterations > 0);
+    // Every shipped input is a case file, and each must stay valid.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../cases");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".toml"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 5, "{names:?}");
+    for name in &names {
+        let cfg = shipped_case(name);
+        assert_eq!(format!("{}.toml", cfg.case_name), *name);
     }
+    assert_eq!(shipped_case("c5g7_pipelined.toml").decomposition, (2, 2, 1));
 }
 
 #[test]
 fn setup_volumes_do_not_depend_on_the_pool_size() {
     // The track-estimated FSR volumes feed every solve; they must be a
     // function of the laydown alone, not of the worker count.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../run/quick.ini");
-    let config = RunConfig::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let config = shipped_case("c5g7.toml");
     let volumes = |workers| {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
         pool.install(|| build_setup(&config).problem.volumes)
