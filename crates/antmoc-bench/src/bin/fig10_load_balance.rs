@@ -36,13 +36,8 @@ struct Setup {
 
 fn build_setup(dims: (usize, usize, usize)) -> Setup {
     let m = imbalanced_model();
-    let params = TrackParams {
-        num_azim: 16,
-        radial_spacing: 1.2,
-        num_polar: 2,
-        axial_spacing: 12.0,
-        ..Default::default()
-    };
+    let params =
+        TrackParams { num_azim: 16, radial_spacing: 1.2, num_polar: 2, axial_spacing: 12.0 };
     let decomp = Decomposition::build(
         &m.geometry,
         &m.axial,

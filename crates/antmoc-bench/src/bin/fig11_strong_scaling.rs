@@ -29,13 +29,7 @@ use antmoc_bench::{model, problem_for};
 /// Measured per-segment sweep costs (stored and OTF) on the simulated
 /// device.
 fn calibrate_segment_costs() -> (f64, f64) {
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.9,
-        num_polar: 2,
-        axial_spacing: 4.0,
-        ..Default::default()
-    };
+    let params = TrackParams { num_azim: 4, radial_spacing: 0.9, num_polar: 2, axial_spacing: 4.0 };
     let problem = problem_for(params);
     let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
     let cost = |mode: StorageMode| {
@@ -62,13 +56,7 @@ fn main() {
     // Fine enough that per-rank sweep work dominates fixed overheads and
     // the per-chain axial-lattice snapping (whose inflation in small
     // windows is itself part of the paper's "additional grids" effect).
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.5,
-        num_polar: 2,
-        axial_spacing: 2.0,
-        ..Default::default()
-    };
+    let params = TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 2.0 };
     let opts = EigenOptions { tolerance: 1e-30, max_iterations: 4, ..Default::default() };
     // On a multi-core host the wall-clock sweep times below scale too;
     // the *work-limited* efficiency (total segments / (ranks x busiest

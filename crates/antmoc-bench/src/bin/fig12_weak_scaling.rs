@@ -43,13 +43,8 @@ fn main() {
         (DecompSpec { nx: 2, ny: 2, nz: 1 }, 0.37, 4.0),
         (DecompSpec { nx: 2, ny: 2, nz: 2 }, 0.37, 2.0),
     ] {
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: radial,
-            num_polar: 2,
-            axial_spacing: axial,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: radial, num_polar: 2, axial_spacing: axial };
         let n = spec.num_domains();
         let d = Decomposition::build(&m.geometry, &m.axial, &m.library, params, spec);
         let r = solve_cluster(&d, &Backend::CpuSerial, &opts);
@@ -77,13 +72,7 @@ fn main() {
     // ---- projected ----
     // Reuse the strong-scaling calibration style inline (per-segment
     // costs from device sweeps).
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.9,
-        num_polar: 2,
-        axial_spacing: 4.0,
-        ..Default::default()
-    };
+    let params = TrackParams { num_azim: 4, radial_spacing: 0.9, num_polar: 2, axial_spacing: 4.0 };
     let problem = antmoc_bench::problem_for(params);
     let q = vec![0.1f64; problem.num_fsrs() * problem.num_groups()];
     let cost = |mode: StorageMode| {

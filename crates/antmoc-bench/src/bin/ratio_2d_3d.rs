@@ -50,13 +50,7 @@ fn main() {
             m.geometry.clone(),
             m.axial.clone(),
             &m.library,
-            TrackParams {
-                num_azim,
-                radial_spacing: radial,
-                num_polar: polar,
-                axial_spacing,
-                ..Default::default()
-            },
+            TrackParams { num_azim, radial_spacing: radial, num_polar: polar, axial_spacing },
         );
         let sweeps_3d = problem.num_3d_segments() * 2;
         println!(

@@ -34,29 +34,7 @@
 
 use std::process::ExitCode;
 
-use antmoc::telemetry::{json, Json, RunReport};
-
-/// Metric keys whose values are load- or machine-dependent by nature
-/// (CAS contention, retry counts, worker balance, trace bookkeeping).
-/// Their *presence* still matters, but their magnitudes are not gated.
-const NOISY_PREFIXES: &[&str] = &[
-    "sweep.cas_retries",
-    "sweep.cas_burst",
-    "sweep.track_ns",
-    "sweep.load_ratio",
-    "sweep.worker_busy",
-    "sweep.tally_bytes",
-    "comm.recv_wait_ns",
-    "comm.collective_wait_ns",
-    "comm.recv_ready",
-    "comm.recv_blocked",
-    "comm.overlap_ratio",
-    "trace.",
-];
-
-fn is_noisy(key: &str) -> bool {
-    NOISY_PREFIXES.iter().any(|p| key.starts_with(p))
-}
+use antmoc::telemetry::{is_noisy, json, Json, RunReport};
 
 struct Thresholds {
     counter_tol: f64,
@@ -416,7 +394,7 @@ mod tests {
         let mut a = report_with(1_000_000, 30);
         let b = report_with(1_000_000, 30);
         a.histograms.insert(
-            "eigen.residual_ns".into(),
+            "sweep.segments_per_track".into(),
             antmoc::telemetry::HistogramSummary { count: 5, p50: 1, p90: 2, p99: 3, max: 4 },
         );
         let v = diff_reports(&a, &b, &Thresholds::default());
@@ -446,7 +424,7 @@ mod tests {
             antmoc::telemetry::GaugeStats { last: 4096.0, high_water: 4096.0 },
         );
         b.histograms.insert(
-            "eigen.residual_ns".into(),
+            "sweep.segments_per_track".into(),
             antmoc::telemetry::HistogramSummary { count: 5, p50: 1, p90: 2, p99: 3, max: 4 },
         );
         let strict = diff_reports(&a, &b, &Thresholds::default());

@@ -23,13 +23,8 @@ fn main() {
     // run (the paper's case reports 93.31 %): 1 cm axial cells give each
     // 3D track tens of axial crossings.
     let m = C5g7::build(C5g7Options { axial_dz: 1.0, ..Default::default() });
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.3,
-        num_polar: 2,
-        axial_spacing: 0.25,
-        ..Default::default()
-    };
+    let params =
+        TrackParams { num_azim: 4, radial_spacing: 0.3, num_polar: 2, axial_spacing: 0.25 };
     println!("# Table 3: memory footprint breakdown (EXP storage)\n");
     println!("building problem...");
     let problem = Problem::build(m.geometry.clone(), m.axial.clone(), &m.library, params);

@@ -15,7 +15,6 @@ pub fn track_scales() -> Vec<(&'static str, TrackParams)> {
         radial_spacing: radial,
         num_polar: 2,
         axial_spacing: axial,
-        ..Default::default()
     };
     vec![
         ("scale-1", base(1.6, 8.0)),

@@ -260,9 +260,7 @@ impl Comm {
     /// reduce, broadcast). `op` must be associative and commutative.
     fn allreduce_f64(&mut self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         const TAG: u32 = u32::MAX - 1;
-        let tel = antmoc_telemetry::Telemetry::current();
-        tel.counter_add("comm.allreduce_calls", 1);
-        let _scope = tel.trace_scope("comm.allreduce", &[]);
+        let _scope = antmoc_telemetry::Telemetry::current().trace_scope("comm.allreduce", &[]);
         if self.rank == 0 {
             let mut acc = value;
             for from in 1..self.size {
@@ -290,9 +288,7 @@ impl Comm {
     /// every rank's contribution.
     pub fn allgather(&mut self, value: Vec<f64>) -> Vec<Vec<f64>> {
         const TAG: u32 = u32::MAX - 2;
-        let tel = antmoc_telemetry::Telemetry::current();
-        tel.counter_add("comm.allgather_calls", 1);
-        let _scope = tel.trace_scope("comm.allgather", &[]);
+        let _scope = antmoc_telemetry::Telemetry::current().trace_scope("comm.allgather", &[]);
         if self.rank == 0 {
             let mut all = vec![value];
             for from in 1..self.size {
@@ -406,9 +402,7 @@ impl Cluster {
         let tel = antmoc_telemetry::Telemetry::current();
         for t in &traffic {
             tel.counter_add("comm.sent_bytes", t.sent_bytes);
-            tel.counter_add("comm.sent_messages", t.sent_messages);
             tel.counter_add("comm.recv_bytes", t.received_bytes);
-            tel.counter_add("comm.recv_messages", t.received_messages);
         }
         ClusterOutcome { results, traffic }
     }

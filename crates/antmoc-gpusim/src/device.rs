@@ -66,15 +66,8 @@ impl Device {
         let cus = self.spec.num_cus;
         assert!(per_cu.len() <= cus, "{} CU bins for a {cus}-CU device", per_cu.len());
         let total: u64 = per_cu.iter().sum();
-        let tel = antmoc_telemetry::Telemetry::current();
-        tel.counter_add("device.launches", 1);
-        tel.counter_add("device.work_units", total);
-        // Occupancy: fraction of CUs that did any work this launch.
-        let active = per_cu.iter().filter(|&&w| w > 0).count();
-        if cus > 0 {
-            tel.gauge_set("device.occupancy", active as f64 / cus as f64);
-        }
-        tel.gauge_set("device.pool_used_bytes", self.memory.used() as f64);
+        antmoc_telemetry::Telemetry::current()
+            .gauge_set("device.pool_used_bytes", self.memory.used() as f64);
         let mut m = self.metrics.lock();
         for (cu, w) in per_cu.iter().enumerate() {
             m.cu_work[cu] += w;

@@ -12,9 +12,9 @@
 //!   arc-length weights, plus support for *cyclic-corrected* angles (the
 //!   track generator snaps angles so tracks tile the rectangular domain;
 //!   the weights then follow the corrected angles).
-//! * [`PolarQuadrature`] — Gauss–Legendre (recommended for true 3D MOC),
-//!   Tabuchi–Yamamoto (the classic 2D MOC optimised set) and equal-weight
-//!   sets over the polar half-space.
+//! * [`PolarQuadrature`] — Gauss–Legendre (the 3D track laydown's set)
+//!   and Tabuchi–Yamamoto (the classic 2D MOC optimised set) over the
+//!   polar half-space.
 //! * [`Quadrature`] — the product set, exposing per-direction weights that
 //!   integrate the unit sphere to `4*pi`.
 //!
@@ -89,18 +89,17 @@ mod tests {
 
     /// `num_azim` equally spaced azimuthal angles times `num_polar` polar
     /// angles of the given family.
-    fn product(num_azim: usize, num_polar: usize, polar_type: PolarType) -> Quadrature {
+    fn product(num_azim: usize, num_polar: usize, ty: PolarType) -> Quadrature {
         Quadrature::new(
             AzimuthalQuadrature::equal_angle(num_azim),
-            PolarQuadrature::new(polar_type, num_polar),
+            PolarQuadrature::new(ty, num_polar),
         )
     }
 
     #[test]
     fn product_weights_integrate_to_4pi() {
         for &(na, np) in &[(4usize, 2usize), (8, 4), (16, 6), (32, 2)] {
-            for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto, PolarType::EqualWeight]
-            {
+            for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto] {
                 let q = product(na, np, ty);
                 let total: f64 = (0..na)
                     .flat_map(|a| (0..np).map(move |p| (a, p)))

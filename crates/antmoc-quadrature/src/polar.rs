@@ -15,8 +15,6 @@ pub enum PolarType {
     /// The Tabuchi–Yamamoto optimised set (1–3 angles per half-space),
     /// standard in 2D MOC; weights are already `d(cos theta)` weights.
     TabuchiYamamoto,
-    /// Equal weights over uniform bins of `cos theta`.
-    EqualWeight,
 }
 
 /// Tabuchi–Yamamoto `sin theta` values and weights per half-space.
@@ -32,7 +30,6 @@ pub struct PolarQuadrature {
     half_thetas: Vec<f64>,
     /// Matching weights; sum to 1 per half-space.
     half_weights: Vec<f64>,
-    ty: PolarType,
 }
 
 impl PolarQuadrature {
@@ -54,24 +51,8 @@ impl PolarQuadrature {
                 let thetas: Vec<f64> = TY_SIN[half - 1].iter().map(|s| s.asin()).collect();
                 (thetas, TY_WEIGHT[half - 1].to_vec())
             }
-            PolarType::EqualWeight => {
-                // Uniform bins of cos theta in (0, 1); angle at bin centre.
-                let w = 1.0 / half as f64;
-                let thetas: Vec<f64> = (0..half)
-                    .map(|p| {
-                        let mu = 1.0 - (p as f64 + 0.5) * w;
-                        mu.acos()
-                    })
-                    .collect();
-                (thetas, vec![w; half])
-            }
         };
-        Self { half_thetas, half_weights, ty }
-    }
-
-    /// The family this quadrature was built from.
-    pub fn polar_type(&self) -> PolarType {
-        self.ty
+        Self { half_thetas, half_weights }
     }
 
     /// Total number of polar angles over `(0, pi)`.
@@ -207,7 +188,7 @@ mod tests {
 
     #[test]
     fn all_families_weights_sum_to_2() {
-        for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto, PolarType::EqualWeight] {
+        for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto] {
             for np in [2usize, 4, 6] {
                 let q = PolarQuadrature::new(ty, np);
                 let total: f64 = (0..q.num_polar()).map(|p| q.weight(p)).sum();
@@ -236,7 +217,7 @@ mod tests {
 
     #[test]
     fn upward_thetas_ascending_and_in_range() {
-        for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto, PolarType::EqualWeight] {
+        for ty in [PolarType::GaussLegendre, PolarType::TabuchiYamamoto] {
             let q = PolarQuadrature::new(ty, 6);
             for p in 0..3 {
                 let t = q.theta(p);

@@ -38,11 +38,12 @@
 //! (installed on the worker thread and inherited by the sweep's thread
 //! team), so [`JobResult::telemetry`] is the same report a one-shot run
 //! would have produced. Completed sinks merge into one service-wide
-//! [`MetricsRegistry`], which is also the only sink of the service's own
-//! `serve.*` / `cache.*` series; [`SolveService::snapshot`] renders it as
+//! [`Telemetry`] that is never installed (see [`Telemetry::merge_into`]),
+//! which is also the only sink of the service's own `serve.*` /
+//! `cache.*` series; [`SolveService::snapshot`] renders it as
 //! Prometheus-style text. A failed job reaches its submitter through
-//! [`JobResult`] (the panic message and [`JobStats`]) and the registry
-//! through `serve.jobs_failed`.
+//! [`JobResult`] (the panic message and [`JobStats`]) and the aggregate
+//! through `serve.jobs_failed`; its sink is not merged.
 
 pub mod cache;
 
@@ -59,7 +60,7 @@ use antmoc_input::CaseSpec;
 use antmoc_perfmodel::MemoryModel;
 use antmoc_solver::exptable::DEFAULT_TAU_MAX;
 use antmoc_solver::{ExpMode, ExpTable, SweepArena, SweepTallies};
-use antmoc_telemetry::{Json, MetricsRegistry, RunReport as TelemetryReport, Telemetry};
+use antmoc_telemetry::{RunReport as TelemetryReport, Telemetry};
 
 use cache::SetupCache;
 
@@ -252,10 +253,10 @@ struct Shared {
     admission: Admission,
     solve_threads: Option<usize>,
     next_id: AtomicU64,
-    /// Service-wide aggregation: completed job sinks merge here, and the
-    /// service's own counters/gauges/histograms (`serve.*`, `cache.*`)
-    /// are recorded here and nowhere else.
-    metrics: MetricsRegistry,
+    /// Service-wide aggregation, never installed: completed job sinks
+    /// merge here, and the service's own counters/gauges/histograms
+    /// (`serve.*`, `cache.*`) are recorded here and nowhere else.
+    metrics: Telemetry,
 }
 
 /// The long-running solve service. Dropping it (or calling
@@ -275,7 +276,7 @@ impl SolveService {
             admission: Admission::new(config.device_pool_bytes.max(1)),
             solve_threads: config.solve_threads,
             next_id: AtomicU64::new(1),
-            metrics: MetricsRegistry::new(),
+            metrics: Telemetry::new(),
         });
         let workers = (0..config.workers.max(1))
             .map(|w| {
@@ -321,14 +322,14 @@ impl SolveService {
         self.shared.admission.peak_bytes()
     }
 
-    /// The service-wide metrics registry: the service's own `serve.*` /
+    /// The service-wide aggregate: the service's own `serve.*` /
     /// `cache.*` series plus the merged sinks of every completed job.
-    pub fn metrics(&self) -> &MetricsRegistry {
+    pub fn metrics(&self) -> &Telemetry {
         &self.shared.metrics
     }
 
-    /// A point-in-time view of the whole service: the metrics
-    /// registry's text exposition.
+    /// A point-in-time view of the whole service: the aggregate's text
+    /// exposition.
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot { metrics_text: self.shared.metrics.render_text() }
     }
@@ -354,7 +355,7 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// The Prometheus-style text exposition of the metrics registry.
+    /// The Prometheus-style text exposition of the service aggregate.
     pub fn render_text(&self) -> &str {
         &self.metrics_text
     }
@@ -432,15 +433,10 @@ fn setup_bytes(setup: &SolveSetup) -> u64 {
 }
 
 fn run_job(shared: &Shared, job: Job) -> JobResult {
-    // Service-level series go to the service registry only, so `serve.*`
-    // / `cache.*` never leak into the job's own report. The job's trace
-    // slice stays on the global handle, outside the job's sink.
+    // Service-level series go to the service aggregate only, so `serve.*`
+    // / `cache.*` never leak into the job's own report.
     let Job { id, config, enqueued, .. } = job;
     let pickup_wait = enqueued.elapsed();
-    let _scope = Telemetry::global().trace_scope(
-        "serve.job",
-        &[("job", Json::Uint(id)), ("case", Json::Str(config.case_name.clone()))],
-    );
     shared.metrics.counter_add("serve.jobs", 1);
 
     // Everything the pipeline records while this job runs lands in a
@@ -523,10 +519,10 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
                 }
             }
             // The job is done recording: close the scope, take the
-            // report, and fold the sink into the service registry.
+            // report, and fold the sink into the service aggregate.
             drop(sink_guard);
             let telemetry = sink.report();
-            sink.merge_into_registry(&shared.metrics);
+            sink.merge_into(&shared.metrics);
             JobResult { job_id: id, outcome: Ok(report), stats, telemetry }
         }
         // The arena checked out by a panicked solve is dropped with the
@@ -537,7 +533,7 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
 
 /// The failure tail of [`run_job`]: count the failure and hand back the
 /// panic message, the partial stats and the partial job telemetry. A
-/// failed sink is *not* merged into the registry — only completed jobs
+/// failed sink is *not* merged into the aggregate — only completed jobs
 /// contribute there.
 fn fail_job(
     shared: &Shared,
@@ -663,8 +659,8 @@ mod tests {
         let warm = service.submit(tiny_request()).unwrap().wait();
         assert!(warm.stats.cache_hit, "identical config must reuse the setup");
         assert!(warm.stats.setup_s <= cold.stats.setup_s);
-        assert_eq!(service.metrics().counter("cache.miss"), 1);
-        assert_eq!(service.metrics().counter("cache.hit"), 1);
+        assert_eq!(service.metrics().counter_value("cache.miss"), 1);
+        assert_eq!(service.metrics().counter_value("cache.hit"), 1);
         service.shutdown();
     }
 
@@ -708,9 +704,9 @@ mod tests {
         // The worker is still alive and solves the next job.
         let ok = service.submit(tiny_request()).unwrap().wait();
         assert!(ok.outcome.is_ok());
-        // The registry counts both jobs and the one failure.
-        assert_eq!(service.metrics().counter("serve.jobs"), 2);
-        assert_eq!(service.metrics().counter("serve.jobs_failed"), 1);
+        // The aggregate counts both jobs and the one failure.
+        assert_eq!(service.metrics().counter_value("serve.jobs"), 2);
+        assert_eq!(service.metrics().counter_value("serve.jobs_failed"), 1);
         service.shutdown();
     }
 
@@ -762,15 +758,15 @@ mod tests {
             baseline.deterministic_digest(),
             "job-scoped report diverged from the one-shot run"
         );
-        // With a single completed job, the registry's job-sourced series
+        // With a single completed job, the aggregate's job-sourced series
         // must equal the sink exactly (counters bit-for-bit, histograms
         // sample-for-sample).
+        let aggregate = service.metrics().report();
         for (name, &value) in &r.telemetry.counters {
-            assert_eq!(service.metrics().counter(name), value, "counter {name}");
+            assert_eq!(aggregate.counter(name), value, "counter {name}");
         }
         for (name, summary) in &r.telemetry.histograms {
-            let merged = service.metrics().histogram(name).expect(name);
-            assert_eq!(merged.count(), summary.count, "histogram {name}");
+            assert_eq!(aggregate.histograms.get(name), Some(summary), "histogram {name}");
         }
         service.shutdown();
     }

@@ -6,15 +6,15 @@
 //!    wall-clock exclusions) to a one-shot run of the same case recorded
 //!    into its own sink, and the two reports are distinct from each
 //!    other.
-//! 2. **Exact aggregation** — the service registry equals the exact sum
+//! 2. **Exact aggregation** — the service aggregate equals the exact sum
 //!    over the job sinks, counter by counter and histogram sample count
-//!    by sample count; and merging sinks into a registry is **bit-exact**
-//!    for histograms: the merged buckets equal those of recording every
-//!    sample serially into one histogram.
+//!    by sample count; and [`Telemetry::merge_into`] is **bit-exact** for
+//!    histograms: the merged buckets equal those of recording every
+//!    sample serially into one sink.
 
 use antmoc::RunConfig;
 use antmoc_serve::{ServeConfig, SolveRequest, SolveService};
-use antmoc_telemetry::{Histogram, MetricsRegistry, Telemetry};
+use antmoc_telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn ini(radial_spacing: f64) -> String {
@@ -76,7 +76,7 @@ proptest! {
             "distinct cases produced identical telemetry"
         );
 
-        // Exact aggregation: every counter and histogram in the registry
+        // Exact aggregation: every counter and histogram in the aggregate
         // equals the sum over the two sinks.
         let mut counter_sums = std::collections::BTreeMap::<&str, u64>::new();
         let mut hist_counts = std::collections::BTreeMap::<&str, u64>::new();
@@ -88,17 +88,18 @@ proptest! {
                 *hist_counts.entry(k).or_default() += h.count;
             }
         }
+        let aggregate = service.metrics().report();
         for (k, v) in &counter_sums {
-            prop_assert_eq!(service.metrics().counter(k), *v, "counter {} drifted", k);
+            prop_assert_eq!(aggregate.counter(k), *v, "counter {} drifted", k);
         }
         for (k, c) in &hist_counts {
-            let got = service.metrics().histogram(k).map_or(0, |h| h.count());
+            let got = aggregate.histograms.get(*k).map_or(0, |h| h.count);
             prop_assert_eq!(got, *c, "histogram {} drifted", k);
         }
         service.shutdown();
     }
 
-    // Merging N sinks into a registry leaves histograms identical to
+    // Merging N sinks into an aggregate leaves histograms identical to
     // having recorded every sample serially — bucket for bucket.
     #[test]
     fn registry_histogram_merges_are_bit_exact(
@@ -113,17 +114,22 @@ proptest! {
         for &v in &b {
             tb.histogram_record("isolation.test_h", v);
         }
-        let registry = MetricsRegistry::new();
-        ta.merge_into_registry(&registry);
-        tb.merge_into_registry(&registry);
-        let merged = registry.histogram("isolation.test_h").unwrap();
+        let merged = Telemetry::new();
+        ta.merge_into(&merged);
+        tb.merge_into(&merged);
 
-        let mut serial = Histogram::default();
+        let serial = Telemetry::new();
         for &v in a.iter().chain(b.iter()) {
-            serial.record(v);
+            serial.histogram_record("isolation.test_h", v);
         }
-        prop_assert!(merged == serial, "merged buckets differ from serial recording");
-        prop_assert_eq!(merged.count(), serial.count());
-        prop_assert_eq!(merged.sum(), serial.sum());
+        // The `_bucket` lines carry every bucket's cumulative count;
+        // `_sum` and `_count` follow them.
+        let (merged, serial) = (merged.render_text(), serial.render_text());
+        let series = |text: &str| -> Vec<String> {
+            text.lines().filter(|l| l.starts_with("isolation_test_h_")).map(String::from).collect()
+        };
+        let has_buckets = series(&merged).iter().any(|l| l.contains("_bucket{le="));
+        prop_assert!(has_buckets, "no bucket series rendered");
+        prop_assert_eq!(series(&merged), series(&serial), "merged buckets differ from serial recording");
     }
 }

@@ -208,13 +208,7 @@ mod tests {
     }
 
     fn params() -> TrackParams {
-        TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.4,
-            num_polar: 2,
-            axial_spacing: 0.2,
-            ..Default::default()
-        }
+        TrackParams { num_azim: 4, radial_spacing: 0.4, num_polar: 2, axial_spacing: 0.2 }
     }
 
     #[test]

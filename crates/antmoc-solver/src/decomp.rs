@@ -361,13 +361,7 @@ mod tests {
     }
 
     fn params() -> TrackParams {
-        TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 1.0,
-            ..Default::default()
-        }
+        TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 1.0 }
     }
 
     #[test]

@@ -166,13 +166,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 4.0, 4.0, (0.0, 4.0), BoundaryConds::reflective());
         let axial = AxialModel::uniform(0.0, 4.0, 2.0);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 1.0,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 1.0 };
         Problem::build(g, axial, &lib, params)
     }
 
@@ -268,13 +263,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 4.0, 4.0, (0.0, 4.0), BoundaryConds::reflective());
         let axial = AxialModel::uniform(0.0, 4.0, 0.1);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 1.0,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 1.0 };
         let p = Problem::build(g, axial, &lib, params);
         let dev = big_device();
         let solver =

@@ -90,13 +90,8 @@ mod tests {
         bcs.z_max = Bc::Vacuum;
         let g = homogeneous_box(uo2, 4.0, 4.0, (0.0, 4.0), bcs);
         let axial = AxialModel::uniform(0.0, 4.0, 2.0);
-        let params = TrackParams {
-            num_azim: 8,
-            radial_spacing: 0.4,
-            num_polar: 4,
-            axial_spacing: 0.8,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 8, radial_spacing: 0.4, num_polar: 4, axial_spacing: 0.8 };
         let p = crate::problem::Problem::build(g, axial, &lib, params);
         let segsrc = SegmentSource::otf();
         let mut sweeper = CpuSweeper::new(&segsrc);

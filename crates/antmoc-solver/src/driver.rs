@@ -453,13 +453,8 @@ mod tests {
             ..BoundaryConds::reflective()
         };
         let geom = homogeneous_box(lib.by_name("FUEL").unwrap().0, 2.0, 2.0, (0.0, 2.0), bcs);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 0.5,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 0.5 };
         Problem::build(geom, AxialModel::uniform(0.0, 2.0, 0.5), &lib, params)
     }
 

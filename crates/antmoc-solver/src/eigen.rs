@@ -79,13 +79,8 @@ mod tests {
         let (mid, _) = lib.by_name(mat).unwrap();
         let g = homogeneous_box(mid, 4.0, 4.0, (0.0, 4.0), bcs);
         let axial = AxialModel::uniform(0.0, 4.0, 2.0);
-        let params = TrackParams {
-            num_azim: 8,
-            radial_spacing: 0.4,
-            num_polar: 4,
-            axial_spacing: 0.8,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 8, radial_spacing: 0.4, num_polar: 4, axial_spacing: 0.8 };
         let p = Problem::build(g, axial, lib, params);
         let segsrc = SegmentSource::otf();
         let mut sweeper = CpuSweeper::with_kernel(&segsrc, SweepSchedule::natural(), kernel);

@@ -28,11 +28,9 @@ impl ExpTable {
     /// Builds a table with the given node count (>= 2).
     pub fn new(tau_max: f64, nodes: usize) -> Self {
         assert!(tau_max > 0.0 && nodes >= 2);
-        let tel = antmoc_telemetry::Telemetry::current();
-        let _build_span = tel.span("exptable_build");
+        let _build_span = antmoc_telemetry::Telemetry::current().span("exptable_build");
         let step = tau_max / (nodes - 1) as f64;
         let values: Vec<f64> = (0..nodes).map(|i| -(-(i as f64) * step).exp_m1()).collect();
-        tel.gauge_set("solver.exptable_bytes", (values.len() * 8) as f64);
         Self { values, inv_step: 1.0 / step, tau_max }
     }
 

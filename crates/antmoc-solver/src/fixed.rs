@@ -88,13 +88,7 @@ mod tests {
             geom,
             axial,
             &lib,
-            TrackParams {
-                num_azim: 8,
-                radial_spacing: 0.4,
-                num_polar: 4,
-                axial_spacing: 0.8,
-                ..Default::default()
-            },
+            TrackParams { num_azim: 8, radial_spacing: 0.4, num_polar: 4, axial_spacing: 0.8 },
         )
     }
 

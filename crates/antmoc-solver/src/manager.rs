@@ -123,10 +123,7 @@ pub(crate) fn select_and_store(
     let (bytes, res_segs) =
         (src.stored_bytes(), src.store().map_or(0, |s| s.num_segments() as u64));
     let total_segs = problem.num_3d_segments();
-    let tel = antmoc_telemetry::Telemetry::current();
-    tel.gauge_set("manager.resident_bytes", bytes as f64);
-    tel.counter_add("manager.resident_segments", res_segs);
-    tel.counter_add("manager.temporary_segments", total_segs - res_segs);
+    antmoc_telemetry::Telemetry::current().gauge_set("manager.resident_bytes", bytes as f64);
     let plan = ResidencyPlan {
         resident,
         resident_bytes: bytes,
@@ -150,13 +147,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 4.0, 3.0, (0.0, 2.0), BoundaryConds::vacuum());
         let axial = AxialModel::uniform(0.0, 2.0, 0.5);
-        let params = TrackParams {
-            num_azim: 8,
-            radial_spacing: 0.4,
-            num_polar: 4,
-            axial_spacing: 0.4,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 8, radial_spacing: 0.4, num_polar: 4, axial_spacing: 0.4 };
         Problem::build(g, axial, &lib, params)
     }
 

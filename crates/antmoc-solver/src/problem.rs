@@ -200,13 +200,8 @@ mod tests {
         bcs.z_max = Bc::Vacuum;
         let g = homogeneous_box(uo2, 2.0, 2.0, (0.0, 2.0), bcs);
         let axial = AxialModel::uniform(0.0, 2.0, 1.0);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 0.5,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 0.5 };
         let _ = MaterialId(0);
         Problem::build(g, axial, &lib, params)
     }

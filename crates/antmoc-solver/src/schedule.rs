@@ -160,13 +160,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 3.0, 2.0, (0.0, 2.0), BoundaryConds::vacuum());
         let axial = AxialModel::uniform(0.0, 2.0, 0.5);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 0.5,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 0.5 };
         Problem::build(g, axial, &lib, params)
     }
 

@@ -323,13 +323,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 2.0, 2.0, (0.0, 2.0), BoundaryConds::reflective());
         let axial = AxialModel::uniform(0.0, 2.0, 2.0);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 1.0,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 1.0 };
         Problem::build(g, axial, &lib, params)
     }
 

@@ -944,13 +944,8 @@ mod tests {
         let (uo2, _) = lib.by_name("UO2").unwrap();
         let g = homogeneous_box(uo2, 2.0, 2.0, (0.0, 2.0), BoundaryConds::vacuum());
         let axial = AxialModel::uniform(0.0, 2.0, 1.0);
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 2,
-            axial_spacing: 0.5,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 0.5 };
         Problem::build(g, axial, &lib, params)
     }
 
@@ -1268,9 +1263,8 @@ mod tests {
         let p = vac_problem();
         let segsrc = SegmentSource::otf();
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
-        // No global-telemetry reset here: sibling tests share the global
-        // registry, and the report is taken immediately after the sweep so
-        // the last-set gauge/section belong to this run.
+        // Each sweep records into a private sink, so sibling tests never
+        // touch the gauges and sections read here.
         let tel_run = |kernel: SweepKernel, segsrc: &SegmentSource| {
             let mut arena = SweepArena::new(KernelConfig {
                 tallies: TallyMode::Privatized,
@@ -1278,9 +1272,11 @@ mod tests {
                 ..Default::default()
             });
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
+            let sink = Telemetry::new();
+            let _installed = sink.install();
             let _ =
                 transport_sweep_with(&p, segsrc, &q, &banks, &SweepSchedule::natural(), &mut arena);
-            Telemetry::global().report()
+            sink.report()
         };
         let r = tel_run(SweepKernel::Vector, &segsrc);
         let bps = r.gauges["sweep.bytes_per_segment"].last;
@@ -1310,6 +1306,8 @@ mod tests {
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
         let mut arena =
             SweepArena::new(KernelConfig { tallies: TallyMode::Privatized, ..Default::default() });
+        let sink = Telemetry::new();
+        let installed = sink.install();
         let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         pool.install(|| {
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
@@ -1322,10 +1320,10 @@ mod tests {
                 &mut arena,
             );
         });
-        let r = Telemetry::global().report();
+        drop(installed);
+        let r = sink.report();
         // The retry counter key exists even at zero — "no retries" is an
-        // observation, not an absence. Sibling tests share the global
-        // registry, but a privatized sweep adds only its own retries: none.
+        // observation, not an absence; a privatized sweep has none.
         assert_eq!(r.counters.get("sweep.cas_retries"), Some(&0));
         assert!(r.gauges.contains_key("sweep.tally_bytes"));
         let sec = &r.sections["sweep_kernel"];

@@ -25,13 +25,7 @@ use antmoc_xs::c5g7;
 use proptest::prelude::*;
 
 fn params(spacing: f64) -> TrackParams {
-    TrackParams {
-        num_azim: 4,
-        radial_spacing: spacing,
-        num_polar: 2,
-        axial_spacing: spacing / 2.0,
-        ..Default::default()
-    }
+    TrackParams { num_azim: 4, radial_spacing: spacing, num_polar: 2, axial_spacing: spacing / 2.0 }
 }
 
 /// A UO2 box, reflective except for a vacuum top, decomposed by `spec`.

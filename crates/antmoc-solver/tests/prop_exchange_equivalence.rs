@@ -40,7 +40,6 @@ proptest! {
             radial_spacing: spacing,
             num_polar: 2,
             axial_spacing: spacing,
-            ..Default::default()
         };
         // A fixed iteration budget keeps every run on the same arithmetic.
         let eopts = EigenOptions { tolerance: 1e-30, max_iterations: 6, ..Default::default() };

@@ -74,13 +74,8 @@ fn extreme_problem(g: usize, spacing: f64) -> Problem {
     let (mat, _) = lib.by_name("EXTREME").unwrap();
     let geom = homogeneous_box(mat, 2.0, 2.0, (0.0, 2.0), BoundaryConds::vacuum());
     let axial = AxialModel::uniform(0.0, 2.0, 1.0);
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: spacing,
-        num_polar: 2,
-        axial_spacing: spacing,
-        ..Default::default()
-    };
+    let params =
+        TrackParams { num_azim: 4, radial_spacing: spacing, num_polar: 2, axial_spacing: spacing };
     Problem::build(geom, axial, &lib, params)
 }
 

@@ -47,7 +47,6 @@ proptest! {
             radial_spacing: spacing,
             num_polar: 2,
             axial_spacing: spacing,
-            ..Default::default()
         };
         let p = Problem::build(g, axial, &lib, params);
         let segsrc = SegmentSource::otf();

@@ -31,13 +31,7 @@ fn problem() -> Problem {
     bcs.z_max = Bc::Vacuum;
     let g = homogeneous_box(uo2, 3.0, 3.0, (0.0, 4.0), bcs);
     let axial = AxialModel::uniform(0.0, 4.0, 1.0);
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.4,
-        num_polar: 2,
-        axial_spacing: 0.4,
-        ..Default::default()
-    };
+    let params = TrackParams { num_azim: 4, radial_spacing: 0.4, num_polar: 2, axial_spacing: 0.4 };
     Problem::build(g, axial, &lib, params)
 }
 

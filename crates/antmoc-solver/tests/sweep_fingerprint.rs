@@ -92,13 +92,7 @@ fn lattice_problem(g: usize) -> Problem {
     bcs.z_max = Bc::Vacuum;
     let geom = b.finalize(root, 2.0, 2.0, (0.0, 0.0), (0.0, 2.0), bcs);
     let axial = AxialModel::uniform(0.0, 2.0, 1.0);
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.3,
-        num_polar: 2,
-        axial_spacing: 0.4,
-        ..Default::default()
-    };
+    let params = TrackParams { num_azim: 4, radial_spacing: 0.3, num_polar: 2, axial_spacing: 0.4 };
     Problem::build(geom, axial, &lib, params)
 }
 
@@ -177,13 +171,8 @@ fn decomposed_box(spec: DecompSpec) -> Decomposition {
     bcs.z_max = Bc::Vacuum;
     let g = homogeneous_box(uo2, 4.0, 4.0, (0.0, 6.0), bcs);
     let axial = AxialModel::uniform(0.0, 6.0, 1.5);
-    let params = TrackParams {
-        num_azim: 4,
-        radial_spacing: 0.5,
-        num_polar: 2,
-        axial_spacing: 0.25,
-        ..Default::default()
-    };
+    let params =
+        TrackParams { num_azim: 4, radial_spacing: 0.5, num_polar: 2, axial_spacing: 0.25 };
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     pool.install(|| Decomposition::build(&g, &axial, &lib, params, spec))
 }

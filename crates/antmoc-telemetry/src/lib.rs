@@ -20,17 +20,19 @@
 //! [`Telemetry::current`]: the innermost instance installed on the
 //! calling thread via [`Telemetry::install`], falling back to the
 //! process-wide [`Telemetry::global`] when nothing is installed. One-shot
-//! binaries keep the old contract (`reset()` at run start, `report()` at
-//! the end, no handle threading); multi-tenant drivers like
+//! binaries record into the global instance and call `report()` at the
+//! end, with no handle threading; multi-tenant drivers like
 //! `antmoc-serve` install a private sink per job so concurrent runs never
 //! entangle their reports. Installed contexts follow work onto the rayon
 //! shim's spawned workers via its region-context hooks, so parallel
 //! regions record into the job that drove them.
 //!
-//! Completed sinks fold into a service-level [`metrics::MetricsRegistry`]
-//! (monotonic counters, gauge high-waters, exact histogram merges) with a
-//! Prometheus-style text exposition for scraping. The registry is also
-//! where a service records its own series; it keeps totals, not rates.
+//! A service aggregates completed sinks into one more, never-installed
+//! `Telemetry` with [`Telemetry::merge_into`] (saturating counters, gauge
+//! high-waters, bucket-exact histogram merges), records its own series
+//! there, and renders it as Prometheus-style text with
+//! [`Telemetry::render_text`] (see [`metrics`]). It keeps totals, not
+//! rates.
 
 pub mod hist;
 pub mod json;
@@ -40,8 +42,7 @@ pub mod trace;
 
 pub use hist::{Histogram, HistogramSummary};
 pub use json::Json;
-pub use metrics::MetricsRegistry;
-pub use report::{GaugeStats, RunReport, SpanStats};
+pub use report::{is_noisy, GaugeStats, RunReport, SpanStats};
 pub use trace::{TraceEvent, DEFAULT_TRACE_CAPACITY};
 
 use std::cell::RefCell;
@@ -57,9 +58,6 @@ use trace::TraceCollector;
 /// One registry's span-name stack on one thread.
 struct ThreadSpanStack {
     registry: u64,
-    /// The registry's reset generation this stack belongs to; a stale
-    /// generation means `reset()` ran and the stack is garbage.
-    generation: u64,
     stack: Vec<&'static str>,
 }
 
@@ -110,15 +108,8 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Runs `f` on this thread's stack for `registry`, first discarding the
-/// stack if it belongs to an older reset generation (the satellite fix:
-/// spans leaked by a panic or `mem::forget` must not corrupt the paths of
-/// the next measured run).
-fn with_span_stack<R>(
-    registry: u64,
-    generation: u64,
-    f: impl FnOnce(&mut Vec<&'static str>) -> R,
-) -> R {
+/// Runs `f` on this thread's span-name stack for `registry`.
+fn with_span_stack<R>(registry: u64, f: impl FnOnce(&mut Vec<&'static str>) -> R) -> R {
     SPAN_STACKS.with(|cell| {
         let mut stacks = cell.borrow_mut();
         // Drop finished stacks of other registries so long-lived threads
@@ -127,16 +118,11 @@ fn with_span_stack<R>(
         let idx = match stacks.iter().position(|s| s.registry == registry) {
             Some(i) => i,
             None => {
-                stacks.push(ThreadSpanStack { registry, generation, stack: Vec::new() });
+                stacks.push(ThreadSpanStack { registry, stack: Vec::new() });
                 stacks.len() - 1
             }
         };
-        let entry = &mut stacks[idx];
-        if entry.generation != generation {
-            entry.stack.clear();
-            entry.generation = generation;
-        }
-        f(&mut entry.stack)
+        f(&mut stacks[idx].stack)
     })
 }
 
@@ -144,8 +130,6 @@ struct Registry {
     /// Process-unique id; keys the per-thread span stacks and trace
     /// buffers so distinct instances stay isolated.
     id: u64,
-    /// Bumped by `reset()`; invalidates every thread's span stack.
-    span_generation: AtomicU64,
     spans: Mutex<BTreeMap<String, SpanStats>>,
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<&'static str, GaugeStats>>,
@@ -161,7 +145,6 @@ impl Default for Registry {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Self {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            span_generation: AtomicU64::new(0),
             spans: Mutex::default(),
             counters: Mutex::default(),
             gauges: Mutex::default(),
@@ -225,12 +208,11 @@ impl Telemetry {
     /// Names are `&'static str` on purpose: hot paths must not allocate
     /// to be observable.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        let generation = self.registry.span_generation.load(Ordering::Relaxed);
-        let path = with_span_stack(self.registry.id, generation, |stack| {
+        let path = with_span_stack(self.registry.id, |stack| {
             stack.push(name);
             stack.join("/")
         });
-        SpanGuard { telemetry: self.clone(), path: Some(path), generation, start: Instant::now() }
+        SpanGuard { telemetry: self.clone(), path: Some(path), start: Instant::now() }
     }
 
     /// Adds to a counter, saturating at `u64::MAX` (a tripped counter
@@ -419,24 +401,6 @@ impl Telemetry {
         }
     }
 
-    /// Clears every aggregate — call at the start of a measured run when
-    /// using the global instance. Also invalidates the span-name stacks
-    /// of every thread (spans leaked by panics or `mem::forget` would
-    /// otherwise prefix the next run's paths) and drops all trace
-    /// events; a span still open across a `reset()` is cancelled rather
-    /// than recorded into the fresh run.
-    pub fn reset(&self) {
-        self.registry.span_generation.fetch_add(1, Ordering::Relaxed);
-        self.registry.spans.lock().clear();
-        self.registry.counters.lock().clear();
-        self.registry.gauges.lock().clear();
-        self.registry.histograms.lock().clear();
-        self.registry.iterations.lock().clear();
-        self.registry.meta.lock().clear();
-        self.registry.sections.lock().clear();
-        self.registry.trace.reset();
-    }
-
     fn record_span(&self, path: &str, seconds: f64) {
         self.registry.spans.lock().entry(path.to_string()).or_default().record(seconds);
     }
@@ -449,9 +413,6 @@ pub struct SpanGuard {
     telemetry: Telemetry,
     /// `Some` until the guard fires; `take`n in drop.
     path: Option<String>,
-    /// The reset generation the guard was opened under; a mismatch at
-    /// drop means `reset()` intervened and the span is cancelled.
-    generation: u64,
     start: Instant,
 }
 
@@ -466,13 +427,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(path) = self.path.take() else { return };
         let registry = &self.telemetry.registry;
-        if registry.span_generation.load(Ordering::Relaxed) != self.generation {
-            // reset() ran while this span was open: the run it belongs
-            // to is gone, and the thread stack was (or will be)
-            // invalidated wholesale — do not pop or record.
-            return;
-        }
-        with_span_stack(registry.id, self.generation, |stack| {
+        with_span_stack(registry.id, |stack| {
             stack.pop();
         });
         let elapsed = self.start.elapsed();
@@ -685,60 +640,6 @@ mod tests {
         let g = t.report().gauges["pool"];
         assert_eq!(g.last, 50.0);
         assert_eq!(g.high_water, 400.0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let t = Telemetry::new();
-        t.counter_add("c", 1);
-        t.gauge_set("g", 1.0);
-        {
-            let _s = t.span("s");
-        }
-        t.set_meta("case", "x");
-        t.histogram_record("h", 42);
-        t.append_iteration(Json::Obj(vec![("it".into(), Json::Uint(1))]));
-        t.set_tracing(true, 64);
-        t.trace_instant("tick", &[]);
-        t.reset();
-        let r = t.report();
-        assert!(r.counters.is_empty());
-        assert!(r.gauges.is_empty());
-        assert!(r.spans.is_empty());
-        assert!(r.meta.is_empty());
-        assert!(r.histograms.is_empty());
-        assert!(r.iterations.is_empty());
-    }
-
-    /// Regression: a span leaked on this thread (panicking scope,
-    /// `mem::forget`) used to poison the thread-local stack forever —
-    /// every later span on the thread nested under the ghost. `reset()`
-    /// must invalidate the stale stack.
-    #[test]
-    fn reset_clears_leaked_span_stacks() {
-        let t = Telemetry::new();
-        std::mem::forget(t.span("orphan"));
-        t.reset();
-        {
-            let _s = t.span("fresh");
-        }
-        let r = t.report();
-        assert!(r.spans.contains_key("fresh"), "got {:?}", r.spans.keys().collect::<Vec<_>>());
-        assert!(!r.spans.contains_key("orphan/fresh"), "leaked span still prefixes paths");
-    }
-
-    #[test]
-    fn span_open_across_reset_is_cancelled_not_recorded() {
-        let t = Telemetry::new();
-        let guard = t.span("stale");
-        t.reset();
-        drop(guard);
-        assert!(t.report().spans.is_empty(), "a span from before reset() must not record");
-        // And the next span path is clean.
-        {
-            let _s = t.span("next");
-        }
-        assert!(t.report().spans.contains_key("next"));
     }
 
     #[test]

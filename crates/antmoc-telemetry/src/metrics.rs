@@ -1,124 +1,77 @@
-//! Service-level metrics registry with Prometheus-style text exposition.
+//! Service-level aggregation and its Prometheus-style text exposition.
 //!
 //! Per-job telemetry sinks (see [`Telemetry::install`]) answer "what did
 //! *this* run do"; a long-lived service also needs the aggregate view —
 //! total jobs, cache traffic, queue-wait distribution — that operators
-//! scrape. [`MetricsRegistry`] is that aggregate:
+//! scrape. That aggregate is one more [`Telemetry`], never installed: the
+//! service records its own series into it and folds every completed job
+//! sink in with [`Telemetry::merge_into`], which applies three rules:
 //!
-//! * **counters** fold in monotonically (saturating adds; a registry
-//!   total is the exact sum over every merged sink);
-//! * **gauges** keep the latest level plus an all-time high-water mark;
-//! * **histograms** merge **bucket-exact** (see [`Histogram::merge`]):
-//!   a registry histogram equals the one recording every sample into it
+//! * **counters** add, saturating (the aggregate is the exact sum over
+//!   every merged sink);
+//! * **gauges** take the incoming `last` and keep the larger high-water
+//!   mark;
+//! * **histograms** merge **bucket-exact** (see [`crate::Histogram::merge`]):
+//!   the aggregate equals the histogram recording every sample into it
 //!   serially would have built.
 //!
-//! The registry keeps no rates: a scraper derives them from two reads of
-//! a `_total` counter.
+//! It keeps no rates: a scraper derives them from two reads of a
+//! `_total` counter.
 //!
-//! [`MetricsRegistry::render_text`] renders the Prometheus text
-//! exposition format: `# HELP`/`# TYPE` comment lines, counters with the
+//! [`Telemetry::render_text`] renders the Prometheus text exposition
+//! format: `# HELP`/`# TYPE` comment lines, counters with the
 //! conventional `_total` suffix, and histograms as cumulative `_bucket`
 //! series with `le` labels plus `_sum`/`_count`. The format is plain
 //! enough to hand to any scraper; [`validate_exposition`] is the parser
 //! the tests use to keep it that way.
 
-use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
-
-use crate::hist::Histogram;
-use crate::report::GaugeStats;
 use crate::Telemetry;
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, GaugeStats>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A thread-safe aggregate of completed telemetry sinks plus directly
-/// recorded service metrics.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds to a monotonic counter (saturating).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
-        let slot = inner.counters.entry(name.to_string()).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    }
-
-    /// Sets a gauge's level, folding the all-time high-water mark.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock();
-        let slot = inner.gauges.entry(name.to_string()).or_default();
-        slot.last = value;
-        slot.high_water = slot.high_water.max(value);
-    }
-
-    /// Records one sample into a registry histogram.
-    pub fn histogram_record(&self, name: &str, value: u64) {
-        self.inner.lock().histograms.entry(name.to_string()).or_default().record(value);
-    }
-
-    /// Folds a full histogram in, bucket-exact.
-    pub fn histogram_merge(&self, name: &str, shard: &Histogram) {
-        if shard.is_empty() {
-            return;
+impl Telemetry {
+    /// Folds this sink's counters, gauges, and histograms into `into`
+    /// under the three rules of the module docs, so merging N job sinks
+    /// leaves `into` equal to recording every sample serially. Spans,
+    /// iterations, meta, and trace events stay in the sink: they are
+    /// per-run shapes, not service aggregates. The source maps are
+    /// copied out before `into` is locked, so no two registries' locks
+    /// are ever held at once.
+    pub fn merge_into(&self, into: &Telemetry) {
+        let counters = self.registry.counters.lock().clone();
+        let gauges = self.registry.gauges.lock().clone();
+        let histograms = self.registry.histograms.lock().clone();
+        for (name, value) in counters {
+            into.counter_add(name, value);
         }
-        self.inner.lock().histograms.entry(name.to_string()).or_default().merge(shard);
+        let mut into_gauges = into.registry.gauges.lock();
+        for (name, stats) in gauges {
+            let slot = into_gauges.entry(name).or_default();
+            slot.last = stats.last;
+            slot.high_water = slot.high_water.max(stats.high_water);
+        }
+        drop(into_gauges);
+        for (name, hist) in &histograms {
+            into.histogram_merge(name, hist);
+        }
     }
 
-    /// Folds a gauge snapshot in: the incoming `last` becomes current,
-    /// high-waters take the max (the registry never forgets a peak).
-    fn gauge_merge(&self, name: &str, stats: GaugeStats) {
-        let mut inner = self.inner.lock();
-        let slot = inner.gauges.entry(name.to_string()).or_default();
-        slot.last = stats.last;
-        slot.high_water = slot.high_water.max(stats.high_water);
-    }
-
-    /// Current counter total (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current gauge snapshot.
-    pub fn gauge(&self, name: &str) -> Option<GaugeStats> {
-        self.inner.lock().gauges.get(name).copied()
-    }
-
-    /// Clone of a registry histogram (bucket-exact), if present.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().histograms.get(name).cloned()
-    }
-
-    /// Renders the Prometheus text exposition of everything in the
-    /// registry. Metric names are sanitized (`.` and other non-alphanumerics
-    /// become `_`); counters get the conventional `_total` suffix; gauges
-    /// emit the level plus a `_peak` high-water series; histograms emit
-    /// cumulative `_bucket{le=...}` series with `_sum` and `_count`.
+    /// Renders the Prometheus text exposition of this instance's
+    /// counters, gauges, and histograms. Metric names are sanitized (`.`
+    /// and other non-alphanumerics become `_`); counters get the
+    /// conventional `_total` suffix; gauges emit the level plus a `_peak`
+    /// high-water series; histograms emit cumulative `_bucket{le=...}`
+    /// series with `_sum` and `_count`.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let inner = self.inner.lock();
         let mut out = String::new();
 
-        for (name, value) in &inner.counters {
+        for (name, value) in self.registry.counters.lock().iter() {
             let prom = counter_exposition_name(name);
             let _ = writeln!(out, "# HELP {prom} Monotonic total of counter '{name}'.");
             let _ = writeln!(out, "# TYPE {prom} counter");
             let _ = writeln!(out, "{prom} {value}");
         }
 
-        for (name, stats) in &inner.gauges {
+        for (name, stats) in self.registry.gauges.lock().iter() {
             let prom = sanitize_name(name);
             let _ = writeln!(out, "# HELP {prom} Last level of gauge '{name}'.");
             let _ = writeln!(out, "# TYPE {prom} gauge");
@@ -128,7 +81,7 @@ impl MetricsRegistry {
             let _ = writeln!(out, "{prom}_peak {}", format_f64(stats.high_water));
         }
 
-        for (name, hist) in &inner.histograms {
+        for (name, hist) in self.registry.histograms.lock().iter() {
             let prom = sanitize_name(name);
             let _ = writeln!(out, "# HELP {prom} Distribution of '{name}'.");
             let _ = writeln!(out, "# TYPE {prom} histogram");
@@ -143,26 +96,6 @@ impl MetricsRegistry {
         }
 
         out
-    }
-}
-
-impl Telemetry {
-    /// Folds this sink's counters, gauges, and histograms into a
-    /// service-level registry. Counter adds are saturating, gauge
-    /// high-waters take the max, and histograms merge **bucket-exact** —
-    /// merging N job sinks leaves the registry equal to recording every
-    /// sample serially. Spans, iterations, meta, and trace events stay in
-    /// the sink: they are per-run shapes, not service aggregates.
-    pub fn merge_into_registry(&self, registry: &MetricsRegistry) {
-        for (name, value) in self.registry.counters.lock().iter() {
-            registry.counter_add(name, *value);
-        }
-        for (name, stats) in self.registry.gauges.lock().iter() {
-            registry.gauge_merge(name, *stats);
-        }
-        for (name, hist) in self.registry.histograms.lock().iter() {
-            registry.histogram_merge(name, hist);
-        }
     }
 }
 
@@ -285,23 +218,65 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
+    /// The exposition of a fixed script, captured from the dedicated
+    /// registry type this aggregate replaced: the text must stay
+    /// byte-identical.
     #[test]
-    fn counters_fold_monotonically_and_saturate() {
-        let r = MetricsRegistry::new();
-        r.counter_add("serve.jobs", 3);
-        r.counter_add("serve.jobs", 4);
-        assert_eq!(r.counter("serve.jobs"), 7);
-        r.counter_add("serve.jobs", u64::MAX);
-        assert_eq!(r.counter("serve.jobs"), u64::MAX);
+    fn exposition_of_a_fixed_script_is_pinned() {
+        let service = Telemetry::new();
+        service.counter_add("serve.jobs", 3);
+        service.counter_add("serve.jobs", u64::MAX);
+        service.counter_add("cache.hit", 2);
+        service.gauge_set("serve.inflight_peak_bytes", 1.5e6);
+        let sink = Telemetry::new();
+        sink.gauge_set("serve.inflight_peak_bytes", 4.0e6);
+        sink.gauge_set("serve.inflight_peak_bytes", 2.5);
+        sink.counter_add("sweep.segments", 12345);
+        sink.counter_add("cache.hit", 5);
+        sink.histogram_record("serve.queue_wait_ns", 70000);
+        sink.merge_into(&service);
+        for v in [100u64, 2000, 2000, 70000] {
+            service.histogram_record("serve.queue_wait_ns", v);
+        }
+        let expected = "\
+# HELP cache_hit_total Monotonic total of counter 'cache.hit'.
+# TYPE cache_hit_total counter
+cache_hit_total 7
+# HELP serve_jobs_total Monotonic total of counter 'serve.jobs'.
+# TYPE serve_jobs_total counter
+serve_jobs_total 18446744073709551615
+# HELP sweep_segments_total Monotonic total of counter 'sweep.segments'.
+# TYPE sweep_segments_total counter
+sweep_segments_total 12345
+# HELP serve_inflight_peak_bytes Last level of gauge 'serve.inflight_peak_bytes'.
+# TYPE serve_inflight_peak_bytes gauge
+serve_inflight_peak_bytes 2.5
+# HELP serve_inflight_peak_bytes_peak High-water mark of gauge 'serve.inflight_peak_bytes'.
+# TYPE serve_inflight_peak_bytes_peak gauge
+serve_inflight_peak_bytes_peak 4000000
+# HELP serve_queue_wait_ns Distribution of 'serve.queue_wait_ns'.
+# TYPE serve_queue_wait_ns histogram
+serve_queue_wait_ns_bucket{le=\"103\"} 1
+serve_queue_wait_ns_bucket{le=\"2047\"} 3
+serve_queue_wait_ns_bucket{le=\"73727\"} 5
+serve_queue_wait_ns_bucket{le=\"+Inf\"} 5
+serve_queue_wait_ns_sum 144100
+serve_queue_wait_ns_count 5
+";
+        assert_eq!(service.render_text(), expected);
     }
 
     #[test]
     fn gauges_keep_high_water_across_merges() {
-        let r = MetricsRegistry::new();
-        r.gauge_set("pool.bytes", 100.0);
-        r.gauge_merge("pool.bytes", GaugeStats { last: 10.0, high_water: 400.0 });
-        r.gauge_merge("pool.bytes", GaugeStats { last: 50.0, high_water: 30.0 });
-        let g = r.gauge("pool.bytes").unwrap();
+        let service = Telemetry::new();
+        service.gauge_set("pool.bytes", 100.0);
+        let (peaked, settled) = (Telemetry::new(), Telemetry::new());
+        peaked.gauge_set("pool.bytes", 400.0);
+        peaked.gauge_set("pool.bytes", 10.0);
+        settled.gauge_set("pool.bytes", 50.0);
+        peaked.merge_into(&service);
+        settled.merge_into(&service);
+        let g = service.report().gauges["pool.bytes"];
         assert_eq!(g.last, 50.0);
         assert_eq!(g.high_water, 400.0);
     }
@@ -311,19 +286,20 @@ mod tests {
         // Two sinks splitting one sample stream must merge into exactly
         // the histogram of serial recording — buckets, not quantile
         // approximations.
-        let (a, b) = (Telemetry::new(), Telemetry::new());
-        let mut serial = Histogram::new();
+        let (a, b, serial) = (Telemetry::new(), Telemetry::new(), Telemetry::new());
         for v in 0..5000u64 {
             let sink = if v % 3 == 0 { &a } else { &b };
             sink.histogram_record("lat_ns", v * 17);
-            serial.record(v * 17);
             sink.counter_add("items", 1);
+            serial.histogram_record("lat_ns", v * 17);
+            serial.counter_add("items", 1);
         }
-        let r = MetricsRegistry::new();
-        a.merge_into_registry(&r);
-        b.merge_into_registry(&r);
-        assert_eq!(r.histogram("lat_ns").unwrap(), serial);
-        assert_eq!(r.counter("items"), 5000);
+        let merged = Telemetry::new();
+        a.merge_into(&merged);
+        b.merge_into(&merged);
+        // Every bucket's cumulative count, the sum and the count.
+        assert_eq!(merged.render_text(), serial.render_text());
+        assert_eq!(merged.counter_value("items"), 5000);
     }
 
     #[test]
@@ -336,13 +312,13 @@ mod tests {
 
     #[test]
     fn render_text_passes_the_validator_and_names_series() {
-        let r = MetricsRegistry::new();
-        r.counter_add("serve.jobs", 12);
-        r.gauge_set("admission.inflight_bytes", 1.5e6);
+        let t = Telemetry::new();
+        t.counter_add("serve.jobs", 12);
+        t.gauge_set("admission.inflight_bytes", 1.5e6);
         for v in [100u64, 2000, 2000, 70000] {
-            r.histogram_record("serve.queue_wait_ns", v);
+            t.histogram_record("serve.queue_wait_ns", v);
         }
-        let text = r.render_text();
+        let text = t.render_text();
         let samples = validate_exposition(&text).expect("exposition parses");
         // One counter, gauge level + peak, and the histogram's three
         // occupied buckets + `+Inf` + `_sum` + `_count`.
@@ -356,11 +332,11 @@ mod tests {
 
     #[test]
     fn cumulative_buckets_are_monotone_and_end_at_count() {
-        let r = MetricsRegistry::new();
+        let t = Telemetry::new();
         for v in (0..1000u64).map(|v| v * v) {
-            r.histogram_record("h", v);
+            t.histogram_record("h", v);
         }
-        let text = r.render_text();
+        let text = t.render_text();
         let mut prev = 0u64;
         let mut last = 0u64;
         for line in text.lines().filter(|l| l.starts_with("h_bucket")) {

@@ -273,7 +273,7 @@ impl RunReport {
     /// * **counters/gauges/histogram summaries** — exact values (gauge
     ///   floats as bit patterns), excluding time-valued keys (suffixes
     ///   `_ns`/`_us`/`_ms`/`_s`/`_seconds`) and scheduling-noise keys
-    ///   (see `is_digest_excluded`);
+    ///   (see [`is_noisy`]);
     /// * **iterations** — every row in order, with time-valued and
     ///   contention fields scrubbed;
     /// * **sections** — full content with time-valued object fields
@@ -294,10 +294,10 @@ impl RunReport {
         for (path, s) in &self.spans {
             let _ = writeln!(out, "span {path} count={}", s.count);
         }
-        for (k, v) in self.counters.iter().filter(|(k, _)| !is_digest_excluded(k)) {
+        for (k, v) in self.counters.iter().filter(|(k, _)| !is_noisy(k)) {
             let _ = writeln!(out, "counter {k} {v}");
         }
-        for (k, g) in self.gauges.iter().filter(|(k, _)| !is_digest_excluded(k)) {
+        for (k, g) in self.gauges.iter().filter(|(k, _)| !is_noisy(k)) {
             let _ = writeln!(
                 out,
                 "gauge {k} last={:016x} high={:016x}",
@@ -305,7 +305,7 @@ impl RunReport {
                 g.high_water.to_bits()
             );
         }
-        for (k, h) in self.histograms.iter().filter(|(k, _)| !is_digest_excluded(k)) {
+        for (k, h) in self.histograms.iter().filter(|(k, _)| !is_noisy(k)) {
             let _ = writeln!(
                 out,
                 "hist {k} count={} p50={} p90={} p99={} max={}",
@@ -338,31 +338,32 @@ impl RunReport {
     }
 }
 
-/// Metric keys excluded from [`RunReport::deterministic_digest`]:
-/// wall-clock-valued keys (time-unit suffixes) and keys whose magnitude
-/// depends on scheduling or hardware contention rather than the case
-/// being solved (CAS retries, worker balance, receive-wait shapes, trace
-/// bookkeeping). Mirrors the spirit of `report_diff`'s noisy-key list.
-fn is_digest_excluded(key: &str) -> bool {
+/// Whether a metric key's magnitude depends on load, scheduling or
+/// hardware rather than on the case being solved: wall-clock keys (time
+/// suffixes) and the contention, worker-balance, receive-readiness and
+/// trace-bookkeeping keys. The one rule for both
+/// [`RunReport::deterministic_digest`] (which leaves such keys out) and
+/// `report_diff` (which checks their presence but not their values).
+pub fn is_noisy(key: &str) -> bool {
     const TIME_SUFFIXES: &[&str] = &["_ns", "_us", "_ms", "_s", "_seconds"];
-    const NOISE_PREFIXES: &[&str] = &[
-        "sweep.cas",
+    const LOAD_DEPENDENT: &[&str] = &[
+        "sweep.cas_retries",
+        "sweep.cas_burst",
         "sweep.load_ratio",
-        "sweep.worker_busy",
         "sweep.tally_bytes",
-        "comm.recv",
-        "comm.collective_wait",
-        "comm.overlap",
-        "trace.",
+        "comm.recv_ready",
+        "comm.recv_blocked",
+        "comm.overlap_ratio",
     ];
     TIME_SUFFIXES.iter().any(|s| key.ends_with(s))
-        || NOISE_PREFIXES.iter().any(|p| key.starts_with(p))
+        || LOAD_DEPENDENT.contains(&key)
+        || key.starts_with("trace.")
 }
 
 /// Iteration-row fields scrubbed from the digest: per-iteration timings
 /// and contention tallies.
 fn is_row_field_excluded(key: &str) -> bool {
-    is_digest_excluded(key) || matches!(key, "cas_retries" | "load_ratio")
+    is_noisy(key) || matches!(key, "cas_retries" | "load_ratio")
 }
 
 /// Recursively drops excluded object fields from free-form JSON (rows,

@@ -179,17 +179,6 @@ impl TraceCollector {
         })
     }
 
-    /// Drops all stored events and zeroes the budget and drop counters;
-    /// thread registrations (and tids) survive.
-    pub(crate) fn reset(&self) {
-        let threads = self.threads.lock();
-        for t in threads.iter() {
-            t.events.lock().clear();
-        }
-        self.stored.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
     /// All events so far as `(tid, event)`, sorted by timestamp then tid
     /// for a deterministic export order.
     fn snapshot(&self) -> Vec<(u64, TraceEvent)> {
@@ -304,15 +293,6 @@ mod tests {
         // The survivors are the oldest 8, in order.
         let events = c.snapshot();
         assert_eq!(events.len(), 8);
-        c.reset();
-        assert_eq!(c.stored(), 0);
-        assert_eq!(c.dropped(), 0);
-        // Post-reset the full budget is available again.
-        for _ in 0..8 {
-            c.record(1, instant("again"));
-        }
-        assert_eq!(c.stored(), 8);
-        assert_eq!(c.dropped(), 0);
     }
 
     #[test]

@@ -40,12 +40,10 @@ pub struct TrackParams {
     pub num_azim: usize,
     /// Desired radial track spacing (cm).
     pub radial_spacing: f64,
-    /// Polar angles over `(0, pi)` (positive even number).
+    /// Gauss–Legendre polar angles over `(0, pi)` (positive even number).
     pub num_polar: usize,
     /// Desired axial (vertical) spacing between z intercepts (cm).
     pub axial_spacing: f64,
-    /// Polar quadrature family.
-    pub polar_type: PolarType,
 }
 
 impl TrackParams {
@@ -56,25 +54,18 @@ impl TrackParams {
     /// laydown.
     pub fn cache_key_fragment(&self) -> String {
         format!(
-            "azim={},rs={:016x},polar={},as={:016x},pt={:?}",
+            "azim={},rs={:016x},polar={},as={:016x}",
             self.num_azim,
             self.radial_spacing.to_bits(),
             self.num_polar,
             self.axial_spacing.to_bits(),
-            self.polar_type,
         )
     }
 }
 
 impl Default for TrackParams {
     fn default() -> Self {
-        Self {
-            num_azim: 4,
-            radial_spacing: 0.5,
-            num_polar: 4,
-            axial_spacing: 0.5,
-            polar_type: PolarType::GaussLegendre,
-        }
+        Self { num_azim: 4, radial_spacing: 0.5, num_polar: 4, axial_spacing: 0.5 }
     }
 }
 
@@ -104,7 +95,7 @@ impl TrackLayout {
             SegmentStore2d::trace(geometry, &tracks2d)
         };
         let chains = ChainSet::build(&tracks2d);
-        let polar = PolarQuadrature::new(params.polar_type, params.num_polar);
+        let polar = PolarQuadrature::new(PolarType::GaussLegendre, params.num_polar);
         let tracks3d = {
             let _s = tel.span("tracks_3d");
             TrackSet3d::build(&tracks2d, &chains, polar, geometry.z_range(), params.axial_spacing)
@@ -141,13 +132,8 @@ mod tests {
     #[test]
     fn layout_generates_for_c5g7() {
         let m = C5g7::build(C5g7Options { axial_dz: 21.42, ..Default::default() });
-        let params = TrackParams {
-            num_azim: 4,
-            radial_spacing: 1.0,
-            num_polar: 2,
-            axial_spacing: 20.0,
-            ..Default::default()
-        };
+        let params =
+            TrackParams { num_azim: 4, radial_spacing: 1.0, num_polar: 2, axial_spacing: 20.0 };
         let layout = TrackLayout::generate(&m.geometry, &m.axial, params);
         assert!(layout.num_2d_tracks() > 100);
         assert!(layout.num_2d_segments() > layout.num_2d_tracks());
@@ -167,7 +153,6 @@ mod tests {
             TrackParams { radial_spacing: base.radial_spacing + 1e-15, ..base.clone() },
             TrackParams { num_polar: 2, ..base.clone() },
             TrackParams { axial_spacing: base.axial_spacing * (1.0 + 1e-15), ..base.clone() },
-            TrackParams { polar_type: PolarType::EqualWeight, ..base.clone() },
         ];
         for v in &variants {
             assert_ne!(v.cache_key_fragment(), base.cache_key_fragment(), "{v:?}");

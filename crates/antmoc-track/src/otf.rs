@@ -164,8 +164,7 @@ impl SegmentStore3d {
         fsr3d: &Fsr3dMap,
     ) -> Self {
         use rayon::prelude::*;
-        let tel = antmoc_telemetry::Telemetry::current();
-        let _trace_span = tel.span("segments_3d_store");
+        let _trace_span = antmoc_telemetry::Telemetry::current().span("segments_3d_store");
         let per_track: Vec<Vec<(Fsr3dId, f32)>> = selected
             .par_iter()
             .map(|&id| {
@@ -199,10 +198,7 @@ impl SegmentStore3d {
         for (i, id) in selected.iter().enumerate() {
             position[id.0 as usize] = i as u32;
         }
-        tel.counter_add("otf.segments_stored", segments.len() as u64);
-        let store = Self { segments, keys, offsets, tracks: selected.to_vec(), position };
-        tel.gauge_set("otf.store_bytes", store.bytes() as f64);
-        store
+        Self { segments, keys, offsets, tracks: selected.to_vec(), position }
     }
 
     /// Stored segments of a track, or `None` when the track was not

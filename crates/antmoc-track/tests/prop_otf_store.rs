@@ -6,7 +6,6 @@
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dId};
-use antmoc_quadrature::PolarType;
 use antmoc_track::{trace_3d, SegmentStore3d, Track3dId, TrackLayout, TrackParams};
 use antmoc_xs::MaterialId;
 use proptest::prelude::*;
@@ -17,7 +16,6 @@ proptest! {
     fn explicit_store_equals_otf_sequences(
         azim_quads in 1usize..3,     // num_azim = 4 or 8
         polar_pairs in 1usize..3,    // num_polar = 2 or 4
-        polar_pick in 0u32..3,
         radial_spacing in 0.3f64..0.9,
         axial_spacing in 0.3f64..0.9,
         width in 2.0f64..4.5,
@@ -28,11 +26,6 @@ proptest! {
             radial_spacing,
             num_polar: 2 * polar_pairs,
             axial_spacing,
-            polar_type: match polar_pick {
-                0 => PolarType::GaussLegendre,
-                1 => PolarType::TabuchiYamamoto,
-                _ => PolarType::EqualWeight,
-            },
         };
         let mut bcs = BoundaryConds::reflective();
         bcs.z_max = Bc::Vacuum;

@@ -36,7 +36,7 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use antmoc::input::CaseSpec;
-use antmoc::telemetry::{RunReport as TelemetryReport, Telemetry};
+use antmoc::telemetry::RunReport as TelemetryReport;
 use antmoc::{run, write_run_artifact, write_trace_artifact, RunConfig, RunReport};
 
 const USAGE: &str = "usage: antmoc <case.toml> [--csv out.csv] [--vtk out.vtk] [--heatmap]";
@@ -257,7 +257,6 @@ fn main() -> ExitCode {
 
     let name = &spec.name;
     print_config(name, &config);
-    Telemetry::global().reset();
     let outcome = run(&config);
     print_stages(&outcome);
 

@@ -309,6 +309,24 @@ impl RunConfig {
                 });
             }
         }
+        // A decomposed run tallies no per-material flux, so a flux-ratio
+        // gate could only fail; refuse the pair at the first
+        // `[decomposition]` entry.
+        if cfg.decomposition != (1, 1, 1) && spec.gates.flux_ratio.is_some() {
+            let line = spec
+                .raw
+                .iter()
+                .filter(|(name, _)| name == "decomposition")
+                .flat_map(|(_, entries)| entries.iter().map(|(_, e)| e.line))
+                .min()
+                .unwrap_or(0);
+            return Err(ConfigError {
+                line,
+                message: "[gates] flux_ratio needs per-material flux, which a [decomposition] \
+                          run does not tally; drop one of them"
+                    .into(),
+            });
+        }
         Ok(cfg)
     }
 
@@ -779,6 +797,21 @@ backend = cpu-serial
         let spec = CaseSpec::parse(&fixed_source(&text)).unwrap();
         let err = RunConfig::from_case(&spec).unwrap_err();
         assert!(err.message.contains("single-domain"), "{err}");
+    }
+
+    #[test]
+    fn from_case_refuses_a_flux_ratio_gate_on_a_decomposed_run() {
+        let gated = CASE.replace(
+            "[tracks]",
+            "[gates]\nflux_ratio = { from = \"UO2\", to = \"moderator\", group = 1, min = 0.01, \
+             max = 100.0 }\n\n[tracks]",
+        );
+        assert!(RunConfig::from_case(&CaseSpec::parse(&gated).unwrap()).is_ok());
+        let text = format!("{gated}\n[decomposition]\nexchange = sync\nnx = 2\n");
+        let err = RunConfig::from_case(&CaseSpec::parse(&text).unwrap()).unwrap_err();
+        assert!(err.message.contains("[decomposition]"), "{err}");
+        assert!(err.message.contains("[gates] flux_ratio"), "{err}");
+        assert_eq!(err.line, text.lines().position(|l| l == "exchange = sync").unwrap() + 1);
     }
 
     #[test]

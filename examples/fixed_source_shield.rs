@@ -53,13 +53,7 @@ fn main() {
         geometry,
         axial,
         &lib,
-        TrackParams {
-            num_azim: 8,
-            radial_spacing: 0.2,
-            num_polar: 4,
-            axial_spacing: 1.0,
-            ..Default::default()
-        },
+        TrackParams { num_azim: 8, radial_spacing: 0.2, num_polar: 4, axial_spacing: 1.0 },
     );
 
     // Unit fast source in the first two depth cells (x < 1 cm).

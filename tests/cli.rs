@@ -1,6 +1,7 @@
 //! The `antmoc` runner's contract: a gated case passes and leaves its
 //! report, a case outside its band fails and names the band, and flags the
-//! runner does not know, and inputs that are not case files, are refused.
+//! runner does not know, inputs that are not case files, and a flux-ratio
+//! gate on a decomposed run are refused.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -75,6 +76,26 @@ fn ini_configs_are_refused() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "an INI config was not refused: {stderr}");
     assert!(stderr.contains("quick.ini: case file line 2 (toml)"), "{stderr}");
+    assert!(!dir.join("results").exists(), "a refused run wrote output");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn decomposed_flux_ratio_gates_are_refused() {
+    // A decomposed run tallies no per-material flux, so the runner
+    // refuses a flux-ratio gate on it before solving anything.
+    let case = std::fs::read_to_string(repo_file("cases/assembly_17x17.toml")).unwrap();
+    let gate = "keff = [1.05, 1.15]\n\
+                flux_ratio = { from = \"UO2\", to = \"moderator\", group = 1, min = 0.01, max = 100.0 }";
+    let gated = case.replace("keff = [1.05, 1.15]", gate);
+    assert_ne!(gated, case, "the shipped band moved; update the replacement");
+    let dir = scratch_dir("decomposed-flux-ratio");
+    std::fs::write(dir.join("assembly.toml"), format!("{gated}\n[decomposition]\nnx = 2\n"))
+        .unwrap();
+    let out = antmoc(&dir, &["assembly.toml"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a decomposed flux-ratio gate was not refused");
+    assert!(stderr.contains("[decomposition]") && stderr.contains("flux_ratio"), "{stderr}");
     assert!(!dir.join("results").exists(), "a refused run wrote output");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,13 +20,7 @@ fn fuel_box(bcs: BoundaryConds, params: TrackParams) -> Problem {
 }
 
 fn params() -> TrackParams {
-    TrackParams {
-        num_azim: 8,
-        radial_spacing: 0.4,
-        num_polar: 4,
-        axial_spacing: 0.8,
-        ..Default::default()
-    }
+    TrackParams { num_azim: 8, radial_spacing: 0.4, num_polar: 4, axial_spacing: 0.8 }
 }
 
 #[test]
@@ -88,13 +82,7 @@ fn angular_refinement_converges_keff() {
     for (na, np) in [(4usize, 2usize), (8, 4), (16, 6)] {
         let p = fuel_box(
             bcs,
-            TrackParams {
-                num_azim: na,
-                radial_spacing: 0.4,
-                num_polar: np,
-                axial_spacing: 0.8,
-                ..Default::default()
-            },
+            TrackParams { num_azim: na, radial_spacing: 0.4, num_polar: np, axial_spacing: 0.8 },
         );
         let segsrc = SegmentSource::otf();
         let mut sweeper = CpuSweeper::new(&segsrc);

@@ -15,13 +15,7 @@ fn model() -> C5g7 {
 }
 
 fn params() -> TrackParams {
-    TrackParams {
-        num_azim: 4,
-        radial_spacing: 1.2,
-        num_polar: 2,
-        axial_spacing: 20.0,
-        ..Default::default()
-    }
+    TrackParams { num_azim: 4, radial_spacing: 1.2, num_polar: 2, axial_spacing: 20.0 }
 }
 
 #[test]

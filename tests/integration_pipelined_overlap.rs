@@ -13,9 +13,8 @@
 //! * timing never changes physics: sync and pipelined k_eff are bitwise
 //!   equal on the serial backend.
 //!
-//! One test function on purpose: both runs share the process-global
-//! telemetry, so they must not interleave with other tests in this
-//! binary.
+//! Each run records into a private sink of its own, installed for the
+//! run (the cluster's rank threads inherit it).
 
 use antmoc::config::RunConfig;
 use antmoc::pipeline::run;
@@ -50,19 +49,23 @@ fn p99(report: &antmoc::telemetry::RunReport) -> u64 {
 
 #[test]
 fn pipelined_exchange_overlaps_the_interior_sweep() {
-    let tel = Telemetry::global();
-
-    tel.reset();
+    let sync_tel = Telemetry::new();
     let sync_cfg = RunConfig::parse(BASE).unwrap();
-    let sync = run(&sync_cfg);
-    let sync_report = tel.report();
+    let sync = {
+        let _sink = sync_tel.install();
+        run(&sync_cfg)
+    };
+    let sync_report = sync_tel.report();
 
-    tel.reset();
+    let pipe_tel = Telemetry::new();
     let pipe_cfg =
         RunConfig::parse(&format!("{BASE}[decomposition]\nexchange = pipelined\n")).unwrap();
-    let pipe = run(&pipe_cfg);
-    let pipe_report = tel.report();
-    let trace = tel.trace_json();
+    let pipe = {
+        let _sink = pipe_tel.install();
+        run(&pipe_cfg)
+    };
+    let pipe_report = pipe_tel.report();
+    let trace = pipe_tel.trace_json();
 
     // Link timing never changes physics: bitwise-equal answers.
     assert_eq!(
