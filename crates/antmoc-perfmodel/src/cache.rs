@@ -47,8 +47,11 @@ impl CacheModel {
 }
 
 /// Modelled main-memory traffic per segment *traversal* of the sweep
-/// kernel (the `sweep.segments` counter counts both directions, so this
-/// is directly comparable to measured bytes / that counter).
+/// kernel's reference legs, the scalar kernel and the staged vector kernel
+/// with the table exp (the `sweep.segments` counter counts both
+/// directions, so this is directly comparable to measured bytes / that
+/// counter). The shipped kernel reads every span from the problem's
+/// attenuation table: [`sweep_bytes_per_resident_segment`].
 ///
 /// Per group a traversal reads `sigma_t` (8 B) and `q` (8 B) and
 /// read-modify-writes one tally slot (16 B); the segment record itself
@@ -64,11 +67,11 @@ pub fn sweep_bytes_per_segment(groups: usize, staged: bool) -> f64 {
     (groups * per_group + 8) as f64
 }
 
-/// [`sweep_bytes_per_segment`] for a resident segment on the vector
-/// kernel: its record (`(u32 fsr, u32 key)`, 8 B) names a span of the
-/// store's attenuation table, read in place of `sigma_t` (8 B/group), and
-/// no staging is paid. Per traversal that is the unstaged kernel's
-/// traffic.
+/// Modelled traffic per segment traversal of the shipped kernel (vector,
+/// intrinsic exp), stored or traced on the fly: its record (`(u32 fsr,
+/// u32 key)`, 8 B) names a span of the problem's attenuation table, read
+/// in place of `sigma_t` (8 B/group), and no staging is paid. Per
+/// traversal that is the unstaged kernel's traffic.
 pub fn sweep_bytes_per_resident_segment(groups: usize) -> f64 {
     (groups * 32 + 8) as f64
 }

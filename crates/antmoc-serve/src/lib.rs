@@ -14,8 +14,9 @@
 //!    the sweep; concurrent cold jobs of the same key single-flight the
 //!    build. Counters: `cache.hit`, `cache.miss`, `cache.bytes`.
 //! 2. **Admission** — before the sweep, the job's device-pool footprint
-//!    (the perfmodel memory model for its problem plus its privatized
-//!    tally buffers and any exp table) must fit
+//!    (the perfmodel memory model for its problem plus its attenuation
+//!    table, stored segments, privatized tally buffers and any exp table)
+//!    must fit
 //!    the configured budget alongside the jobs already in flight;
 //!    otherwise the job queues. Wait time (queue + admission) lands in
 //!    the `serve.queue_wait_ns` histogram; the high-water mark of
@@ -393,9 +394,9 @@ fn worker_loop(shared: &Shared) {
 
 /// The per-job footprint charged against the device pool: the memory
 /// model's working set for the problem (tracks, 2D segments, boundary
-/// and scalar flux), the resident 3D segment store, the exp table the
-/// arena builds for an `ExpMode::Table` job, and the privatized
-/// per-worker tally buffers the sweep allocates.
+/// and scalar flux), the problem's attenuation table, the resident 3D
+/// segment store, the exp table the arena builds for an `ExpMode::Table`
+/// job, and the privatized per-worker tally buffers the sweep allocates.
 fn job_footprint(config: &RunConfig, setup: &SolveSetup, workers: usize) -> u64 {
     let p = &setup.problem;
     let mm = MemoryModel {
@@ -414,7 +415,7 @@ fn job_footprint(config: &RunConfig, setup: &SolveSetup, workers: usize) -> u64 
             ExpTable::bytes_for_tolerance(DEFAULT_TAU_MAX, config.kernel.exp_tolerance)
         }
     };
-    mm.total_bytes() + setup.segsrc.stored_bytes() + exp_bytes + tally_bytes
+    mm.total_bytes() + p.attenuation_bytes() + setup.segsrc.stored_bytes() + exp_bytes + tally_bytes
 }
 
 /// Rough resident size of a cached setup, for the `cache.bytes` counter.
@@ -429,7 +430,7 @@ fn setup_bytes(setup: &SolveSetup) -> u64 {
         num_groups: p.num_groups() as u64,
         fixed: 0,
     };
-    mm.total_bytes() + setup.segsrc.stored_bytes()
+    mm.total_bytes() + p.attenuation_bytes() + setup.segsrc.stored_bytes()
 }
 
 fn run_job(shared: &Shared, job: Job) -> JobResult {
@@ -683,6 +684,46 @@ mod tests {
         let peak = service.peak_inflight_bytes();
         assert!(peak <= one + one / 2, "pool overcommitted: peak {peak} budget {}", one + one / 2);
         assert!(peak >= one, "at least one job must have been admitted");
+        service.shutdown();
+    }
+
+    #[test]
+    fn zero_byte_pool_admits_each_job_alone() {
+        // Every job overshoots a zero-byte pool (its budget clamps to one
+        // byte), so each is admitted only into an empty pool: both jobs
+        // complete, one at a time, and the peak is the larger footprint,
+        // never the sum. Each footprint includes the problem's table.
+        let otf = tiny_config();
+        let explicit = RunConfig { mode: antmoc_solver::StorageMode::Explicit, ..tiny_config() };
+        let workers = rayon::current_num_threads();
+        let footprints: Vec<u64> = [&otf, &explicit]
+            .into_iter()
+            .map(|config| {
+                let setup = antmoc::build_setup(config);
+                let table = setup.problem.attenuation_bytes();
+                let footprint = job_footprint(config, &setup, workers);
+                assert!(table > 0 && footprint > table + setup.segsrc.stored_bytes());
+                footprint
+            })
+            .collect();
+        assert!(footprints[1] > footprints[0], "the stored job must be the larger one");
+        let service = SolveService::new(ServeConfig {
+            workers: 2,
+            device_pool_bytes: 0,
+            ..Default::default()
+        });
+        let handles: Vec<_> = [otf, explicit]
+            .into_iter()
+            .map(|config| service.submit(SolveRequest::Config(Box::new(config))).unwrap())
+            .collect();
+        for (h, &footprint) in handles.into_iter().zip(&footprints) {
+            let r = h.wait();
+            assert!(r.outcome.is_ok(), "a job over the pool must run alone, not fail");
+            assert_eq!(r.stats.footprint_bytes, footprint);
+        }
+        assert_eq!(service.peak_inflight_bytes(), footprints[1]);
+        let gauge = service.metrics().report().gauges["serve.inflight_peak_bytes"].high_water;
+        assert_eq!(gauge, footprints[1] as f64);
         service.shutdown();
     }
 

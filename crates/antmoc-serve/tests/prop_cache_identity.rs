@@ -3,10 +3,10 @@
 //! 1. **Rehydration identity** — across the shipped case suite, a setup
 //!    served out of the content cache is bitwise identical to one built
 //!    fresh from the same configuration: track laydown (all float fields
-//!    compared as exact bit patterns), FSR volumes, cross sections and
-//!    stored segments. This is the load-bearing fact behind the service's
-//!    bitwise-identity guarantee: a warm job sweeps exactly the geometry a
-//!    cold job would have built.
+//!    compared as exact bit patterns), FSR volumes, cross sections, segment
+//!    keys, the attenuation table and stored segments. This is the
+//!    load-bearing fact behind the service's bitwise-identity guarantee: a
+//!    warm job sweeps exactly the geometry a cold job would have built.
 //! 2. **Key separation** — two configurations differing in *any*
 //!    cache-key-relevant field (geometry, quadrature, spacings, storage
 //!    mode, backend class) never share a key, down to last-ulp float
@@ -67,6 +67,12 @@ fn assert_setups_bitwise_identical(cached: &SolveSetup, fresh: &SolveSetup, labe
         }
     }
 
+    // Segment keys and the attenuation table every segment reads.
+    assert_eq!(a.keys.as_slice(), b.keys.as_slice(), "{label}: segment keys");
+    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (ta, tb) = (&a.attenuation, &b.attenuation);
+    assert_eq!(bits(ta), bits(tb), "{label}: attenuation table");
+
     // Stored segments (when the mode keeps any resident).
     assert_eq!(cached.segsrc.num_resident(), fresh.segsrc.num_resident(), "{label}: residency");
     match (cached.segsrc.store(), fresh.segsrc.store()) {
@@ -81,8 +87,11 @@ fn assert_setups_bitwise_identical(cached: &SolveSetup, fresh: &SolveSetup, labe
                     assert_eq!(ra.len(), rb.len(), "{label}: track {t} segment count");
                     for (i, (ea, eb)) in ra.iter().zip(rb.iter()).enumerate() {
                         assert_eq!(ea.fsr3d, eb.fsr3d, "{label}: track {t} seg {i} fsr");
-                        // Length and material through each store's keys.
-                        let (ka, kb) = (sa.keys()[ea.key as usize], sb.keys()[eb.key as usize]);
+                        // Length and material through each problem's keys.
+                        let (ka, kb) = (
+                            a.keys.as_slice()[ea.key as usize],
+                            b.keys.as_slice()[eb.key as usize],
+                        );
                         assert_eq!(
                             ka.length.to_bits(),
                             kb.length.to_bits(),

@@ -80,10 +80,15 @@ impl DeviceSolver {
         reservations.push(Reservation::new(&pool, "Track_fluxs", n3d * 2 * g * 4 * 2)?);
         let nf = problem.num_fsrs() as u64;
         reservations.push(Reservation::new(&pool, "Others", nf * g * (8 + 8) + nf * 8)?);
+        // Every segment, stored or traced on the fly, reads its span here.
+        reservations.push(Reservation::new(
+            &pool,
+            "Attenuation_table",
+            problem.attenuation_bytes(),
+        )?);
 
-        // Mode-dependent 3D segment storage, reserved at its traced size:
-        // the store, and its attenuation table as a line of its own. The
-        // manager fits both into what the pool has left.
+        // Mode-dependent 3D segment storage, reserved at its traced size;
+        // the manager fits it into what the pool has left.
         let budgeted = match mode {
             StorageMode::Manager { budget_bytes } => {
                 StorageMode::Manager { budget_bytes: budget_bytes.min(pool.available()) }
@@ -93,7 +98,6 @@ impl DeviceSolver {
         let (segsrc, plan) = SegmentSource::new(problem, budgeted);
         if let Some(store) = segsrc.store() {
             reservations.push(Reservation::new(&pool, "3D_segments", store.bytes())?);
-            reservations.push(Reservation::new(&pool, "Attenuation_table", segsrc.table_bytes())?);
         }
 
         let schedule = SweepSchedule::for_device(problem, device.spec().num_cus, mapping);
@@ -283,13 +287,13 @@ mod tests {
             assert!(tags.contains(&expect.to_string()), "missing {expect}: {tags:?}");
         }
         // 3D segments dominate (the Table 3 shape), reserved at their
-        // traced size, the attenuation table as its own line.
+        // traced size; the problem's attenuation table is its own line.
         let b = dev.memory().breakdown();
         assert_eq!(b[0].0, "3D_segments", "breakdown {b:?}");
         let src = solver.segment_source();
         let bytes = |tag: &str| b.iter().find(|(t, _)| t == tag).unwrap().1;
-        assert_eq!(bytes("3D_segments"), src.store().unwrap().bytes());
-        assert_eq!(bytes("Attenuation_table"), src.stored_bytes() - src.store().unwrap().bytes());
+        assert_eq!(bytes("3D_segments"), src.stored_bytes());
+        assert_eq!(bytes("Attenuation_table"), p.attenuation_bytes());
     }
 
     #[test]

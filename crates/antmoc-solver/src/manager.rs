@@ -8,13 +8,11 @@
 //! the number of load operations during ray tracing"; alternative
 //! rankings are provided for the ablation bench.
 //!
-//! A resident store carries an attenuation table (one span per distinct
-//! (material, length) pair of its segments), and the budget pays for it:
-//! store plus table must fit. The table's size is known only once the
-//! selection is traced; when store plus table overflow, the selection is
-//! made again under a budget scaled down by the overflow ratio.
+//! The budget pays for stored segments only: the attenuation table every
+//! segment reads, resident or not, belongs to the problem, whatever the
+//! selection.
 
-use antmoc_track::Track3dId;
+use antmoc_track::{SegmentStore3d, Track3dId};
 
 use crate::problem::Problem;
 use crate::sweep::SegmentSource;
@@ -35,24 +33,23 @@ pub enum RankPolicy {
 pub struct ResidencyPlan {
     /// Tracks whose segments will be stored, in selection order.
     pub resident: Vec<Track3dId>,
-    /// Bytes the traced store and its attenuation table occupy.
+    /// Bytes the traced store occupies.
     pub resident_bytes: u64,
     /// Segments stored vs regenerated per sweep.
     pub resident_segments: u64,
     pub temporary_segments: u64,
 }
 
-/// Approximate stored bytes for one track's segments (8-byte segment
-/// records plus CSR bookkeeping), the per-track cost selection ranks
-/// against. The store's attenuation table is not in it: it depends on
-/// which tracks share (material, length) pairs, and
-/// [`select_resident`] charges it once the selection is traced.
+/// Stored bytes for one track's segments: its 8-byte segment records,
+/// CSR offset and track id, the per-track cost selection ranks against.
+/// With [`SegmentStore3d::fixed_bytes`] they sum to the traced store's
+/// bytes.
 pub fn stored_bytes_for(num_segments: u32) -> u64 {
-    num_segments as u64 * 8 + 16
+    num_segments as u64 * 8 + 12
 }
 
-/// Selects resident tracks under `budget_bytes` with the given policy,
-/// the store and its attenuation table together inside the budget.
+/// Selects resident tracks under `budget_bytes` with the given policy:
+/// the traced store, its fixed bookkeeping included, fits the budget.
 pub fn select_resident(problem: &Problem, budget_bytes: u64, policy: RankPolicy) -> ResidencyPlan {
     select_and_store(problem, budget_bytes, policy).1
 }
@@ -91,34 +88,22 @@ pub(crate) fn select_and_store(
             }
         }
     }
-    let fill = |budget: u64| {
-        let mut resident = Vec::new();
-        let mut bytes = 0u64;
-        for &i in &order {
-            let b = stored_bytes_for(problem.sweep_tracks[i as usize].num_segments);
-            if bytes + b > budget {
-                continue;
-            }
-            bytes += b;
-            resident.push(Track3dId(i));
+    // The store's track-position index is paid whatever the selection.
+    let budget = budget_bytes.saturating_sub(SegmentStore3d::fixed_bytes(n));
+    let mut resident = Vec::new();
+    let mut bytes = 0u64;
+    for &i in &order {
+        let b = stored_bytes_for(problem.sweep_tracks[i as usize].num_segments);
+        if bytes + b > budget {
+            continue;
         }
-        (resident, bytes)
-    };
-    let mut fill_budget = budget_bytes;
-    let (resident, src) = loop {
-        let (resident, estimate) = fill(fill_budget);
-        if resident.is_empty() {
-            break (resident, SegmentSource::otf());
-        }
-        let src = SegmentSource::stored(problem, &resident);
-        let bytes = src.stored_bytes();
-        if bytes <= budget_bytes {
-            break (resident, src);
-        }
-        // Shrink the selection by the ratio it overflowed: the estimate
-        // falls strictly each round, so the loop ends, at the latest with
-        // nothing resident.
-        fill_budget = (estimate as u128 * budget_bytes as u128 / bytes as u128) as u64;
+        bytes += b;
+        resident.push(Track3dId(i));
+    }
+    let src = if resident.is_empty() {
+        SegmentSource::otf()
+    } else {
+        SegmentSource::stored(problem, &resident)
     };
     let (bytes, res_segs) =
         (src.stored_bytes(), src.store().map_or(0, |s| s.num_segments() as u64));
@@ -198,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn store_and_attenuation_table_fit_the_budget_together() {
+    fn traced_store_fits_the_budget() {
         let p = problem();
         let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
         let full = SegmentSource::stored(&p, &all).stored_bytes();
@@ -207,6 +192,13 @@ mod tests {
             assert!(!plan.resident.is_empty(), "budget {budget}");
             assert!(plan.resident_bytes <= budget, "{} > {budget}", plan.resident_bytes);
             assert_eq!(plan.resident_bytes, src.stored_bytes());
+            let records: u64 = plan
+                .resident
+                .iter()
+                .map(|t| stored_bytes_for(p.sweep_tracks[t.0 as usize].num_segments))
+                .sum();
+            let fixed = SegmentStore3d::fixed_bytes(p.num_tracks());
+            assert_eq!(plan.resident_bytes, records + fixed, "the cost model is exact");
             assert_eq!(plan.resident_segments, src.store().unwrap().num_segments() as u64);
         }
         let plan = select_resident(&p, full, RankPolicy::BySegments);

@@ -1,10 +1,13 @@
 //! Assembled per-domain solver inputs: geometry, tracks, flattened cross
-//! sections, tracked volumes, and per-track sweep metadata.
+//! sections, tracked volumes, per-track sweep metadata, and the
+//! attenuation table every 3D segment reads its span from.
 
 use antmoc_geom::{AxialModel, BoundaryConds, Fsr3dId, Geometry};
-use antmoc_track::{estimate_volumes, Link3d, Track3dId, TrackLayout, TrackParams};
+use antmoc_track::{Link3d, SegmentKeys, SetupWalk, Track3dId, TrackLayout, TrackParams};
 use antmoc_xs::MaterialLibrary;
 
+use crate::exp::one_minus_exp_slab;
+use crate::simd::padded_groups;
 use crate::sweep::assert_supported_groups;
 
 /// Cross sections flattened for the sweep: per-material tables plus the
@@ -95,6 +98,13 @@ pub struct Problem {
     pub volumes: Vec<f64>,
     /// Per-3D-track sweep metadata.
     pub sweep_tracks: Vec<SweepTrack>,
+    /// The laydown's distinct (material, f32 length) segment pairs: every
+    /// 3D segment, stored or traced on the fly, names its pair by key.
+    pub keys: SegmentKeys,
+    /// `attenuation[key * gp + gi] = 1 - exp(-sigma_t[material * G + gi]
+    /// * length)` for every key, lane-padded like the sweep's staged slab
+    /// (`gp = padded_groups(G)`, zero padding lanes).
+    pub attenuation: Vec<f64>,
 }
 
 impl Problem {
@@ -117,7 +127,9 @@ impl Problem {
         layout: TrackLayout,
     ) -> Self {
         let xs = XsData::build(&layout, library);
-        let volumes = estimate_volumes(
+        // One walk over every track gives the volumes, the per-track
+        // segment counts and the segment keys.
+        let SetupWalk { volumes, counts, keys } = SetupWalk::run(
             &layout.tracks3d,
             &layout.tracks2d,
             &layout.chains,
@@ -125,16 +137,10 @@ impl Problem {
             &axial,
             &layout.fsr3d,
         );
-        let counts = antmoc_track::count_segments_per_track(
-            &layout.tracks3d,
-            &layout.tracks2d,
-            &layout.chains,
-            &layout.segments2d,
-            &axial,
-        );
+        let attenuation = attenuation_table(&keys, &xs);
         let bcs = geometry.bcs();
         let sweep_tracks = build_sweep_tracks(&layout, bcs, &counts);
-        Self { geometry, axial, layout, xs, volumes, sweep_tracks }
+        Self { geometry, axial, layout, xs, volumes, sweep_tracks, keys, attenuation }
     }
 
     /// Number of 3D FSRs.
@@ -156,6 +162,31 @@ impl Problem {
     pub fn num_3d_segments(&self) -> u64 {
         self.sweep_tracks.iter().map(|t| t.num_segments as u64).sum()
     }
+
+    /// Bytes of the attenuation table, a cost of the problem in every
+    /// storage mode.
+    pub fn attenuation_bytes(&self) -> u64 {
+        (self.attenuation.len() * std::mem::size_of::<f64>()) as u64
+    }
+}
+
+/// The attenuation table of a laydown's keys: each key's span is its
+/// `sig * (len as f64)` products through the slab evaluator, which gives
+/// per element the bits `one_minus_exp` gives the scalar kernel for the
+/// same segment (a padding lane's tau of 0 stays 0).
+fn attenuation_table(keys: &SegmentKeys, xs: &XsData) -> Vec<f64> {
+    let g = xs.num_groups;
+    let gp = padded_groups(g);
+    let mut table = vec![0.0f64; keys.len() * gp];
+    for (key, span) in keys.as_slice().iter().zip(table.chunks_exact_mut(gp)) {
+        let mat = key.material as usize * g;
+        let lenf = key.length as f64;
+        for (e, sig) in span[..g].iter_mut().zip(&xs.sigma_t[mat..mat + g]) {
+            *e = sig * lenf;
+        }
+    }
+    one_minus_exp_slab(&mut table);
+    table
 }
 
 fn build_sweep_tracks(layout: &TrackLayout, bcs: BoundaryConds, counts: &[u32]) -> Vec<SweepTrack> {

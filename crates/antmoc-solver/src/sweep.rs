@@ -21,13 +21,13 @@ use rayon::prelude::*;
 
 use antmoc_telemetry::{Histogram, Json, Telemetry};
 use antmoc_track::{
-    trace_3d, Link3d, Segment3dCompact, SegmentKey, SegmentStore3d, Track3dId, Track3dInfo, TrackId,
+    trace_3d, trace_keyed, Link3d, Segment3dCompact, SegmentStore3d, Track3dId, Track3dInfo,
+    TrackId,
 };
 
-use crate::exp::one_minus_exp_slab;
-use crate::exptable::ExpEval;
+use crate::exptable::{ExpEval, ExpTable};
 use crate::manager::{select_and_store, RankPolicy, ResidencyPlan};
-use crate::problem::Problem;
+use crate::problem::{Problem, SweepTrack};
 use crate::schedule::SweepSchedule;
 use crate::simd::{padded_groups, F64x4, LANES};
 use crate::tally::{ExpMode, SweepArena, SweepKernel, SweepTallies};
@@ -83,22 +83,17 @@ pub enum StorageMode {
 }
 
 /// Prepared segment access for a problem: an optional explicit store
-/// covering some or all tracks, with one attenuation span per distinct
-/// (material, length) pair of the store; uncovered tracks fall back to
-/// OTF.
+/// covering some or all tracks; uncovered tracks fall back to OTF. Either
+/// way a segment's attenuation span comes from the problem's table.
 #[derive(Debug)]
 pub struct SegmentSource {
     store: Option<SegmentStore3d>,
-    /// `table[key * gp + gi] = 1 - exp(-sigma_t[material * G + gi] *
-    /// length)` for each of the store's keys, lane-padded like the staged
-    /// slab of [`TrackBufs`] (`gp = padded_groups(G)`, zero padding lanes).
-    table: Vec<f64>,
 }
 
 impl SegmentSource {
     /// Pure OTF.
     pub fn otf() -> Self {
-        Self { store: None, table: Vec::new() }
+        Self { store: None }
     }
 
     /// The segment source a storage mode asks for, with the residency plan
@@ -119,8 +114,7 @@ impl SegmentSource {
     }
 
     /// Explicit storage for the tracks `policy` ranks first, as many as
-    /// fit `budget_bytes` together with their attenuation table
-    /// ([`crate::manager::select_resident`]).
+    /// fit `budget_bytes` ([`crate::manager::select_resident`]).
     pub fn managed(
         problem: &Problem,
         budget_bytes: u64,
@@ -129,44 +123,16 @@ impl SegmentSource {
         select_and_store(problem, budget_bytes, policy)
     }
 
-    /// Explicit storage for the given tracks (all tracks = EXP mode) and
-    /// its attenuation table: each key's span is the `sig * (len as f64)`
-    /// products the staged kernel would form for a segment of that key,
-    /// through the same slab evaluator, so a span read from the table
-    /// carries the bits staging would compute.
+    /// Explicit storage for the given tracks (all tracks = EXP mode), its
+    /// segments keyed in the problem's keys.
     pub fn stored(problem: &Problem, tracks: &[Track3dId]) -> Self {
-        let l = &problem.layout;
-        let store = SegmentStore3d::trace(
-            tracks,
-            &l.tracks3d,
-            &l.tracks2d,
-            &l.chains,
-            &l.segments2d,
-            &problem.axial,
-            &l.fsr3d,
-        );
-        let g = problem.num_groups();
-        let gp = padded_groups(g);
-        let mut table = vec![0.0f64; store.keys().len() * gp];
-        for (key, span) in store.keys().iter().zip(table.chunks_exact_mut(gp)) {
-            let mat = key.material as usize * g;
-            let lenf = key.length as f64;
-            for (e, sig) in span[..g].iter_mut().zip(&problem.xs.sigma_t[mat..mat + g]) {
-                *e = sig * lenf;
-            }
-        }
-        one_minus_exp_slab(&mut table);
-        Self { store: Some(store), table }
+        let store = SegmentStore3d::trace(tracks, &problem.layout, &problem.axial, &problem.keys);
+        Self { store: Some(store) }
     }
 
-    /// Bytes held by the explicit store and its attenuation table.
+    /// Bytes held by the explicit store.
     pub fn stored_bytes(&self) -> u64 {
-        self.store.as_ref().map_or(0, |s| s.bytes()) + self.table_bytes()
-    }
-
-    /// Bytes of the attenuation table alone.
-    pub(crate) fn table_bytes(&self) -> u64 {
-        (self.table.len() * std::mem::size_of::<f64>()) as u64
+        self.store.as_ref().map_or(0, |s| s.bytes())
     }
 
     /// Number of tracks with stored segments.
@@ -357,17 +323,18 @@ pub struct SweepOutcome {
     pub segments: u64,
 }
 
-/// Per-worker working storage of [`sweep_track`] for a track that does
-/// not read its attenuation spans from the store's table: its segments
-/// (regenerated on the fly, or rebuilt from the store's keys for the
-/// reference kernels), their lengths, and the vector kernel's staged
-/// spans. The allocations are reused across tracks and sweeps.
+/// Per-worker working storage of [`sweep_track`] for a track that has no
+/// stored slice: on the default kernel its keyed segments, traced on the
+/// fly; on the reference kernels its segments (traced, or rebuilt from
+/// the store) with their lengths, and the staged spans. The allocations
+/// are reused across tracks and sweeps.
 #[derive(Debug, Default)]
 pub(crate) struct TrackBufs {
-    /// Segments in forward traversal order; each `key` is the segment's
-    /// own position, i.e. its span in `e`.
+    /// Segments in forward traversal order. On the default kernel each
+    /// `key` is the segment's key in the problem's table; on the reference
+    /// kernels it is the segment's own position, i.e. its span in `e`.
     segs: Vec<Segment3dCompact>,
-    /// The f32 length of each segment of `segs`.
+    /// The f32 length of each segment of `segs` (reference kernels only).
     lens: Vec<f32>,
     /// `e[seg * gp + gi] = 1 - exp(-sigma_t[gi] * len)`, group-major and
     /// lane-padded (`gp = padded_groups(G)`); padding lanes (`gi >= G`)
@@ -375,26 +342,13 @@ pub(crate) struct TrackBufs {
     e: Vec<f64>,
 }
 
-/// Fills `bufs.segs` and `bufs.lens` with a track's segments in forward
-/// order: rebuilt from the store's keys when `stored` is the track's
-/// resident slice, otherwise regenerated on the fly.
-fn load_segments(
-    problem: &Problem,
-    stored: Option<(&[Segment3dCompact], &[SegmentKey])>,
-    track: u32,
-    bufs: &mut TrackBufs,
-) {
-    let (segs, lens) = (&mut bufs.segs, &mut bufs.lens);
-    segs.clear();
-    lens.clear();
-    if let Some((stored, keys)) = stored {
-        let own = stored.iter().enumerate();
-        segs.extend(own.map(|(k, s)| Segment3dCompact { fsr3d: s.fsr3d, key: k as u32 }));
-        lens.extend(stored.iter().map(|s| keys[s.key as usize].length));
-        return;
-    }
-    let st = &problem.sweep_tracks[track as usize];
-    let info = Track3dInfo {
+/// The on-the-fly geometry of a track, rebuilt from its sweep metadata.
+/// `trace_3d` takes the reciprocal of `sin_theta` again, which gives back
+/// `inv_sin` bit for bit (`1/(1/(1/s))` rounds to `1/s`), so the lengths
+/// are the ones set-up traced; the OTF ≡ explicit bit-identity tests rest
+/// on the same round trip.
+fn track_info(st: &SweepTrack) -> Track3dInfo {
+    Track3dInfo {
         track2d: TrackId(st.track2d),
         forward2d: st.forward2d,
         azim: 0, // unused by trace_3d
@@ -406,10 +360,46 @@ fn load_segments(
         cot: st.cot,
         sin_theta: 1.0 / st.inv_sin,
         length: (st.u_hi - st.u_lo) * st.inv_sin,
-    };
+    }
+}
+
+/// Traces a non-resident track on the fly straight into `segs` as
+/// `(fsr3d, key)` pairs keyed in the problem's table: no lengths kept, no
+/// span staged, no exponential evaluated. Never inlined, so the assembly
+/// check can find it and pin its loop shape.
+#[inline(never)]
+fn otf_keyed_trace(problem: &Problem, track: u32, segs: &mut Vec<Segment3dCompact>) {
+    let st = &problem.sweep_tracks[track as usize];
+    let base = problem.layout.segments2d.of(TrackId(st.track2d));
+    segs.clear();
+    trace_keyed(&track_info(st), base, &problem.axial, &problem.layout.fsr3d, &problem.keys, segs);
+    debug_assert_eq!(segs.len(), st.num_segments as usize, "track {track}");
+}
+
+/// Fills `bufs.segs` and `bufs.lens` with a track's segments in forward
+/// order for the reference kernels: rebuilt from `stored`, the track's
+/// resident slice, with lengths resolved through the problem's keys, or
+/// otherwise regenerated on the fly.
+fn load_segments(
+    problem: &Problem,
+    stored: Option<&[Segment3dCompact]>,
+    track: u32,
+    bufs: &mut TrackBufs,
+) {
+    let (segs, lens) = (&mut bufs.segs, &mut bufs.lens);
+    segs.clear();
+    lens.clear();
+    if let Some(stored) = stored {
+        let keys = problem.keys.as_slice();
+        let own = stored.iter().enumerate();
+        segs.extend(own.map(|(k, s)| Segment3dCompact { fsr3d: s.fsr3d, key: k as u32 }));
+        lens.extend(stored.iter().map(|s| keys[s.key as usize].length));
+        return;
+    }
+    let st = &problem.sweep_tracks[track as usize];
     let base = problem.layout.segments2d.of(TrackId(st.track2d));
     let fsr3d = &problem.layout.fsr3d;
-    trace_3d(&info, base, &problem.axial, |fsr, cell, len| {
+    trace_3d(&track_info(st), base, &problem.axial, |fsr, cell, len| {
         segs.push(Segment3dCompact {
             fsr3d: fsr3d.id(fsr, cell as usize).0,
             key: segs.len() as u32,
@@ -418,12 +408,12 @@ fn load_segments(
     });
 }
 
-/// Stages the attenuation spans of the segments in `bufs` into `bufs.e`:
-/// one exp evaluation per (segment, group), reused by both direction
+/// Stages the table-exp attenuation spans of the segments in `bufs` into
+/// `bufs.e`: one lookup per (segment, group), reused by both direction
 /// passes. The span buffer is sized once up front (zero-filling the
 /// padding lanes in the same pass).
 #[inline(always)]
-fn stage_spans<const G: usize>(problem: &Problem, exp: &ExpEval<'_>, bufs: &mut TrackBufs) {
+fn stage_spans<const G: usize>(problem: &Problem, table: &ExpTable, bufs: &mut TrackBufs) {
     let gp = padded_groups(G);
     let xs = &problem.xs;
     let staged = &mut bufs.e;
@@ -435,21 +425,13 @@ fn stage_spans<const G: usize>(problem: &Problem, exp: &ExpEval<'_>, bufs: &mut 
         let lenf = len as f64;
         for (e, sig) in span[..G].iter_mut().zip(&xs.sigma_t[mat..mat + G]) {
             // The same `sig * lenf` input bits the scalar kernel's tau
-            // buffer carries, through the same evaluator below.
+            // buffer carries, through the same table below.
             *e = sig * lenf;
         }
     }
-    match exp {
-        // One lane-wide pass over the contiguous slab: per element the
-        // bits `one_minus_exp` gives the scalar kernel, and a padding
-        // lane's tau of 0 maps to the 0 it has to stay.
-        ExpEval::Intrinsic => one_minus_exp_slab(staged),
-        ExpEval::Table(table) => {
-            for span in staged.chunks_exact_mut(gp) {
-                for e in &mut span[..G] {
-                    *e = table.eval(*e);
-                }
-            }
+    for span in staged.chunks_exact_mut(gp) {
+        for e in &mut span[..G] {
+            *e = table.eval(*e);
         }
     }
 }
@@ -480,15 +462,18 @@ fn add_span(buf: &mut [f64], qb: usize, vals: &[f64]) {
 ///   traversal.
 /// * [`SweepKernel::Vector`] — two structural changes, neither of which
 ///   touches the per-group arithmetic:
-///   1. **Attenuation spans evaluated once.** The attenuation factors
-///      depend only on the segment's material and f32 length, not the
-///      direction. A resident track reads each segment's group-major span
-///      from the store's attenuation table (one span per distinct pair,
-///      evaluated when the store was built); any other track stages its
-///      spans contiguously once and both direction passes read them back
-///      — half the transcendental work. `exp` is a pure function of the
-///      identical `sigma_t * len` input bits, so either span carries the
-///      exact bits the scalar kernel computes.
+///   1. **Attenuation spans evaluated once per problem.** The
+///      attenuation factors depend only on the segment's material and f32
+///      length, not the direction or the track. Every segment reads its
+///      group-major span from the problem's attenuation table (one span
+///      per distinct pair, evaluated when the problem was built): a
+///      resident track through its stored keys, any other through the keys
+///      its on-the-fly trace looks up ([`otf_keyed_trace`]), so a sweep
+///      evaluates no exponential. (With [`ExpEval::Table`] the track
+///      stages its spans contiguously once and both direction passes read
+///      them back.) `exp` is a pure function of the identical
+///      `sigma_t * len` input bits, so a table span carries the exact bits
+///      the scalar kernel computes.
 ///   2. **Lane-wide group loop.** The attenuation/tally math runs on
 ///      [`F64x4`] lanes. Every lane performs the same IEEE 754 op sequence
 ///      as one scalar group iteration (`d = (psi - q) * e`; `w * d`;
@@ -543,20 +528,23 @@ fn sweep_track_g<const G: usize, S: FnMut(usize, &[f64])>(
     let gp = padded_groups(G);
     let st = &problem.sweep_tracks[track as usize];
     let xs = &problem.xs;
-    let store = segsrc.store.as_ref();
-    let resident = store.and_then(|s| s.of(Track3dId(track)));
+    let resident = segsrc.store.as_ref().and_then(|s| s.of(Track3dId(track)));
 
-    // `es` of a segment is `table[seg.key * gp..]`: the store's own
-    // table for a resident track on the default kernel, otherwise the
+    // `es` of a segment is `table[seg.key * gp..]`: the problem's table on
+    // the default kernel, where a resident track reads its stored slice and
+    // any other traces its keyed segments; on the reference kernels the
     // track's staged slab, whose spans follow segment order.
+    let direct = kernel == SweepKernel::Vector && matches!(exp, ExpEval::Intrinsic);
     let (segs, table) = match resident {
-        Some(stored) if kernel == SweepKernel::Vector && matches!(exp, ExpEval::Intrinsic) => {
-            (stored, segsrc.table.as_slice())
+        Some(stored) if direct => (stored, problem.attenuation.as_slice()),
+        None if direct => {
+            otf_keyed_trace(problem, track, &mut bufs.segs);
+            (bufs.segs.as_slice(), problem.attenuation.as_slice())
         }
         _ => {
-            load_segments(problem, resident.zip(store.map(|s| s.keys())), track, bufs);
-            if kernel == SweepKernel::Vector {
-                stage_spans::<G>(problem, exp, bufs);
+            load_segments(problem, resident, track, bufs);
+            if let (SweepKernel::Vector, ExpEval::Table(exp_table)) = (kernel, exp) {
+                stage_spans::<G>(problem, exp_table, bufs);
             }
             (bufs.segs.as_slice(), bufs.e.as_slice())
         }
@@ -824,16 +812,16 @@ pub(crate) fn sweep_region(
         );
     }
     tel.gauge_set("sweep.tally_bytes", strategy.bytes(nf) as f64);
-    // Roofline numerator: modelled memory traffic per segment traversal
-    // (the staged vector kernel trades extra span bytes for half the
-    // transcendental work — see `antmoc_perfmodel::sweep_bytes_per_segment`),
-    // mixed by the share of segments that read the store's table instead.
+    // Roofline numerator: modelled memory traffic per segment traversal.
+    // On the default kernel every segment reads its span from the
+    // problem's table; the reference legs pay the staged or unstaged
+    // traffic of `antmoc_perfmodel::sweep_bytes_per_segment`.
     let vector = config.kernel == SweepKernel::Vector;
-    let direct = vector && matches!(config.exp, ExpMode::Intrinsic);
-    let resident = segsrc.store.as_ref().filter(|_| direct).map_or(0, |s| s.num_segments());
-    let share = resident as f64 / problem.num_3d_segments().max(1) as f64;
-    let bytes = share * antmoc_perfmodel::sweep_bytes_per_resident_segment(g)
-        + (1.0 - share) * antmoc_perfmodel::sweep_bytes_per_segment(g, vector);
+    let bytes = if vector && matches!(config.exp, ExpMode::Intrinsic) {
+        antmoc_perfmodel::sweep_bytes_per_resident_segment(g)
+    } else {
+        antmoc_perfmodel::sweep_bytes_per_segment(g, vector)
+    };
     tel.gauge_set("sweep.bytes_per_segment", bytes);
     tel.set_section(
         "sweep_kernel",
@@ -914,7 +902,9 @@ mod tests {
     }
 
     /// One track through the unified kernel entry into a plain buffer;
-    /// returns the tallies and the segments the track swept.
+    /// returns the tallies and the segments the track swept with their
+    /// lengths, resolved through the problem's keys where the kernel read
+    /// the problem's table.
     fn sweep_single_track(
         p: &Problem,
         q: &[f64],
@@ -936,7 +926,13 @@ mod tests {
             &mut bufs,
             |qb, vals| add_span(&mut phi, qb, vals),
         );
-        (phi, bufs.segs.into_iter().zip(bufs.lens).collect())
+        let lens: Vec<f32> = match kernel {
+            SweepKernel::Vector => {
+                bufs.segs.iter().map(|s| p.keys.as_slice()[s.key as usize].length).collect()
+            }
+            SweepKernel::Scalar => bufs.lens,
+        };
+        (phi, bufs.segs.into_iter().zip(lens).collect())
     }
 
     fn vac_problem() -> Problem {
@@ -1265,10 +1261,11 @@ mod tests {
         let q = vec![0.5f64; p.num_fsrs() * p.num_groups()];
         // Each sweep records into a private sink, so sibling tests never
         // touch the gauges and sections read here.
-        let tel_run = |kernel: SweepKernel, segsrc: &SegmentSource| {
+        let tel_run = |kernel: SweepKernel, exp: ExpMode, segsrc: &SegmentSource| {
             let mut arena = SweepArena::new(KernelConfig {
                 tallies: TallyMode::Privatized,
                 kernel,
+                exp,
                 ..Default::default()
             });
             let banks = FluxBanks::new(p.num_tracks(), p.num_groups());
@@ -1278,23 +1275,29 @@ mod tests {
                 transport_sweep_with(&p, segsrc, &q, &banks, &SweepSchedule::natural(), &mut arena);
             sink.report()
         };
-        let r = tel_run(SweepKernel::Vector, &segsrc);
-        let bps = r.gauges["sweep.bytes_per_segment"].last;
-        assert_eq!(bps, antmoc_perfmodel::sweep_bytes_per_segment(p.num_groups(), true));
+        // The default kernel reads every span from the problem's table,
+        // traced on the fly or stored alike.
+        let table = antmoc_perfmodel::sweep_bytes_per_resident_segment(p.num_groups());
+        let r = tel_run(SweepKernel::Vector, ExpMode::Intrinsic, &segsrc);
+        assert_eq!(r.gauges["sweep.bytes_per_segment"].last, table);
         let sec = format!("{:?}", r.sections["sweep_kernel"]);
         assert!(sec.contains("vector") && sec.contains("lanes"), "section {sec}");
         assert!(sec.contains("block_kb"), "section {sec}");
-        let r = tel_run(SweepKernel::Scalar, &segsrc);
+        let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
+        let stored = SegmentSource::stored(&p, &all);
+        let r = tel_run(SweepKernel::Vector, ExpMode::Intrinsic, &stored);
+        assert_eq!(r.gauges["sweep.bytes_per_segment"].last, table);
+        // The reference legs pay the staged (vector, table exp) or
+        // unstaged (scalar) traffic.
+        let r = tel_run(SweepKernel::Vector, ExpMode::Table, &segsrc);
+        assert_eq!(
+            r.gauges["sweep.bytes_per_segment"].last,
+            antmoc_perfmodel::sweep_bytes_per_segment(p.num_groups(), true)
+        );
+        let r = tel_run(SweepKernel::Scalar, ExpMode::Intrinsic, &stored);
         assert_eq!(
             r.gauges["sweep.bytes_per_segment"].last,
             antmoc_perfmodel::sweep_bytes_per_segment(p.num_groups(), false)
-        );
-        // An all-resident vector sweep reads every span from the table.
-        let all: Vec<Track3dId> = p.layout.tracks3d.ids().collect();
-        let r = tel_run(SweepKernel::Vector, &SegmentSource::stored(&p, &all));
-        assert_eq!(
-            r.gauges["sweep.bytes_per_segment"].last,
-            antmoc_perfmodel::sweep_bytes_per_resident_segment(p.num_groups())
         );
     }
 

@@ -9,18 +9,26 @@
 //! [`SegmentStore3d`] is the EXPlicit alternative: every 3D segment
 //! precomputed and stored (fastest sweeps, enormous memory — 93 % of the
 //! footprint in the paper's Table 3). The track-management strategy mixes
-//! both per track. A stored segment names its distinct (material, f32
-//! length) pair, whose attenuation a sweep reads from a per-store table.
+//! both per track.
+//!
+//! Either way a segment is `(fsr3d, key)`: the key numbers its distinct
+//! (material, f32 length) pair in the laydown's one [`SegmentKeys`], which
+//! set-up fills in the same walk that estimates the volumes
+//! ([`SetupWalk`]). A store looks its segments' keys up once; an OTF
+//! traversal looks them up as it traces ([`trace_keyed`]). Both then read
+//! the pair's attenuation span from one per-problem table, so the sweep
+//! evaluates no exponential.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use antmoc_geom::{AxialModel, Fsr3dId, Fsr3dMap, FsrId};
+use antmoc_geom::{AxialModel, Fsr3dMap, FsrId};
 
 use crate::chain::ChainSet;
 use crate::segment2d::{Segment2d, SegmentStore2d};
 use crate::track2d::TrackSet2d;
 use crate::track3d::{Track3dId, Track3dInfo, TrackSet3d};
+use crate::TrackLayout;
 
 /// A generated 3D segment: radial FSR, axial cell, 3D length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,15 +105,15 @@ pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
 }
 
 /// Compact 3D segment (8 bytes): flattened 3D FSR id and the index of its
-/// attenuation span; in a store, of its [`SegmentStore3d::keys`] entry,
-/// which holds the paper's single-precision length.
+/// attenuation span, its [`SegmentKeys`] entry, which holds the paper's
+/// single-precision length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment3dCompact {
     pub fsr3d: u32,
     pub key: u32,
 }
 
-/// One distinct (material, f32 length) pair of a store: everything a
+/// One distinct (material, f32 length) pair of a laydown: everything a
 /// segment's attenuation `1 - exp(-sigma_t * length)` depends on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentKey {
@@ -113,10 +121,10 @@ pub struct SegmentKey {
     pub length: f32,
 }
 
-/// The store's dedupe hash of a `(material, length bits)` word, a folded
-/// 128-bit multiply (std's SipHash costs several times more per lookup;
-/// the words come from the program's own trace, so collision resistance
-/// buys nothing).
+/// The key index's hash of a `(material, length bits)` word, a folded
+/// 128-bit multiply (std's SipHash costs several times more per lookup,
+/// more than the exp it saves an OTF segment; the words come from the
+/// program's own trace, so collision resistance buys nothing).
 #[derive(Default)]
 struct FoldHash(u64);
 
@@ -126,22 +134,92 @@ impl std::hash::Hasher for FoldHash {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the store hashes u64 words only")
+        unreachable!("the key index hashes u64 words only")
     }
 
+    #[inline]
     fn write_u64(&mut self, word: u64) {
         let m = (word as u128) * 0x9e37_79b9_7f4a_7c15;
         self.0 = m as u64 ^ (m >> 64) as u64;
     }
 }
 
+/// The distinct (material, f32 length) pairs of a laydown's 3D segments,
+/// numbered by first use in track-id order, and the index from a pair to
+/// its key. One per problem: stored and on-the-fly segments share its key
+/// space, and a sweep reads a key's attenuation span from one table.
+#[derive(Debug, Clone, Default)]
+pub struct SegmentKeys {
+    index: HashMap<u64, u32, BuildHasherDefault<FoldHash>>,
+    keys: Vec<SegmentKey>,
+}
+
+impl SegmentKeys {
+    #[inline]
+    fn word(material: u32, length: f32) -> u64 {
+        (material as u64) << 32 | length.to_bits() as u64
+    }
+
+    /// Numbers a pair next unless it already has a key.
+    fn insert(&mut self, material: u32, length: f32) {
+        let keys = &mut self.keys;
+        self.index.entry(Self::word(material, length)).or_insert_with(|| {
+            keys.push(SegmentKey { material, length });
+            keys.len() as u32 - 1
+        });
+    }
+
+    /// The key of a pair, or `None` when the laydown never produced it.
+    #[inline]
+    pub fn find(&self, material: u32, length: f32) -> Option<u32> {
+        self.index.get(&Self::word(material, length)).copied()
+    }
+
+    /// The pairs in key order; a segment's `key` indexes this list.
+    pub fn as_slice(&self) -> &[SegmentKey] {
+        &self.keys
+    }
+
+    /// Number of distinct pairs.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the laydown has no segments at all.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
+
+/// [`trace_3d`] with every segment resolved to its compact form: pushes
+/// `(fsr3d, key)` per segment onto `out`, the key looked up in `keys`.
+/// Panics if a segment's pair is missing, which cannot happen when `keys`
+/// came from a [`SetupWalk`] of the same laydown: it traced the same
+/// track through the same `trace_3d` with the same f32 cast.
+#[inline]
+pub fn trace_keyed(
+    info: &Track3dInfo,
+    base_segments: &[Segment2d],
+    axial: &AxialModel,
+    fsr3d: &Fsr3dMap,
+    keys: &SegmentKeys,
+    out: &mut Vec<Segment3dCompact>,
+) {
+    trace_3d(info, base_segments, axial, |fsr, cell, len| {
+        let id = fsr3d.id(fsr, cell as usize);
+        // invariant: the set-up walk numbered every pair this trace can
+        // emit (same inputs, same arithmetic, same f32 rounding).
+        let key = keys
+            .find(fsr3d.material(id).0, len as f32)
+            .expect("segment pair not in the laydown's keys");
+        out.push(Segment3dCompact { fsr3d: id.0, key });
+    });
+}
+
 /// Explicitly stored 3D segments for a set of tracks, CSR-indexed.
 #[derive(Debug, Clone)]
 pub struct SegmentStore3d {
     segments: Vec<Segment3dCompact>,
-    /// Distinct (material, length) pairs, numbered by first use in CSR
-    /// order (so a sweep walks them mostly forward).
-    keys: Vec<SegmentKey>,
     offsets: Vec<u64>,
     /// Which 3D tracks are stored (parallel to `offsets`; when storing all
     /// tracks this is just the identity).
@@ -152,53 +230,46 @@ pub struct SegmentStore3d {
 
 impl SegmentStore3d {
     /// Traces and stores the 3D segments of `selected` tracks (pass
-    /// `t3.ids().collect()` for the EXP mode), deduplicating their
-    /// (material, length) pairs into [`SegmentStore3d::keys`].
+    /// `layout.tracks3d.ids().collect()` for the EXP mode), each segment
+    /// keyed in the laydown's `keys`.
     pub fn trace(
         selected: &[Track3dId],
-        t3: &TrackSet3d,
-        t2: &TrackSet2d,
-        chains: &ChainSet,
-        store2d: &SegmentStore2d,
+        layout: &TrackLayout,
         axial: &AxialModel,
-        fsr3d: &Fsr3dMap,
+        keys: &SegmentKeys,
     ) -> Self {
         use rayon::prelude::*;
         let _trace_span = antmoc_telemetry::Telemetry::current().span("segments_3d_store");
-        let per_track: Vec<Vec<(Fsr3dId, f32)>> = selected
+        let (t3, t2, chains) = (&layout.tracks3d, &layout.tracks2d, &layout.chains);
+        let per_track: Vec<Vec<Segment3dCompact>> = selected
             .par_iter()
             .map(|&id| {
                 let info = t3.info(id, t2, chains);
-                let base = store2d.of(info.track2d);
+                let base = layout.segments2d.of(info.track2d);
                 let mut v = Vec::with_capacity(16);
-                trace_3d(&info, base, axial, |fsr, cell, len| {
-                    v.push((fsr3d.id(fsr, cell as usize), len as f32));
-                });
+                trace_keyed(&info, base, axial, &layout.fsr3d, keys, &mut v);
                 v
             })
             .collect();
         let mut segments = Vec::with_capacity(per_track.iter().map(Vec::len).sum());
         let mut offsets = Vec::with_capacity(per_track.len() + 1);
         offsets.push(0u64);
-        let mut keys = Vec::new();
-        let mut index: HashMap<u64, u32, BuildHasherDefault<FoldHash>> = HashMap::default();
         for v in per_track {
-            for (id, length) in v {
-                let material = fsr3d.material(id).0;
-                let word = (material as u64) << 32 | length.to_bits() as u64;
-                let key = *index.entry(word).or_insert_with(|| {
-                    keys.push(SegmentKey { material, length });
-                    keys.len() as u32 - 1
-                });
-                segments.push(Segment3dCompact { fsr3d: id.0, key });
-            }
+            segments.extend(v);
             offsets.push(segments.len() as u64);
         }
         let mut position = vec![u32::MAX; t3.num_tracks()];
         for (i, id) in selected.iter().enumerate() {
             position[id.0 as usize] = i as u32;
         }
-        Self { segments, keys, offsets, tracks: selected.to_vec(), position }
+        Self { segments, offsets, tracks: selected.to_vec(), position }
+    }
+
+    /// Bytes a store of any selection over `num_tracks` tracks holds
+    /// besides its per-track records: the track-position index and the
+    /// closing CSR offset.
+    pub fn fixed_bytes(num_tracks: usize) -> u64 {
+        num_tracks as u64 * 4 + 8
     }
 
     /// Stored segments of a track, or `None` when the track was not
@@ -211,12 +282,6 @@ impl SegmentStore3d {
         let lo = self.offsets[pos as usize] as usize;
         let hi = self.offsets[pos as usize + 1] as usize;
         Some(&self.segments[lo..hi])
-    }
-
-    /// The store's distinct (material, length) pairs; a segment's `key`
-    /// indexes this list.
-    pub fn keys(&self) -> &[SegmentKey] {
-        &self.keys
     }
 
     /// Total stored segments.
@@ -232,7 +297,6 @@ impl SegmentStore3d {
     /// Bytes of storage.
     pub fn bytes(&self) -> u64 {
         (self.segments.len() * std::mem::size_of::<Segment3dCompact>()
-            + self.keys.len() * std::mem::size_of::<SegmentKey>()
             + self.offsets.len() * 8
             + self.position.len() * 4
             + self.tracks.len() * 4) as u64
@@ -263,11 +327,63 @@ pub fn count_segments_per_track(
         .collect()
 }
 
-/// Track-estimated 3D FSR volumes:
-/// `V_i = sum_tracks (w_a * w_p / 2*pi) * A_perp * l_i`
+/// What set-up learns from one walk over every 3D track in track-id
+/// order: the track-estimated 3D FSR volumes, each track's segment count
+/// and the laydown's [`SegmentKeys`]. A problem walks its laydown once,
+/// here; [`estimate_volumes`] and [`count_segments_per_track`] give the
+/// first two parts alone.
+///
+/// The volumes are `V_i = sum_tracks (w_a * w_p / 2*pi) * A_perp * l_i`
 /// (each 3D track is swept in both directions with equal weight, hence the
 /// `2/(4*pi)`). The solver must use these volumes for exact neutron
 /// balance.
+#[derive(Debug)]
+pub struct SetupWalk {
+    pub volumes: Vec<f64>,
+    pub counts: Vec<u32>,
+    pub keys: SegmentKeys,
+}
+
+impl SetupWalk {
+    /// Walks every track of the laydown once, in track-id order.
+    pub fn run(
+        t3: &TrackSet3d,
+        t2: &TrackSet2d,
+        chains: &ChainSet,
+        store2d: &SegmentStore2d,
+        axial: &AxialModel,
+        fsr3d: &Fsr3dMap,
+    ) -> Self {
+        let _span = antmoc_telemetry::Telemetry::current().span("otf_setup_walk");
+        // One accumulator, filled in track order on the calling thread: the
+        // volume bits (and everything downstream — keff, pin rates) are then
+        // a function of the laydown alone, whatever the pool size. The keys
+        // are numbered in the same order, so they are too.
+        let mut volumes = vec![0.0f64; fsr3d.len()];
+        let mut counts = Vec::with_capacity(t3.num_tracks());
+        let mut keys = SegmentKeys::default();
+        for i in 0..t3.num_tracks() {
+            let id = Track3dId(i as u32);
+            let info = t3.info(id, t2, chains);
+            let w_a = t2.quadrature.weight(info.azim);
+            let w_p = t3.polar.weight(info.polar);
+            let area = t3.tube_area(id, t2, chains);
+            let coeff = w_a * w_p * area / (2.0 * std::f64::consts::PI);
+            let base = store2d.of(info.track2d);
+            let mut n = 0u32;
+            trace_3d(&info, base, axial, |fsr, cell, len| {
+                let id = fsr3d.id(fsr, cell as usize);
+                volumes[id.0 as usize] += coeff * len;
+                keys.insert(fsr3d.material(id).0, len as f32);
+                n += 1;
+            });
+            counts.push(n);
+        }
+        Self { volumes, counts, keys }
+    }
+}
+
+/// Track-estimated 3D FSR volumes, the [`SetupWalk`]'s first part.
 pub fn estimate_volumes(
     t3: &TrackSet3d,
     t2: &TrackSet2d,
@@ -276,67 +392,58 @@ pub fn estimate_volumes(
     axial: &AxialModel,
     fsr3d: &Fsr3dMap,
 ) -> Vec<f64> {
-    let _span = antmoc_telemetry::Telemetry::current().span("otf_estimate_volumes");
-    // One accumulator, filled in track order on the calling thread: the
-    // volume bits (and everything downstream — keff, pin rates) are then a
-    // function of the laydown alone, whatever the pool size.
-    let mut out = vec![0.0f64; fsr3d.len()];
-    for i in 0..t3.num_tracks() {
-        let id = Track3dId(i as u32);
-        let info = t3.info(id, t2, chains);
-        let w_a = t2.quadrature.weight(info.azim);
-        let w_p = t3.polar.weight(info.polar);
-        let area = t3.tube_area(id, t2, chains);
-        let coeff = w_a * w_p * area / (2.0 * std::f64::consts::PI);
-        let base = store2d.of(info.track2d);
-        trace_3d(&info, base, axial, |fsr, cell, len| {
-            out[fsr3d.id(fsr, cell as usize).0 as usize] += coeff * len;
-        });
-    }
-    out
+    SetupWalk::run(t3, t2, chains, store2d, axial, fsr3d).volumes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::ChainSet;
-    use crate::track2d::generate;
+    use crate::TrackParams;
     use antmoc_geom::geometry::homogeneous_box;
-    use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dMap};
-    use antmoc_quadrature::{PolarQuadrature, PolarType};
+    use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dId};
     use antmoc_xs::MaterialId;
 
     struct Fixture {
-        t2: TrackSet2d,
-        chains: ChainSet,
-        t3: TrackSet3d,
-        store2d: SegmentStore2d,
+        l: TrackLayout,
         axial: AxialModel,
-        fsr3d: Fsr3dMap,
+    }
+
+    impl Fixture {
+        fn walk(&self) -> SetupWalk {
+            let l = &self.l;
+            SetupWalk::run(
+                &l.tracks3d,
+                &l.tracks2d,
+                &l.chains,
+                &l.segments2d,
+                &self.axial,
+                &l.fsr3d,
+            )
+        }
+
+        fn store(&self, selected: &[Track3dId], keys: &SegmentKeys) -> SegmentStore3d {
+            SegmentStore3d::trace(selected, &self.l, &self.axial, keys)
+        }
     }
 
     fn fixture() -> Fixture {
         let mut bcs = BoundaryConds::reflective();
         bcs.z_max = Bc::Vacuum;
         let g = homogeneous_box(MaterialId(0), 4.0, 3.0, (0.0, 2.0), bcs);
-        let t2 = generate(&g, 8, 0.5);
-        let chains = ChainSet::build(&t2);
-        let polar = PolarQuadrature::new(PolarType::GaussLegendre, 4);
-        let t3 = TrackSet3d::build(&t2, &chains, polar, g.z_range(), 0.4);
-        let store2d = SegmentStore2d::trace(&g, &t2);
         let axial = AxialModel::uniform(0.0, 2.0, 0.5);
-        let materials: Vec<_> = g.fsrs().map(|f| g.fsr_material(f)).collect();
-        let fsr3d = Fsr3dMap::new(&materials, &axial);
-        Fixture { t2, chains, t3, store2d, axial, fsr3d }
+        let params =
+            TrackParams { num_azim: 8, radial_spacing: 0.5, num_polar: 4, axial_spacing: 0.4 };
+        let l = TrackLayout::generate(&g, &axial, params);
+        Fixture { l, axial }
     }
 
     #[test]
     fn otf_lengths_sum_to_track_length() {
         let f = fixture();
-        for id in f.t3.ids() {
-            let info = f.t3.info(id, &f.t2, &f.chains);
+        for id in f.l.tracks3d.ids() {
+            let info = f.l.tracks3d.info(id, &f.l.tracks2d, &f.l.chains);
             let mut total = 0.0;
-            trace_3d(&info, f.store2d.of(info.track2d), &f.axial, |_, _, l| total += l);
+            trace_3d(&info, f.l.segments2d.of(info.track2d), &f.axial, |_, _, l| total += l);
             assert!((total - info.length).abs() < 1e-7, "track {id:?}: {total} vs {}", info.length);
         }
     }
@@ -344,11 +451,11 @@ mod tests {
     #[test]
     fn otf_segments_respect_axial_cells() {
         let f = fixture();
-        for id in f.t3.ids().take(200) {
-            let info = f.t3.info(id, &f.t2, &f.chains);
+        for id in f.l.tracks3d.ids().take(200) {
+            let info = f.l.tracks3d.info(id, &f.l.tracks2d, &f.l.chains);
             let mut z = info.z_lo;
             let mut prev_cell: Option<u32> = None;
-            trace_3d(&info, f.store2d.of(info.track2d), &f.axial, |_, cell, l| {
+            trace_3d(&info, f.l.segments2d.of(info.track2d), &f.axial, |_, cell, l| {
                 // z midpoint of this segment must lie in the named cell.
                 let dz = l * info.sin_theta * info.cot * if info.ascending { 1.0 } else { -1.0 };
                 let z_mid = z + dz / 2.0;
@@ -368,40 +475,39 @@ mod tests {
     #[test]
     fn explicit_store_matches_otf() {
         let f = fixture();
-        let all: Vec<Track3dId> = f.t3.ids().collect();
-        let store =
-            SegmentStore3d::trace(&all, &f.t3, &f.t2, &f.chains, &f.store2d, &f.axial, &f.fsr3d);
-        assert_eq!(store.num_tracks(), f.t3.num_tracks());
-        for id in f.t3.ids() {
+        let all: Vec<Track3dId> = f.l.tracks3d.ids().collect();
+        let keys = f.walk().keys;
+        let store = f.store(&all, &keys);
+        assert_eq!(store.num_tracks(), f.l.tracks3d.num_tracks());
+        for id in f.l.tracks3d.ids() {
             let stored = store.of(id).unwrap();
-            let info = f.t3.info(id, &f.t2, &f.chains);
+            let info = f.l.tracks3d.info(id, &f.l.tracks2d, &f.l.chains);
             let mut otf = Vec::new();
-            trace_3d(&info, f.store2d.of(info.track2d), &f.axial, |fsr, cell, l| {
-                otf.push((f.fsr3d.id(fsr, cell as usize).0, l as f32));
+            trace_3d(&info, f.l.segments2d.of(info.track2d), &f.axial, |fsr, cell, l| {
+                otf.push((f.l.fsr3d.id(fsr, cell as usize).0, l as f32));
             });
             assert_eq!(stored.len(), otf.len(), "track {id:?}");
             for (s, (fsr3d, l)) in stored.iter().zip(otf) {
                 assert_eq!(s.fsr3d, fsr3d);
-                let key = store.keys()[s.key as usize];
+                let key = keys.as_slice()[s.key as usize];
                 assert_eq!(key.length.to_bits(), l.to_bits());
-                assert_eq!(key.material, f.fsr3d.material(Fsr3dId(fsr3d)).0);
+                assert_eq!(key.material, f.l.fsr3d.material(Fsr3dId(fsr3d)).0);
             }
         }
         // One key per distinct pair.
         let mut words: Vec<_> =
-            store.keys().iter().map(|k| (k.material, k.length.to_bits())).collect();
+            keys.as_slice().iter().map(|k| (k.material, k.length.to_bits())).collect();
         words.sort_unstable();
         words.dedup();
-        assert_eq!(words.len(), store.keys().len());
+        assert_eq!(words.len(), keys.len());
     }
 
     #[test]
     fn partial_store_returns_none_for_unselected() {
         let f = fixture();
-        let some: Vec<Track3dId> = f.t3.ids().step_by(3).collect();
-        let store =
-            SegmentStore3d::trace(&some, &f.t3, &f.t2, &f.chains, &f.store2d, &f.axial, &f.fsr3d);
-        for (i, id) in f.t3.ids().enumerate() {
+        let some: Vec<Track3dId> = f.l.tracks3d.ids().step_by(3).collect();
+        let store = f.store(&some, &f.walk().keys);
+        for (i, id) in f.l.tracks3d.ids().enumerate() {
             assert_eq!(store.of(id).is_some(), i % 3 == 0);
         }
     }
@@ -409,13 +515,18 @@ mod tests {
     #[test]
     fn segment_counts_match_store() {
         let f = fixture();
-        let counts = count_segments_per_track(&f.t3, &f.t2, &f.chains, &f.store2d, &f.axial);
-        let all: Vec<Track3dId> = f.t3.ids().collect();
-        let store =
-            SegmentStore3d::trace(&all, &f.t3, &f.t2, &f.chains, &f.store2d, &f.axial, &f.fsr3d);
+        let counts = count_segments_per_track(
+            &f.l.tracks3d,
+            &f.l.tracks2d,
+            &f.l.chains,
+            &f.l.segments2d,
+            &f.axial,
+        );
+        let all: Vec<Track3dId> = f.l.tracks3d.ids().collect();
+        let store = f.store(&all, &f.walk().keys);
         let total: u32 = counts.iter().sum();
         assert_eq!(total as usize, store.num_segments());
-        for id in f.t3.ids() {
+        for id in f.l.tracks3d.ids() {
             assert_eq!(store.of(id).unwrap().len(), counts[id.0 as usize] as usize);
         }
     }
@@ -423,7 +534,14 @@ mod tests {
     #[test]
     fn estimated_volumes_sum_to_box_volume() {
         let f = fixture();
-        let vols = estimate_volumes(&f.t3, &f.t2, &f.chains, &f.store2d, &f.axial, &f.fsr3d);
+        let vols = estimate_volumes(
+            &f.l.tracks3d,
+            &f.l.tracks2d,
+            &f.l.chains,
+            &f.l.segments2d,
+            &f.axial,
+            &f.l.fsr3d,
+        );
         let total: f64 = vols.iter().sum();
         let exact = 4.0 * 3.0 * 2.0;
         assert!((total - exact).abs() / exact < 0.02, "estimated {total} vs exact {exact}");
@@ -433,5 +551,56 @@ mod tests {
         for v in &vols {
             assert!((v - per_cell).abs() / per_cell < 0.05, "{v} vs {per_cell}");
         }
+    }
+
+    #[test]
+    fn setup_walk_fuses_volumes_counts_and_store_keys() {
+        let f = fixture();
+        let walk = f.walk();
+        // Volumes: bitwise those of the separate volume pass this walk
+        // replaced (kept here as the reference), same order, same adds.
+        let mut volumes = vec![0.0f64; f.l.fsr3d.len()];
+        for id in f.l.tracks3d.ids() {
+            let info = f.l.tracks3d.info(id, &f.l.tracks2d, &f.l.chains);
+            let w_a = f.l.tracks2d.quadrature.weight(info.azim);
+            let w_p = f.l.tracks3d.polar.weight(info.polar);
+            let area = f.l.tracks3d.tube_area(id, &f.l.tracks2d, &f.l.chains);
+            let coeff = w_a * w_p * area / (2.0 * std::f64::consts::PI);
+            trace_3d(&info, f.l.segments2d.of(info.track2d), &f.axial, |fsr, cell, len| {
+                volumes[f.l.fsr3d.id(fsr, cell as usize).0 as usize] += coeff * len;
+            });
+        }
+        assert_eq!(walk.volumes.len(), volumes.len());
+        for (i, (a, b)) in walk.volumes.iter().zip(&volumes).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "volume {i}: {a} vs {b}");
+        }
+        // Counts: those of the parallel counting pass.
+        let counts = count_segments_per_track(
+            &f.l.tracks3d,
+            &f.l.tracks2d,
+            &f.l.chains,
+            &f.l.segments2d,
+            &f.axial,
+        );
+        assert_eq!(walk.counts, counts);
+        // Keys: a full store's pairs numbered by first use in CSR order.
+        let all: Vec<Track3dId> = f.l.tracks3d.ids().collect();
+        let store = f.store(&all, &walk.keys);
+        let mut first_use: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut expect = Vec::new();
+        for id in f.l.tracks3d.ids() {
+            for s in store.of(id).unwrap() {
+                let pair = walk.keys.as_slice()[s.key as usize];
+                let word = (pair.material, pair.length.to_bits());
+                let next = first_use.len() as u32;
+                let key = *first_use.entry(word).or_insert_with(|| {
+                    expect.push(pair);
+                    next
+                });
+                assert_eq!(s.key, key, "track {id:?}: keys are not numbered by first use");
+            }
+        }
+        assert_eq!(walk.keys.as_slice(), expect.as_slice());
+        assert!(walk.keys.len() > 1);
     }
 }

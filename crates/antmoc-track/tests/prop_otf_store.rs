@@ -1,12 +1,16 @@
 //! Property: the explicit (resident) segment store and on-the-fly tracing
 //! yield *identical* segment sequences per track — same 3D FSR ids, same
 //! f32 lengths and materials (read back through each stored segment's
-//! key) — for random `TrackParams` (the §4.1 invariant that lets
-//! the track manager mix both paths in one sweep).
+//! key), and a keyed on-the-fly trace names the same `(fsr3d, key)` the
+//! store holds — for random `TrackParams` (the §4.1 invariant that lets
+//! the track manager mix both paths in one sweep, reading one attenuation
+//! table).
 
 use antmoc_geom::geometry::homogeneous_box;
 use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dId};
-use antmoc_track::{trace_3d, SegmentStore3d, Track3dId, TrackLayout, TrackParams};
+use antmoc_track::{
+    trace_3d, trace_keyed, SegmentStore3d, SetupWalk, Track3dId, TrackLayout, TrackParams,
+};
 use antmoc_xs::MaterialId;
 use proptest::prelude::*;
 
@@ -33,30 +37,35 @@ proptest! {
         let axial = AxialModel::uniform(0.0, depth, (depth / 3.0).max(0.4));
         let layout = TrackLayout::generate(&g, &axial, params);
 
-        let all: Vec<Track3dId> = layout.tracks3d.ids().collect();
-        let store = SegmentStore3d::trace(
-            &all,
+        let keys = SetupWalk::run(
             &layout.tracks3d,
             &layout.tracks2d,
             &layout.chains,
             &layout.segments2d,
             &axial,
             &layout.fsr3d,
-        );
+        )
+        .keys;
+        let all: Vec<Track3dId> = layout.tracks3d.ids().collect();
+        let store = SegmentStore3d::trace(&all, &layout, &axial, &keys);
         prop_assert_eq!(store.num_tracks(), layout.tracks3d.num_tracks());
 
         for id in layout.tracks3d.ids() {
             let stored = store.of(id).unwrap();
             let info = layout.tracks3d.info(id, &layout.tracks2d, &layout.chains);
+            let base = layout.segments2d.of(info.track2d);
             let mut otf: Vec<(Fsr3dId, f32)> = Vec::new();
-            trace_3d(&info, layout.segments2d.of(info.track2d), &axial, |fsr, cell, len| {
+            trace_3d(&info, base, &axial, |fsr, cell, len| {
                 otf.push((layout.fsr3d.id(fsr, cell as usize), len as f32));
             });
+            let mut keyed = Vec::new();
+            trace_keyed(&info, base, &axial, &layout.fsr3d, &keys, &mut keyed);
+            prop_assert_eq!(keyed.as_slice(), stored, "track {:?}: keyed OTF trace differs", id);
             prop_assert_eq!(stored.len(), otf.len(), "track {:?}: segment count differs", id);
             for (k, (s, (fsr3d, len))) in stored.iter().zip(otf).enumerate() {
                 prop_assert_eq!(s.fsr3d, fsr3d.0, "track {:?} segment {}: fsr differs", id, k);
                 // Length and material come back through the segment's key.
-                let key = store.keys()[s.key as usize];
+                let key = keys.as_slice()[s.key as usize];
                 prop_assert_eq!(
                     key.length.to_bits(), len.to_bits(),
                     "track {:?} segment {}: length {} vs {}", id, k, key.length, len

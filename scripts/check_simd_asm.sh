@@ -17,10 +17,13 @@
 # `for_each`/closure body (a per-segment call with the loop state spilled)
 # inside one fails the check — both cost ~1/3 of the kernel's time when
 # they were there, and no test can see them. So does a reference to libm's
-# `exp`/`expm1`: the kernel evaluates `1 - exp(-tau)` with the in-tree
-# routine (exp.rs), staged a track slab at a time for a non-resident
-# track; a resident track reads its spans from the store's attenuation
-# table, built once by the same routine, in the same segment loop.
+# `exp`/`expm1` or a call into the in-tree slab evaluator (`slab_*`,
+# exp.rs): on the shipped kernel every segment, resident or traced on the
+# fly, reads its `1 - exp(-tau)` span from the problem's attenuation table,
+# built once by that evaluator when the problem is set up, so a sweep
+# evaluates no exponential. The on-the-fly trace that keys a non-resident
+# track's segments, the never-inlined `otf_keyed_trace`, must exist as a
+# symbol and obeys the same rules.
 #
 # That slab evaluator is pinned too: its three instantiations of one source
 # loop — `slab_baseline`, the `#[target_feature(enable = "avx2")]`
@@ -65,28 +68,34 @@ x86_64 | amd64)
 esac
 
 # Instruction lines (tab-indented, not a directive) inside any function
-# whose symbol names the kernel, that mention memcpy or an outlined
-# iterator/closure body.
-kernel_report=$(awk '
-    /^[^ \t.#][^ \t]*sweep_track[^ \t]*:$/ { infn = 1; fns++; name = $1 }
-    infn && /^\t[a-z]/ && /memcpy|for_each|closure|[^a-z_]expm?1?(@|$)/ { bad++; print "  " name " " $0 }
-    /\.cfi_endproc/ { infn = 0 }
-    END { print fns + 0, bad + 0 }
-' "$newest")
-read -r kernel_fns kernel_bad <<<"$(echo "$kernel_report" | tail -1)"
-echo "check_simd_asm: $kernel_fns sweep_track symbol(s), $kernel_bad memcpy/outlined-closure/libm-exp reference(s)"
-if [ "$kernel_fns" -eq 0 ]; then
-    echo "check_simd_asm: FAIL — no sweep_track symbol in the assembly; the kernel was" >&2
-    echo "  renamed or inlined away, so its loop shape can no longer be checked" >&2
-    exit 1
-fi
-if [ "$kernel_bad" -gt 0 ]; then
-    echo "$kernel_report" | sed '$d' >&2
-    echo "check_simd_asm: FAIL — the per-segment loop of sweep_track is no longer straight-line," >&2
-    echo "  or calls libm for the exponential again" >&2
-    echo "  (see DESIGN.md, \"Why the sweep loop is shaped this way\")" >&2
-    exit 1
-fi
+# whose symbol contains $1, that mention memcpy, an outlined
+# iterator/closure body, libm's exp or the slab evaluator; the last line
+# is "<functions> <bad lines>".
+loop_report() {
+    awk -v sym="$1" '
+        $0 ~ "^[^ \t.#][^ \t]*" sym "[^ \t]*:$" { infn = 1; fns++; name = $1 }
+        infn && /^\t[a-z]/ && /memcpy|for_each|closure|[^a-z_]expm?1?(@|$)|slab_(baseline|avx2|avx512)/ { bad++; print "  " name " " $0 }
+        /\.cfi_endproc/ { infn = 0 }
+        END { print fns + 0, bad + 0 }
+    ' "$newest"
+}
+for body in sweep_track otf_keyed_trace; do
+    report=$(loop_report "$body")
+    read -r fns bad <<<"$(echo "$report" | tail -1)"
+    echo "check_simd_asm: $fns $body symbol(s), $bad memcpy/outlined-closure/exp reference(s)"
+    if [ "$fns" -eq 0 ]; then
+        echo "check_simd_asm: FAIL — no $body symbol in the assembly; it was renamed or" >&2
+        echo "  inlined away, so its loop shape can no longer be checked" >&2
+        exit 1
+    fi
+    if [ "$bad" -gt 0 ]; then
+        echo "$report" | sed '$d' >&2
+        echo "check_simd_asm: FAIL — the per-segment loop of $body is no longer straight-line," >&2
+        echo "  or evaluates the exponential again (libm or the slab evaluator)" >&2
+        echo "  (see DESIGN.md, \"Why the sweep loop is shaped this way\")" >&2
+        exit 1
+    fi
+done
 
 # Count of packed $3 ops (default mulpd/addpd) inside the functions whose
 # symbol contains $1, optionally only instructions that also match $2 (a

@@ -44,7 +44,7 @@ fn representative_report() -> RunReport {
     r.gauges
         .insert("solver.flux_bank_bytes".into(), GaugeStats { last: 65536.0, high_water: 65536.0 });
     r.gauges
-        .insert("sweep.bytes_per_segment".into(), GaugeStats { last: 288.0, high_water: 288.0 });
+        .insert("sweep.bytes_per_segment".into(), GaugeStats { last: 232.0, high_water: 232.0 });
     r.gauges.insert("sweep.load_ratio".into(), GaugeStats { last: 1.125, high_water: 1.25 });
     r.gauges
         .insert("sweep.tally_bytes".into(), GaugeStats { last: 389256.0, high_water: 1557024.0 });
