@@ -23,7 +23,7 @@ pub mod track3d;
 
 pub use chain::{Chain, ChainMember, ChainSet};
 pub use otf::{
-    count_segments_per_track, estimate_volumes, trace_3d, trace_keyed, Segment3d, Segment3dCompact,
+    count_segments_per_track, estimate_volumes, trace_3d, trace_keyed, Segment3dCompact,
     SegmentKey, SegmentKeys, SegmentStore3d, SetupWalk,
 };
 pub use segment2d::{Segment2d, SegmentStore2d};

@@ -18,9 +18,14 @@
 //! traversal looks them up as it traces ([`trace_keyed`]). Both then read
 //! the pair's attenuation span from one per-problem table, so the sweep
 //! evaluates no exponential.
-
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+//!
+//! The pair-to-key index is one open-addressed table of 16-byte `(word,
+//! key)` slots, the word being `material << 32 | length bits`. Its length
+//! is a power of two and it is never more than half full; a lookup starts
+//! at the word's folded 128-bit multiply and probes linearly to the slot
+//! holding the word or to an empty one (`key == u32::MAX`, so no word is
+//! reserved). Keys are numbered by first use and the index only finds
+//! them, so its layout moves no bit.
 
 use antmoc_geom::{AxialModel, Fsr3dMap, FsrId};
 
@@ -30,14 +35,6 @@ use crate::track2d::TrackSet2d;
 use crate::track3d::{Track3dId, Track3dInfo, TrackSet3d};
 use crate::TrackLayout;
 
-/// A generated 3D segment: radial FSR, axial cell, 3D length.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment3d {
-    pub radial_fsr: FsrId,
-    pub axial: u32,
-    pub length: f64,
-}
-
 /// Walks the 3D segments of one track in forward (`u` increasing) order,
 /// invoking `emit` per segment. This is the OTF kernel body (the paper's
 /// Fig. 3(b) flow): allocation-free, ready to run inside a device kernel.
@@ -45,6 +42,13 @@ pub struct Segment3d {
 /// `base_segments` are the 2D segments of the track's base 2D track in
 /// that track's own forward order; the walker reverses them internally
 /// when the chain traverses the 2D track backwards.
+///
+/// The walk finds nothing twice. The 2D segments that end at or before
+/// `u_lo` are summed past without being split. z is monotone along the
+/// track, so the axial cell is found once (`find_cell` at `z_lo`) and then
+/// carried: at each live 2D segment it steps in the direction of travel
+/// while the next plane lies at or before the segment's start, which is
+/// `find_cell`'s answer for that start.
 pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
     info: &Track3dInfo,
     base_segments: &[Segment2d],
@@ -54,15 +58,32 @@ pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
     let planes = axial.planes();
     let n_cells = axial.num_cells();
     let slope = if info.ascending { info.cot } else { -info.cot };
+    let up = slope > 0.0;
     let inv_sin = 1.0 / info.sin_theta;
     // Tiny z bias so starting exactly on a plane picks the cell we are
     // moving into.
     let zbias = 1e-12 * (planes[n_cells] - planes[0]).max(1.0);
-
-    let mut u = 0.0f64; // cumulative traversal coordinate over the member
+    let bias = if up { zbias } else { -zbias };
     let n = base_segments.len();
-    for k in 0..n {
-        let seg = &base_segments[if info.forward2d { k } else { n - 1 - k }];
+    let seg_at = |k: usize| &base_segments[if info.forward2d { k } else { n - 1 - k }];
+
+    // Skip the 2D segments that end at or before `u_lo`: they emit
+    // nothing, and `u` takes the same additions in the same order.
+    let mut u = 0.0f64; // cumulative traversal coordinate over the member
+    let mut k = 0;
+    while k < n {
+        let end = u + seg_at(k).length;
+        if end > info.u_lo {
+            break;
+        }
+        u = end;
+        k += 1;
+    }
+    // Every later segment start lies at or beyond `z_lo` in the direction
+    // of travel, so the cell is only ever stepped forward from here.
+    let mut cell = axial.find_cell(info.z_lo + bias);
+    for k in k..n {
+        let seg = seg_at(k);
         let a = u.max(info.u_lo);
         let b = (u + seg.length).min(info.u_hi);
         u += seg.length;
@@ -74,29 +95,37 @@ pub fn trace_3d<F: FnMut(FsrId, u32, f64)>(
         }
         // z runs from z_a to z_b monotonic with sign `slope`.
         let z_a = info.z_lo + (a - info.u_lo) * slope;
+        let z_start = z_a + bias;
+        if up {
+            while cell + 1 < n_cells && planes[cell + 1] <= z_start {
+                cell += 1;
+            }
+        } else {
+            while cell > 0 && planes[cell] > z_start {
+                cell -= 1;
+            }
+        }
+        debug_assert_eq!(cell, axial.find_cell(z_start), "carried axial cell at z {z_start}");
         let mut cursor = a;
-        let mut cell = axial.find_cell(z_a + if slope > 0.0 { zbias } else { -zbias });
+        let mut c = cell;
         loop {
             // Next plane in the direction of travel.
-            let (z_next, next_cell_exists) = if slope > 0.0 {
-                (planes[cell + 1], cell + 1 < n_cells)
-            } else {
-                (planes[cell], cell > 0)
-            };
+            let (z_next, next_cell_exists) =
+                if up { (planes[c + 1], c + 1 < n_cells) } else { (planes[c], c > 0) };
             let u_cross = a + (z_next - z_a) / slope;
             if u_cross >= b - 1e-12 || !next_cell_exists {
                 let du = b - cursor;
                 if du > 1e-12 {
-                    emit(seg.fsr, cell as u32, du * inv_sin);
+                    emit(seg.fsr, c as u32, du * inv_sin);
                 }
                 break;
             }
             let du = u_cross - cursor;
             if du > 1e-12 {
-                emit(seg.fsr, cell as u32, du * inv_sin);
+                emit(seg.fsr, c as u32, du * inv_sin);
             }
             cursor = u_cross;
-            cell = if slope > 0.0 { cell + 1 } else { cell - 1 };
+            c = if up { c + 1 } else { c - 1 };
         }
         if u >= info.u_hi {
             break;
@@ -121,37 +150,59 @@ pub struct SegmentKey {
     pub length: f32,
 }
 
-/// The key index's hash of a `(material, length bits)` word, a folded
-/// 128-bit multiply (std's SipHash costs several times more per lookup,
-/// more than the exp it saves an OTF segment; the words come from the
-/// program's own trace, so collision resistance buys nothing).
-#[derive(Default)]
-struct FoldHash(u64);
-
-impl std::hash::Hasher for FoldHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the key index hashes u64 words only")
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        let m = (word as u128) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = m as u64 ^ (m >> 64) as u64;
-    }
+/// One slot of the key index: a pair's word and its key, or [`EMPTY`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    word: u64,
+    key: u32,
 }
+
+const EMPTY: Slot = Slot { word: 0, key: u32::MAX };
+
+/// Slots of an index that has numbered nothing yet.
+const MIN_SLOTS: usize = 16;
 
 /// The distinct (material, f32 length) pairs of a laydown's 3D segments,
 /// numbered by first use in track-id order, and the index from a pair to
 /// its key. One per problem: stored and on-the-fly segments share its key
 /// space, and a sweep reads a key's attenuation span from one table.
-#[derive(Debug, Clone, Default)]
+///
+/// The index is the open-addressed slot table the module docs describe.
+/// std's SipHash costs several times more per lookup; the words come from
+/// the program's own trace, so collision resistance buys nothing.
+#[derive(Debug, Clone)]
 pub struct SegmentKeys {
-    index: HashMap<u64, u32, BuildHasherDefault<FoldHash>>,
+    slots: Vec<Slot>,
     keys: Vec<SegmentKey>,
+}
+
+/// The slot of `slots` holding `word`, or the empty slot where it goes.
+#[inline]
+fn probe(slots: &[Slot], word: u64) -> usize {
+    let mask = slots.len() - 1;
+    let m = (word as u128) * 0x9e37_79b9_7f4a_7c15;
+    let mut i = (m as u64 ^ (m >> 64) as u64) as usize & mask;
+    // Terminates: the table is never more than half full.
+    loop {
+        let slot = slots[i];
+        if slot.key == u32::MAX || slot.word == word {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// The key of `word` in `slots`, or `None` when it has none.
+#[inline]
+fn lookup(slots: &[Slot], word: u64) -> Option<u32> {
+    let slot = slots[probe(slots, word)];
+    (slot.key != u32::MAX).then_some(slot.key)
+}
+
+impl Default for SegmentKeys {
+    fn default() -> Self {
+        Self { slots: vec![EMPTY; MIN_SLOTS], keys: Vec::new() }
+    }
 }
 
 impl SegmentKeys {
@@ -162,17 +213,28 @@ impl SegmentKeys {
 
     /// Numbers a pair next unless it already has a key.
     fn insert(&mut self, material: u32, length: f32) {
-        let keys = &mut self.keys;
-        self.index.entry(Self::word(material, length)).or_insert_with(|| {
-            keys.push(SegmentKey { material, length });
-            keys.len() as u32 - 1
-        });
+        let word = Self::word(material, length);
+        let i = probe(&self.slots, word);
+        if self.slots[i].key != u32::MAX {
+            return;
+        }
+        assert!(self.keys.len() < u32::MAX as usize, "more distinct segment pairs than keys");
+        self.slots[i] = Slot { word, key: self.keys.len() as u32 };
+        self.keys.push(SegmentKey { material, length });
+        if 2 * self.keys.len() > self.slots.len() {
+            self.slots = vec![EMPTY; 2 * self.slots.len()];
+            for (key, k) in self.keys.iter().enumerate() {
+                let word = Self::word(k.material, k.length);
+                let i = probe(&self.slots, word);
+                self.slots[i] = Slot { word, key: key as u32 };
+            }
+        }
     }
 
     /// The key of a pair, or `None` when the laydown never produced it.
     #[inline]
     pub fn find(&self, material: u32, length: f32) -> Option<u32> {
-        self.index.get(&Self::word(material, length)).copied()
+        lookup(&self.slots, Self::word(material, length))
     }
 
     /// The pairs in key order; a segment's `key` indexes this list.
@@ -205,13 +267,15 @@ pub fn trace_keyed(
     keys: &SegmentKeys,
     out: &mut Vec<Segment3dCompact>,
 ) {
+    // The slots as a local slice: the pushes onto `out` then cannot make
+    // the compiler reload the table's address for every segment.
+    let slots = keys.slots.as_slice();
     trace_3d(info, base_segments, axial, |fsr, cell, len| {
         let id = fsr3d.id(fsr, cell as usize);
+        let word = SegmentKeys::word(fsr3d.material(id).0, len as f32);
         // invariant: the set-up walk numbered every pair this trace can
         // emit (same inputs, same arithmetic, same f32 rounding).
-        let key = keys
-            .find(fsr3d.material(id).0, len as f32)
-            .expect("segment pair not in the laydown's keys");
+        let key = lookup(slots, word).expect("segment pair not in the laydown's keys");
         out.push(Segment3dCompact { fsr3d: id.0, key });
     });
 }
@@ -402,6 +466,7 @@ mod tests {
     use antmoc_geom::geometry::homogeneous_box;
     use antmoc_geom::{AxialModel, Bc, BoundaryConds, Fsr3dId};
     use antmoc_xs::MaterialId;
+    use std::collections::HashMap;
 
     struct Fixture {
         l: TrackLayout,
@@ -602,5 +667,59 @@ mod tests {
         }
         assert_eq!(walk.keys.as_slice(), expect.as_slice());
         assert!(walk.keys.len() > 1);
+    }
+
+    #[test]
+    fn key_index_numbers_pairs_by_first_use_through_growths() {
+        // SplitMix64 over a universe small enough that pairs repeat.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let lengths: Vec<f32> = (0..30_000).map(|_| (next() >> 40) as f32 * 1e-6).collect();
+        let mut keys = SegmentKeys::default();
+        assert_eq!(keys.find(0, 0.0), None, "an empty index finds nothing");
+        assert_eq!(keys.find(7, 1.5), None);
+        let mut reference: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut order = Vec::new();
+        // Word 0 is (material 0, length +0.0), the word an empty slot
+        // holds; -0.0 is a different pair.
+        let edge = [(0, 0.0), (0, -0.0), (u32::MAX, f32::from_bits(u32::MAX)), (3, f32::MAX)];
+        let draws = edge.into_iter().chain((0..200_000).map(|_| {
+            let r = next();
+            ((r % 6) as u32, lengths[(r >> 32) as usize % lengths.len()])
+        }));
+        let mut growths = 0;
+        for (material, length) in draws {
+            let slots = keys.slots.len();
+            keys.insert(material, length);
+            growths += usize::from(keys.slots.len() > slots);
+            assert!(2 * keys.len() <= keys.slots.len(), "the index is more than half full");
+            let next_key = reference.len() as u32;
+            reference.entry((material, length.to_bits())).or_insert_with(|| {
+                order.push(SegmentKey { material, length });
+                next_key
+            });
+        }
+        assert!(growths >= 8, "only {growths} growths");
+        assert!(keys.len() > 100_000, "only {} distinct pairs", keys.len());
+        // By bits: one edge pair's length is a NaN.
+        let bits = |k: &[SegmentKey]| -> Vec<_> {
+            k.iter().map(|k| (k.material, k.length.to_bits())).collect()
+        };
+        assert!(bits(keys.as_slice()) == bits(&order), "keys are not numbered by first use");
+        for (&(material, bits), &key) in &reference {
+            assert_eq!(keys.find(material, f32::from_bits(bits)), Some(key));
+        }
+        // Absent: a material never drawn, and lengths outside the pool.
+        for &length in lengths.iter().take(1000) {
+            assert_eq!(keys.find(6, length), None);
+            assert_eq!(keys.find(1, -length - 1.0), None);
+        }
+        assert_eq!(keys.find(1, 0.0), None);
     }
 }

@@ -25,6 +25,18 @@
 # track's segments, the never-inlined `otf_keyed_trace`, must exist as a
 # symbol and obeys the same rules.
 #
+# Nor may the vector loop spill. A restructure of `sweep_track_g` once
+# stored `psi` and `vals` to the stack on every segment of the `G = 7`
+# loop (+8% per segment on the explicit store) and changed no bit. So the
+# packed stores of a vector register to the stack (`v?mov[au]pd %[xyz]mmN,
+# K(%rsp)`) inside the innermost loop bodies of the `sweep_track_g`
+# symbols are counted, and the total may not exceed the count written
+# below. A loop body runs from a label to the last backward jump to it
+# within one function; it is innermost when it holds no other. Whole
+# symbols and outer loops cannot be counted: their stores, mostly the
+# zeroing of `psi` and `vals` ahead of the segment loops, move by more
+# than a spill adds whenever the block layout shifts.
+#
 # That slab evaluator is pinned too: its three instantiations of one source
 # loop — `slab_baseline`, the `#[target_feature(enable = "avx2")]`
 # `slab_avx2` and the `#[target_feature(enable = "avx512f")]`
@@ -96,6 +108,48 @@ for body in sweep_track otf_keyed_trace; do
         exit 1
     fi
 done
+
+# Packed vector-register stores to the stack inside the innermost loop
+# bodies of the functions whose symbol contains $1; the last line is
+# "<functions> <stores>", the lines before it the stores per function.
+loop_spills() {
+    awk -v sym="$1" '
+        $0 ~ "^[^ \t.#][^ \t]*" sym "[^ \t]*:$" {
+            infn = 1; fns++; name = $1; n = 0; split("", pos); split("", last); next
+        }
+        infn {
+            line[++n] = $0
+            if ($0 ~ /^\.LBB[0-9_]+:$/) { label = $0; sub(/:$/, "", label); pos[label] = n }
+            if ($0 ~ /^\tj[a-z]+\t\.LBB[0-9_]+$/ && ($2 in pos)) last[pos[$2]] = n
+        }
+        infn && /\.cfi_endproc/ {
+            infn = 0; here = 0
+            for (s in last) {
+                inner = 1
+                for (t in last) if (t + 0 > s + 0 && last[t] <= last[s]) { inner = 0; break }
+                if (!inner) continue
+                for (i = s + 0; i <= last[s]; i++)
+                    if (line[i] ~ /^\tv?mov[au]pd\t%[xyz]mm[0-9]+, (-?[0-9]+)?\(%rsp\)/) here++
+            }
+            print "  " here " " name
+            stores += here
+        }
+        END { print fns + 0, stores + 0 }
+    ' "$newest"
+}
+# Innermost-loop stack stores of the 16 `sweep_track_g` instantiations
+# when the rule was added (0 to 8 per symbol; 0 in the `G = 7` one).
+spill_budget=39
+report=$(loop_spills sweep_track_g)
+read -r fns stores <<<"$(echo "$report" | tail -1)"
+echo "check_simd_asm: $stores vector store(s) to the stack in innermost loops of $fns" \
+    "sweep_track_g symbol(s) (budget $spill_budget)"
+if [ "$stores" -gt "$spill_budget" ]; then
+    echo "$report" | sed '$d' >&2
+    echo "check_simd_asm: FAIL — a sweep_track_g loop now spills vector registers to the stack;" >&2
+    echo "  compare the G = 7 vector loop's assembly against the parent commit's" >&2
+    exit 1
+fi
 
 # Count of packed $3 ops (default mulpd/addpd) inside the functions whose
 # symbol contains $1, optionally only instructions that also match $2 (a
