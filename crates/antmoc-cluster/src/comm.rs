@@ -15,6 +15,13 @@ use crate::traffic::{Traffic, TrafficCounters};
 /// always a bug, not load.
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// How long before a simulated transfer completes a waiting receive stops
+/// sleeping and spins instead. A sleep ends up to the thread's timer slack
+/// (50 us by default on Linux) late, plus the wake-up latency; sleeping to
+/// this margin before the deadline and spinning the rest delivers the
+/// message at its completion instant rather than a slack later.
+const WAKE_MARGIN: Duration = Duration::from_micros(100);
+
 /// Tags at or above this are collectives (allgather / allreduce). They
 /// are exempt from the [`LinkModel`]: their payloads are
 /// control-plane scalars next to the boundary-flux banks, and keeping
@@ -65,6 +72,18 @@ struct Message {
 impl Message {
     fn in_flight(&self) -> bool {
         self.ready_at.is_some_and(|r| r > Instant::now())
+    }
+}
+
+/// Returns at `at` or just after, never before: sleeps to [`WAKE_MARGIN`]
+/// short of it, then spins.
+fn wait_until(at: Instant) {
+    let sleep = at.saturating_duration_since(Instant::now()).saturating_sub(WAKE_MARGIN);
+    if !sleep.is_zero() {
+        std::thread::sleep(sleep);
+    }
+    while Instant::now() < at {
+        std::hint::spin_loop();
     }
 }
 
@@ -211,8 +230,7 @@ impl Comm {
             if let Some(ready_at) = self.stalled[from].as_ref().and_then(|m| m.ready_at) {
                 // A transfer is in flight; its completion is the earliest
                 // anything from this source can become visible.
-                let wake = ready_at.min(deadline);
-                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                wait_until(ready_at.min(deadline));
             } else {
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 match self.receivers[from].recv_timeout(remaining) {
@@ -667,6 +685,36 @@ mod tests {
             "blocking recv returned after {:.3}s — before the simulated transfer finished",
             o.results[1]
         );
+    }
+
+    #[test]
+    fn linked_receive_never_delivers_before_the_transfer_completes() {
+        // The receive wakes a margin early and spins; it must still not
+        // return before send time + latency. (Only the lower bound: how
+        // late it returns depends on the host.)
+        let latency = Duration::from_micros(500);
+        let link = LinkModel { latency, ns_per_byte: 0.0 };
+        let o = Cluster::run_linked(2, link, |mut comm| {
+            let mut early = Vec::new();
+            for round in 0..20u32 {
+                if comm.rank() == 0 {
+                    let sent = Instant::now();
+                    comm.send_val(1, 5, round);
+                    comm.send_val(1, 6, sent);
+                } else {
+                    let v: u32 = comm.recv_val(0, 5);
+                    let arrived = Instant::now();
+                    let sent: Instant = comm.recv_val(0, 6);
+                    assert_eq!(v, round);
+                    if arrived < sent + latency {
+                        early.push(round);
+                    }
+                }
+                comm.barrier();
+            }
+            early
+        });
+        assert!(o.results[1].is_empty(), "rounds delivered early: {:?}", o.results[1]);
     }
 
     #[test]

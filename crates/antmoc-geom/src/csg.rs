@@ -102,10 +102,17 @@ impl Lattice {
         self.universes[iy * self.nx + ix]
     }
 
-    /// Distance from a local point along `(ux, uy)` to the boundary of the
-    /// *current* lattice cell (the next interior wall or outer edge).
-    pub fn distance_to_cell_wall(&self, x: f64, y: f64, ux: f64, uy: f64) -> f64 {
-        let (ix, iy) = self.find_cell(x, y);
+    /// Distance from a local point along `(ux, uy)` to the boundary of
+    /// cell `(ix, iy)` (the next interior wall or outer edge), where the
+    /// cell is [`Self::find_cell`] of the point.
+    pub fn distance_to_cell_wall(
+        &self,
+        (ix, iy): (usize, usize),
+        x: f64,
+        y: f64,
+        ux: f64,
+        uy: f64,
+    ) -> f64 {
         let (cx, cy) = self.cell_center(ix, iy);
         let mut t = f64::INFINITY;
         if ux.abs() > 1e-14 {
@@ -166,9 +173,9 @@ mod tests {
     fn lattice_wall_distance_is_exact_on_axis() {
         let l = lat();
         let (cx, cy) = l.cell_center(1, 0);
-        let t = l.distance_to_cell_wall(cx, cy, 1.0, 0.0);
+        let t = l.distance_to_cell_wall((1, 0), cx, cy, 1.0, 0.0);
         assert!((t - 0.5).abs() < 1e-12);
-        let t = l.distance_to_cell_wall(cx, cy, 0.0, -1.0);
+        let t = l.distance_to_cell_wall((1, 0), cx, cy, 0.0, -1.0);
         assert!((t - 1.0).abs() < 1e-12);
     }
 
@@ -177,7 +184,7 @@ mod tests {
         let l = lat();
         let (cx, cy) = l.cell_center(0, 0);
         let inv = 1.0 / 2.0f64.sqrt();
-        let t = l.distance_to_cell_wall(cx, cy, inv, inv);
+        let t = l.distance_to_cell_wall((0, 0), cx, cy, inv, inv);
         // Hits the x wall at 0.5/inv ≈ 0.7071 before the y wall at 1/inv.
         assert!((t - 0.5 / inv).abs() < 1e-12);
     }

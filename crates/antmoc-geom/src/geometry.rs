@@ -1,7 +1,21 @@
 //! The assembled radial geometry: surface/universe/lattice arena, point
 //! location, boundary distances, and deterministic FSR enumeration.
+//!
+//! Ray tracing asks one question per step: which FSR holds this point, and
+//! how far along the ray is the next radial boundary? [`Geometry::step`]
+//! answers both in a single descent root → lattice → universe. At each
+//! universe it intersects the universe's distinct surfaces once; at each
+//! lattice it measures the wall of the cell it descends into. The domain
+//! box is the first candidate, so a tie with a surface keeps the face.
+//!
+//! FSR ids need no path lookup. [`GeometryBuilder::finalize`] numbers the
+//! FSRs depth-first, and the FSRs under one universe are numbered the same
+//! way wherever that universe sits. So each cell of a universe and each
+//! element of a lattice carries the offset of its first FSR, and the
+//! descent sums the offsets of the cells and elements it enters.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use antmoc_xs::MaterialId;
 
@@ -97,26 +111,72 @@ pub struct Located {
 /// here too (the axial structure itself lives in [`crate::axial`]).
 #[derive(Debug, Clone)]
 pub struct Geometry {
+    /// The CSG model and its FSR numbering, shared by clones and by every
+    /// window [`Geometry::restrict`] cuts from it.
+    model: Arc<Model>,
+    /// Domain box `(x_min, x_max, y_min, y_max)` in global coordinates.
+    /// For a full geometry this is centred on the model's origin; a window
+    /// can sit anywhere inside the model.
+    bounds_box: (f64, f64, f64, f64),
+    z_range: (f64, f64),
+    bcs: BoundaryConds,
+}
+
+/// The arena and the FSR tables `finalize` derives from it.
+#[derive(Debug)]
+struct Model {
     surfaces: Vec<Surface>,
     universes: Vec<Universe>,
     lattices: Vec<Lattice>,
     root: UniverseId,
     /// Global coordinates of the root universe's local origin.
     origin: (f64, f64),
-    /// Domain box `(x_min, x_max, y_min, y_max)` in global coordinates.
-    /// For a full geometry this is centred on `origin`; a window produced
-    /// by [`Geometry::restrict`] can sit anywhere inside the model.
-    bounds_box: (f64, f64, f64, f64),
-    z_range: (f64, f64),
-    bcs: BoundaryConds,
-    /// Canonical path -> FSR id (filled by `finalize`).
-    fsr_by_path: HashMap<Vec<u32>, FsrId>,
+    /// Per universe: its distinct surfaces and its cells' FSR offsets.
+    universe_index: Vec<UniverseIndex>,
+    /// Per lattice: the FSR offset of each element, row-major like
+    /// [`Lattice::universes`], relative to the lattice's first FSR, then
+    /// the lattice's FSR count (empty until counted).
+    lattice_first: Vec<Vec<u32>>,
     /// FSR id -> material.
     fsr_material: Vec<MaterialId>,
     /// FSR id -> analytic radial area when known (builder-provided hints).
     fsr_area: Vec<Option<f64>>,
-    /// FSR id -> path (inverse of `fsr_by_path`).
-    fsr_path: Vec<Vec<u32>>,
+    /// Every FSR's canonical path, concatenated in FSR order; FSR `f`'s
+    /// path is `fsr_paths[fsr_path_ends[f - 1]..fsr_path_ends[f]]`.
+    fsr_paths: Vec<u32>,
+    fsr_path_ends: Vec<u32>,
+}
+
+/// What the descent reads of a universe besides its cells.
+#[derive(Debug, Clone, Default)]
+struct UniverseIndex {
+    /// The distinct surfaces the cells' regions reference, in order of
+    /// first reference: every one a ray can cross to change cell.
+    surfaces: Vec<Surface>,
+    /// Per cell: the id of its first FSR relative to the universe's first.
+    cell_first: Vec<u32>,
+    /// FSRs under the universe (`None` until counted).
+    fsrs: Option<u32>,
+}
+
+/// One tracing step from a point: the FSR that holds it and the distance
+/// along the direction to the next radial boundary, with the domain face
+/// when that is what ends the step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    pub fsr: FsrId,
+    /// Positive distance to the nearest boundary crossing.
+    pub distance: f64,
+    /// The domain face hit, when no cell boundary comes strictly first.
+    pub face: Option<Face>,
+}
+
+/// A level the descent passes through, in local coordinates.
+enum Level<'a> {
+    /// A universe; the point is at `(lx, ly)` in its frame.
+    Universe(&'a UniverseIndex, f64, f64),
+    /// A lattice and the element `(ix, iy)` the point is in.
+    Lattice(&'a Lattice, (usize, usize), f64, f64),
 }
 
 /// Builder-side arena handles. `GeometryBuilder` keeps construction away
@@ -174,12 +234,42 @@ impl GeometryBuilder {
         bcs: BoundaryConds,
     ) -> Geometry {
         assert!(width > 0.0 && height > 0.0 && z_range.1 > z_range.0);
-        let mut g = Geometry {
+        let universe_index = self
+            .universes
+            .iter()
+            .map(|uni| {
+                let mut surfaces: Vec<SurfaceId> = Vec::new();
+                for &(sid, _) in uni.cells.iter().flat_map(|c| &c.region) {
+                    if !surfaces.contains(&sid) {
+                        surfaces.push(sid);
+                    }
+                }
+                UniverseIndex {
+                    surfaces: surfaces
+                        .iter()
+                        .map(|s| self.surfaces[s.0 as usize].clone())
+                        .collect(),
+                    ..Default::default()
+                }
+            })
+            .collect();
+        let mut m = Model {
+            lattice_first: vec![Vec::new(); self.lattices.len()],
             surfaces: self.surfaces,
             universes: self.universes,
             lattices: self.lattices,
             root,
             origin,
+            universe_index,
+            fsr_material: Vec::new(),
+            fsr_area: Vec::new(),
+            fsr_paths: Vec::new(),
+            fsr_path_ends: Vec::new(),
+        };
+        m.count_fsrs(root);
+        m.enumerate_universe(root, &mut Vec::new(), &self.area_hints);
+        Geometry {
+            model: Arc::new(m),
             bounds_box: (
                 origin.0 - width / 2.0,
                 origin.0 + width / 2.0,
@@ -188,38 +278,77 @@ impl GeometryBuilder {
             ),
             z_range,
             bcs,
-            fsr_by_path: HashMap::new(),
-            fsr_material: Vec::new(),
-            fsr_area: Vec::new(),
-            fsr_path: Vec::new(),
-        };
-        let mut path = Vec::new();
-        g.enumerate_universe(root, &mut path, &self.area_hints, 1.0);
-        g
+        }
     }
 }
 
-impl Geometry {
+impl Model {
+    /// Counts the FSRs under universe `u` and fills the offsets of its
+    /// cells and of the lattice elements below it; memoized, so a universe
+    /// repeated across a lattice is counted once.
+    fn count_fsrs(&mut self, u: UniverseId) -> u32 {
+        if let Some(n) = self.universe_index[u.0 as usize].fsrs {
+            return n;
+        }
+        let mut first = Vec::with_capacity(self.universes[u.0 as usize].cells.len());
+        let mut total = 0u32;
+        for ci in 0..self.universes[u.0 as usize].cells.len() {
+            first.push(total);
+            total += match self.universes[u.0 as usize].cells[ci].fill {
+                Fill::Material(_) => 1,
+                Fill::Universe(child) => self.count_fsrs(child),
+                Fill::Lattice(lid) => self.count_lattice_fsrs(lid),
+            };
+        }
+        let index = &mut self.universe_index[u.0 as usize];
+        index.cell_first = first;
+        index.fsrs = Some(total);
+        total
+    }
+
+    /// [`Self::count_fsrs`] for a lattice: the sum over its elements.
+    fn count_lattice_fsrs(&mut self, lid: LatticeId) -> u32 {
+        let l = lid.0 as usize;
+        if let Some(&n) = self.lattice_first[l].last() {
+            return n;
+        }
+        let mut first = Vec::with_capacity(self.lattices[l].universes.len() + 1);
+        let mut total = 0u32;
+        for k in 0..self.lattices[l].universes.len() {
+            first.push(total);
+            total += self.count_fsrs(self.lattices[l].universes[k]);
+        }
+        first.push(total);
+        self.lattice_first[l] = first;
+        total
+    }
+
+    /// Numbers the leaves under `u` depth-first: material, area hint and
+    /// path per FSR, in the order the offsets of [`Self::count_fsrs`]
+    /// assume.
     fn enumerate_universe(
         &mut self,
         u: UniverseId,
         path: &mut Vec<u32>,
         hints: &HashMap<(u32, u32), f64>,
-        _scale: f64,
     ) {
+        let base = self.fsr_material.len() as u32;
         for ci in 0..self.universes[u.0 as usize].cells.len() {
+            debug_assert_eq!(
+                base + self.universe_index[u.0 as usize].cell_first[ci],
+                self.fsr_material.len() as u32
+            );
             path.push(ci as u32);
             let fill = self.universes[u.0 as usize].cells[ci].fill;
             match fill {
                 Fill::Material(m) => {
-                    let id = FsrId(self.fsr_material.len() as u32);
-                    self.fsr_by_path.insert(path.clone(), id);
                     self.fsr_material.push(m);
                     self.fsr_area.push(hints.get(&(u.0, ci as u32)).copied());
-                    self.fsr_path.push(path.clone());
+                    self.fsr_paths.extend_from_slice(path);
+                    self.fsr_path_ends.push(self.fsr_paths.len() as u32);
                 }
                 Fill::Universe(child) => {
-                    self.enumerate_universe(child, path, hints, _scale);
+                    self.enumerate_universe(child, path, hints);
                 }
                 Fill::Lattice(lid) => {
                     let (nx, ny) = {
@@ -231,7 +360,7 @@ impl Geometry {
                             path.push(ix as u32);
                             path.push(iy as u32);
                             let child = self.lattices[lid.0 as usize].universe_at(ix, iy);
-                            self.enumerate_universe(child, path, hints, _scale);
+                            self.enumerate_universe(child, path, hints);
                             path.pop();
                             path.pop();
                         }
@@ -242,24 +371,63 @@ impl Geometry {
         }
     }
 
+    /// The first cell of `uni` whose region holds the local point.
+    fn match_cell(&self, uni: &Universe, lx: f64, ly: f64) -> Option<usize> {
+        uni.cells.iter().position(|cell| {
+            cell.region
+                .iter()
+                .all(|&(sid, sense)| self.surfaces[sid.0 as usize].sense_of(lx, ly) == sense)
+        })
+    }
+}
+
+impl Geometry {
     /// Number of radial FSRs.
     pub fn num_fsrs(&self) -> usize {
-        self.fsr_material.len()
+        self.model.fsr_material.len()
     }
 
     /// The material filling an FSR.
     pub fn fsr_material(&self, f: FsrId) -> MaterialId {
-        self.fsr_material[f.0 as usize]
+        self.model.fsr_material[f.0 as usize]
     }
 
     /// Analytic radial area of an FSR when the builder provided one.
     pub fn fsr_area_hint(&self, f: FsrId) -> Option<f64> {
-        self.fsr_area[f.0 as usize]
+        self.model.fsr_area[f.0 as usize]
     }
 
-    /// The canonical path of an FSR.
+    /// The canonical path of an FSR: the cell index at each universe and
+    /// the `(ix, iy)` element at each lattice, root first.
     pub fn fsr_path(&self, f: FsrId) -> &[u32] {
-        &self.fsr_path[f.0 as usize]
+        let f = f.0 as usize;
+        let lo = if f == 0 { 0 } else { self.model.fsr_path_ends[f - 1] as usize };
+        &self.model.fsr_paths[lo..self.model.fsr_path_ends[f] as usize]
+    }
+
+    /// The surface arena.
+    pub fn surfaces(&self) -> &[Surface] {
+        &self.model.surfaces
+    }
+
+    /// The universe arena.
+    pub fn universes(&self) -> &[Universe] {
+        &self.model.universes
+    }
+
+    /// The lattice arena.
+    pub fn lattices(&self) -> &[Lattice] {
+        &self.model.lattices
+    }
+
+    /// The root universe.
+    pub fn root(&self) -> UniverseId {
+        self.model.root
+    }
+
+    /// Global coordinates of the root universe's local origin.
+    pub fn origin(&self) -> (f64, f64) {
+        self.model.origin
     }
 
     /// Domain boundary conditions.
@@ -278,8 +446,9 @@ impl Geometry {
     }
 
     /// A window view of this geometry: the same CSG model and FSR
-    /// enumeration restricted to the radial box `bounds` and axial range
-    /// `z_range`, with the window's own boundary conditions. This is how
+    /// enumeration (shared, not copied) restricted to the radial box
+    /// `bounds` and axial range `z_range`, with the window's own boundary
+    /// conditions. This is how
     /// spatial-decomposition subdomains are made (§3.2 of the paper):
     /// internal faces typically get `Bc::Vacuum` for tracking, with the
     /// flux exchange handled by the domain-decomposed solver.
@@ -299,11 +468,7 @@ impl Geometry {
             "window {bounds:?} outside model {full:?}"
         );
         assert!(x1 > x0 && y1 > y0 && z_range.1 > z_range.0);
-        let mut g = self.clone();
-        g.bounds_box = bounds;
-        g.z_range = z_range;
-        g.bcs = bcs;
-        g
+        Geometry { model: Arc::clone(&self.model), bounds_box: bounds, z_range, bcs }
     }
 
     /// Axial extent `(z_min, z_max)`.
@@ -327,57 +492,51 @@ impl Geometry {
         if !self.contains(x, y) {
             return None;
         }
-        let mut lx = x - self.origin.0;
-        let mut ly = y - self.origin.1;
-        let mut u = self.root;
-        let mut path = Vec::with_capacity(8);
-        loop {
-            let uni = &self.universes[u.0 as usize];
-            let ci = self.match_cell(uni, lx, ly)?;
-            path.push(ci as u32);
-            match uni.cells[ci].fill {
-                Fill::Material(m) => {
-                    let fsr = *self.fsr_by_path.get(&path)?;
-                    return Some(Located { fsr, material: m, path });
-                }
-                Fill::Universe(child) => {
-                    u = child;
-                }
-                Fill::Lattice(lid) => {
-                    let l = &self.lattices[lid.0 as usize];
-                    let (ix, iy) = l.find_cell(lx, ly);
-                    path.push(ix as u32);
-                    path.push(iy as u32);
-                    let (cx, cy) = l.cell_center(ix, iy);
-                    lx -= cx;
-                    ly -= cy;
-                    u = l.universe_at(ix, iy);
+        let (fsr, material) = self.descend(x, y, |_| {})?;
+        Some(Located { fsr, material, path: self.fsr_path(fsr).to_vec() })
+    }
+
+    /// One ray-tracing step: locates the FSR holding the global point
+    /// `(x, y)` and measures the distance along the unit direction
+    /// `(ux, uy)` to the next radial cell boundary or domain face, in one
+    /// descent of the hierarchy. `None` where [`Self::find`] gives `None`.
+    ///
+    /// The candidates are the domain box, then at every universe passed
+    /// each distinct surface its cells reference, and at every lattice
+    /// the wall of the element entered. The nearest wins; the domain face
+    /// is reported when no later candidate is strictly nearer.
+    pub fn step(&self, x: f64, y: f64, ux: f64, uy: f64) -> Option<Step> {
+        if !self.contains(x, y) {
+            return None;
+        }
+        let (mut best, mut face) = self.distance_to_box(x, y, ux, uy);
+        let (fsr, _) = self.descend(x, y, |level| match level {
+            Level::Universe(index, lx, ly) => {
+                for surface in &index.surfaces {
+                    if let Some(t) = surface.distance(lx, ly, ux, uy) {
+                        if t < best {
+                            best = t;
+                            face = None;
+                        }
+                    }
                 }
             }
-        }
+            Level::Lattice(l, cell, lx, ly) => {
+                let t = l.distance_to_cell_wall(cell, lx, ly, ux, uy);
+                if t > SURFACE_EPS && t < best {
+                    best = t;
+                    face = None;
+                }
+            }
+        })?;
+        Some(Step { fsr, distance: best, face })
     }
 
-    fn match_cell(&self, uni: &Universe, lx: f64, ly: f64) -> Option<usize> {
-        uni.cells.iter().position(|cell| {
-            cell.region
-                .iter()
-                .all(|&(sid, sense)| self.surfaces[sid.0 as usize].sense_of(lx, ly) == sense)
-        })
-    }
-
-    /// Distance from a global point along the unit direction `(ux, uy)` to
-    /// the next radial cell boundary or domain face, together with the face
-    /// when the domain box is what is hit.
-    ///
-    /// The returned distance is positive; callers advance by it (plus a
-    /// small nudge) and re-locate. The implementation descends the universe
-    /// hierarchy once, collecting candidate crossings from every surface of
-    /// each visited universe, lattice cell walls, and the domain box.
-    pub fn distance_to_boundary(&self, x: f64, y: f64, ux: f64, uy: f64) -> (f64, Option<Face>) {
+    /// Distance along `(ux, uy)` to the domain box, x faces before y.
+    fn distance_to_box(&self, x: f64, y: f64, ux: f64, uy: f64) -> (f64, Option<Face>) {
         let (x0, x1, y0, y1) = self.bounds();
         let mut best = f64::INFINITY;
         let mut face = None;
-        // Domain box.
         if ux > 1e-14 {
             let t = (x1 - x) / ux;
             if t > SURFACE_EPS && t < best {
@@ -404,81 +563,63 @@ impl Geometry {
                 face = Some(Face::YMin);
             }
         }
-
-        // Hierarchy descent.
-        let mut lx = x - self.origin.0;
-        let mut ly = y - self.origin.1;
-        let mut u = self.root;
-        loop {
-            let uni = &self.universes[u.0 as usize];
-            // Candidate crossings from every surface referenced by this
-            // universe's cells (a crossing of any of them can change the
-            // region).
-            for cell in &uni.cells {
-                for &(sid, _) in &cell.region {
-                    if let Some(t) = self.surfaces[sid.0 as usize].distance(lx, ly, ux, uy) {
-                        if t < best {
-                            best = t;
-                            face = None;
-                        }
-                    }
-                }
-            }
-            let Some(ci) = self.match_cell(uni, lx, ly) else {
-                break;
-            };
-            match uni.cells[ci].fill {
-                Fill::Material(_) => break,
-                Fill::Universe(child) => {
-                    u = child;
-                }
-                Fill::Lattice(lid) => {
-                    let l = &self.lattices[lid.0 as usize];
-                    let t = l.distance_to_cell_wall(lx, ly, ux, uy);
-                    if t > SURFACE_EPS && t < best {
-                        best = t;
-                        face = None;
-                    }
-                    let (ix, iy) = l.find_cell(lx, ly);
-                    let (cx, cy) = l.cell_center(ix, iy);
-                    lx -= cx;
-                    ly -= cy;
-                    u = l.universe_at(ix, iy);
-                }
-            }
-        }
         (best, face)
     }
 
-    /// Traces a radial ray from `start` along `phi` through the geometry
-    /// until it leaves the domain, returning `(fsr, length)` segments.
-    /// Mainly a convenience for tests and volume estimation; the production
-    /// tracer lives in `antmoc-track`.
+    /// Walks root → leaf through the cells holding the global point,
+    /// showing `visit` each universe and lattice element on the way, and
+    /// returns the leaf's FSR (the sum of the offsets entered) and
+    /// material. `None` when some universe has no cell for the point.
+    #[inline(always)]
+    fn descend(
+        &self,
+        x: f64,
+        y: f64,
+        mut visit: impl FnMut(Level<'_>),
+    ) -> Option<(FsrId, MaterialId)> {
+        let m = &*self.model;
+        let mut lx = x - m.origin.0;
+        let mut ly = y - m.origin.1;
+        let mut u = m.root.0 as usize;
+        let mut fsr = 0u32;
+        loop {
+            let index = &m.universe_index[u];
+            visit(Level::Universe(index, lx, ly));
+            let uni = &m.universes[u];
+            let ci = m.match_cell(uni, lx, ly)?;
+            fsr += index.cell_first[ci];
+            match uni.cells[ci].fill {
+                Fill::Material(mat) => return Some((FsrId(fsr), mat)),
+                Fill::Universe(child) => u = child.0 as usize,
+                Fill::Lattice(lid) => {
+                    let l = &m.lattices[lid.0 as usize];
+                    let (ix, iy) = l.find_cell(lx, ly);
+                    visit(Level::Lattice(l, (ix, iy), lx, ly));
+                    fsr += m.lattice_first[lid.0 as usize][iy * l.nx + ix];
+                    let (cx, cy) = l.cell_center(ix, iy);
+                    lx -= cx;
+                    ly -= cy;
+                    u = l.universe_at(ix, iy).0 as usize;
+                }
+            }
+        }
+    }
+
+    /// Traces a radial ray from `start` along `phi` until it leaves the
+    /// domain, returning `(fsr, length)` segments: [`Self::step`] in a
+    /// loop, for tests. The production tracer, which stops at a track's
+    /// length and merges grazes, is `antmoc-track`'s `trace_track`.
     pub fn trace(&self, start: (f64, f64), phi: f64) -> Vec<(FsrId, f64)> {
         let (uy, ux) = phi.sin_cos();
-        let mut segs = Vec::new();
-        let mut x = start.0;
-        let mut y = start.1;
-        // Nudge inside.
         let nudge = 1e-9;
-        let mut guard = 0;
-        loop {
-            guard += 1;
-            if guard > 1_000_000 {
-                panic!("trace did not terminate; geometry may have a gap");
-            }
-            let Some(loc) = self.find(x + ux * nudge, y + uy * nudge) else {
-                break;
-            };
-            let (t, face) = self.distance_to_boundary(x + ux * nudge, y + uy * nudge, ux, uy);
-            if !t.is_finite() {
-                break;
-            }
-            let len = t + nudge;
-            segs.push((loc.fsr, len));
+        let (mut x, mut y) = start;
+        let mut segs = Vec::new();
+        while let Some(s) = self.step(x + ux * nudge, y + uy * nudge, ux, uy) {
+            let len = s.distance + nudge;
+            segs.push((s.fsr, len));
             x += ux * len;
             y += uy * len;
-            if face.is_some() {
+            if s.face.is_some() {
                 break;
             }
         }
@@ -582,9 +723,10 @@ mod tests {
     fn distance_to_boundary_hits_circle() {
         let g = pin_geometry();
         // From the centre of pin (0,0) going +x: circle at 0.4.
-        let (t, face) = g.distance_to_boundary(-0.5, -0.5, 1.0, 0.0);
-        assert!(face.is_none());
-        assert!((t - 0.4).abs() < 1e-9, "t = {t}");
+        let s = g.step(-0.5, -0.5, 1.0, 0.0).unwrap();
+        assert_eq!(s.fsr, g.find(-0.5, -0.5).unwrap().fsr);
+        assert!(s.face.is_none());
+        assert!((s.distance - 0.4).abs() < 1e-9, "t = {}", s.distance);
     }
 
     #[test]
@@ -592,9 +734,76 @@ mod tests {
         let g = pin_geometry();
         // From just inside the east edge moving +x, between pins (y on the
         // horizontal wall between cells is fine -- pick mid-pin height).
-        let (t, face) = g.distance_to_boundary(0.97, -0.5, 1.0, 0.0);
-        assert_eq!(face, Some(Face::XMax));
-        assert!((t - 0.03).abs() < 1e-9);
+        let s = g.step(0.97, -0.5, 1.0, 0.0).unwrap();
+        assert_eq!(s.face, Some(Face::XMax));
+        assert!((s.distance - 0.03).abs() < 1e-9);
+    }
+
+    #[test]
+    fn step_keeps_the_face_on_a_tie_with_the_lattice_edge() {
+        // The lattice's outer edge lies on the domain box: the box comes
+        // first, so the tie reports the face.
+        let g = pin_geometry();
+        let s = g.step(0.95, 0.5, 1.0, 0.0).unwrap();
+        assert_eq!(s.face, Some(Face::XMax));
+        assert_eq!(s.distance, 1.0 - 0.95);
+    }
+
+    #[test]
+    fn step_outside_the_box_is_none() {
+        let g = pin_geometry();
+        assert!(g.step(1.5, 0.0, -1.0, 0.0).is_none());
+    }
+
+    #[test]
+    fn fsr_offsets_follow_the_enumeration() {
+        // A 2x1 lattice of a one-cell and a two-cell universe, the second
+        // reached through a universe fill: the descent's offset sums must
+        // name the FSR whose enumerated path leads to the point.
+        let mut b = GeometryBuilder::new();
+        let circ = b.add_surface(Surface::Circle { x0: 0.0, y0: 0.0, r: 0.3 });
+        let plain = b.add_universe(Universe {
+            cells: vec![Cell { region: vec![], fill: Fill::Material(MaterialId(0)) }],
+            name: "plain".into(),
+        });
+        let pin = b.add_universe(Universe {
+            cells: vec![
+                Cell { region: vec![(circ, Sense::Negative)], fill: Fill::Material(MaterialId(1)) },
+                Cell { region: vec![(circ, Sense::Positive)], fill: Fill::Material(MaterialId(2)) },
+            ],
+            name: "pin".into(),
+        });
+        let wrapped = b.add_universe(Universe {
+            cells: vec![Cell { region: vec![], fill: Fill::Universe(pin) }],
+            name: "wrapped".into(),
+        });
+        let lat = b.add_lattice(Lattice {
+            nx: 3,
+            ny: 1,
+            pitch_x: 1.0,
+            pitch_y: 1.0,
+            universes: vec![wrapped, plain, wrapped],
+            name: "lat".into(),
+        });
+        let root = b.add_universe(Universe {
+            cells: vec![Cell { region: vec![], fill: Fill::Lattice(lat) }],
+            name: "root".into(),
+        });
+        let g = b.finalize(root, 3.0, 1.0, (0.0, 0.0), (0.0, 1.0), BoundaryConds::vacuum());
+        assert_eq!(g.num_fsrs(), 5);
+        let cases: [((f64, f64), &[u32]); 5] = [
+            ((-1.0, 0.0), &[0, 0, 0, 0, 0]),
+            ((-1.4, 0.4), &[0, 0, 0, 0, 1]),
+            ((0.0, 0.0), &[0, 1, 0, 0]),
+            ((1.0, 0.0), &[0, 2, 0, 0, 0]),
+            ((1.4, -0.4), &[0, 2, 0, 0, 1]),
+        ];
+        for (i, ((x, y), path)) in cases.into_iter().enumerate() {
+            let loc = g.find(x, y).unwrap();
+            assert_eq!(loc.fsr, FsrId(i as u32), "point ({x}, {y})");
+            assert_eq!(g.fsr_path(loc.fsr), path);
+            assert_eq!(g.step(x, y, 0.0, 1.0).unwrap().fsr, loc.fsr);
+        }
     }
 
     #[test]
@@ -635,7 +844,8 @@ mod tests {
         assert_eq!(w.bounds(), (0.0, 1.0, -1.0, 1.0));
         assert_eq!(w.widths(), (1.0, 2.0));
         assert_eq!(w.z_range(), (0.0, 0.5));
-        // Same FSR enumeration as the parent.
+        // Same FSR enumeration as the parent: the same model, shared.
+        assert!(Arc::ptr_eq(&w.model, &g.model));
         assert_eq!(w.num_fsrs(), g.num_fsrs());
         let a = g.find(0.5, 0.5).unwrap();
         let b = w.find(0.5, 0.5).unwrap();
@@ -644,9 +854,9 @@ mod tests {
         assert!(w.find(-0.5, -0.5).is_none());
         assert!(g.find(-0.5, -0.5).is_some());
         // Domain faces move with the window.
-        let (t, face) = w.distance_to_boundary(0.97, 0.5, 1.0, 0.0);
-        assert_eq!(face, Some(Face::XMax));
-        assert!((t - 0.03).abs() < 1e-9);
+        let s = w.step(0.97, 0.5, 1.0, 0.0).unwrap();
+        assert_eq!(s.face, Some(Face::XMax));
+        assert!((s.distance - 0.03).abs() < 1e-9);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   signed evaluation and ray-distance queries;
 //! * [`csg`] — cells, universes and lattices;
 //! * [`geometry`] — the assembled arena with point location
-//!   ([`geometry::Geometry::find`]), boundary distances and deterministic
-//!   FSR enumeration;
+//!   ([`geometry::Geometry::find`]), the ray-tracing step that locates and
+//!   measures in one descent ([`geometry::Geometry::step`]) and
+//!   deterministic FSR enumeration;
 //! * [`axial`] — axial zones, the conforming axial mesh and the 3D FSR
 //!   map ([`axial::Fsr3dMap`]);
 //! * [`c5g7`] — the OECD/NEA C5G7 3D extension benchmark model used for
@@ -28,5 +29,5 @@ pub mod surface;
 
 pub use axial::{AxialModel, Fsr3dId, Fsr3dMap, Zone, ZoneKind};
 pub use csg::{Cell, Fill, Lattice, LatticeId, Universe, UniverseId};
-pub use geometry::{Bc, BoundaryConds, Face, FsrId, Geometry, GeometryBuilder, Located};
+pub use geometry::{Bc, BoundaryConds, Face, FsrId, Geometry, GeometryBuilder, Located, Step};
 pub use surface::{Sense, Surface, SurfaceId};

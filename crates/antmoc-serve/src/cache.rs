@@ -68,7 +68,7 @@ pub fn cache_key_string(config: &RunConfig) -> String {
                 o.axial_dz.to_bits()
             );
         }
-        ModelSpec::Lattice(spec) => {
+        ModelSpec::Lattice(case) => {
             // `emit` is the spec's canonical rendering: parse(emit(s))
             // round-trips, so it is exactly the content identity of the
             // declarative geometry — once the non-setup parts are
@@ -76,7 +76,7 @@ pub fn cache_key_string(config: &RunConfig) -> String {
             // decomposition, telemetry) are per-job config already mirrored into
             // `RunConfig` and keyed there; the case name and acceptance
             // gates never reach the built model at all.
-            let mut geometry_only = (**spec).clone();
+            let mut geometry_only = case.spec.clone();
             geometry_only.name = String::new();
             geometry_only.gates = Default::default();
             geometry_only.raw.clear();

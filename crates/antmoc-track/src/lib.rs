@@ -26,7 +26,7 @@ pub use otf::{
     count_segments_per_track, estimate_volumes, trace_3d, trace_keyed, Segment3dCompact,
     SegmentKey, SegmentKeys, SegmentStore3d, SetupWalk,
 };
-pub use segment2d::{Segment2d, SegmentStore2d};
+pub use segment2d::{trace_track, Segment2d, SegmentStore2d};
 pub use track2d::{Link, Track2d, TrackId, TrackSet2d};
 pub use track3d::{Link3d, StackInfo, Track3d, Track3dId, Track3dInfo, TrackSet3d};
 

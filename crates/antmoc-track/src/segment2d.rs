@@ -4,6 +4,12 @@
 //! OTF method keeps resident so 3D segments can be regenerated on the fly
 //! (§4.1). Segments are stored in CSR layout: one flat segment array plus
 //! per-track offsets.
+//!
+//! [`trace_track`] is the production ray-stepping loop. Each step nudges
+//! the point 1 nm along the ray and asks [`Geometry::step`] for the FSR
+//! there and the distance to the next boundary; the geometry answers both
+//! in a single descent and keys the FSR by per-level offsets, so a step
+//! neither allocates nor hashes.
 
 use rayon::prelude::*;
 
@@ -84,8 +90,15 @@ impl SegmentStore2d {
     }
 }
 
-/// Traces a single ray of known length through the geometry.
-fn trace_track(geometry: &Geometry, start: (f64, f64), phi: f64, length: f64) -> Vec<Segment2d> {
+/// Traces a single ray of known length through the geometry: the FSR
+/// segments from `start` along azimuth `phi` for `length`, or until the
+/// ray leaves the domain.
+pub fn trace_track(
+    geometry: &Geometry,
+    start: (f64, f64),
+    phi: f64,
+    length: f64,
+) -> Vec<Segment2d> {
     let (uy, ux) = phi.sin_cos();
     let mut out = Vec::with_capacity(16);
     let nudge = 1e-9;
@@ -98,21 +111,20 @@ fn trace_track(geometry: &Geometry, start: (f64, f64), phi: f64, length: f64) ->
         assert!(guard < 10_000_000, "segmentation did not terminate");
         let px = x + ux * nudge;
         let py = y + uy * nudge;
-        let Some(loc) = geometry.find(px, py) else {
+        let Some(hit) = geometry.step(px, py, ux, uy) else {
             break;
         };
-        let (t, face) = geometry.distance_to_boundary(px, py, ux, uy);
-        let step = (t + nudge).min(remaining);
+        let step = (hit.distance + nudge).min(remaining);
         // Merge with the previous segment when the ray only grazed a
         // surface without changing FSR (keeps segment counts clean).
         match out.last_mut() {
-            Some(Segment2d { fsr, length }) if *fsr == loc.fsr => *length += step,
-            _ => out.push(Segment2d { fsr: loc.fsr, length: step }),
+            Some(Segment2d { fsr, length }) if *fsr == hit.fsr => *length += step,
+            _ => out.push(Segment2d { fsr: hit.fsr, length: step }),
         }
         x += ux * step;
         y += uy * step;
         remaining -= step;
-        if face.is_some() && remaining <= nudge * 10.0 {
+        if hit.face.is_some() && remaining <= nudge * 10.0 {
             break;
         }
     }

@@ -43,10 +43,11 @@
 //! the cache model's reduction block ([`KernelConfig::default`]).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use antmoc_cluster::LinkModel;
 use antmoc_geom::c5g7::C5g7Options;
-use antmoc_input::{CaseKind, CaseSpec};
+use antmoc_input::{CaseKind, CaseSpec, LoweredModel};
 use antmoc_solver::device::CuMapping;
 use antmoc_solver::{EigenOptions, ExchangeMode, KernelConfig, ScheduleKind, StorageMode};
 use antmoc_track::TrackParams;
@@ -81,7 +82,30 @@ pub struct TelemetrySettings {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSpec {
     C5g7(C5g7Options),
-    Lattice(Box<CaseSpec>),
+    /// Shared by every clone of the configuration and by the set-up
+    /// built from it, so the case is lowered once per read.
+    Lattice(Arc<LoweredCase>),
+}
+
+/// A declarative case and the model it lowers to, made together by
+/// [`RunConfig::from_case`].
+pub struct LoweredCase {
+    pub spec: CaseSpec,
+    pub model: LoweredModel,
+}
+
+/// The model is a function of the spec, so two lowered cases are equal
+/// when their specs are, and printing the spec says which case it is.
+impl PartialEq for LoweredCase {
+    fn eq(&self, other: &Self) -> bool {
+        self.spec == other.spec
+    }
+}
+
+impl std::fmt::Debug for LoweredCase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LoweredCase").field("spec", &self.spec).finish_non_exhaustive()
+    }
 }
 
 impl ModelSpec {
@@ -90,8 +114,8 @@ impl ModelSpec {
     pub fn c5g7(&self) -> &C5g7Options {
         match self {
             ModelSpec::C5g7(opts) => opts,
-            ModelSpec::Lattice(spec) => {
-                panic!("model is the declarative case {:?}, not C5G7", spec.name)
+            ModelSpec::Lattice(case) => {
+                panic!("model is the declarative case {:?}, not C5G7", case.spec.name)
             }
         }
     }
@@ -100,8 +124,8 @@ impl ModelSpec {
     pub fn c5g7_mut(&mut self) -> &mut C5g7Options {
         match self {
             ModelSpec::C5g7(opts) => opts,
-            ModelSpec::Lattice(spec) => {
-                panic!("model is the declarative case {:?}, not C5G7", spec.name)
+            ModelSpec::Lattice(case) => {
+                panic!("model is the declarative case {:?}, not C5G7", case.spec.name)
             }
         }
     }
@@ -110,7 +134,7 @@ impl ModelSpec {
     pub fn case(&self) -> Option<&CaseSpec> {
         match self {
             ModelSpec::C5g7(_) => None,
-            ModelSpec::Lattice(spec) => Some(spec),
+            ModelSpec::Lattice(case) => Some(&case.spec),
         }
     }
 }
@@ -275,8 +299,9 @@ impl RunConfig {
     /// Builds a configuration from a declarative case: the case's
     /// pass-through sections feed the same interpreter the INI format
     /// uses, the geometry sections become the model. The case is lowered
-    /// once here so every reference error surfaces at config time rather
-    /// than mid-pipeline.
+    /// here, once: every reference error surfaces at config time rather
+    /// than mid-pipeline, and [`crate::build_setup`] takes the lowered
+    /// model as it is.
     pub fn from_case(spec: &CaseSpec) -> Result<Self, ConfigError> {
         let mut sections: Sections = HashMap::new();
         for (name, entries) in &spec.raw {
@@ -287,12 +312,11 @@ impl RunConfig {
         }
         let mut cfg = Self::from_sections(&sections)?;
         cfg.case_name = spec.name.clone();
-        cfg.model = ModelSpec::Lattice(Box::new(spec.clone()));
-
-        antmoc_input::lower(spec).map_err(|e| ConfigError {
+        let model = antmoc_input::lower(spec).map_err(|e| ConfigError {
             line: e.line,
             message: format!("({}) {}", e.context, e.message),
         })?;
+        cfg.model = ModelSpec::Lattice(Arc::new(LoweredCase { spec: spec.clone(), model }));
 
         if spec.kind == CaseKind::FixedSource {
             if cfg.decomposition != (1, 1, 1) {

@@ -31,7 +31,7 @@ pub mod output;
 pub mod pipeline;
 
 pub use artifact::{run_artifact, write_run_artifact, write_trace_artifact};
-pub use config::{BackendConfig, ModelSpec, RunConfig};
+pub use config::{BackendConfig, LoweredCase, ModelSpec, RunConfig};
 pub use output::PinRates;
 pub use pipeline::{
     build_setup, record_run_meta, run, run_with_setup, run_with_setup_arena, BuiltModel, RunReport,

@@ -19,43 +19,43 @@ use antmoc_solver::{
 };
 use antmoc_xs::MaterialLibrary;
 
-use crate::config::{BackendConfig, ModelSpec, RunConfig};
+use crate::config::{BackendConfig, LoweredCase, ModelSpec, RunConfig};
 use crate::output::PinRates;
 
 /// The geometry model a run solves: the hardcoded C5G7 builder or a
-/// lowered declarative case. Both expose the same pieces the tracker,
-/// solver, and tally stages consume.
+/// lowered declarative case (the configuration's own, shared). Both
+/// expose the same pieces the tracker, solver, and tally stages consume.
 pub enum BuiltModel {
-    C5g7(C5g7),
-    Lattice(LoweredModel),
+    C5g7(Box<C5g7>),
+    Lattice(Arc<LoweredCase>),
 }
 
 impl BuiltModel {
     pub fn geometry(&self) -> &Geometry {
         match self {
             BuiltModel::C5g7(m) => &m.geometry,
-            BuiltModel::Lattice(m) => &m.geometry,
+            BuiltModel::Lattice(m) => &m.model.geometry,
         }
     }
 
     pub fn axial(&self) -> &AxialModel {
         match self {
             BuiltModel::C5g7(m) => &m.axial,
-            BuiltModel::Lattice(m) => &m.axial,
+            BuiltModel::Lattice(m) => &m.model.axial,
         }
     }
 
     pub fn library(&self) -> &MaterialLibrary {
         match self {
             BuiltModel::C5g7(m) => &m.library,
-            BuiltModel::Lattice(m) => &m.library,
+            BuiltModel::Lattice(m) => &m.model.library,
         }
     }
 
     pub fn pin_of_fsr(&self, radial: FsrId) -> Option<PinAddress> {
         match self {
             BuiltModel::C5g7(m) => m.pin_of_fsr(radial),
-            BuiltModel::Lattice(m) => m.pin_of_fsr(radial),
+            BuiltModel::Lattice(m) => m.model.pin_of_fsr(radial),
         }
     }
 }
@@ -183,15 +183,14 @@ pub fn run(config: &RunConfig) -> RunReport {
 }
 
 /// Stage 2, geometry construction: the configured model and the stage's
-/// wall-clock seconds.
+/// wall-clock seconds. A declarative case was lowered when the
+/// configuration was read; the stage shares that model.
 fn build_model(config: &RunConfig) -> (BuiltModel, f64) {
     let t0 = Instant::now();
     let _s = antmoc_telemetry::Telemetry::current().span("geometry");
     let model = match &config.model {
-        ModelSpec::C5g7(opts) => BuiltModel::C5g7(C5g7::build(opts.clone())),
-        ModelSpec::Lattice(spec) => BuiltModel::Lattice(
-            antmoc_input::lower(spec).expect("case validated by RunConfig::from_case"),
-        ),
+        ModelSpec::C5g7(opts) => BuiltModel::C5g7(Box::new(C5g7::build(opts.clone()))),
+        ModelSpec::Lattice(case) => BuiltModel::Lattice(Arc::clone(case)),
     };
     (model, t0.elapsed().as_secs_f64())
 }
@@ -294,7 +293,7 @@ pub fn run_with_setup_arena(
 
 /// Whether a configuration is a declarative fixed-source case.
 fn is_fixed_source(config: &RunConfig) -> bool {
-    matches!(&config.model, ModelSpec::Lattice(s) if s.kind == CaseKind::FixedSource)
+    matches!(&config.model, ModelSpec::Lattice(case) if case.spec.kind == CaseKind::FixedSource)
 }
 
 /// Stage 4 on the configured single-domain backend: `(keff, iterations,
@@ -326,10 +325,10 @@ fn transport(
     };
 
     if is_fixed_source(config) {
-        let BuiltModel::Lattice(lowered) = model else {
+        let BuiltModel::Lattice(case) = model else {
             unreachable!("fixed-source runs come from declarative cases")
         };
-        let external = external_source(problem, lowered);
+        let external = external_source(problem, &case.model);
         let opts = FixedSourceOptions {
             tolerance: config.eigen.tolerance,
             max_iterations: config.eigen.max_iterations,
